@@ -33,17 +33,17 @@ from collections import OrderedDict
 from typing import Any, Iterator, Optional, Sequence
 
 from ..engine.batch import ColumnBatch
-from ..engine.compile import (VectorCompileError, compile_expression,
+from ..engine.compile import (Layout, VectorCompileError, compile_expression,
                               compile_vector_predicate,
-                              compile_vector_projection)
+                              compile_vector_projection, merge_layouts,
+                              row_keys, table_layout)
 from ..engine.errors import QueryLimitExceeded, SQLSyntaxError
 from ..engine.expressions import (ColumnRef, Expression, RowScope, Star)
 from ..engine.index import _KeyWrapper
-from ..engine.operators import (ExecutionStatistics, QueryResult, _AggState,
-                                _SortKey, _apply_scan_predicate,
-                                _create_table_for_rows, _hashable,
-                                _zone_predicates, _zone_skips,
-                                evaluate_projected)
+from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
+                                QueryResult, _AggState, _SortKey,
+                                _apply_scan_predicate, _create_table_for_rows,
+                                _hashable, _zone_predicates, _zone_skips)
 from ..engine.segments import compile_zone_predicate, runtime_range_zone
 from ..engine.planner import Planner
 from ..engine.sql import SqlSession, parse_batch
@@ -309,34 +309,31 @@ class ClusterExecutor:
 
     def _run_single(self, shard, plan: SingleTablePlan, evaluation,
                     fragment: _Fragment) -> None:
+        layout = self._relation_layout(shard, plan.relation)
+        stream = self._iter_single(shard, plan.relation, evaluation)
         if plan.is_aggregate:
             mode = self._aggregate_mode(plan)
             if mode == "partial" and self._scalar_vector_aggregate(
                     shard, plan, evaluation, fragment):
                 return
-            self._aggregate_fragment(
-                shard, plan, evaluation, fragment, mode,
-                self._iter_single(shard, plan.relation, evaluation),
-                scope_binder=self._single_binder(plan.relation))
+            self._aggregate_fragment(plan, evaluation, fragment, mode,
+                                     stream, layout)
             return
-        self._row_fragment(
-            shard, plan, evaluation, fragment,
-            self._iter_single(shard, plan.relation, evaluation),
-            scope_binder=self._single_binder(plan.relation))
+        self._row_fragment(plan, evaluation, fragment, stream, layout)
 
     @staticmethod
-    def _single_binder(relation: FragmentRelation):
-        binding = relation.binding
-
-        def bind(scope: RowScope, payload) -> None:
-            scope.bind(binding, payload)
-
-        return bind
+    def _relation_layout(shard, relation: FragmentRelation) -> Layout:
+        return table_layout(shard.table(relation.table_name), relation.binding)
 
     def _iter_single(self, shard, relation: FragmentRelation, evaluation,
                      runtime_filter: Optional[_ShardJoinFilter] = None
-                     ) -> Iterator[tuple[tuple, dict[str, Any]]]:
-        """(merge key, row) pairs in this shard's access-path order."""
+                     ) -> Iterator[tuple[tuple, dict[str, dict[str, Any]]]]:
+        """(merge key, binding) pairs in this shard's access-path order.
+
+        A binding is ``{relation.binding: row}`` — the one-alias shape
+        of :meth:`_relation_layout`, which every fragment expression is
+        compiled against.
+        """
         table = shard.table(relation.table_name)
         sequences = shard.sequence_list(relation.table_name)
         access = relation.access
@@ -352,10 +349,10 @@ class ClusterExecutor:
             raise RuntimeError(
                 f"shard {shard.shard_id} is missing index {access.index_name!r} "
                 f"on {relation.table_name}")
-        predicate = (compile_expression(access.predicate, evaluation)
+        predicate = (compile_expression(access.predicate, evaluation,
+                                        self._relation_layout(shard, relation))
                      if access.predicate is not None else None)
-        scope = RowScope()
-        binding = relation.binding
+        alias = relation.binding
         row_bytes = int(table.average_row_bytes())
         if access.kind == "covering":
             row_ids: Iterator[int] = index.scan()
@@ -370,12 +367,11 @@ class ClusterExecutor:
                 if row is None:
                     continue
                 scanned += 1
-                if predicate is not None:
-                    scope.bind(binding, row)
-                    if predicate(scope) is not True:
-                        continue
+                binding = {alias: row}
+                if predicate is not None and predicate(binding) is not True:
+                    continue
                 rank = _KeyWrapper(index.key_for_row(row))._ranked
-                yield (rank, sequences[row_id]), row
+                yield (rank, sequences[row_id]), binding
         finally:
             # Runs on close() too (a consumer's TOP break), so abandoned
             # scans still account their rows/bytes (and simulated I/O).
@@ -396,22 +392,21 @@ class ClusterExecutor:
             if iterated is not None:
                 yield from iterated
                 return
-        predicate = (compile_expression(predicate_expr, evaluation)
+        predicate = (compile_expression(predicate_expr, evaluation,
+                                        self._relation_layout(shard, relation))
                      if predicate_expr is not None else None)
-        scope = RowScope()
-        binding = relation.binding
+        alias = relation.binding
         try:
             for row_id, row in table.storage.iter_rows():
                 scanned += 1
-                if predicate is not None:
-                    scope.bind(binding, row)
-                    if predicate(scope) is not True:
-                        continue
+                binding = {alias: row}
+                if predicate is not None and predicate(binding) is not True:
+                    continue
                 if (runtime_filter is not None and not runtime_filter.matches(
                         row.get(runtime_filter.column, NULL))):
                     pruned += 1
                     continue
-                yield (sequences[row_id],), row
+                yield (sequences[row_id],), binding
         finally:
             self._account_scan(relation, scanned, row_bytes,
                                runtime_rows_pruned=pruned)
@@ -420,7 +415,7 @@ class ClusterExecutor:
                             relation: FragmentRelation, evaluation,
                             runtime_filter: Optional[_ShardJoinFilter] = None
                             ) -> Optional[Iterator[tuple[tuple, dict]]]:
-        """Vectorized scan: batch predicate, then materialise survivors."""
+        """Vectorized scan: batch predicate, then materialise survivor bindings."""
         predicate_expr = relation.access.predicate
         predicate_fn = None
         if predicate_expr is not None:
@@ -432,6 +427,7 @@ class ClusterExecutor:
             predicate_fn.zone_predicate = compile_zone_predicate(
                 predicate_expr, evaluation, table, relation.binding)
         column_names = [column.name.lower() for column in table.columns]
+        alias = relation.binding
 
         def generate() -> Iterator[tuple[tuple, dict]]:
             storage = table.storage
@@ -478,7 +474,7 @@ class ClusterExecutor:
                     for position in batch.selection:
                         view.index = position
                         row = {name: view[name] for name in column_names}
-                        yield (sequences[base + position],), row
+                        yield (sequences[base + position],), {alias: row}
             finally:
                 self._account_scan(relation, scanned,
                                    int(table.average_row_bytes()),
@@ -513,26 +509,19 @@ class ClusterExecutor:
 
     def _run_join(self, shard, plan: CoPartitionedJoinPlan, evaluation,
                   fragment: _Fragment) -> None:
-        drive_binding = plan.drive.binding
-        inner_binding = plan.inner.binding
-
-        def bind(scope: RowScope, payload) -> None:
-            drive_row, inner_row = payload
-            scope.bind(drive_binding, drive_row)
-            scope.bind(inner_binding, inner_row)
-
-        stream = self._iter_join(shard, plan, evaluation)
+        layout = merge_layouts(self._relation_layout(shard, plan.drive),
+                               self._relation_layout(shard, plan.inner))
+        stream = self._iter_join(shard, plan, evaluation, layout)
         if plan.is_aggregate:
             mode = self._aggregate_mode(plan)
-            self._aggregate_fragment(shard, plan, evaluation, fragment, mode,
-                                     stream, scope_binder=bind)
+            self._aggregate_fragment(plan, evaluation, fragment, mode,
+                                     stream, layout)
         else:
-            self._row_fragment(shard, plan, evaluation, fragment, stream,
-                               scope_binder=bind)
+            self._row_fragment(plan, evaluation, fragment, stream, layout)
 
-    def _iter_join(self, shard, plan: CoPartitionedJoinPlan, evaluation
-                   ) -> Iterator[tuple[tuple, tuple]]:
-        """(merge key, (drive row, inner row)) in single-node join order.
+    def _iter_join(self, shard, plan: CoPartitionedJoinPlan, evaluation,
+                   layout: Layout) -> Iterator[tuple[tuple, dict]]:
+        """(merge key, drive+inner binding) in single-node join order.
 
         The inner side is hashed (bucket lists in the inner access-path
         order, matching the single-node build order); the drive side
@@ -541,40 +530,33 @@ class ClusterExecutor:
         are always shard-local under co-partitioning, so the ordinal
         totally orders them across the cluster.
         """
-        inner_scope = RowScope()
-        inner_keys = [compile_expression(expression, evaluation)
+        inner_layout = self._relation_layout(shard, plan.inner)
+        inner_keys = [compile_expression(expression, evaluation, inner_layout)
                       for expression in plan.inner_keys]
-        inner_binding = plan.inner.binding
-        hash_table: dict[tuple, list[dict[str, Any]]] = {}
-        for _tag, row in self._iter_single(shard, plan.inner, evaluation):
-            inner_scope.bind(inner_binding, row)
-            key = tuple(fn(inner_scope) for fn in inner_keys)
+        hash_table: dict[tuple, list[dict[str, dict[str, Any]]]] = {}
+        for _tag, binding in self._iter_single(shard, plan.inner, evaluation):
+            key = tuple(fn(binding) for fn in inner_keys)
             if any(part is NULL for part in key):
                 continue
-            hash_table.setdefault(key, []).append(row)
-        drive_scope = RowScope()
-        merged_scope = RowScope()
-        drive_keys = [compile_expression(expression, evaluation)
+            hash_table.setdefault(key, []).append(binding)
+        drive_layout = self._relation_layout(shard, plan.drive)
+        drive_keys = [compile_expression(expression, evaluation, drive_layout)
                       for expression in plan.drive_keys]
-        residual = (compile_expression(plan.residual, evaluation)
+        residual = (compile_expression(plan.residual, evaluation, layout)
                     if plan.residual is not None else None)
-        drive_binding = plan.drive.binding
         runtime_filter = self._shard_join_filter(plan, hash_table)
         drive_stream = self._iter_single(shard, plan.drive, evaluation,
                                          runtime_filter)
         try:
-            for drive_tag, drive_row in drive_stream:
-                drive_scope.bind(drive_binding, drive_row)
-                key = tuple(fn(drive_scope) for fn in drive_keys)
+            for drive_tag, drive_binding in drive_stream:
+                key = tuple(fn(drive_binding) for fn in drive_keys)
                 if any(part is NULL for part in key):
                     continue
-                for ordinal, inner_row in enumerate(hash_table.get(key, ())):
-                    if residual is not None:
-                        merged_scope.bind(drive_binding, drive_row)
-                        merged_scope.bind(inner_binding, inner_row)
-                        if residual(merged_scope) is not True:
-                            continue
-                    yield drive_tag + (ordinal,), (drive_row, inner_row)
+                for ordinal, inner_binding in enumerate(hash_table.get(key, ())):
+                    merged = {**drive_binding, **inner_binding}
+                    if residual is not None and residual(merged) is not True:
+                        continue
+                    yield drive_tag + (ordinal,), merged
         finally:
             drive_stream.close()
 
@@ -609,34 +591,34 @@ class ClusterExecutor:
 
     # -- row fragments (project / sort keys / local TOP) -------------------
 
-    def _row_fragment(self, shard, plan, evaluation, fragment: _Fragment,
-                      stream: Iterator[tuple[tuple, Any]],
-                      scope_binder) -> None:
+    def _row_fragment(self, plan, evaluation, fragment: _Fragment,
+                      stream: Iterator[tuple[tuple, dict]],
+                      layout: Layout) -> None:
         self._accounting.fragment = fragment
         try:
-            scope = RowScope()
             items: list[tuple[Optional[str], Optional[Any], Optional[Star]]] = []
             for position, item in enumerate(plan.select):
                 if isinstance(item.expression, Star):
                     items.append((None, None, item.expression))
                 else:
                     items.append((item.output_name(position),
-                                  compile_expression(item.expression, evaluation),
+                                  compile_expression(item.expression, evaluation,
+                                                     layout),
                                   None))
-            sort_fns = [(compile_expression(expression, evaluation), descending)
+            sort_fns = [(compile_expression(expression, evaluation, layout),
+                         descending)
                         for expression, descending in plan.order_by]
             local_top = (plan.top if not plan.order_by and not plan.distinct
                          else None)
             produced = 0
-            for tag, payload in stream:
-                scope_binder(scope, payload)
+            for tag, binding in stream:
                 output: dict[str, Any] = {}
                 for name, fn, star in items:
                     if star is not None:
-                        self._expand_star(star, plan, payload, output)
+                        self._expand_star(star, binding, output)
                     else:
-                        output[name] = fn(scope)
-                sort_values = ([_SortKey(fn(scope), descending)
+                        output[name] = fn(binding)
+                sort_values = ([_SortKey(fn(binding), descending)
                                 for fn, descending in sort_fns]
                                if sort_fns else None)
                 fragment.rows.append((tag, sort_values, output))
@@ -652,16 +634,12 @@ class ClusterExecutor:
                 close()
             self._accounting.fragment = None
 
-    def _expand_star(self, star: Star, plan, payload,
+    @staticmethod
+    def _expand_star(star: Star, binding: dict[str, dict[str, Any]],
                      output: dict[str, Any]) -> None:
-        if isinstance(plan, SingleTablePlan):
-            rows = [(plan.relation.binding, payload)]
-        else:
-            rows = [(plan.drive.binding, payload[0]),
-                    (plan.inner.binding, payload[1])]
         qualifier = (star.qualifier or "").lower()
-        for binding, row in rows:
-            if qualifier and qualifier != binding:
+        for alias, row in binding.items():
+            if qualifier and qualifier != alias:
                 continue
             for column, value in row.items():
                 output.setdefault(column, value)
@@ -745,37 +723,35 @@ class ClusterExecutor:
                 return column
         return None
 
-    def _aggregate_fragment(self, shard, plan, evaluation,
+    def _aggregate_fragment(self, plan, evaluation,
                             fragment: _Fragment, mode: str,
-                            stream: Iterator[tuple[tuple, Any]],
-                            scope_binder) -> None:
+                            stream: Iterator[tuple[tuple, dict]],
+                            layout: Layout) -> None:
         self._accounting.fragment = fragment
         try:
-            scope = RowScope()
-            group_fns = [compile_expression(expression, evaluation)
+            group_fns = [compile_expression(expression, evaluation, layout)
                          for expression in plan.group_by]
-            argument_fns = [compile_expression(aggregate.argument, evaluation)
+            argument_fns = [compile_expression(aggregate.argument, evaluation,
+                                               layout)
                             if aggregate.argument is not None else None
                             for aggregate in plan.aggregates]
             if mode == "ordered":
-                for tag, payload in stream:
-                    scope_binder(scope, payload)
-                    key = tuple(fn(scope) for fn in group_fns)
-                    values = tuple(fn(scope) if fn is not None else 1
+                for tag, binding in stream:
+                    key = tuple(fn(binding) for fn in group_fns)
+                    values = tuple(fn(binding) if fn is not None else 1
                                    for fn in argument_fns)
                     fragment.rows.append((tag, key, values))
                 return
             groups = fragment.groups
-            for tag, payload in stream:
-                scope_binder(scope, payload)
-                key = tuple(fn(scope) for fn in group_fns)
+            for tag, binding in stream:
+                key = tuple(fn(binding) for fn in group_fns)
                 entry = groups.get(key)
                 if entry is None:
                     entry = [tag, [_AggState(aggregate)
                                    for aggregate in plan.aggregates]]
                     groups[key] = entry
                 for state, fn in zip(entry[1], argument_fns):
-                    state.update(fn(scope) if fn is not None else 1)
+                    state.update(fn(binding) if fn is not None else 1)
         finally:
             close = getattr(stream, "close", None)
             if close is not None:
@@ -901,44 +877,41 @@ class ClusterExecutor:
         ordered_groups = sorted(groups.items(), key=lambda item: item[1][0])
         self._count(groups_merged=len(ordered_groups))
 
-        group_rows: list[dict[str, Any]] = []
+        # Group rows are bound as the single-node GroupAggregate binds
+        # them, so HAVING / ORDER BY / the select list compile against
+        # the same one-alias layout (with the projected fallback).
+        group_names = [_group_key_name(expression)
+                       for expression in plan.group_by]
+        result_keys = [aggregate.result_key() for aggregate in plan.aggregates]
+        layout = ((OUTPUT_BINDING, row_keys(group_names + result_keys)),)
+        groups_out: list[dict[str, dict[str, Any]]] = []
         for key, (_tag, states) in ordered_groups:
-            row: dict[str, Any] = {}
-            for expression, value in zip(plan.group_by, key):
-                row[_group_key_name(expression)] = value
-            for aggregate, state in zip(plan.aggregates, states):
-                row[aggregate.result_key()] = state.result()
-            group_rows.append(row)
+            row: dict[str, Any] = dict(zip(group_names, key))
+            for result_key, state in zip(result_keys, states):
+                row[result_key] = state.result()
+            groups_out.append({OUTPUT_BINDING: row})
 
-        scope = RowScope()
-        from ..engine.operators import OUTPUT_BINDING
+        def projected(expression: Expression):
+            return compile_expression(expression, evaluation, layout,
+                                      projected=True)
 
         if plan.having is not None:
-            kept = []
-            for row in group_rows:
-                scope.bind(OUTPUT_BINDING, row)
-                if evaluate_projected(plan.having, scope, evaluation) is True:
-                    kept.append(row)
-            group_rows = kept
+            having = projected(plan.having)
+            groups_out = [group for group in groups_out
+                          if having(group) is True]
         if plan.order_by:
-            decorated = []
-            for row in group_rows:
-                scope.bind(OUTPUT_BINDING, row)
-                decorated.append(
-                    ([_SortKey(evaluate_projected(expression, scope, evaluation),
-                               descending)
-                      for expression, descending in plan.order_by], row))
+            sort_fns = [(projected(expression), descending)
+                        for expression, descending in plan.order_by]
+            decorated = [([_SortKey(fn(group), descending)
+                           for fn, descending in sort_fns], group)
+                         for group in groups_out]
             decorated.sort(key=lambda pair: pair[0])
-            group_rows = [row for _keys, row in decorated]
+            groups_out = [group for _keys, group in decorated]
             self._count(topn_resorts=1 if plan.top is not None else 0)
-        outputs = []
-        for row in group_rows:
-            scope.bind(OUTPUT_BINDING, row)
-            output = {}
-            for position, item in enumerate(plan.select):
-                output[item.output_name(position)] = evaluate_projected(
-                    item.expression, scope, evaluation)
-            outputs.append(output)
+        item_fns = [(item.output_name(position), projected(item.expression))
+                    for position, item in enumerate(plan.select)]
+        outputs = [{name: fn(group) for name, fn in item_fns}
+                   for group in groups_out]
         if plan.distinct:
             outputs = _distinct_rows(outputs)
         if plan.top is not None:
@@ -1085,8 +1058,7 @@ class ClusterExecutor:
                       ) -> Optional[list[Any]]:
         if bounds is None:
             return None
-        scope = RowScope()
-        return [compile_expression(expression, evaluation)(scope)
+        return [compile_expression(expression, evaluation)({})
                 for expression in bounds]
 
 
@@ -1260,7 +1232,8 @@ class ClusterSession:
         entry = self._fragment_plans.get(key)
         if entry is not None:
             plan, schema_version, versions = entry
-            fresh = (schema_version == self.database.schema_version
+            fresh = (not self.database.changed_since(
+                         schema_version, (name.lower() for name in versions))
                      and all(self.cluster.table_versions(name) == captured
                              for name, captured in versions.items()))
             if fresh:

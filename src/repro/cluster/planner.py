@@ -45,7 +45,7 @@ from typing import Any, Optional, Sequence
 
 from ..engine.catalog import Database
 from ..engine.expressions import (AggregateCall, BinaryOp, ColumnRef,
-                                  Expression, RowScope, combine_conjuncts,
+                                  Expression, combine_conjuncts,
                                   extract_sargable)
 from ..engine.index import BTreeIndex
 from ..engine.logical import FunctionRef, LogicalQuery, SelectItem
@@ -515,7 +515,7 @@ def constant_bound(expression: Optional[Expression], evaluation) -> Any:
     try:
         from ..engine.compile import compile_expression
 
-        value = compile_expression(expression, evaluation)(RowScope())
+        value = compile_expression(expression, evaluation)({})
     except Exception:
         return _UNKNOWN
     from ..engine.types import NULL

@@ -39,9 +39,16 @@ class Database:
         self.statistics: dict[str, TableStatistics] = {}
         self._clock: Callable[[], _dt.datetime] = lambda: _dt.datetime.now(tz=_dt.timezone.utc)
         #: Bumped by every DDL change (tables, views, indexes, functions);
-        #: the session plan cache invalidates entries planned under an
-        #: older version.
+        #: caches of planned work are valid for the version they were
+        #: built under — or any later one that :meth:`changed_since`
+        #: says left their tables alone.
         self.schema_version = 0
+        #: Where the version was last bumped: per lower-cased table name
+        #: for DDL that concerns one table (create/drop, its indexes,
+        #: layout and statistics), and once for everything else (views,
+        #: functions, release flips), which concerns every plan.
+        self._table_ddl_versions: dict[str, int] = {}
+        self._catalog_ddl_version = 0
         #: The database-wide snapshot epoch: advanced whenever a table's
         #: exclusive (write) section completes and on every DDL bump.  A
         #: reader holding read locks can record the epoch as a snapshot
@@ -61,10 +68,27 @@ class Database:
             return None
         return self.durability.checkpoint()
 
-    def bump_schema_version(self) -> None:
+    def bump_schema_version(self, table: Optional[str] = None) -> None:
+        """Record a DDL change — to ``table`` alone, or (None) to the catalog."""
         with self._epoch_lock:
             self.schema_version += 1
             self.epoch += 1
+            if table is None:
+                self._catalog_ddl_version = self.schema_version
+            else:
+                self._table_ddl_versions[table.lower()] = self.schema_version
+
+    def changed_since(self, version: int, tables: Iterable[str]) -> bool:
+        """Whether DDL after schema version ``version`` could affect work
+        planned over ``tables`` (lower-cased base-table names): any
+        catalog-wide change, or a change to one of those tables.  A
+        ``SELECT … INTO ##results`` therefore costs the plans that read
+        ``##results`` — not every cached plan in the session.
+        """
+        if self._catalog_ddl_version > version:
+            return True
+        versions = self._table_ddl_versions
+        return any(versions.get(name, 0) > version for name in tables)
 
     def _bump_epoch(self) -> None:
         with self._epoch_lock:
@@ -98,10 +122,10 @@ class Database:
                       foreign_keys=foreign_keys, checks=checks,
                       description=description, storage=storage)
         table.set_clock(self._clock)
-        table.on_schema_change(self.bump_schema_version)
+        table.on_schema_change(lambda: self.bump_schema_version(name))
         table.lock.on_exclusive_release = self._bump_epoch
         self.tables[name] = table
-        self.bump_schema_version()
+        self.bump_schema_version(name)
         if self.durability is not None:
             self.durability.table_created(table)
         return table
@@ -111,7 +135,7 @@ class Database:
             if existing.lower() == name.lower():
                 del self.tables[existing]
                 self.statistics.pop(existing.lower(), None)
-                self.bump_schema_version()
+                self.bump_schema_version(existing)
                 if self.durability is not None:
                     self.durability.table_dropped(existing)
                 return
@@ -200,7 +224,7 @@ class Database:
         with table.lock.read():
             statistics = collect_table_statistics(table)
         self.statistics[table.name.lower()] = statistics
-        self.bump_schema_version()
+        self.bump_schema_version(table.name)
         return statistics
 
     def analyze(self, table_names: Optional[Sequence[str]] = None) -> list[TableStatistics]:

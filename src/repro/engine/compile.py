@@ -6,17 +6,21 @@ for every row.  For the hot operators that is the dominant CPU cost of a
 query, so each operator instead compiles its expressions **once per
 execution** into closures:
 
-* :func:`compile_expression` produces ``Callable[[RowScope], Any]`` —
-  a drop-in replacement for ``expression.evaluate(scope, context)``
-  with identical SQL three-valued-NULL semantics, short-circuit
-  AND/OR, and identical error behaviour;
-* :func:`compile_row_expression` produces ``Callable[[dict], Any]``
-  for the fused single-table fast path: column references become
-  direct dictionary reads, skipping ``RowScope`` construction and its
-  case-insensitive key scans entirely.  It raises
-  :class:`RowCompileError` when an expression cannot be resolved
-  against the one table (the caller then falls back to the general
-  path);
+* :func:`compile_expression` binds the expression to a *layout* — the
+  ordered alias → row-key shape of the bindings an operator emits —
+  and produces ``Callable[[binding], Any]``: every column reference is
+  resolved **once, here** (qualified, or unqualified with the first
+  alias that has the column winning) into a ``binding[alias][key]``
+  read, with the interpreter's SQL three-valued-NULL semantics,
+  short-circuit AND/OR and error behaviour.  A reference the layout
+  cannot resolve compiles to a closure that raises
+  :class:`UnknownColumnError` when (and only when) a row reaches it;
+* :func:`compile_row_expression` is the one-alias case of the same
+  bound compiler for the fused single-table fast path: the closure
+  takes the table's row dict itself, so a column is one C-level
+  ``itemgetter``.  It is strict — :class:`RowCompileError` when a
+  reference does not resolve against the one table (the caller then
+  falls back to the general path);
 * :func:`compile_vector_predicate` / :func:`compile_vector_projection`
   produce batch-at-a-time functions over
   :class:`~repro.engine.batch.ColumnBatch` selection vectors.  Where
@@ -37,10 +41,11 @@ would raise them (or not at all, when short-circuiting skips them).
 
 Thread safety: a compiled closure closes only over immutable compile
 products (folded constants, pre-compiled regexes, the frozen variable
-values) and *reads* whatever row dict, scope or column buffers it is
-handed — it never writes shared state.  The morsel-parallel scan driver
-(:mod:`repro.engine.parallel`) relies on this: one compiled closure is
-shared by every worker, each applying it to its own morsel's
+values, the resolved binding/row keys) and *reads* whatever binding,
+row dict or column buffers it is handed — it never writes shared
+state.  The morsel-parallel scan driver (:mod:`repro.engine.parallel`)
+relies on this: one compiled closure is shared by every worker, each
+applying it to its own morsel's
 :class:`~repro.engine.batch.ColumnBatch` concurrently.  Keep new
 codegen paths free of per-call mutable caches.  Runtime join filters
 (:class:`repro.engine.operators.RuntimeJoinFilter`) obey the same
@@ -54,21 +59,73 @@ from __future__ import annotations
 import math
 import re
 from operator import eq, ge, gt, itemgetter, le, lt, ne
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .errors import ExpressionError, UnknownColumnError, UnknownFunctionError
 from .expressions import (_ARITHMETIC, _BITWISE, _BUILTIN_FUNCTIONS,
                           _COMPARISON, AggregateCall, Between,
                           BinaryOp, CaseWhen, ColumnRef, EvaluationContext,
                           Expression, FunctionCall, InList, Like, Literal,
-                          Star, UnaryOp, Variable, like_regex,
+                          RowScope, Star, UnaryOp, Variable, like_regex,
                           truncate_int_div)
 from .types import DataType, NULL
 
-#: A compiled scalar expression.  The single argument is a RowScope for
-#: :func:`compile_expression` and a plain row dict for
-#: :func:`compile_row_expression`.
+#: A compiled scalar expression.  The single argument is a binding
+#: (alias → row dict) for :func:`compile_expression` and a plain row
+#: dict for :func:`compile_row_expression`.
 CompiledExpression = Callable[[Any], Any]
+
+#: The shape of the bindings an operator emits: ordered ``(binding key,
+#: row keys)`` pairs, where ``row keys`` maps each column's lower-cased
+#: name to the key it has in that alias's row dicts.  Order is the
+#: unqualified-name search order (first alias with the column wins).
+Layout = tuple[tuple[str, Mapping[str, str]], ...]
+
+
+def row_keys(names: Iterable[str]) -> dict[str, str]:
+    """Lower-cased name → row key; the first spelling of a name wins,
+    as it would for a case-insensitive scan of the row."""
+    keys: dict[str, str] = {}
+    for name in names:
+        keys.setdefault(name.lower(), name)
+    return keys
+
+
+def table_layout(table: Any, binding_name: str) -> Layout:
+    """The one-alias layout of a base table's rows bound as ``binding_name``."""
+    return ((binding_name, table.row_keys),)
+
+
+def merge_layouts(first: Layout, second: Layout) -> Layout:
+    """The layout of ``{**first_binding, **second_binding}``."""
+    merged = dict(first)
+    merged.update(second)
+    return tuple(merged.items())
+
+
+def resolve_column(layout: Layout, name: str,
+                   qualifier: Optional[str] = None) -> tuple[str, str]:
+    """``(binding key, row key)`` of a column reference under ``layout``.
+
+    The resolution rules (and the messages of the
+    :class:`UnknownColumnError` raised when they fail) are
+    :meth:`RowScope.lookup`'s, applied once instead of per row.
+    """
+    lowered = name.lower()
+    if qualifier:
+        wanted = qualifier.lower()
+        for binding_key, columns in layout:
+            if binding_key.lower() == wanted:
+                key = columns.get(lowered)
+                if key is None:
+                    raise UnknownColumnError(f"unknown column {qualifier}.{name}")
+                return binding_key, key
+        raise UnknownColumnError(f"unknown table alias {qualifier!r}")
+    for binding_key, columns in layout:
+        key = columns.get(lowered)
+        if key is not None:
+            return binding_key, key
+    raise UnknownColumnError(f"unknown column {name!r}")
 
 
 class RowCompileError(Exception):
@@ -99,16 +156,35 @@ _COMPARATORS = {"=": eq, "<>": ne, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": g
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def compile_expression(expression: Expression,
-                       evaluation: EvaluationContext) -> CompiledExpression:
-    """Compile ``expression`` to a closure over a :class:`RowScope`.
+def compile_expression(expression: Expression, evaluation: EvaluationContext,
+                       layout: Layout = (), *,
+                       projected: bool = False) -> CompiledExpression:
+    """Compile ``expression`` to a closure over a binding shaped as ``layout``.
 
-    ``compiled(scope)`` is equivalent to
-    ``expression.evaluate(scope, evaluation)`` for the ``evaluation``
-    context given here (session variables are frozen at compile time,
-    which is sound because compilation happens per execution).
+    ``compiled(binding)`` is equivalent to ``expression.evaluate(scope,
+    evaluation)`` for a scope holding the binding's rows (session
+    variables are frozen at compile time, which is sound because
+    compilation happens per execution).  ``projected`` adds the
+    select-list / order-key rule of :func:`repro.engine.operators.
+    evaluate_projected`: above an aggregate the base columns are gone,
+    so an expression with a reference the layout cannot resolve falls
+    back to reading its name (a bare column) or SQL text (anything
+    else) from the grouped output row.
     """
-    fn, _is_const = _Compiler(evaluation).compile(expression)
+    compiler = _Compiler(evaluation, layout)
+    fn, _is_const = compiler.compile(expression)
+    if projected and compiler.has_unresolved:
+        name = (expression.name if isinstance(expression, ColumnRef)
+                else expression.sql())
+        fallback, _is_const = compiler.column(ColumnRef(name))
+        resolved = fn
+
+        def fn(binding: Any) -> Any:
+            try:
+                return resolved(binding)
+            except UnknownColumnError:
+                return fallback(binding)
+
     return fn
 
 
@@ -120,14 +196,15 @@ def compile_row_expression(expression: Expression, evaluation: EvaluationContext
     ``binding_name`` or unqualified); raises :class:`RowCompileError`
     otherwise.
     """
-    fn, _is_const = _RowCompiler(evaluation, table, binding_name).compile(expression)
+    fn, _is_const = _RowCompiler(
+        evaluation, table_layout(table, binding_name)).compile(expression)
     return fn
 
 
 def supports_row_mode(expression: Expression, table: "Any", binding_name: str) -> bool:
     """True when :func:`compile_row_expression` would accept ``expression``."""
     try:
-        _RowModeProbe(table, binding_name).check(expression)
+        compile_row_expression(expression, EvaluationContext(), table, binding_name)
     except RowCompileError:
         return False
     return True
@@ -138,10 +215,20 @@ def supports_row_mode(expression: Expression, table: "Any", binding_name: str) -
 # ---------------------------------------------------------------------------
 
 class _Compiler:
-    """Bottom-up compiler producing ``(closure, is_constant)`` pairs."""
+    """Bottom-up compiler producing ``(closure, is_constant)`` pairs.
 
-    def __init__(self, evaluation: EvaluationContext):
+    Column references are bound against ``layout`` as the tree is
+    compiled; the closures read ``binding[alias][key]`` and never see a
+    name again.
+    """
+
+    def __init__(self, evaluation: EvaluationContext, layout: Layout = ()):
         self.evaluation = evaluation
+        self.layout = layout
+        #: Set once any reference failed to resolve (its closure raises
+        #: UnknownColumnError per row): only then can the projected
+        #: fallback of :func:`compile_expression` ever trigger.
+        self.has_unresolved = False
 
     # -- dispatch -----------------------------------------------------------
 
@@ -178,13 +265,32 @@ class _Compiler:
     def fallback(self, node: Expression) -> tuple[CompiledExpression, bool]:
         """Unknown node subclass: defer to the interpreter."""
         evaluation = self.evaluation
-        return (lambda scope: node.evaluate(scope, evaluation)), False
+        self.has_unresolved = True  # the interpreter resolves names per row
+        return (lambda binding: node.evaluate(RowScope.from_binding(binding),
+                                              evaluation)), False
 
     # -- leaves -------------------------------------------------------------
 
     def column(self, node: ColumnRef) -> tuple[CompiledExpression, bool]:
-        name, qualifier = node.name, node.qualifier
-        return (lambda scope: scope.lookup(name, qualifier)), False
+        try:
+            alias, key = resolve_column(self.layout, node.name, node.qualifier)
+        except UnknownColumnError as error:
+            return self.unresolved(str(error))
+        return self.reference(alias, key), False
+
+    def reference(self, alias: str, key: str) -> CompiledExpression:
+        """The read of one resolved column out of the closure's argument."""
+        return lambda binding: binding[alias][key]
+
+    def unresolved(self, message: str) -> tuple[CompiledExpression, bool]:
+        """A reference the layout cannot resolve fails per row, not here:
+        over an empty input it must never raise at all."""
+        self.has_unresolved = True
+
+        def fn(_binding: Any) -> Any:
+            raise UnknownColumnError(message)
+
+        return fn, False
 
     def variable(self, node: Variable) -> tuple[CompiledExpression, bool]:
         evaluation = self.evaluation
@@ -386,36 +492,32 @@ class _Compiler:
         return fn, False
 
     def aggregate(self, node: AggregateCall) -> tuple[CompiledExpression, bool]:
-        key = node.result_key()
-        rendering = node.sql()
+        # The aggregation operator's output row carries the computed
+        # value under the aggregate's SQL text.
+        try:
+            alias, key = resolve_column(self.layout, node.result_key())
+        except UnknownColumnError:
+            rendering = node.sql()
 
-        def fn(scope: Any) -> Any:
-            try:
-                return scope.lookup(key)
-            except UnknownColumnError:
+            def fn(_binding: Any) -> Any:
                 raise ExpressionError(
                     f"aggregate {rendering} evaluated outside an aggregation operator")
 
-        return fn, False
+            return fn, False
+        return self.reference(alias, key), False
 
 
 class _RowCompiler(_Compiler):
-    """Compiles against a plain row dict of one table (the fused fast path)."""
+    """The one-alias case: closures take that alias's row dict itself
+    (the fused fast path and the batch row-view fallback), and a
+    reference outside the one table is a compile-time error."""
 
-    def __init__(self, evaluation: EvaluationContext, table: Any, binding_name: str):
-        super().__init__(evaluation)
-        self.table = table
-        self.binding_name = binding_name.lower()
+    def reference(self, alias: str, key: str) -> CompiledExpression:
+        # Every row carries every column, so a C-level itemgetter does.
+        return itemgetter(key)
 
-    def column(self, node: ColumnRef) -> tuple[CompiledExpression, bool]:
-        qualifier = (node.qualifier or "").lower()
-        if qualifier and qualifier != self.binding_name:
-            raise RowCompileError(f"column {node.sql()} is outside {self.binding_name!r}")
-        if not self.table.has_column(node.name):
-            raise RowCompileError(f"no column {node.name!r} in {self.table.name!r}")
-        # Table rows are keyed by lower-cased column name with every column
-        # present, so a direct C-level itemgetter replaces scope.lookup.
-        return itemgetter(node.name.lower()), False
+    def unresolved(self, message: str) -> tuple[CompiledExpression, bool]:
+        raise RowCompileError(message)
 
     def aggregate(self, node: AggregateCall) -> tuple[CompiledExpression, bool]:
         raise RowCompileError("aggregates cannot run in the fused scan path")
@@ -424,32 +526,8 @@ class _RowCompiler(_Compiler):
         raise RowCompileError(f"unsupported node {type(node).__name__} in row mode")
 
 
-class _RowModeProbe:
-    """Structural check for :func:`supports_row_mode` (no context needed)."""
-
-    _SUPPORTED = (Literal, ColumnRef, Variable, BinaryOp, UnaryOp, Between,
-                  InList, Like, FunctionCall, CaseWhen)
-
-    def __init__(self, table: Any, binding_name: str):
-        self.table = table
-        self.binding_name = binding_name.lower()
-
-    def check(self, node: Expression) -> None:
-        if isinstance(node, ColumnRef):
-            qualifier = (node.qualifier or "").lower()
-            if qualifier and qualifier != self.binding_name:
-                raise RowCompileError(node.sql())
-            if not self.table.has_column(node.name):
-                raise RowCompileError(node.sql())
-            return
-        if isinstance(node, AggregateCall) or not isinstance(node, self._SUPPORTED):
-            raise RowCompileError(type(node).__name__)
-        for child in node.children():
-            self.check(child)
-
-
 # ---------------------------------------------------------------------------
-# Operator closures (shared between scope mode and row mode)
+# Operator closures (shared between binding mode and row mode)
 # ---------------------------------------------------------------------------
 
 def _compile_and(left_fn: CompiledExpression,

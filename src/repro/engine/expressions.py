@@ -44,6 +44,14 @@ class RowScope:
         self._rows: dict[str, Mapping[str, Any]] = {}
         self._order: list[str] = []
 
+    @classmethod
+    def from_binding(cls, binding: Mapping[str, Mapping[str, Any]]) -> "RowScope":
+        """The scope of one operator binding (alias → row, in order)."""
+        scope = cls()
+        for alias, row in binding.items():
+            scope.bind(alias, row)
+        return scope
+
     def bind(self, alias: str, row: Mapping[str, Any]) -> "RowScope":
         key = alias.lower()
         if key not in self._rows:

@@ -52,8 +52,12 @@ class TableValuedFunction:
     def column_names(self) -> list[str]:
         return [column.name for column in self.columns]
 
+    def row_keys(self) -> dict[str, str]:
+        """Lower-cased column name -> its (declared) key in the result rows."""
+        return {column.name.lower(): column.name for column in self.columns}
+
     def __call__(self, *args: Any) -> list[dict[str, Any]]:
-        declared = {column.name.lower(): column.name for column in self.columns}
+        declared = self.row_keys()
         rows = []
         for raw in self.implementation(*args):
             row = {}

@@ -3,10 +3,13 @@
 Operators follow the iterator (Volcano) model: each operator's
 :meth:`PhysicalOperator.rows` yields *bindings* — dictionaries that map
 a relation's binding name (its alias) to the current row from that
-relation.  Expressions are evaluated against a :class:`RowScope` built
-from the binding, which is how qualified references like ``r.fiberMag_r``
-and ``g.fiberMag_g`` in the paper's NEO query resolve to the right side
-of a self-join.
+relation — and :meth:`PhysicalOperator.layout` declares their shape.
+Expressions are compiled once per execution against that layout, which
+is how qualified references like ``r.fiberMag_r`` and ``g.fiberMag_g``
+in the paper's NEO query resolve to the right side of a self-join: the
+closure reads ``binding["r"]["fibermag_r"]`` and never sees a name
+again.  (The interpreter, ``execute(compiled=False)``, still resolves
+names per row through a :class:`RowScope`; it is the oracle.)
 
 Each operator keeps actual-row counters so EXPLAIN output can show both
 the plan shape (Figures 10-12 of the paper) and the observed
@@ -23,11 +26,12 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .batch import ColumnBatch
 from .catalog import Database
-from .compile import (CompiledExpression, RowCompileError, VectorCompileError,
-                      VectorExpression, compile_expression,
+from .compile import (CompiledExpression, Layout, RowCompileError,
+                      VectorCompileError, VectorExpression, compile_expression,
                       compile_join_vector_predicate,
                       compile_join_vector_projection, compile_row_expression,
-                      compile_vector_predicate, compile_vector_projection)
+                      compile_vector_predicate, compile_vector_projection,
+                      merge_layouts, row_keys, table_layout)
 from .errors import PlanError, UnknownColumnError
 from .expressions import (AggregateCall, ColumnRef, EvaluationContext,
                           Expression, RowScope, Star)
@@ -111,15 +115,27 @@ class ExecutionContext:
     #: overlap I/O stalls with compute on a single node.
     simulated_scan_mbps: Optional[float] = None
 
-    def compile(self, expression: Optional[Expression]) -> Optional[CompiledExpression]:
-        """Compile an expression once for this execution (or wrap the interpreter)."""
+    def compile(self, expression: Optional[Expression], layout: Layout, *,
+                projected: bool = False) -> Optional[CompiledExpression]:
+        """Bind an expression to ``layout`` once for this execution.
+
+        The closure takes a binding of that layout.  ``projected`` adds
+        the select-list / order-key rule (see :func:`evaluate_projected`).
+        With compilation off the closure wraps the interpreter, which
+        resolves names per row through a fresh :class:`RowScope`.
+        """
         if expression is None:
             return None
         if not self.compile_enabled:
             evaluation = self.evaluation
-            return lambda scope: expression.evaluate(scope, evaluation)
+            if projected:
+                return lambda binding: evaluate_projected(
+                    expression, RowScope.from_binding(binding), evaluation)
+            return lambda binding: expression.evaluate(
+                RowScope.from_binding(binding), evaluation)
         self.statistics.exprs_compiled += 1
-        return compile_expression(expression, self.evaluation)
+        return compile_expression(expression, self.evaluation, layout,
+                                  projected=projected)
 
     def compile_row(self, expression: Expression, table: "Table",
                     binding_name: str) -> CompiledExpression:
@@ -218,6 +234,16 @@ class PhysicalOperator:
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         raise NotImplementedError
 
+    def layout(self) -> Layout:
+        """The shape of the bindings :meth:`rows` yields (alias → row keys).
+
+        Consumers bind their expressions to it once per execution.  The
+        default suits every operator that passes its only child's
+        bindings through (filter, sort, top, distinct, insert).
+        """
+        (child,) = self.children()
+        return child.layout()
+
     def children(self) -> Sequence["PhysicalOperator"]:
         return ()
 
@@ -268,16 +294,17 @@ class TableScan(PhysicalOperator):
         row_bytes = int(self.table.average_row_bytes())
         statistics = context.statistics
         binding_name = self.binding_name
-        predicate = self._compiled_predicate(context)
-        scope = RowScope()
+        predicate = context.compile(self.predicate, self.layout())
         for row in self.table.storage.iter_dicts():
             statistics.rows_scanned += 1
             statistics.bytes_scanned += row_bytes
-            if predicate is not None:
-                scope.bind(binding_name, row)
-                if predicate(scope) is not True:
-                    continue
-            yield self._emit({binding_name: row})
+            binding = {binding_name: row}
+            if predicate is not None and predicate(binding) is not True:
+                continue
+            yield self._emit(binding)
+
+    def layout(self) -> Layout:
+        return table_layout(self.table, self.binding_name)
 
     def batches(self, context: ExecutionContext,
                 predicate_fn: Optional[VectorExpression] = None,
@@ -348,9 +375,6 @@ class TableScan(PhysicalOperator):
                 batch.selection = kept
             yield batch
 
-    def _compiled_predicate(self, context: ExecutionContext) -> Optional[CompiledExpression]:
-        return context.compile(self.predicate)
-
     def details(self) -> str:
         where = f" WHERE {self.predicate.sql()}" if self.predicate is not None else ""
         return f"{self.table.name} AS {self.binding_name}{where}"
@@ -381,8 +405,7 @@ class CoveringIndexScan(PhysicalOperator):
         entry_bytes = self.index.entry_byte_width()
         table = self.index.table
         binding_name = self.binding_name
-        predicate = context.compile(self.predicate)
-        scope = RowScope()
+        predicate = context.compile(self.predicate, self.layout())
         for row_id in self.index.scan():
             row = table.get_row(row_id)
             if row is None:
@@ -390,11 +413,13 @@ class CoveringIndexScan(PhysicalOperator):
             statistics.rows_scanned += 1
             statistics.bytes_scanned += entry_bytes
             statistics.index_entries_read += 1
-            if predicate is not None:
-                scope.bind(binding_name, row)
-                if predicate(scope) is not True:
-                    continue
-            yield self._emit({binding_name: row})
+            binding = {binding_name: row}
+            if predicate is not None and predicate(binding) is not True:
+                continue
+            yield self._emit(binding)
+
+    def layout(self) -> Layout:
+        return table_layout(self.index.table, self.binding_name)
 
     def details(self) -> str:
         where = f" WHERE {self.predicate.sql()}" if self.predicate is not None else ""
@@ -427,8 +452,7 @@ class IndexRangeScan(PhysicalOperator):
                       context: ExecutionContext) -> Optional[list[Any]]:
         if bound is None:
             return None
-        scope = RowScope()
-        return [context.compile(expression)(scope) for expression in bound]
+        return [context.compile(expression, ())({}) for expression in bound]
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
@@ -439,8 +463,7 @@ class IndexRangeScan(PhysicalOperator):
         binding_name = self.binding_name
         low = self._bound_values(self.low, context)
         high = self._bound_values(self.high, context)
-        predicate = context.compile(self.predicate)
-        scope = RowScope()
+        predicate = context.compile(self.predicate, self.layout())
         for row_id in self.index.range(low, high):
             row = table.get_row(row_id)
             if row is None:
@@ -450,11 +473,13 @@ class IndexRangeScan(PhysicalOperator):
             statistics.index_entries_read += 1
             if not covering:
                 statistics.random_lookups += 1
-            if predicate is not None:
-                scope.bind(binding_name, row)
-                if predicate(scope) is not True:
-                    continue
-            yield self._emit({binding_name: row})
+            binding = {binding_name: row}
+            if predicate is not None and predicate(binding) is not True:
+                continue
+            yield self._emit(binding)
+
+    def layout(self) -> Layout:
+        return table_layout(self.index.table, self.binding_name)
 
     def details(self) -> str:
         low_text = "[" + ", ".join(e.sql() for e in self.low) + "]" if self.low else "-inf"
@@ -486,6 +511,9 @@ class FunctionScan(PhysicalOperator):
             context.statistics.rows_scanned += 1
             yield self._emit({self.binding_name: row})
 
+    def layout(self) -> Layout:
+        return ((self.binding_name, self.function.row_keys()),)
+
     def details(self) -> str:
         args = ", ".join(argument.sql() for argument in self.args)
         return f"{self.function.name}({args}) AS {self.binding_name}"
@@ -507,6 +535,10 @@ class RowSource(PhysicalOperator):
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         for row in self._rows:
             yield self._emit({self.binding_name: row})
+
+    def layout(self) -> Layout:
+        return ((self.binding_name,
+                 row_keys(key for row in self._rows for key in row)),)
 
     def details(self) -> str:
         return f"{len(self._rows)} rows AS {self.binding_name}"
@@ -535,15 +567,16 @@ class NestedLoopJoin(PhysicalOperator):
         return (self.outer, self.inner)
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
-        condition = context.compile(self.condition)
-        scopes = _BindingScopes()
+        condition = context.compile(self.condition, self.layout())
         for outer_binding in self.outer.rows(context):
             for inner_binding in self.inner.rows(context):
                 merged = {**outer_binding, **inner_binding}
-                if condition is not None:
-                    if condition(scopes.scope_for(merged)) is not True:
-                        continue
+                if condition is not None and condition(merged) is not True:
+                    continue
                 yield self._emit(merged)
+
+    def layout(self) -> Layout:
+        return merge_layouts(self.outer.layout(), self.inner.layout())
 
     def details(self) -> str:
         return f"ON {self.condition.sql()}" if self.condition is not None else "cross join"
@@ -557,19 +590,35 @@ class IndexNestedLoopJoin(PhysicalOperator):
 
     This is the plan of Figure 10: each row from the spatial
     table-valued function probes the PhotoObj primary key.
+
+    With ``outer_high`` the probe is a *range*: ``outer_key[0]`` and
+    ``outer_high`` give the inclusive bounds of the index's leading
+    column for each outer row (§9.1.4's ``htmID BETWEEN htmIDstart AND
+    htmIDend`` against the HTM cover table) and the join reads
+    ``index.range(low, high)`` instead of ``index.seek(key)``.  The
+    planner keeps the range conjunct in ``residual``, so the probe only
+    has to deliver a superset of the matches in index order — which
+    makes the output exactly the nested-loop join's over a full scan of
+    the same index: outer order × index order within the range.
+    ``covering`` (as on :class:`IndexRangeScan`) accounts the narrow
+    index entries instead of a bookmark lookup per row.
     """
 
     label = "Index Nested Loop Join"
 
     def __init__(self, outer: PhysicalOperator, inner_table: Table, inner_binding: str,
                  index: BTreeIndex, outer_key: Sequence[Expression],
-                 residual: Optional[Expression] = None):
+                 residual: Optional[Expression] = None, *,
+                 outer_high: Optional[Expression] = None,
+                 covering: bool = False):
         super().__init__()
         self.outer = outer
         self.inner_table = inner_table
         self.inner_binding = inner_binding
         self.index = index
         self.outer_key = list(outer_key)
+        self.outer_high = outer_high
+        self.covering = covering
         self.residual = residual
 
     def children(self) -> Sequence[PhysicalOperator]:
@@ -577,36 +626,69 @@ class IndexNestedLoopJoin(PhysicalOperator):
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
-        row_bytes = int(self.inner_table.average_row_bytes())
+        covering = self.covering
+        row_bytes = int(self.index.entry_byte_width() if covering
+                        else self.inner_table.average_row_bytes())
         inner_binding = self.inner_binding
-        key_fns = [context.compile(expression) for expression in self.outer_key]
-        residual = context.compile(self.residual)
-        outer_scopes = _BindingScopes()
-        merged_scopes = _BindingScopes()
+        index = self.index
+        outer_layout = self.outer.layout()
+        key_fns = [context.compile(expression, outer_layout)
+                   for expression in self.outer_key]
+        high_fn = context.compile(self.outer_high, outer_layout)
+        residual = context.compile(self.residual, self.layout())
         for outer_binding in self.outer.rows(context):
-            outer_scope = outer_scopes.scope_for(outer_binding)
-            key = tuple(key_fn(outer_scope) for key_fn in key_fns)
-            for row_id in self.index.seek(key):
+            key = tuple(key_fn(outer_binding) for key_fn in key_fns)
+            if high_fn is None:
+                row_ids = index.seek(key)
+            else:
+                row_ids = _range_probe(index, key[0], high_fn(outer_binding))
+            for row_id in row_ids:
                 row = self.inner_table.get_row(row_id)
                 if row is None:
                     continue
                 statistics.rows_scanned += 1
                 statistics.bytes_scanned += row_bytes
-                statistics.random_lookups += 1
+                if covering:
+                    statistics.index_entries_read += 1
+                else:
+                    statistics.random_lookups += 1
                 merged = {**outer_binding, inner_binding: row}
-                if residual is not None:
-                    if residual(merged_scopes.scope_for(merged)) is not True:
-                        continue
+                if residual is not None and residual(merged) is not True:
+                    continue
                 yield self._emit(merged)
+
+    def layout(self) -> Layout:
+        return merge_layouts(self.outer.layout(),
+                             table_layout(self.inner_table, self.inner_binding))
 
     def details(self) -> str:
         key = ", ".join(expression.sql() for expression in self.outer_key)
         residual = f" WHERE {self.residual.sql()}" if self.residual is not None else ""
-        return (f"probe {self.inner_table.name}.{self.index.name} "
-                f"({', '.join(self.index.columns)}) = ({key}) AS {self.inner_binding}{residual}")
+        target = (f"{self.inner_table.name}.{self.index.name} "
+                  f"({', '.join(self.index.columns)})")
+        if self.outer_high is not None:
+            return (f"range probe {target} BETWEEN ({key}) AND "
+                    f"({self.outer_high.sql()}) AS {self.inner_binding}{residual}")
+        return f"probe {target} = ({key}) AS {self.inner_binding}{residual}"
 
     def estimated_rows(self) -> int:
         return self.outer.estimated_rows()
+
+
+def _range_probe(index: BTreeIndex, low: Any, high: Any) -> Iterable[int]:
+    """Row ids a range-probe join considers for one outer row.
+
+    The join's residual re-checks the range conjunct, so this only has
+    to be a superset of the matches in index order.  A NULL bound makes
+    the conjunct NULL for every row: nothing.  Bounds that do not rank
+    like the (numeric) index key cannot seek, so every entry goes to
+    the residual — which then fails exactly as a nested-loop join would.
+    """
+    if low is NULL or high is NULL:
+        return ()
+    if isinstance(low, (int, float)) and isinstance(high, (int, float)):
+        return index.range((low,), (high,))
+    return index.scan()
 
 
 class HashJoin(PhysicalOperator):
@@ -640,30 +722,32 @@ class HashJoin(PhysicalOperator):
         return (self.build, self.probe)
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
-        build_fns = [context.compile(expression) for expression in self.build_keys]
-        probe_fns = [context.compile(expression) for expression in self.probe_keys]
-        residual = context.compile(self.residual)
+        build_layout = self.build.layout()
+        probe_layout = self.probe.layout()
+        build_fns = [context.compile(expression, build_layout)
+                     for expression in self.build_keys]
+        probe_fns = [context.compile(expression, probe_layout)
+                     for expression in self.probe_keys]
+        residual = context.compile(self.residual,
+                                   merge_layouts(build_layout, probe_layout))
         hash_table: dict[tuple, list[Binding]] = {}
-        build_scopes = _BindingScopes()
         for binding in self.build.rows(context):
-            scope = build_scopes.scope_for(binding)
-            key = tuple(key_fn(scope) for key_fn in build_fns)
+            key = tuple(key_fn(binding) for key_fn in build_fns)
             if any(part is NULL for part in key):
                 continue
             hash_table.setdefault(key, []).append(binding)
-        probe_scopes = _BindingScopes()
-        merged_scopes = _BindingScopes()
         for probe_binding in self.probe.rows(context):
-            scope = probe_scopes.scope_for(probe_binding)
-            key = tuple(key_fn(scope) for key_fn in probe_fns)
+            key = tuple(key_fn(probe_binding) for key_fn in probe_fns)
             if any(part is NULL for part in key):
                 continue
             for build_binding in hash_table.get(key, ()):
                 merged = {**build_binding, **probe_binding}
-                if residual is not None:
-                    if residual(merged_scopes.scope_for(merged)) is not True:
-                        continue
+                if residual is not None and residual(merged) is not True:
+                    continue
                 yield self._emit(merged)
+
+    def layout(self) -> Layout:
+        return merge_layouts(self.build.layout(), self.probe.layout())
 
     def details(self) -> str:
         build = ", ".join(expression.sql() for expression in self.build_keys)
@@ -708,16 +792,13 @@ class SortMergeJoin(PhysicalOperator):
         return (self.build, self.probe)
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
-        build_fn = context.compile(self.build_keys[0])
-        probe_fn = context.compile(self.probe_keys[0])
-        residual = context.compile(self.residual)
-        build_scopes = _BindingScopes()
-        probe_scopes = _BindingScopes()
-        merged_scopes = _BindingScopes()
+        build_fn = context.compile(self.build_keys[0], self.build.layout())
+        probe_fn = context.compile(self.probe_keys[0], self.probe.layout())
+        residual = context.compile(self.residual, self.layout())
 
         def keyed_build() -> Iterator[tuple[Any, Binding]]:
             for binding in self.build.rows(context):
-                key = build_fn(build_scopes.scope_for(binding))
+                key = build_fn(binding)
                 if key is NULL:
                     continue
                 yield key, binding
@@ -728,7 +809,7 @@ class SortMergeJoin(PhysicalOperator):
         group: list[Binding] = []
         have_group = False
         for probe_binding in self.probe.rows(context):
-            key = probe_fn(probe_scopes.scope_for(probe_binding))
+            key = probe_fn(probe_binding)
             if key is NULL:
                 continue
             if not have_group or group_key != key:
@@ -745,10 +826,12 @@ class SortMergeJoin(PhysicalOperator):
                 have_group = True
             for build_binding in group:
                 merged = {**build_binding, **probe_binding}
-                if residual is not None:
-                    if residual(merged_scopes.scope_for(merged)) is not True:
-                        continue
+                if residual is not None and residual(merged) is not True:
+                    continue
                 yield self._emit(merged)
+
+    def layout(self) -> Layout:
+        return merge_layouts(self.build.layout(), self.probe.layout())
 
     def details(self) -> str:
         build = ", ".join(expression.sql() for expression in self.build_keys)
@@ -777,10 +860,9 @@ class FilterOp(PhysicalOperator):
         return (self.child,)
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
-        predicate = context.compile(self.predicate)
-        scopes = _BindingScopes()
+        predicate = context.compile(self.predicate, self.layout())
         for binding in self.child.rows(context):
-            if predicate(scopes.scope_for(binding)) is True:
+            if predicate(binding) is True:
                 yield self._emit(binding)
 
     def apply_batch(self, batch: ColumnBatch,
@@ -1577,13 +1659,12 @@ class SortOp(PhysicalOperator):
         return (self.child,)
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
-        key_fns = [(_compile_projected(expression, context), descending)
+        layout = self.layout()
+        key_fns = [(context.compile(expression, layout, projected=True), descending)
                    for expression, descending in self.keys]
-        scopes = _BindingScopes()
         materialised: list[tuple[list, Binding]] = []
         for binding in self.child.rows(context):
-            scope = scopes.scope_for(binding)
-            key = [_SortKey(key_fn(scope), descending)
+            key = [_SortKey(key_fn(binding), descending)
                    for key_fn, descending in key_fns]
             materialised.append((key, binding))
         materialised.sort(key=lambda pair: pair[0])
@@ -1709,17 +1790,16 @@ class GroupAggregate(PhysicalOperator):
             if vectorized is not None:
                 yield from vectorized
                 return
-        group_fns = [context.compile(expression) for expression in self.group_by]
+        child_layout = self.child.layout()
+        group_fns = [context.compile(expression, child_layout)
+                     for expression in self.group_by]
         argument_fns = [(aggregate.result_key(),
-                         context.compile(aggregate.argument)
-                         if aggregate.argument is not None else None)
+                         context.compile(aggregate.argument, child_layout))
                         for aggregate in self.aggregates]
-        scopes = _BindingScopes()
         groups: dict[tuple, dict[str, Any]] = {}
         order: list[tuple] = []
         for binding in self.child.rows(context):
-            scope = scopes.scope_for(binding)
-            key = tuple(group_fn(scope) for group_fn in group_fns)
+            key = tuple(group_fn(binding) for group_fn in group_fns)
             state = groups.get(key)
             if state is None:
                 state = {"__count__": 0, "values": {agg.result_key(): _AggState(agg)
@@ -1729,7 +1809,7 @@ class GroupAggregate(PhysicalOperator):
             state["__count__"] += 1
             values = state["values"]
             for result_key, argument_fn in argument_fns:
-                argument = argument_fn(scope) if argument_fn is not None else 1
+                argument = argument_fn(binding) if argument_fn is not None else 1
                 values[result_key].update(argument)
         if not groups and not self.group_by:
             # Aggregates over an empty input still produce one row (count=0, others NULL).
@@ -1746,6 +1826,11 @@ class GroupAggregate(PhysicalOperator):
             for aggregate in self.aggregates:
                 row[aggregate.result_key()] = state["values"][aggregate.result_key()].result()
             yield self._emit({self.binding_name: row})
+
+    def layout(self) -> Layout:
+        names = [_group_key_name(expression) for expression in self.group_by]
+        names.extend(aggregate.result_key() for aggregate in self.aggregates)
+        return ((self.binding_name, row_keys(names)),)
 
     # -- the vectorized aggregation path -----------------------------------
 
@@ -2305,23 +2390,39 @@ class ProjectOp(PhysicalOperator):
             if fused is not None:
                 yield from fused
                 return
+        child_layout = self.child.layout()
         compiled_items: list[tuple[Any, Optional[str], Optional[CompiledExpression]]] = []
         for position, item in enumerate(self.items):
             if isinstance(item.expression, Star):
                 compiled_items.append((item.expression, None, None))
             else:
                 compiled_items.append((item.expression, item.output_name(position),
-                                       _compile_projected(item.expression, context)))
-        scopes = _BindingScopes()
+                                       context.compile(item.expression, child_layout,
+                                                       projected=True)))
         for binding in self.child.rows(context):
-            scope = scopes.scope_for(binding)
             output: dict[str, Any] = {}
             for expression, name, value_fn in compiled_items:
                 if value_fn is None:
                     self._expand_star(expression, binding, output)
                 else:
-                    output[name] = value_fn(scope)
+                    output[name] = value_fn(binding)
             yield self._emit({**binding, OUTPUT_BINDING: output})
+
+    def layout(self) -> Layout:
+        """The projected row only: it is all that every execution path
+        (general, fused, vectorized) emits and all that the operators
+        above a projection read."""
+        child_layout = self.child.layout()
+        names: list[str] = []
+        for position, item in enumerate(self.items):
+            if isinstance(item.expression, Star):
+                qualifier = (item.expression.qualifier or "").lower()
+                for binding_key, columns in child_layout:
+                    if binding_key != OUTPUT_BINDING and qualifier in ("", binding_key.lower()):
+                        names.extend(columns.values())
+            else:
+                names.append(item.output_name(position))
+        return ((OUTPUT_BINDING, row_keys(names)),)
 
     # -- the vectorized single-table fast path ------------------------------
 
@@ -2580,7 +2681,13 @@ class InsertIntoOp(PhysicalOperator):
 
 def _create_table_for_rows(database: Database, name: str,
                            rows: Sequence[dict[str, Any]]) -> Table:
-    """Infer a column layout from result rows and (re)create the target table."""
+    """Infer a column layout from result rows and (re)create the target table.
+
+    A target that already has exactly this layout (the usual case: the
+    same ``SELECT … INTO ##results`` run again) is emptied in place, so
+    the catalog's schema version — and with it every cached plan — is
+    untouched.  Any other existing table is dropped and replaced.
+    """
     columns: list[Column] = []
     names: list[str] = []
     for row in rows:
@@ -2602,6 +2709,12 @@ def _create_table_for_rows(database: Database, name: str,
         else:
             dtype = DataType.TEXT
         columns.append(Column(key, dtype, nullable=True))
+    if database.has_table(name):
+        existing = database.table(name)
+        if (existing.columns == columns and not existing.indexes
+                and not existing.checks and not existing.foreign_keys):
+            existing.truncate()
+            return existing
     return database.create_table(name, columns, replace=True,
                                  description=f"materialised results ({name})")
 
@@ -2613,72 +2726,16 @@ def evaluate_projected(expression: Expression, scope: RowScope,
     Above a GroupAggregate the base columns are gone and the grouped
     values live in the synthetic output row keyed by column name or by
     the group expression's SQL text; if ordinary evaluation cannot
-    resolve a column, the value is looked up there instead.
+    resolve a column, the value is looked up there instead.  (This is
+    the interpreter's form; ``compile_expression(projected=True)`` is
+    the same rule decided once at compile time.)
     """
-    from .errors import UnknownColumnError
-
     try:
         return expression.evaluate(scope, evaluation)
     except UnknownColumnError:
         if isinstance(expression, ColumnRef):
             return scope.lookup(expression.name)
         return scope.lookup(expression.sql())
-
-
-def _scope_for(binding: Binding) -> RowScope:
-    scope = RowScope()
-    output = binding.get(OUTPUT_BINDING)
-    for name, row in binding.items():
-        if name == OUTPUT_BINDING:
-            continue
-        scope.bind(name, row)
-    if output is not None:
-        scope.bind(OUTPUT_BINDING, output)
-    return scope
-
-
-class _BindingScopes:
-    """Reuses one RowScope across consecutive rows of a binding stream.
-
-    The alias set of an operator's bindings is fixed by the plan shape, so
-    instead of building a fresh scope (dict + list + lower-cased binds) per
-    row, the previous scope is re-bound in place whenever the alias set is
-    unchanged.
-    """
-
-    __slots__ = ("_scope", "_keys")
-
-    def __init__(self) -> None:
-        self._scope: Optional[RowScope] = None
-        self._keys: Optional[set[str]] = None
-
-    def scope_for(self, binding: Binding) -> RowScope:
-        keys = binding.keys()
-        scope = self._scope
-        if scope is None or self._keys != keys:
-            scope = _scope_for(binding)
-            self._scope = scope
-            self._keys = set(keys)
-            return scope
-        for name, row in binding.items():
-            scope.bind(name, row)
-        return scope
-
-
-def _compile_projected(expression: Expression,
-                       context: ExecutionContext) -> CompiledExpression:
-    """Compiled :func:`evaluate_projected`: tolerates aggregation output rows."""
-    compiled = context.compile(expression)
-
-    def fn(scope: RowScope) -> Any:
-        try:
-            return compiled(scope)
-        except UnknownColumnError:
-            if isinstance(expression, ColumnRef):
-                return scope.lookup(expression.name)
-            return scope.lookup(expression.sql())
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

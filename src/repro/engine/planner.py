@@ -12,6 +12,11 @@ The planner mirrors the behaviour the paper relies on from SQL Server:
 * small relations — in particular the spatial table-valued functions —
   are placed on the outer side of an index nested-loop join that probes
   the big table's index (Figure 10's Query 1 plan);
+* a join on ``inner.col BETWEEN outer.a AND outer.b`` (or the
+  ``>=``/``<=`` pair) over an indexed inner column becomes an index
+  nested-loop join whose probe is a *range* seek — §9.1.4's
+  ``spHTM_Cover`` join against the ``htmID`` index (cost-based planner
+  only);
 * equality joins without a usable index become hash joins, and anything
   else becomes a nested-loop join (the "without the index ... nested
   loops join of two table scans" case of §11).
@@ -56,8 +61,9 @@ from .types import NULL, DataType
 #: ``repro.cluster.executor._EXACT_SUM_TYPES``).
 _EXACT_SUM_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.BOOLEAN)
 
-#: Column types the sort-merge sortedness verification accepts (ordered
-#: scalar comparisons with no surprises).
+#: Column types with plain numeric ordering (ordered scalar comparisons
+#: with no surprises): what the sort-merge sortedness verification
+#: accepts and what a range-probe join may seek on.
 _MERGE_KEY_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.FLOAT)
 
 
@@ -707,7 +713,6 @@ class Planner:
         table = info.table
         statistics = self.database.table_statistics(table.name)
         total = max(1, table.row_count)
-        row_bytes = max(1.0, table.average_row_bytes())
         estimated_out = self._estimate_relation_cbo(info)
         sargables, non_sargable = self._split_sargables(info)
         needed = self._needed_columns(query, info, relations)
@@ -749,9 +754,8 @@ class Planner:
             if covering_indexes:
                 narrow = min(covering_indexes,
                              key=lambda index: index.entry_byte_width())
-                ratio = min(1.0, max(0.05, narrow.entry_byte_width() / row_bytes))
                 scan = CoveringIndexScan(narrow, info.binding_name, predicate)
-                candidates.append((total * self.SEQ_ROW_COST * ratio, 1,
+                candidates.append((total * self._entry_cost(table, narrow), 1,
                                    scan, estimated_out))
         candidates.append((total * self.SEQ_ROW_COST, 2,
                            TableScan(table, info.binding_name, predicate),
@@ -761,6 +765,13 @@ class Planner:
                                               key=lambda item: (item[0], item[1]))
         operator.set_estimates(rows, cost)
         return _PlannedAccessPath(operator, rows, cost)
+
+    def _entry_cost(self, table: Table, index: BTreeIndex) -> float:
+        """Cost of reading one entry of a covering index sequentially:
+        a row's, discounted by the entry-to-row width ratio."""
+        row_bytes = max(1.0, table.average_row_bytes())
+        return self.SEQ_ROW_COST * min(
+            1.0, max(0.05, index.entry_byte_width() / row_bytes))
 
     def _index_join_candidate(self, info: _RelationInfo,
                               equalities: Sequence[tuple[Expression, Expression,
@@ -812,6 +823,101 @@ class Planner:
                                  else self.EQUALITY_SELECTIVITY)
         matches = max(1, table.row_count) * self._combine_selectivities(selectivities)
         return max(1.0, matches)
+
+    def _range_join_candidate(self, info: _RelationInfo,
+                              join_conjuncts: Sequence[Expression],
+                              by_name: dict[str, _RelationInfo]
+                              ) -> Optional[tuple[BTreeIndex, Expression,
+                                                  Expression]]:
+        """``(index, low, high)`` of a range-probe join into ``info``, if any.
+
+        Recognises ``info.col BETWEEN low AND high`` and the
+        ``info.col >= low`` / ``info.col <= high`` pair among the join
+        conjuncts, where neither bound references ``info`` itself and
+        ``col`` is the numeric leading column of one of its indices.
+        """
+        name = info.binding_name
+        lows: dict[str, Expression] = {}
+        highs: dict[str, Expression] = {}
+
+        def note(column: Expression, bound: Expression,
+                 bounds: dict[str, Expression]) -> None:
+            if (isinstance(column, ColumnRef)
+                    and self._conjunct_aliases(column, by_name) == {name}
+                    and name not in self._conjunct_aliases(bound, by_name)):
+                bounds.setdefault(column.name.lower(), bound)
+
+        for conjunct in join_conjuncts:
+            if isinstance(conjunct, Between) and not conjunct.negated:
+                note(conjunct.operand, conjunct.low, lows)
+                note(conjunct.operand, conjunct.high, highs)
+            elif isinstance(conjunct, BinaryOp) and conjunct.op in (">=", "<="):
+                above, below = ((lows, highs) if conjunct.op == ">="
+                                else (highs, lows))
+                note(conjunct.left, conjunct.right, above)   # col >= e | col <= e
+                note(conjunct.right, conjunct.left, below)   # e >= col | e <= col
+        assert info.table is not None
+        for index in info.table.indexes.values():
+            column = index.columns[0]
+            if (column in lows and column in highs
+                    and info.table.column(column).dtype in _MERGE_KEY_TYPES):
+                return index, lows[column], highs[column]
+        return None
+
+    def _range_join_option(self, info: _RelationInfo,
+                           join_conjuncts: Sequence[Expression],
+                           by_name: dict[str, _RelationInfo],
+                           query: LogicalQuery,
+                           relations: Sequence[_RelationInfo],
+                           outer_rows: int, outer_cost: float
+                           ) -> Optional[tuple[float, int, tuple, int]]:
+        """The enumerators' option entry for range-probing ``info``, if any.
+
+        Each probe is a seek plus a read of the share of the index that
+        two range bounds (a low and a high one) are guessed to keep:
+        sequential narrow entries when the index covers the query's
+        columns, a bookmark lookup per row otherwise — the per-entry
+        rates of the covering-scan and index-seek access paths.
+        """
+        if not self.enable_index_join or info.kind != "table":
+            return None
+        candidate = self._range_join_candidate(info, join_conjuncts, by_name)
+        if candidate is None:
+            return None
+        table, index = info.table, candidate[0]
+        assert table is not None
+        needed = self._needed_columns(query, info, relations)
+        covering = needed is not None and index.covers(needed)
+        total = max(1, table.row_count)
+        fetched = max(1.0, total * self._combine_selectivities(
+            [self.RANGE_SELECTIVITY, self.RANGE_SELECTIVITY]))
+        per_entry = (self._entry_cost(table, index) if covering
+                     else self.RANDOM_LOOKUP_COST)
+        statistics = self.database.table_statistics(table.name)
+        local_selectivity = self._combine_selectivities(
+            [self._conjunct_selectivity(statistics, conjunct)
+             for conjunct in info.local_conjuncts])
+        cost = outer_cost + outer_rows * (math.log2(max(2, total))
+                                          + fetched * per_entry)
+        rows = max(1, int(outer_rows * fetched * local_selectivity))
+        return cost, 0, ("range", (candidate, covering)), rows
+
+    def _range_join(self, outer: PhysicalOperator, info: _RelationInfo,
+                    candidate: tuple[BTreeIndex, Expression, Expression],
+                    join_conjuncts: Sequence[Expression],
+                    covering: bool) -> IndexNestedLoopJoin:
+        """Build the range-probe join.  Every join conjunct — the range
+        ones included — stays in the residual, so the probe only narrows
+        which index entries the residual sees."""
+        assert info.table is not None
+        index, low, high = candidate
+        residual = combine_conjuncts(
+            list(join_conjuncts)
+            + [qualify_columns(part, info.binding_name, info.table)
+               for part in info.local_conjuncts])
+        return IndexNestedLoopJoin(
+            outer, info.table, info.binding_name, index, [low], residual,
+            outer_high=high, covering=covering)
 
     def _expression_distinct(self, expression: Expression,
                              by_name: dict[str, _RelationInfo]) -> int:
@@ -905,6 +1011,11 @@ class Planner:
                             + matches * self.RANDOM_LOOKUP_COST)
                         rows = max(1, int(root_rows * matches * local_selectivity))
                         options.append((cost, 0, ("index", candidate), rows))
+                range_option = self._range_join_option(
+                    info, join_conjuncts, by_name, query, relations,
+                    root_rows, root_cost)
+                if range_option is not None:
+                    options.append(range_option)
                 if (self.enable_sort_merge and len(equalities) == 1
                         and self._merge_join_applicable(root, info,
                                                         inner_path.operator,
@@ -956,6 +1067,11 @@ class Planner:
                 root, used_conjuncts = built
                 pool.remaining = [c for c in pool.remaining
                                   if c not in used_conjuncts]
+            elif kind == "range":
+                root = self._range_join(root, info, extra[0], join_conjuncts,
+                                        extra[1])
+                pool.remaining = [c for c in pool.remaining
+                                  if c not in join_conjuncts]
             elif kind == "merge":
                 root = self._build_merge_join(root, inner_path.operator,
                                               equalities, join_conjuncts,
@@ -1064,6 +1180,11 @@ class Planner:
                             rows = max(1, int(left_rows * matches
                                               * local_selectivity))
                             options.append((cost, 0, ("index", candidate), rows))
+                    range_option = None if info is None else self._range_join_option(
+                        info, join_conjuncts, by_name, query, relations,
+                        left_rows, left_cost)
+                    if range_option is not None:
+                        options.append(range_option)
                     if (self.enable_sort_merge and len(equalities) == 1
                             and len(left) == 1 and info is not None
                             and self._merge_join_applicable(
@@ -1118,6 +1239,11 @@ class Planner:
                 root, used_conjuncts = built
                 pool.remaining = [c for c in pool.remaining
                                   if c not in used_conjuncts]
+            elif kind == "range":
+                root = self._range_join(root, by_name[min(right)], extra[0],
+                                        join_conjuncts, extra[1])
+                pool.remaining = [c for c in pool.remaining
+                                  if c not in join_conjuncts]
             elif kind == "merge":
                 root = self._build_merge_join(root, paths[min(right)].operator,
                                               equalities, join_conjuncts,

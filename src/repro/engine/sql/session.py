@@ -28,6 +28,7 @@ from typing import Any, Optional
 from ..catalog import Database
 from ..errors import SQLSyntaxError
 from ..expressions import RowScope
+from ..logical import referenced_tables
 from ..operators import PhysicalOperator, PhysicalPlan, QueryResult, TableScan
 from ..planner import Planner
 from ..stats import FEEDBACK_QERROR_THRESHOLD, q_error
@@ -54,6 +55,9 @@ class CachedBatch:
 
     schema_version: int
     statements: list[Statement]
+    #: Lower-cased base tables the batch reads (views resolved): the
+    #: entry survives DDL that touches none of them.
+    tables: frozenset[str] = frozenset()
     #: Plans keyed by statement position, filled lazily as statements run
     #: (a SELECT later in a batch must be planned after the statements
     #: before it have executed).
@@ -61,7 +65,7 @@ class CachedBatch:
 
 
 class PlanCache:
-    """A small LRU of parsed/planned batches, invalidated by schema version."""
+    """A small LRU of parsed/planned batches, invalidated by DDL on their tables."""
 
     def __init__(self, capacity: int = 128):
         self.capacity = capacity
@@ -110,17 +114,20 @@ class PlanCache:
                 i += 1
         return "".join(out)
 
-    def get(self, sql_text: str, schema_version: int) -> Optional[CachedBatch]:
+    def get(self, sql_text: str, database: Database) -> Optional[CachedBatch]:
         key = self.normalize(sql_text)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        if entry.schema_version != schema_version:
-            del self._entries[key]
-            self.invalidations += 1
-            self.misses += 1
-            return None
+        version = database.schema_version
+        if entry.schema_version != version:
+            if database.changed_since(entry.schema_version, entry.tables):
+                del self._entries[key]
+                self.invalidations += 1
+                self.misses += 1
+                return None
+            entry.schema_version = version      # the DDL since was elsewhere
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
@@ -243,7 +250,7 @@ class SqlSession:
                 plan = entry.plans.get(position)
                 if plan is None:
                     overrides = self._feedback_overrides(
-                        PlanCache.normalize(sql_text), position)
+                        PlanCache.normalize(sql_text), position, entry)
                     plan = self.planner.plan(
                         statement.query, cardinality_overrides=overrides)
                     entry.plans[position] = plan
@@ -298,11 +305,24 @@ class SqlSession:
     # -- plan cache -------------------------------------------------------------
 
     def _lookup_or_parse(self, sql_text: str) -> tuple[CachedBatch, bool]:
-        version = self.database.schema_version
-        entry = self.plan_cache.get(sql_text, version)
+        entry = self.plan_cache.get(sql_text, self.database)
         if entry is not None:
             return entry, True
-        return CachedBatch(version, parse_batch(sql_text)), False
+        version = self.database.schema_version
+        statements = parse_batch(sql_text)
+        return CachedBatch(version, statements, self._batch_tables(statements)), False
+
+    def _batch_tables(self, statements: list[Statement]) -> frozenset[str]:
+        """Lower-cased names of the tables a batch reads, views resolved."""
+        names: set[str] = set()
+        for statement in statements:
+            if isinstance(statement, SelectStatement) and statement.query is not None:
+                for name in referenced_tables(statement.query):
+                    names.add(name.lower())
+                    if self.database.has_view(name):
+                        names.add(self.database.resolve_relation(name)
+                                  .table_name.lower())
+        return frozenset(names)
 
     @staticmethod
     def _cacheable(statements: list[Statement]) -> bool:
@@ -389,7 +409,7 @@ class SqlSession:
         if plan is not None:
             self.last_plan_source = "cache"
             return plan
-        overrides = self._feedback_overrides(cache_key, position)
+        overrides = self._feedback_overrides(cache_key, position, entry)
         if overrides:
             self.feedback_replans += 1
             self.last_plan_source = "feedback"
@@ -402,14 +422,14 @@ class SqlSession:
 
     # -- cardinality feedback -----------------------------------------------------
 
-    def _feedback_overrides(self, cache_key: str,
-                            position: int) -> Optional[dict[str, int]]:
+    def _feedback_overrides(self, cache_key: str, position: int,
+                            entry: CachedBatch) -> Optional[dict[str, int]]:
         """Observed per-relation row counts for a statement, if still valid."""
-        entry = self.feedback_cache.get((cache_key, position))
-        if entry is None:
+        observation = self.feedback_cache.get((cache_key, position))
+        if observation is None:
             return None
-        version, overrides = entry
-        if version != self.database.schema_version:
+        version, overrides = observation
+        if self.database.changed_since(version, entry.tables):
             # DDL changed the catalog under the observation; drop it
             # rather than steer the planner with counts from tables that
             # may no longer mean the same thing.
@@ -455,8 +475,8 @@ class SqlSession:
             return
         key = (cache_key, position)
         previous = self.feedback_cache.get(key)
-        if (previous is not None
-                and previous == (self.database.schema_version, observed)):
+        if (previous is not None and previous[1] == observed
+                and not self.database.changed_since(previous[0], entry.tables)):
             # Already re-planned from exactly these observations; the
             # residual misestimate is not something base-relation
             # overrides can fix, so keep the current plan.

@@ -46,6 +46,10 @@ class Table:
             if key in self._columns_by_name:
                 raise SchemaError(f"duplicate column {column.name!r} in table {name!r}")
             self._columns_by_name[key] = column
+        #: Lower-cased column name -> its key in this table's row dicts
+        #: (the same string: rows are keyed by lower-cased name).  The
+        #: shared, never-mutated half of every scan's compile layout.
+        self.row_keys: dict[str, str] = {key: key for key in self._columns_by_name}
         self.primary_key = primary_key
         self.foreign_keys: list[ForeignKey] = list(foreign_keys)
         self.checks: list[CheckConstraint] = list(checks)

@@ -5,7 +5,8 @@ import pytest
 from repro.engine import (CURRENT_TIMESTAMP, Database, PrimaryKey, Planner,
                           SqlSession, bigint, floating, text, timestamp)
 from repro.engine.compile import (RowCompileError, compile_expression,
-                                  compile_row_expression, supports_row_mode)
+                                  compile_row_expression, supports_row_mode,
+                                  table_layout)
 from repro.engine.errors import ExpressionError
 from repro.engine.expressions import (BinaryOp, ColumnRef, EvaluationContext,
                                       FunctionCall, Literal, RowScope, Variable)
@@ -59,10 +60,11 @@ class TestCompiledExpressions:
         _database, table = make_database()
         expression = parse_expression(sql)
         context = EvaluationContext()
-        compiled = compile_expression(expression, context)
+        compiled = compile_expression(expression, context,
+                                      table_layout(table, "t"))
         for _row_id, row in table.iter_rows():
             scope = RowScope().bind("t", row)
-            assert compiled(scope) == expression.evaluate(scope, context)
+            assert compiled({"t": row}) == expression.evaluate(scope, context)
 
     @pytest.mark.parametrize("sql", CASES)
     def test_row_mode_matches_interpreted(self, sql):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database, Planner, PrimaryKey, bigint, floating, text
-from repro.engine.compile import compile_expression
+from repro.engine.compile import compile_expression, row_keys
 from repro.engine.sql import SqlSession, parse_expression, parse_select
 from repro.engine.expressions import (Between, BinaryOp, CaseWhen, ColumnRef,
                                       EvaluationContext, FunctionCall, InList,
@@ -187,12 +187,12 @@ def _outcome(thunk):
 
 @given(_expression_strategy(), _row_values)
 def test_compiled_evaluation_matches_interpreted(expression, row):
-    """compile_expression(e)(scope) ≡ e.evaluate(scope, ctx) on random trees."""
+    """compile_expression(e, layout)(binding) ≡ e.evaluate(scope, ctx) on random trees."""
     context = EvaluationContext()
     scope = RowScope().bind("t", row)
     expected = _outcome(lambda: expression.evaluate(scope, context))
-    compiled = compile_expression(expression, context)
-    actual = _outcome(lambda: compiled(scope))
+    compiled = compile_expression(expression, context, (("t", row_keys(row)),))
+    actual = _outcome(lambda: compiled({"t": row}))
     assert actual == expected
 
 
