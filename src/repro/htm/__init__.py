@@ -5,6 +5,13 @@ stored procedure (paper §9.1.4); here it is an ordinary Python package
 whose ids are stored in BIGINT columns and range-scanned through the
 engine's B-tree indices — the same B-tree-over-64-bit-ids design the
 paper describes.
+
+Lookups (``lookup_id``) and covers (``cover``, ``cover_circle``) walk
+one shared, lazily built trixel mesh (``mesh.MeshNode``) that computes
+each trixel's children, edge normals and bounding cap once, and circle
+covers are memoised by their exact arguments; ``cover.py`` documents the
+retained level, the memory bound and why the answers are byte-identical
+to the plain ``Trixel`` descent that the tests keep as the oracle.
 """
 
 from .cover import HtmRange, cover, cover_circle, depth_for_radius, merge_ranges, ranges_contain

@@ -8,16 +8,47 @@ superset cover: every object inside the region is guaranteed to fall in
 one of the returned ranges; callers re-check the exact geometric
 predicate on the candidate rows (as the SkyServer's higher-level
 functions do).
+
+How a cover is computed, once per piece of geometry:
+
+* **Region constants once per region.** A circle's halfspace, a cap's
+  angular radius, a polygon's edge halfspaces and a box's bounding cap
+  are ``cached_property``s of the frozen region (``regions.py``).
+* **Shared upper mesh.** The descent walks ``mesh.ROOT_NODES``, a
+  process-wide mesh built lazily and shared by every caller (pool
+  workers, cluster fragment threads).  Each node computes its children
+  and bounding cap at most once; nodes down to ``mesh.RETAINED_LEVEL``
+  (6) keep their children, deeper ones are built per call and dropped,
+  so the retained mesh is at most 43,688 nodes (~44 MB whole-sky, a few
+  hundred nodes for a survey footprint).
+* **Circle memo.** ``cover_circle`` answers are kept in an LRU of
+  ``CIRCLE_MEMO_SIZE`` entries keyed by the exact arguments
+  ``(ra, dec, radius_arcmin, cover_depth, storage_depth)``, as
+  immutable tuples (~2 MB at capacity for 1' cones); every caller gets a
+  fresh list.  A cover depends only on its arguments, never on the
+  data, so the memo cannot serve stale rows.
+
+Answers are byte-identical to the plain recursive descent over
+``Trixel.children()`` and ``Region.classify`` (the oracle in
+``tests/test_property_htm.py``): nodes compute every vector with the
+same helpers (``midpoint``, ``centroid``, ``angular_distance``) and the
+same operations in the same order as ``Trixel``, and the regions
+classify exactly as before.  Floating-point sums are never reordered or
+inlined — CPython 3.12+ ``sum()`` compensates float rounding where
+3.10/3.11 does not — so each interpreter agrees with its own reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .mesh import DEFAULT_DEPTH, id_range_at_depth
+from .mesh import DEFAULT_DEPTH, ROOT_NODES, id_range_at_depth
 from .regions import Circle, Markup, Region
-from .trixel import Trixel, root_trixels
+
+#: Circle covers remembered, keyed by the exact call arguments.
+CIRCLE_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -38,39 +69,54 @@ def cover(region: Region, *, cover_depth: int = 8,
           storage_depth: int = DEFAULT_DEPTH) -> list[HtmRange]:
     """Compute a superset cover of ``region`` as storage-depth id ranges.
 
-    ``cover_depth`` bounds the recursion: trixels still classified
-    PARTIAL at that depth are included whole.  Deeper covers are tighter
-    but produce more ranges; 8 levels (trixels ≈ 20 arcminutes on a
-    side) is a good default for arcminute-scale searches.
+    ``cover_depth`` bounds the descent: trixels still classified PARTIAL
+    at that depth are included whole.  Deeper covers are tighter but
+    produce more ranges; 8 levels (trixels ≈ 20 arcminutes on a side) is
+    a good default for arcminute-scale searches.
+
+    The descent walks the shared mesh (``mesh.MeshNode``) depth-first in
+    id order, so ranges come out sorted and disjoint; ``merge_ranges``
+    then only joins neighbours.  The result is sorted, disjoint and
+    non-adjacent, so each range is one index seek and no id is returned
+    twice.
     """
     if cover_depth < 0 or storage_depth < cover_depth:
         raise ValueError("need 0 <= cover_depth <= storage_depth")
+    classify = region.classify
     ranges: list[HtmRange] = []
-
-    def visit(trixel: Trixel) -> None:
-        markup = region.classify(trixel)
+    pending = list(reversed(ROOT_NODES))
+    while pending:
+        node = pending.pop()
+        markup = classify(node)
         if markup is Markup.OUTSIDE:
-            return
-        if markup is Markup.INSIDE or trixel.level >= cover_depth:
-            low, high = id_range_at_depth(trixel.htm_id, storage_depth)
-            ranges.append(HtmRange(low, high))
-            return
-        for child in trixel.children():
-            visit(child)
-
-    for root in root_trixels():
-        visit(root)
+            continue
+        if markup is Markup.INSIDE or node.level >= cover_depth:
+            ranges.append(HtmRange(*id_range_at_depth(node.htm_id, storage_depth)))
+        else:
+            pending.extend(reversed(node.children()))
     return merge_ranges(ranges)
 
 
 def cover_circle(ra: float, dec: float, radius_arcmin: float, *,
                  cover_depth: int | None = None,
                  storage_depth: int = DEFAULT_DEPTH) -> list[HtmRange]:
-    """Cover of a circular cap; picks a cover depth matched to the radius."""
+    """Cover of a circular cap; picks a cover depth matched to the radius.
+
+    Answers are memoised (LRU, ``CIRCLE_MEMO_SIZE`` entries): a cover is
+    a function of its arguments alone, never of the data, so a repeated
+    cone search skips the geometry but still reads its candidates
+    through the live ``htmID`` index.  Each caller gets a fresh list.
+    """
     if cover_depth is None:
         cover_depth = depth_for_radius(radius_arcmin)
-    return cover(Circle(ra, dec, radius_arcmin), cover_depth=cover_depth,
-                 storage_depth=storage_depth)
+    return list(_memoised_circle_cover(ra, dec, radius_arcmin, cover_depth, storage_depth))
+
+
+@lru_cache(maxsize=CIRCLE_MEMO_SIZE)
+def _memoised_circle_cover(ra: float, dec: float, radius_arcmin: float,
+                           cover_depth: int, storage_depth: int) -> tuple[HtmRange, ...]:
+    return tuple(cover(Circle(ra, dec, radius_arcmin), cover_depth=cover_depth,
+                       storage_depth=storage_depth))
 
 
 def depth_for_radius(radius_arcmin: float) -> int:

@@ -6,6 +6,11 @@ sequence of points" (§9.1.4).  Each region here knows how to classify a
 trixel as fully inside, fully outside, or partially overlapping, which
 is all the cover algorithm needs; classification errs on the side of
 "partial" so covers are always supersets of the true region.
+
+Regions are frozen, so everything a classification derives from the
+region alone (a circle's halfspace, a cap's angular radius, a polygon's
+edge halfspaces, a box's bounding cap) is a ``cached_property``: computed
+once per region, not once per trixel.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .trixel import Trixel
 from .vectors import (Vector, angular_distance, cross, dot, normalize,
-                      radec_to_unit)
+                      radec_to_unit, unit_to_radec)
 
 
 class Markup(enum.Enum):
@@ -38,6 +44,7 @@ class Region:
         return self.contains(radec_to_unit(ra, dec))
 
     def classify(self, trixel: Trixel) -> Markup:
+        """INSIDE/PARTIAL/OUTSIDE for a ``Trixel`` or a ``mesh.MeshNode``."""
         raise NotImplementedError
 
 
@@ -52,7 +59,7 @@ class Halfspace(Region):
     normal: Vector
     offset: float
 
-    @property
+    @cached_property
     def angular_radius(self) -> float:
         """Angular radius of the cap in degrees."""
         return math.degrees(math.acos(max(-1.0, min(1.0, self.offset))))
@@ -61,7 +68,8 @@ class Halfspace(Region):
         return dot(self.normal, vector) >= self.offset - 1.0e-12
 
     def classify(self, trixel: Trixel) -> Markup:
-        corners_inside = sum(1 for corner in trixel.corners if self.contains(corner))
+        v0, v1, v2 = trixel.corners
+        corners_inside = self.contains(v0) + self.contains(v1) + self.contains(v2)
         if corners_inside == 3:
             # The cap could still bulge out across an edge, so "inside" here is
             # only safe for covers (a superset); callers re-filter exact rows.
@@ -83,16 +91,17 @@ class Circle(Region):
     dec: float
     radius_arcmin: float
 
+    @cached_property
     def halfspace(self) -> Halfspace:
         radius_degrees = self.radius_arcmin / 60.0
         return Halfspace(radec_to_unit(self.ra, self.dec),
                          math.cos(math.radians(radius_degrees)))
 
     def contains(self, vector: Sequence[float]) -> bool:
-        return self.halfspace().contains(vector)
+        return self.halfspace.contains(vector)
 
     def classify(self, trixel: Trixel) -> Markup:
-        return self.halfspace().classify(trixel)
+        return self.halfspace.classify(trixel)
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,8 @@ class Polygon(Region):
 
     vertices: tuple[tuple[float, float], ...]
 
-    def _convex(self) -> Convex:
+    @cached_property
+    def convex(self) -> Convex:
         points = [radec_to_unit(ra, dec) for ra, dec in self.vertices]
         if len(points) < 3:
             raise ValueError("a polygon needs at least three vertices")
@@ -143,10 +153,10 @@ class Polygon(Region):
         return Convex(tuple(halfspaces))
 
     def contains(self, vector: Sequence[float]) -> bool:
-        return self._convex().contains(vector)
+        return self.convex.contains(vector)
 
     def classify(self, trixel: Trixel) -> Markup:
-        return self._convex().classify(trixel)
+        return self.convex.classify(trixel)
 
 
 @dataclass(frozen=True)
@@ -159,8 +169,6 @@ class RectangleEq(Region):
     dec_max: float
 
     def contains(self, vector: Sequence[float]) -> bool:
-        from .vectors import unit_to_radec
-
         ra, dec = unit_to_radec(vector)
         return self.contains_radec(ra, dec)
 
@@ -179,6 +187,14 @@ class RectangleEq(Region):
         if corners_inside > 0:
             return Markup.PARTIAL
         center, radius = trixel.bounding_cap()
+        box_center, half_diagonal = self.bounding_cap
+        if angular_distance(center, box_center) > radius + half_diagonal:
+            return Markup.OUTSIDE
+        return Markup.PARTIAL
+
+    @cached_property
+    def bounding_cap(self) -> tuple[Vector, float]:
+        """(box centre, half-diagonal in degrees): a cap around the box."""
         box_center = radec_to_unit((self.ra_min + self.ra_max) / 2.0,
                                    (self.dec_min + self.dec_max) / 2.0)
         half_diagonal = max(
@@ -187,6 +203,4 @@ class RectangleEq(Region):
             angular_distance(box_center, radec_to_unit(self.ra_min, self.dec_max)),
             angular_distance(box_center, radec_to_unit(self.ra_max, self.dec_min)),
         )
-        if angular_distance(center, box_center) > radius + half_diagonal:
-            return Markup.OUTSIDE
-        return Markup.PARTIAL
+        return box_center, half_diagonal

@@ -71,7 +71,11 @@ def angular_distance(a: Sequence[float], b: Sequence[float]) -> float:
     Uses the atan2 form, which stays accurate for very small separations
     where ``acos(dot)`` loses precision (sub-arcsecond HTM triangles).
     """
-    cross_norm = math.sqrt(sum(component * component for component in cross(a, b)))
+    x, y, z = cross(a, b)
+    # sum() of the same three squares in the same order as the original
+    # generator form (3.12+ sums floats with compensation; math.hypot or
+    # a chain of '+' would round differently and move HTM covers).
+    cross_norm = math.sqrt(sum((x * x, y * y, z * z)))
     return math.degrees(math.atan2(cross_norm, dot(a, b)))
 
 

@@ -12,11 +12,11 @@ such a join.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..engine import Database, bigint, floating, integer
-from ..htm import (DEFAULT_DEPTH, HtmRange, arcmin_between, cover,
-                   cover_circle, lookup_id, RectangleEq)
+from ..htm import (DEFAULT_DEPTH, HtmRange, RectangleEq, arcmin_between, cover,
+                   cover_circle, lookup_id, ranges_contain)
 
 
 def htm_cover_circle(ra: float, dec: float, radius_arcmin: float) -> list[dict]:
@@ -25,48 +25,26 @@ def htm_cover_circle(ra: float, dec: float, radius_arcmin: float) -> list[dict]:
             for r in cover_circle(ra, dec, radius_arcmin)]
 
 
-def _merge_ranges(ranges: Iterable[HtmRange]) -> list[tuple[int, int]]:
-    """Collapse overlapping or adjacent HTM cover ranges into disjoint spans.
-
-    HTM ids are integers and the ranges are inclusive, so ``[2, 5]`` and
-    ``[6, 9]`` merge into ``[2, 9]``.  Covers produced by recursive
-    trixel subdivision routinely emit sibling ranges that abut or
-    overlap; merging them means each B-tree region is probed exactly
-    once and — because the merged spans are disjoint — no row can be
-    returned twice, so callers need no dedup set.
-    """
-    spans = sorted((r.low, r.high) for r in ranges)
-    merged: list[list[int]] = []
-    for low, high in spans:
-        if merged and low <= merged[-1][1] + 1:
-            if high > merged[-1][1]:
-                merged[-1][1] = high
-        else:
-            merged.append([low, high])
-    return [(low, high) for low, high in merged]
-
-
-def _candidate_rows(database: Database, ranges: Iterable[HtmRange]) -> Iterable[dict]:
+def _candidate_rows(database: Database, ranges: Sequence[HtmRange]) -> Iterable[dict]:
     """Rows of PhotoObj whose htmID falls in any cover range.
 
     Uses the htmID B-tree index when it exists (the design's fast path);
     falls back to a scan otherwise so the functions still work on
-    databases loaded without indices.  Ranges are merged first, so each
-    index region is scanned once and every candidate row surfaces once.
+    databases loaded without indices.  ``ranges`` is a ``cover()``
+    result — sorted, disjoint and non-adjacent — so each index region is
+    scanned once and every candidate row surfaces once (no dedup set).
     """
     photo = database.table("PhotoObj")
-    spans = _merge_ranges(ranges)
     index = photo.find_index_on(["htmID"])
     if index is not None:
-        for low, high in spans:
+        for low, high in ranges:
             for row_id in index.range((low,), (high,)):
                 row = photo.get_row(row_id)
                 if row is not None:
                     yield row
         return
     for _row_id, row in photo.iter_rows():
-        htm_id = row["htmid"]
-        if any(low <= htm_id <= high for low, high in spans):
+        if ranges_contain(ranges, row["htmid"]):
             yield row
 
 

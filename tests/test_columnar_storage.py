@@ -13,10 +13,9 @@ from repro.engine.errors import SchemaError
 from repro.engine.explain import plan_operators
 from repro.engine.sql import parse_select
 from repro.engine.types import Column, DataType
-from repro.htm import HtmRange
+from repro.htm import HtmRange, merge_ranges
 from repro.loader import SkyServerLoader
 from repro.loader.steps import LoadStep
-from repro.skyserver.spatial import _merge_ranges
 
 
 COLUMNS = [
@@ -315,7 +314,7 @@ class TestHtmRangeMerging:
     def test_overlapping_and_adjacent_ranges_merge(self):
         ranges = [HtmRange(10, 20), HtmRange(21, 30), HtmRange(15, 25),
                   HtmRange(40, 50), HtmRange(52, 60)]
-        assert _merge_ranges(ranges) == [(10, 30), (40, 50), (52, 60)]
+        assert [tuple(r) for r in merge_ranges(ranges)] == [(10, 30), (40, 50), (52, 60)]
 
     def test_merged_ranges_are_disjoint_and_sorted(self):
         rng = random.Random(11)
@@ -323,7 +322,7 @@ class TestHtmRangeMerging:
         for _ in range(200):
             low = rng.randrange(0, 1000)
             ranges.append(HtmRange(low, low + rng.randrange(0, 40)))
-        merged = _merge_ranges(ranges)
+        merged = [tuple(r) for r in merge_ranges(ranges)]
         for (low_a, high_a), (low_b, _high_b) in zip(merged, merged[1:]):
             assert high_a + 1 < low_b      # disjoint, non-adjacent
         covered = set()

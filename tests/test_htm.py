@@ -127,9 +127,18 @@ class TestCovers:
         assert not htm.ranges_contain(ranges, htm.lookup_id(10.0, 60.0))
 
     def test_ranges_are_sorted_and_disjoint(self):
-        ranges = htm.cover_circle(185.0, -0.5, 5.0)
-        for first, second in zip(ranges, ranges[1:]):
-            assert first.high < second.low
+        # Sorted, disjoint and non-adjacent: the spatial functions probe
+        # each range once and keep no dedup set.
+        covers = [
+            htm.cover_circle(185.0, -0.5, 5.0),
+            htm.cover(htm.RectangleEq(184.0, 186.0, -1.0, 0.0), cover_depth=8),
+            htm.cover(htm.Polygon(((184.5, -1.0), (185.5, -1.0), (185.5, 0.0), (184.5, 0.0))),
+                      cover_depth=9),
+        ]
+        for ranges in covers:
+            assert ranges
+            for first, second in zip(ranges, ranges[1:]):
+                assert first.high + 1 < second.low
 
     def test_smaller_radius_gives_no_larger_cover(self):
         small = htm.cover_circle(185.0, -0.5, 0.5, cover_depth=10)
@@ -171,3 +180,77 @@ class TestCovers:
 
     def test_depth_for_radius_monotone(self):
         assert htm.depth_for_radius(0.5) >= htm.depth_for_radius(30.0)
+
+
+class TestSharedMesh:
+    """The process-wide mesh and circle memo behind ``cover``/``lookup_id``."""
+
+    POSITIONS = [(185.0 + 0.37 * k, -1.2 + 0.11 * k) for k in range(12)] + [
+        (0.0, 90.0), (359.99, 0.0), (90.0, 0.0)]
+
+    def serial_answers(self):
+        region = htm.RectangleEq(184.0, 186.0, -1.0, 0.0)
+        return ([htm.cover_circle(ra, dec, 1.5) for ra, dec in self.POSITIONS],
+                [htm.lookup_id(ra, dec) for ra, dec in self.POSITIONS],
+                htm.cover(region, cover_depth=9))
+
+    def test_threads_on_a_cold_mesh_agree_with_serial(self):
+        import importlib
+        import sys
+        import threading
+
+        # ``repro.htm.cover`` the attribute is the function; fetch the module.
+        cover_module = importlib.import_module("repro.htm.cover")
+        mesh = importlib.import_module("repro.htm.mesh")
+
+        def make_cold():
+            for root in mesh.ROOT_NODES:
+                root._children = None
+            cover_module._memoised_circle_cover.cache_clear()
+
+        make_cold()
+        expected = self.serial_answers()
+        make_cold()
+        results, errors = [], []
+
+        def worker():
+            try:
+                results.append(self.serial_answers())
+            except Exception as error:   # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * 8
+
+    def test_mutating_a_returned_cover_does_not_reach_the_memo(self):
+        first = htm.cover_circle(185.0, -0.5, 1.0)
+        expected = list(first)
+        first.reverse()
+        first.append(htm.HtmRange(0, 0))
+        assert htm.cover_circle(185.0, -0.5, 1.0) == expected
+        assert htm.cover_circle(185.0, -0.5, 1.0) is not htm.cover_circle(185.0, -0.5, 1.0)
+
+    def test_sphtm_cover_rows_identical_on_a_second_call(self):
+        from repro.engine import Database, SqlSession
+        from repro.skyserver.spatial import register_spatial_functions
+
+        database = Database("cover-rows")
+        register_spatial_functions(database)
+        session = SqlSession(database)
+        sql = "select htmIDstart, htmIDend from spHTM_Cover(185.0, -0.5, 1.0)"
+        first = session.query(sql).rows
+        first[0]["htmIDstart"] = -1
+        second = session.query(sql).rows
+        assert second == [{"htmIDstart": r.low, "htmIDend": r.high}
+                          for r in htm.cover_circle(185.0, -0.5, 1.0)]
