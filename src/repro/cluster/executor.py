@@ -30,7 +30,7 @@ import heapq
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..engine.batch import ColumnBatch
 from ..engine.compile import (Layout, VectorCompileError, compile_expression,
@@ -43,7 +43,8 @@ from ..engine.index import _KeyWrapper
 from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
                                 QueryResult, _AggState, _SortKey,
                                 _apply_scan_predicate, _create_table_for_rows,
-                                _hashable, _zone_predicates, _zone_skips)
+                                _hashable, _zone_predicates, _zone_skips,
+                                key_range_row_ids)
 from ..engine.segments import compile_zone_predicate, runtime_range_zone
 from ..engine.planner import Planner
 from ..engine.sql import SqlSession, parse_batch
@@ -355,7 +356,9 @@ class ClusterExecutor:
         alias = relation.binding
         row_bytes = int(table.average_row_bytes())
         if access.kind == "covering":
-            row_ids: Iterator[int] = index.scan()
+            row_ids: Iterable[int] = key_range_row_ids(
+                index, access.low, access.high,
+                lambda expression: compile_expression(expression, evaluation)({}))
         else:
             low = self._bound_values(access.low, evaluation)
             high = self._bound_values(access.high, evaluation)

@@ -49,7 +49,9 @@ from ..engine.expressions import (AggregateCall, BinaryOp, ColumnRef,
                                   extract_sargable)
 from ..engine.index import BTreeIndex
 from ..engine.logical import FunctionRef, LogicalQuery, SelectItem
+from ..engine.operators import key_range_text
 from ..engine.planner import (Planner, _RelationInfo, collect_aggregates,
+                              covering_scan_bounds, prefix_bounds,
                               qualify_columns)
 from .partition import colocated
 from .shard import ShardCluster, prune_with_statistics
@@ -65,8 +67,7 @@ class AccessChoice:
     kind: str                                  # "scan" | "seek" | "covering"
     predicate: Optional[Expression]            # residual (seek) or full local predicate
     index_name: Optional[str] = None
-    index_columns: tuple[str, ...] = ()
-    low: Optional[list[Expression]] = None     # seek bounds (plan-time expressions)
+    low: Optional[list[Expression]] = None     # key-prefix bounds (plan-time expressions)
     high: Optional[list[Expression]] = None
     estimated_rows: int = 1
     cost: float = 0.0
@@ -78,9 +79,10 @@ class AccessChoice:
     def describe(self) -> str:
         if self.kind == "scan":
             return "Shard Scan"
-        if self.kind == "covering":
-            return f"Shard Covering Index Scan {self.index_name}"
-        return f"Shard Index Seek {self.index_name}"
+        label = "Covering Index Scan" if self.kind == "covering" else "Index Seek"
+        bounds = (f" {key_range_text(self.low, self.high)}"
+                  if self.low or self.high else "")
+        return f"Shard {label} {self.index_name}{bounds}"
 
 
 @dataclass
@@ -214,7 +216,7 @@ class ClusterPlanner:
         pool = self.mirror._build_predicate_pool(query, infos)
         self.mirror._assign_local_conjuncts(pool, infos)
         if len(infos) == 1:
-            return self._plan_single(query, infos[0], infos, pool.remaining)
+            return self._plan_single(query, infos[0], pool.remaining)
         if len(infos) == 2:
             plan = self._plan_join(query, infos, by_name, pool.remaining)
             if plan is not None:
@@ -251,7 +253,6 @@ class ClusterPlanner:
     # -- the single-table path --------------------------------------------
 
     def _plan_single(self, query: LogicalQuery, info: _RelationInfo,
-                     infos: Sequence[_RelationInfo],
                      leftover: Sequence[Expression]) -> ClusterPlan:
         # Constant (relationless) conjuncts ride along as extra local
         # filters: same rows, same order as the single-node residual.
@@ -259,7 +260,7 @@ class ClusterPlanner:
         shaped = _RelationInfo(ref=info.ref, binding_name=info.binding_name,
                                kind="table", table=info.table,
                                local_conjuncts=conjuncts)
-        access = self._choose_access(shaped, query, infos)
+        access = self._choose_access(shaped, query)
         relation = FragmentRelation(info.table.name, info.binding_name,
                                     conjuncts, access)
         return SingleTablePlan(query, relation=relation, **self._shape(query))
@@ -299,8 +300,8 @@ class ClusterPlanner:
         if choice is None:
             return None
         drive_info, inner_info, strategy = choice
-        drive_access = self._choose_access(drive_info, query, infos)
-        inner_access = self._choose_access(inner_info, query, infos)
+        drive_access = self._choose_access(drive_info, query)
+        inner_access = self._choose_access(inner_info, query)
         drive = FragmentRelation(drive_info.table.name, drive_info.binding_name,
                                  list(drive_info.local_conjuncts), drive_access)
         inner = FragmentRelation(inner_info.table.name, inner_info.binding_name,
@@ -359,8 +360,8 @@ class ClusterPlanner:
             selectivities)
         return max(1, int(estimate))
 
-    def _choose_access(self, info: _RelationInfo, query: LogicalQuery,
-                       relations: Sequence[_RelationInfo]) -> AccessChoice:
+    def _choose_access(self, info: _RelationInfo,
+                       query: LogicalQuery) -> AccessChoice:
         mirror = self.mirror
         table = info.table
         key = table.name.lower()
@@ -369,7 +370,7 @@ class ClusterPlanner:
         statistics = self.coordinator.table_statistics(key)
         estimated_out = self._estimate_relation(info, total)
         sargables, non_sargable = mirror._split_sargables(info)
-        needed = mirror._needed_columns(query, info, relations)
+        needed = mirror._needed_columns(query, info)
 
         candidates: list[tuple[float, int, AccessChoice]] = []
         best_index, best_prefix = mirror._best_seek_index(table, sargables)
@@ -392,16 +393,14 @@ class ClusterPlanner:
             residual = combine_conjuncts(
                 [qualify_columns(part, info.binding_name, table)
                  for part in residual_parts])
-            low = [s.low for s in best_prefix if s.low is not None]
-            high = [s.high for s in best_prefix if s.high is not None]
+            low, high = prefix_bounds(best_prefix)
             covering = needed is not None and best_index.covers(needed)
             per_row = (mirror.INDEX_ENTRY_COST if covering
                        else mirror.RANDOM_LOOKUP_COST)
             cost = math.log2(total + 1) + fetched * per_row
             candidates.append((cost, 0, AccessChoice(
                 "seek", residual, index_name=best_index.name,
-                index_columns=tuple(best_index.columns),
-                low=low or None, high=high or None,
+                low=low, high=high,
                 estimated_rows=rows, cost=cost)))
 
         predicate = combine_conjuncts(
@@ -415,9 +414,11 @@ class ClusterPlanner:
                              key=lambda index: index.entry_byte_width())
                 ratio = min(1.0, max(0.05, narrow.entry_byte_width() / row_bytes))
                 cost = total * mirror.SEQ_ROW_COST * ratio
+                low, high = covering_scan_bounds(narrow, table, sargables,
+                                                 info.local_conjuncts)
                 candidates.append((cost, 1, AccessChoice(
                     "covering", predicate, index_name=narrow.name,
-                    index_columns=tuple(narrow.columns),
+                    low=low, high=high,
                     estimated_rows=estimated_out, cost=cost)))
         scan_cost = total * mirror.SEQ_ROW_COST
         candidates.append((scan_cost, 2, AccessChoice(
@@ -434,7 +435,7 @@ class ClusterPlanner:
                      ) -> Optional[tuple[_RelationInfo, _RelationInfo, str]]:
         """The (drive side, inner side, strategy) the single-node CBO implies."""
         mirror = self.mirror
-        paths = {info.binding_name: self._choose_access(info, query, infos)
+        paths = {info.binding_name: self._choose_access(info, query)
                  for info in infos}
         start = min(infos, key=lambda info: (paths[info.binding_name].estimated_rows,
                                              paths[info.binding_name].cost,

@@ -19,10 +19,14 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence, TYPE_CHECKING
 
 from .errors import PrimaryKeyViolation, SchemaError
-from .types import NULL
+from .types import NULL, DataType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .table import Table
+
+#: Key column types whose values a plain number ranks against in the
+#: index exactly as SQL compares them.
+NUMERIC_KEY_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.FLOAT)
 
 
 class _MinSentinel:
@@ -47,6 +51,14 @@ def _pack_key_column(values: list) -> Any:
     if all(type(value) is float for value in values):
         return array("d", values)
     return values
+
+
+def _has_nan(values: Iterable[Any]) -> bool:
+    """True when some value is NaN — a key no order can place."""
+    for value in values:
+        if value != value:
+            return True
+    return False
 
 
 class _KeyWrapper:
@@ -131,6 +143,10 @@ class BTreeIndex:
         self.statistics = IndexStatistics()
         self._entries: list[tuple[_KeyWrapper, int]] = []
         self._sorted = True
+        # Entries with a NaN key part.  NaN compares false with
+        # everything, so one such entry can leave the array out of key
+        # order, and then no bisection over it is sound.
+        self._nan_entries = 0
 
     # -- construction and maintenance ------------------------------------
 
@@ -143,18 +159,32 @@ class BTreeIndex:
         if defer_sort or not self._sorted:
             self._entries.append((wrapper, row_id))
             self._sorted = False
-            return
-        if self.unique:
-            position = bisect.bisect_left(self._entries, (wrapper, -1))
-            if position < len(self._entries) and self._entries[position][0] == wrapper:
-                raise PrimaryKeyViolation(
-                    f"duplicate key {wrapper.key!r} in unique index {self.name!r}",
-                    table=self.table.name, constraint=self.name)
-        bisect.insort(self._entries, (wrapper, row_id))
+        else:
+            if self.unique:
+                position = bisect.bisect_left(self._entries, (wrapper, -1))
+                if position < len(self._entries) and self._entries[position][0] == wrapper:
+                    raise PrimaryKeyViolation(
+                        f"duplicate key {wrapper.key!r} in unique index {self.name!r}",
+                        table=self.table.name, constraint=self.name)
+            bisect.insort(self._entries, (wrapper, row_id))
+        if _has_nan(wrapper.key):
+            self._nan_entries += 1
 
     def remove(self, row_id: int, row: dict[str, Any]) -> None:
         wrapper = _KeyWrapper(self.key_for_row(row))
         self._ensure_sorted()
+        if self._nan_entries:
+            # Out of key order: find the row's entry by id instead.
+            for position, (entry_key, entry_row_id) in enumerate(self._entries):
+                if entry_row_id == row_id:
+                    del self._entries[position]
+                    if _has_nan(entry_key.key):
+                        self._nan_entries -= 1
+                        if not self._nan_entries:
+                            # The NaN may have misplaced other entries.
+                            self._entries.sort()
+                    return
+            return
         position = bisect.bisect_left(self._entries, (wrapper, -1))
         while position < len(self._entries) and self._entries[position][0] == wrapper:
             if self._entries[position][1] == row_id:
@@ -196,6 +226,9 @@ class BTreeIndex:
              row_ids[position])
             for position in range(state["count"])]
         self._sorted = True
+        self._nan_entries = (
+            sum(1 for wrapper, _row_id in self._entries if _has_nan(wrapper.key))
+            if any(_has_nan(column) for column in columns) else 0)
 
     def rebuild(self) -> None:
         """Re-sort after deferred bulk inserts and re-check uniqueness."""
@@ -217,6 +250,7 @@ class BTreeIndex:
     def clear(self) -> None:
         self._entries.clear()
         self._sorted = True
+        self._nan_entries = 0
 
     # -- lookups ----------------------------------------------------------
 
@@ -262,6 +296,28 @@ class BTreeIndex:
         for position in range(start, end):
             self.statistics.entries_read += 1
             yield self._entries[position][1]
+
+    def range_or_scan(self, low: Optional[Sequence[Any]],
+                      high: Optional[Sequence[Any]]) -> Iterator[int]:
+        """:meth:`range` when every bound ranks like its key column, else :meth:`scan`.
+
+        A number (not NaN) against an integer or float key column sits
+        in the index where SQL comparison puts it, so every entry
+        outside ``[low, high]`` fails that comparison.  Any other bound
+        — NULL, NaN, a string, a number against a text key — promises
+        nothing, and neither does an index holding a NaN key (its
+        entries need not be in key order), so the whole index is read
+        and the caller's predicate matches, or raises, exactly as over
+        a full scan.
+        """
+        if self._nan_entries:
+            return self.scan()
+        for bound in (low, high):
+            for column, value in zip(self.columns, bound or ()):
+                if not (isinstance(value, (int, float)) and value == value
+                        and self.table.column(column).dtype in NUMERIC_KEY_TYPES):
+                    return self.scan()
+        return self.range(low, high)
 
     def scan(self) -> Iterator[int]:
         """All row ids in key order (an ordered index scan)."""

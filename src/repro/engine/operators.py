@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .batch import ColumnBatch
 from .catalog import Database
@@ -386,19 +386,36 @@ class TableScan(PhysicalOperator):
 class CoveringIndexScan(PhysicalOperator):
     """Scan of an index whose columns cover the query (the paper's tag-table substitute).
 
-    The scan touches only the index entries, so the *bytes scanned* are
-    the narrow entry width rather than the ~2 KB PhotoObj row — this is
-    the ten-to-one-hundred-fold sequential-scan speedup of §9.1.3.
+    Index entries hold only a key and a row id, so every row is still
+    fetched with ``get_row``; what is narrow is the accounting —
+    ``bytes_scanned`` charges the entry width rather than the ~2 KB
+    PhotoObj row, §9.1.3's byte model for its ten-to-one-hundred-fold
+    sequential-scan speedup.
+
+    ``low``/``high`` (key-prefix bound expressions, as on
+    :class:`IndexRangeScan`) are §9.1.3's other half: the index's
+    clustering limits the walk "to just one part of the object space".
+    The predicate keeps every local conjunct, the bounding ones
+    included, so the output is the full scan's — entries inside the
+    range in key order, every one outside it failing the predicate —
+    and only the scan counters shrink (see :func:`key_range_row_ids`).
+    The planner bounds a scan only when no conjunct can raise
+    (:func:`repro.engine.planner.covering_scan_bounds`), so a skipped
+    row cannot hide an error the full scan would meet.
     """
 
     label = "Covering Index Scan"
 
     def __init__(self, index: BTreeIndex, binding_name: str,
-                 predicate: Optional[Expression] = None):
+                 predicate: Optional[Expression] = None, *,
+                 low: Optional[Sequence[Expression]] = None,
+                 high: Optional[Sequence[Expression]] = None):
         super().__init__()
         self.index = index
         self.binding_name = binding_name
         self.predicate = predicate
+        self.low = low
+        self.high = high
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
@@ -406,7 +423,10 @@ class CoveringIndexScan(PhysicalOperator):
         table = self.index.table
         binding_name = self.binding_name
         predicate = context.compile(self.predicate, self.layout())
-        for row_id in self.index.scan():
+        row_ids = key_range_row_ids(
+            self.index, self.low, self.high,
+            lambda expression: context.compile(expression, ())({}))
+        for row_id in row_ids:
             row = table.get_row(row_id)
             if row is None:
                 continue
@@ -423,11 +443,40 @@ class CoveringIndexScan(PhysicalOperator):
 
     def details(self) -> str:
         where = f" WHERE {self.predicate.sql()}" if self.predicate is not None else ""
+        bounds = (f" {key_range_text(self.low, self.high)}"
+                  if self.low or self.high else "")
         return (f"{self.index.table.name}.{self.index.name} "
-                f"({', '.join(self.index.columns)}) AS {self.binding_name}{where}")
+                f"({', '.join(self.index.columns)}){bounds} "
+                f"AS {self.binding_name}{where}")
 
     def estimated_rows(self) -> int:
         return self.index.table.row_count
+
+
+def key_range_row_ids(index: BTreeIndex,
+                      low: Optional[Sequence[Expression]],
+                      high: Optional[Sequence[Expression]],
+                      evaluate: Callable[[Expression], Any]) -> Iterable[int]:
+    """Row ids a covering scan bounded by ``low``/``high`` reads, in key order.
+
+    The bounds — numeric or NULL literals, signed at most — are
+    evaluated once with ``evaluate`` and the walk goes through
+    :meth:`BTreeIndex.range_or_scan`, which reads the whole index for a
+    NULL bound or an index holding a NaN key.
+    """
+    if low is None and high is None:
+        return index.scan()
+    low_values = [evaluate(expression) for expression in low or ()]
+    high_values = [evaluate(expression) for expression in high or ()]
+    return index.range_or_scan(low_values or None, high_values or None)
+
+
+def key_range_text(low: Optional[Sequence[Expression]],
+                   high: Optional[Sequence[Expression]]) -> str:
+    """EXPLAIN's ``range [low]..[high]`` for key-prefix bound expressions."""
+    low_text = "[" + ", ".join(e.sql() for e in low) + "]" if low else "-inf"
+    high_text = "[" + ", ".join(e.sql() for e in high) + "]" if high else "+inf"
+    return f"range {low_text}..{high_text}"
 
 
 class IndexRangeScan(PhysicalOperator):
@@ -482,10 +531,9 @@ class IndexRangeScan(PhysicalOperator):
         return table_layout(self.index.table, self.binding_name)
 
     def details(self) -> str:
-        low_text = "[" + ", ".join(e.sql() for e in self.low) + "]" if self.low else "-inf"
-        high_text = "[" + ", ".join(e.sql() for e in self.high) + "]" if self.high else "+inf"
         where = f" WHERE {self.predicate.sql()}" if self.predicate is not None else ""
-        return (f"{self.index.table.name}.{self.index.name} range {low_text}..{high_text} "
+        return (f"{self.index.table.name}.{self.index.name} "
+                f"{key_range_text(self.low, self.high)} "
                 f"AS {self.binding_name}{where}")
 
     def estimated_rows(self) -> int:
@@ -682,13 +730,12 @@ def _range_probe(index: BTreeIndex, low: Any, high: Any) -> Iterable[int]:
     to be a superset of the matches in index order.  A NULL bound makes
     the conjunct NULL for every row: nothing.  Bounds that do not rank
     like the (numeric) index key cannot seek, so every entry goes to
-    the residual — which then fails exactly as a nested-loop join would.
+    the residual (:meth:`BTreeIndex.range_or_scan`) — which then fails
+    exactly as a nested-loop join would.
     """
     if low is NULL or high is NULL:
         return ()
-    if isinstance(low, (int, float)) and isinstance(high, (int, float)):
-        return index.range((low,), (high,))
-    return index.scan()
+    return index.range_or_scan((low,), (high,))
 
 
 class HashJoin(PhysicalOperator):

@@ -44,7 +44,7 @@ from .expressions import (AggregateCall, Between, BinaryOp, CaseWhen,
                           ColumnRef, Expression, FunctionCall, InList, Like,
                           Literal, SargablePredicate, Star, UnaryOp,
                           combine_conjuncts, conjuncts, extract_sargable)
-from .index import BTreeIndex
+from .index import NUMERIC_KEY_TYPES, BTreeIndex
 from .logical import FunctionRef, LogicalQuery, RelationRef
 from .operators import (CoveringIndexScan, DistinctOp, FilterOp, FunctionScan,
                         GroupAggregate, HashJoin, IndexNestedLoopJoin,
@@ -61,11 +61,6 @@ from .types import NULL, DataType
 #: ``repro.cluster.executor._EXACT_SUM_TYPES``).
 _EXACT_SUM_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.BOOLEAN)
 
-#: Column types with plain numeric ordering (ordered scalar comparisons
-#: with no surprises): what the sort-merge sortedness verification
-#: accepts and what a range-probe join may seek on.
-_MERGE_KEY_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.FLOAT)
-
 
 def _proper_subsets(members: Sequence[str]) -> Iterator[frozenset]:
     """Every nonempty proper subset of ``members``, as frozensets.
@@ -79,6 +74,83 @@ def _proper_subsets(members: Sequence[str]) -> Iterator[frozenset]:
 
 #: Sentinel for "this bound does not fold to a plan-time constant".
 _UNKNOWN = object()
+
+
+def index_key_prefix(index: BTreeIndex,
+                     sargables: dict[str, SargablePredicate]
+                     ) -> list[SargablePredicate]:
+    """The sargables bounding a key prefix of ``index``: equalities on its
+    leading columns, then at most one range.
+
+    The one place this rule lives — the index-seek choice, the bounded
+    covering scan and the cluster planner's mirror of both call it.
+    """
+    prefix: list[SargablePredicate] = []
+    for column in index.columns:
+        sargable = sargables.get(column)
+        if sargable is None:
+            break
+        prefix.append(sargable)
+        if not sargable.is_equality:
+            break
+    return prefix
+
+
+def prefix_bounds(prefix: Sequence[SargablePredicate]
+                  ) -> tuple[Optional[list[Expression]], Optional[list[Expression]]]:
+    """``(low, high)`` key bound expressions of an :func:`index_key_prefix`
+    (None where that side is open)."""
+    low = [s.low for s in prefix if s.low is not None]
+    high = [s.high for s in prefix if s.high is not None]
+    return low or None, high or None
+
+
+def covering_scan_bounds(index: BTreeIndex, table: Table,
+                         sargables: dict[str, SargablePredicate],
+                         local_conjuncts: Sequence[Expression]
+                         ) -> tuple[Optional[list[Expression]], Optional[list[Expression]]]:
+    """The key range a covering scan of ``index`` may walk instead of
+    the whole index, as :func:`prefix_bounds` (both None: the whole index).
+
+    Only when every local conjunct compares a numeric column with
+    numeric (or NULL) literals: those evaluate on every row without
+    error, so skipping the rows outside the range cannot turn an error
+    the full scan raises — ``sqrt(ra - 3) > 0`` on a row it skips —
+    into an answer.
+    """
+    if not all(_cannot_raise(conjunct, table) for conjunct in local_conjuncts):
+        return None, None
+    return prefix_bounds(index_key_prefix(index, sargables))
+
+
+_COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+
+
+def _cannot_raise(conjunct: Expression, table: Table) -> bool:
+    """True for ``column op literal`` / ``column BETWEEN literal AND
+    literal`` over a numeric column of ``table`` (either side, NOT too)."""
+    if isinstance(conjunct, Between):
+        column, operands = conjunct.operand, (conjunct.low, conjunct.high)
+    elif isinstance(conjunct, BinaryOp) and conjunct.op in _COMPARISONS:
+        column, operands = conjunct.left, (conjunct.right,)
+        if not isinstance(column, ColumnRef):
+            column, operands = conjunct.right, (conjunct.left,)
+    else:
+        return False
+    if not isinstance(column, ColumnRef):
+        return False
+    definition = table.column(column.name)
+    return (definition is not None and definition.dtype in NUMERIC_KEY_TYPES
+            and all(_numeric_literal(operand) for operand in operands))
+
+
+def _numeric_literal(expression: Expression) -> bool:
+    """A number or NULL literal, possibly signed (``-0.5`` parses as
+    unary minus of ``0.5``)."""
+    while isinstance(expression, UnaryOp) and expression.op in ("-", "+"):
+        expression = expression.operand
+    return isinstance(expression, Literal) and (
+        expression.value is NULL or isinstance(expression.value, (int, float)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +565,8 @@ class Planner:
 
     # -- access paths ------------------------------------------------------------
 
-    def _needed_columns(self, query: LogicalQuery, info: _RelationInfo,
-                        relations: Sequence[_RelationInfo]) -> Optional[set[str]]:
+    def _needed_columns(self, query: LogicalQuery,
+                        info: _RelationInfo) -> Optional[set[str]]:
         """Columns of ``info`` referenced anywhere in the query.
 
         Returns None when a bare ``*`` (or ``alias.*``) forces the full row.
@@ -511,20 +583,15 @@ class Planner:
         if query.having is not None:
             expressions.append(query.having)
         expressions.extend(info.local_conjuncts)
-        others = [other for other in relations if other.binding_name != info.binding_name]
         for expression in expressions:
             if isinstance(expression, Star):
                 if expression.qualifier is None or expression.qualifier.lower() == info.binding_name:
                     return None
                 continue
             for qualifier, column in expression.referenced_columns():
-                if qualifier == info.binding_name:
+                if qualifier == info.binding_name or (
+                        qualifier is None and self._relation_has_column(info, column)):
                     needed.add(column)
-                elif qualifier is None and self._relation_has_column(info, column):
-                    uniquely_mine = not any(self._relation_has_column(other, column)
-                                            for other in others)
-                    if uniquely_mine or True:
-                        needed.add(column)
         return needed
 
     def _split_sargables(self, info: _RelationInfo
@@ -555,14 +622,7 @@ class Planner:
         best_index: Optional[BTreeIndex] = None
         best_prefix: list[SargablePredicate] = []
         for index in table.indexes.values():
-            prefix: list[SargablePredicate] = []
-            for column in index.columns:
-                sargable = sargables.get(column)
-                if sargable is None:
-                    break
-                prefix.append(sargable)
-                if not sargable.is_equality:
-                    break
+            prefix = index_key_prefix(index, sargables)
             if prefix and len(prefix) > len(best_prefix):
                 best_index, best_prefix = index, prefix
         return best_index, best_prefix
@@ -582,16 +642,14 @@ class Planner:
         residual = combine_conjuncts(
             [qualify_columns(part, info.binding_name, table)
              for part in residual_parts])
-        low = [s.low for s in best_prefix if s.low is not None]
-        high = [s.high for s in best_prefix if s.high is not None]
+        low, high = prefix_bounds(best_prefix)
         covering = needed is not None and best_index.covers(needed)
-        return IndexRangeScan(best_index, info.binding_name,
-                              low if low else None, high if high else None,
+        return IndexRangeScan(best_index, info.binding_name, low, high,
                               predicate=residual, estimated=estimated,
                               covering=covering)
 
-    def _access_path(self, info: _RelationInfo, query: LogicalQuery,
-                     relations: Sequence[_RelationInfo]) -> _PlannedAccessPath:
+    def _access_path(self, info: _RelationInfo,
+                     query: LogicalQuery) -> _PlannedAccessPath:
         if info.kind == "function":
             function = self.database.functions.table_valued(info.function_name)
             operator = FunctionScan(function, list(info.function_args), info.binding_name)
@@ -600,7 +658,7 @@ class Planner:
         table = info.table
         sargables, non_sargable = self._split_sargables(info)
         best_index, best_prefix = self._best_seek_index(table, sargables)
-        needed = self._needed_columns(query, info, relations)
+        needed = self._needed_columns(query, info)
 
         if best_index is not None and best_prefix:
             estimate = self._estimate_index_rows(table, best_index, best_prefix)
@@ -699,8 +757,8 @@ class Planner:
                     * self._combine_selectivities(selectivities))
         return max(1, int(estimate))
 
-    def _access_path_cbo(self, info: _RelationInfo, query: LogicalQuery,
-                         relations: Sequence[_RelationInfo]) -> _PlannedAccessPath:
+    def _access_path_cbo(self, info: _RelationInfo,
+                         query: LogicalQuery) -> _PlannedAccessPath:
         """Cheapest access path among table scan, covering scan and index seek."""
         if info.kind == "function":
             function = self.database.functions.table_valued(info.function_name)
@@ -715,7 +773,7 @@ class Planner:
         total = max(1, table.row_count)
         estimated_out = self._estimate_relation_cbo(info)
         sargables, non_sargable = self._split_sargables(info)
-        needed = self._needed_columns(query, info, relations)
+        needed = self._needed_columns(query, info)
 
         # (cost, tie-break priority, operator, output rows)
         candidates: list[tuple[float, int, PhysicalOperator, int]] = []
@@ -747,14 +805,20 @@ class Planner:
         # entries instead of wide rows; a column store already reads
         # just the referenced buffers — and a TableScan there keeps the
         # vectorized batch pipeline applicable — so the covering
-        # candidate only exists for row-backed tables.
+        # candidate only exists for row-backed tables.  When the local
+        # conjuncts bound a key prefix of the index, the scan walks only
+        # that key range; it keeps the full scan's cost and estimate, so
+        # no plan choice moves (README: "Bounded covering scans").
         if needed is not None and table.storage.kind != "column":
             covering_indexes = [index for index in table.indexes.values()
                                 if index.covers(needed)]
             if covering_indexes:
                 narrow = min(covering_indexes,
                              key=lambda index: index.entry_byte_width())
-                scan = CoveringIndexScan(narrow, info.binding_name, predicate)
+                low, high = covering_scan_bounds(narrow, table, sargables,
+                                                 info.local_conjuncts)
+                scan = CoveringIndexScan(narrow, info.binding_name, predicate,
+                                         low=low, high=high)
                 candidates.append((total * self._entry_cost(table, narrow), 1,
                                    scan, estimated_out))
         candidates.append((total * self.SEQ_ROW_COST, 2,
@@ -860,7 +924,7 @@ class Planner:
         for index in info.table.indexes.values():
             column = index.columns[0]
             if (column in lows and column in highs
-                    and info.table.column(column).dtype in _MERGE_KEY_TYPES):
+                    and info.table.column(column).dtype in NUMERIC_KEY_TYPES):
                 return index, lows[column], highs[column]
         return None
 
@@ -868,7 +932,6 @@ class Planner:
                            join_conjuncts: Sequence[Expression],
                            by_name: dict[str, _RelationInfo],
                            query: LogicalQuery,
-                           relations: Sequence[_RelationInfo],
                            outer_rows: int, outer_cost: float
                            ) -> Optional[tuple[float, int, tuple, int]]:
         """The enumerators' option entry for range-probing ``info``, if any.
@@ -886,7 +949,7 @@ class Planner:
             return None
         table, index = info.table, candidate[0]
         assert table is not None
-        needed = self._needed_columns(query, info, relations)
+        needed = self._needed_columns(query, info)
         covering = needed is not None and index.covers(needed)
         total = max(1, table.row_count)
         fetched = max(1.0, total * self._combine_selectivities(
@@ -970,7 +1033,7 @@ class Planner:
         joins, preferring connected relations over cross products.
         """
         by_name = {info.binding_name: info for info in relations}
-        paths = {info.binding_name: self._access_path_cbo(info, query, relations)
+        paths = {info.binding_name: self._access_path_cbo(info, query)
                  for info in relations}
         start = min(relations,
                     key=lambda info: (paths[info.binding_name].estimated_rows,
@@ -1012,7 +1075,7 @@ class Planner:
                         rows = max(1, int(root_rows * matches * local_selectivity))
                         options.append((cost, 0, ("index", candidate), rows))
                 range_option = self._range_join_option(
-                    info, join_conjuncts, by_name, query, relations,
+                    info, join_conjuncts, by_name, query,
                     root_rows, root_cost)
                 if range_option is not None:
                     options.append(range_option)
@@ -1120,7 +1183,7 @@ class Planner:
         the relation count).
         """
         by_name = {info.binding_name: info for info in relations}
-        paths = {info.binding_name: self._access_path_cbo(info, query, relations)
+        paths = {info.binding_name: self._access_path_cbo(info, query)
                  for info in relations}
         names = sorted(by_name)
 
@@ -1181,7 +1244,7 @@ class Planner:
                                               * local_selectivity))
                             options.append((cost, 0, ("index", candidate), rows))
                     range_option = None if info is None else self._range_join_option(
-                        info, join_conjuncts, by_name, query, relations,
+                        info, join_conjuncts, by_name, query,
                         left_rows, left_cost)
                     if range_option is not None:
                         options.append(range_option)
@@ -1298,7 +1361,7 @@ class Planner:
         # Start from the relation with the smallest estimated cardinality —
         # for Query 1 this puts the spatial TVF on the outer side, as in Figure 10.
         start = min(relations, key=lambda info: info.estimated_rows)
-        path = self._access_path(start, query, relations)
+        path = self._access_path(start, query)
         root: PhysicalOperator = path.operator
         root_estimate = path.estimated_rows
         planned = {start.binding_name}
@@ -1320,13 +1383,13 @@ class Planner:
                 root_estimate = max(root_estimate, info.estimated_rows)
                 pool.remaining = [c for c in pool.remaining if c not in used_conjuncts]
             elif equalities and self.enable_hash_join:
-                inner_path = self._access_path(info, query, relations)
+                inner_path = self._access_path(info, query)
                 root = self._build_hash_join(root, inner_path.operator,
                                              equalities, join_conjuncts)
                 root_estimate = max(root_estimate, inner_path.estimated_rows)
                 pool.remaining = [c for c in pool.remaining if c not in join_conjuncts]
             else:
-                inner_path = self._access_path(info, query, relations)
+                inner_path = self._access_path(info, query)
                 residual = combine_conjuncts(join_conjuncts)
                 root = NestedLoopJoin(root, inner_path.operator, residual)
                 root_estimate *= max(1, inner_path.estimated_rows)
@@ -1441,7 +1504,7 @@ class Planner:
         if cached is not None and cached[0] == version:
             return cached[1]
         column = table.column(column_name)
-        sorted_ok = column is not None and column.dtype in _MERGE_KEY_TYPES
+        sorted_ok = column is not None and column.dtype in NUMERIC_KEY_TYPES
         if sorted_ok:
             name = column_name.lower()
             previous: Any = None
