@@ -656,7 +656,7 @@ class ShardCluster:
             for node in nodes:
                 if not node.database.has_table(parent_key):
                     continue
-                for row in node.table(parent_key).storage.iter_dicts():
+                for row in node.table(parent_key).storage.iter_dicts((column,)):
                     placement.route[row.get(column)] = node.shard_id
         return cluster
 

@@ -513,7 +513,8 @@ class _RowCompiler(_Compiler):
     reference outside the one table is a compile-time error."""
 
     def reference(self, alias: str, key: str) -> CompiledExpression:
-        # Every row carries every column, so a C-level itemgetter does.
+        # Every row carries every column the plan references, so a
+        # C-level itemgetter does.
         return itemgetter(key)
 
     def unresolved(self, message: str) -> tuple[CompiledExpression, bool]:

@@ -137,6 +137,13 @@ class ExecutionContext:
         return compile_expression(expression, self.evaluation, layout,
                                   projected=projected)
 
+    def read_columns(self, columns: Optional[Sequence[str]]
+                     ) -> Optional[Sequence[str]]:
+        """The row keys an access operator fetches: its planned
+        ``columns`` on the compiled path, whole rows for the interpreter
+        (the oracle the narrowed reads are checked against)."""
+        return columns if self.compile_enabled else None
+
     def compile_row(self, expression: Expression, table: "Table",
                     binding_name: str) -> CompiledExpression:
         """Row-mode compile for the fused scan path (raises RowCompileError).
@@ -263,7 +270,14 @@ class PhysicalOperator:
 # ---------------------------------------------------------------------------
 
 class TableScan(PhysicalOperator):
-    """Full sequential scan of a base table, with an optional pushed-down filter."""
+    """Full sequential scan of a base table, with an optional pushed-down filter.
+
+    ``columns`` — on this and every other access operator — are the
+    lower-cased row keys the plan references on the relation (None: a
+    ``*`` needs whole rows).  Row-mode reads fetch only those
+    (:meth:`~repro.engine.storage.TableStorage.get`), so a column store
+    builds four-key dicts for a query that touches four columns.
+    """
 
     label = "Table Scan"
 
@@ -275,11 +289,13 @@ class TableScan(PhysicalOperator):
     use_zone_maps = True
 
     def __init__(self, table: Table, binding_name: str,
-                 predicate: Optional[Expression] = None):
+                 predicate: Optional[Expression] = None, *,
+                 columns: Optional[Sequence[str]] = None):
         super().__init__()
         self.table = table
         self.binding_name = binding_name
         self.predicate = predicate
+        self.columns = columns
         #: Per-run segment counters for EXPLAIN ANALYZE
         #: (``segments=<scanned>/<total> skipped=<n>``).
         self.actual_segments_scanned = 0
@@ -295,7 +311,7 @@ class TableScan(PhysicalOperator):
         statistics = context.statistics
         binding_name = self.binding_name
         predicate = context.compile(self.predicate, self.layout())
-        for row in self.table.storage.iter_dicts():
+        for row in self.table.storage.iter_dicts(context.read_columns(self.columns)):
             statistics.rows_scanned += 1
             statistics.bytes_scanned += row_bytes
             binding = {binding_name: row}
@@ -387,7 +403,8 @@ class CoveringIndexScan(PhysicalOperator):
     """Scan of an index whose columns cover the query (the paper's tag-table substitute).
 
     Index entries hold only a key and a row id, so every row is still
-    fetched with ``get_row``; what is narrow is the accounting —
+    fetched with ``get_row`` (just its ``columns``); what is narrow is
+    the accounting —
     ``bytes_scanned`` charges the entry width rather than the ~2 KB
     PhotoObj row, §9.1.3's byte model for its ten-to-one-hundred-fold
     sequential-scan speedup.
@@ -409,25 +426,28 @@ class CoveringIndexScan(PhysicalOperator):
     def __init__(self, index: BTreeIndex, binding_name: str,
                  predicate: Optional[Expression] = None, *,
                  low: Optional[Sequence[Expression]] = None,
-                 high: Optional[Sequence[Expression]] = None):
+                 high: Optional[Sequence[Expression]] = None,
+                 columns: Optional[Sequence[str]] = None):
         super().__init__()
         self.index = index
         self.binding_name = binding_name
         self.predicate = predicate
         self.low = low
         self.high = high
+        self.columns = columns
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
         entry_bytes = self.index.entry_byte_width()
         table = self.index.table
         binding_name = self.binding_name
+        columns = context.read_columns(self.columns)
         predicate = context.compile(self.predicate, self.layout())
         row_ids = key_range_row_ids(
             self.index, self.low, self.high,
             lambda expression: context.compile(expression, ())({}))
         for row_id in row_ids:
-            row = table.get_row(row_id)
+            row = table.get_row(row_id, columns)
             if row is None:
                 continue
             statistics.rows_scanned += 1
@@ -487,7 +507,8 @@ class IndexRangeScan(PhysicalOperator):
     def __init__(self, index: BTreeIndex, binding_name: str,
                  low: Optional[Sequence[Expression]], high: Optional[Sequence[Expression]],
                  predicate: Optional[Expression] = None,
-                 estimated: int = 0, covering: bool = False):
+                 estimated: int = 0, covering: bool = False,
+                 columns: Optional[Sequence[str]] = None):
         super().__init__()
         self.index = index
         self.binding_name = binding_name
@@ -496,6 +517,7 @@ class IndexRangeScan(PhysicalOperator):
         self.predicate = predicate
         self._estimated = estimated
         self.covering = covering
+        self.columns = columns
 
     def _bound_values(self, bound: Optional[Sequence[Expression]],
                       context: ExecutionContext) -> Optional[list[Any]]:
@@ -512,9 +534,10 @@ class IndexRangeScan(PhysicalOperator):
         binding_name = self.binding_name
         low = self._bound_values(self.low, context)
         high = self._bound_values(self.high, context)
+        columns = context.read_columns(self.columns)
         predicate = context.compile(self.predicate, self.layout())
         for row_id in self.index.range(low, high):
-            row = table.get_row(row_id)
+            row = table.get_row(row_id, columns)
             if row is None:
                 continue
             statistics.rows_scanned += 1
@@ -650,6 +673,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
     the same index: outer order × index order within the range.
     ``covering`` (as on :class:`IndexRangeScan`) accounts the narrow
     index entries instead of a bookmark lookup per row.
+    ``inner_columns`` are the inner rows' planned ``columns`` (see
+    :class:`TableScan`).
     """
 
     label = "Index Nested Loop Join"
@@ -658,7 +683,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
                  index: BTreeIndex, outer_key: Sequence[Expression],
                  residual: Optional[Expression] = None, *,
                  outer_high: Optional[Expression] = None,
-                 covering: bool = False):
+                 covering: bool = False,
+                 inner_columns: Optional[Sequence[str]] = None):
         super().__init__()
         self.outer = outer
         self.inner_table = inner_table
@@ -668,6 +694,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
         self.outer_high = outer_high
         self.covering = covering
         self.residual = residual
+        self.inner_columns = inner_columns
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer,)
@@ -678,6 +705,8 @@ class IndexNestedLoopJoin(PhysicalOperator):
         row_bytes = int(self.index.entry_byte_width() if covering
                         else self.inner_table.average_row_bytes())
         inner_binding = self.inner_binding
+        inner_table = self.inner_table
+        inner_columns = context.read_columns(self.inner_columns)
         index = self.index
         outer_layout = self.outer.layout()
         key_fns = [context.compile(expression, outer_layout)
@@ -691,7 +720,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
             else:
                 row_ids = _range_probe(index, key[0], high_fn(outer_binding))
             for row_id in row_ids:
-                row = self.inner_table.get_row(row_id)
+                row = inner_table.get_row(row_id, inner_columns)
                 if row is None:
                     continue
                 statistics.rows_scanned += 1
@@ -2610,7 +2639,7 @@ class ProjectOp(PhysicalOperator):
         filter_passed = [0] * len(predicates)
         emitted = 0
         try:
-            for row in table.storage.iter_dicts():
+            for row in table.storage.iter_dicts(scan.columns):
                 scanned += 1
                 if scan_predicate is not None and scan_predicate(row) is not True:
                     continue

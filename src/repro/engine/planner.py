@@ -594,6 +594,25 @@ class Planner:
                     needed.add(column)
         return needed
 
+    @staticmethod
+    def _read_columns(info: _RelationInfo,
+                      needed: Optional[set[str]]) -> Optional[tuple[str, ...]]:
+        """The ``columns`` of an access operator on table relation ``info``.
+
+        ``needed`` is :meth:`_needed_columns`' answer for ``info``; the
+        result keeps the names that are row keys of its table (sorted),
+        or None when a ``*`` needs whole rows.  A reference the table
+        lacks is left out, so it still raises ``UnknownColumnError``
+        when a row reaches it.  Every access operator the planner builds
+        takes its ``columns`` from here, so a new consumer of row keys
+        must be visible to :meth:`_needed_columns`.
+        """
+        if needed is None:
+            return None
+        assert info.table is not None
+        row_keys = info.table.row_keys
+        return tuple(sorted(name for name in needed if name in row_keys))
+
     def _split_sargables(self, info: _RelationInfo
                          ) -> tuple[dict[str, SargablePredicate], list[Expression]]:
         """Partition the local conjuncts into sargables-by-column and the rest."""
@@ -632,7 +651,8 @@ class Planner:
                           best_prefix: Sequence[SargablePredicate],
                           sargables: dict[str, SargablePredicate],
                           non_sargable: Sequence[Expression],
-                          needed: Optional[set[str]], *,
+                          needed: Optional[set[str]],
+                          columns: Optional[tuple[str, ...]], *,
                           estimated: int) -> IndexRangeScan:
         """Assemble the seek operator both access-path planners build."""
         used = {sargable.column for sargable in best_prefix}
@@ -646,7 +666,7 @@ class Planner:
         covering = needed is not None and best_index.covers(needed)
         return IndexRangeScan(best_index, info.binding_name, low, high,
                               predicate=residual, estimated=estimated,
-                              covering=covering)
+                              covering=covering, columns=columns)
 
     def _access_path(self, info: _RelationInfo,
                      query: LogicalQuery) -> _PlannedAccessPath:
@@ -659,12 +679,13 @@ class Planner:
         sargables, non_sargable = self._split_sargables(info)
         best_index, best_prefix = self._best_seek_index(table, sargables)
         needed = self._needed_columns(query, info)
+        columns = self._read_columns(info, needed)
 
         if best_index is not None and best_prefix:
             estimate = self._estimate_index_rows(table, best_index, best_prefix)
             operator = self._build_index_seek(info, table, best_index, best_prefix,
                                               sargables, non_sargable, needed,
-                                              estimated=estimate)
+                                              columns, estimated=estimate)
             return _PlannedAccessPath(operator, estimate)
 
         predicate = combine_conjuncts(
@@ -673,9 +694,10 @@ class Planner:
         if needed is not None:
             for index in table.indexes.values():
                 if index.covers(needed):
-                    operator = CoveringIndexScan(index, info.binding_name, predicate)
+                    operator = CoveringIndexScan(index, info.binding_name, predicate,
+                                                 columns=columns)
                     return _PlannedAccessPath(operator, self._estimate_relation(info))
-        operator = TableScan(table, info.binding_name, predicate)
+        operator = TableScan(table, info.binding_name, predicate, columns=columns)
         return _PlannedAccessPath(operator, self._estimate_relation(info))
 
     def _estimate_index_rows(self, table: Table, index: BTreeIndex,
@@ -774,6 +796,7 @@ class Planner:
         estimated_out = self._estimate_relation_cbo(info)
         sargables, non_sargable = self._split_sargables(info)
         needed = self._needed_columns(query, info)
+        columns = self._read_columns(info, needed)
 
         # (cost, tie-break priority, operator, output rows)
         candidates: list[tuple[float, int, PhysicalOperator, int]] = []
@@ -792,7 +815,7 @@ class Planner:
             rows = min(estimated_out, fetched)
             seek = self._build_index_seek(info, table, best_index, best_prefix,
                                           sargables, non_sargable, needed,
-                                          estimated=rows)
+                                          columns, estimated=rows)
             per_row = (self.INDEX_ENTRY_COST if seek.covering
                        else self.RANDOM_LOOKUP_COST)
             cost = math.log2(total + 1) + fetched * per_row
@@ -802,13 +825,15 @@ class Planner:
             [qualify_columns(part, info.binding_name, table)
              for part in info.local_conjuncts])
         # A covering index's only scan advantage is reading narrow
-        # entries instead of wide rows; a column store already reads
-        # just the referenced buffers — and a TableScan there keeps the
-        # vectorized batch pipeline applicable — so the covering
-        # candidate only exists for row-backed tables.  When the local
-        # conjuncts bound a key prefix of the index, the scan walks only
-        # that key range; it keeps the full scan's cost and estimate, so
-        # no plan choice moves (README: "Bounded covering scans").
+        # entries instead of wide rows.  A column store's TableScan
+        # already touches only the referenced columns — the batch
+        # pipeline reads just their buffers, and row mode decodes just
+        # the scan's ``columns`` — and keeps the vectorized pipeline
+        # applicable, so the covering candidate only exists for
+        # row-backed tables.  When the local conjuncts bound a key
+        # prefix of the index, the scan walks only that key range; it
+        # keeps the full scan's cost and estimate, so no plan choice
+        # moves (README: "Bounded covering scans").
         if needed is not None and table.storage.kind != "column":
             covering_indexes = [index for index in table.indexes.values()
                                 if index.covers(needed)]
@@ -818,11 +843,12 @@ class Planner:
                 low, high = covering_scan_bounds(narrow, table, sargables,
                                                  info.local_conjuncts)
                 scan = CoveringIndexScan(narrow, info.binding_name, predicate,
-                                         low=low, high=high)
+                                         low=low, high=high, columns=columns)
                 candidates.append((total * self._entry_cost(table, narrow), 1,
                                    scan, estimated_out))
         candidates.append((total * self.SEQ_ROW_COST, 2,
-                           TableScan(table, info.binding_name, predicate),
+                           TableScan(table, info.binding_name, predicate,
+                                     columns=columns),
                            estimated_out))
 
         cost, _priority, operator, rows = min(candidates,
@@ -968,7 +994,7 @@ class Planner:
     def _range_join(self, outer: PhysicalOperator, info: _RelationInfo,
                     candidate: tuple[BTreeIndex, Expression, Expression],
                     join_conjuncts: Sequence[Expression],
-                    covering: bool) -> IndexNestedLoopJoin:
+                    covering: bool, query: LogicalQuery) -> IndexNestedLoopJoin:
         """Build the range-probe join.  Every join conjunct — the range
         ones included — stays in the residual, so the probe only narrows
         which index entries the residual sees."""
@@ -980,7 +1006,9 @@ class Planner:
                for part in info.local_conjuncts])
         return IndexNestedLoopJoin(
             outer, info.table, info.binding_name, index, [low], residual,
-            outer_high=high, covering=covering)
+            outer_high=high, covering=covering,
+            inner_columns=self._read_columns(
+                info, self._needed_columns(query, info)))
 
     def _expression_distinct(self, expression: Expression,
                              by_name: dict[str, _RelationInfo]) -> int:
@@ -1125,14 +1153,14 @@ class Planner:
             kind, extra = choice
             if kind == "index":
                 built = self._index_join(root, info, equalities, join_conjuncts,
-                                         candidate=extra)
+                                         query, candidate=extra)
                 assert built is not None
                 root, used_conjuncts = built
                 pool.remaining = [c for c in pool.remaining
                                   if c not in used_conjuncts]
             elif kind == "range":
                 root = self._range_join(root, info, extra[0], join_conjuncts,
-                                        extra[1])
+                                        extra[1], query)
                 pool.remaining = [c for c in pool.remaining
                                   if c not in join_conjuncts]
             elif kind == "merge":
@@ -1297,14 +1325,14 @@ class Planner:
             root = build(left)
             if kind == "index":
                 built = self._index_join(root, by_name[min(right)], equalities,
-                                         join_conjuncts, candidate=extra)
+                                         join_conjuncts, query, candidate=extra)
                 assert built is not None
                 root, used_conjuncts = built
                 pool.remaining = [c for c in pool.remaining
                                   if c not in used_conjuncts]
             elif kind == "range":
                 root = self._range_join(root, by_name[min(right)], extra[0],
-                                        join_conjuncts, extra[1])
+                                        join_conjuncts, extra[1], query)
                 pool.remaining = [c for c in pool.remaining
                                   if c not in join_conjuncts]
             elif kind == "merge":
@@ -1377,7 +1405,8 @@ class Planner:
 
             index_plan = None
             if self.enable_index_join and info.kind == "table" and equalities:
-                index_plan = self._index_join(root, info, equalities, join_conjuncts)
+                index_plan = self._index_join(root, info, equalities, join_conjuncts,
+                                              query)
             if index_plan is not None:
                 root, used_conjuncts = index_plan
                 root_estimate = max(root_estimate, info.estimated_rows)
@@ -1508,7 +1537,7 @@ class Planner:
         if sorted_ok:
             name = column_name.lower()
             previous: Any = None
-            for row in table.storage.iter_dicts():
+            for row in table.storage.iter_dicts((name,)):
                 value = row.get(name, NULL)
                 if value is NULL or (previous is not None and value < previous):
                     sorted_ok = False
@@ -1543,6 +1572,7 @@ class Planner:
     def _index_join(self, outer: PhysicalOperator, info: _RelationInfo,
                     equalities: Sequence[tuple[Expression, Expression, Expression]],
                     join_conjuncts: Sequence[Expression],
+                    query: LogicalQuery,
                     candidate: Optional[tuple] = None
                     ) -> Optional[tuple[PhysicalOperator, list[Expression]]]:
         """Try to turn the join into an index nested-loop join probing ``info``.
@@ -1565,7 +1595,9 @@ class Planner:
                               for part in info.local_conjuncts)
         residual = combine_conjuncts(residual_parts)
         operator = IndexNestedLoopJoin(outer, table, info.binding_name, best_index,
-                                       outer_key, residual)
+                                       outer_key, residual,
+                                       inner_columns=self._read_columns(
+                                           info, self._needed_columns(query, info)))
         return operator, list(join_conjuncts)
 
     # -- finishing touches ----------------------------------------------------------

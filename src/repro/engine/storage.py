@@ -31,14 +31,16 @@ operations (``vacuum``/``clear``) run only inside the owning table's
 exclusive lock section.  Appends publish a row's *live* flag strictly
 after every column value is stored, so a reader that iterates without a
 lock can never observe a torn (half-appended) row — it either sees the
-whole row or not at all.  :meth:`ColumnStore.iter_rows` additionally
-snapshots the live mask up front, so one scan observes one consistent
-set of row ids even while appends land behind it.
+whole row or not at all.  :meth:`ColumnStore.iter_rows` and
+:meth:`ColumnStore.iter_dicts` additionally snapshot the live mask up
+front, so one scan observes one consistent set of row ids even while
+appends land behind it.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .errors import SchemaError
@@ -66,8 +68,14 @@ class TableStorage:
         """Store one prepared row (lower-cased keys); returns its row id."""
         raise NotImplementedError
 
-    def get(self, row_id: int) -> Optional[dict[str, Any]]:
-        """The row dict for ``row_id``, or None for tombstones / bad ids."""
+    def get(self, row_id: int,
+            columns: Optional[Sequence[str]] = None) -> Optional[dict[str, Any]]:
+        """The row dict for ``row_id``, or None for tombstones / bad ids.
+
+        ``columns`` (lower-cased row keys of this table) asks for just
+        those keys; the dict may hold more — a consumer reads only the
+        keys it asked for — but never fewer.  None asks for the whole row.
+        """
         raise NotImplementedError
 
     def delete(self, row_id: int) -> bool:
@@ -92,13 +100,16 @@ class TableStorage:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def iter_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """(row_id, row dict) for every live row, in id order."""
+    def iter_rows(self, columns: Optional[Sequence[str]] = None
+                  ) -> Iterator[tuple[int, dict[str, Any]]]:
+        """(row_id, row dict) for every live row, in id order
+        (``columns`` as for :meth:`get`)."""
         raise NotImplementedError
 
-    def iter_dicts(self) -> Iterator[dict[str, Any]]:
+    def iter_dicts(self, columns: Optional[Sequence[str]] = None
+                   ) -> Iterator[dict[str, Any]]:
         """Live row dicts in id order (the sequential-scan entry point)."""
-        for _row_id, row in self.iter_rows():
+        for _row_id, row in self.iter_rows(columns):
             yield row
 
     def slots(self) -> list[Optional[dict[str, Any]]]:
@@ -121,7 +132,11 @@ class TableStorage:
 
 
 class RowStore(TableStorage):
-    """List-of-dicts storage: one dict per row, ``None`` tombstones."""
+    """List-of-dicts storage: one dict per row, ``None`` tombstones.
+
+    Reads ignore ``columns``: the stored dict is already built, and a
+    superset of the asked-for keys is all the contract promises.
+    """
 
     kind = "row"
 
@@ -138,7 +153,8 @@ class RowStore(TableStorage):
         self._live += 1
         return row_id
 
-    def get(self, row_id: int) -> Optional[dict[str, Any]]:
+    def get(self, row_id: int,
+            columns: Optional[Sequence[str]] = None) -> Optional[dict[str, Any]]:
         if 0 <= row_id < len(self._slots):
             return self._slots[row_id]
         return None
@@ -167,12 +183,14 @@ class RowStore(TableStorage):
     def __len__(self) -> int:
         return len(self._slots)
 
-    def iter_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
+    def iter_rows(self, columns: Optional[Sequence[str]] = None
+                  ) -> Iterator[tuple[int, dict[str, Any]]]:
         for row_id, row in enumerate(self._slots):
             if row is not None:
                 yield row_id, row
 
-    def iter_dicts(self) -> Iterator[dict[str, Any]]:
+    def iter_dicts(self, columns: Optional[Sequence[str]] = None
+                   ) -> Iterator[dict[str, Any]]:
         for row in self._slots:
             if row is not None:
                 yield row
@@ -346,6 +364,29 @@ class _LazySegmentColumns(dict):
         return decoded
 
 
+def _unit_values(values: Sequence, mask: Optional[Sequence[int]],
+                 local: Optional[list[int]], count: int) -> Sequence:
+    """One column of a scan unit at its live positions, NULL where masked.
+
+    ``local`` lists the live positions; None means all of the first
+    ``count`` (a tail buffer may have grown past the scan's snapshot).
+    The stored buffer is never written: masking builds a new list.
+    """
+    if local is None:
+        if mask is None:
+            return values[:count] if len(values) > count else values
+        return [NULL if flag else value
+                for value, flag in zip(values, mask[:count])]
+    if mask is None:
+        return [values[i] for i in local]
+    return [NULL if mask[i] else values[i] for i in local]
+
+
+def _dicts(names: Sequence[str], values: Iterator[tuple]) -> Iterator[dict[str, Any]]:
+    """One ``{name: value}`` dict per value tuple, keyed in ``names`` order."""
+    return map(dict, map(zip, repeat(names), values))
+
+
 class ColumnStore(TableStorage):
     """Column-oriented storage: sealed, encoded segments plus an append tail.
 
@@ -360,10 +401,17 @@ class ColumnStore(TableStorage):
     longer *answers* from its zone map); :meth:`vacuum` re-seals the
     compacted rows into fresh segments with rebuilt zone maps.
 
-    Dict materialisation (``get``/``iter_rows``) remains the
-    compatibility adapter for row-at-a-time operators; the vectorized
-    path reads per-unit local buffers through :meth:`scan_units` (or
-    the global concatenation through :meth:`batch_columns`).
+    Dict materialisation (``get``/``iter_rows``/``iter_dicts``) is the
+    adapter for row-at-a-time operators, and it is late: given
+    ``columns`` it decodes only those columns and builds fresh dicts
+    holding exactly those keys, so a plan that references four of
+    PhotoObj's 148 columns pays for four.  Whole rows (``columns`` None)
+    keep the table's column order.  Scans go through one per-unit
+    materialiser (:meth:`_row_runs`): each column is decoded once per
+    sealed segment and its NULL mask applied once, then rows are zipped
+    out of the buffers.  The vectorized path reads per-unit local
+    buffers through :meth:`scan_units` (or the global concatenation
+    through :meth:`batch_columns`).
     """
 
     kind = "column"
@@ -418,16 +466,18 @@ class ColumnStore(TableStorage):
                              base + SEGMENT_ROWS, parts.live)
         self.segments_sealed += 1
 
-    def get(self, row_id: int) -> Optional[dict[str, Any]]:
+    def get(self, row_id: int,
+            columns: Optional[Sequence[str]] = None) -> Optional[dict[str, Any]]:
         parts = self._parts
         if not (0 <= row_id < len(parts.live)) or not parts.live[row_id]:
             return None
+        names = self._names if columns is None else columns
         if row_id >= parts.base:
             local = row_id - parts.base
-            return {name: parts.tail[name].get(local) for name in self._names}
+            return {name: parts.tail[name].get(local) for name in names}
         segment = parts.segments[row_id // SEGMENT_ROWS]
         local = row_id - segment.base
-        return {name: segment.value_at(name, local) for name in self._names}
+        return {name: segment.value_at(name, local) for name in names}
 
     def delete(self, row_id: int) -> bool:
         parts = self._parts
@@ -515,32 +565,55 @@ class ColumnStore(TableStorage):
     def __len__(self) -> int:
         return len(self._parts.live)
 
-    def iter_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
+    def iter_rows(self, columns: Optional[Sequence[str]] = None
+                  ) -> Iterator[tuple[int, dict[str, Any]]]:
+        names = self._names if columns is None else tuple(columns)
+        for row_ids, values in self._row_runs(names):
+            yield from zip(row_ids, _dicts(names, values))
+
+    def iter_dicts(self, columns: Optional[Sequence[str]] = None
+                   ) -> Iterator[dict[str, Any]]:
+        names = self._names if columns is None else tuple(columns)
+        for _row_ids, values in self._row_runs(names):
+            yield from _dicts(names, values)
+
+    def _row_runs(self, names: Sequence[str]
+                  ) -> Iterator[tuple[Sequence[int], Iterator[tuple]]]:
+        """(live row ids, their value tuples in ``names`` order) per scan
+        unit: each sealed segment, then the tail.
+
+        One parts snapshot and one frozen live mask serve the whole
+        scan, so it sees one consistent row-id set even while appends
+        extend the store.  A unit is materialised when the scan reaches
+        it: each column is decoded once and its NULL mask applied once.
+        An empty ``names`` still yields one empty tuple per live row.
+        """
         parts = self._parts
-        # Snapshot the live mask: one scan sees one consistent row-id
-        # set even if appends extend the store while it runs.
         snapshot = bytes(parts.live)
-        names = self._names
-        for segment in parts.segments:
-            decoded = None
-            for local in range(segment.rows):
-                row_id = segment.base + local
-                if row_id >= len(snapshot) or not snapshot[row_id]:
-                    continue
-                if decoded is None:
-                    decoded = {name: segment.decode_column(name)
-                               for name in names}
-                row = {}
-                for name in names:
-                    mask = segment.masks.get(name)
-                    row[name] = (NULL if mask is not None and mask[local]
-                                 else decoded[name][local])
-                yield row_id, row
-        tail = parts.tail
-        for row_id in range(parts.base, len(snapshot)):
-            if snapshot[row_id]:
-                local = row_id - parts.base
-                yield row_id, {name: tail[name].get(local) for name in names}
+        units = [(segment.base, segment.base + segment.rows, segment)
+                 for segment in parts.segments]
+        units.append((parts.base, len(snapshot), None))
+        for start, stop, segment in units:
+            live = snapshot.count(1, start, stop)
+            if not live:
+                continue
+            local: Optional[list[int]] = None
+            row_ids: Sequence[int] = range(start, stop)
+            if live < stop - start:
+                local = [i - start for i in row_ids if snapshot[i]]
+                row_ids = [start + i for i in local]
+            buffers = []
+            for name in names:
+                if segment is not None:
+                    values, mask = (segment.decode_column(name),
+                                    segment.masks.get(name))
+                else:
+                    data = parts.tail[name]
+                    values, mask = (data.values,
+                                    data.mask if data.null_count else None)
+                buffers.append(_unit_values(values, mask, local, stop - start))
+            yield row_ids, (zip(*buffers) if buffers
+                            else repeat((), len(row_ids)))
 
     def slots(self) -> list[Optional[dict[str, Any]]]:
         return [self.get(row_id) for row_id in range(len(self._parts.live))]

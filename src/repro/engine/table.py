@@ -215,20 +215,25 @@ class Table:
 
     # -- row access ----------------------------------------------------------
 
-    def get_row(self, row_id: int) -> Optional[dict[str, Any]]:
-        return self.storage.get(row_id)
+    def get_row(self, row_id: int,
+                columns: Optional[Sequence[str]] = None) -> Optional[dict[str, Any]]:
+        """The row for ``row_id`` (None for a tombstone); ``columns``
+        narrows it as :meth:`TableStorage.get` describes."""
+        return self.storage.get(row_id, columns)
 
-    def iter_rows(self) -> Iterator[tuple[int, dict[str, Any]]]:
+    def iter_rows(self, columns: Optional[Sequence[str]] = None
+                  ) -> Iterator[tuple[int, dict[str, Any]]]:
         """(row_id, row) pairs, holding the table's read lock while open.
 
         The lock is acquired when the first row is pulled and released
         when the generator is exhausted (or closed), so concurrent
         VACUUM/TRUNCATE/storage conversion — which reassign row ids —
         cannot run mid-iteration.  Code already inside an exclusive
-        section iterates ``self.storage`` directly.
+        section iterates ``self.storage`` directly.  ``columns`` narrows
+        the rows as :meth:`TableStorage.get` describes.
         """
         with self.lock.read():
-            yield from self.storage.iter_rows()
+            yield from self.storage.iter_rows(columns)
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         with self.lock.read():

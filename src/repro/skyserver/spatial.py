@@ -25,6 +25,12 @@ def htm_cover_circle(ra: float, dec: float, radius_arcmin: float) -> list[dict]:
             for r in cover_circle(ra, dec, radius_arcmin)]
 
 
+#: The PhotoObj columns :func:`nearby_from_candidates` and
+#: :func:`rect_from_candidates` read (plus htmID for the scan fallback):
+#: all a candidate row is materialised with.
+CANDIDATE_COLUMNS = ("objid", "ra", "dec", "type", "mode", "modelmag_r", "htmid")
+
+
 def _candidate_rows(database: Database, ranges: Sequence[HtmRange]) -> Iterable[dict]:
     """Rows of PhotoObj whose htmID falls in any cover range.
 
@@ -33,17 +39,20 @@ def _candidate_rows(database: Database, ranges: Sequence[HtmRange]) -> Iterable[
     databases loaded without indices.  ``ranges`` is a ``cover()``
     result — sorted, disjoint and non-adjacent — so each index region is
     scanned once and every candidate row surfaces once (no dedup set).
+    Rows carry those of :data:`CANDIDATE_COLUMNS` the table has (a row
+    store's, every column).
     """
     photo = database.table("PhotoObj")
+    columns = tuple(name for name in CANDIDATE_COLUMNS if name in photo.row_keys)
     index = photo.find_index_on(["htmID"])
     if index is not None:
         for low, high in ranges:
             for row_id in index.range((low,), (high,)):
-                row = photo.get_row(row_id)
+                row = photo.get_row(row_id, columns)
                 if row is not None:
                     yield row
         return
-    for _row_id, row in photo.iter_rows():
+    for _row_id, row in photo.iter_rows(columns):
         if ranges_contain(ranges, row["htmid"]):
             yield row
 
