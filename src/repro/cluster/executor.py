@@ -30,7 +30,7 @@ import heapq
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from ..engine.batch import ColumnBatch
 from ..engine.compile import (Layout, VectorCompileError, compile_expression,
@@ -41,7 +41,7 @@ from ..engine.errors import QueryLimitExceeded, SQLSyntaxError
 from ..engine.expressions import (ColumnRef, Expression, RowScope, Star)
 from ..engine.index import _KeyWrapper
 from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
-                                QueryResult, _AggState, _SortKey,
+                                PhysicalPlan, QueryResult, _AggState, _SortKey,
                                 _apply_scan_predicate, _create_table_for_rows,
                                 _hashable, _zone_predicates, _zone_skips,
                                 key_range_row_ids)
@@ -311,15 +311,16 @@ class ClusterExecutor:
     def _run_single(self, shard, plan: SingleTablePlan, evaluation,
                     fragment: _Fragment) -> None:
         layout = self._relation_layout(shard, plan.relation)
-        stream = self._iter_single(shard, plan.relation, evaluation)
         if plan.is_aggregate:
             mode = self._aggregate_mode(plan)
             if mode == "partial" and self._scalar_vector_aggregate(
                     shard, plan, evaluation, fragment):
                 return
+            stream = self._iter_single(shard, plan.relation, evaluation)
             self._aggregate_fragment(plan, evaluation, fragment, mode,
                                      stream, layout)
             return
+        stream = self._iter_single(shard, plan.relation, evaluation)
         self._row_fragment(plan, evaluation, fragment, stream, layout)
 
     @staticmethod
@@ -333,15 +334,19 @@ class ClusterExecutor:
 
         A binding is ``{relation.binding: row}`` — the one-alias shape
         of :meth:`_relation_layout`, which every fragment expression is
-        compiled against.
+        compiled against.  Each row holds ``relation.columns``.
         """
+        if relation.access.kind == "scan":
+            return self._iter_scan(shard, relation, evaluation,
+                                   runtime_filter)
+        return self._iter_index(shard, relation, evaluation)
+
+    def _iter_index(self, shard, relation: FragmentRelation, evaluation
+                    ) -> Iterator[tuple[tuple, dict[str, dict[str, Any]]]]:
+        """An index seek or covering scan, merge-keyed by index key rank."""
         table = shard.table(relation.table_name)
         sequences = shard.sequence_list(relation.table_name)
         access = relation.access
-        if access.kind == "scan":
-            yield from self._iter_scan(shard, relation, evaluation,
-                                       runtime_filter)
-            return
         index = self._find_index(table, access.index_name)
         if index is None:
             # The shard lost the index (dropped after planning): degrade
@@ -354,19 +359,15 @@ class ClusterExecutor:
                                         self._relation_layout(shard, relation))
                      if access.predicate is not None else None)
         alias = relation.binding
+        columns = relation.columns
         row_bytes = int(table.average_row_bytes())
-        if access.kind == "covering":
-            row_ids: Iterable[int] = key_range_row_ids(
-                index, access.low, access.high,
-                lambda expression: compile_expression(expression, evaluation)({}))
-        else:
-            low = self._bound_values(access.low, evaluation)
-            high = self._bound_values(access.high, evaluation)
-            row_ids = index.range(low, high)
+        row_ids = key_range_row_ids(
+            index, access.low, access.high,
+            lambda expression: compile_expression(expression, evaluation)({}))
         scanned = 0
         try:
             for row_id in row_ids:
-                row = table.get_row(row_id)
+                row = table.get_row(row_id, columns)
                 if row is None:
                     continue
                 scanned += 1
@@ -385,22 +386,30 @@ class ClusterExecutor:
                    ) -> Iterator[tuple[tuple, dict[str, Any]]]:
         table = shard.table(relation.table_name)
         sequences = shard.sequence_list(relation.table_name)
-        predicate_expr = relation.access.predicate
-        row_bytes = int(table.average_row_bytes())
-        scanned = 0
-        pruned = 0
         if table.storage.kind == "column":
             iterated = self._iter_scan_columnar(table, sequences, relation,
                                                 evaluation, runtime_filter)
             if iterated is not None:
-                yield from iterated
-                return
+                return iterated
+        return self._iter_scan_rows(shard, table, sequences, relation,
+                                    evaluation, runtime_filter)
+
+    def _iter_scan_rows(self, shard, table, sequences: Sequence[int],
+                        relation: FragmentRelation, evaluation,
+                        runtime_filter: Optional[_ShardJoinFilter]
+                        ) -> Iterator[tuple[tuple, dict[str, Any]]]:
+        """Row-mode scan: a row store, or a predicate the vector
+        compiler cannot take."""
+        predicate_expr = relation.access.predicate
+        row_bytes = int(table.average_row_bytes())
+        scanned = 0
+        pruned = 0
         predicate = (compile_expression(predicate_expr, evaluation,
                                         self._relation_layout(shard, relation))
                      if predicate_expr is not None else None)
         alias = relation.binding
         try:
-            for row_id, row in table.storage.iter_rows():
+            for row_id, row in table.storage.iter_rows(relation.columns):
                 scanned += 1
                 binding = {alias: row}
                 if predicate is not None and predicate(binding) is not True:
@@ -429,7 +438,8 @@ class ClusterExecutor:
                 return None
             predicate_fn.zone_predicate = compile_zone_predicate(
                 predicate_expr, evaluation, table, relation.binding)
-        column_names = [column.name.lower() for column in table.columns]
+        names = (list(table.row_keys) if relation.columns is None
+                 else relation.columns)
         alias = relation.binding
 
         def generate() -> Iterator[tuple[tuple, dict]]:
@@ -472,11 +482,9 @@ class ClusterExecutor:
                         batch.selection, dropped = \
                             runtime_filter.filter_selection(batch)
                         runtime_rows += dropped
-                    view = batch.row_view()
                     base = unit.base
-                    for position in batch.selection:
-                        view.index = position
-                        row = {name: view[name] for name in column_names}
+                    for position, row in zip(batch.selection,
+                                             batch.rows(names)):
                         yield (sequences[base + position],), {alias: row}
             finally:
                 self._account_scan(relation, scanned,
@@ -1056,14 +1064,6 @@ class ClusterExecutor:
                 return index
         return None
 
-    @staticmethod
-    def _bound_values(bounds: Optional[list[Expression]], evaluation
-                      ) -> Optional[list[Any]]:
-        if bounds is None:
-            return None
-        return [compile_expression(expression, evaluation)({})
-                for expression in bounds]
-
 
 def _group_key_name(expression: Expression) -> str:
     if isinstance(expression, ColumnRef):
@@ -1088,6 +1088,22 @@ def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------------------
 # The cluster-aware SQL session
 # ---------------------------------------------------------------------------
+
+class _CachedPlan:
+    """One fragment-plan cache entry."""
+
+    __slots__ = ("plan", "schema_version", "versions", "physical")
+
+    def __init__(self, plan: ClusterPlan, schema_version: int,
+                 versions: dict[str, tuple]):
+        self.plan = plan
+        #: The coordinator's schema version and every shard's
+        #: modification counters of the plan's tables at planning time.
+        self.schema_version = schema_version
+        self.versions = versions
+        #: A fallback's coordinator plan, made after its first gather.
+        self.physical: Optional[PhysicalPlan] = None
+
 
 class ClusterSession:
     """Drop-in :class:`~repro.engine.sql.SqlSession` over a cluster.
@@ -1124,19 +1140,19 @@ class ClusterSession:
         self.plan_cache = self.session.plan_cache
         self.cluster_planner = ClusterPlanner(cluster)
         #: Fragment-plan cache: (normalised SQL, statement position) →
-        #: (plan, coordinator schema version, per-table snapshot of
-        #: every shard's modification counter at planning time).  A hit
-        #: re-checks staleness **per shard** before reuse: shard-local
-        #: DML bumps that shard's counter, the snapshot no longer
-        #: matches, and the plan is re-derived from current statistics
-        #: instead of shipping a shape chosen against stale ones.
-        self._fragment_plans: "OrderedDict[tuple[str, int], tuple[ClusterPlan, int, dict[str, tuple]]]" = OrderedDict()
+        #: :class:`_CachedPlan`, fallbacks included.  A hit re-checks
+        #: staleness **per shard** before reuse: shard-local DML bumps
+        #: that shard's counter, the snapshot no longer matches, and the
+        #: plan is re-derived from current statistics instead of
+        #: shipping a shape chosen against stale ones.
+        self._fragment_plans: "OrderedDict[tuple[str, int], _CachedPlan]" = OrderedDict()
         self._fragment_plan_capacity = 128
         self.fragment_plan_hits = 0
         self.fragment_plan_misses = 0
         self.fragment_plan_invalidations = 0
         #: Telemetry: how the most recent SELECT was planned
-        #: ("fragment-cache", "planned" or "fallback").
+        #: ("fragment-cache" for either plan kind, else "planned" or
+        #: "fallback").
         self.last_plan_source = ""
 
     # -- SqlSession surface -------------------------------------------------
@@ -1224,42 +1240,49 @@ class ClusterSession:
             analyzed.append(name)
         return StatementResult(statement, "analyze", value=analyzed)
 
-    def _gather_for(self, plan: FallbackPlan) -> None:
-        tables = (plan.tables if plan.tables is not None
-                  else self.cluster.table_keys())
+    def _gather_for(self, plan: FallbackPlan) -> list[str]:
+        """Gather ``plan``'s tables to the coordinator; returns their names."""
+        tables = self.cluster_planner.plan_tables(plan)
         self.cluster.ensure_local(tables)
+        return tables
 
-    def _plan_fragment(self, query, key: tuple[str, int]) -> ClusterPlan:
-        """Plan ``query``, reusing a cached fragment plan only when every
-        shard is provably unchanged since it was planned."""
+    def _plan_fragment(self, query, key: tuple[str, int]) -> _CachedPlan:
+        """Plan ``query``, reusing a cached plan only when every shard is
+        provably unchanged since it was planned.
+
+        Sets :attr:`last_plan_source`; an ``INTO`` plan's entry is
+        returned without being cached.
+        """
         entry = self._fragment_plans.get(key)
         if entry is not None:
-            plan, schema_version, versions = entry
             fresh = (not self.database.changed_since(
-                         schema_version, (name.lower() for name in versions))
+                         entry.schema_version,
+                         (name.lower() for name in entry.versions))
                      and all(self.cluster.table_versions(name) == captured
-                             for name, captured in versions.items()))
+                             for name, captured in entry.versions.items()))
             if fresh:
                 self._fragment_plans.move_to_end(key)
                 self.fragment_plan_hits += 1
                 self.last_plan_source = "fragment-cache"
-                return plan
+                return entry
             # Some shard (or the coordinator catalog) changed under the
             # plan: one shard-local INSERT is enough to make the cached
-            # shape's statistics-derived choices stale.
+            # shape's statistics-derived choices stale — and a fallback's
+            # tables are re-gathered, so its coordinator plan re-plans.
             del self._fragment_plans[key]
             self.fragment_plan_invalidations += 1
         self.fragment_plan_misses += 1
-        self.last_plan_source = "planned"
         plan = self.cluster_planner.plan(query)
-        tables = ClusterPlanner.plan_tables(plan)
-        if tables and not plan.into:
-            self._fragment_plans[key] = (
-                plan, self.database.schema_version,
-                {name: self.cluster.table_versions(name) for name in tables})
+        self.last_plan_source = ("fallback" if isinstance(plan, FallbackPlan)
+                                 else "planned")
+        entry = _CachedPlan(plan, self.database.schema_version, {
+            name: self.cluster.table_versions(name)
+            for name in self.cluster_planner.plan_tables(plan)})
+        if not query.into:
+            self._fragment_plans[key] = entry
             while len(self._fragment_plans) > self._fragment_plan_capacity:
                 self._fragment_plans.popitem(last=False)
-        return plan
+        return entry
 
     def fragment_plan_statistics(self) -> dict[str, int]:
         """Fragment-plan cache counters for this session."""
@@ -1277,24 +1300,24 @@ class ClusterSession:
         tracer = TRACER
         if tracer.enabled:
             with tracer.span("plan") as span:
-                plan = self._plan_fragment(query, key)
-                if isinstance(plan, FallbackPlan):
-                    self.last_plan_source = "fallback"
+                entry = self._plan_fragment(query, key)
                 span.attributes["source"] = self.last_plan_source
         else:
-            plan = self._plan_fragment(query, key)
-            if isinstance(plan, FallbackPlan):
-                self.last_plan_source = "fallback"
+            entry = self._plan_fragment(query, key)
+        cached = self.last_plan_source == "fragment-cache"
+        plan = entry.plan
         if isinstance(plan, FallbackPlan):
             self.cluster.executor._count(fallback_queries=1)
-            self._gather_for(plan)
+            names = self._gather_for(plan)
             from ..engine.concurrency import read_locks
 
-            names = (plan.tables if plan.tables is not None
-                     else self.cluster.table_keys())
             tables = [self.database.table(name) for name in names
                       if self.database.has_table(name)]
-            physical = self.session.planner.plan(query)
+            if entry.physical is None:
+                # Planned after the gather, over the refilled copies; the
+                # entry's version snapshot keeps it until they change.
+                entry.physical = self.session.planner.plan(query)
+            physical = entry.physical
             # Hold the coordinator copies' read locks through execution
             # so a concurrent re-gather (which truncates) cannot be
             # observed mid-flight.  The gather above completed first —
@@ -1340,6 +1363,6 @@ class ClusterSession:
                 result.statistics.morsels_dispatched)
         self.session.segments_scanned += result.statistics.segments_scanned
         self.session.segments_skipped += result.statistics.segments_skipped
-        result.statistics.plan_cache_hits = 0
-        result.statistics.plan_cache_misses = 1
+        result.statistics.plan_cache_hits = 1 if cached else 0
+        result.statistics.plan_cache_misses = 0 if cached else 1
         return StatementResult(statement, "select", result=result)

@@ -65,7 +65,7 @@ class AccessChoice:
     """The mirrored single-node access path for one fragment relation."""
 
     kind: str                                  # "scan" | "seek" | "covering"
-    predicate: Optional[Expression]            # residual (seek) or full local predicate
+    predicate: Optional[Expression]            # the full local predicate
     index_name: Optional[str] = None
     low: Optional[list[Expression]] = None     # key-prefix bounds (plan-time expressions)
     high: Optional[list[Expression]] = None
@@ -93,6 +93,11 @@ class FragmentRelation:
     binding: str
     local_conjuncts: list[Expression]
     access: AccessChoice
+    #: The lower-cased row keys a shard reads per row (None: whole rows,
+    #: for ``*``): ``Planner._read_columns`` over what the query
+    #: references, plus an index path's key columns, which rank each
+    #: row for the merge.
+    columns: Optional[tuple[str, ...]]
 
 
 @dataclass
@@ -170,21 +175,22 @@ class ClusterPlanner:
     def coordinator(self) -> Database:
         return self.cluster.coordinator
 
-    @staticmethod
-    def plan_tables(plan: ClusterPlan) -> list[str]:
-        """Base tables of a distributable fragment plan.
+    def plan_tables(self, plan: ClusterPlan) -> list[str]:
+        """Base tables a plan reads: a fragment plan's relations, or the
+        tables a fallback gathers.
 
         The session's fragment-plan cache validates a cached plan
         against the per-shard modification counters of exactly these
-        tables (see :meth:`ShardCluster.table_versions`); fallback plans
-        return ``[]`` and are never cached — their coordinator plans
-        live in the wrapped session's own plan cache.
+        tables (see :meth:`ShardCluster.table_versions`), so a write
+        re-plans the fragments — or re-gathers and re-plans a fallback.
         """
         if isinstance(plan, SingleTablePlan):
             return [plan.relation.table_name]
         if isinstance(plan, CoPartitionedJoinPlan):
             return [plan.drive.table_name, plan.inner.table_name]
-        return []
+        assert isinstance(plan, FallbackPlan)
+        return (list(plan.tables) if plan.tables is not None
+                else self.cluster.table_keys())
 
     # -- entry point -------------------------------------------------------
 
@@ -260,10 +266,8 @@ class ClusterPlanner:
         shaped = _RelationInfo(ref=info.ref, binding_name=info.binding_name,
                                kind="table", table=info.table,
                                local_conjuncts=conjuncts)
-        access = self._choose_access(shaped, query)
-        relation = FragmentRelation(info.table.name, info.binding_name,
-                                    conjuncts, access)
-        return SingleTablePlan(query, relation=relation, **self._shape(query))
+        return SingleTablePlan(query, relation=self._relation(shaped, query),
+                               **self._shape(query))
 
     # -- the co-partitioned join path --------------------------------------
 
@@ -295,19 +299,12 @@ class ClusterPlanner:
         if not self._is_colocated(equalities, by_name):
             return None
 
-        choice = self._choose_join(query, infos, by_name, equalities,
-                                   join_conjuncts)
+        choice = self._choose_join(query, infos, equalities)
         if choice is None:
             return None
-        drive_info, inner_info, strategy = choice
-        drive_access = self._choose_access(drive_info, query)
-        inner_access = self._choose_access(inner_info, query)
-        drive = FragmentRelation(drive_info.table.name, drive_info.binding_name,
-                                 list(drive_info.local_conjuncts), drive_access)
-        inner = FragmentRelation(inner_info.table.name, inner_info.binding_name,
-                                 list(inner_info.local_conjuncts), inner_access)
-        drive_keys = [sides[drive_info.binding_name] for _c, sides in equalities]
-        inner_keys = [sides[inner_info.binding_name] for _c, sides in equalities]
+        drive, inner, strategy = choice
+        drive_keys = [sides[drive.binding] for _c, sides in equalities]
+        inner_keys = [sides[inner.binding] for _c, sides in equalities]
         return CoPartitionedJoinPlan(
             query, drive=drive, inner=inner, drive_keys=drive_keys,
             inner_keys=inner_keys, residual=combine_conjuncts(residual_parts),
@@ -360,8 +357,10 @@ class ClusterPlanner:
             selectivities)
         return max(1, int(estimate))
 
-    def _choose_access(self, info: _RelationInfo,
-                       query: LogicalQuery) -> AccessChoice:
+    def _relation(self, info: _RelationInfo,
+                  query: LogicalQuery) -> FragmentRelation:
+        """``info`` as a fragment relation: its access path and the
+        columns a shard reads for it."""
         mirror = self.mirror
         table = info.table
         key = table.name.lower()
@@ -369,10 +368,15 @@ class ClusterPlanner:
         row_bytes = max(1.0, self.cluster.average_row_bytes(key))
         statistics = self.coordinator.table_statistics(key)
         estimated_out = self._estimate_relation(info, total)
-        sargables, non_sargable = mirror._split_sargables(info)
+        sargables = mirror._sargables(info)
         needed = mirror._needed_columns(query, info)
+        predicate = combine_conjuncts(
+            [qualify_columns(part, info.binding_name, table)
+             for part in info.local_conjuncts])
 
-        candidates: list[tuple[float, int, AccessChoice]] = []
+        # (cost, tie-break priority, access path, its index)
+        candidates: list[tuple[float, int, AccessChoice,
+                               Optional[BTreeIndex]]] = []
         best_index, best_prefix = mirror._best_seek_index(table, sargables)
         if best_index is not None and best_prefix:
             full_unique = (best_index.unique
@@ -386,26 +390,16 @@ class ClusterPlanner:
                      for s in best_prefix])
                 fetched = max(1, int(total * prefix_selectivity))
             rows = min(estimated_out, fetched)
-            used = {sargable.column for sargable in best_prefix}
-            residual_parts = list(non_sargable) + [
-                sargable.source for column, sargable in sargables.items()
-                if column not in used]
-            residual = combine_conjuncts(
-                [qualify_columns(part, info.binding_name, table)
-                 for part in residual_parts])
             low, high = prefix_bounds(best_prefix)
             covering = needed is not None and best_index.covers(needed)
             per_row = (mirror.INDEX_ENTRY_COST if covering
                        else mirror.RANDOM_LOOKUP_COST)
             cost = math.log2(total + 1) + fetched * per_row
             candidates.append((cost, 0, AccessChoice(
-                "seek", residual, index_name=best_index.name,
+                "seek", predicate, index_name=best_index.name,
                 low=low, high=high,
-                estimated_rows=rows, cost=cost)))
+                estimated_rows=rows, cost=cost), best_index))
 
-        predicate = combine_conjuncts(
-            [qualify_columns(part, info.binding_name, table)
-             for part in info.local_conjuncts])
         if needed is not None and self.cluster.storage_kind(key) != "column":
             covering_indexes = [index for index in table.indexes.values()
                                 if index.covers(needed)]
@@ -419,24 +413,31 @@ class ClusterPlanner:
                 candidates.append((cost, 1, AccessChoice(
                     "covering", predicate, index_name=narrow.name,
                     low=low, high=high,
-                    estimated_rows=estimated_out, cost=cost)))
+                    estimated_rows=estimated_out, cost=cost), narrow))
         scan_cost = total * mirror.SEQ_ROW_COST
         candidates.append((scan_cost, 2, AccessChoice(
-            "scan", predicate, estimated_rows=estimated_out, cost=scan_cost)))
-        _cost, _priority, choice = min(candidates,
-                                       key=lambda item: (item[0], item[1]))
-        return choice
+            "scan", predicate, estimated_rows=estimated_out, cost=scan_cost),
+            None))
+        _cost, _priority, access, index = min(
+            candidates, key=lambda item: (item[0], item[1]))
+        if index is not None and needed is not None:
+            # The merge ranks an index path's rows by their key
+            # (ClusterExecutor._iter_index reads it off the row).
+            needed = needed | set(index.columns)
+        return FragmentRelation(table.name, info.binding_name,
+                                list(info.local_conjuncts), access,
+                                mirror._read_columns(info, needed))
 
     def _choose_join(self, query: LogicalQuery, infos: list[_RelationInfo],
-                     by_name: dict[str, _RelationInfo],
                      equalities: Sequence[tuple[Expression,
-                                                dict[str, Expression]]],
-                     join_conjuncts: Sequence[Expression]
-                     ) -> Optional[tuple[_RelationInfo, _RelationInfo, str]]:
+                                                dict[str, Expression]]]
+                     ) -> Optional[tuple[FragmentRelation, FragmentRelation, str]]:
         """The (drive side, inner side, strategy) the single-node CBO implies."""
         mirror = self.mirror
-        paths = {info.binding_name: self._choose_access(info, query)
-                 for info in infos}
+        relations = {info.binding_name: self._relation(info, query)
+                     for info in infos}
+        paths = {binding: relation.access
+                 for binding, relation in relations.items()}
         start = min(infos, key=lambda info: (paths[info.binding_name].estimated_rows,
                                              paths[info.binding_name].cost,
                                              info.binding_name))
@@ -453,7 +454,6 @@ class ClusterPlanner:
                 return None
             framed.append((conjunct, sides[other.binding_name],
                            sides[start.binding_name]))
-        statistics = self.coordinator.table_statistics(other.table.name)
 
         options: list[tuple[float, int, tuple[str, Any]]] = []
         if mirror.enable_index_join:
@@ -479,11 +479,13 @@ class ClusterPlanner:
 
         _cost, _priority, (strategy, extra) = min(
             options, key=lambda item: (item[0], item[1]))
+        start_relation = relations[start.binding_name]
+        other_relation = relations[other.binding_name]
         if strategy == "hash" and extra is False:
             # HashJoin(build=root, probe=new): rows stream in the NEW
             # relation's order, with matches in root order.
-            return other, start, "hash"
-        return start, other, strategy
+            return other_relation, start_relation, "hash"
+        return start_relation, other_relation, strategy
 
     def _index_probe_matches(self, table, index: BTreeIndex,
                              prefix_columns: Sequence[str]) -> float:

@@ -11,7 +11,8 @@ row-at-a-time world (joins, sorts, DISTINCT, the SQL session).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .types import NULL
 
@@ -83,8 +84,35 @@ class ColumnBatch:
         return BatchRowView(self.columns, self.masks)
 
     def rows(self, column_order: Sequence[str]) -> Iterator[dict[str, Any]]:
-        """Row-dict adapter: materialise the selected rows (boundary use)."""
-        view = self.row_view()
-        for position in self.selection:
-            view.index = position
-            yield {name: view[name] for name in column_order}
+        """Row-dict adapter: the selected rows as fresh dicts keyed in
+        ``column_order`` (boundary use), gathered a column at a time."""
+        selection = self.selection
+        if not column_order:
+            return ({} for _position in selection)
+        buffers = [column_values(self.columns[name], self.masks.get(name),
+                                 selection, len(selection))
+                   for name in column_order]
+        return row_dicts(column_order, zip(*buffers))
+
+
+def column_values(values: Sequence, mask: Optional[Sequence[int]],
+                  local: Optional[list[int]], count: int) -> Sequence:
+    """One column's values at positions ``local``, NULL where masked.
+
+    ``local`` None means all of the first ``count`` positions (a tail
+    buffer may have grown past a scan's snapshot).  The buffer is never
+    written: masking builds a new list.
+    """
+    if local is None:
+        if mask is None:
+            return values[:count] if len(values) > count else values
+        return [NULL if flag else value
+                for value, flag in zip(values, mask[:count])]
+    if mask is None:
+        return [values[i] for i in local]
+    return [NULL if mask[i] else values[i] for i in local]
+
+
+def row_dicts(names: Sequence[str], values: Iterator[tuple]) -> Iterator[dict[str, Any]]:
+    """One ``{name: value}`` dict per value tuple, keyed in ``names`` order."""
+    return map(dict, map(zip, repeat(names), values))

@@ -477,12 +477,13 @@ def key_range_row_ids(index: BTreeIndex,
                       low: Optional[Sequence[Expression]],
                       high: Optional[Sequence[Expression]],
                       evaluate: Callable[[Expression], Any]) -> Iterable[int]:
-    """Row ids a covering scan bounded by ``low``/``high`` reads, in key order.
+    """Row ids an index seek or a bounded covering scan reads, in key order.
 
-    The bounds — numeric or NULL literals, signed at most — are
-    evaluated once with ``evaluate`` and the walk goes through
-    :meth:`BTreeIndex.range_or_scan`, which reads the whole index for a
-    NULL bound or an index holding a NaN key.
+    The bounds are evaluated once with ``evaluate`` and the walk goes
+    through :meth:`BTreeIndex.range_or_scan`, which reads the whole
+    index for a bound that does not rank (NULL, NaN, a string against
+    a numeric key) or an index holding a NaN key — so the caller's
+    filter must keep the conjuncts the bounds came from.
     """
     if low is None and high is None:
         return index.scan()
@@ -500,7 +501,8 @@ def key_range_text(low: Optional[Sequence[Expression]],
 
 
 class IndexRangeScan(PhysicalOperator):
-    """Range (or equality) seek on an index, plus residual filter."""
+    """Range (or equality) seek on an index, filtered by every local
+    conjunct (the bounding ones too: see :func:`key_range_row_ids`)."""
 
     label = "Index Seek"
 
@@ -519,12 +521,6 @@ class IndexRangeScan(PhysicalOperator):
         self.covering = covering
         self.columns = columns
 
-    def _bound_values(self, bound: Optional[Sequence[Expression]],
-                      context: ExecutionContext) -> Optional[list[Any]]:
-        if bound is None:
-            return None
-        return [context.compile(expression, ())({}) for expression in bound]
-
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
         table = self.index.table
@@ -532,11 +528,12 @@ class IndexRangeScan(PhysicalOperator):
                         else table.average_row_bytes())
         covering = self.covering
         binding_name = self.binding_name
-        low = self._bound_values(self.low, context)
-        high = self._bound_values(self.high, context)
         columns = context.read_columns(self.columns)
         predicate = context.compile(self.predicate, self.layout())
-        for row_id in self.index.range(low, high):
+        row_ids = key_range_row_ids(
+            self.index, self.low, self.high,
+            lambda expression: context.compile(expression, ())({}))
+        for row_id in row_ids:
             row = table.get_row(row_id, columns)
             if row is None:
                 continue

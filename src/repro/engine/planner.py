@@ -613,11 +613,9 @@ class Planner:
         row_keys = info.table.row_keys
         return tuple(sorted(name for name in needed if name in row_keys))
 
-    def _split_sargables(self, info: _RelationInfo
-                         ) -> tuple[dict[str, SargablePredicate], list[Expression]]:
-        """Partition the local conjuncts into sargables-by-column and the rest."""
+    def _sargables(self, info: _RelationInfo) -> dict[str, SargablePredicate]:
+        """The local conjuncts' sargable predicates, one per column."""
         sargables: dict[str, SargablePredicate] = {}
-        non_sargable: list[Expression] = []
         for conjunct in info.local_conjuncts:
             sargable = extract_sargable(conjunct)
             if sargable is not None and (sargable.qualifier is None
@@ -625,14 +623,8 @@ class Planner:
                 # Keep the most selective predicate per column (equality wins).
                 existing = sargables.get(sargable.column)
                 if existing is None or (sargable.is_equality and not existing.is_equality):
-                    if existing is not None:
-                        non_sargable.append(existing.source)
                     sargables[sargable.column] = sargable
-                else:
-                    non_sargable.append(conjunct)
-            else:
-                non_sargable.append(conjunct)
-        return sargables, non_sargable
+        return sargables
 
     @staticmethod
     def _best_seek_index(table: Table, sargables: dict[str, SargablePredicate]
@@ -649,23 +641,25 @@ class Planner:
     def _build_index_seek(self, info: _RelationInfo, table: Table,
                           best_index: BTreeIndex,
                           best_prefix: Sequence[SargablePredicate],
-                          sargables: dict[str, SargablePredicate],
-                          non_sargable: Sequence[Expression],
                           needed: Optional[set[str]],
                           columns: Optional[tuple[str, ...]], *,
                           estimated: int) -> IndexRangeScan:
-        """Assemble the seek operator both access-path planners build."""
-        used = {sargable.column for sargable in best_prefix}
-        residual_parts = list(non_sargable) + [
-            sargable.source for column, sargable in sargables.items()
-            if column not in used]
-        residual = combine_conjuncts(
+        """Assemble the seek operator both access-path planners build.
+
+        The filter is every local conjunct, the key-prefix ones
+        included — the covering scan's rule: the key range is inclusive
+        (``x > 20`` walks from 20), and a bound that does not rank
+        (NULL, NaN, a string against a numeric key) or an index holding
+        a NaN key reads the whole index, so the prefix conjuncts must
+        still reject, or raise on, exactly the rows a table scan would.
+        """
+        predicate = combine_conjuncts(
             [qualify_columns(part, info.binding_name, table)
-             for part in residual_parts])
+             for part in info.local_conjuncts])
         low, high = prefix_bounds(best_prefix)
         covering = needed is not None and best_index.covers(needed)
         return IndexRangeScan(best_index, info.binding_name, low, high,
-                              predicate=residual, estimated=estimated,
+                              predicate=predicate, estimated=estimated,
                               covering=covering, columns=columns)
 
     def _access_path(self, info: _RelationInfo,
@@ -676,7 +670,7 @@ class Planner:
             return _PlannedAccessPath(operator, max(1, function.row_estimate))
         assert info.table is not None
         table = info.table
-        sargables, non_sargable = self._split_sargables(info)
+        sargables = self._sargables(info)
         best_index, best_prefix = self._best_seek_index(table, sargables)
         needed = self._needed_columns(query, info)
         columns = self._read_columns(info, needed)
@@ -684,8 +678,7 @@ class Planner:
         if best_index is not None and best_prefix:
             estimate = self._estimate_index_rows(table, best_index, best_prefix)
             operator = self._build_index_seek(info, table, best_index, best_prefix,
-                                              sargables, non_sargable, needed,
-                                              columns, estimated=estimate)
+                                              needed, columns, estimated=estimate)
             return _PlannedAccessPath(operator, estimate)
 
         predicate = combine_conjuncts(
@@ -794,7 +787,7 @@ class Planner:
         statistics = self.database.table_statistics(table.name)
         total = max(1, table.row_count)
         estimated_out = self._estimate_relation_cbo(info)
-        sargables, non_sargable = self._split_sargables(info)
+        sargables = self._sargables(info)
         needed = self._needed_columns(query, info)
         columns = self._read_columns(info, needed)
 
@@ -814,8 +807,7 @@ class Planner:
                 fetched = max(1, int(total * prefix_selectivity))
             rows = min(estimated_out, fetched)
             seek = self._build_index_seek(info, table, best_index, best_prefix,
-                                          sargables, non_sargable, needed,
-                                          columns, estimated=rows)
+                                          needed, columns, estimated=rows)
             per_row = (self.INDEX_ENTRY_COST if seek.covering
                        else self.RANDOM_LOOKUP_COST)
             cost = math.log2(total + 1) + fetched * per_row

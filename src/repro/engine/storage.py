@@ -43,6 +43,7 @@ from array import array
 from itertools import repeat
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
+from .batch import column_values, row_dicts
 from .errors import SchemaError
 from .segments import SEGMENT_ROWS, _logical_bytes, build_segment
 from .types import Column, DataType, NULL
@@ -364,29 +365,6 @@ class _LazySegmentColumns(dict):
         return decoded
 
 
-def _unit_values(values: Sequence, mask: Optional[Sequence[int]],
-                 local: Optional[list[int]], count: int) -> Sequence:
-    """One column of a scan unit at its live positions, NULL where masked.
-
-    ``local`` lists the live positions; None means all of the first
-    ``count`` (a tail buffer may have grown past the scan's snapshot).
-    The stored buffer is never written: masking builds a new list.
-    """
-    if local is None:
-        if mask is None:
-            return values[:count] if len(values) > count else values
-        return [NULL if flag else value
-                for value, flag in zip(values, mask[:count])]
-    if mask is None:
-        return [values[i] for i in local]
-    return [NULL if mask[i] else values[i] for i in local]
-
-
-def _dicts(names: Sequence[str], values: Iterator[tuple]) -> Iterator[dict[str, Any]]:
-    """One ``{name: value}`` dict per value tuple, keyed in ``names`` order."""
-    return map(dict, map(zip, repeat(names), values))
-
-
 class ColumnStore(TableStorage):
     """Column-oriented storage: sealed, encoded segments plus an append tail.
 
@@ -569,13 +547,13 @@ class ColumnStore(TableStorage):
                   ) -> Iterator[tuple[int, dict[str, Any]]]:
         names = self._names if columns is None else tuple(columns)
         for row_ids, values in self._row_runs(names):
-            yield from zip(row_ids, _dicts(names, values))
+            yield from zip(row_ids, row_dicts(names, values))
 
     def iter_dicts(self, columns: Optional[Sequence[str]] = None
                    ) -> Iterator[dict[str, Any]]:
         names = self._names if columns is None else tuple(columns)
         for _row_ids, values in self._row_runs(names):
-            yield from _dicts(names, values)
+            yield from row_dicts(names, values)
 
     def _row_runs(self, names: Sequence[str]
                   ) -> Iterator[tuple[Sequence[int], Iterator[tuple]]]:
@@ -611,7 +589,7 @@ class ColumnStore(TableStorage):
                     data = parts.tail[name]
                     values, mask = (data.values,
                                     data.mask if data.null_count else None)
-                buffers.append(_unit_values(values, mask, local, stop - start))
+                buffers.append(column_values(values, mask, local, stop - start))
             yield row_ids, (zip(*buffers) if buffers
                             else repeat((), len(row_ids)))
 

@@ -7,6 +7,8 @@ whole fig13 20-query suite on both, and asserts byte-identical results.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.cluster import (ClusterSession, DerivedPlacement, FallbackPlan,
@@ -296,6 +298,60 @@ def test_analyze_refreshes_shard_statistics():
         statistics = node.database.table_statistics("Obj")
         assert statistics is not None
         assert not statistics.is_stale(node.table("Obj"))
+
+
+# ---------------------------------------------------------------------------
+# The fragment-plan cache holds both plan kinds
+# ---------------------------------------------------------------------------
+
+FALLBACK = ("select o.objID, n.distance from Obj o join Neighbors n "
+            "on n.neighborObjID = o.objID where n.distance < 0.05")
+
+
+def _cache_flags(result) -> tuple[int, int]:
+    return (result.statistics.plan_cache_hits,
+            result.statistics.plan_cache_misses)
+
+
+def test_fallback_plans_are_cached_until_a_shard_write():
+    single = SqlSession(build_generic())
+    cluster = make_cluster(4)
+    session = ClusterSession(cluster)
+    with mock.patch.object(session.planner, "plan",
+                           wraps=session.planner.plan) as plan:
+        first = session.query(FALLBACK)
+        second = session.query(FALLBACK)
+        assert (_cache_flags(first), _cache_flags(second)) == ((0, 1), (1, 0))
+        assert session.last_plan_source == "fragment-cache"
+        assert plan.call_count == 1
+        assert second.rows == first.rows == single.query(FALLBACK).rows
+
+        # A write re-gathers the table in place; the coordinator plan
+        # made over the old copy is not reused.
+        row = {"objID": 5, "neighborObjID": 18, "distance": 0.01}
+        cluster.insert("Neighbors", row)
+        single.database.table("Neighbors").insert(row)
+        third = session.query(FALLBACK)
+        assert _cache_flags(third) == (0, 1)
+        assert session.last_plan_source == "fallback"
+        assert plan.call_count == 2
+        assert third.rows == single.query(FALLBACK).rows
+        assert len(third.rows) == len(first.rows) + 1
+        assert _cache_flags(session.query(FALLBACK)) == (1, 0)
+    statistics = session.fragment_plan_statistics()
+    assert (statistics["hits"], statistics["misses"],
+            statistics["invalidations"]) == (2, 2, 1)
+
+
+def test_distributed_plans_report_cache_hits():
+    session = ClusterSession(make_cluster(2))
+    sql = "select objID, mag from Obj where mag < 15"
+    assert _cache_flags(session.query(sql)) == (0, 1)
+    assert _cache_flags(session.query(sql)) == (1, 0)
+    # INTO plans are never cached
+    into = "select objID into ##few from Obj where mag < 15"
+    assert _cache_flags(session.query(into)) == (0, 1)
+    assert _cache_flags(session.query(into)) == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -376,3 +376,103 @@ def test_web_rectangle_reads_a_fifth_of_the_index_or_less(skyserver):
     result = skyserver.query(sql)
     assert result.rows[0]["n"] >= 1
     assert 0 < result.statistics.index_entries_read < len(index) / 5
+
+
+# -- index seeks --------------------------------------------------------------
+#
+# A seek walks BTreeIndex.range_or_scan, as the covering scan does, and
+# filters by every local conjunct, the key-prefix ones too: a bound that
+# does not rank reads the whole index, and the conjunct it came from then
+# answers with SQL's semantics — NULL matches nothing, a string against a
+# number raises — as a table scan would.
+
+SEEK_ROWS = [(index % 4, round((index * 7 % 23) / 4.0 - 3.0, 2), index * 0.37 % 5,
+              None if index % 9 == 0 else 15.0 + index % 11, index % 31)
+             for index in range(600)]
+
+#: ``note`` is not in ix_type_mag: the CBO seeks rather than covers.
+SEEK = "select objID, note from PhotoObj where type = 3 and modelMag_r {}"
+
+
+def _sessions(objects, shards):
+    if shards == 0:
+        return SqlSession(build_database(objects))
+    cluster = ShardCluster.from_database(build_database(objects),
+                                         shards=shards, partition="hash")
+    return ClusterSession(cluster)
+
+
+def _assert_seeks(session, shards: int, sql: str) -> None:
+    plan = session.explain(sql)
+    assert ("Shard Index Seek ix_type_mag" if shards
+            else "Index Seek [PhotoObj.ix_type_mag") in plan, plan
+
+
+@pytest.mark.parametrize("shards", [0, 1, 4])
+@pytest.mark.parametrize("bound", [">= null", "<= null", "between null and 20",
+                                   "between 16 and null"])
+def test_an_index_seek_with_a_null_bound_returns_nothing(shards, bound):
+    session = _sessions(SEEK_ROWS, shards)
+    sql = SEEK.format(bound)
+    _assert_seeks(session, shards, sql)
+    assert session.query(sql).rows == []
+    if not shards:
+        plan = Planner(session.database).plan(parse_select(sql))
+        assert plan.execute(compiled=False).rows == []
+
+
+def _scan_rows(session, bound: str) -> list:
+    """The seek's statement with its conjuncts unsargable: a table scan."""
+    rows = session.query("select objID, note from PhotoObj where type + 0 = 3 "
+                         f"and modelMag_r + 0 {bound}").rows
+    return sorted(row["objID"] for row in rows)
+
+
+@pytest.mark.parametrize("shards", [0, 1, 4])
+@pytest.mark.parametrize("bound", ["> 20", "< 20", ">= 20", "between 17 and 20"])
+def test_an_index_seek_returns_the_scans_rows(shards, bound):
+    """A strict bound walks an inclusive key range; the filter drops the
+    entries on the bound itself."""
+    session = _sessions(SEEK_ROWS, shards)
+    sql = SEEK.format(bound)
+    _assert_seeks(session, shards, sql)
+    rows = session.query(sql).rows
+    assert sorted(row["objID"] for row in rows) == _scan_rows(session, bound)
+    assert rows
+
+
+@pytest.mark.parametrize("shards", [0, 1, 4])
+def test_an_index_seek_with_a_null_variable_returns_nothing(shards):
+    session = _sessions(SEEK_ROWS, shards)
+    _assert_seeks(session, shards, SEEK.format(">= @m"))
+    assert session.query("declare @m float; " + SEEK.format(">= @m")).rows == []
+    assert len(session.query("declare @m float; set @m = 20; "
+                             + SEEK.format(">= @m")).rows) == sum(
+        1 for type_, _dec, _ra, mag, _htm in SEEK_ROWS
+        if type_ == 3 and mag is not None and mag >= 20)
+
+
+@pytest.mark.parametrize("shards", [0, 1, 4])
+def test_an_index_seek_raises_like_the_scan_on_a_string_bound(shards):
+    session = _sessions(SEEK_ROWS, shards)
+    sql = SEEK.format(">= 'abc'")
+    _assert_seeks(session, shards, sql)
+    scan = sharded_outcome(lambda: session.query(
+        "select objID, note from PhotoObj where type + 0 = 3 "
+        "and modelMag_r + 0 >= 'abc'"))
+    assert scan[0] == "ExpressionError"
+    assert sharded_outcome(lambda: session.query(sql)) == scan
+
+
+@pytest.mark.parametrize("shards", [0, 1, 4])
+def test_an_index_seek_over_a_nan_key_returns_the_scans_rows(shards):
+    """A NaN key leaves the index out of key order: the seek reads it whole."""
+    objects = [(type_, dec, ra, float("nan") if index % 5 == 0 else mag, htm)
+               for index, (type_, dec, ra, mag, htm) in enumerate(SEEK_ROWS)]
+    session = _sessions(objects, shards)
+    sql = SEEK.format("between 16 and 19")
+    _assert_seeks(session, shards, sql)
+    rows = session.query(sql).rows
+    assert sorted(row["objID"] for row in rows) == _scan_rows(
+        session, "between 16 and 19")
+    assert rows
