@@ -44,7 +44,7 @@ from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
                                 PhysicalPlan, QueryResult, _AggState, _SortKey,
                                 _apply_scan_predicate, _create_table_for_rows,
                                 _hashable, _zone_predicates, _zone_skips,
-                                key_range_row_ids)
+                                join_key, key_range_row_ids)
 from ..engine.segments import compile_zone_predicate, runtime_range_zone
 from ..engine.planner import Planner
 from ..engine.sql import SqlSession, parse_batch
@@ -542,17 +542,21 @@ class ClusterExecutor:
         totally orders them across the cluster.
         """
         inner_layout = self._relation_layout(shard, plan.inner)
-        inner_keys = [compile_expression(expression, evaluation, inner_layout)
-                      for expression in plan.inner_keys]
-        hash_table: dict[tuple, list[dict[str, dict[str, Any]]]] = {}
+        inner_key = join_key([compile_expression(expression, evaluation, inner_layout)
+                              for expression in plan.inner_keys])
+        hash_table: dict[Any, list[dict[str, dict[str, Any]]]] = {}
         for _tag, binding in self._iter_single(shard, plan.inner, evaluation):
-            key = tuple(fn(binding) for fn in inner_keys)
-            if any(part is NULL for part in key):
+            key = inner_key(binding)
+            if key is NULL:
                 continue
-            hash_table.setdefault(key, []).append(binding)
+            bucket = hash_table.get(key)
+            if bucket is None:
+                hash_table[key] = [binding]
+            else:
+                bucket.append(binding)
         drive_layout = self._relation_layout(shard, plan.drive)
-        drive_keys = [compile_expression(expression, evaluation, drive_layout)
-                      for expression in plan.drive_keys]
+        drive_key = join_key([compile_expression(expression, evaluation, drive_layout)
+                              for expression in plan.drive_keys])
         residual = (compile_expression(plan.residual, evaluation, layout)
                     if plan.residual is not None else None)
         runtime_filter = self._shard_join_filter(plan, hash_table)
@@ -560,10 +564,13 @@ class ClusterExecutor:
                                          runtime_filter)
         try:
             for drive_tag, drive_binding in drive_stream:
-                key = tuple(fn(drive_binding) for fn in drive_keys)
-                if any(part is NULL for part in key):
+                key = drive_key(drive_binding)
+                if key is NULL:
                     continue
-                for ordinal, inner_binding in enumerate(hash_table.get(key, ())):
+                bucket = hash_table.get(key)
+                if bucket is None:
+                    continue
+                for ordinal, inner_binding in enumerate(bucket):
                     merged = {**drive_binding, **inner_binding}
                     if residual is not None and residual(merged) is not True:
                         continue
@@ -572,11 +579,12 @@ class ClusterExecutor:
             drive_stream.close()
 
     def _shard_join_filter(self, plan: CoPartitionedJoinPlan,
-                           hash_table: dict[tuple, list]
+                           hash_table: dict[Any, list]
                            ) -> Optional[_ShardJoinFilter]:
         """Runtime filter over the shard's build keys, when sound to push.
 
-        Requires a single bare-column drive key over a scan access path;
+        Requires a single bare-column drive key (so the hash table is
+        keyed by the values themselves) over a scan access path;
         the key set is exact (not a Bloom sketch — the shard already
         holds it), and the zone form only attaches when every key is a
         real number, since string or mixed-type bounds do not compose
@@ -591,7 +599,7 @@ class ClusterExecutor:
             return None
         if plan.drive.access.kind != "scan":
             return None
-        keys = {key[0] for key in hash_table}
+        keys = set(hash_table)
         zone_fn = None
         if keys and all(isinstance(key, (int, float))
                         and not isinstance(key, bool)
@@ -748,14 +756,14 @@ class ClusterExecutor:
                             for aggregate in plan.aggregates]
             if mode == "ordered":
                 for tag, binding in stream:
-                    key = tuple(fn(binding) for fn in group_fns)
-                    values = tuple(fn(binding) if fn is not None else 1
-                                   for fn in argument_fns)
+                    key = tuple([fn(binding) for fn in group_fns])
+                    values = tuple([fn(binding) if fn is not None else 1
+                                    for fn in argument_fns])
                     fragment.rows.append((tag, key, values))
                 return
             groups = fragment.groups
             for tag, binding in stream:
-                key = tuple(fn(binding) for fn in group_fns)
+                key = tuple([fn(binding) for fn in group_fns])
                 entry = groups.get(key)
                 if entry is None:
                     entry = [tag, [_AggState(aggregate)

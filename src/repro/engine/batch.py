@@ -43,9 +43,9 @@ class BatchRowView:
     """A dict-like view of one batch row, addressed by column name.
 
     ``view[name]`` reads the current row position from the column
-    buffers (honouring the null masks), which lets the row-mode compiled
-    closures of :func:`repro.engine.compile.compile_row_expression` run
-    unchanged over columnar data: their ``itemgetter`` leaves call
+    buffers (honouring the null masks), which lets the row-mode
+    functions of :func:`repro.engine.compile.compile_row_expression` run
+    unchanged over columnar data: their ``r['key']`` reads call
     ``__getitem__`` exactly as they would on a row dict.
     """
 

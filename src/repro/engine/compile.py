@@ -1,65 +1,92 @@
-"""Expression compilation: AST subtrees become plain Python closures.
+"""Expression compilation: each expression becomes one generated function.
 
 The interpreted evaluator (:meth:`Expression.evaluate`) pays a virtual
 dispatch, an operator-string comparison and often a fresh ``RowScope``
-for every row.  For the hot operators that is the dominant CPU cost of a
-query, so each operator instead compiles its expressions **once per
-execution** into closures:
+for every node of every row.  For the hot operators that is the
+dominant CPU cost of a query, so each operator instead compiles its
+expressions **once per execution**:
 
 * :func:`compile_expression` binds the expression to a *layout* — the
-  ordered alias → row-key shape of the bindings an operator emits —
-  and produces ``Callable[[binding], Any]``: every column reference is
+  ordered alias → row-key shape of the bindings an operator emits — and
+  returns ``Callable[[binding], Any]``.  Every column reference is
   resolved **once, here** (qualified, or unqualified with the first
-  alias that has the column winning) into a ``binding[alias][key]``
-  read, with the interpreter's SQL three-valued-NULL semantics,
-  short-circuit AND/OR and error behaviour.  A reference the layout
-  cannot resolve compiles to a closure that raises
-  :class:`UnknownColumnError` when (and only when) a row reaches it;
+  alias that has the column winning).  The emitter (:class:`_Emitter`)
+  then walks the bound tree once and writes **one Python function** of
+  straight-line code: inlined column reads (``b['p']['type']``), the
+  interpreter's NULL checks, short-circuit AND/OR and CASE branches as
+  ``if``/``else`` blocks, comparisons (strings lowered for the
+  case-insensitive rule), arithmetic, bitwise operators, unary
+  operators, BETWEEN, LIKE and scalar function calls — with the
+  interpreter's SQL three-valued-NULL semantics and its error types
+  and messages.  A reference the layout cannot resolve becomes a
+  statement that raises :class:`UnknownColumnError` when (and only
+  when) a row reaches it;
 * :func:`compile_row_expression` is the one-alias case of the same
-  bound compiler for the fused single-table fast path: the closure
-  takes the table's row dict itself, so a column is one C-level
-  ``itemgetter``.  It is strict — :class:`RowCompileError` when a
-  reference does not resolve against the one table (the caller then
-  falls back to the general path);
+  emitter for the fused single-table fast path: the function takes the
+  table's row dict itself, so a column read is ``r['type']``.  It is
+  strict — :class:`RowCompileError` when a reference does not resolve
+  against the one table (the caller then falls back to the general
+  path);
 * :func:`compile_vector_predicate` / :func:`compile_vector_projection`
   produce batch-at-a-time functions over
   :class:`~repro.engine.batch.ColumnBatch` selection vectors.  Where
   three-valued logic provably cannot surface (NULL-free columns,
   constant non-column operands, statically compatible types) the
   expression is translated into one **generated list comprehension**
-  over the column buffers; otherwise the row-mode closure is driven
+  over the column buffers; otherwise the row-mode function is driven
   over a NULL-mask-aware batch row view.  :class:`VectorCompileError`
-  signals that not even row mode applies;
-* constant subtrees are folded at compile time (``2*3+1`` evaluates
-  once, session variables are frozen to their per-execution values,
-  constant LIKE patterns pre-compile their regex, constant IN lists
-  pre-evaluate their candidates).
+  signals that not even row mode applies.
 
-Folding is conservative: a constant subtree whose evaluation raises is
-left as a lazy closure so errors surface exactly where the interpreter
-would raise them (or not at all, when short-circuiting skips them).
+**Constants.**  Constant subtrees are folded at compile time (``2*3+1``
+evaluates once through the interpreter; session variables are frozen to
+their per-execution values; constant LIKE patterns pre-compile their
+regex; constant IN lists pre-evaluate their candidates).  Folding is
+conservative: a constant subtree whose evaluation raises is emitted as
+code, so the error surfaces exactly where the interpreter would raise it
+(or not at all, when a short-circuit skips it).  Folded values are never
+written into the source: the generated module is a *factory* whose
+parameters ``_k0, _k1, …`` receive them, and the function closes over
+those cells.  So web traffic's many distinct literals produce one source
+text per expression shape (and constant types, which the emitter
+specialises on).
 
-Thread safety: a compiled closure closes only over immutable compile
+**Embedded nodes.**  What is not written as code is called as a
+namespace value: scalar functions (``_k3(_t1, _t2)``), the IN-list
+membership helper, a variable that is undeclared at compile time (its
+lookup raises per row), and any node class the emitter does not know,
+which runs through the interpreter (binding mode only; row mode rejects
+it).  Nothing is interpreted node by node per row.
+
+**The code cache.**  ``compile()`` of the source is the expensive step,
+so factories are cached by source text in a bounded LRU
+(:data:`CODE_CACHE_SIZE` entries, ``_factory.cache_info()``); each
+execution only walks its tree, renders the source, looks it up and
+calls the factory with its constants.  :func:`generated_source` returns
+the source an expression compiles to.
+
+Thread safety: a generated function closes only over immutable compile
 products (folded constants, pre-compiled regexes, the frozen variable
-values, the resolved binding/row keys) and *reads* whatever binding,
-row dict or column buffers it is handed — it never writes shared
-state.  The morsel-parallel scan driver (:mod:`repro.engine.parallel`)
-relies on this: one compiled closure is shared by every worker, each
-applying it to its own morsel's
-:class:`~repro.engine.batch.ColumnBatch` concurrently.  Keep new
-codegen paths free of per-call mutable caches.  Runtime join filters
+values, functions) and *reads* whatever binding, row dict or column
+buffers it is handed — it never writes shared state; its locals are
+per call.  The factory cache is an ``lru_cache`` (safe to share).  The
+morsel-parallel scan driver (:mod:`repro.engine.parallel`) and the
+cluster's shard fragments rely on this: one compiled function is shared
+by every worker, each applying it to its own morsel's
+:class:`~repro.engine.batch.ColumnBatch` concurrently.  Keep new codegen
+paths free of per-call mutable caches.  Runtime join filters
 (:class:`repro.engine.operators.RuntimeJoinFilter`) obey the same
 contract — built once after the hash build, then only *read* by
-workers — so they compose with any closure compiled here without
-changing which rows those closures ultimately accept.
+workers — so they compose with any function compiled here without
+changing which rows those functions ultimately accept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from operator import eq, ge, gt, itemgetter, le, lt, ne
-from typing import Any, Callable, Iterable, Mapping, Optional
+import zlib
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ExpressionError, UnknownColumnError, UnknownFunctionError
 from .expressions import (_ARITHMETIC, _BITWISE, _BUILTIN_FUNCTIONS,
@@ -133,8 +160,8 @@ class RowCompileError(Exception):
 
     Raised during :func:`compile_row_expression` when a node references
     a column outside the scanned table, contains an aggregate, or is a
-    node type the row-mode compiler does not support.  Callers fall
-    back to the general scope-based path.
+    node type the row-mode emitter does not support.  Callers fall
+    back to the general binding path.
     """
 
 
@@ -143,13 +170,15 @@ class VectorCompileError(Exception):
 
     Raised by :func:`compile_vector_predicate` /
     :func:`compile_vector_projection` when not even the per-row
-    fallback (a row-mode closure driven over a batch row view) can
+    fallback (a row-mode function driven over a batch row view) can
     evaluate the expression against the scanned table.  Callers fall
     back to the row-at-a-time operator pipeline.
     """
 
 
-_COMPARATORS = {"=": eq, "<>": ne, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+#: SQL comparison operators to their Python spellings.
+_PY_COMPARATORS = {"=": "==", "<>": "!=", "!=": "!=",
+                   "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +188,7 @@ _COMPARATORS = {"=": eq, "<>": ne, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": g
 def compile_expression(expression: Expression, evaluation: EvaluationContext,
                        layout: Layout = (), *,
                        projected: bool = False) -> CompiledExpression:
-    """Compile ``expression`` to a closure over a binding shaped as ``layout``.
+    """Compile ``expression`` to a function of a binding shaped as ``layout``.
 
     ``compiled(binding)`` is equivalent to ``expression.evaluate(scope,
     evaluation)`` for a scope holding the binding's rows (session
@@ -171,34 +200,19 @@ def compile_expression(expression: Expression, evaluation: EvaluationContext,
     back to reading its name (a bare column) or SQL text (anything
     else) from the grouped output row.
     """
-    compiler = _Compiler(evaluation, layout)
-    fn, _is_const = compiler.compile(expression)
-    if projected and compiler.has_unresolved:
-        name = (expression.name if isinstance(expression, ColumnRef)
-                else expression.sql())
-        fallback, _is_const = compiler.column(ColumnRef(name))
-        resolved = fn
-
-        def fn(binding: Any) -> Any:
-            try:
-                return resolved(binding)
-            except UnknownColumnError:
-                return fallback(binding)
-
-    return fn
+    return _Emitter(evaluation, layout).function(expression, projected)
 
 
 def compile_row_expression(expression: Expression, evaluation: EvaluationContext,
                            table: "Any", binding_name: str) -> CompiledExpression:
-    """Compile ``expression`` to a closure over a plain row dict.
+    """Compile ``expression`` to a function of a plain row dict.
 
     Column references must resolve to columns of ``table`` (qualified by
     ``binding_name`` or unqualified); raises :class:`RowCompileError`
     otherwise.
     """
-    fn, _is_const = _RowCompiler(
-        evaluation, table_layout(table, binding_name)).compile(expression)
-    return fn
+    return _RowEmitter(evaluation, table_layout(table, binding_name)).function(
+        expression)
 
 
 def supports_row_mode(expression: Expression, table: "Any", binding_name: str) -> bool:
@@ -210,464 +224,46 @@ def supports_row_mode(expression: Expression, table: "Any", binding_name: str) -
     return True
 
 
-# ---------------------------------------------------------------------------
-# The compiler
-# ---------------------------------------------------------------------------
-
-class _Compiler:
-    """Bottom-up compiler producing ``(closure, is_constant)`` pairs.
-
-    Column references are bound against ``layout`` as the tree is
-    compiled; the closures read ``binding[alias][key]`` and never see a
-    name again.
-    """
-
-    def __init__(self, evaluation: EvaluationContext, layout: Layout = ()):
-        self.evaluation = evaluation
-        self.layout = layout
-        #: Set once any reference failed to resolve (its closure raises
-        #: UnknownColumnError per row): only then can the projected
-        #: fallback of :func:`compile_expression` ever trigger.
-        self.has_unresolved = False
-
-    # -- dispatch -----------------------------------------------------------
-
-    def compile(self, node: Expression) -> tuple[CompiledExpression, bool]:
-        if isinstance(node, Literal):
-            value = node.value
-            return (lambda _target: value), True
-        if isinstance(node, ColumnRef):
-            return self.column(node)
-        if isinstance(node, Variable):
-            return self.variable(node)
-        if isinstance(node, BinaryOp):
-            return self.binary(node)
-        if isinstance(node, UnaryOp):
-            return self.unary(node)
-        if isinstance(node, Between):
-            return self.between(node)
-        if isinstance(node, InList):
-            return self.in_list(node)
-        if isinstance(node, Like):
-            return self.like(node)
-        if isinstance(node, FunctionCall):
-            return self.function_call(node)
-        if isinstance(node, CaseWhen):
-            return self.case_when(node)
-        if isinstance(node, AggregateCall):
-            return self.aggregate(node)
-        if isinstance(node, Star):
-            def star(_target: Any) -> Any:
-                raise ExpressionError("'*' cannot be evaluated as a scalar expression")
-            return star, False
-        return self.fallback(node)
-
-    def fallback(self, node: Expression) -> tuple[CompiledExpression, bool]:
-        """Unknown node subclass: defer to the interpreter."""
-        evaluation = self.evaluation
-        self.has_unresolved = True  # the interpreter resolves names per row
-        return (lambda binding: node.evaluate(RowScope.from_binding(binding),
-                                              evaluation)), False
-
-    # -- leaves -------------------------------------------------------------
-
-    def column(self, node: ColumnRef) -> tuple[CompiledExpression, bool]:
-        try:
-            alias, key = resolve_column(self.layout, node.name, node.qualifier)
-        except UnknownColumnError as error:
-            return self.unresolved(str(error))
-        return self.reference(alias, key), False
-
-    def reference(self, alias: str, key: str) -> CompiledExpression:
-        """The read of one resolved column out of the closure's argument."""
-        return lambda binding: binding[alias][key]
-
-    def unresolved(self, message: str) -> tuple[CompiledExpression, bool]:
-        """A reference the layout cannot resolve fails per row, not here:
-        over an empty input it must never raise at all."""
-        self.has_unresolved = True
-
-        def fn(_binding: Any) -> Any:
-            raise UnknownColumnError(message)
-
-        return fn, False
-
-    def variable(self, node: Variable) -> tuple[CompiledExpression, bool]:
-        evaluation = self.evaluation
-        try:
-            value = evaluation.variable(node.name)
-        except ExpressionError:
-            # Undeclared: raise at evaluation time, exactly like the interpreter.
-            name = node.name
-            return (lambda _target: evaluation.variable(name)), False
-        return (lambda _target: value), True
-
-    # -- folding ------------------------------------------------------------
-
-    def _fold(self, fn: CompiledExpression) -> tuple[CompiledExpression, bool]:
-        """Evaluate a constant closure once; stay lazy if it raises."""
-        try:
-            value = fn(None)
-        except Exception:
-            return fn, False
-        return (lambda _target: value), True
-
-    # -- operators ----------------------------------------------------------
-
-    def binary(self, node: BinaryOp) -> tuple[CompiledExpression, bool]:
-        op = node.op
-        left_fn, left_const = self.compile(node.left)
-        right_fn, right_const = self.compile(node.right)
-        if op == "and":
-            fn = _compile_and(left_fn, right_fn)
-        elif op == "or":
-            fn = _compile_or(left_fn, right_fn)
-        elif op in _COMPARISON:
-            fn = _compile_comparison(op, left_fn, right_fn)
-        elif op in _ARITHMETIC:
-            fn = _compile_arithmetic(op, left_fn, right_fn)
-        elif op in _BITWISE:
-            fn = _compile_bitwise(op, left_fn, right_fn)
-        else:
-            def fn(_target: Any) -> Any:
-                raise ExpressionError(f"unknown binary operator {op!r}")
-        if left_const and right_const:
-            return self._fold(fn)
-        return fn, False
-
-    def unary(self, node: UnaryOp) -> tuple[CompiledExpression, bool]:
-        op = node.op
-        operand_fn, operand_const = self.compile(node.operand)
-        if op == "is null":
-            def fn(target: Any) -> Any:
-                return operand_fn(target) is NULL
-        elif op == "is not null":
-            def fn(target: Any) -> Any:
-                return operand_fn(target) is not NULL
-        elif op == "-":
-            def fn(target: Any) -> Any:
-                value = operand_fn(target)
-                return NULL if value is NULL else -value
-        elif op == "+":
-            def fn(target: Any) -> Any:
-                value = operand_fn(target)
-                return NULL if value is NULL else value
-        elif op == "not":
-            def fn(target: Any) -> Any:
-                value = operand_fn(target)
-                return NULL if value is NULL else not bool(value)
-        else:
-            def fn(target: Any) -> Any:
-                if operand_fn(target) is NULL:
-                    return NULL
-                raise ExpressionError(f"unknown unary operator {op!r}")
-        if operand_const:
-            return self._fold(fn)
-        return fn, False
-
-    def between(self, node: Between) -> tuple[CompiledExpression, bool]:
-        operand_fn, operand_const = self.compile(node.operand)
-        low_fn, low_const = self.compile(node.low)
-        high_fn, high_const = self.compile(node.high)
-        negated = node.negated
-
-        def fn(target: Any) -> Any:
-            value = operand_fn(target)
-            low = low_fn(target)
-            high = high_fn(target)
-            if value is NULL or low is NULL or high is NULL:
-                return NULL
-            result = low <= value <= high
-            return (not result) if negated else result
-
-        if operand_const and low_const and high_const:
-            return self._fold(fn)
-        return fn, False
-
-    def in_list(self, node: InList) -> tuple[CompiledExpression, bool]:
-        operand_fn, operand_const = self.compile(node.operand)
-        compiled_items = [self.compile(item) for item in node.items]
-        negated = node.negated
-        if all(is_const for _fn, is_const in compiled_items):
-            candidates = [item_fn(None) for item_fn, _is_const in compiled_items]
-
-            def fn(target: Any) -> Any:
-                value = operand_fn(target)
-                if value is NULL:
-                    return NULL
-                return _in_candidates(value, candidates, negated)
-
-            if operand_const:
-                return self._fold(fn)
-            return fn, False
-
-        item_fns = [item_fn for item_fn, _is_const in compiled_items]
-
-        def fn(target: Any) -> Any:
-            value = operand_fn(target)
-            if value is NULL:
-                return NULL
-            # The generator keeps the interpreter's laziness: items after
-            # the first match are never evaluated (so they cannot raise).
-            return _in_candidates(value, (item_fn(target) for item_fn in item_fns),
-                                  negated)
-
-        return fn, False
-
-    def like(self, node: Like) -> tuple[CompiledExpression, bool]:
-        operand_fn, operand_const = self.compile(node.operand)
-        pattern_fn, pattern_const = self.compile(node.pattern)
-        negated = node.negated
-        if pattern_const:
-            pattern = pattern_fn(None)
-            if pattern is NULL:
-                def fn(target: Any) -> Any:
-                    operand_fn(target)  # preserve evaluation-order errors
-                    return NULL
-            else:
-                regex = re.compile(like_regex(pattern), re.IGNORECASE)
-
-                def fn(target: Any) -> Any:
-                    value = operand_fn(target)
-                    if value is NULL:
-                        return NULL
-                    result = regex.match(str(value)) is not None
-                    return (not result) if negated else result
-            if operand_const:
-                return self._fold(fn)
-            return fn, False
-
-        def fn(target: Any) -> Any:
-            value = operand_fn(target)
-            pattern = pattern_fn(target)
-            if value is NULL or pattern is NULL:
-                return NULL
-            result = re.match(like_regex(pattern), str(value),
-                              flags=re.IGNORECASE) is not None
-            return (not result) if negated else result
-
-        return fn, False
-
-    def function_call(self, node: FunctionCall) -> tuple[CompiledExpression, bool]:
-        arg_fns = [fn for fn, _is_const in (self.compile(arg) for arg in node.args)]
-        lowered = node.name.lower()
-        bare = lowered[len("dbo."):] if lowered.startswith("dbo.") else lowered
-        evaluation = self.evaluation
-        func = (evaluation.functions.get(lowered) or evaluation.functions.get(bare)
-                or _BUILTIN_FUNCTIONS.get(bare))
-        if func is None:
-            name = node.name
-
-            def fn(target: Any) -> Any:
-                for arg_fn in arg_fns:  # arguments evaluate first, as interpreted
-                    arg_fn(target)
-                raise UnknownFunctionError(f"unknown function {name!r}")
-
-            return fn, False
-        # Functions may be impure (fGetUrlExpId, random samplers): never folded.
-        return (lambda target: func(*[arg_fn(target) for arg_fn in arg_fns])), False
-
-    def case_when(self, node: CaseWhen) -> tuple[CompiledExpression, bool]:
-        branches = [(self.compile(condition), self.compile(value))
-                    for condition, value in node.branches]
-        branch_fns = [(cond_fn, val_fn)
-                      for (cond_fn, _cc), (val_fn, _vc) in branches]
-        default = self.compile(node.default) if node.default is not None else None
-
-        if default is not None:
-            default_fn, default_const = default
-        else:
-            default_fn, default_const = (lambda _target: NULL), True
-
-        def fn(target: Any) -> Any:
-            for cond_fn, val_fn in branch_fns:
-                if cond_fn(target) is True:
-                    return val_fn(target)
-            return default_fn(target)
-
-        all_const = default_const and all(
-            cc and vc for (_f, cc), (_g, vc) in branches)
-        if all_const:
-            return self._fold(fn)
-        return fn, False
-
-    def aggregate(self, node: AggregateCall) -> tuple[CompiledExpression, bool]:
-        # The aggregation operator's output row carries the computed
-        # value under the aggregate's SQL text.
-        try:
-            alias, key = resolve_column(self.layout, node.result_key())
-        except UnknownColumnError:
-            rendering = node.sql()
-
-            def fn(_binding: Any) -> Any:
-                raise ExpressionError(
-                    f"aggregate {rendering} evaluated outside an aggregation operator")
-
-            return fn, False
-        return self.reference(alias, key), False
-
-
-class _RowCompiler(_Compiler):
-    """The one-alias case: closures take that alias's row dict itself
-    (the fused fast path and the batch row-view fallback), and a
-    reference outside the one table is a compile-time error."""
-
-    def reference(self, alias: str, key: str) -> CompiledExpression:
-        # Every row carries every column the plan references, so a
-        # C-level itemgetter does.
-        return itemgetter(key)
-
-    def unresolved(self, message: str) -> tuple[CompiledExpression, bool]:
-        raise RowCompileError(message)
-
-    def aggregate(self, node: AggregateCall) -> tuple[CompiledExpression, bool]:
-        raise RowCompileError("aggregates cannot run in the fused scan path")
-
-    def fallback(self, node: Expression) -> tuple[CompiledExpression, bool]:
-        raise RowCompileError(f"unsupported node {type(node).__name__} in row mode")
+def generated_source(expression: Expression, evaluation: EvaluationContext,
+                     layout: Layout = (), *, projected: bool = False) -> str:
+    """The source :func:`compile_expression` generates (debugging aid)."""
+    return _Emitter(evaluation, layout).source(expression, projected)
 
 
 # ---------------------------------------------------------------------------
-# Operator closures (shared between binding mode and row mode)
+# The emitter
 # ---------------------------------------------------------------------------
 
-def _compile_and(left_fn: CompiledExpression,
-                 right_fn: CompiledExpression) -> CompiledExpression:
-    def fn(target: Any) -> Any:
-        left = left_fn(target)
-        if left is False:
-            return False
-        right = right_fn(target)
-        if right is False:
-            return False
-        if left is NULL or right is NULL:
-            return NULL
-        return bool(left) and bool(right)
-    return fn
+#: Generated factories kept by the code cache (one per distinct source:
+#: expression shape × layout × constant types).
+CODE_CACHE_SIZE = 512
+
+#: Deepest ``if``/``else`` nesting the emitter writes inline; a subtree
+#: below it (a long right-nested OR, a CASE with dozens of branches) is
+#: emitted as a function of its own, well inside Python's indentation
+#: limit.
+_MAX_NESTING = 24
+
+#: The NULL marker as generated code spells it (``None``: a constant
+#: load, not a global lookup).
+_NULL = repr(NULL)
+
+#: Folding evaluates constant subtrees through the interpreter; they
+#: never read a row, so one empty scope serves every fold (and is never
+#: bound).
+_NO_ROW = RowScope()
 
 
-def _compile_or(left_fn: CompiledExpression,
-                right_fn: CompiledExpression) -> CompiledExpression:
-    def fn(target: Any) -> Any:
-        left = left_fn(target)
-        if left is True:
-            return True
-        right = right_fn(target)
-        if right is True:
-            return True
-        if left is NULL or right is NULL:
-            return NULL
-        return bool(left) or bool(right)
-    return fn
+def _fail(error_type: type, message: str) -> Any:
+    raise error_type(message)
 
 
-def _compile_comparison(op: str, left_fn: CompiledExpression,
-                        right_fn: CompiledExpression) -> CompiledExpression:
-    compare = _COMPARATORS[op]
-
-    def fn(target: Any) -> Any:
-        left = left_fn(target)
-        right = right_fn(target)
-        if left is NULL or right is NULL:
-            return NULL
-        if isinstance(left, str) and isinstance(right, str):
-            left, right = left.lower(), right.lower()
-        try:
-            return compare(left, right)
-        except TypeError as exc:
-            raise ExpressionError(f"cannot compare {left!r} {op} {right!r}") from exc
-
-    return fn
+def _compare_error(op: str, left: Any, right: Any) -> ExpressionError:
+    return ExpressionError(f"cannot compare {left!r} {op} {right!r}")
 
 
-def _compile_arithmetic(op: str, left_fn: CompiledExpression,
-                        right_fn: CompiledExpression) -> CompiledExpression:
-    if op == "+":
-        def fn(target: Any) -> Any:
-            left = left_fn(target)
-            right = right_fn(target)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                return left + right
-            except TypeError as exc:
-                raise ExpressionError(
-                    f"cannot apply {op!r} to {left!r} and {right!r}") from exc
-    elif op == "-":
-        def fn(target: Any) -> Any:
-            left = left_fn(target)
-            right = right_fn(target)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                return left - right
-            except TypeError as exc:
-                raise ExpressionError(
-                    f"cannot apply {op!r} to {left!r} and {right!r}") from exc
-    elif op == "*":
-        def fn(target: Any) -> Any:
-            left = left_fn(target)
-            right = right_fn(target)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                return left * right
-            except TypeError as exc:
-                raise ExpressionError(
-                    f"cannot apply {op!r} to {left!r} and {right!r}") from exc
-    elif op == "/":
-        def fn(target: Any) -> Any:
-            left = left_fn(target)
-            right = right_fn(target)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                if right == 0:
-                    return NULL
-                if isinstance(left, int) and isinstance(right, int):
-                    return truncate_int_div(left, right)
-                return left / right
-            except TypeError as exc:
-                raise ExpressionError(
-                    f"cannot apply {op!r} to {left!r} and {right!r}") from exc
-    elif op == "%":
-        def fn(target: Any) -> Any:
-            left = left_fn(target)
-            right = right_fn(target)
-            if left is NULL or right is NULL:
-                return NULL
-            try:
-                if right == 0:
-                    return NULL
-                if isinstance(left, float) or isinstance(right, float):
-                    return math.fmod(left, right)
-                return left % right
-            except TypeError as exc:
-                raise ExpressionError(
-                    f"cannot apply {op!r} to {left!r} and {right!r}") from exc
-    else:
-        def fn(_target: Any) -> Any:
-            raise ExpressionError(f"unknown arithmetic operator {op!r}")
-    return fn
-
-
-def _compile_bitwise(op: str, left_fn: CompiledExpression,
-                     right_fn: CompiledExpression) -> CompiledExpression:
-    def fn(target: Any) -> Any:
-        left = left_fn(target)
-        right = right_fn(target)
-        if left is NULL or right is NULL:
-            return NULL
-        try:
-            left_int, right_int = int(left), int(right)
-        except (TypeError, ValueError) as exc:
-            raise ExpressionError(f"bitwise {op!r} requires integers") from exc
-        if op == "&":
-            return left_int & right_int
-        if op == "|":
-            return left_int | right_int
-        return left_int ^ right_int
-    return fn
+def _arithmetic_error(op: str, left: Any, right: Any) -> ExpressionError:
+    return ExpressionError(f"cannot apply {op!r} to {left!r} and {right!r}")
 
 
 def _in_candidates(value: Any, candidates: "Any", negated: bool) -> Any:
@@ -687,6 +283,529 @@ def _in_candidates(value: Any, candidates: "Any", negated: bool) -> Any:
     return negated
 
 
+#: The generated module's globals: immutable helpers only.
+_GENERATED_GLOBALS = {
+    "_fail": _fail,
+    "_compare_error": _compare_error,
+    "_arithmetic_error": _arithmetic_error,
+    "_in_candidates": _in_candidates,
+    "_ExpressionError": ExpressionError,
+    "_UnknownColumnError": UnknownColumnError,
+    "_UnknownFunctionError": UnknownFunctionError,
+    "_truncate_int_div": truncate_int_div,
+    "_fmod": math.fmod,
+    "_like_regex": like_regex,
+    "_re": re,
+}
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _factory(source: str) -> Callable[..., CompiledExpression]:
+    """The compiled factory of one generated source (the code cache).
+
+    The file name tells sources apart in tracebacks and profiles."""
+    namespace = dict(_GENERATED_GLOBALS)
+    filename = f"<expression {zlib.crc32(source.encode()):08x}>"
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_factory"]
+
+
+class _Constant:
+    """An operand folded at compile time; ``text`` is its factory
+    parameter once the code refers to it."""
+
+    __slots__ = ("value", "text")
+
+    def __init__(self, value: Any):
+        self.value = value
+        self.text: Optional[str] = None
+
+
+#: What :meth:`_Emitter.emit` returns: the name of the local holding a
+#: subtree's value, or the subtree folded to a constant.
+_Operand = Union[str, _Constant]
+
+
+def _indented(lines: Sequence[str], levels: int = 1) -> list[str]:
+    prefix = "    " * levels
+    return [prefix + line for line in lines]
+
+
+def _branches(cases: Sequence[tuple[str, list[str]]],
+              otherwise: list[str]) -> list[str]:
+    """``if c0: … elif c1: … else: otherwise`` (just ``otherwise``
+    without cases)."""
+    if not cases:
+        return list(otherwise)
+    lines: list[str] = []
+    for position, (condition, body) in enumerate(cases):
+        lines.append(f"{'elif' if position else 'if'} {condition}:")
+        lines.extend(_indented(body))
+    lines.append("else:")
+    lines.extend(_indented(otherwise))
+    return lines
+
+
+def _with_literals(node: Expression, values: Sequence[Any]) -> Expression:
+    """``node`` over its children's folded values (for the interpreter)."""
+    literals = [Literal(value) for value in values]
+    if isinstance(node, BinaryOp):
+        return BinaryOp(node.op, *literals)
+    if isinstance(node, UnaryOp):
+        return UnaryOp(node.op, *literals)
+    if isinstance(node, Between):
+        return Between(*literals, negated=node.negated)
+    if isinstance(node, InList):
+        return InList(literals[0], literals[1:], node.negated)
+    return Like(*literals, negated=node.negated)
+
+
+class _Emitter:
+    """Writes a bound expression tree as one generated function.
+
+    :meth:`emit` appends the statements computing a subtree to
+    ``lines`` — unindented; a caller that nests them in a block indents
+    them — and returns its operand.  Locals are single-assignment
+    (``_t0``, ``_t1``, …), so a nested block can read everything
+    computed before it; a column read once is reused by later code of
+    the same or an inner block (``reads``).
+    """
+
+    #: The generated function's parameter.
+    argument = "b"
+
+    def __init__(self, evaluation: EvaluationContext, layout: Layout = ()):
+        self.evaluation = evaluation
+        self.layout = layout
+        #: Set once any reference failed to resolve (its code raises
+        #: UnknownColumnError per row): only then can the projected
+        #: fallback of :func:`compile_expression` ever trigger.
+        self.has_unresolved = False
+        self.constants: list[Any] = []
+        self.functions: list[list[str]] = []
+        self.lines: list[str] = []
+        self.reads: dict[tuple[str, str], str] = {}
+        self.nesting = 0
+        self.locals = 0
+
+    # -- the generated module ---------------------------------------------
+
+    def source(self, expression: Expression, projected: bool = False) -> str:
+        operand, lines = self.isolated(expression)
+        body = [*lines, f"return {self.name(operand)}"]
+        if projected and self.has_unresolved:
+            bare = isinstance(expression, ColumnRef)
+            fallback, fallback_lines = self.isolated(
+                ColumnRef(expression.name if bare else expression.sql()))
+            fallback_body = [*fallback_lines, f"return {self.name(fallback)}"]
+            # A bare reference that did not resolve always falls back.
+            body = fallback_body if bare else [
+                "try:", *_indented(body),
+                "except _UnknownColumnError:", *_indented(fallback_body)]
+        parameters = ", ".join(f"_k{index}" for index in range(len(self.constants)))
+        module = [f"def _factory({parameters}):"]
+        for function in self.functions:
+            module.extend(_indented(function))
+        module.append(f"    def _fn({self.argument}):")
+        module.extend(_indented(body, 2))
+        module.append("    return _fn")
+        return "\n".join(module)
+
+    def function(self, expression: Expression,
+                 projected: bool = False) -> CompiledExpression:
+        source = self.source(expression, projected)
+        return _factory(source)(*self.constants)
+
+    # -- bookkeeping ------------------------------------------------------
+
+    def name(self, operand: _Operand) -> str:
+        """The source text of an operand (a constant becomes a parameter)."""
+        if not isinstance(operand, _Constant):
+            return operand
+        if operand.text is None:
+            operand.text = f"_k{len(self.constants)}"
+            self.constants.append(operand.value)
+        return operand.text
+
+    def local(self) -> str:
+        """A fresh local of the generated function."""
+        self.locals += 1
+        return f"_t{self.locals - 1}"
+
+    def assign(self, value: str) -> str:
+        target = self.local()
+        self.lines.append(f"{target} = {value}")
+        return target
+
+    def nested(self, node: Expression) -> tuple[_Operand, list[str]]:
+        """Emit ``node`` as the body of an inner block: its operand and
+        lines; what it reads stays visible to that block only."""
+        saved_lines, saved_reads = self.lines, self.reads
+        self.lines, self.reads = [], dict(saved_reads)
+        self.nesting += 1
+        try:
+            if self.nesting > _MAX_NESTING:
+                operand = self.call(node)
+            else:
+                operand = self.emit(node)
+            return operand, self.lines
+        finally:
+            self.lines, self.reads = saved_lines, saved_reads
+            self.nesting -= 1
+
+    def isolated(self, node: Expression) -> tuple[_Operand, list[str]]:
+        """Emit ``node`` as the body of a function of its own."""
+        saved = self.lines, self.reads, self.nesting
+        self.lines, self.reads, self.nesting = [], {}, 0
+        try:
+            return self.emit(node), self.lines
+        finally:
+            self.lines, self.reads, self.nesting = saved
+
+    def define(self, operand: _Operand, lines: list[str]) -> str:
+        """A factory-level function returning ``operand``; its name."""
+        name = f"_s{len(self.functions)}"
+        self.functions.append([f"def {name}({self.argument}):",
+                               *_indented([*lines, f"return {self.name(operand)}"])])
+        return name
+
+    def call(self, node: Expression) -> _Operand:
+        """``node`` as a call of a function of its own (deep subtrees)."""
+        operand, lines = self.isolated(node)
+        if isinstance(operand, _Constant):
+            return operand
+        return self.assign(f"{self.define(operand, lines)}({self.argument})")
+
+    def fold(self, node: Expression, operands: Sequence[_Operand]) -> Optional[_Constant]:
+        """``node`` evaluated once when every operand is constant; None
+        when one is not, or when the evaluation raises (the emitted code
+        then raises per row, as the interpreter would)."""
+        if not all(isinstance(operand, _Constant) for operand in operands):
+            return None
+        try:
+            literal = _with_literals(node, [operand.value for operand in operands])
+            return _Constant(literal.evaluate(_NO_ROW, self.evaluation))
+        except Exception:
+            return None
+
+    def null_test(self, operands: Sequence[_Operand]) -> str:
+        """The test that an operand is NULL ('' when none can be)."""
+        return " or ".join(f"{self.name(operand)} is {_NULL}" for operand in operands
+                           if not isinstance(operand, _Constant) or operand.value is NULL)
+
+    def strict(self, operands: Sequence[_Operand], compute: list[str],
+               result: str, cases: Sequence[tuple[str, list[str]]] = ()) -> str:
+        """``result = NULL`` when an operand is NULL, else the ``cases``
+        / ``compute`` statements (which assign ``result``)."""
+        null = self.null_test(operands)
+        null_cases = [(null, [f"{result} = {_NULL}"])] if null else []
+        self.lines.extend(_branches([*null_cases, *cases], compute))
+        return result
+
+    # -- dispatch ---------------------------------------------------------
+
+    def emit(self, node: Expression) -> _Operand:
+        if isinstance(node, Literal):
+            return _Constant(node.value)
+        if isinstance(node, ColumnRef):
+            return self.column(node)
+        if isinstance(node, Variable):
+            return self.variable(node)
+        if isinstance(node, BinaryOp):
+            op = node.op
+            if op in ("and", "or"):
+                return self.logical(node)
+            if op in _COMPARISON:
+                return self.comparison(node)
+            if op in _ARITHMETIC:
+                return self.arithmetic(node)
+            if op in _BITWISE:
+                return self.bitwise(node)
+            return self.fallback(node)
+        if isinstance(node, UnaryOp):
+            return self.unary(node)
+        if isinstance(node, Between):
+            return self.between(node)
+        if isinstance(node, InList):
+            return self.in_list(node)
+        if isinstance(node, Like):
+            return self.like(node)
+        if isinstance(node, FunctionCall):
+            return self.function_call(node)
+        if isinstance(node, CaseWhen):
+            return self.case_when(node)
+        if isinstance(node, AggregateCall):
+            return self.aggregate(node)
+        if isinstance(node, Star):
+            message = "'*' cannot be evaluated as a scalar expression"
+            return self.assign(f"_fail(_ExpressionError, {message!r})")
+        return self.fallback(node)
+
+    def fallback(self, node: Expression) -> _Operand:
+        """A node the emitter does not write: the interpreter, embedded."""
+        evaluation = self.evaluation
+        self.has_unresolved = True  # the interpreter resolves names per row
+        interpreter = self.name(_Constant(
+            lambda binding: node.evaluate(RowScope.from_binding(binding), evaluation)))
+        return self.assign(f"{interpreter}({self.argument})")
+
+    # -- leaves -----------------------------------------------------------
+
+    def column(self, node: ColumnRef) -> _Operand:
+        try:
+            alias, key = resolve_column(self.layout, node.name, node.qualifier)
+        except UnknownColumnError as error:
+            return self.unresolved(str(error))
+        return self.read(alias, key)
+
+    def read(self, alias: str, key: str) -> str:
+        local = self.reads.get((alias, key))
+        if local is None:
+            local = self.reads[(alias, key)] = self.assign(self.reference(alias, key))
+        return local
+
+    def reference(self, alias: str, key: str) -> str:
+        """The source reading one resolved column out of the argument."""
+        return f"{self.argument}[{alias!r}][{key!r}]"
+
+    def unresolved(self, message: str) -> _Operand:
+        """A reference the layout cannot resolve fails per row, not here:
+        over an empty input it must never raise at all."""
+        self.has_unresolved = True
+        return self.assign(f"_fail(_UnknownColumnError, {message!r})")
+
+    def variable(self, node: Variable) -> _Operand:
+        evaluation = self.evaluation
+        try:
+            return _Constant(evaluation.variable(node.name))
+        except ExpressionError:
+            # Undeclared: raise at evaluation time, exactly like the interpreter.
+            lookup = self.name(_Constant(evaluation.variable))
+            return self.assign(f"{lookup}({node.name!r})")
+
+    def aggregate(self, node: AggregateCall) -> _Operand:
+        # The aggregation operator's output row carries the computed
+        # value under the aggregate's SQL text.
+        try:
+            alias, key = resolve_column(self.layout, node.result_key())
+        except UnknownColumnError:
+            message = f"aggregate {node.sql()} evaluated outside an aggregation operator"
+            return self.assign(f"_fail(_ExpressionError, {message!r})")
+        return self.read(alias, key)
+
+    # -- operators --------------------------------------------------------
+
+    def logical(self, node: BinaryOp) -> _Operand:
+        left = self.emit(node.left)
+        right, right_lines = self.nested(node.right)
+        folded = self.fold(node, (left, right))
+        if folded is not None:
+            return folded
+        stop = "False" if node.op == "and" else "True"
+        left_text, right_text = self.name(left), self.name(right)
+        result = self.local()
+        cases = [(f"{right_text} is {stop}", [f"{result} = {stop}"])]
+        null = self.null_test((left, right))
+        if null:
+            cases.append((null, [f"{result} = {_NULL}"]))
+        combined = (f"{result} = True if {left_text} {node.op} {right_text} "
+                    f"else False")
+        self.lines.extend(_branches(
+            [(f"{left_text} is {stop}", [f"{result} = {stop}"])],
+            [*right_lines, *_branches(cases, [combined])]))
+        return result
+
+    def comparison(self, node: BinaryOp) -> _Operand:
+        left, right = self.emit(node.left), self.emit(node.right)
+        folded = self.fold(node, (left, right))
+        if folded is not None:
+            return folded
+        op = node.op
+        python_op = _PY_COMPARATORS[op]
+        left_text, right_text = self.name(left), self.name(right)
+        result = self.local()
+        cases = []
+        # The interpreter compares two strings case-insensitively: lower
+        # both when both can be strings (a string constant once, here).
+        runtime = [operand for operand in (left, right)
+                   if not isinstance(operand, _Constant)]
+        if len(runtime) == 2 or (runtime and any(
+                isinstance(operand, _Constant) and isinstance(operand.value, str)
+                for operand in (left, right))):
+            lowered = [self.name(_Constant(operand.value.lower()))
+                       if isinstance(operand, _Constant)
+                       else f"{operand}.lower()" for operand in (left, right)]
+            test = " and ".join(f"isinstance({operand}, str)" for operand in runtime)
+            cases.append((test, [f"{result} = {lowered[0]} {python_op} {lowered[1]}"]))
+        compute = ["try:",
+                   f"    {result} = {left_text} {python_op} {right_text}",
+                   "except TypeError as _e:",
+                   f"    raise _compare_error({op!r}, {left_text}, {right_text}) from _e"]
+        return self.strict((left, right), compute, result, cases)
+
+    def arithmetic(self, node: BinaryOp) -> _Operand:
+        left, right = self.emit(node.left), self.emit(node.right)
+        folded = self.fold(node, (left, right))
+        if folded is not None:
+            return folded
+        op = node.op
+        left_text, right_text = self.name(left), self.name(right)
+        result = self.local()
+        if op == "/":
+            operation = _branches(
+                [(f"{right_text} == 0", [f"{result} = {_NULL}"]),
+                 (f"isinstance({left_text}, int) and isinstance({right_text}, int)",
+                  [f"{result} = _truncate_int_div({left_text}, {right_text})"])],
+                [f"{result} = {left_text} / {right_text}"])
+        elif op == "%":
+            operation = _branches(
+                [(f"{right_text} == 0", [f"{result} = {_NULL}"]),
+                 (f"isinstance({left_text}, float) or isinstance({right_text}, float)",
+                  [f"{result} = _fmod({left_text}, {right_text})"])],
+                [f"{result} = {left_text} % {right_text}"])
+        else:
+            operation = [f"{result} = {left_text} {op} {right_text}"]
+        compute = ["try:", *_indented(operation),
+                   "except TypeError as _e:",
+                   f"    raise _arithmetic_error({op!r}, {left_text}, {right_text}) from _e"]
+        return self.strict((left, right), compute, result)
+
+    def bitwise(self, node: BinaryOp) -> _Operand:
+        left, right = self.emit(node.left), self.emit(node.right)
+        folded = self.fold(node, (left, right))
+        if folded is not None:
+            return folded
+        left_text, right_text = self.name(left), self.name(right)
+        result = self.local()
+        message = f"bitwise {node.op!r} requires integers"
+        compute = ["try:",
+                   f"    _left = int({left_text})",
+                   f"    _right = int({right_text})",
+                   "except (TypeError, ValueError) as _e:",
+                   f"    raise _ExpressionError({message!r}) from _e",
+                   f"{result} = _left {node.op} _right"]
+        return self.strict((left, right), compute, result)
+
+    def unary(self, node: UnaryOp) -> _Operand:
+        op = node.op
+        if op not in ("is null", "is not null", "-", "+", "not"):
+            return self.fallback(node)
+        operand = self.emit(node.operand)
+        folded = self.fold(node, (operand,))
+        if folded is not None:
+            return folded
+        value = self.name(operand)
+        if op == "is null":
+            return self.assign(f"{value} is {_NULL}")
+        if op == "is not null":
+            return self.assign(f"{value} is not {_NULL}")
+        if op == "+":
+            return operand
+        negation = f"-{value}" if op == "-" else f"not {value}"
+        return self.assign(f"{_NULL} if {value} is {_NULL} else {negation}")
+
+    def between(self, node: Between) -> _Operand:
+        operands = (self.emit(node.operand), self.emit(node.low), self.emit(node.high))
+        folded = self.fold(node, operands)
+        if folded is not None:
+            return folded
+        value, low, high = (self.name(operand) for operand in operands)
+        test = f"{low} <= {value} <= {high}"
+        result = self.local()
+        compute = [f"{result} = not ({test})" if node.negated else f"{result} = {test}"]
+        return self.strict(operands, compute, result)
+
+    def in_list(self, node: InList) -> _Operand:
+        operand = self.emit(node.operand)
+        # Items evaluate lazily (after the first match none runs), so
+        # each is emitted apart and inlined only when it is a constant.
+        items = [self.isolated(item) for item in node.items]
+        negated = node.negated
+        if all(isinstance(item, _Constant) for item, _lines in items):
+            folded = self.fold(node, (operand, *(item for item, _lines in items)))
+            if folded is not None:
+                return folded
+            candidates = self.name(_Constant(tuple(item.value for item, _lines in items)))
+        else:
+            functions = "".join(f"{self.define(item, lines)}, " for item, lines in items)
+            candidates = f"(_item({self.argument}) for _item in ({functions}))"
+        value = self.name(operand)
+        return self.assign(f"{_NULL} if {value} is {_NULL} else "
+                           f"_in_candidates({value}, {candidates}, {negated})")
+
+    def like(self, node: Like) -> _Operand:
+        operand, pattern = self.emit(node.operand), self.emit(node.pattern)
+        folded = self.fold(node, (operand, pattern))
+        if folded is not None:
+            return folded
+        value = self.name(operand)
+        test = "is None" if node.negated else "is not None"
+        if isinstance(pattern, _Constant):
+            if pattern.value is NULL:
+                return self.assign(_NULL)
+            regex = self.name(_Constant(
+                re.compile(like_regex(pattern.value), re.IGNORECASE)))
+            return self.assign(f"{_NULL} if {value} is {_NULL} else "
+                               f"{regex}.match(str({value})) {test}")
+        pattern_text = self.name(pattern)
+        return self.assign(
+            f"{_NULL} if {value} is {_NULL} or {pattern_text} is {_NULL} else "
+            f"_re.match(_like_regex({pattern_text}), str({value}), "
+            f"flags=_re.IGNORECASE) {test}")
+
+    def function_call(self, node: FunctionCall) -> _Operand:
+        # Arguments evaluate first, as interpreted; functions may be
+        # impure (fGetUrlExpId, random samplers), so a call never folds.
+        arguments = ", ".join(self.name(self.emit(argument)) for argument in node.args)
+        lowered = node.name.lower()
+        bare = lowered[len("dbo."):] if lowered.startswith("dbo.") else lowered
+        functions = self.evaluation.functions
+        func = functions.get(lowered) or functions.get(bare) or _BUILTIN_FUNCTIONS.get(bare)
+        if func is None:
+            message = f"unknown function {node.name!r}"
+            return self.assign(f"_fail(_UnknownFunctionError, {message!r})")
+        return self.assign(f"{self.name(_Constant(func))}({arguments})")
+
+    def case_when(self, node: CaseWhen) -> _Operand:
+        if not node.branches:
+            return self.emit(node.default if node.default is not None else Literal(NULL))
+        (condition, value), rest = node.branches[0], node.branches[1:]
+        test = self.emit(condition)
+        then, then_lines = self.nested(value)
+        otherwise, otherwise_lines = self.nested(
+            CaseWhen(rest, node.default) if rest
+            else node.default if node.default is not None else Literal(NULL))
+        if all(isinstance(operand, _Constant) for operand in (test, then, otherwise)):
+            return then if test.value is True else otherwise
+        result = self.local()
+        self.lines.extend(_branches(
+            [(f"{self.name(test)} is True",
+              [*then_lines, f"{result} = {self.name(then)}"])],
+            [*otherwise_lines, f"{result} = {self.name(otherwise)}"]))
+        return result
+
+
+class _RowEmitter(_Emitter):
+    """The one-alias case: the function takes that alias's row dict
+    itself (the fused fast path and the batch row-view fallback), and a
+    reference outside the one table is a compile-time error."""
+
+    argument = "r"
+
+    def reference(self, alias: str, key: str) -> str:
+        # Every row carries every column the plan references.
+        return f"r[{key!r}]"
+
+    def unresolved(self, message: str) -> _Operand:
+        raise RowCompileError(message)
+
+    def aggregate(self, node: AggregateCall) -> _Operand:
+        raise RowCompileError("aggregates cannot run in the fused scan path")
+
+    def fallback(self, node: Expression) -> _Operand:
+        raise RowCompileError(f"unsupported node {type(node).__name__} in row mode")
+
+
 # ---------------------------------------------------------------------------
 # Vector compilation: expressions over column batches
 # ---------------------------------------------------------------------------
@@ -702,14 +821,10 @@ class _Unvectorizable(Exception):
     """Internal: the codegen fast path does not cover this expression.
 
     The vector compilers catch it and fall back to driving a row-mode
-    closure over the batch's row view (still batch-at-a-time, but one
-    closure call per row instead of one generated loop).
+    function over the batch's row view (still batch-at-a-time, but one
+    function call per row instead of one generated loop).
     """
 
-
-#: SQL comparison operators to their Python spellings.
-_PY_COMPARATORS = {"=": "==", "<>": "!=", "!=": "!=",
-                   "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 #: Tags the codegen treats as orderable numbers (bool compares as 0/1,
 #: exactly as the interpreter's comparison operators do).
@@ -742,7 +857,7 @@ class _VectorCodegen:
 
     The generated code reads directly from a :class:`ColumnStore`'s
     per-column sequences inside one list comprehension — no per-row
-    closure calls, no dicts, no scopes.  The translation is exact only
+    function calls, no dicts, no scopes.  The translation is exact only
     where SQL three-valued logic cannot surface: every referenced column
     must be NULL-free (checked against the store's null counts), every
     non-column operand must fold to a non-NULL constant, and operand
@@ -758,7 +873,6 @@ class _VectorCodegen:
         self.binding_name = binding_name.lower()
         self.env: dict[str, Any] = {}
         self.columns: list[str] = []
-        self._scalar = _Compiler(evaluation)
         self._counter = 0
 
     # -- helpers -----------------------------------------------------------
@@ -771,10 +885,10 @@ class _VectorCodegen:
 
     def constant_value(self, node: Expression) -> Any:
         """Fold ``node`` to a compile-time constant or raise."""
-        fn, is_const = self._scalar.compile(node)
-        if not is_const:
+        operand = _Emitter(self.evaluation).emit(node)
+        if not isinstance(operand, _Constant):
             raise _Unvectorizable(f"non-constant operand {node.sql()}")
-        return fn(None)
+        return operand.value
 
     def use_column(self, name: str) -> str:
         lowered = name.lower()
@@ -1002,7 +1116,6 @@ class _JoinVectorCodegen(_VectorCodegen):
         self.env: dict[str, Any] = {}
         #: Qualified column key -> generated identifier, in first-use order.
         self.column_ids: dict[str, str] = {}
-        self._scalar = _Compiler(evaluation)
         self._counter = 0
 
     def column(self, node: ColumnRef) -> tuple[str, str]:
@@ -1124,7 +1237,7 @@ def _codegen_vector(expression: Expression, evaluation: EvaluationContext,
 
 def _row_view_fallback(expression: Expression, evaluation: EvaluationContext,
                        table: "Any", binding_name: str) -> CompiledExpression:
-    """A row-mode closure for batch row views; raises VectorCompileError."""
+    """A row-mode function for batch row views; raises VectorCompileError."""
     try:
         return compile_row_expression(expression, evaluation, table, binding_name)
     except RowCompileError as exc:
@@ -1136,7 +1249,7 @@ def compile_vector_predicate(expression: Expression, evaluation: EvaluationConte
     """Compile a predicate to ``fn(batch, selection) -> narrowed selection``.
 
     Prefers the generated-loop fast path; falls back to calling a
-    row-mode closure per selected position (NULL-mask aware) when the
+    row-mode function per selected position (NULL-mask aware) when the
     expression is outside the codegen subset.  Raises
     :class:`VectorCompileError` when not even row mode applies.
     """

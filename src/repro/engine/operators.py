@@ -7,7 +7,7 @@ relation — and :meth:`PhysicalOperator.layout` declares their shape.
 Expressions are compiled once per execution against that layout, which
 is how qualified references like ``r.fiberMag_r`` and ``g.fiberMag_g``
 in the paper's NEO query resolve to the right side of a self-join: the
-closure reads ``binding["r"]["fibermag_r"]`` and never sees a name
+generated function reads ``b['r']['fibermag_r']`` and never sees a name
 again.  (The interpreter, ``execute(compiled=False)``, still resolves
 names per row through a :class:`RowScope`; it is the oracle.)
 
@@ -60,7 +60,7 @@ class ExecutionStatistics:
     random_lookups: int = 0
     elapsed_seconds: float = 0.0
     cpu_seconds: float = 0.0
-    #: Expression trees compiled to closures during this execution.
+    #: Expression trees compiled to functions during this execution.
     exprs_compiled: int = 0
     #: 1 when this execution reused a cached plan / 1 when it had to plan.
     plan_cache_hits: int = 0
@@ -119,9 +119,9 @@ class ExecutionContext:
                 projected: bool = False) -> Optional[CompiledExpression]:
         """Bind an expression to ``layout`` once for this execution.
 
-        The closure takes a binding of that layout.  ``projected`` adds
+        The function takes a binding of that layout.  ``projected`` adds
         the select-list / order-key rule (see :func:`evaluate_projected`).
-        With compilation off the closure wraps the interpreter, which
+        With compilation off the function wraps the interpreter, which
         resolves names per row through a fresh :class:`RowScope`.
         """
         if expression is None:
@@ -311,13 +311,21 @@ class TableScan(PhysicalOperator):
         statistics = context.statistics
         binding_name = self.binding_name
         predicate = context.compile(self.predicate, self.layout())
-        for row in self.table.storage.iter_dicts(context.read_columns(self.columns)):
-            statistics.rows_scanned += 1
-            statistics.bytes_scanned += row_bytes
-            binding = {binding_name: row}
-            if predicate is not None and predicate(binding) is not True:
-                continue
-            yield self._emit(binding)
+        # Counters accumulate in locals and flush once, also when a TOP
+        # above stops pulling and closes this generator.
+        scanned = emitted = 0
+        try:
+            for row in self.table.storage.iter_dicts(context.read_columns(self.columns)):
+                scanned += 1
+                binding = {binding_name: row}
+                if predicate is not None and predicate(binding) is not True:
+                    continue
+                emitted += 1
+                yield binding
+        finally:
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * row_bytes
+            self.actual_rows += emitted
 
     def layout(self) -> Layout:
         return table_layout(self.table, self.binding_name)
@@ -446,17 +454,23 @@ class CoveringIndexScan(PhysicalOperator):
         row_ids = key_range_row_ids(
             self.index, self.low, self.high,
             lambda expression: context.compile(expression, ())({}))
-        for row_id in row_ids:
-            row = table.get_row(row_id, columns)
-            if row is None:
-                continue
-            statistics.rows_scanned += 1
-            statistics.bytes_scanned += entry_bytes
-            statistics.index_entries_read += 1
-            binding = {binding_name: row}
-            if predicate is not None and predicate(binding) is not True:
-                continue
-            yield self._emit(binding)
+        scanned = emitted = 0
+        try:
+            for row_id in row_ids:
+                row = table.get_row(row_id, columns)
+                if row is None:
+                    continue
+                scanned += 1
+                binding = {binding_name: row}
+                if predicate is not None and predicate(binding) is not True:
+                    continue
+                emitted += 1
+                yield binding
+        finally:
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * entry_bytes
+            statistics.index_entries_read += scanned
+            self.actual_rows += emitted
 
     def layout(self) -> Layout:
         return table_layout(self.index.table, self.binding_name)
@@ -533,19 +547,25 @@ class IndexRangeScan(PhysicalOperator):
         row_ids = key_range_row_ids(
             self.index, self.low, self.high,
             lambda expression: context.compile(expression, ())({}))
-        for row_id in row_ids:
-            row = table.get_row(row_id, columns)
-            if row is None:
-                continue
-            statistics.rows_scanned += 1
-            statistics.bytes_scanned += row_bytes
-            statistics.index_entries_read += 1
+        scanned = emitted = 0
+        try:
+            for row_id in row_ids:
+                row = table.get_row(row_id, columns)
+                if row is None:
+                    continue
+                scanned += 1
+                binding = {binding_name: row}
+                if predicate is not None and predicate(binding) is not True:
+                    continue
+                emitted += 1
+                yield binding
+        finally:
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * row_bytes
+            statistics.index_entries_read += scanned
             if not covering:
-                statistics.random_lookups += 1
-            binding = {binding_name: row}
-            if predicate is not None and predicate(binding) is not True:
-                continue
-            yield self._emit(binding)
+                statistics.random_lookups += scanned
+            self.actual_rows += emitted
 
     def layout(self) -> Layout:
         return table_layout(self.index.table, self.binding_name)
@@ -708,28 +728,37 @@ class IndexNestedLoopJoin(PhysicalOperator):
         outer_layout = self.outer.layout()
         key_fns = [context.compile(expression, outer_layout)
                    for expression in self.outer_key]
+        single = len(key_fns) == 1
         high_fn = context.compile(self.outer_high, outer_layout)
         residual = context.compile(self.residual, self.layout())
-        for outer_binding in self.outer.rows(context):
-            key = tuple(key_fn(outer_binding) for key_fn in key_fns)
-            if high_fn is None:
-                row_ids = index.seek(key)
-            else:
-                row_ids = _range_probe(index, key[0], high_fn(outer_binding))
-            for row_id in row_ids:
-                row = inner_table.get_row(row_id, inner_columns)
-                if row is None:
-                    continue
-                statistics.rows_scanned += 1
-                statistics.bytes_scanned += row_bytes
-                if covering:
-                    statistics.index_entries_read += 1
+        scanned = emitted = 0
+        try:
+            for outer_binding in self.outer.rows(context):
+                if high_fn is not None:
+                    row_ids = _range_probe(index, key_fns[0](outer_binding),
+                                           high_fn(outer_binding))
+                elif single:
+                    row_ids = index.seek((key_fns[0](outer_binding),))
                 else:
-                    statistics.random_lookups += 1
-                merged = {**outer_binding, inner_binding: row}
-                if residual is not None and residual(merged) is not True:
-                    continue
-                yield self._emit(merged)
+                    row_ids = index.seek([key_fn(outer_binding) for key_fn in key_fns])
+                for row_id in row_ids:
+                    row = inner_table.get_row(row_id, inner_columns)
+                    if row is None:
+                        continue
+                    scanned += 1
+                    merged = {**outer_binding, inner_binding: row}
+                    if residual is not None and residual(merged) is not True:
+                        continue
+                    emitted += 1
+                    yield merged
+        finally:
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * row_bytes
+            if covering:
+                statistics.index_entries_read += scanned
+            else:
+                statistics.random_lookups += scanned
+            self.actual_rows += emitted
 
     def layout(self) -> Layout:
         return merge_layouts(self.outer.layout(),
@@ -762,6 +791,34 @@ def _range_probe(index: BTreeIndex, low: Any, high: Any) -> Iterable[int]:
     if low is NULL or high is NULL:
         return ()
     return index.range_or_scan((low,), (high,))
+
+
+def row_key(key_fns: Sequence[CompiledExpression]) -> CompiledExpression:
+    """The hash key of a binding: a single key expression's value itself,
+    else the tuple of the values.
+
+    A bare value hashes and compares exactly as its 1-tuple does (dict
+    lookups and tuple equality both try identity first), so NULL is one
+    group, ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` collide and a NaN
+    matches only itself — the single-key path just skips the tuple.
+    """
+    if len(key_fns) == 1:
+        return key_fns[0]
+    return lambda binding: tuple([key_fn(binding) for key_fn in key_fns])
+
+
+def join_key(key_fns: Sequence[CompiledExpression]) -> CompiledExpression:
+    """:func:`row_key` for an equi-join: NULL when any part is NULL
+    (NULL keys never join)."""
+    key = row_key(key_fns)
+    if len(key_fns) == 1:
+        return key
+
+    def tuple_key(binding: Binding) -> Any:
+        parts = key(binding)
+        return NULL if any(part is NULL for part in parts) else parts
+
+    return tuple_key
 
 
 class HashJoin(PhysicalOperator):
@@ -797,27 +854,39 @@ class HashJoin(PhysicalOperator):
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         build_layout = self.build.layout()
         probe_layout = self.probe.layout()
-        build_fns = [context.compile(expression, build_layout)
-                     for expression in self.build_keys]
-        probe_fns = [context.compile(expression, probe_layout)
-                     for expression in self.probe_keys]
+        build_key = join_key([context.compile(expression, build_layout)
+                              for expression in self.build_keys])
+        probe_key = join_key([context.compile(expression, probe_layout)
+                              for expression in self.probe_keys])
         residual = context.compile(self.residual,
                                    merge_layouts(build_layout, probe_layout))
-        hash_table: dict[tuple, list[Binding]] = {}
+        hash_table: dict[Any, list[Binding]] = {}
         for binding in self.build.rows(context):
-            key = tuple(key_fn(binding) for key_fn in build_fns)
-            if any(part is NULL for part in key):
+            key = build_key(binding)
+            if key is NULL:
                 continue
-            hash_table.setdefault(key, []).append(binding)
-        for probe_binding in self.probe.rows(context):
-            key = tuple(key_fn(probe_binding) for key_fn in probe_fns)
-            if any(part is NULL for part in key):
-                continue
-            for build_binding in hash_table.get(key, ()):
-                merged = {**build_binding, **probe_binding}
-                if residual is not None and residual(merged) is not True:
+            bucket = hash_table.get(key)
+            if bucket is None:
+                hash_table[key] = [binding]
+            else:
+                bucket.append(binding)
+        emitted = 0
+        try:
+            for probe_binding in self.probe.rows(context):
+                key = probe_key(probe_binding)
+                if key is NULL:
                     continue
-                yield self._emit(merged)
+                bucket = hash_table.get(key)
+                if bucket is None:
+                    continue
+                for build_binding in bucket:
+                    merged = {**build_binding, **probe_binding}
+                    if residual is not None and residual(merged) is not True:
+                        continue
+                    emitted += 1
+                    yield merged
+        finally:
+            self.actual_rows += emitted
 
     def layout(self) -> Layout:
         return merge_layouts(self.build.layout(), self.probe.layout())
@@ -934,9 +1003,14 @@ class FilterOp(PhysicalOperator):
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         predicate = context.compile(self.predicate, self.layout())
-        for binding in self.child.rows(context):
-            if predicate(binding) is True:
-                yield self._emit(binding)
+        emitted = 0
+        try:
+            for binding in self.child.rows(context):
+                if predicate(binding) is True:
+                    emitted += 1
+                    yield binding
+        finally:
+            self.actual_rows += emitted
 
     def apply_batch(self, batch: ColumnBatch,
                     predicate_fn: VectorExpression) -> ColumnBatch:
@@ -1741,8 +1815,13 @@ class SortOp(PhysicalOperator):
                    for key_fn, descending in key_fns]
             materialised.append((key, binding))
         materialised.sort(key=lambda pair: pair[0])
-        for _key, binding in materialised:
-            yield self._emit(binding)
+        emitted = 0
+        try:
+            for _key, binding in materialised:
+                emitted += 1
+                yield binding
+        finally:
+            self.actual_rows += emitted
 
     def details(self) -> str:
         return ", ".join(
@@ -1754,16 +1833,13 @@ class SortOp(PhysicalOperator):
 
 
 class _SortKey:
-    """Orders values with NULLs first and mixed types safely; supports DESC."""
+    """Orders values with NULLs first and mixed types safely; supports DESC.
 
-    __slots__ = ("value", "descending")
+    The rank is computed once per key, not on every comparison."""
+
+    __slots__ = ("rank", "descending")
 
     def __init__(self, value: Any, descending: bool):
-        self.value = value
-        self.descending = descending
-
-    def _rank(self) -> tuple:
-        value = self.value
         if value is NULL:
             rank = (0, 0, "")
         elif isinstance(value, bool):
@@ -1774,15 +1850,16 @@ class _SortKey:
             rank = (2, 0, value.lower())
         else:
             rank = (3, 0, str(value))
-        return rank
+        self.rank = rank
+        self.descending = descending
 
     def __lt__(self, other: "_SortKey") -> bool:
         if self.descending:
-            return other._rank() < self._rank()
-        return self._rank() < other._rank()
+            return other.rank < self.rank
+        return self.rank < other.rank
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self._rank() == other._rank()
+        return isinstance(other, _SortKey) and self.rank == other.rank
 
 
 class TopOp(PhysicalOperator):
@@ -1864,40 +1941,44 @@ class GroupAggregate(PhysicalOperator):
                 yield from vectorized
                 return
         child_layout = self.child.layout()
-        group_fns = [context.compile(expression, child_layout)
-                     for expression in self.group_by]
-        argument_fns = [(aggregate.result_key(),
-                         context.compile(aggregate.argument, child_layout))
-                        for aggregate in self.aggregates]
-        groups: dict[tuple, dict[str, Any]] = {}
-        order: list[tuple] = []
+        group_key = row_key([context.compile(expression, child_layout)
+                             for expression in self.group_by])
+        aggregates = self.aggregates
+        # COUNT(*) is its group's row count, as the batch path's
+        # ``update_count(len(selection))`` is; every other aggregate
+        # keeps a running state (another ``f(*)`` folds 1 per row).
+        counting = [_counts_rows(aggregate) for aggregate in aggregates]
+        stateful = [aggregate for aggregate, counts in zip(aggregates, counting)
+                    if not counts]
+        argument_fns = [context.compile(aggregate.argument, child_layout)
+                        if aggregate.argument is not None else _star_argument
+                        for aggregate in stateful]
+        # Group key → [rows, states]; insertion order is first-seen order.
+        groups: dict[Any, list] = {}
         for binding in self.child.rows(context):
-            key = tuple(group_fn(binding) for group_fn in group_fns)
-            state = groups.get(key)
-            if state is None:
-                state = {"__count__": 0, "values": {agg.result_key(): _AggState(agg)
-                                                    for agg in self.aggregates}}
-                groups[key] = state
-                order.append(key)
-            state["__count__"] += 1
-            values = state["values"]
-            for result_key, argument_fn in argument_fns:
-                argument = argument_fn(binding) if argument_fn is not None else 1
-                values[result_key].update(argument)
+            key = group_key(binding)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [0, list(map(_AggState, stateful))]
+            group[0] += 1
+            if argument_fns:
+                for state, argument_fn in zip(group[1], argument_fns):
+                    state.update(argument_fn(binding))
         if not groups and not self.group_by:
             # Aggregates over an empty input still produce one row (count=0, others NULL).
             empty = {aggregate.result_key(): _AggState(aggregate).result()
-                     for aggregate in self.aggregates}
+                     for aggregate in aggregates}
             row = dict(empty)
             yield self._emit({self.binding_name: row})
             return
-        for key in order:
-            state = groups[key]
-            row: dict[str, Any] = {}
-            for expression, value in zip(self.group_by, key):
-                row[_group_key_name(expression)] = value
-            for aggregate in self.aggregates:
-                row[aggregate.result_key()] = state["values"][aggregate.result_key()].result()
+        names = [_group_key_name(expression) for expression in self.group_by]
+        single = len(names) == 1
+        result_keys = [aggregate.result_key() for aggregate in aggregates]
+        for key, (count, states) in groups.items():
+            row: dict[str, Any] = dict(zip(names, (key,) if single else key))
+            results = iter(states)
+            for result_key, counts in zip(result_keys, counting):
+                row[result_key] = count if counts else next(results).result()
             yield self._emit({self.binding_name: row})
 
     def layout(self) -> Layout:
@@ -2310,6 +2391,17 @@ def _group_key_name(expression: Expression) -> str:
     if isinstance(expression, ColumnRef):
         return expression.name.lower()
     return expression.sql()
+
+
+def _counts_rows(aggregate: AggregateCall) -> bool:
+    """COUNT(*): folding 1 per row is counting the group's rows."""
+    return (aggregate.func == "count" and aggregate.argument is None
+            and not aggregate.distinct)
+
+
+def _star_argument(_binding: Binding) -> int:
+    """The value any other ``f(*)`` aggregate folds per row."""
+    return 1
 
 
 class _AggState:

@@ -194,9 +194,22 @@ class RectangleEq(Region):
 
     @cached_property
     def bounding_cap(self) -> tuple[Vector, float]:
-        """(box centre, half-diagonal in degrees): a cap around the box."""
-        box_center = radec_to_unit((self.ra_min + self.ra_max) / 2.0,
-                                   (self.dec_min + self.dec_max) / 2.0)
+        """(box centre, half-diagonal in degrees): a cap around the box.
+
+        A box wrapping through ra = 0 is centred half its wrapped width
+        past ``ra_min``.  The corners bound a box at most 180° wide in
+        ra; a wider one reaches farther along its edges, so its cap is
+        the whole sphere.
+        """
+        if self.ra_min <= self.ra_max:
+            center_ra = (self.ra_min + self.ra_max) / 2.0
+            ra_width = self.ra_max - self.ra_min
+        else:
+            center_ra = (self.ra_min + self.ra_max + 360.0) / 2.0 % 360.0
+            ra_width = self.ra_max + 360.0 - self.ra_min
+        box_center = radec_to_unit(center_ra, (self.dec_min + self.dec_max) / 2.0)
+        if ra_width > 180.0:
+            return box_center, 180.0
         half_diagonal = max(
             angular_distance(box_center, radec_to_unit(self.ra_min, self.dec_min)),
             angular_distance(box_center, radec_to_unit(self.ra_max, self.dec_max)),

@@ -239,3 +239,57 @@ def test_into_with_a_changed_layout_invalidates_the_plans_that_read_it(
     database.table("PhotoObj").create_index("ix_mag", ["modelMag_r"])
     assert session.query(
         "select objID from PhotoObj where run = 745").statistics.plan_cache_hits == 0
+
+
+# ---------------------------------------------------------------------------
+# actual rows= under TOP: the row loops count in locals and flush on close
+# ---------------------------------------------------------------------------
+
+def _top_database() -> Database:
+    database = Database("top_counts")
+    left = database.create_table("l", [bigint("id"), bigint("k")],
+                                 primary_key=PrimaryKey(["id"]))
+    right = database.create_table("r", [bigint("id"), bigint("k")],
+                                  primary_key=PrimaryKey(["id"]))
+    left.insert_many({"id": i, "k": i % 10} for i in range(100))
+    right.insert_many({"id": i, "k": i % 10} for i in range(20))
+    database.analyze()
+    return database
+
+
+#: statement → (operator label, actual rows) for every operator, top down.
+#: TOP pulls one row past its count before it stops, so its child
+#: reports 6; the abandoned join and scan report what they produced.
+TOP_COUNTS = {
+    "select top 5 l.id, r.id as rid from l join r on l.k = r.k": [
+        ("Top", 5), ("Compute Scalar", 6), ("Hash Join", 6),
+        ("Table Scan", 20), ("Table Scan", 3)],
+    "select top 5 k, count(*) as n from l group by k": [
+        ("Top", 5), ("Compute Scalar", 6), ("Aggregate", 6), ("Table Scan", 100)],
+    "select top 5 l.k, count(*) as n from l join r on l.k = r.k "
+    "where l.id > 3 group by l.k": [
+        ("Top", 5), ("Compute Scalar", 6), ("Aggregate", 6), ("Hash Join", 192),
+        ("Table Scan", 20), ("Table Scan", 96)],
+}
+
+
+def _actuals(explain: str) -> list[tuple[str, int]]:
+    counts = []
+    for line in explain.splitlines():
+        if "actual rows=" in line:
+            label = line.strip().removeprefix("-> ").split(" [")[0]
+            counts.append((label, int(line.split("actual rows=")[1].split()[0]
+                                      .rstrip(")"))))
+    return counts
+
+
+@pytest.mark.parametrize("sql", sorted(TOP_COUNTS))
+def test_actual_rows_stay_exact_under_top(sql):
+    def session():
+        # fresh each time: cardinality feedback re-plans a repeated statement
+        database = _top_database()
+        return SqlSession(database, planner=Planner(database, enable_index_join=False))
+
+    assert _actuals(session().explain(sql, analyze=True)) == TOP_COUNTS[sql]
+    # untimed: the plain execution path, no per-operator timing wrappers
+    assert _actuals(session().query(sql).plan.explain()) == TOP_COUNTS[sql]

@@ -158,6 +158,46 @@ class TestCovers:
         assert region.contains_radec(359.5, 0.0)
         assert not region.contains_radec(180.0, 0.0)
 
+    def test_rectangle_wrapping_ra_zero_covers_like_one_at_ra_180(self, monkeypatch):
+        # The box across ra = 0 is centred there, not on the far side of
+        # the sky: its cover costs what the same box at ra = 180 costs.
+        import random
+
+        visits = []
+        classify = htm.RectangleEq.classify
+
+        def counting(region, trixel):
+            visits.append(trixel)
+            return classify(region, trixel)
+
+        monkeypatch.setattr(htm.RectangleEq, "classify", counting)
+
+        def measured_cover(region):
+            visits.clear()
+            return htm.cover(region, cover_depth=6), len(visits)
+
+        wrapped, wrapped_visits = measured_cover(htm.RectangleEq(359.9, 0.1, -0.1, 0.1))
+        plain, plain_visits = measured_cover(htm.RectangleEq(179.9, 180.1, -0.1, 0.1))
+        assert len(wrapped) <= len(plain) + 2
+        assert wrapped_visits <= 2 * plain_visits
+        rng = random.Random(26)
+        for _ in range(300):
+            ra = (359.9 + rng.uniform(0.0, 0.2)) % 360.0
+            dec = rng.uniform(-0.1, 0.1)
+            assert htm.ranges_contain(wrapped, htm.lookup_id(ra, dec))
+
+    def test_rectangle_wider_than_180_degrees_covers_every_point(self):
+        import random
+
+        rng = random.Random(180)
+        for region in (htm.RectangleEq(100.0, 60.0, -20.0, 20.0),
+                       htm.RectangleEq(10.0, 300.0, -5.0, 30.0)):
+            ranges = htm.cover(region, cover_depth=3)
+            for _ in range(300):
+                ra, dec = rng.uniform(0.0, 360.0), rng.uniform(-20.0, 30.0)
+                if region.contains_radec(ra, dec):
+                    assert htm.ranges_contain(ranges, htm.lookup_id(ra, dec))
+
     def test_polygon_region(self):
         polygon = htm.Polygon(((184.5, -1.0), (185.5, -1.0), (185.5, 0.0), (184.5, 0.0)))
         assert polygon.contains_radec(185.0, -0.5)
