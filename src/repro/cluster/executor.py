@@ -46,22 +46,17 @@ from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
                                 _hashable, _zone_predicates, _zone_skips,
                                 join_key, key_range_row_ids)
 from ..engine.segments import compile_zone_predicate, runtime_range_zone
-from ..engine.planner import Planner
+from ..engine.planner import EXACT_SUM_TYPES, Planner
 from ..engine.sql import SqlSession, parse_batch
 from ..engine.sql.ast import (AnalyzeStatement, DeclareStatement,
                               SelectStatement, SetStatement)
 from ..engine.sql.session import PlanCache, StatementResult
-from ..engine.types import NULL, DataType
+from ..engine.types import NULL
 from ..telemetry.trace import TRACER
 from .planner import (ClusterPlan, ClusterPlanner, CoPartitionedJoinPlan,
                       FallbackPlan, FragmentRelation, SingleTablePlan,
                       candidate_shards)
 from .shard import ShardCluster
-
-#: Aggregate argument column types whose SUM/AVG partials merge exactly
-#: (integer addition is associative; float addition is not).
-_EXACT_SUM_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.BOOLEAN)
-
 
 class ClusterPlanHandle:
     """Duck-typed stand-in for a PhysicalPlan on cluster results.
@@ -687,7 +682,7 @@ class ClusterExecutor:
             if not isinstance(argument, ColumnRef):
                 return "ordered"
             column = self._argument_column(plan, argument)
-            if column is None or column.dtype not in _EXACT_SUM_TYPES:
+            if column is None or column.dtype not in EXACT_SUM_TYPES:
                 return "ordered"
             if not self._sum_stays_exact(plan, argument):
                 return "ordered"

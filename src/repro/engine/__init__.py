@@ -30,8 +30,7 @@ from .index import BTreeIndex
 from .logical import (FunctionRef, Join, LogicalQuery, OrderItem, Query,
                       SelectItem, TableRef, contains_variables,
                       referenced_tables)
-from .operators import (ExecutionStatistics, PhysicalPlan, QueryResult,
-                        SortMergeJoin)
+from .operators import ExecutionStatistics, PhysicalPlan, QueryResult
 from .parallel import WorkerPool, get_worker_pool
 from .planner import Planner
 from .session import Session, make_session
@@ -47,7 +46,6 @@ __all__ = [
     "Database",
     "WorkerPool",
     "get_worker_pool",
-    "SortMergeJoin",
     "Table",
     "TableStorage",
     "RowStore",

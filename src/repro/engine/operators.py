@@ -900,90 +900,6 @@ class HashJoin(PhysicalOperator):
         return max(self.build.estimated_rows(), self.probe.estimated_rows())
 
 
-class SortMergeJoin(PhysicalOperator):
-    """Single-pass merge of two inputs already streaming in join-key order.
-
-    The planner only chooses this operator (behind the
-    ``enable_sort_merge`` flag) for a single-column equality join whose
-    both sides are scans of tables *verified* to be stored in ascending
-    key order with no NULL keys — the objID-ordered co-partitioned case:
-    both sides then stream in global key order and the join is one
-    synchronized pass, no hash table.
-
-    The emission contract matches :class:`HashJoin` exactly under that
-    precondition: output is probe-major (one group of matches per probe
-    row, in probe order) and matches within a key group appear in build
-    order — since the probe stream is key-ordered, this is the same
-    sequence a hash join of the same inputs produces, so flipping the
-    flag never changes result order.
-    """
-
-    label = "Sort-Merge Join"
-
-    def __init__(self, build: PhysicalOperator, probe: PhysicalOperator,
-                 build_keys: Sequence[Expression], probe_keys: Sequence[Expression],
-                 residual: Optional[Expression] = None):
-        super().__init__()
-        self.build = build
-        self.probe = probe
-        self.build_keys = list(build_keys)
-        self.probe_keys = list(probe_keys)
-        self.residual = residual
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.build, self.probe)
-
-    def rows(self, context: ExecutionContext) -> Iterator[Binding]:
-        build_fn = context.compile(self.build_keys[0], self.build.layout())
-        probe_fn = context.compile(self.probe_keys[0], self.probe.layout())
-        residual = context.compile(self.residual, self.layout())
-
-        def keyed_build() -> Iterator[tuple[Any, Binding]]:
-            for binding in self.build.rows(context):
-                key = build_fn(binding)
-                if key is NULL:
-                    continue
-                yield key, binding
-
-        build_stream = keyed_build()
-        pending = next(build_stream, None)
-        group_key: Any = None
-        group: list[Binding] = []
-        have_group = False
-        for probe_binding in self.probe.rows(context):
-            key = probe_fn(probe_binding)
-            if key is NULL:
-                continue
-            if not have_group or group_key != key:
-                # Advance the build stream to the first key >= the probe
-                # key, then buffer that key's whole group (both streams
-                # ascend, so skipped build groups can never match again).
-                while pending is not None and pending[0] < key:
-                    pending = next(build_stream, None)
-                group = []
-                while pending is not None and pending[0] == key:
-                    group.append(pending[1])
-                    pending = next(build_stream, None)
-                group_key = key
-                have_group = True
-            for build_binding in group:
-                merged = {**build_binding, **probe_binding}
-                if residual is not None and residual(merged) is not True:
-                    continue
-                yield self._emit(merged)
-
-    def layout(self) -> Layout:
-        return merge_layouts(self.build.layout(), self.probe.layout())
-
-    def details(self) -> str:
-        build = ", ".join(expression.sql() for expression in self.build_keys)
-        probe = ", ".join(expression.sql() for expression in self.probe_keys)
-        return f"merge({build}) = ({probe})"
-
-    def estimated_rows(self) -> int:
-        return max(self.build.estimated_rows(), self.probe.estimated_rows())
-
-
 # ---------------------------------------------------------------------------
 # Row-stream transforms
 # ---------------------------------------------------------------------------
@@ -2534,12 +2450,11 @@ class ProjectOp(PhysicalOperator):
     label = "Compute Scalar"
 
     def __init__(self, child: PhysicalOperator, items: Sequence[SelectItem],
-                 database: Database, allow_fused: bool = True):
+                 database: Database):
         super().__init__()
         self.child = child
         self.items = list(items)
         self.database = database
-        self.allow_fused = allow_fused
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -2550,7 +2465,7 @@ class ProjectOp(PhysicalOperator):
             if vectorized is not None:
                 yield from vectorized
                 return
-        if self.allow_fused and context.compile_enabled:
+        if context.compile_enabled:
             fused = self._fused_rows(context)
             if fused is not None:
                 yield from fused

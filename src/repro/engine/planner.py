@@ -27,16 +27,17 @@ statistics (histograms, MCVs, distinct counts — see
 :mod:`repro.engine.stats`) with the constants above as fallback,
 access paths are chosen by comparing scan/covering-scan/index-seek cost
 formulas, and joins are enumerated greedily in cost order with the
-smaller estimated input as the hash-join build side.
+smaller estimated input as the hash-join build side.  The greedy loop
+(:meth:`Planner._plan_joins_cbo`) is the only cost-based join
+enumerator; the cluster planner mirrors its two-table choice.
 ``Planner(enable_cbo=False)`` keeps the original heuristic behaviour.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .catalog import Database
 from .errors import BindError, PlanError
@@ -49,28 +50,17 @@ from .logical import FunctionRef, LogicalQuery, RelationRef
 from .operators import (CoveringIndexScan, DistinctOp, FilterOp, FunctionScan,
                         GroupAggregate, HashJoin, IndexNestedLoopJoin,
                         IndexRangeScan, InsertIntoOp, NestedLoopJoin,
-                        PhysicalOperator, PhysicalPlan, ProjectOp, SortMergeJoin,
-                        SortOp, TableScan, TopOp)
+                        PhysicalOperator, PhysicalPlan, ProjectOp, SortOp,
+                        TableScan, TopOp)
 from .stats import TableStatistics
 from .table import Table
 from .types import NULL, DataType
 
 #: Integer-valued column types whose float-accumulated SUM/AVG partials
-#: merge bit-exactly while the total stays below 2**53 (the same rule
-#: the cluster executor applies to shard partials — keep in sync with
-#: ``repro.cluster.executor._EXACT_SUM_TYPES``).
-_EXACT_SUM_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.BOOLEAN)
-
-
-def _proper_subsets(members: Sequence[str]) -> Iterator[frozenset]:
-    """Every nonempty proper subset of ``members``, as frozensets.
-
-    Deterministic order — by size, then combination order of the sorted
-    member tuple — which keeps the DP enumeration's tie-breaks stable.
-    """
-    for size in range(1, len(members)):
-        for combo in itertools.combinations(members, size):
-            yield frozenset(combo)
+#: merge bit-exactly while the total stays below 2**53: the rule for
+#: per-morsel partials here and for shard partials in the cluster
+#: executor.
+EXACT_SUM_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.BOOLEAN)
 
 #: Sentinel for "this bound does not fold to a plan-time constant".
 _UNKNOWN = object()
@@ -279,30 +269,19 @@ class Planner:
     INDEX_ENTRY_COST = 1.0
     HASH_BUILD_COST = 2.0
     HASH_PROBE_COST = 1.0
-    #: A sort-merge join touches each input row once with no hash-table
-    #: build, so both sides pay the sequential rate.
-    MERGE_ROW_COST = 1.0
 
     #: Tables below this row count are not worth splitting into morsels:
     #: a parallel scan pays a lease, per-morsel dispatch and an ordered
     #: gather, which only amortises over enough batches.
     PARALLEL_ROW_THRESHOLD = 10_000
 
-    #: DPsize enumerates every connected subset split, which is
-    #: exponential in the relation count; past this many relations the
-    #: greedy planner takes over (the classical cutoff for DP join
-    #: enumeration).
-    DP_RELATION_LIMIT = 8
-
     def __init__(self, database: Database, *, enable_hash_join: bool = True,
-                 enable_fusion: bool = True, enable_vectorized: bool = True,
-                 enable_cbo: bool = True, enable_index_join: bool = True,
-                 enable_sort_merge: bool = False, parallelism: int = 1,
+                 enable_vectorized: bool = True, enable_cbo: bool = True,
+                 enable_index_join: bool = True, parallelism: int = 1,
                  parallel_row_threshold: Optional[int] = None,
                  simulated_scan_mbps: Optional[float] = None,
                  enable_zone_maps: bool = True,
-                 enable_runtime_filters: bool = True,
-                 enable_dp_joins: bool = False):
+                 enable_runtime_filters: bool = True):
         self.database = database
         #: When False, equality joins without a usable index fall back to a
         #: nested-loop join of the two inputs — the plan SQL Server 2000 chose
@@ -310,9 +289,6 @@ class Planner:
         #: (Figure 12's "about 10 minutes" case).  The ablation benchmark uses
         #: this to reproduce that comparison.
         self.enable_hash_join = enable_hash_join
-        #: When False, single-table plans never take the fused
-        #: scan→filter→project fast path (the compilation benchmark's baseline).
-        self.enable_fusion = enable_fusion
         #: When False, plans over column-backed tables stay row-at-a-time
         #: (the columnar benchmark's ablation switch).
         self.enable_vectorized = enable_vectorized
@@ -324,11 +300,6 @@ class Planner:
         #: together with ``enable_hash_join`` this pins the join strategy
         #: (the join-equivalence property tests force all three).
         self.enable_index_join = enable_index_join
-        #: When True, equality joins between two base-table scans that
-        #: are both verifiably stored in key order are also costed as a
-        #: sort-merge join.  Off by default: plans (and EXPLAIN output)
-        #: must stay byte-identical unless the knob is turned.
-        self.enable_sort_merge = enable_sort_merge
         #: Morsel-parallel degree requested for eligible scans.  1 (the
         #: default) plans exactly as before — no operator is annotated
         #: and execution stays serial.
@@ -355,16 +326,6 @@ class Planner:
         #: hash lookup would drop, so results are byte-identical either
         #: way; only the data touched changes.
         self.enable_runtime_filters = enable_runtime_filters
-        #: When True, join order comes from bushy dynamic programming
-        #: (DPsize) over the same CBO cost formulas instead of the
-        #: greedy one-relation-at-a-time loop; above
-        #: ``DP_RELATION_LIMIT`` relations the greedy planner takes
-        #: over.  Off by default: plans must stay byte-identical unless
-        #: the knob is turned.
-        self.enable_dp_joins = enable_dp_joins
-        #: Sortedness verification cache for sort-merge planning:
-        #: (table, column) -> (modification_counter, is_sorted).
-        self._sorted_cache: dict[tuple[str, str], tuple[int, bool]] = {}
         #: Number of plans built; the plan-cache tests assert a cache hit
         #: leaves this untouched.
         self.plans_built = 0
@@ -372,9 +333,6 @@ class Planner:
         #: fallback constants (no statistics, or ``enable_cbo=False``).
         self.cbo_plans = 0
         self.fallback_plans = 0
-        #: Join orders settled by dynamic programming vs the greedy loop
-        #: (only plans with 2+ relations under ``enable_dp_joins``).
-        self.dp_plans = 0
         #: Per-plan cardinality-feedback overrides (binding -> observed
         #: rows), set for the duration of one ``plan()`` call.
         self._overrides: dict[str, int] = {}
@@ -414,14 +372,8 @@ class Planner:
                     self.fallback_plans += 1
                 # No per-relation pre-pass: _access_path_cbo computes each
                 # relation's post-predicate cardinality exactly once.
-                if (self.enable_dp_joins and 1 < len(relations)
-                        and len(relations) <= self.DP_RELATION_LIMIT):
-                    self.dp_plans += 1
-                    root, planned = self._plan_joins_dp(relations,
-                                                        predicate_pool, query)
-                else:
-                    root, planned = self._plan_joins_cbo(relations,
-                                                         predicate_pool, query)
+                root, planned = self._plan_joins_cbo(relations,
+                                                     predicate_pool, query)
             else:
                 self.fallback_plans += 1
                 for info in relations:
@@ -952,7 +904,7 @@ class Planner:
                            query: LogicalQuery,
                            outer_rows: int, outer_cost: float
                            ) -> Optional[tuple[float, int, tuple, int]]:
-        """The enumerators' option entry for range-probing ``info``, if any.
+        """The enumerator's option entry for range-probing ``info``, if any.
 
         Each probe is a seek plus a read of the share of the index that
         two range bounds (a low and a high one) are guessed to keep:
@@ -1099,18 +1051,6 @@ class Planner:
                     root_rows, root_cost)
                 if range_option is not None:
                     options.append(range_option)
-                if (self.enable_sort_merge and len(equalities) == 1
-                        and self._merge_join_applicable(root, info,
-                                                        inner_path.operator,
-                                                        equalities[0])):
-                    rows = self._join_output_estimate(root_rows,
-                                                      inner_path.estimated_rows,
-                                                      equalities, by_name)
-                    build_new = inner_path.estimated_rows <= root_rows
-                    cost = (root_cost + inner_path.cost
-                            + (root_rows + inner_path.estimated_rows)
-                            * self.MERGE_ROW_COST)
-                    options.append((cost, 1, ("merge", build_new), rows))
                 if equalities and self.enable_hash_join:
                     rows = self._join_output_estimate(root_rows,
                                                       inner_path.estimated_rows,
@@ -1155,12 +1095,6 @@ class Planner:
                                         extra[1], query)
                 pool.remaining = [c for c in pool.remaining
                                   if c not in join_conjuncts]
-            elif kind == "merge":
-                root = self._build_merge_join(root, inner_path.operator,
-                                              equalities, join_conjuncts,
-                                              build_new=extra)
-                pool.remaining = [c for c in pool.remaining
-                                  if c not in join_conjuncts]
             elif kind == "hash":
                 root = self._build_hash_join(root, inner_path.operator,
                                              equalities, join_conjuncts,
@@ -1178,199 +1112,6 @@ class Planner:
             planned.add(name)
             unplanned.discard(name)
         return root, planned
-
-    def _plan_joins_dp(self, relations: list[_RelationInfo],
-                       pool: "_PredicatePool", query: LogicalQuery
-                       ) -> tuple[PhysicalOperator, set[str]]:
-        """Bushy dynamic-programming join enumeration (DPsize).
-
-        Costs every subset of the FROM clause bottom-up: a subset's
-        best plan is the cheapest (left, right) split of it, where each
-        split is costed with exactly the option block of
-        :meth:`_plan_joins_cbo` — index nested-loop (right side a
-        single base table), sort-merge (both sides single tables), hash
-        (smaller side builds) and nested-loop — and connected splits
-        (ones joined by an applicable conjunct) are preferred over
-        cross products just as the greedy loop prefers connected
-        relations.  Unlike the greedy loop, the left side may itself be
-        any subtree, so bushy plans fall out for free.
-
-        The enumeration only records decisions; the physical tree is
-        reconstructed afterwards so each predicate-pool conjunct is
-        consumed exactly once, at the split that owns it.  The caller
-        falls back to :meth:`_plan_joins_cbo` above
-        :data:`DP_RELATION_LIMIT` relations (DPsize is exponential in
-        the relation count).
-        """
-        by_name = {info.binding_name: info for info in relations}
-        paths = {info.binding_name: self._access_path_cbo(info, query)
-                 for info in relations}
-        names = sorted(by_name)
-
-        #: frozenset of bindings -> (rows, cost, decision); decision is
-        #: None for singletons, else (left, right, kind, extra,
-        #: join_conjuncts, equalities).
-        table: dict[frozenset, tuple[int, float, Optional[tuple]]] = {}
-        for name in names:
-            path = paths[name]
-            table[frozenset((name,))] = (path.estimated_rows, path.cost, None)
-
-        def applicable_conjuncts(left: frozenset, right: frozenset
-                                 ) -> list[Expression]:
-            both = left | right
-            found = []
-            for conjunct in pool.remaining:
-                aliases = self._conjunct_aliases(conjunct, by_name)
-                if aliases and aliases <= both and aliases & left and aliases & right:
-                    found.append(conjunct)
-            return found
-
-        for size in range(2, len(names) + 1):
-            for subset in itertools.combinations(names, size):
-                members = frozenset(subset)
-                best: Optional[tuple] = None
-                # Every ordered split: left drives/probes, right is the
-                # newly attached side (the greedy loop's "inner").
-                for left in _proper_subsets(subset):
-                    right = members - left
-                    left_rows, left_cost, _d = table[left]
-                    right_rows, right_cost, _d = table[right]
-                    join_conjuncts = applicable_conjuncts(left, right)
-                    equalities = [
-                        self._join_equality_sets(conjunct, left, right, by_name)
-                        for conjunct in join_conjuncts]
-                    equalities = [pair for pair in equalities if pair is not None]
-                    connected = 0 if join_conjuncts else 1
-                    right_name = min(right) if len(right) == 1 else None
-                    info = by_name[right_name] if right_name else None
-
-                    options: list[tuple[float, int, tuple, int]] = []
-                    if (self.enable_index_join and info is not None
-                            and info.kind == "table" and equalities):
-                        candidate = self._index_join_candidate(info, equalities)
-                        if candidate is not None:
-                            index, prefix_columns, _by_column = candidate
-                            statistics = self.database.table_statistics(
-                                info.table.name)
-                            matches = self._index_probe_matches(
-                                info.table, index, prefix_columns)
-                            local_selectivity = self._combine_selectivities(
-                                [self._conjunct_selectivity(statistics, conjunct)
-                                 for conjunct in info.local_conjuncts])
-                            cost = left_cost + left_rows * (
-                                math.log2(max(2, info.table.row_count))
-                                + matches * self.RANDOM_LOOKUP_COST)
-                            rows = max(1, int(left_rows * matches
-                                              * local_selectivity))
-                            options.append((cost, 0, ("index", candidate), rows))
-                    range_option = None if info is None else self._range_join_option(
-                        info, join_conjuncts, by_name, query,
-                        left_rows, left_cost)
-                    if range_option is not None:
-                        options.append(range_option)
-                    if (self.enable_sort_merge and len(equalities) == 1
-                            and len(left) == 1 and info is not None
-                            and self._merge_join_applicable(
-                                paths[min(left)].operator, info,
-                                paths[right_name].operator, equalities[0])):
-                        rows = self._join_output_estimate(left_rows, right_rows,
-                                                          equalities, by_name)
-                        build_new = right_rows <= left_rows
-                        cost = (left_cost + right_cost
-                                + (left_rows + right_rows) * self.MERGE_ROW_COST)
-                        options.append((cost, 1, ("merge", build_new), rows))
-                    if equalities and self.enable_hash_join:
-                        rows = self._join_output_estimate(left_rows, right_rows,
-                                                          equalities, by_name)
-                        build_new = right_rows <= left_rows
-                        build_rows = right_rows if build_new else left_rows
-                        probe_rows = left_rows if build_new else right_rows
-                        cost = (left_cost + right_cost
-                                + build_rows * self.HASH_BUILD_COST
-                                + probe_rows * self.HASH_PROBE_COST)
-                        options.append((cost, 2, ("hash", build_new), rows))
-                    nested_cost = (left_cost
-                                   + max(1, left_rows) * max(1.0, right_cost))
-                    nested_rows = max(1, int(
-                        left_rows * right_rows * self._combine_selectivities(
-                            [self.RESIDUAL_SELECTIVITY] * len(join_conjuncts))))
-                    options.append((nested_cost, 3, ("nested", None),
-                                    nested_rows))
-
-                    for cost, priority, choice, rows in options:
-                        key = (connected, cost, priority, tuple(sorted(right)),
-                               tuple(sorted(left)))
-                        if best is None or key < best[0]:
-                            best = (key, left, right, choice, rows, cost,
-                                    join_conjuncts, equalities)
-
-                assert best is not None
-                _key, left, right, choice, rows, cost, conjuncts, eqs = best
-                table[members] = (rows, cost,
-                                  (left, right, choice, conjuncts, eqs))
-
-        def build(members: frozenset) -> PhysicalOperator:
-            rows, cost, decision = table[members]
-            if decision is None:
-                return paths[min(members)].operator
-            left, right, (kind, extra), join_conjuncts, equalities = decision
-            root = build(left)
-            if kind == "index":
-                built = self._index_join(root, by_name[min(right)], equalities,
-                                         join_conjuncts, query, candidate=extra)
-                assert built is not None
-                root, used_conjuncts = built
-                pool.remaining = [c for c in pool.remaining
-                                  if c not in used_conjuncts]
-            elif kind == "range":
-                root = self._range_join(root, by_name[min(right)], extra[0],
-                                        join_conjuncts, extra[1], query)
-                pool.remaining = [c for c in pool.remaining
-                                  if c not in join_conjuncts]
-            elif kind == "merge":
-                root = self._build_merge_join(root, paths[min(right)].operator,
-                                              equalities, join_conjuncts,
-                                              build_new=extra)
-                pool.remaining = [c for c in pool.remaining
-                                  if c not in join_conjuncts]
-            elif kind == "hash":
-                root = self._build_hash_join(root, build(right), equalities,
-                                             join_conjuncts, build_new=extra)
-                pool.remaining = [c for c in pool.remaining
-                                  if c not in join_conjuncts]
-            else:
-                residual = combine_conjuncts(join_conjuncts)
-                root = NestedLoopJoin(root, build(right), residual)
-                pool.remaining = [c for c in pool.remaining
-                                  if c not in join_conjuncts]
-            root.set_estimates(rows, cost)
-            return root
-
-        return build(frozenset(names)), set(names)
-
-    def _join_equality_sets(self, conjunct: Expression, left: frozenset,
-                            right: frozenset,
-                            by_name: dict[str, _RelationInfo]
-                            ) -> Optional[tuple[Expression, Expression,
-                                                Expression]]:
-        """Set-sided :meth:`_join_equality`: ``old(left) = new(right)``.
-
-        Recognises an equality whose two sides reference opposite halves
-        of a DP split; the returned triple matches
-        :meth:`_build_hash_join`'s (conjunct, new_side, old_side) shape,
-        with *new* on the right (attached) half.
-        """
-        if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
-            return None
-        left_aliases = self._conjunct_aliases(conjunct.left, by_name)
-        right_aliases = self._conjunct_aliases(conjunct.right, by_name)
-        if not left_aliases or not right_aliases:
-            return None
-        if left_aliases <= right and right_aliases <= left:
-            return (conjunct, conjunct.left, conjunct.right)
-        if right_aliases <= right and left_aliases <= left:
-            return (conjunct, conjunct.right, conjunct.left)
-        return None
 
     # -- join planning ---------------------------------------------------------------
 
@@ -1477,90 +1218,6 @@ class Planner:
             return HashJoin(inner_operator, root, new_keys, old_keys, residual)
         return HashJoin(root, inner_operator, old_keys, new_keys, residual)
 
-    # -- sort-merge join planning -----------------------------------------------
-
-    def _merge_join_applicable(self, root: PhysicalOperator,
-                               info: _RelationInfo,
-                               inner_operator: PhysicalOperator,
-                               equality: tuple[Expression, Expression,
-                                               Expression]) -> bool:
-        """True when ``root ⋈ info`` qualifies for a sort-merge join.
-
-        The merge operator never sorts — it *verifies* that both inputs
-        are base-table scans whose key column is stored in ascending
-        order with no NULLs (the objID-ordered co-partitioned case the
-        survey loader produces).  Anything else — index paths, joined
-        pipelines, unsorted or nullable keys — falls back to the hash
-        and nested-loop options.
-        """
-        _conjunct, new_side, old_side = equality
-        if not (isinstance(new_side, ColumnRef) and isinstance(old_side, ColumnRef)):
-            return False
-        if not isinstance(root, TableScan) or not isinstance(inner_operator, TableScan):
-            return False
-        old_qualifier = (old_side.qualifier or "").lower()
-        if old_qualifier and old_qualifier != root.binding_name.lower():
-            return False
-        if not root.table.has_column(old_side.name):
-            return False
-        new_qualifier = (new_side.qualifier or "").lower()
-        if new_qualifier and new_qualifier != info.binding_name.lower():
-            return False
-        assert info.table is not None
-        if not info.table.has_column(new_side.name):
-            return False
-        return (self._table_sorted(root.table, old_side.name)
-                and self._table_sorted(info.table, new_side.name))
-
-    def _table_sorted(self, table: Table, column_name: str) -> bool:
-        """Verified "stored in ascending ``column_name`` order, no NULLs".
-
-        The verification scan is O(rows) but cached per (table, column)
-        and keyed by the table's modification counter, so it reruns only
-        after DML — the planner's usual amortisation argument.
-        """
-        key = (table.name.lower(), column_name.lower())
-        version = table.modification_counter
-        cached = self._sorted_cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        column = table.column(column_name)
-        sorted_ok = column is not None and column.dtype in NUMERIC_KEY_TYPES
-        if sorted_ok:
-            name = column_name.lower()
-            previous: Any = None
-            for row in table.storage.iter_dicts((name,)):
-                value = row.get(name, NULL)
-                if value is NULL or (previous is not None and value < previous):
-                    sorted_ok = False
-                    break
-                previous = value
-        self._sorted_cache[key] = (version, sorted_ok)
-        return sorted_ok
-
-    def _build_merge_join(self, root: PhysicalOperator,
-                          inner_operator: PhysicalOperator,
-                          equalities: Sequence[tuple[Expression, Expression,
-                                                     Expression]],
-                          join_conjuncts: Sequence[Expression],
-                          build_new: bool = True) -> SortMergeJoin:
-        """Construct the sort-merge join the CBO costed.
-
-        Mirrors :meth:`_build_hash_join`'s side assignment so the
-        emission order (probe-major, matches in build order) lines up
-        with what the hash join would have produced.
-        """
-        new_keys = [new for (_conjunct, new, _old) in equalities]
-        old_keys = [old for (_conjunct, _new, old) in equalities]
-        equality_conjuncts = [conjunct for conjunct, _new, _old in equalities]
-        residual = combine_conjuncts([conjunct for conjunct in join_conjuncts
-                                      if conjunct not in equality_conjuncts])
-        if build_new:
-            return SortMergeJoin(inner_operator, root, new_keys, old_keys,
-                                 residual)
-        return SortMergeJoin(root, inner_operator, old_keys, new_keys,
-                             residual)
-
     def _index_join(self, outer: PhysicalOperator, info: _RelationInfo,
                     equalities: Sequence[tuple[Expression, Expression, Expression]],
                     join_conjuncts: Sequence[Expression],
@@ -1611,8 +1268,7 @@ class Planner:
                     for order in query.order_by]
             root = SortOp(root, keys)
 
-        root = ProjectOp(root, query.select, self.database,
-                         allow_fused=self.enable_fusion)
+        root = ProjectOp(root, query.select, self.database)
         if query.distinct:
             root = DistinctOp(root)
         if query.top is not None:
@@ -1761,7 +1417,7 @@ class Planner:
         if owner is None or owner.table is None:
             return False
         column = owner.table.column(argument.name)
-        if column is None or column.dtype not in _EXACT_SUM_TYPES:
+        if column is None or column.dtype not in EXACT_SUM_TYPES:
             return False
         statistics = self.database.table_statistics(owner.table.name)
         column_stats = (statistics.column(argument.name)
@@ -1945,8 +1601,7 @@ class Planner:
         root: PhysicalOperator = source
         if query.where is not None:
             root = FilterOp(root, query.where)
-        root = ProjectOp(root, query.select, self.database,
-                         allow_fused=self.enable_fusion)
+        root = ProjectOp(root, query.select, self.database)
         if query.top is not None:
             root = TopOp(root, query.top)
         if query.into:

@@ -574,3 +574,47 @@ class TestShardedSkyServer:
         text = sharded_skyserver.explain(
             "select objID from PhotoObj where objID = 1")
         assert "Merge" in text and "Shard[" in text
+
+    def test_cluster_joins_mirror_the_single_node_plan(self, skyserver,
+                                                       sharded_skyserver):
+        """The mirror rule: a co-partitioned join drives, probes and joins
+        exactly as the single-node planner's join operator does."""
+        from repro.cluster.planner import ClusterPlanner, CoPartitionedJoinPlan
+        from repro.engine import Planner
+        from repro.engine.operators import (HashJoin, IndexNestedLoopJoin,
+                                            NestedLoopJoin)
+        from repro.engine.sql import parse_batch
+        from repro.engine.sql.ast import SelectStatement
+        from repro.skyserver.queries import DATA_MINING_QUERIES
+
+        def aliases(operator):
+            return {alias for alias, _keys in operator.layout()}
+
+        def single_node_join(operator):
+            """(drive aliases, inner aliases, strategy) of the plan's join."""
+            if isinstance(operator, HashJoin):
+                return aliases(operator.probe), aliases(operator.build), "hash"
+            if isinstance(operator, IndexNestedLoopJoin):
+                return aliases(operator.outer), {operator.inner_binding}, "index"
+            if isinstance(operator, NestedLoopJoin):
+                return aliases(operator.outer), aliases(operator.inner), "nested"
+            joins = [found for child in operator.children()
+                     if (found := single_node_join(child)) is not None]
+            return joins[0] if joins else None
+
+        cluster_planner = ClusterPlanner(sharded_skyserver.cluster)
+        planner = Planner(skyserver.database)
+        checked = []
+        for query in DATA_MINING_QUERIES:
+            sql = sharded_skyserver._resolve_placeholders(query)
+            for statement in parse_batch(sql):
+                if not isinstance(statement, SelectStatement):
+                    continue
+                plan = cluster_planner.plan(statement.query)
+                if not isinstance(plan, CoPartitionedJoinPlan):
+                    continue
+                expected = single_node_join(planner.plan(statement.query).root)
+                actual = ({plan.drive.binding}, {plan.inner.binding}, plan.strategy)
+                assert actual == expected, query.query_id
+                checked.append(query.query_id)
+        assert checked

@@ -134,8 +134,7 @@ class TestFusedPath:
         database, _table = make_database()
         query = parse_select(sql)
         fused = Planner(database).plan(query).execute()
-        interpreted = Planner(database, enable_fusion=False).plan(query).execute(
-            compiled=False)
+        interpreted = Planner(database).plan(query).execute(compiled=False)
         assert fused.rows == interpreted.rows
         assert fused.columns == interpreted.columns
         assert fused.statistics.rows_scanned == interpreted.statistics.rows_scanned
@@ -154,7 +153,7 @@ class TestFusedPath:
         database, _table = make_database()
         result = SqlSession(database).query("select id, value from t where value > 0")
         assert result.statistics.exprs_compiled > 0
-        interpreted = Planner(database, enable_fusion=False).plan(
+        interpreted = Planner(database).plan(
             parse_select("select id from t where value > 0")).execute(compiled=False)
         assert interpreted.statistics.exprs_compiled == 0
 

@@ -1,8 +1,10 @@
 """Planner and executor tests: access paths, joins, views, aggregation."""
 
+import inspect
+
 import pytest
 
-from repro.engine import PrimaryKey, View, bigint, floating, integer
+from repro.engine import Planner, PrimaryKey, View, bigint, floating, integer
 from repro.engine.explain import plan_operators
 from repro.engine.sql import SqlSession, parse_expression
 
@@ -130,6 +132,32 @@ class TestJoins:
         """)
         assert len(result.rows) == 19
         assert all(row["ew"] > 100 for row in result.rows)
+
+    def test_cost_based_join_order_agrees_with_written_order(self, spectro_database):
+        table = spectro_database.create_table("SpecLine", [
+            bigint("lineID"), bigint("specObjID"), floating("ew"),
+        ], primary_key=PrimaryKey(["lineID"]))
+        table.insert_many([{"lineID": i, "specObjID": 1000 + i % 40, "ew": float(i)}
+                           for i in range(120)], database=spectro_database)
+        spectro_database.analyze()
+        sql = ("select l.lineID, p.objID, s.z from SpecLine l "
+               "join SpecObj s on s.specObjID = l.specObjID "
+               "join PhotoObj p on p.objID = s.objID where l.ew < 60 "
+               "order by l.lineID")
+        greedy = SqlSession(spectro_database, planner=Planner(spectro_database))
+        written = SqlSession(spectro_database,
+                             planner=Planner(spectro_database, enable_cbo=False))
+        rows = greedy.query(sql).rows
+        assert len(rows) == 60
+        assert repr(rows) == repr(written.query(sql).rows)
+
+
+def test_planner_keywords_are_the_documented_switches():
+    keywords = set(inspect.signature(Planner).parameters) - {"database"}
+    assert keywords == {
+        "enable_hash_join", "enable_vectorized", "enable_cbo",
+        "enable_index_join", "enable_zone_maps", "enable_runtime_filters",
+        "parallelism", "parallel_row_threshold", "simulated_scan_mbps"}
 
 
 class TestAggregationAndOrdering:

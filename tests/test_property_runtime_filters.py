@@ -1,10 +1,9 @@
-"""Property tests: runtime join filters and DP ordering never change results.
+"""Property tests: runtime join filters never change results.
 
 The same random three-table data (an Obj spine, a Nbr arm with NULLable
-join keys, and a Cat lookup) is queried under every planner
-configuration the PR adds — greedy vs DPsize join enumeration, runtime
-filters on vs off, serial vs 4-worker morsel-parallel — over both row
-and column layouts, and single-node vs 1-shard vs 4-shard clusters.
+join keys, and a Cat lookup) is queried under runtime filters on vs
+off and serial vs 4-worker morsel-parallel planners, over both row and
+column layouts, and single-node vs 1-shard vs 4-shard clusters.
 Every combination must return repr-identical rows.  The generators
 deliberately include NULL join keys (which never join, and which a
 runtime filter must therefore be free to drop) and draws where the hash
@@ -69,11 +68,8 @@ def _build_database(storage: str, obj_rows, nbr_rows, cat_rows) -> Database:
 
 def _planners(database: Database) -> dict[str, Planner]:
     return {
-        "greedy_rf_off": Planner(database, enable_runtime_filters=False),
-        "greedy_rf_on": Planner(database),
-        "dp_rf_on": Planner(database, enable_dp_joins=True),
-        "dp_rf_off": Planner(database, enable_dp_joins=True,
-                             enable_runtime_filters=False),
+        "rf_off": Planner(database, enable_runtime_filters=False),
+        "rf_on": Planner(database),
         "workers4_rf_on": Planner(database, parallelism=4,
                                   parallel_row_threshold=0),
     }
@@ -187,17 +183,3 @@ def test_build_larger_than_probe_stays_identical():
                 rendered.add(repr(session.query(sql).rows))
         assert len(rendered) == 1, sql
 
-
-def test_dp_enumeration_is_used_and_agrees():
-    """DPsize actually runs (dp_plans counter) and matches greedy."""
-    obj_rows = [(objid, 15.0 + objid * 0.05) for objid in range(200)]
-    nbr_rows = [(index % 200, (index * 11) % 200, index * 0.001)
-                for index in range(300)]
-    cat_rows = [(objid, objid % 4) for objid in range(200)]
-    database = _build_database("column", obj_rows, nbr_rows, cat_rows)
-    greedy = SqlSession(database, planner=Planner(database))
-    dp_planner = Planner(database, enable_dp_joins=True)
-    dp = SqlSession(database, planner=dp_planner)
-    for sql in (THREE_SQL, AGG_SQL, THREE_AGG_SQL):
-        assert repr(dp.query(sql).rows) == repr(greedy.query(sql).rows)
-    assert dp_planner.dp_plans > 0
