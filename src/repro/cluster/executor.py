@@ -46,7 +46,7 @@ from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
                                 _hashable, _zone_predicates, _zone_skips,
                                 join_key, key_range_row_ids)
 from ..engine.segments import compile_zone_predicate, runtime_range_zone
-from ..engine.planner import EXACT_SUM_TYPES, Planner
+from ..engine.planner import Planner
 from ..engine.sql import SqlSession, parse_batch
 from ..engine.sql.ast import (AnalyzeStatement, DeclareStatement,
                               SelectStatement, SetStatement)
@@ -307,13 +307,12 @@ class ClusterExecutor:
                     fragment: _Fragment) -> None:
         layout = self._relation_layout(shard, plan.relation)
         if plan.is_aggregate:
-            mode = self._aggregate_mode(plan)
-            if mode == "partial" and self._scalar_vector_aggregate(
+            if plan.aggregate_mode == "partial" and self._scalar_vector_aggregate(
                     shard, plan, evaluation, fragment):
                 return
             stream = self._iter_single(shard, plan.relation, evaluation)
-            self._aggregate_fragment(plan, evaluation, fragment, mode,
-                                     stream, layout)
+            self._aggregate_fragment(plan, evaluation, fragment, stream,
+                                     layout)
             return
         stream = self._iter_single(shard, plan.relation, evaluation)
         self._row_fragment(plan, evaluation, fragment, stream, layout)
@@ -344,9 +343,9 @@ class ClusterExecutor:
         access = relation.access
         index = self._find_index(table, access.index_name)
         if index is None:
-            # The shard lost the index (dropped after planning): degrade
-            # to a scan — the caller's merge keys would be inconsistent,
-            # so surface loudly instead.
+            # The shard lost the index (dropped after planning).  A scan
+            # could not produce the index-rank merge keys the other
+            # shards emit, so fail loudly instead of degrading.
             raise RuntimeError(
                 f"shard {shard.shard_id} is missing index {access.index_name!r} "
                 f"on {relation.table_name}")
@@ -519,9 +518,8 @@ class ClusterExecutor:
                                self._relation_layout(shard, plan.inner))
         stream = self._iter_join(shard, plan, evaluation, layout)
         if plan.is_aggregate:
-            mode = self._aggregate_mode(plan)
-            self._aggregate_fragment(plan, evaluation, fragment, mode,
-                                     stream, layout)
+            self._aggregate_fragment(plan, evaluation, fragment, stream,
+                                     layout)
         else:
             self._row_fragment(plan, evaluation, fragment, stream, layout)
 
@@ -660,85 +658,8 @@ class ClusterExecutor:
 
     # -- aggregate fragments ----------------------------------------------
 
-    def _aggregate_mode(self, plan) -> str:
-        """``"partial"`` when shard-side partials merge exactly.
-
-        COUNT, MIN and MAX always do; SUM/AVG only over integer-typed
-        columns whose accumulated total provably stays below 2**53
-        (the running total is a float — see ``_AggState`` — so integer
-        addition is associative only while every partial and the grand
-        total are exactly representable; a bit-for-bit contract beats a
-        partial-pushdown win); DISTINCT aggregates need the merged
-        value stream.
-        """
-        for aggregate in plan.aggregates:
-            if aggregate.distinct:
-                return "ordered"
-            if aggregate.func not in ("sum", "avg"):
-                continue
-            argument = aggregate.argument
-            if argument is None:
-                continue
-            if not isinstance(argument, ColumnRef):
-                return "ordered"
-            column = self._argument_column(plan, argument)
-            if column is None or column.dtype not in EXACT_SUM_TYPES:
-                return "ordered"
-            if not self._sum_stays_exact(plan, argument):
-                return "ordered"
-        return "partial"
-
-    def _sum_stays_exact(self, plan, argument: ColumnRef) -> bool:
-        """True when |sum| over the column is provably < 2**53.
-
-        Uses the coordinator's ANALYZE min/max and the cluster-wide row
-        count: ``rows * max(|min|, |max|)`` bounds every partial and the
-        grand total, so float accumulation of the integer values stays
-        exact and therefore associative.  Without statistics the answer
-        is conservative (ordered mode).
-        """
-        relations = ([plan.relation] if isinstance(plan, SingleTablePlan)
-                     else [plan.drive, plan.inner])
-        qualifier = (argument.qualifier or "").lower()
-        for relation in relations:
-            if qualifier and qualifier != relation.binding:
-                continue
-            table = self.cluster.coordinator.table(relation.table_name)
-            if not table.has_column(argument.name):
-                continue
-            statistics = self.cluster.coordinator.table_statistics(
-                relation.table_name)
-            column_stats = (statistics.column(argument.name)
-                            if statistics is not None else None)
-            if (column_stats is None or column_stats.minimum is None
-                    or column_stats.maximum is None):
-                return False
-            bound = max(abs(column_stats.minimum), abs(column_stats.maximum),
-                        1)
-            rows = self.cluster.total_rows(relation.table_name)
-            if isinstance(plan, CoPartitionedJoinPlan):
-                # Join output can multiply occurrences of a value.
-                rows *= max(1, self.cluster.total_rows(
-                    (plan.inner if relation is plan.drive
-                     else plan.drive).table_name))
-            return rows * bound < 2 ** 53
-        return False
-
-    def _argument_column(self, plan, argument: ColumnRef):
-        relations = ([plan.relation] if isinstance(plan, SingleTablePlan)
-                     else [plan.drive, plan.inner])
-        qualifier = (argument.qualifier or "").lower()
-        for relation in relations:
-            if qualifier and qualifier != relation.binding:
-                continue
-            table = self.cluster.coordinator.table(relation.table_name)
-            column = table.column(argument.name)
-            if column is not None:
-                return column
-        return None
-
     def _aggregate_fragment(self, plan, evaluation,
-                            fragment: _Fragment, mode: str,
+                            fragment: _Fragment,
                             stream: Iterator[tuple[tuple, dict]],
                             layout: Layout) -> None:
         self._accounting.fragment = fragment
@@ -749,7 +670,7 @@ class ClusterExecutor:
                                                layout)
                             if aggregate.argument is not None else None
                             for aggregate in plan.aggregates]
-            if mode == "ordered":
+            if plan.aggregate_mode == "ordered":
                 for tag, binding in stream:
                     key = tuple([fn(binding) for fn in group_fns])
                     values = tuple([fn(binding) if fn is not None else 1
@@ -859,6 +780,9 @@ class ClusterExecutor:
     def _merge_aggregate(self, plan, fragments: Sequence[_Fragment],
                          evaluation) -> list[dict[str, Any]]:
         ordered_inputs = any(fragment.rows for fragment in fragments)
+        # group key -> [first merge key, the group's key as shown, states].
+        # Equal keys can differ in what they show (-0.0 and 0.0): the
+        # group shows its first row's, as on the single node.
         groups: dict[tuple, list] = {}
         if ordered_inputs:
             self._count(ordered_aggregate_gathers=1)
@@ -867,28 +791,28 @@ class ClusterExecutor:
             for tag, key, values in merged:
                 entry = groups.get(key)
                 if entry is None:
-                    entry = [tag, [_AggState(aggregate)
-                                   for aggregate in plan.aggregates]]
+                    entry = [tag, key, [_AggState(aggregate)
+                                        for aggregate in plan.aggregates]]
                     groups[key] = entry
-                for state, value in zip(entry[1], values):
+                for state, value in zip(entry[2], values):
                     state.update(value)
         else:
             for fragment in fragments:
                 for key, (tag, states) in fragment.groups.items():
                     entry = groups.get(key)
                     if entry is None:
-                        groups[key] = [tag, states]
+                        groups[key] = [tag, key, states]
                         continue
                     if tag < entry[0]:
-                        entry[0] = tag
-                    for mine, theirs in zip(entry[1], states):
+                        entry[0], entry[1] = tag, key
+                    for mine, theirs in zip(entry[2], states):
                         mine.merge_partial(theirs.partial_state())
                         self._count(partial_merges=1)
         if not groups and not plan.group_by:
             # Aggregates over an empty input still produce one row.
-            groups[()] = [(0,), [_AggState(aggregate)
-                                 for aggregate in plan.aggregates]]
-        ordered_groups = sorted(groups.items(), key=lambda item: item[1][0])
+            groups[()] = [(0,), (), [_AggState(aggregate)
+                                     for aggregate in plan.aggregates]]
+        ordered_groups = sorted(groups.values(), key=lambda entry: entry[0])
         self._count(groups_merged=len(ordered_groups))
 
         # Group rows are bound as the single-node GroupAggregate binds
@@ -899,7 +823,7 @@ class ClusterExecutor:
         result_keys = [aggregate.result_key() for aggregate in plan.aggregates]
         layout = ((OUTPUT_BINDING, row_keys(group_names + result_keys)),)
         groups_out: list[dict[str, dict[str, Any]]] = []
-        for key, (_tag, states) in ordered_groups:
+        for _tag, key, states in ordered_groups:
             row: dict[str, Any] = dict(zip(group_names, key))
             for result_key, state in zip(result_keys, states):
                 row[result_key] = state.result()
@@ -998,10 +922,9 @@ class ClusterExecutor:
                      f"(shards={self.cluster.shard_count}, "
                      f"fragments={len(survivors)}, pruned={pruned})")
         if plan.is_aggregate:
-            mode = self._aggregate_mode(plan)
             aggregates = ", ".join(a.sql() for a in plan.aggregates)
-            lines.append(f"  {'Partial' if mode == 'partial' else 'Ordered'} "
-                         f"Aggregate {aggregates}")
+            mode = "Partial" if plan.aggregate_mode == "partial" else "Ordered"
+            lines.append(f"  {mode} Aggregate {aggregates}")
         if plan.top is not None:
             lines.append(f"  Top {plan.top} (re-sorted at coordinator)"
                          if plan.order_by else f"  Top {plan.top}")

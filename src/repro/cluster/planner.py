@@ -19,12 +19,13 @@ The planner classifies every SELECT into one of three shapes:
 the single-node engine's row order is a function of the access path the
 cost-based optimizer picks (a table scan emits in load order, an index
 seek in key order) and of the join order/strategy (rows stream in the
-drive side's order, with matches in build order).  The distributed
-planner therefore *mirrors* the single-node optimizer's decisions: the
-same cost formulas (:class:`repro.engine.planner.Planner` constants and
-helper methods) evaluated against the same ANALYZE snapshots — the
-coordinator keeps them — with the cluster-wide row counts standing in
-for the (detached) coordinator tables' own.  The chosen access path
+drive side's order, with matches in build order).  So the engine's own
+:class:`~repro.engine.planner.Planner` makes those choices: a subclass
+over the coordinator's catalog (its schema, indexes and ANALYZE
+snapshots) that reads table sizes from the shards.  The cluster planner
+reads the access paths, the join's drive side and strategy, and the
+aggregate mode off that plan; a join shape the fragment executor does
+not run (the range-probe join) falls back.  The chosen access path
 also fixes the **merge key** each fragment row carries: ``(sequence,)``
 for scans, ``(index key rank…, sequence)`` for index paths, plus the
 inner sequence for joins.
@@ -34,43 +35,46 @@ execution time: the placement metadata (hash owner for key equalities,
 boundary intersection for range placements — including HTM cover ranges
 from the spatial layer) and the per-shard ANALYZE statistics (a shard
 whose observed min/max for a predicate column is disjoint from the
-predicate's constant range cannot contribute rows).
+predicate's constant range cannot contribute rows — applied only when
+no local conjunct can raise, since a pruned shard evaluates nothing).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..engine.catalog import Database
+from ..engine.errors import BindError, PlanError
 from ..engine.expressions import (AggregateCall, BinaryOp, ColumnRef,
                                   Expression, combine_conjuncts,
                                   extract_sargable)
-from ..engine.index import BTreeIndex
 from ..engine.logical import FunctionRef, LogicalQuery, SelectItem
-from ..engine.operators import key_range_text
-from ..engine.planner import (Planner, _RelationInfo, collect_aggregates,
-                              covering_scan_bounds, prefix_bounds,
-                              qualify_columns)
+from ..engine.operators import (CoveringIndexScan, GroupAggregate, HashJoin,
+                                IndexNestedLoopJoin, IndexRangeScan,
+                                NestedLoopJoin, PhysicalOperator, TableScan,
+                                key_range_text)
+from ..engine.planner import (Planner, _cannot_raise, _RelationInfo,
+                              collect_aggregates, qualify_columns)
+from ..engine.table import Table
 from .partition import colocated
 from .shard import ShardCluster, prune_with_statistics
 
 #: Sentinel matching the engine planner's "not a plan-time constant".
 _UNKNOWN = object()
 
+_JOINS = (HashJoin, IndexNestedLoopJoin, NestedLoopJoin)
+
 
 @dataclass
 class AccessChoice:
-    """The mirrored single-node access path for one fragment relation."""
+    """The engine planner's access path for one fragment relation."""
 
     kind: str                                  # "scan" | "seek" | "covering"
     predicate: Optional[Expression]            # the full local predicate
     index_name: Optional[str] = None
     low: Optional[list[Expression]] = None     # key-prefix bounds (plan-time expressions)
     high: Optional[list[Expression]] = None
-    estimated_rows: int = 1
-    cost: float = 0.0
 
     @property
     def ordered_by_index(self) -> bool:
@@ -94,9 +98,8 @@ class FragmentRelation:
     local_conjuncts: list[Expression]
     access: AccessChoice
     #: The lower-cased row keys a shard reads per row (None: whole rows,
-    #: for ``*``): ``Planner._read_columns`` over what the query
-    #: references, plus an index path's key columns, which rank each
-    #: row for the merge.
+    #: for ``*``): the engine access operator's ``columns`` plus an
+    #: index path's key columns, which rank each row for the merge.
     columns: Optional[tuple[str, ...]]
 
 
@@ -121,6 +124,9 @@ class _FragmentShape(ClusterPlan):
     top: Optional[int] = None
     distinct: bool = False
     into: Optional[str] = None
+    #: ``"partial"`` when shard partial aggregates merge bit-exactly,
+    #: else ``"ordered"`` (``Planner._parallel_aggregate_mode``).
+    aggregate_mode: str = "ordered"
 
     @property
     def is_aggregate(self) -> bool:
@@ -160,16 +166,32 @@ class FallbackPlan(ClusterPlan):
     kind = "fallback"
 
 
+class _ClusterSizedPlanner(Planner):
+    """The engine planner over the coordinator's catalog, sized by the
+    cluster: the coordinator keeps every table's schema, indexes and
+    ANALYZE snapshot, but the rows live on the shards."""
+
+    def __init__(self, cluster: ShardCluster):
+        super().__init__(cluster.coordinator)
+        self.cluster = cluster
+
+    def _row_count(self, table: Table) -> int:
+        return self.cluster.total_rows(table.name)
+
+    def _row_bytes(self, table: Table) -> float:
+        return self.cluster.average_row_bytes(table.name)
+
+    def _storage_kind(self, table: Table) -> str:
+        return self.cluster.storage_kind(table.name)
+
+
 class ClusterPlanner:
     """Builds :class:`ClusterPlan`\\ s for one cluster."""
 
     def __init__(self, cluster: ShardCluster):
         self.cluster = cluster
-        #: The single-node planner whose constants, selectivity helpers
-        #: and index-selection logic the mirrored cost decisions reuse —
-        #: instantiated over the coordinator so statistics lookups hit
-        #: the preserved ANALYZE snapshots.
-        self.mirror = Planner(cluster.coordinator)
+        #: Decides access paths, joins and aggregate modes.
+        self.engine = _ClusterSizedPlanner(cluster)
 
     @property
     def coordinator(self) -> Database:
@@ -206,7 +228,7 @@ class ClusterPlanner:
                 return FallbackPlan(query, tables=None,
                                     reason="table-valued function")
         try:
-            infos = [self.mirror._resolve_relation(ref) for ref in relations]
+            infos = [self.engine._resolve_relation(ref) for ref in relations]
         except Exception:
             return FallbackPlan(query, tables=None, reason="unresolvable relation")
         base_tables = [info.table.name for info in infos]
@@ -219,22 +241,25 @@ class ClusterPlanner:
         if len(by_name) != len(infos):
             return FallbackPlan(query, tables=base_tables,
                                 reason="duplicate alias")
-        pool = self.mirror._build_predicate_pool(query, infos)
-        self.mirror._assign_local_conjuncts(pool, infos)
-        if len(infos) == 1:
-            return self._plan_single(query, infos[0], pool.remaining)
-        if len(infos) == 2:
-            plan = self._plan_join(query, infos, by_name, pool.remaining)
-            if plan is not None:
-                return plan
+        if len(infos) > 2:
             return FallbackPlan(query, tables=base_tables,
-                                reason="join is not co-partitioned")
-        return FallbackPlan(query, tables=base_tables,
-                            reason=f"{len(infos)}-way join")
+                                reason=f"{len(infos)}-way join")
+        try:
+            pool = self.engine._build_predicate_pool(query, infos)
+            self.engine._assign_local_conjuncts(pool, infos)
+            if len(infos) == 1:
+                return self._plan_single(query, infos[0], pool.remaining)
+            return self._plan_join(query, infos, by_name, pool.remaining)
+        except (BindError, PlanError) as error:
+            # The coordinator's planner raises it again after the gather,
+            # exactly as the single node would.
+            return FallbackPlan(query, tables=base_tables,
+                                reason=f"planner error: {error}")
 
     # -- shared shape extraction ------------------------------------------
 
-    def _shape(self, query: LogicalQuery) -> dict[str, Any]:
+    def _shape(self, query: LogicalQuery, spine: Sequence[PhysicalOperator],
+               infos: Sequence[_RelationInfo]) -> dict[str, Any]:
         aggregates: list[AggregateCall] = []
         for item in query.select:
             aggregates.extend(collect_aggregates(item.expression))
@@ -243,8 +268,10 @@ class ClusterPlanner:
         deduplicated: dict[str, AggregateCall] = {}
         for aggregate in aggregates:
             deduplicated.setdefault(aggregate.result_key(), aggregate)
-        order_by = [(self.mirror._rewrite_order_key(order.expression, query),
+        order_by = [(self.engine._rewrite_order_key(order.expression, query),
                      order.descending) for order in query.order_by]
+        aggregate_op = next((operator for operator in spine
+                             if isinstance(operator, GroupAggregate)), None)
         return {
             "select": list(query.select),
             "aggregates": list(deduplicated.values()),
@@ -254,38 +281,57 @@ class ClusterPlanner:
             "top": query.top,
             "distinct": query.distinct,
             "into": query.into,
+            "aggregate_mode": (
+                self.engine._parallel_aggregate_mode(aggregate_op, infos)
+                if aggregate_op is not None else "ordered"),
         }
+
+    @staticmethod
+    def _relation(info: _RelationInfo, operator: PhysicalOperator,
+                  extra_conjuncts: Sequence[Expression] = ()
+                  ) -> FragmentRelation:
+        """``info`` as a fragment relation read off its engine access
+        operator, filtered by its local conjuncts plus ``extra_conjuncts``."""
+        table = info.table
+        conjuncts = list(info.local_conjuncts) + list(extra_conjuncts)
+        predicate = combine_conjuncts(
+            [qualify_columns(part, info.binding_name, table)
+             for part in conjuncts])
+        columns = operator.columns
+        if isinstance(operator, TableScan):
+            access = AccessChoice("scan", predicate)
+        else:
+            assert isinstance(operator, (IndexRangeScan, CoveringIndexScan))
+            kind = "seek" if isinstance(operator, IndexRangeScan) else "covering"
+            access = AccessChoice(kind, predicate, index_name=operator.index.name,
+                                  low=operator.low, high=operator.high)
+            if columns is not None:
+                # The merge ranks an index path's rows by their key
+                # (ClusterExecutor._iter_index reads it off the row).
+                columns = tuple(sorted(set(columns)
+                                       | set(operator.index.columns)))
+        return FragmentRelation(table.name, info.binding_name, conjuncts,
+                                access, columns)
 
     # -- the single-table path --------------------------------------------
 
     def _plan_single(self, query: LogicalQuery, info: _RelationInfo,
                      leftover: Sequence[Expression]) -> ClusterPlan:
+        spine = _spine(self.engine.plan(query).root)
         # Constant (relationless) conjuncts ride along as extra local
         # filters: same rows, same order as the single-node residual.
-        conjuncts = list(info.local_conjuncts) + list(leftover)
-        shaped = _RelationInfo(ref=info.ref, binding_name=info.binding_name,
-                               kind="table", table=info.table,
-                               local_conjuncts=conjuncts)
-        return SingleTablePlan(query, relation=self._relation(shaped, query),
-                               **self._shape(query))
+        relation = self._relation(info, spine[-1], leftover)
+        return SingleTablePlan(query, relation=relation,
+                               **self._shape(query, spine, [info]))
 
     # -- the co-partitioned join path --------------------------------------
 
     def _plan_join(self, query: LogicalQuery, infos: list[_RelationInfo],
                    by_name: dict[str, _RelationInfo],
-                   remaining: Sequence[Expression]
-                   ) -> Optional[CoPartitionedJoinPlan]:
+                   remaining: Sequence[Expression]) -> ClusterPlan:
+        base_tables = [info.table.name for info in infos]
         join_conjuncts = [conjunct for conjunct in remaining
-                          if self.mirror._conjunct_aliases(conjunct, by_name)]
-        constant = [conjunct for conjunct in remaining
-                    if not self.mirror._conjunct_aliases(conjunct, by_name)]
-        if constant:
-            # Rare and order-neutral, but the single-node residual sits
-            # above the join; keep the fallback path authoritative.
-            return None
-        if not join_conjuncts:
-            return None
-
+                          if self.engine._conjunct_aliases(conjunct, by_name)]
         equalities: list[tuple[Expression, dict[str, Expression]]] = []
         residual_parts: list[Expression] = []
         for conjunct in join_conjuncts:
@@ -294,21 +340,39 @@ class ClusterPlanner:
                 residual_parts.append(conjunct)
             else:
                 equalities.append((conjunct, sides))
-        if not equalities:
-            return None
-        if not self._is_colocated(equalities, by_name):
-            return None
+        # A constant conjunct is rare and order-neutral, but the
+        # single-node residual sits above the join; keep the fallback
+        # path authoritative.
+        if (len(join_conjuncts) != len(remaining) or not equalities
+                or not self._is_colocated(equalities, by_name)):
+            return FallbackPlan(query, tables=base_tables,
+                                reason="join is not co-partitioned")
 
-        choice = self._choose_join(query, infos, equalities)
-        if choice is None:
-            return None
-        drive, inner, strategy = choice
-        drive_keys = [sides[drive.binding] for _c, sides in equalities]
-        inner_keys = [sides[inner.binding] for _c, sides in equalities]
+        spine = _spine(self.engine.plan(query).root)
+        join = spine[-1]
+        if isinstance(join, HashJoin):
+            # The probe side streams; matches come in build order.
+            drive_op, inner_op, strategy = join.probe, join.build, "hash"
+        elif isinstance(join, NestedLoopJoin):
+            drive_op, inner_op, strategy = join.outer, join.inner, "nested"
+        elif isinstance(join, IndexNestedLoopJoin) and join.outer_high is None:
+            # The probed side has no access operator in the plan: the
+            # shards hash it in the order the engine would read it alone.
+            drive_op, strategy = join.outer, "index"
+            inner_op = self.engine._access_path_cbo(
+                by_name[join.inner_binding], query).operator
+        else:
+            return FallbackPlan(query, tables=base_tables,
+                                reason="range-probe join")
+        drive = by_name[drive_op.binding_name]
+        inner = next(info for info in infos if info is not drive)
         return CoPartitionedJoinPlan(
-            query, drive=drive, inner=inner, drive_keys=drive_keys,
-            inner_keys=inner_keys, residual=combine_conjuncts(residual_parts),
-            strategy=strategy, **self._shape(query))
+            query, drive=self._relation(drive, drive_op),
+            inner=self._relation(inner, inner_op),
+            drive_keys=[sides[drive.binding_name] for _c, sides in equalities],
+            inner_keys=[sides[inner.binding_name] for _c, sides in equalities],
+            residual=combine_conjuncts(residual_parts), strategy=strategy,
+            **self._shape(query, spine, infos))
 
     def _equality_sides(self, conjunct: Expression,
                         by_name: dict[str, _RelationInfo]
@@ -316,8 +380,8 @@ class ClusterPlanner:
         """``{binding: expression}`` when the conjunct is a two-sided equality."""
         if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
             return None
-        left = self.mirror._conjunct_aliases(conjunct.left, by_name)
-        right = self.mirror._conjunct_aliases(conjunct.right, by_name)
+        left = self.engine._conjunct_aliases(conjunct.left, by_name)
+        right = self.engine._conjunct_aliases(conjunct.right, by_name)
         if len(left) != 1 or len(right) != 1 or left == right:
             return None
         return {next(iter(left)): conjunct.left,
@@ -339,172 +403,16 @@ class ClusterPlanner:
                 return True
         return False
 
-    # -- mirrored cost decisions -------------------------------------------
-    #
-    # The formulas below must track Planner._access_path_cbo and the
-    # option block of Planner._plan_joins_cbo: the cluster substitutes
-    # its own total row counts (the coordinator's tables are detached)
-    # but everything else — selectivities, cost constants, tie-breaks —
-    # comes from the same code so the cluster picks the access path and
-    # join shape the single-node optimizer would, and with it the
-    # single-node row order.
 
-    def _estimate_relation(self, info: _RelationInfo, total: int) -> int:
-        statistics = self.coordinator.table_statistics(info.table.name)
-        selectivities = [self.mirror._conjunct_selectivity(statistics, conjunct)
-                         for conjunct in info.local_conjuncts]
-        estimate = float(max(1, total)) * self.mirror._combine_selectivities(
-            selectivities)
-        return max(1, int(estimate))
-
-    def _relation(self, info: _RelationInfo,
-                  query: LogicalQuery) -> FragmentRelation:
-        """``info`` as a fragment relation: its access path and the
-        columns a shard reads for it."""
-        mirror = self.mirror
-        table = info.table
-        key = table.name.lower()
-        total = max(1, self.cluster.total_rows(key))
-        row_bytes = max(1.0, self.cluster.average_row_bytes(key))
-        statistics = self.coordinator.table_statistics(key)
-        estimated_out = self._estimate_relation(info, total)
-        sargables = mirror._sargables(info)
-        needed = mirror._needed_columns(query, info)
-        predicate = combine_conjuncts(
-            [qualify_columns(part, info.binding_name, table)
-             for part in info.local_conjuncts])
-
-        # (cost, tie-break priority, access path, its index)
-        candidates: list[tuple[float, int, AccessChoice,
-                               Optional[BTreeIndex]]] = []
-        best_index, best_prefix = mirror._best_seek_index(table, sargables)
-        if best_index is not None and best_prefix:
-            full_unique = (best_index.unique
-                           and len(best_prefix) == len(best_index.columns)
-                           and all(s.is_equality for s in best_prefix))
-            if full_unique:
-                fetched = 1
-            else:
-                prefix_selectivity = mirror._combine_selectivities(
-                    [mirror._sargable_selectivity(statistics, s)
-                     for s in best_prefix])
-                fetched = max(1, int(total * prefix_selectivity))
-            rows = min(estimated_out, fetched)
-            low, high = prefix_bounds(best_prefix)
-            covering = needed is not None and best_index.covers(needed)
-            per_row = (mirror.INDEX_ENTRY_COST if covering
-                       else mirror.RANDOM_LOOKUP_COST)
-            cost = math.log2(total + 1) + fetched * per_row
-            candidates.append((cost, 0, AccessChoice(
-                "seek", predicate, index_name=best_index.name,
-                low=low, high=high,
-                estimated_rows=rows, cost=cost), best_index))
-
-        if needed is not None and self.cluster.storage_kind(key) != "column":
-            covering_indexes = [index for index in table.indexes.values()
-                                if index.covers(needed)]
-            if covering_indexes:
-                narrow = min(covering_indexes,
-                             key=lambda index: index.entry_byte_width())
-                ratio = min(1.0, max(0.05, narrow.entry_byte_width() / row_bytes))
-                cost = total * mirror.SEQ_ROW_COST * ratio
-                low, high = covering_scan_bounds(narrow, table, sargables,
-                                                 info.local_conjuncts)
-                candidates.append((cost, 1, AccessChoice(
-                    "covering", predicate, index_name=narrow.name,
-                    low=low, high=high,
-                    estimated_rows=estimated_out, cost=cost), narrow))
-        scan_cost = total * mirror.SEQ_ROW_COST
-        candidates.append((scan_cost, 2, AccessChoice(
-            "scan", predicate, estimated_rows=estimated_out, cost=scan_cost),
-            None))
-        _cost, _priority, access, index = min(
-            candidates, key=lambda item: (item[0], item[1]))
-        if index is not None and needed is not None:
-            # The merge ranks an index path's rows by their key
-            # (ClusterExecutor._iter_index reads it off the row).
-            needed = needed | set(index.columns)
-        return FragmentRelation(table.name, info.binding_name,
-                                list(info.local_conjuncts), access,
-                                mirror._read_columns(info, needed))
-
-    def _choose_join(self, query: LogicalQuery, infos: list[_RelationInfo],
-                     equalities: Sequence[tuple[Expression,
-                                                dict[str, Expression]]]
-                     ) -> Optional[tuple[FragmentRelation, FragmentRelation, str]]:
-        """The (drive side, inner side, strategy) the single-node CBO implies."""
-        mirror = self.mirror
-        relations = {info.binding_name: self._relation(info, query)
-                     for info in infos}
-        paths = {binding: relation.access
-                 for binding, relation in relations.items()}
-        start = min(infos, key=lambda info: (paths[info.binding_name].estimated_rows,
-                                             paths[info.binding_name].cost,
-                                             info.binding_name))
-        other = next(info for info in infos
-                     if info.binding_name != start.binding_name)
-        root_rows = paths[start.binding_name].estimated_rows
-        root_cost = paths[start.binding_name].cost
-        inner_path = paths[other.binding_name]
-        # Equalities in the engine planner's (conjunct, new, old) frame,
-        # "new" being the not-yet-planned relation (= `other`).
-        framed = []
-        for conjunct, sides in equalities:
-            if other.binding_name not in sides or start.binding_name not in sides:
-                return None
-            framed.append((conjunct, sides[other.binding_name],
-                           sides[start.binding_name]))
-
-        options: list[tuple[float, int, tuple[str, Any]]] = []
-        if mirror.enable_index_join:
-            candidate = mirror._index_join_candidate(other, framed)
-            if candidate is not None:
-                index, prefix_columns, _by_column = candidate
-                matches = self._index_probe_matches(other.table, index,
-                                                    prefix_columns)
-                cost = root_cost + root_rows * (
-                    math.log2(max(2, self.cluster.total_rows(other.table.name)))
-                    + matches * mirror.RANDOM_LOOKUP_COST)
-                options.append((cost, 0, ("index", None)))
-        if mirror.enable_hash_join:
-            build_new = inner_path.estimated_rows <= root_rows
-            build_rows = inner_path.estimated_rows if build_new else root_rows
-            probe_rows = root_rows if build_new else inner_path.estimated_rows
-            cost = (root_cost + inner_path.cost
-                    + build_rows * mirror.HASH_BUILD_COST
-                    + probe_rows * mirror.HASH_PROBE_COST)
-            options.append((cost, 1, ("hash", build_new)))
-        nested_cost = root_cost + max(1, root_rows) * max(1.0, inner_path.cost)
-        options.append((nested_cost, 2, ("nested", None)))
-
-        _cost, _priority, (strategy, extra) = min(
-            options, key=lambda item: (item[0], item[1]))
-        start_relation = relations[start.binding_name]
-        other_relation = relations[other.binding_name]
-        if strategy == "hash" and extra is False:
-            # HashJoin(build=root, probe=new): rows stream in the NEW
-            # relation's order, with matches in root order.
-            return other_relation, start_relation, "hash"
-        return start_relation, other_relation, strategy
-
-    def _index_probe_matches(self, table, index: BTreeIndex,
-                             prefix_columns: Sequence[str]) -> float:
-        """Planner._index_probe_matches with the cluster-wide row count."""
-        if index.unique and len(prefix_columns) == len(index.columns):
-            return 1.0
-        statistics = self.coordinator.table_statistics(table.name)
-        selectivities = []
-        for column in prefix_columns:
-            distinct = 0
-            if statistics is not None:
-                column_stats = statistics.column(column)
-                if column_stats is not None:
-                    distinct = column_stats.distinct_count
-            selectivities.append(1.0 / distinct if distinct > 0
-                                 else self.mirror.EQUALITY_SELECTIVITY)
-        matches = (max(1, self.cluster.total_rows(table.name))
-                   * self.mirror._combine_selectivities(selectivities))
-        return max(1.0, matches)
+def _spine(root: PhysicalOperator) -> list[PhysicalOperator]:
+    """A plan's single-child chain (insert/top/distinct/project/sort/
+    filter/aggregate) down to, and ending with, its join or access
+    operator."""
+    spine = [root]
+    while not isinstance(spine[-1], _JOINS) and spine[-1].children():
+        (child,) = spine[-1].children()
+        spine.append(child)
+    return spine
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +441,12 @@ def candidate_shards(cluster: ShardCluster, relation: FragmentRelation,
     candidates = set(range(cluster.shard_count))
     if placement is None:
         return candidates
+    # The ANALYZE half may drop a shard only when no local conjunct can
+    # raise: a dropped shard evaluates nothing, so a bound such as
+    # sqrt(-1) would go unraised (covering_scan_bounds' rule).
+    table = cluster.coordinator.table(relation.table_name)
+    by_statistics = all(_cannot_raise(conjunct, table)
+                        for conjunct in relation.local_conjuncts)
     for conjunct in relation.local_conjuncts:
         sargable = extract_sargable(conjunct)
         if sargable is None:
@@ -550,9 +464,10 @@ def candidate_shards(cluster: ShardCluster, relation: FragmentRelation,
                 candidates &= placement.prune_equal(folded_low)
             else:
                 candidates &= placement.prune_range(folded_low, folded_high)
-        candidates &= prune_with_statistics(cluster, relation.table_name,
-                                            sargable.column, folded_low,
-                                            folded_high)
+        if by_statistics:
+            candidates &= prune_with_statistics(cluster, relation.table_name,
+                                                sargable.column, folded_low,
+                                                folded_high)
         if not candidates:
             break
     return candidates

@@ -19,8 +19,8 @@ A :class:`ShardCluster` carries the shard nodes, the per-table
 database.  After :meth:`ShardCluster.from_database` partitions the data
 the coordinator's tables are emptied — data lives in the shards — but
 the coordinator keeps its schema, index definitions and ANALYZE
-snapshots: the distributed planner uses them to mirror the single-node
-optimizer's decisions, and queries outside the distributable subset
+snapshots: the distributed planner runs the single-node optimizer
+over them, and queries outside the distributable subset
 *gather* their tables back into the coordinator (data shipping), cached
 until DML on any shard invalidates the copy.
 """

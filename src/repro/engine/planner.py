@@ -29,7 +29,7 @@ access paths are chosen by comparing scan/covering-scan/index-seek cost
 formulas, and joins are enumerated greedily in cost order with the
 smaller estimated input as the hash-join build side.  The greedy loop
 (:meth:`Planner._plan_joins_cbo`) is the only cost-based join
-enumerator; the cluster planner mirrors its two-table choice.
+enumerator; the cluster planner reads its choices off the plan.
 ``Planner(enable_cbo=False)`` keeps the original heuristic behaviour.
 """
 
@@ -58,8 +58,8 @@ from .types import NULL, DataType
 
 #: Integer-valued column types whose float-accumulated SUM/AVG partials
 #: merge bit-exactly while the total stays below 2**53: the rule for
-#: per-morsel partials here and for shard partials in the cluster
-#: executor.
+#: per-morsel partials and for shard partials
+#: (:meth:`Planner._parallel_aggregate_mode`).
 EXACT_SUM_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.BOOLEAN)
 
 #: Sentinel for "this bound does not fold to a plan-time constant".
@@ -72,8 +72,8 @@ def index_key_prefix(index: BTreeIndex,
     """The sargables bounding a key prefix of ``index``: equalities on its
     leading columns, then at most one range.
 
-    The one place this rule lives — the index-seek choice, the bounded
-    covering scan and the cluster planner's mirror of both call it.
+    The one place this rule lives — the index-seek choice and the
+    bounded covering scan both call it.
     """
     prefix: list[SargablePredicate] = []
     for column in index.columns:
@@ -394,6 +394,21 @@ class Planner:
 
         return self._finish_plan(root, query, relations)
 
+    # -- table sizes ------------------------------------------------------------
+    #
+    # Every size fact a plan depends on is read through these three
+    # methods.  The cluster planner's subclass answers them with the
+    # whole cluster's numbers: its coordinator tables hold no rows.
+
+    def _row_count(self, table: Table) -> int:
+        return table.row_count
+
+    def _row_bytes(self, table: Table) -> float:
+        return table.average_row_bytes()
+
+    def _storage_kind(self, table: Table) -> str:
+        return table.storage.kind
+
     # -- relation resolution --------------------------------------------------
 
     def _resolve_relation(self, ref: RelationRef) -> _RelationInfo:
@@ -413,7 +428,7 @@ class Planner:
         table = self.database.table(resolved.table_name)
         info = _RelationInfo(ref=ref, binding_name=ref.binding_name, kind="table",
                              table=table, view_chain=resolved.view_chain,
-                             estimated_rows=table.row_count)
+                             estimated_rows=self._row_count(table))
         if resolved.predicate is not None:
             qualified = qualify_columns(resolved.predicate, info.binding_name, table)
             info.local_conjuncts.extend(conjuncts(qualified))
@@ -511,7 +526,7 @@ class Planner:
                 selectivities.append(self.RANGE_SELECTIVITY)
             else:
                 selectivities.append(self.RESIDUAL_SELECTIVITY)
-        estimate = (float(max(1, info.table.row_count))
+        estimate = (float(max(1, self._row_count(info.table)))
                     * self._combine_selectivities(selectivities))
         return max(1, int(estimate))
 
@@ -653,7 +668,7 @@ class Planner:
             return 1
         selectivities = [self.EQUALITY_SELECTIVITY if sargable.is_equality
                          else self.RANGE_SELECTIVITY for sargable in prefix]
-        estimate = (float(max(1, table.row_count))
+        estimate = (float(max(1, self._row_count(table)))
                     * self._combine_selectivities(selectivities))
         return max(1, int(estimate))
 
@@ -720,7 +735,7 @@ class Planner:
         statistics = self.database.table_statistics(info.table.name)
         selectivities = [self._conjunct_selectivity(statistics, conjunct)
                          for conjunct in info.local_conjuncts]
-        estimate = (float(max(1, info.table.row_count))
+        estimate = (float(max(1, self._row_count(info.table)))
                     * self._combine_selectivities(selectivities))
         return max(1, int(estimate))
 
@@ -737,7 +752,7 @@ class Planner:
         assert info.table is not None
         table = info.table
         statistics = self.database.table_statistics(table.name)
-        total = max(1, table.row_count)
+        total = max(1, self._row_count(table))
         estimated_out = self._estimate_relation_cbo(info)
         sargables = self._sargables(info)
         needed = self._needed_columns(query, info)
@@ -778,7 +793,7 @@ class Planner:
         # prefix of the index, the scan walks only that key range; it
         # keeps the full scan's cost and estimate, so no plan choice
         # moves (README: "Bounded covering scans").
-        if needed is not None and table.storage.kind != "column":
+        if needed is not None and self._storage_kind(table) != "column":
             covering_indexes = [index for index in table.indexes.values()
                                 if index.covers(needed)]
             if covering_indexes:
@@ -803,7 +818,7 @@ class Planner:
     def _entry_cost(self, table: Table, index: BTreeIndex) -> float:
         """Cost of reading one entry of a covering index sequentially:
         a row's, discounted by the entry-to-row width ratio."""
-        row_bytes = max(1.0, table.average_row_bytes())
+        row_bytes = max(1.0, self._row_bytes(table))
         return self.SEQ_ROW_COST * min(
             1.0, max(0.05, index.entry_byte_width() / row_bytes))
 
@@ -855,7 +870,8 @@ class Planner:
                     distinct = column_stats.distinct_count
             selectivities.append(1.0 / distinct if distinct > 0
                                  else self.EQUALITY_SELECTIVITY)
-        matches = max(1, table.row_count) * self._combine_selectivities(selectivities)
+        matches = (max(1, self._row_count(table))
+                   * self._combine_selectivities(selectivities))
         return max(1.0, matches)
 
     def _range_join_candidate(self, info: _RelationInfo,
@@ -921,7 +937,7 @@ class Planner:
         assert table is not None
         needed = self._needed_columns(query, info)
         covering = needed is not None and index.covers(needed)
-        total = max(1, table.row_count)
+        total = max(1, self._row_count(table))
         fetched = max(1.0, total * self._combine_selectivities(
             [self.RANGE_SELECTIVITY, self.RANGE_SELECTIVITY]))
         per_entry = (self._entry_cost(table, index) if covering
@@ -1042,7 +1058,7 @@ class Planner:
                             [self._conjunct_selectivity(statistics, conjunct)
                              for conjunct in info.local_conjuncts])
                         cost = root_cost + root_rows * (
-                            math.log2(max(2, info.table.row_count))
+                            math.log2(max(2, self._row_count(info.table)))
                             + matches * self.RANDOM_LOOKUP_COST)
                         rows = max(1, int(root_rows * matches * local_selectivity))
                         options.append((cost, 0, ("index", candidate), rows))
@@ -1352,8 +1368,9 @@ class Planner:
                 walk(child)
             if isinstance(operator, TableScan):
                 if (operator.vectorized
-                        and operator.table.storage.kind == "column"
-                        and operator.table.row_count >= self.parallel_row_threshold):
+                        and self._storage_kind(operator.table) == "column"
+                        and self._row_count(operator.table)
+                        >= self.parallel_row_threshold):
                     operator.workers = self.parallelism
             elif isinstance(operator, HashJoin) and operator.vectorized:
                 if scan_parallel(operator.build) or scan_parallel(operator.probe):
@@ -1375,14 +1392,15 @@ class Planner:
 
     def _parallel_aggregate_mode(self, aggregate: GroupAggregate,
                                  relations: Sequence[_RelationInfo]) -> str:
-        """``"partial"`` when per-morsel partials merge bit-exactly.
+        """``"partial"`` when per-morsel (or per-shard) partials merge
+        bit-exactly.
 
-        The single-node mirror of the cluster executor's
-        ``_aggregate_mode`` (keep the rules in sync): COUNT/MIN/MAX are
-        always safe; SUM/AVG only over an integer-typed column whose
-        ANALYZE-bounded total provably stays below 2**53 (the running
-        total is a float, so integer addition is associative only while
-        exactly representable); DISTINCT needs the merged value stream.
+        The cluster planner asks this rule for shard partials too.
+        COUNT/MIN/MAX are always safe; SUM/AVG only over an
+        integer-typed column whose ANALYZE-bounded total provably stays
+        below 2**53 (the running total is a float, so integer addition
+        is associative only while exactly representable); DISTINCT
+        needs the merged value stream.
         ``"ordered"`` folds morsels on the coordinator in scan order —
         bit-identical to serial by construction, just less parallel.
         """
@@ -1429,12 +1447,12 @@ class Planner:
             bound = max(abs(column_stats.minimum), abs(column_stats.maximum), 1)
         except TypeError:
             return False
-        rows = max(1, owner.table.row_count)
+        rows = max(1, self._row_count(owner.table))
         for info in relations:
             if info is owner:
                 continue
             # A join can multiply occurrences of each value.
-            other_rows = (info.table.row_count
+            other_rows = (self._row_count(info.table)
                           if info.kind == "table" and info.table is not None
                           else info.estimated_rows)
             rows *= max(1, other_rows)
@@ -1581,9 +1599,8 @@ class Planner:
             else:
                 inner.mark_batch_mode()
 
-    @staticmethod
-    def _column_backed(scan: TableScan) -> bool:
-        return scan.table.storage.kind == "column"
+    def _column_backed(self, scan: TableScan) -> bool:
+        return self._storage_kind(scan.table) == "column"
 
     def _rewrite_order_key(self, expression: Expression, query: LogicalQuery) -> Expression:
         """ORDER BY may reference select-list aliases; rewrite to the underlying expression."""

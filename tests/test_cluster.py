@@ -219,6 +219,84 @@ class TestPlanningAndPruning:
                                      cluster.coordinator.evaluation_context())
         assert len(survivors) < 4
 
+    def test_statistics_pruning_keeps_shards_a_bound_raises_on(self):
+        """Every shard's x is all NULL, so ANALYZE min/max would prune
+        them all — but the single node meets ``sqrt(-1)`` on each row and
+        raises, so the cluster must read the shards and raise too."""
+
+        def build() -> Database:
+            database = Database("null-x")
+            table = database.create_table(
+                "PhotoObj", [bigint("objID"), floating("x", nullable=True)],
+                primary_key=PrimaryKey(["objID"]))
+            table.insert_many({"objID": objid, "x": None}
+                              for objid in range(1, 17))
+            database.analyze()
+            return database
+
+        sql = "select objID from PhotoObj where x > sqrt(-1)"
+        with pytest.raises(ValueError, match="math domain error"):
+            SqlSession(build()).query(sql)
+        cluster = ShardCluster.from_database(build(), shards=4)
+        with pytest.raises(ValueError, match="math domain error"):
+            ClusterSession(cluster).query(sql)
+        # A bound that cannot raise still prunes by statistics.
+        assert ClusterSession(cluster).query(
+            "select objID from PhotoObj where x > 0").rows == []
+        assert cluster.executor.fragments_pruned == 4
+
+    def test_planner_errors_fall_back_to_the_coordinator(self):
+        from repro.engine.errors import BindError, PlanError
+        from repro.engine.sql import parse_batch
+
+        cluster = make_cluster(4)
+        session = ClusterSession(cluster)
+        query = parse_batch("select objID from Obj where mag < 20")[0].query
+        for error in (PlanError("no plan"), BindError("no binding")):
+            with mock.patch.object(session.cluster_planner.engine, "plan",
+                                   side_effect=error):
+                plan = session.cluster_planner.plan(query)
+            assert isinstance(plan, FallbackPlan) and plan.tables == ["Obj"]
+        # The gathered coordinator then raises the single node's error.
+        sql = "select o.objID from Obj o where x.mag < 20"
+        with pytest.raises(BindError) as single:
+            SqlSession(build_generic()).query(sql)
+        with pytest.raises(BindError) as clustered:
+            session.query(sql)
+        assert str(clustered.value) == str(single.value)
+
+    def test_range_probe_join_falls_back_and_matches_single_node(self):
+        """The engine range-probes ``p.v between r.lo and r.hi``: its
+        matches come in ``v`` order, which a shard-local hash join of the
+        co-partitioned pair cannot reproduce."""
+        from repro.engine.sql import parse_batch
+
+        def build() -> Database:
+            database = Database("range-probe")
+            ranges = database.create_table(
+                "Ranges", [bigint("id"), floating("lo"), floating("hi")])
+            points = database.create_table("Points", [bigint("id"), floating("v")])
+            ranges.insert_many({"id": i, "lo": i * 0.1, "hi": i * 0.1 + 0.5}
+                               for i in range(200))
+            # Each id's points load in descending v.
+            points.insert_many({"id": i % 200,
+                                "v": (i % 200) * 0.1 + 0.6 - (i // 200) * 0.15}
+                               for i in range(800))
+            points.create_index("ix_points_v", ["v"])
+            database.analyze()
+            return database
+
+        sql = ("select r.id, p.v from Ranges r join Points p on p.id = r.id "
+               "and p.v between r.lo and r.hi where r.id = 3")
+        single = SqlSession(build())
+        assert "range probe Points.ix_points_v" in single.explain(sql)
+        session = ClusterSession(ShardCluster.from_database(build(), shards=4))
+        plan = session.cluster_planner.plan(parse_batch(sql)[0].query)
+        assert isinstance(plan, FallbackPlan) and plan.reason == "range-probe join"
+        rows = session.query(sql).rows
+        assert [row["v"] for row in rows] == sorted(row["v"] for row in rows)
+        assert repr(rows) == repr(single.query(sql).rows)
+
     def test_explain_shows_shard_and_merge_operators(self):
         cluster = make_cluster(4)
         session = ClusterSession(cluster)
@@ -405,6 +483,26 @@ class TestAggregatePartials:
         csession.query("select avg(mag) as m from Obj")
         assert cluster.executor.ordered_aggregate_gathers == 1
 
+    def test_group_keeps_the_signed_zero_of_its_first_row(self):
+        """-0.0 and 0.0 share a group; like the single node, the group
+        shows the value of its first row, whichever shard holds it."""
+
+        def build() -> Database:
+            database = Database("signed-zero")
+            table = database.create_table(
+                "PhotoObj", [bigint("objID"), floating("g")],
+                primary_key=PrimaryKey(["objID"]))
+            table.insert_many({"objID": objid, "g": -0.0 if objid == 1 else 0.0}
+                              for objid in range(1, 17))
+            database.analyze()
+            return database
+
+        sql = "select g, count(*) as n from PhotoObj group by g"
+        expected = SqlSession(build()).query(sql).rows
+        assert repr(expected) == "[{'g': -0.0, 'n': 16}]"
+        cluster = ShardCluster.from_database(build(), shards=4)
+        assert repr(ClusterSession(cluster).query(sql).rows) == repr(expected)
+        assert cluster.executor.ordered_aggregate_gathers == 0
 
     def test_huge_integer_sums_use_ordered_mode(self):
         """SUM over 62-bit ids exceeds float's exact-integer range: the
@@ -515,6 +613,43 @@ def sharded_skyserver(survey_output):
                      cluster=report.cluster)
 
 
+@pytest.fixture(scope="module")
+def columnar_skyserver(survey_output):
+    from repro.loader import load_release_database
+
+    database, _report = load_release_database(survey_output, columnar=True)
+    return SkyServer(database, limits=QueryLimits.private())
+
+
+@pytest.fixture(scope="module")
+def columnar_sharded_skyserver(survey_output):
+    from repro.loader import load_release_database
+
+    database, report = load_release_database(survey_output, columnar=True,
+                                             shards=4)
+    return SkyServer(database, limits=QueryLimits.private(),
+                     cluster=report.cluster)
+
+
+#: The fig13 statements the cluster runs as shard fragments (the rest
+#: gather): single tables and the co-partitioned joins Q8, Q17, Q18.
+FRAGMENT_QUERIES = ["Q2", "Q3", "Q4", "Q5", "Q7", "Q8", "Q11", "Q14", "Q15A",
+                    "Q16", "Q17", "Q18", "Q19"]
+
+
+def fig13_selects(server):
+    """``(query id, the SELECT whose rows the statement returns)``."""
+    from repro.engine.sql import parse_batch
+    from repro.engine.sql.ast import SelectStatement
+    from repro.skyserver.queries import DATA_MINING_QUERIES
+
+    for query in DATA_MINING_QUERIES:
+        statements = [statement for statement
+                      in parse_batch(server._resolve_placeholders(query))
+                      if isinstance(statement, SelectStatement)]
+        yield query.query_id, statements[-1].query
+
+
 class TestShardedSkyServer:
     def test_fig13_suite_byte_identical(self, skyserver, sharded_skyserver):
         single = skyserver.run_all_data_mining_queries()
@@ -524,7 +659,31 @@ class TestShardedSkyServer:
             assert actual.query_id == expected.query_id
             assert actual.result.columns == expected.result.columns, (
                 expected.query_id)
-            assert actual.result.rows == expected.result.rows, expected.query_id
+            assert repr(actual.result.rows) == repr(expected.result.rows), (
+                expected.query_id)
+
+    def test_fig13_columnar_shards_byte_identical(self, skyserver,
+                                                  columnar_skyserver,
+                                                  columnar_sharded_skyserver):
+        """Fragments match the columnar single node; a statement that
+        gathers matches the row-store single node, because the gathered
+        coordinator copies are row stores."""
+        planner = columnar_sharded_skyserver.session.cluster_planner
+        fragments = {query_id for query_id, query
+                     in fig13_selects(columnar_sharded_skyserver)
+                     if not isinstance(planner.plan(query), FallbackPlan)}
+        assert sorted(fragments) == sorted(FRAGMENT_QUERIES)
+        rows = skyserver.run_all_data_mining_queries()
+        columns = columnar_skyserver.run_all_data_mining_queries()
+        sharded = columnar_sharded_skyserver.run_all_data_mining_queries()
+        assert len(sharded) == len(rows) == len(columns) >= 20
+        for row_run, column_run, actual in zip(rows, columns, sharded):
+            expected = column_run if actual.query_id in fragments else row_run
+            assert actual.query_id == expected.query_id
+            assert actual.result.columns == expected.result.columns, (
+                expected.query_id)
+            assert repr(actual.result.rows) == repr(expected.result.rows), (
+                expected.query_id)
 
     def test_additional_queries_identical(self, skyserver, sharded_skyserver):
         single = skyserver.run_all_data_mining_queries(
@@ -575,46 +734,75 @@ class TestShardedSkyServer:
             "select objID from PhotoObj where objID = 1")
         assert "Merge" in text and "Shard[" in text
 
-    def test_cluster_joins_mirror_the_single_node_plan(self, skyserver,
-                                                       sharded_skyserver):
-        """The mirror rule: a co-partitioned join drives, probes and joins
-        exactly as the single-node planner's join operator does."""
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_cluster_plans_carry_the_single_node_decisions(self, layout,
+                                                           request):
+        """Every fig13 fragment plan reads and joins its relations as the
+        single-node planner's plan does on the same layout: access kind,
+        index, key range and columns per relation; drive side, inner
+        side and strategy per join."""
         from repro.cluster.planner import ClusterPlanner, CoPartitionedJoinPlan
         from repro.engine import Planner
-        from repro.engine.operators import (HashJoin, IndexNestedLoopJoin,
-                                            NestedLoopJoin)
-        from repro.engine.sql import parse_batch
-        from repro.engine.sql.ast import SelectStatement
-        from repro.skyserver.queries import DATA_MINING_QUERIES
+        from repro.engine.operators import (CoveringIndexScan, HashJoin,
+                                            IndexNestedLoopJoin, IndexRangeScan,
+                                            NestedLoopJoin, TableScan)
 
-        def aliases(operator):
-            return {alias for alias, _keys in operator.layout()}
+        prefix = "" if layout == "row" else "columnar_"
+        single = request.getfixturevalue(prefix + "skyserver")
+        sharded = request.getfixturevalue(prefix + "sharded_skyserver")
+        kinds = {TableScan: "scan", IndexRangeScan: "seek",
+                 CoveringIndexScan: "covering"}
 
-        def single_node_join(operator):
-            """(drive aliases, inner aliases, strategy) of the plan's join."""
-            if isinstance(operator, HashJoin):
-                return aliases(operator.probe), aliases(operator.build), "hash"
-            if isinstance(operator, IndexNestedLoopJoin):
-                return aliases(operator.outer), {operator.inner_binding}, "index"
-            if isinstance(operator, NestedLoopJoin):
-                return aliases(operator.outer), aliases(operator.inner), "nested"
-            joins = [found for child in operator.children()
-                     if (found := single_node_join(child)) is not None]
-            return joins[0] if joins else None
+        def sql(bounds):
+            return None if bounds is None else [bound.sql() for bound in bounds]
 
-        cluster_planner = ClusterPlanner(sharded_skyserver.cluster)
-        planner = Planner(skyserver.database)
+        def engine_access(operator):
+            index = getattr(operator, "index", None)
+            columns = operator.columns
+            if index is not None and columns is not None:
+                # Shards also read the index key: it ranks rows for the merge.
+                columns = tuple(sorted(set(columns) | set(index.columns)))
+            return (operator.binding_name, kinds[type(operator)],
+                    index.name if index is not None else None,
+                    sql(getattr(operator, "low", None)),
+                    sql(getattr(operator, "high", None)), columns)
+
+        def cluster_access(relation):
+            access = relation.access
+            return (relation.binding, access.kind, access.index_name,
+                    sql(access.low), sql(access.high), relation.columns)
+
+        def engine_decisions(root):
+            node = root
+            while (not isinstance(node, (HashJoin, NestedLoopJoin,
+                                         IndexNestedLoopJoin))
+                   and node.children()):
+                (node,) = node.children()
+            if isinstance(node, HashJoin):
+                return (engine_access(node.probe), engine_access(node.build),
+                        "hash")
+            if isinstance(node, NestedLoopJoin):
+                return (engine_access(node.outer), engine_access(node.inner),
+                        "nested")
+            if isinstance(node, IndexNestedLoopJoin):
+                # The probed side has no access operator of its own.
+                return (engine_access(node.outer), node.inner_binding, "index")
+            return engine_access(node)
+
+        cluster_planner = ClusterPlanner(sharded.cluster)
+        planner = Planner(single.database)
         checked = []
-        for query in DATA_MINING_QUERIES:
-            sql = sharded_skyserver._resolve_placeholders(query)
-            for statement in parse_batch(sql):
-                if not isinstance(statement, SelectStatement):
-                    continue
-                plan = cluster_planner.plan(statement.query)
-                if not isinstance(plan, CoPartitionedJoinPlan):
-                    continue
-                expected = single_node_join(planner.plan(statement.query).root)
-                actual = ({plan.drive.binding}, {plan.inner.binding}, plan.strategy)
-                assert actual == expected, query.query_id
-                checked.append(query.query_id)
-        assert checked
+        for query_id, query in fig13_selects(sharded):
+            plan = cluster_planner.plan(query)
+            if isinstance(plan, FallbackPlan):
+                continue
+            expected = engine_decisions(planner.plan(query).root)
+            if isinstance(plan, CoPartitionedJoinPlan):
+                inner = (plan.inner.binding if plan.strategy == "index"
+                         else cluster_access(plan.inner))
+                actual = (cluster_access(plan.drive), inner, plan.strategy)
+            else:
+                actual = cluster_access(plan.relation)
+            assert actual == expected, query_id
+            checked.append(query_id)
+        assert checked == FRAGMENT_QUERIES

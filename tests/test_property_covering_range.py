@@ -23,9 +23,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from repro.cluster import ClusterSession, ShardCluster  # noqa: E402
-from repro.cluster import planner as cluster_planner  # noqa: E402
 from repro.engine import (Database, Planner, PrimaryKey,  # noqa: E402
                           SqlSession, bigint, floating, integer, text)
+from repro.engine import planner as engine_planner  # noqa: E402
 from repro.engine.operators import CoveringIndexScan  # noqa: E402
 from repro.engine.sql import parse_select  # noqa: E402
 from repro.engine.types import NULL  # noqa: E402
@@ -320,15 +320,13 @@ def test_sharded_bounded_covering_scan_matches_unbounded_and_single_node(
     """Bounded shard scans ≡ the same cluster with every covering scan
     unbounded; and any rows the single node returns, the cluster returns.
 
-    Two differences from the single node hold bounded or not: a shard
-    whose ANALYZE range misses a predicate's is pruned unread, so a bound
-    that raises, as ``sqrt(-1)``, can raise on the single node only; and
-    a NaN key leaves an index in insertion order, which differs per shard.
+    One difference from the single node holds bounded or not: a NaN key
+    leaves an index in insertion order, which differs per shard.
     """
     cluster = ShardCluster.from_database(build_database(*data), shards=shards,
                                          partition="hash")
     bounded = sharded_outcome(lambda: ClusterSession(cluster).query(sql))
-    with mock.patch.object(cluster_planner, "covering_scan_bounds", _unbounded):
+    with mock.patch.object(engine_planner, "covering_scan_bounds", _unbounded):
         assert sharded_outcome(lambda: ClusterSession(cluster).query(sql)) == bounded, (
             f"{shards} shards: {sql}")
     single = sharded_outcome(lambda: SqlSession(build_database(*data)).query(sql))
