@@ -39,7 +39,7 @@ from ..engine.compile import (Layout, VectorCompileError, compile_expression,
                               row_keys, table_layout)
 from ..engine.errors import QueryLimitExceeded, SQLSyntaxError
 from ..engine.expressions import (ColumnRef, Expression, RowScope, Star)
-from ..engine.index import _KeyWrapper
+from ..engine.index import key_rank
 from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
                                 PhysicalPlan, QueryResult, _AggState, _SortKey,
                                 _apply_scan_predicate, _create_table_for_rows,
@@ -368,7 +368,7 @@ class ClusterExecutor:
                 binding = {alias: row}
                 if predicate is not None and predicate(binding) is not True:
                     continue
-                rank = _KeyWrapper(index.key_for_row(row))._ranked
+                rank = key_rank(index.key_for_row(row))
                 yield (rank, sequences[row_id]), binding
         finally:
             # Runs on close() too (a consumer's TOP break), so abandoned

@@ -9,14 +9,26 @@ sorted-array index with the same observable behaviour: composite keys,
 optional uniqueness, prefix range scans, covered-column accounting and
 per-entry byte widths used by the size accounting of Table 1 ("indices
 approximately double the space").
+
+The leaf level is one sorted list of ``(rank, row_id, key)`` tuples.
+:func:`key_rank` maps a key to a flat tuple of ``(type rank, value)``
+segments whose plain tuple order is the index order, so every bisect,
+sort and merge compares in C, never through a Python method.
+Writes cost what they change, not what the index holds: a single insert
+bisects into place; a bulk is validated as a whole and then merged (a
+small batch bisected in, a large one merged by one sort of the two
+sorted runs); a remove bisects to its exact ``(rank, row_id)``
+position, so a long run of equal keys — thousands of PhotoObj rows with
+no spectrum share ``specObjID = 0`` — is never walked.
 """
 
 from __future__ import annotations
 
-import bisect
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import (Any, Iterable, Iterator, Mapping, Optional, Sequence,
+                    TYPE_CHECKING)
 
 from .errors import PrimaryKeyViolation, SchemaError
 from .types import NULL, DataType
@@ -40,6 +52,15 @@ class _MaxSentinel:
 _MIN = _MinSentinel()
 _MAX = _MaxSentinel()
 
+#: Above every row id: ``(rank, _ROW_ID_LIMIT)`` sorts after each entry of ``rank``.
+_ROW_ID_LIMIT = 2 ** 63
+
+#: About how many list slots a memmove shifts in the time of one entry
+#: comparison.  :meth:`BTreeIndex.merge` prices a bisected insert into n
+#: entries at log2(n) comparisons plus n / this for the tail move, and
+#: one merge of the two sorted runs at n comparisons.
+_MOVES_PER_COMPARISON = 512
+
 
 def _pack_key_column(values: list) -> Any:
     """Pack one key column for a checkpoint: an ``array`` when every
@@ -61,47 +82,57 @@ def _has_nan(values: Iterable[Any]) -> bool:
     return False
 
 
-class _KeyWrapper:
-    """Total ordering over heterogeneous, possibly-NULL key tuples.
+_NULL_RANK = (0,)
+_MIN_RANK = (-1,)
+_MAX_RANK = (9,)
 
-    NULLs sort first (as in SQL Server index ordering); values of
-    different types are ordered by a type rank to keep the order total;
-    the two sentinels bracket every real value for open-ended ranges.
+
+def _rank_part(part: Any) -> tuple:
+    """One key part's rank segment: its type rank, then what orders it
+    within that type.
+
+    NULLs sort first (as in SQL Server index ordering); numbers (bools
+    as 0/1) compare by value, so ``1`` and ``1.0`` rank equal; strings
+    compare case-insensitively; anything else by its ``str``; the two
+    sentinels bracket every real value for open-ended ranges.  The
+    exact-type tests up front are shortcuts for the common cases and
+    give the same segment as the ``isinstance`` chain below them.
     """
+    kind = type(part)
+    if kind is int or kind is float:
+        return (1, part)
+    if part is NULL:
+        return _NULL_RANK
+    if kind is str:
+        return (2, part.lower())
+    if isinstance(part, _MinSentinel):
+        return _MIN_RANK
+    if isinstance(part, _MaxSentinel):
+        return _MAX_RANK
+    if isinstance(part, bool):
+        return (1, int(part))
+    if isinstance(part, (int, float)):
+        return (1, part)
+    if isinstance(part, str):
+        return (2, part.lower())
+    return (3, str(part))
 
-    __slots__ = ("_ranked", "key")
 
-    def __init__(self, key: tuple):
-        self.key = key
-        ranked = []
-        for part in key:
-            if isinstance(part, _MinSentinel):
-                ranked.append((-1, 0, ""))
-            elif isinstance(part, _MaxSentinel):
-                ranked.append((9, 0, ""))
-            elif part is NULL:
-                ranked.append((0, 0, ""))
-            elif isinstance(part, bool):
-                ranked.append((1, int(part), ""))
-            elif isinstance(part, (int, float)):
-                ranked.append((1, part, ""))
-            elif isinstance(part, str):
-                ranked.append((2, 0, part.lower()))
-            else:
-                ranked.append((3, 0, str(part)))
-        self._ranked = tuple(ranked)
+def key_rank(key: Sequence[Any]) -> tuple:
+    """The rank tuple that orders ``key`` in an index: its parts'
+    segments, concatenated.
 
-    def __lt__(self, other: "_KeyWrapper") -> bool:
-        return self._ranked < other._ranked
-
-    def __le__(self, other: "_KeyWrapper") -> bool:
-        return self._ranked <= other._ranked
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _KeyWrapper) and self._ranked == other._ranked
-
-    def __hash__(self) -> int:
-        return hash(self._ranked)
+    A total order over heterogeneous, possibly-NULL key tuples that
+    plain tuple comparison (in C) evaluates.  Two segments of the same
+    type rank have the same length, so comparing the flat tuples is
+    comparing the keys part by part.
+    """
+    if len(key) == 1:
+        return _rank_part(key[0])
+    rank: tuple = ()
+    for part in key:
+        rank += _rank_part(part)
+    return rank
 
 
 @dataclass
@@ -123,12 +154,18 @@ class IndexStatistics:
 class BTreeIndex:
     """A composite-key ordered index over a table.
 
-    The implementation keeps a sorted array of ``(key, row_id)`` pairs
-    (equivalent to the leaf level of a B-tree) and uses binary search
-    for seeks.  Insertion into the sorted array is O(n) in the worst
-    case, but the loader performs bulk inserts with ``defer_sort=True``
-    followed by a single :meth:`rebuild`, the way warehouse loads build
-    indices in practice.
+    The leaf level is one sorted list of ``(rank, row_id, key)`` tuples:
+    ``rank`` is :func:`key_rank` of the key, and the row id breaks ties,
+    so every entry is distinct and every bisect, sort and merge runs on
+    plain tuple comparison in C (``key`` itself is never compared; it is
+    kept for checkpoints and error messages).  Seeks and range scans
+    bisect on the rank.  A single insert bisects into place; a batch
+    (:meth:`batch_entries` then :meth:`merge`) is validated as a whole,
+    then either bisected in entry by entry (a small batch) or appended
+    and merged by one sort of the two sorted runs (a large one).  A
+    remove bisects straight to its ``(rank, row_id)`` position, however
+    long the run of equal keys around it.  Bulk loads may still append
+    with ``defer_sort=True`` and :meth:`rebuild` once.
     """
 
     def __init__(self, name: str, table: "Table", columns: Sequence[str], *,
@@ -141,7 +178,7 @@ class BTreeIndex:
         self.included_columns = [column.lower() for column in included_columns]
         self.unique = unique
         self.statistics = IndexStatistics()
-        self._entries: list[tuple[_KeyWrapper, int]] = []
+        self._entries: list[tuple[tuple, int, tuple]] = []
         self._sorted = True
         # Entries with a NaN key part.  NaN compares false with
         # everything, so one such entry can leave the array out of key
@@ -150,47 +187,93 @@ class BTreeIndex:
 
     # -- construction and maintenance ------------------------------------
 
-    def key_for_row(self, row: dict[str, Any]) -> tuple:
-        return tuple(row.get(column, NULL) for column in self.columns)
+    def key_for_row(self, row: Mapping[str, Any]) -> tuple:
+        return tuple([row.get(column, NULL) for column in self.columns])
 
-    def insert(self, row_id: int, row: dict[str, Any], *, defer_sort: bool = False) -> None:
-        """Add an entry for ``row``; ``defer_sort`` supports bulk loads."""
-        wrapper = _KeyWrapper(self.key_for_row(row))
-        if defer_sort or not self._sorted:
-            self._entries.append((wrapper, row_id))
-            self._sorted = False
-        else:
-            if self.unique:
-                position = bisect.bisect_left(self._entries, (wrapper, -1))
-                if position < len(self._entries) and self._entries[position][0] == wrapper:
-                    raise PrimaryKeyViolation(
-                        f"duplicate key {wrapper.key!r} in unique index {self.name!r}",
-                        table=self.table.name, constraint=self.name)
-            bisect.insort(self._entries, (wrapper, row_id))
-        if _has_nan(wrapper.key):
+    def _duplicate(self, key: tuple) -> PrimaryKeyViolation:
+        return PrimaryKeyViolation(
+            f"duplicate key {key!r} in unique index {self.name!r}",
+            table=self.table.name, constraint=self.name)
+
+    def insert(self, row_id: int, row: Mapping[str, Any], *,
+               defer_sort: bool = False) -> None:
+        """Add an entry for ``row``.  ``defer_sort`` (bulk loads) appends
+        it unsorted and unchecked until :meth:`rebuild`."""
+        if self._sorted and not defer_sort:
+            self.merge(self.batch_entries([row], row_id))
+            return
+        key = self.key_for_row(row)
+        self._entries.append((key_rank(key), row_id, key))
+        self._sorted = False
+        if _has_nan(key):
             self._nan_entries += 1
 
-    def remove(self, row_id: int, row: dict[str, Any]) -> None:
-        wrapper = _KeyWrapper(self.key_for_row(row))
+    def batch_entries(self, rows: Sequence[Mapping[str, Any]],
+                      first_row_id: int) -> list[tuple[tuple, int, tuple]]:
+        """The sorted entries of ``rows`` (row ids ``first_row_id`` on),
+        for :meth:`merge`.  A unique index raises when a key repeats
+        within the batch or is already indexed; nothing changes either
+        way."""
+        batch = []
+        for row_id, row in enumerate(rows, first_row_id):
+            key = self.key_for_row(row)
+            batch.append((key_rank(key), row_id, key))
+        batch.sort()
+        if self.unique:
+            self._ensure_sorted()
+            entries = self._entries
+            previous = None
+            for rank, _row_id, key in batch:
+                position = bisect_left(entries, (rank,))
+                if rank == previous or (position < len(entries)
+                                        and entries[position][0] == rank):
+                    raise self._duplicate(key)
+                previous = rank
+        return batch
+
+    def merge(self, batch: list[tuple[tuple, int, tuple]]) -> None:
+        """Add the (sorted) entries :meth:`batch_entries` returned.
+
+        A batch small next to the index is bisected in, each search
+        starting where the last entry went; otherwise it is appended
+        and the list sorted once, which Timsort does as one merge of
+        its two sorted runs.  Either way the cost stays within about
+        one linear pass.
+        """
         self._ensure_sorted()
+        entries = self._entries
+        size = len(entries)
+        if len(batch) * (size.bit_length() + size // _MOVES_PER_COMPARISON) < size:
+            position = 0
+            for entry in batch:
+                position = bisect_left(entries, entry, position)
+                entries.insert(position, entry)
+                position += 1
+        else:
+            entries.extend(batch)
+            entries.sort()
+        for _rank, _row_id, key in batch:
+            if _has_nan(key):
+                self._nan_entries += 1
+
+    def remove(self, row_id: int, row: Mapping[str, Any]) -> None:
+        self._ensure_sorted()
+        entries = self._entries
         if self._nan_entries:
             # Out of key order: find the row's entry by id instead.
-            for position, (entry_key, entry_row_id) in enumerate(self._entries):
+            for position, (_rank, entry_row_id, key) in enumerate(entries):
                 if entry_row_id == row_id:
-                    del self._entries[position]
-                    if _has_nan(entry_key.key):
+                    del entries[position]
+                    if _has_nan(key):
                         self._nan_entries -= 1
                         if not self._nan_entries:
                             # The NaN may have misplaced other entries.
-                            self._entries.sort()
+                            entries.sort()
                     return
             return
-        position = bisect.bisect_left(self._entries, (wrapper, -1))
-        while position < len(self._entries) and self._entries[position][0] == wrapper:
-            if self._entries[position][1] == row_id:
-                del self._entries[position]
-                return
-            position += 1
+        position = bisect_left(entries, (key_rank(self.key_for_row(row)), row_id))
+        if position < len(entries) and entries[position][1] == row_id:
+            del entries[position]
 
     def entries_state(self) -> dict:
         """The sorted leaf level in columnar form, for checkpointing.
@@ -200,16 +283,15 @@ class BTreeIndex:
         ``frombytes``), anything else falls back to a value list.
         """
         self._ensure_sorted()
+        entries = self._entries
         columns = []
         for position in range(len(self.columns)):
-            values = [wrapper.key[position]
-                      for wrapper, _row_id in self._entries]
-            columns.append(_pack_key_column(values))
+            columns.append(_pack_key_column(
+                [entry[2][position] for entry in entries]))
         return {
-            "count": len(self._entries),
+            "count": len(entries),
             "columns": columns,
-            "row_ids": array("q", (row_id for _wrapper, row_id
-                                   in self._entries)),
+            "row_ids": array("q", [entry[1] for entry in entries]),
         }
 
     def restore_entries(self, state: dict) -> None:
@@ -217,31 +299,32 @@ class BTreeIndex:
 
         The entries were sorted (and uniqueness-checked) when the
         checkpoint was taken, so restoring skips both the sort and the
-        per-row key extraction a rebuild would pay.
+        per-row key extraction a rebuild would pay; a packed numeric
+        single-column key ranks without a per-value type test.
         """
         columns = state["columns"]
-        row_ids = state["row_ids"]
-        self._entries = [
-            (_KeyWrapper(tuple(column[position] for column in columns)),
-             row_ids[position])
-            for position in range(state["count"])]
+        keys = list(zip(*columns))
+        if len(columns) == 1 and isinstance(columns[0], array):
+            ranks = [(1, value) for value in columns[0]]
+        else:
+            ranks = [key_rank(key) for key in keys]
+        self._entries = list(zip(ranks, state["row_ids"], keys))
         self._sorted = True
         self._nan_entries = (
-            sum(1 for wrapper, _row_id in self._entries if _has_nan(wrapper.key))
+            sum(1 for entry in self._entries if _has_nan(entry[2]))
             if any(_has_nan(column) for column in columns) else 0)
 
     def rebuild(self) -> None:
         """Re-sort after deferred bulk inserts and re-check uniqueness."""
-        self._entries.sort(key=lambda entry: (entry[0], entry[1]))
+        entries = self._entries
+        entries.sort()
         self._sorted = True
         if self.unique:
-            previous: Optional[_KeyWrapper] = None
-            for wrapper, _row_id in self._entries:
-                if previous is not None and wrapper == previous:
-                    raise PrimaryKeyViolation(
-                        f"duplicate key {wrapper.key!r} in unique index {self.name!r}",
-                        table=self.table.name, constraint=self.name)
-                previous = wrapper
+            previous = None
+            for rank, _row_id, key in entries:
+                if rank == previous:
+                    raise self._duplicate(key)
+                previous = rank
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -260,42 +343,40 @@ class BTreeIndex:
     def contains_key(self, key: Sequence[Any]) -> bool:
         return next(self.seek(tuple(key)), None) is not None
 
+    def _bound_rank(self, prefix: tuple, pad: Any) -> tuple:
+        return key_rank(prefix + (pad,) * (len(self.columns) - len(prefix)))
+
     def seek(self, key: Sequence[Any]) -> Iterator[int]:
         """Row ids whose leading index columns equal ``key`` (a prefix seek)."""
         self._ensure_sorted()
-        self.statistics.seeks += 1
+        statistics = self.statistics
+        statistics.seeks += 1
         prefix = tuple(key)
-        padding = len(self.columns) - len(prefix)
-        low = _KeyWrapper(prefix + (_MIN,) * padding)
-        high = _KeyWrapper(prefix + (_MAX,) * padding)
-        start = bisect.bisect_left(self._entries, (low, -1))
-        for position in range(start, len(self._entries)):
-            wrapper, row_id = self._entries[position]
-            if high < wrapper:
+        if len(prefix) < len(self.columns):
+            low, high = self._bound_rank(prefix, _MIN), self._bound_rank(prefix, _MAX)
+        else:
+            low = high = key_rank(prefix)
+        entries = self._entries
+        for position in range(bisect_left(entries, (low,)), len(entries)):
+            entry = entries[position]
+            if high < entry[0]:
                 break
-            self.statistics.entries_read += 1
-            yield row_id
+            statistics.entries_read += 1
+            yield entry[1]
 
     def range(self, low: Optional[Sequence[Any]] = None,
               high: Optional[Sequence[Any]] = None) -> Iterator[int]:
         """Row ids whose key lies in [low, high] on the leading columns (inclusive)."""
         self._ensure_sorted()
         self.statistics.range_scans += 1
-        if low is None:
-            start = 0
-        else:
-            padding = len(self.columns) - len(tuple(low))
-            low_key = _KeyWrapper(tuple(low) + (_MIN,) * padding)
-            start = bisect.bisect_left(self._entries, (low_key, -1))
-        if high is None:
-            end = len(self._entries)
-        else:
-            padding = len(self.columns) - len(tuple(high))
-            high_key = _KeyWrapper(tuple(high) + (_MAX,) * padding)
-            end = bisect.bisect_right(self._entries, (high_key, 2 ** 63))
+        entries = self._entries
+        start = (0 if low is None else
+                 bisect_left(entries, (self._bound_rank(tuple(low), _MIN),)))
+        end = (len(entries) if high is None else
+               bisect_right(entries, (self._bound_rank(tuple(high), _MAX), _ROW_ID_LIMIT)))
         for position in range(start, end):
             self.statistics.entries_read += 1
-            yield self._entries[position][1]
+            yield entries[position][1]
 
     def range_or_scan(self, low: Optional[Sequence[Any]],
                       high: Optional[Sequence[Any]]) -> Iterator[int]:
@@ -323,9 +404,9 @@ class BTreeIndex:
         """All row ids in key order (an ordered index scan)."""
         self._ensure_sorted()
         self.statistics.full_scans += 1
-        for _wrapper, row_id in self._entries:
+        for entry in self._entries:
             self.statistics.entries_read += 1
-            yield row_id
+            yield entry[1]
 
     # -- planner metadata --------------------------------------------------
 

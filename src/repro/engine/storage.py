@@ -113,6 +113,12 @@ class TableStorage:
         for _row_id, row in self.iter_rows(columns):
             yield row
 
+    def iter_row_views(self) -> Iterator[tuple[int, Mapping[str, Any]]]:
+        """(row_id, read-only row mapping) for every live row, in id
+        order — for a caller that reads a few columns of each row but
+        does not know which in advance (a ``delete_where`` predicate)."""
+        return self.iter_rows()
+
     def slots(self) -> list[Optional[dict[str, Any]]]:
         """The full slot array (``None`` for tombstones) — compat/debug view."""
         raise NotImplementedError
@@ -349,6 +355,55 @@ class _ScanUnit:
         return self.segment.zone(name)
 
 
+class _UnitColumns(dict):
+    """One scan unit's columns, each decoded (NULL mask applied) on
+    first access and kept for the rest of the unit."""
+
+    __slots__ = ("store", "parts", "segment", "count")
+
+    def __init__(self, store: "ColumnStore", parts: _Parts, segment, count: int):
+        super().__init__()
+        self.store = store
+        self.parts = parts
+        self.segment = segment          # SealedSegment, or None for the tail
+        self.count = count
+
+    def __missing__(self, name: str) -> Sequence:
+        if name not in self.store._column_defs:
+            raise KeyError(name)
+        if self.segment is not None:
+            values, mask = (self.segment.decode_column(name),
+                            self.segment.masks.get(name))
+        else:
+            data = self.parts.tail[name]
+            values, mask = data.values, data.mask if data.null_count else None
+        decoded = self[name] = column_values(values, mask, None, self.count)
+        return decoded
+
+
+class _RowView(Mapping):
+    """A read-only row of a :class:`ColumnStore` scan unit: reading a
+    column decodes it for the whole unit, once."""
+
+    __slots__ = ("_columns", "_position")
+
+    def __init__(self, columns: _UnitColumns, position: int):
+        self._columns = columns
+        self._position = position
+
+    def __getitem__(self, name: str) -> Any:
+        return self._columns[name][self._position]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._columns.store._column_defs
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._columns.store._names)
+
+    def __len__(self) -> int:
+        return len(self._columns.store._names)
+
+
 class _LazySegmentColumns(dict):
     """Column mapping that decodes a sealed column on first access and
     caches the result for the rest of the scan of that unit."""
@@ -555,6 +610,26 @@ class ColumnStore(TableStorage):
         for _row_ids, values in self._row_runs(names):
             yield from row_dicts(names, values)
 
+    def iter_row_views(self) -> Iterator[tuple[int, Mapping[str, Any]]]:
+        """(row_id, :class:`_RowView`) per live row: a view decodes only
+        the columns its reader asks for, once per scan unit."""
+        parts = self._parts
+        snapshot = bytes(parts.live)
+        for start, stop, segment in self._unit_bounds(parts, len(snapshot)):
+            columns = _UnitColumns(self, parts, segment, stop - start)
+            for row_id in range(start, stop):
+                if snapshot[row_id]:
+                    yield row_id, _RowView(columns, row_id - start)
+
+    @staticmethod
+    def _unit_bounds(parts: _Parts, stop: int) -> list[tuple[int, int, Any]]:
+        """(first row id, end, sealed segment or None) per scan unit of
+        ``parts``, the tail ending at ``stop``."""
+        units = [(segment.base, segment.base + segment.rows, segment)
+                 for segment in parts.segments]
+        units.append((parts.base, stop, None))
+        return units
+
     def _row_runs(self, names: Sequence[str]
                   ) -> Iterator[tuple[Sequence[int], Iterator[tuple]]]:
         """(live row ids, their value tuples in ``names`` order) per scan
@@ -568,10 +643,7 @@ class ColumnStore(TableStorage):
         """
         parts = self._parts
         snapshot = bytes(parts.live)
-        units = [(segment.base, segment.base + segment.rows, segment)
-                 for segment in parts.segments]
-        units.append((parts.base, len(snapshot), None))
-        for start, stop, segment in units:
+        for start, stop, segment in self._unit_bounds(parts, len(snapshot)):
             live = snapshot.count(1, start, stop)
             if not live:
                 continue

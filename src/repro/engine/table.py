@@ -12,15 +12,46 @@ by a failed load step (paper §9.4).
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TYPE_CHECKING
+from itertools import compress, repeat
+from operator import is_not
+from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+                    TYPE_CHECKING)
 
 from .concurrency import ReadWriteLock, lock_tables
 from .constraints import (CheckConstraint, ForeignKey, PrimaryKey,
                           check_not_null)
-from .errors import SchemaError
+from .errors import SchemaError, TypeMismatchError
 from .index import BTreeIndex
 from .storage import TableStorage, make_storage
-from .types import CURRENT_TIMESTAMP, Column, NULL, value_byte_size
+from .types import (CURRENT_TIMESTAMP, Column, DataType, NULL, coerce_value,
+                    value_byte_size)
+
+#: The exact Python type each column type stores.  A value already of
+#: that type is stored as is: :func:`coerce_value` would return it
+#: unchanged.
+_STORED_TYPES = {
+    DataType.INTEGER: int, DataType.BIGINT: int, DataType.FLOAT: float,
+    DataType.TEXT: str, DataType.BOOLEAN: bool,
+    DataType.TIMESTAMP: _dt.datetime, DataType.BLOB: bytes,
+}
+
+# Row-plan default markers: "absent", "the table clock", and "a literal
+# default that does not coerce" (it raises when a row needs it, as
+# coercing it per row always did).
+_MISSING = object()
+_CLOCK = object()
+_BAD_DEFAULT = object()
+
+
+def _planned_default(column: Column) -> Any:
+    if column.default == CURRENT_TIMESTAMP:
+        return _CLOCK
+    if column.default is None:
+        return NULL
+    try:
+        return column.coerce(column.default)
+    except TypeMismatchError:
+        return _BAD_DEFAULT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .catalog import Database
@@ -50,6 +81,29 @@ class Table:
         #: (the same string: rows are keyed by lower-cased name).  The
         #: shared, never-mutated half of every scan's compile layout.
         self.row_keys: dict[str, str] = {key: key for key in self._columns_by_name}
+        #: How :meth:`_prepare_row` builds a row, one entry per column
+        #: in order: (key, nullable, default, column), and each column's
+        #: stored Python type.
+        self._row_plan = tuple(
+            (column.name.lower(), column.nullable, _planned_default(column), column)
+            for column in self.columns)
+        self._stored_types = [_STORED_TYPES[column.dtype] for column in self.columns]
+        #: Every spelling of a column name seen in inserted values ->
+        #: its row key (learned on first sight, so a row pays one dict
+        #: lookup per value, not a ``str.lower`` call).
+        self._spellings: dict[str, str] = dict(self.row_keys)
+        # Byte accounting (:meth:`_row_bytes`): a fixed-width NOT NULL
+        # column always holds a value, so those columns add up to one
+        # constant; the rest are (key, width — 0 for TEXT/BLOB —, type).
+        variable = (DataType.TEXT, DataType.BLOB)
+        self._fixed_bytes = sum(
+            column.byte_width for column in self.columns
+            if not column.nullable and column.dtype not in variable)
+        self._width_plan = tuple(
+            (column.name.lower(),
+             0 if column.dtype in variable else column.byte_width, column.dtype)
+            for column in self.columns
+            if column.nullable or column.dtype in variable)
         self.primary_key = primary_key
         self.foreign_keys: list[ForeignKey] = list(foreign_keys)
         self.checks: list[CheckConstraint] = list(checks)
@@ -183,7 +237,7 @@ class Table:
         with self.lock.write():
             index = BTreeIndex(name, self, columns, unique=unique,
                                included_columns=included_columns)
-            for row_id, row in self.storage.iter_rows():
+            for row_id, row in self.storage.iter_rows(index.columns):
                 index.insert(row_id, row, defer_sort=True)
             index.rebuild()
             self.indexes[name] = index
@@ -256,25 +310,46 @@ class Table:
     # -- mutation ------------------------------------------------------------
 
     def _prepare_row(self, values: dict[str, Any]) -> dict[str, Any]:
-        row: dict[str, Any] = {}
-        provided = {key.lower(): value for key, value in values.items()}
-        unknown = set(provided) - set(self._columns_by_name)
-        if unknown:
-            raise SchemaError(
-                f"unknown column(s) {sorted(unknown)!r} for table {self.name!r}")
-        for column in self.columns:
-            key = column.name.lower()
-            if key in provided and provided[key] is not NULL:
-                row[key] = column.coerce(provided[key])
-            elif key in provided:
-                row[key] = NULL
-            elif column.default == CURRENT_TIMESTAMP:
-                row[key] = self._clock()
-            elif column.default is not None:
-                row[key] = column.coerce(column.default)
-            else:
-                row[key] = NULL
-        check_not_null(row, self.columns, table_name=self.name)
+        """The stored row for ``values``: every column coerced or
+        defaulted; raises on an unknown column, a value that does not
+        coerce, or a NULL in a NOT NULL column (after every value has
+        coerced).
+
+        The row is first built as given, in column order; then one pass
+        over the row plan (in C) picks out the columns whose value is
+        not already of the column's stored type — absent, NULL, or in
+        need of coercion — and only those are fixed up.
+        """
+        spellings = self._spellings
+        try:
+            provided = dict(zip(map(spellings.__getitem__, values), values.values()))
+        except KeyError:
+            provided = {name.lower(): value for name, value in values.items()}
+            unknown = provided.keys() - self.row_keys.keys()
+            if unknown:
+                raise SchemaError(
+                    f"unknown column(s) {sorted(unknown)!r} for table {self.name!r}")
+            spellings.update((name, name.lower()) for name in values)
+        keys = self.row_keys
+        row = dict(zip(keys, map(provided.get, keys, repeat(_MISSING))))
+        null_violation: Optional[Column] = None
+        for key, nullable, default, column in list(compress(
+                self._row_plan,
+                map(is_not, map(type, row.values()), self._stored_types))):
+            value = row[key]
+            if value is _MISSING:
+                value = default
+                if value is _CLOCK:
+                    value = self._clock()
+                elif value is _BAD_DEFAULT:
+                    value = column.coerce(column.default)
+                row[key] = value
+            elif value is not NULL:
+                row[key] = coerce_value(value, column.dtype, column=column.name)
+            if value is NULL and not nullable and null_violation is None:
+                null_violation = column
+        if null_violation is not None:
+            check_not_null(row, (null_violation,), table_name=self.name)
         return row
 
     def insert(self, values: dict[str, Any], *, database: Optional["Database"] = None,
@@ -298,9 +373,11 @@ class Table:
                 for foreign_key in self.foreign_keys:
                     foreign_key.check(row, database, table_name=self.name)
             row_id = self.storage.next_row_id()
-            # Unique/PK indexes raise before the row is attached, keeping state consistent.
-            for index in self.indexes.values():
-                index.insert(row_id, row, defer_sort=defer_index_sort)
+            if defer_index_sort:
+                for index in self.indexes.values():
+                    index.insert(row_id, row, defer_sort=True)
+            else:
+                self._index_rows([row], row_id)
             self.storage.append(row)
             self._data_bytes += self._row_bytes(row)
             self.modification_counter += 1
@@ -321,20 +398,43 @@ class Table:
     def insert_many(self, rows: Iterable[dict[str, Any]], *,
                     database: Optional["Database"] = None,
                     skip_fk: bool = False) -> int:
-        """Bulk insert with deferred index maintenance; returns rows inserted.
+        """Bulk insert, all or nothing; returns rows inserted.
 
-        The whole bulk runs in one exclusive section (FK parents held
-        shared throughout): readers see either none or all of it, and
-        the database epoch advances once.
+        The whole bulk is validated before anything is written:
+        coercion, NOT NULL and checks per row, then (under the locks)
+        foreign keys, and uniqueness against every unique index and
+        within the bulk.  Only then is it applied — merged into each
+        index, appended to storage, logged — so a bulk that fails
+        changes neither the table nor the write-ahead log.  It runs in
+        one exclusive section (FK parents held shared throughout):
+        readers see none or all of it, and the database epoch advances
+        once.
         """
-        count = 0
+        prepared = [self._prepare_row(values) for values in rows]
+        for check in self.checks:
+            for row in prepared:
+                check.check(row, table_name=self.name)
         with lock_tables(self.insert_lock_specs(database, skip_fk=skip_fk)):
-            for values in rows:
-                self.insert(values, database=database, defer_index_sort=True,
-                            skip_fk=skip_fk)
-                count += 1
-            self.rebuild_indexes()
-        return count
+            if database is not None and not skip_fk:
+                for foreign_key in self.foreign_keys:
+                    for row in prepared:
+                        foreign_key.check(row, database, table_name=self.name)
+            self._index_rows(prepared, self.storage.next_row_id())
+            for row in prepared:
+                self.storage.append(row)
+                self._data_bytes += self._row_bytes(row)
+                self._log_mutation("insert", {"row": row})
+            self.modification_counter += len(prepared)
+        return len(prepared)
+
+    def _index_rows(self, rows: Sequence[dict[str, Any]], first_row_id: int) -> None:
+        """Add ``rows`` (ids from ``first_row_id``) to every index.  All
+        the batches are built, and every unique index checked, before
+        any index changes: a duplicate key leaves every index as it was."""
+        batches = [(index, index.batch_entries(rows, first_row_id))
+                   for index in self.indexes.values()]
+        for index, batch in batches:
+            index.merge(batch)
 
     def rebuild_indexes(self) -> None:
         for index in self.indexes.values():
@@ -353,14 +453,16 @@ class Table:
             self._log_mutation("delete", {"row_id": row_id})
             return True
 
-    def delete_where(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
+    def delete_where(self, predicate: Callable[[Mapping[str, Any]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the number deleted.
 
         Selection and deletion happen in one exclusive section, so the
-        predicate runs against a stable snapshot.
+        predicate runs against a stable snapshot.  It is handed a
+        read-only mapping per row (a column store decodes only the
+        columns the predicate reads).
         """
         with self.lock.write():
-            victims = [row_id for row_id, row in self.storage.iter_rows()
+            victims = [row_id for row_id, row in self.storage.iter_row_views()
                        if predicate(row)]
             for row_id in victims:
                 self.delete_row(row_id)
@@ -440,14 +542,21 @@ class Table:
     def _rebuild_indexes_from_storage(self) -> None:
         for index in self.indexes.values():
             index.clear()
-            for row_id, row in self.storage.iter_rows():
+            for row_id, row in self.storage.iter_rows(index.columns):
                 index.insert(row_id, row, defer_sort=True)
             index.rebuild()
 
-    def _row_bytes(self, row: dict[str, Any]) -> int:
-        total = 0
-        for column in self.columns:
-            total += value_byte_size(row.get(column.name.lower(), NULL), column.dtype)
+    def _row_bytes(self, row: Mapping[str, Any]) -> int:
+        """:func:`value_byte_size` summed over the row's columns."""
+        total = self._fixed_bytes
+        for key, width, dtype in self._width_plan:
+            value = row.get(key, NULL)
+            if value is NULL:
+                total += 1
+            elif width:
+                total += width
+            else:
+                total += value_byte_size(value, dtype)
         return total
 
 

@@ -41,16 +41,20 @@ class DataType(enum.Enum):
         Variable-width types (TEXT, BLOB) report a representative width;
         actual row sizes add the real payload length for those columns.
         """
-        widths = {
-            DataType.INTEGER: 4,
-            DataType.BIGINT: 8,
-            DataType.FLOAT: 8,
-            DataType.TEXT: 16,
-            DataType.BOOLEAN: 1,
-            DataType.TIMESTAMP: 8,
-            DataType.BLOB: 32,
-        }
-        return widths[self]
+        return _BYTE_WIDTHS[self._value_]
+
+
+#: Nominal width of each :class:`DataType`, keyed by its value string
+#: (a str key hashes in C; an enum member's hash is a Python call).
+_BYTE_WIDTHS = {
+    "integer": 4,
+    "bigint": 8,
+    "float": 8,
+    "text": 16,
+    "boolean": 1,
+    "timestamp": 8,
+    "blob": 32,
+}
 
 
 #: Sentinel used for "default value is the insert timestamp", mirroring
