@@ -5,7 +5,8 @@ Neighbors table (Table 1's q15, the fig13 shapes), and the probe side is
 always the wide 100k+-row fact table.  PR 8 lets a batch hash join hand
 its build keys sideways to the probe scan: the min/max range composes
 with PR 7's zone maps to skip whole sealed segments before they are
-read, and the Bloom filter drops non-matching rows pre-materialization.
+read, and the build's own key set drops non-matching rows
+pre-materialization.
 
 This benchmark gates the win on the ISSUE's shape — a **selective
 100k ⋈ 25k ⋈ 5k three-table join+aggregate** under the same 8 MB/s
@@ -118,7 +119,7 @@ def test_runtime_filter_join_speedup_gate():
         "Runtime join filters — selective 100k ⋈ 25k ⋈ 5k join+aggregate",
         f"field(2% selected) ⋈ neighbors ⋈ photoobj on a {SCAN_MBPS:g} "
         "MB/s scan disk, serial execution: the outer hash build's key "
-        "range + Bloom filter prune the probe scan's sealed segments "
+        "range and key set prune the probe scan's sealed segments "
         "and rows before they are read.")
     report.add("no-filter elapsed", "", round(off_seconds, 4), unit="s")
     report.add("filtered elapsed", "", round(on_seconds, 4), unit="s")

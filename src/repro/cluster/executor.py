@@ -2,17 +2,24 @@
 
 Fragments run on a shared thread pool, one per surviving shard, each
 under the shard table's read lock (the same
-:mod:`repro.engine.concurrency` discipline the serving pool uses).  A
-fragment emits rows tagged with a **merge key** — the global sequence
-for scans, ``(index key rank…, sequence)`` for index access paths, plus
-the inner match ordinal for joins — and the coordinator k-way merges
-the shard streams by that key, which reproduces the single-node
-engine's emission order exactly.  Aggregates ship as partial states
-(COUNT/SUM/MIN/MAX merge directly; AVG merges as sum+count pairs) with
-per-group first-seen tags so merged groups surface in single-node
-first-seen order; aggregates whose result is order-sensitive (floating
-SUM/AVG, DISTINCT) fall back to gathering the tagged aggregate *inputs*
-and folding them in merged order, trading transfer for bit-identical
+:mod:`repro.engine.concurrency` discipline the serving pool uses) and
+its own :class:`~repro.engine.operators.ExecutionContext`, whose
+statistics are the fragment's counters.  A columnar shard scan is the
+engine's own batch loop (:meth:`TableScan.batches`; each batch's
+``base`` maps its positions back to global sequences), and a
+co-partitioned join pushes the engine's
+:class:`~repro.engine.operators.RuntimeJoinFilter` over the shard's
+build keys into that scan.  A fragment emits rows tagged with a
+**merge key** — the global sequence for scans, ``(index key rank…,
+sequence)`` for index access paths, plus the inner match ordinal for
+joins — and the coordinator k-way merges the shard streams by that
+key, which reproduces the single-node engine's emission order
+exactly.  Aggregates ship as partial states (COUNT/SUM/MIN/MAX merge
+directly; AVG merges as sum+count pairs) with per-group first-seen
+tags so merged groups surface in single-node first-seen order;
+aggregates whose result is order-sensitive (floating SUM/AVG,
+DISTINCT) fall back to gathering the tagged aggregate *inputs* and
+folding them in merged order, trading transfer for bit-identical
 results.  TOP-N re-sorts at the coordinator, DISTINCT unions in merged
 order, and anything a fragment cannot express falls back to the
 row-path gather executed by the unmodified single-node engine.
@@ -32,20 +39,18 @@ import time
 from collections import OrderedDict
 from typing import Any, Iterator, Optional, Sequence
 
-from ..engine.batch import ColumnBatch
-from ..engine.compile import (Layout, VectorCompileError, compile_expression,
-                              compile_vector_predicate,
-                              compile_vector_projection, merge_layouts,
-                              row_keys, table_layout)
+from ..engine.compile import (Layout, VectorCompileError, VectorExpression,
+                              compile_expression, merge_layouts, row_keys,
+                              table_layout)
 from ..engine.errors import QueryLimitExceeded, SQLSyntaxError
-from ..engine.expressions import (ColumnRef, Expression, RowScope, Star)
+from ..engine.expressions import Expression, RowScope, Star
 from ..engine.index import key_rank
-from ..engine.operators import (OUTPUT_BINDING, ExecutionStatistics,
-                                PhysicalPlan, QueryResult, _AggState, _SortKey,
-                                _apply_scan_predicate, _create_table_for_rows,
-                                _hashable, _zone_predicates, _zone_skips,
-                                join_key, key_range_row_ids)
-from ..engine.segments import compile_zone_predicate, runtime_range_zone
+from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
+                                ExecutionStatistics, PhysicalPlan, QueryResult,
+                                RuntimeJoinFilter, TableScan, _AggState,
+                                _SortKey, _create_table_for_rows,
+                                _group_key_name, _hashable, join_key,
+                                key_range_row_ids)
 from ..engine.planner import Planner
 from ..engine.sql import SqlSession, parse_batch
 from ..engine.sql.ast import (AnalyzeStatement, DeclareStatement,
@@ -57,6 +62,13 @@ from .planner import (ClusterPlan, ClusterPlanner, CoPartitionedJoinPlan,
                       FallbackPlan, FragmentRelation, SingleTablePlan,
                       candidate_shards)
 from .shard import ShardCluster
+
+#: The scan counters a fragment's statistics add to the query's.
+_FRAGMENT_COUNTERS = (
+    "rows_scanned", "bytes_scanned", "batches_processed", "batch_rows",
+    "exprs_compiled", "segments_scanned", "segments_skipped",
+    "runtime_filter_segments_pruned", "runtime_filter_rows_pruned")
+
 
 class ClusterPlanHandle:
     """Duck-typed stand-in for a PhysicalPlan on cluster results.
@@ -90,49 +102,6 @@ class _Fragment:
         self.statistics = ExecutionStatistics()
 
 
-class _ShardJoinFilter:
-    """Shard-local runtime join filter for a co-partitioned join.
-
-    Built from the inner (build) side's exact key set after the shard's
-    hash table is complete, and pushed sideways into the drive scan of
-    the *same* shard — co-partitioning guarantees every drive row's
-    matches are shard-local, so the shard's own build keys are the full
-    truth for its drive rows.  Pruning is sound by construction: a drive
-    row whose key is NULL or absent from the key set can never survive
-    the exact hash lookup that follows, and a sealed segment whose zone
-    range misses [min(keys), max(keys)] holds no such key (tombstoned
-    rows only shrink the live set the zone bounds).  An empty build
-    prunes the entire drive scan.
-    """
-
-    __slots__ = ("column", "keys", "zone_fn")
-
-    def __init__(self, column: str, keys: set, zone_fn) -> None:
-        self.column = column
-        self.keys = keys
-        self.zone_fn = zone_fn
-
-    def prunes_segment(self, segment) -> bool:
-        if not self.keys:
-            return True
-        return self.zone_fn is not None and not self.zone_fn(segment)[0]
-
-    def matches(self, value) -> bool:
-        return value is not NULL and value in self.keys
-
-    def filter_selection(self, batch: ColumnBatch) -> tuple[list[int], int]:
-        """(kept positions, pruned count) for a drive-scan batch."""
-        column = batch.columns.get(self.column)
-        if column is None:
-            return batch.selection, 0
-        mask = batch.masks.get(self.column)
-        keys = self.keys
-        kept = [position for position in batch.selection
-                if not (mask is not None and mask[position])
-                and column[position] in keys]
-        return kept, len(batch.selection) - len(kept)
-
-
 class ClusterExecutor:
     """Runs cluster plans over the shard pool and merges the streams."""
 
@@ -152,10 +121,6 @@ class ClusterExecutor:
             1, min(cluster.shard_count, 8))
         #: Per-shard simulated sequential-scan bandwidth (MB/s); None = off.
         self.simulated_scan_mbps = simulated_scan_mbps
-        #: Sideways information passing for co-partitioned joins: after a
-        #: shard builds its inner hash table, the build keys prune the
-        #: shard's own drive scan.  Results are byte-identical either way.
-        self.enable_runtime_filters = True
         self._mutex = threading.Lock()
         self.distributed_queries = 0
         self.copartitioned_queries = 0
@@ -208,17 +173,9 @@ class ClusterExecutor:
 
         statistics = ExecutionStatistics()
         for fragment in fragments:
-            statistics.rows_scanned += fragment.statistics.rows_scanned
-            statistics.bytes_scanned += fragment.statistics.bytes_scanned
-            statistics.batches_processed += fragment.statistics.batches_processed
-            statistics.batch_rows += fragment.statistics.batch_rows
-            statistics.exprs_compiled += fragment.statistics.exprs_compiled
-            statistics.segments_scanned += fragment.statistics.segments_scanned
-            statistics.segments_skipped += fragment.statistics.segments_skipped
-            statistics.runtime_filter_segments_pruned += \
-                fragment.statistics.runtime_filter_segments_pruned
-            statistics.runtime_filter_rows_pruned += \
-                fragment.statistics.runtime_filter_rows_pruned
+            for name in _FRAGMENT_COUNTERS:
+                setattr(statistics, name, getattr(statistics, name)
+                        + getattr(fragment.statistics, name))
 
         if tracer.enabled:
             with tracer.span("merge", parent=parent_span,
@@ -277,12 +234,17 @@ class ClusterExecutor:
     def _run_fragment_inner(self, shard_id: int, plan: ClusterPlan,
                             variables: dict[str, Any]) -> _Fragment:
         shard = self.cluster.shards[shard_id]
-        evaluation = self.cluster.coordinator.evaluation_context(variables)
         fragment = _Fragment()
+        # The engine's scans account into this context's statistics; the
+        # cluster's own per-shard disk model is _simulate_io below.
+        context = ExecutionContext(
+            shard.database,
+            self.cluster.coordinator.evaluation_context(variables),
+            statistics=fragment.statistics)
         if isinstance(plan, SingleTablePlan):
             table = shard.table(plan.relation.table_name)
             with table.lock.read():
-                self._run_single(shard, plan, evaluation, fragment)
+                self._run_single(shard, plan, context, fragment)
         else:
             assert isinstance(plan, CoPartitionedJoinPlan)
             drive = shard.table(plan.drive.table_name)
@@ -290,7 +252,7 @@ class ClusterExecutor:
             from ..engine.concurrency import read_locks
 
             with read_locks([drive, inner]):
-                self._run_join(shard, plan, evaluation, fragment)
+                self._run_join(shard, plan, context, fragment)
         self._simulate_io(fragment.statistics.bytes_scanned)
         return fragment
 
@@ -303,26 +265,26 @@ class ClusterExecutor:
 
     # -- single-table fragments -------------------------------------------
 
-    def _run_single(self, shard, plan: SingleTablePlan, evaluation,
-                    fragment: _Fragment) -> None:
+    def _run_single(self, shard, plan: SingleTablePlan,
+                    context: ExecutionContext, fragment: _Fragment) -> None:
         layout = self._relation_layout(shard, plan.relation)
         if plan.is_aggregate:
             if plan.aggregate_mode == "partial" and self._scalar_vector_aggregate(
-                    shard, plan, evaluation, fragment):
+                    shard, plan, context, fragment):
                 return
-            stream = self._iter_single(shard, plan.relation, evaluation)
-            self._aggregate_fragment(plan, evaluation, fragment, stream,
-                                     layout)
+            stream = self._iter_single(shard, plan.relation, context)
+            self._aggregate_fragment(plan, context, fragment, stream, layout)
             return
-        stream = self._iter_single(shard, plan.relation, evaluation)
-        self._row_fragment(plan, evaluation, fragment, stream, layout)
+        stream = self._iter_single(shard, plan.relation, context)
+        self._row_fragment(plan, context, fragment, stream, layout)
 
     @staticmethod
     def _relation_layout(shard, relation: FragmentRelation) -> Layout:
         return table_layout(shard.table(relation.table_name), relation.binding)
 
-    def _iter_single(self, shard, relation: FragmentRelation, evaluation,
-                     runtime_filter: Optional[_ShardJoinFilter] = None
+    def _iter_single(self, shard, relation: FragmentRelation,
+                     context: ExecutionContext,
+                     runtime_filter: Optional[RuntimeJoinFilter] = None
                      ) -> Iterator[tuple[tuple, dict[str, dict[str, Any]]]]:
         """(merge key, binding) pairs in this shard's access-path order.
 
@@ -331,11 +293,11 @@ class ClusterExecutor:
         compiled against.  Each row holds ``relation.columns``.
         """
         if relation.access.kind == "scan":
-            return self._iter_scan(shard, relation, evaluation,
-                                   runtime_filter)
-        return self._iter_index(shard, relation, evaluation)
+            return self._iter_scan(shard, relation, context, runtime_filter)
+        return self._iter_index(shard, relation, context)
 
-    def _iter_index(self, shard, relation: FragmentRelation, evaluation
+    def _iter_index(self, shard, relation: FragmentRelation,
+                    context: ExecutionContext
                     ) -> Iterator[tuple[tuple, dict[str, dict[str, Any]]]]:
         """An index seek or covering scan, merge-keyed by index key rank."""
         table = shard.table(relation.table_name)
@@ -349,6 +311,7 @@ class ClusterExecutor:
             raise RuntimeError(
                 f"shard {shard.shard_id} is missing index {access.index_name!r} "
                 f"on {relation.table_name}")
+        evaluation = context.evaluation
         predicate = (compile_expression(access.predicate, evaluation,
                                         self._relation_layout(shard, relation))
                      if access.predicate is not None else None)
@@ -373,32 +336,65 @@ class ClusterExecutor:
         finally:
             # Runs on close() too (a consumer's TOP break), so abandoned
             # scans still account their rows/bytes (and simulated I/O).
-            self._account_scan(relation, scanned, row_bytes)
+            context.statistics.merge_scan(scanned, row_bytes)
 
-    def _iter_scan(self, shard, relation: FragmentRelation, evaluation,
-                   runtime_filter: Optional[_ShardJoinFilter] = None
+    def _iter_scan(self, shard, relation: FragmentRelation,
+                   context: ExecutionContext,
+                   runtime_filter: Optional[RuntimeJoinFilter] = None
                    ) -> Iterator[tuple[tuple, dict[str, Any]]]:
+        """A column store's scan runs the engine's batch loop; a row
+        store, or a predicate the vector compiler cannot take, runs
+        row-mode, without a runtime filter (as the engine's row-mode
+        hash join does)."""
         table = shard.table(relation.table_name)
         sequences = shard.sequence_list(relation.table_name)
         if table.storage.kind == "column":
-            iterated = self._iter_scan_columnar(table, sequences, relation,
-                                                evaluation, runtime_filter)
-            if iterated is not None:
-                return iterated
-        return self._iter_scan_rows(shard, table, sequences, relation,
-                                    evaluation, runtime_filter)
+            compiled = self._batch_scan(table, relation, context)
+            if compiled is not None:
+                return self._iter_batches(*compiled, sequences, relation,
+                                          context, runtime_filter)
+        return self._iter_scan_rows(shard, table, sequences, relation, context)
+
+    @staticmethod
+    def _batch_scan(table, relation: FragmentRelation,
+                    context: ExecutionContext
+                    ) -> Optional[tuple[TableScan, Optional[VectorExpression]]]:
+        """The engine scan of ``relation`` and its vector predicate, or
+        None when the predicate does not vector-compile."""
+        scan = TableScan(table, relation.binding, relation.access.predicate,
+                         columns=relation.columns)
+        if scan.predicate is None:
+            return scan, None
+        try:
+            return scan, context.compile_vector_predicate(
+                scan.predicate, table, relation.binding)
+        except VectorCompileError:
+            return None
+
+    @staticmethod
+    def _iter_batches(scan: TableScan,
+                      predicate_fn: Optional[VectorExpression],
+                      sequences: Sequence[int], relation: FragmentRelation,
+                      context: ExecutionContext,
+                      runtime_filter: Optional[RuntimeJoinFilter]
+                      ) -> Iterator[tuple[tuple, dict[str, Any]]]:
+        """Survivor bindings of the engine's batch scan, keyed by sequence."""
+        names = (list(scan.table.row_keys) if relation.columns is None
+                 else relation.columns)
+        alias = relation.binding
+        for batch in scan.batches(context, predicate_fn,
+                                  runtime_filter=runtime_filter):
+            base = batch.base
+            for position, row in zip(batch.selection, batch.rows(names)):
+                yield (sequences[base + position],), {alias: row}
 
     def _iter_scan_rows(self, shard, table, sequences: Sequence[int],
-                        relation: FragmentRelation, evaluation,
-                        runtime_filter: Optional[_ShardJoinFilter]
+                        relation: FragmentRelation, context: ExecutionContext
                         ) -> Iterator[tuple[tuple, dict[str, Any]]]:
-        """Row-mode scan: a row store, or a predicate the vector
-        compiler cannot take."""
         predicate_expr = relation.access.predicate
         row_bytes = int(table.average_row_bytes())
         scanned = 0
-        pruned = 0
-        predicate = (compile_expression(predicate_expr, evaluation,
+        predicate = (compile_expression(predicate_expr, context.evaluation,
                                         self._relation_layout(shard, relation))
                      if predicate_expr is not None else None)
         alias = relation.binding
@@ -408,122 +404,24 @@ class ClusterExecutor:
                 binding = {alias: row}
                 if predicate is not None and predicate(binding) is not True:
                     continue
-                if (runtime_filter is not None and not runtime_filter.matches(
-                        row.get(runtime_filter.column, NULL))):
-                    pruned += 1
-                    continue
                 yield (sequences[row_id],), binding
         finally:
-            self._account_scan(relation, scanned, row_bytes,
-                               runtime_rows_pruned=pruned)
-
-    def _iter_scan_columnar(self, table, sequences: Sequence[int],
-                            relation: FragmentRelation, evaluation,
-                            runtime_filter: Optional[_ShardJoinFilter] = None
-                            ) -> Optional[Iterator[tuple[tuple, dict]]]:
-        """Vectorized scan: batch predicate, then materialise survivor bindings."""
-        predicate_expr = relation.access.predicate
-        predicate_fn = None
-        if predicate_expr is not None:
-            try:
-                predicate_fn = compile_vector_predicate(
-                    predicate_expr, evaluation, table, relation.binding)
-            except VectorCompileError:
-                return None
-            predicate_fn.zone_predicate = compile_zone_predicate(
-                predicate_expr, evaluation, table, relation.binding)
-        names = (list(table.row_keys) if relation.columns is None
-                 else relation.columns)
-        alias = relation.binding
-
-        def generate() -> Iterator[tuple[tuple, dict]]:
-            storage = table.storage
-            zone_fns = _zone_predicates(True, predicate_fn)
-            scanned = 0
-            segments_scanned = 0
-            segments_skipped = 0
-            runtime_segments = 0
-            runtime_rows = 0
-            try:
-                for unit in storage.scan_units():
-                    segment = unit.segment
-                    if (segment is not None and zone_fns
-                            and _zone_skips(zone_fns, segment)):
-                        # Segment-granular pruning under the shard's
-                        # placement ∩ statistics intersection: skipped
-                        # segments pay neither decode nor simulated I/O.
-                        segments_skipped += 1
-                        continue
-                    if (segment is not None and runtime_filter is not None
-                            and runtime_filter.prunes_segment(segment)):
-                        # Build-key range misses the segment's zone:
-                        # skipped before decode, like static zone skips.
-                        segments_skipped += 1
-                        runtime_segments += 1
-                        continue
-                    selection = unit.selection()
-                    if not selection:
-                        continue
-                    if segment is not None:
-                        segments_scanned += 1
-                    scanned += len(selection)
-                    batch = ColumnBatch(unit.columns(), unit.masks(),
-                                        selection, relation.binding)
-                    if predicate_fn is not None:
-                        batch.selection = _apply_scan_predicate(
-                            predicate_fn, batch, selection, segment)
-                    if runtime_filter is not None and batch.selection:
-                        batch.selection, dropped = \
-                            runtime_filter.filter_selection(batch)
-                        runtime_rows += dropped
-                    base = unit.base
-                    for position, row in zip(batch.selection,
-                                             batch.rows(names)):
-                        yield (sequences[base + position],), {alias: row}
-            finally:
-                self._account_scan(relation, scanned,
-                                   int(table.average_row_bytes()),
-                                   segments_scanned=segments_scanned,
-                                   segments_skipped=segments_skipped,
-                                   runtime_segments_pruned=runtime_segments,
-                                   runtime_rows_pruned=runtime_rows)
-
-        return generate()
-
-    #: Per-thread scan accounting sink (set around fragment iteration).
-    _accounting = threading.local()
-
-    def _account_scan(self, relation, scanned: int, row_bytes: int, *,
-                      segments_scanned: int = 0,
-                      segments_skipped: int = 0,
-                      runtime_segments_pruned: int = 0,
-                      runtime_rows_pruned: int = 0) -> None:
-        fragment: Optional[_Fragment] = getattr(self._accounting, "fragment",
-                                                None)
-        if fragment is not None:
-            fragment.statistics.rows_scanned += scanned
-            fragment.statistics.bytes_scanned += scanned * row_bytes
-            fragment.statistics.segments_scanned += segments_scanned
-            fragment.statistics.segments_skipped += segments_skipped
-            fragment.statistics.runtime_filter_segments_pruned += \
-                runtime_segments_pruned
-            fragment.statistics.runtime_filter_rows_pruned += \
-                runtime_rows_pruned
+            context.statistics.merge_scan(scanned, row_bytes)
 
     # -- join fragments ----------------------------------------------------
 
-    def _run_join(self, shard, plan: CoPartitionedJoinPlan, evaluation,
-                  fragment: _Fragment) -> None:
+    def _run_join(self, shard, plan: CoPartitionedJoinPlan,
+                  context: ExecutionContext, fragment: _Fragment) -> None:
         layout = merge_layouts(self._relation_layout(shard, plan.drive),
                                self._relation_layout(shard, plan.inner))
-        stream = self._iter_join(shard, plan, evaluation, layout)
+        stream = self._iter_join(shard, plan, context, layout)
         if plan.is_aggregate:
-            self._aggregate_fragment(plan, evaluation, fragment, stream,
-                                     layout)
+            self._aggregate_fragment(plan, context, fragment, stream, layout)
         else:
-            self._row_fragment(plan, evaluation, fragment, stream, layout)
+            self._row_fragment(plan, context, fragment, stream, layout)
 
-    def _iter_join(self, shard, plan: CoPartitionedJoinPlan, evaluation,
+    def _iter_join(self, shard, plan: CoPartitionedJoinPlan,
+                   context: ExecutionContext,
                    layout: Layout) -> Iterator[tuple[tuple, dict]]:
         """(merge key, drive+inner binding) in single-node join order.
 
@@ -534,11 +432,12 @@ class ClusterExecutor:
         are always shard-local under co-partitioning, so the ordinal
         totally orders them across the cluster.
         """
+        evaluation = context.evaluation
         inner_layout = self._relation_layout(shard, plan.inner)
         inner_key = join_key([compile_expression(expression, evaluation, inner_layout)
                               for expression in plan.inner_keys])
         hash_table: dict[Any, list[dict[str, dict[str, Any]]]] = {}
-        for _tag, binding in self._iter_single(shard, plan.inner, evaluation):
+        for _tag, binding in self._iter_single(shard, plan.inner, context):
             key = inner_key(binding)
             if key is NULL:
                 continue
@@ -552,8 +451,9 @@ class ClusterExecutor:
                               for expression in plan.drive_keys])
         residual = (compile_expression(plan.residual, evaluation, layout)
                     if plan.residual is not None else None)
-        runtime_filter = self._shard_join_filter(plan, hash_table)
-        drive_stream = self._iter_single(shard, plan.drive, evaluation,
+        runtime_filter = self._shard_join_filter(shard, plan, context,
+                                                 hash_table)
+        drive_stream = self._iter_single(shard, plan.drive, context,
                                          runtime_filter)
         try:
             for drive_tag, drive_binding in drive_stream:
@@ -571,42 +471,36 @@ class ClusterExecutor:
         finally:
             drive_stream.close()
 
-    def _shard_join_filter(self, plan: CoPartitionedJoinPlan,
-                           hash_table: dict[Any, list]
-                           ) -> Optional[_ShardJoinFilter]:
-        """Runtime filter over the shard's build keys, when sound to push.
+    @staticmethod
+    def _shard_join_filter(shard, plan: CoPartitionedJoinPlan,
+                           context: ExecutionContext, hash_table: dict
+                           ) -> Optional[RuntimeJoinFilter]:
+        """The engine's runtime filter over the shard's finished build.
 
-        Requires a single bare-column drive key (so the hash table is
-        keyed by the values themselves) over a scan access path;
-        the key set is exact (not a Bloom sketch — the shard already
-        holds it), and the zone form only attaches when every key is a
-        real number, since string or mixed-type bounds do not compose
-        with numeric zone ranges.
+        Co-partitioning makes the shard's own build keys the whole truth
+        for its drive rows.  Pushed when the engine planner enables
+        runtime filters (``plan.runtime_filter_enabled``) and the drive
+        side is a columnar scan with a single key that vector-compiles.
         """
-        if not self.enable_runtime_filters:
+        table = shard.table(plan.drive.table_name)
+        if (not plan.runtime_filter_enabled or len(plan.drive_keys) != 1
+                or plan.drive.access.kind != "scan"
+                or table.storage.kind != "column"):
             return None
-        if len(plan.drive_keys) != 1:
+        try:
+            key_fn, _tag = context.compile_vector_projection(
+                plan.drive_keys[0], table, plan.drive.binding)
+        except VectorCompileError:
             return None
-        key_expr = plan.drive_keys[0]
-        if not isinstance(key_expr, ColumnRef):
-            return None
-        if plan.drive.access.kind != "scan":
-            return None
-        keys = set(hash_table)
-        zone_fn = None
-        if keys and all(isinstance(key, (int, float))
-                        and not isinstance(key, bool)
-                        and key == key for key in keys):
-            zone_fn = runtime_range_zone(key_expr.name.lower(),
-                                         min(keys), max(keys))
-        return _ShardJoinFilter(key_expr.name.lower(), keys, zone_fn)
+        return RuntimeJoinFilter(hash_table.keys(), key_fn, plan.drive_keys[0])
 
     # -- row fragments (project / sort keys / local TOP) -------------------
 
-    def _row_fragment(self, plan, evaluation, fragment: _Fragment,
+    def _row_fragment(self, plan, context: ExecutionContext,
+                      fragment: _Fragment,
                       stream: Iterator[tuple[tuple, dict]],
                       layout: Layout) -> None:
-        self._accounting.fragment = fragment
+        evaluation = context.evaluation
         try:
             items: list[tuple[Optional[str], Optional[Any], Optional[Star]]] = []
             for position, item in enumerate(plan.select):
@@ -638,13 +532,10 @@ class ClusterExecutor:
                 if local_top is not None and produced >= local_top:
                     break
         finally:
-            # Close the stream while the accounting sink is still bound:
-            # a TOP break above abandons the scan generators mid-flight,
-            # and their finally blocks flush rows/bytes scanned.
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
-            self._accounting.fragment = None
+            # A TOP break above abandons the scan generators mid-flight;
+            # closing runs their finally blocks, which flush the
+            # row-mode scans' rows/bytes scanned.
+            stream.close()
 
     @staticmethod
     def _expand_star(star: Star, binding: dict[str, dict[str, Any]],
@@ -658,11 +549,11 @@ class ClusterExecutor:
 
     # -- aggregate fragments ----------------------------------------------
 
-    def _aggregate_fragment(self, plan, evaluation,
+    def _aggregate_fragment(self, plan, context: ExecutionContext,
                             fragment: _Fragment,
                             stream: Iterator[tuple[tuple, dict]],
                             layout: Layout) -> None:
-        self._accounting.fragment = fragment
+        evaluation = context.evaluation
         try:
             group_fns = [compile_expression(expression, evaluation, layout)
                          for expression in plan.group_by]
@@ -688,66 +579,33 @@ class ClusterExecutor:
                 for state, fn in zip(entry[1], argument_fns):
                     state.update(fn(binding) if fn is not None else 1)
         finally:
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
-            self._accounting.fragment = None
+            stream.close()
 
     def _scalar_vector_aggregate(self, shard, plan: SingleTablePlan,
-                                 evaluation, fragment: _Fragment) -> bool:
+                                 context: ExecutionContext,
+                                 fragment: _Fragment) -> bool:
         """Batch fast path: scalar aggregates over a columnar scan."""
         relation = plan.relation
         table = shard.table(relation.table_name)
         if (plan.group_by or relation.access.kind != "scan"
-                or table.storage.kind != "column"):
+                or table.storage.kind != "column"
+                or any(aggregate.distinct for aggregate in plan.aggregates)):
+            return False
+        compiled = self._batch_scan(table, relation, context)
+        if compiled is None:
             return False
         try:
-            predicate_fn = None
-            if relation.access.predicate is not None:
-                predicate_fn = compile_vector_predicate(
-                    relation.access.predicate, evaluation, table,
-                    relation.binding)
-                predicate_fn.zone_predicate = compile_zone_predicate(
-                    relation.access.predicate, evaluation, table,
-                    relation.binding)
-            argument_fns = []
-            for aggregate in plan.aggregates:
-                if aggregate.distinct:
-                    return False
-                if aggregate.argument is None:
-                    argument_fns.append((None, None))
-                else:
-                    fn, tag = compile_vector_projection(
-                        aggregate.argument, evaluation, table, relation.binding)
-                    argument_fns.append((fn, tag))
+            argument_fns = [
+                context.compile_vector_projection(aggregate.argument, table,
+                                                  relation.binding)
+                if aggregate.argument is not None else (None, None)
+                for aggregate in plan.aggregates]
         except VectorCompileError:
             return False
         states = [_AggState(aggregate) for aggregate in plan.aggregates]
-        storage = table.storage
-        row_bytes = int(table.average_row_bytes())
-        statistics = fragment.statistics
-        zone_fns = _zone_predicates(True, predicate_fn)
-        for unit in storage.scan_units():
-            segment = unit.segment
-            if (segment is not None and zone_fns
-                    and _zone_skips(zone_fns, segment)):
-                statistics.segments_skipped += 1
-                continue
-            selection = unit.selection()
-            if not selection:
-                continue
-            if segment is not None:
-                statistics.segments_scanned += 1
-            statistics.rows_scanned += len(selection)
-            statistics.bytes_scanned += len(selection) * row_bytes
-            statistics.batches_processed += 1
-            statistics.batch_rows += len(selection)
-            batch = ColumnBatch(unit.columns(), unit.masks(), selection,
-                                relation.binding)
-            if predicate_fn is not None:
-                selection = _apply_scan_predicate(predicate_fn, batch,
-                                                  selection, segment)
-                batch.selection = selection
+        scan, predicate_fn = compiled
+        for batch in scan.batches(context, predicate_fn):
+            selection = batch.selection
             if not selection:
                 continue
             for state, (fn, tag) in zip(states, argument_fns):
@@ -989,12 +847,6 @@ class ClusterExecutor:
             if index_name.lower() == name.lower():
                 return index
         return None
-
-
-def _group_key_name(expression: Expression) -> str:
-    if isinstance(expression, ColumnRef):
-        return expression.name.lower()
-    return expression.sql()
 
 
 def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -152,6 +152,11 @@ class CoPartitionedJoinPlan(_FragmentShape):
     inner_keys: list[Expression] = field(default_factory=list)
     residual: Optional[Expression] = None
     strategy: str = "hash"
+    #: The engine planner's ``enable_runtime_filters`` (which it also
+    #: stamps on every ``HashJoin``): shards push their build keys into
+    #: the drive scan.  Every strategy hashes the inner side on a shard,
+    #: so every strategy can carry the filter.
+    runtime_filter_enabled: bool = False
 
     kind = "join"
 
@@ -372,6 +377,7 @@ class ClusterPlanner:
             drive_keys=[sides[drive.binding_name] for _c, sides in equalities],
             inner_keys=[sides[inner.binding_name] for _c, sides in equalities],
             residual=combine_conjuncts(residual_parts), strategy=strategy,
+            runtime_filter_enabled=self.engine.enable_runtime_filters,
             **self._shape(query, spine, infos))
 
     def _equality_sides(self, conjunct: Expression,

@@ -65,17 +65,22 @@ class BatchRowView:
 
 
 class ColumnBatch:
-    """One batch of a columnar scan: shared buffers + a selection vector."""
+    """One batch of a columnar scan: shared buffers + a selection vector.
 
-    __slots__ = ("columns", "masks", "selection", "binding_name")
+    ``base`` is the row id of the batch's position 0 (its scan unit's
+    first row), so ``base + position`` is a selected row's row id.
+    """
+
+    __slots__ = ("columns", "masks", "selection", "binding_name", "base")
 
     def __init__(self, columns: Mapping[str, Sequence],
                  masks: Mapping[str, bytearray],
-                 selection: list[int], binding_name: str):
+                 selection: list[int], binding_name: str, base: int = 0):
         self.columns = columns
         self.masks = masks
         self.selection = selection
         self.binding_name = binding_name
+        self.base = base
 
     def __len__(self) -> int:
         return len(self.selection)

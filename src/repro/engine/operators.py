@@ -84,8 +84,8 @@ class ExecutionStatistics:
     simulated_io_seconds: float = 0.0
     #: Probe-side pruning by runtime join filters (sideways information
     #: passing): sealed segments never read because the build side's
-    #: key range proved them matchless, and probe rows the build-key
-    #: Bloom filter dropped before materialization.  Both are also
+    #: key range proved them matchless, and probe rows whose key the
+    #: build does not hold, dropped before materialization.  Both are also
     #: counted in ``segments_skipped`` / reflected in narrower batches;
     #: these attribute the win to the runtime filter specifically.
     runtime_filter_segments_pruned: int = 0
@@ -346,13 +346,14 @@ class TableScan(PhysicalOperator):
         predicates over a dictionary-encoded column filter by code.
         ``zone_fns`` extends the skip test with the zone forms of
         filters stacked above the scan; when omitted, the scan
-        predicate's own zone form applies.  ``runtime_filter`` carries
-        a finished hash-join build's key summary: segments its range
-        disproves are skipped like zone misses (no rows, no simulated
-        I/O) and surviving rows are thinned by its Bloom filter after
-        the scan predicate.  Statistics account exactly as the row
-        path for every unit actually scanned, pass or fail; skipped
-        segments contribute neither rows nor simulated I/O.
+        predicate's own zone form applies.  ``runtime_filter`` is a
+        finished hash-join build's :class:`RuntimeJoinFilter`: segments
+        its key range disproves are skipped like zone misses (no rows,
+        no simulated I/O) and, after the scan predicate, surviving rows
+        keep only probe keys the build holds.  Statistics account
+        exactly as the row path for every unit actually scanned, pass
+        or fail; skipped segments contribute neither rows nor simulated
+        I/O.  Each batch carries its unit's ``base`` row id.
         """
         storage = self.table.storage
         statistics = context.statistics
@@ -370,7 +371,7 @@ class TableScan(PhysicalOperator):
                 continue
             if (segment is not None and runtime_filter is not None
                     and runtime_filter.prunes_segment(segment)):
-                runtime_filter.note_segment(statistics)
+                runtime_filter.note_segment(statistics, self)
                 continue
             selection = unit.selection()
             if not selection:
@@ -387,14 +388,14 @@ class TableScan(PhysicalOperator):
                 statistics.simulated_io_seconds += seconds
                 time.sleep(seconds)
             batch = ColumnBatch(unit.columns(), unit.masks(), selection,
-                                binding_name)
+                                binding_name, unit.base)
             if predicate_fn is not None:
                 batch.selection = _apply_scan_predicate(predicate_fn, batch,
                                                         selection, segment)
             self.actual_rows += len(batch.selection)
             if runtime_filter is not None and batch.selection:
                 kept = runtime_filter.filter_rows(batch, batch.selection)
-                runtime_filter.note_rows(statistics,
+                runtime_filter.note_rows(statistics, self,
                                          len(batch.selection) - len(kept))
                 batch.selection = kept
             yield batch
@@ -827,10 +828,10 @@ class HashJoin(PhysicalOperator):
     label = "Hash Join"
 
     #: Planner toggle (``Planner(enable_runtime_filters=...)``): once the
-    #: batch path's build finishes, summarize its keys as a min/max
-    #: range + Bloom filter and push them into the probe-side scan.
-    #: Runtime filters only drop rows the probe's exact hash lookup
-    #: would drop anyway, so results are identical with them on or off.
+    #: batch path's build finishes, push a :class:`RuntimeJoinFilter`
+    #: over its keys (a min/max range plus the key set itself) into the
+    #: probe-side scan.  It only drops rows the probe's hash lookup
+    #: would drop anyway, so results are identical with it on or off.
     runtime_filter_enabled = False
 
     def __init__(self, build: PhysicalOperator, probe: PhysicalOperator,
@@ -843,7 +844,7 @@ class HashJoin(PhysicalOperator):
         self.probe_keys = list(probe_keys)
         self.residual = residual
         #: Per-run runtime-filter effect for EXPLAIN ANALYZE
-        #: (``runtime_filter: range+bloom, pruned=<segments>/<rows>``).
+        #: (``runtime_filter: range+keys, pruned=<segments>/<rows>``).
         self.runtime_filter_kind: Optional[str] = None
         self.runtime_segments_pruned = 0
         self.runtime_rows_pruned = 0
@@ -1085,11 +1086,11 @@ def _parallel_morsels(context: ExecutionContext, scan: "TableScan",
     Zone-map skipping composes with the pool on the coordinator side:
     sealed segments the compiled zone predicates prove empty are never
     submitted as tasks, so they pay neither worker time nor simulated
-    I/O.  A ``runtime_filter`` (the key summary of a finished hash-join
-    build) prunes the same way — its range verdict runs before
-    dispatch, so a disproved segment is never charged — and its Bloom
-    filter thins each surviving morsel on the worker, with the pruned
-    counts folded in by the coordinator alone.
+    I/O.  A ``runtime_filter`` (a finished hash-join build's
+    :class:`RuntimeJoinFilter`) prunes the same way — its range verdict
+    runs before dispatch, so a disproved segment is never charged — and
+    its key test thins each surviving morsel on the worker, with the
+    pruned counts folded in by the coordinator alone.
 
     The coordinator consumes results strictly in morsel order, folding
     the per-morsel counters into the shared statistics and the
@@ -1121,7 +1122,7 @@ def _parallel_morsels(context: ExecutionContext, scan: "TableScan",
             continue
         if (unit.segment is not None and runtime_filter is not None
                 and runtime_filter.prunes_segment(unit.segment)):
-            runtime_filter.note_segment(statistics)
+            runtime_filter.note_segment(statistics, scan)
             continue
         tasks.append(unit)
 
@@ -1135,7 +1136,7 @@ def _parallel_morsels(context: ExecutionContext, scan: "TableScan",
             io_seconds = (scanned * row_bytes) / (mbps * 1.0e6)
             time.sleep(io_seconds)
         batch = ColumnBatch(unit.columns(), unit.masks(), selection,
-                            binding_name)
+                            binding_name, unit.base)
         if scan_predicate is not None:
             batch.selection = _apply_scan_predicate(scan_predicate, batch,
                                                     selection, unit.segment)
@@ -1174,7 +1175,7 @@ def _parallel_morsels(context: ExecutionContext, scan: "TableScan",
             scan.actual_rows += counts[0]
             scan.actual_morsels += 1
             if runtime_filter is not None:
-                runtime_filter.note_rows(statistics, pruned)
+                runtime_filter.note_rows(statistics, scan, pruned)
             for (filter_op, _fn), passed in zip(filter_fns, counts[1:]):
                 filter_op.actual_rows += passed
             if batch.selection:
@@ -1188,116 +1189,92 @@ def _parallel_morsels(context: ExecutionContext, scan: "TableScan",
 JOIN_BATCH_BINDING = "#join"
 
 
-class _BloomFilter:
-    """A split-bit Bloom filter over a hash join's build keys.
-
-    A ``bytearray`` holds the bit array (~8 bits per key, two probe
-    positions per key derived from the single ``hash()`` by a
-    Fibonacci-style remix), so inserts and membership tests are O(1)
-    byte operations whatever the build size — a single big-int bit
-    array would copy the whole array on every shift.  Like every Bloom
-    filter it can report false positives — those rows are still
-    dropped later by the probe's exact hash-table lookup — but never
-    false negatives, which is what makes pre-materialization row
-    pruning sound.
-    """
-
-    __slots__ = ("bits", "mask")
-
-    #: Odd 64-bit multiplier (2^64 / golden ratio) used to derive the
-    #: second, independent probe position from the first hash.
-    _REMIX = 0x9E3779B97F4A7C15
-
-    def __init__(self, keys):
-        target = max(64, 8 * len(keys))
-        size = 64
-        while size < target:
-            size <<= 1
-        self.mask = size - 1
-        mask = self.mask
-        remix = self._REMIX
-        bits = bytearray(size >> 3)
-        for key in keys:
-            h = hash(key)
-            first = h & mask
-            second = (h * remix >> 17) & mask
-            bits[first >> 3] |= 1 << (first & 7)
-            bits[second >> 3] |= 1 << (second & 7)
-        self.bits = bits
-
-    def __contains__(self, key) -> bool:
-        h = hash(key)
-        bits = self.bits
-        mask = self.mask
-        first = h & mask
-        if not bits[first >> 3] >> (first & 7) & 1:
-            return False
-        second = (h * self._REMIX >> 17) & mask
-        return bool(bits[second >> 3] >> (second & 7) & 1)
-
-
 class RuntimeJoinFilter:
-    """Sideways information passing: a finished build pruning its probe.
+    """Sideways information passing: a finished hash build pruning its probe.
 
-    Built by the batch join driver the moment the hash-join build side
-    completes, and handed to the probe-side :class:`TableScan`.  Two
-    layers, both *sound* — they only ever drop work the probe's exact
-    hash lookup would drop anyway, so results are byte-identical with
-    the filter on or off:
+    Built the moment a hash-join build side completes — by the batch
+    join pipeline and by a shard's co-partitioned join — and handed to
+    the probe-side scan (:meth:`TableScan.batches`).  It tests probe
+    keys against the build's own ``hash_table.keys()`` view, which is
+    exactly the lookup the probe makes next, so it drops only rows the
+    probe would drop anyway and results are byte-identical with the
+    filter on or off.  Two layers:
 
-    * **range** — when the (single) probe key is a bare column of a
-      zone-mapped columnar table and every build key is numeric, the
-      build keys' min/max disproves whole sealed segments before they
-      are read (or, on the parallel path, before their morsel is even
-      dispatched).  Tombstones keep this sound: zone bounds cover a
-      superset of the live rows.  An empty build prunes every sealed
-      segment outright — nothing can join.
-    * **bloom** — a :class:`_BloomFilter` over the build keys thins
-      each surviving batch right after the scan predicate, before the
-      join gathers any columns.
+    * **range** — when the (single) probe key is a bare column, zone
+      maps are on and every build key is a real number, the keys'
+      min/max disproves whole sealed segments before they are read
+      (on the parallel path, before their morsel is dispatched).
+      Tombstones keep this sound: zone bounds cover a superset of the
+      live rows.  An empty build prunes every sealed segment outright
+      — nothing can join.
+    * **keys** — each surviving batch keeps only the rows whose probe
+      key is in the key view, right after the scan predicate and
+      before the join gathers any columns.  NULL never is: NULL build
+      keys are not hashed.
 
-    The filter mutates shared counters only through ``note_*``, which
-    the scan/coordinator calls serially — workers only ever *read* it.
+    Counters change only through ``note_*``, which the scan (or the
+    parallel coordinator) calls serially — workers only ever *read*
+    the filter.
     """
 
-    __slots__ = ("join", "scan", "key_fn", "bloom", "zone_fn", "empty")
+    __slots__ = ("keys", "key_fn", "zone_fn", "join")
 
-    def __init__(self, join: "HashJoin", scan: "TableScan", key_fn,
-                 bloom: Optional[_BloomFilter], zone_fn, empty: bool):
-        self.join = join
-        self.scan = scan
+    def __init__(self, keys, key_fn, probe_key: Expression, *,
+                 zone_maps: bool = True,
+                 join: Optional["HashJoin"] = None):
+        #: The build's key view; ``key_fn(batch, selection)`` yields
+        #: the probe keys it is tested against.
+        self.keys = keys
         self.key_fn = key_fn
-        self.bloom = bloom
-        self.zone_fn = zone_fn
-        self.empty = empty
+        #: The operator whose EXPLAIN ANALYZE counters the filter feeds
+        #: (None on a shard, whose join is not a plan operator).
+        self.join = join
+        self.zone_fn = None
+        if (keys and zone_maps and isinstance(probe_key, ColumnRef)
+                and all(isinstance(key, (int, float))
+                        and not isinstance(key, bool)
+                        and key == key for key in keys)):
+            # NaN build keys disable the range: NaN poisons min/max.
+            self.zone_fn = runtime_range_zone(probe_key.name.lower(),
+                                              min(keys), max(keys))
+
+    @property
+    def kind(self) -> str:
+        """EXPLAIN label: ``range+keys`` when segments can be pruned."""
+        return ("range+keys" if not self.keys or self.zone_fn is not None
+                else "keys")
 
     def prunes_segment(self, segment) -> bool:
-        if self.empty:
+        if not self.keys:
             return True
         zone_fn = self.zone_fn
         return zone_fn is not None and not zone_fn(segment)[0]
 
     def filter_rows(self, batch: ColumnBatch, selection: list[int]) -> list[int]:
-        if self.empty:
+        keys = self.keys
+        if not keys:
             return []
-        bloom = self.bloom
-        keys = self.key_fn(batch, selection)
-        return [position for position, key in zip(selection, keys)
-                if key in bloom]
+        return [position for position, key
+                in zip(selection, self.key_fn(batch, selection))
+                if key in keys]
 
-    def note_segment(self, statistics: ExecutionStatistics) -> None:
+    def note_segment(self, statistics: ExecutionStatistics,
+                     scan: "TableScan") -> None:
         statistics.segments_skipped += 1
         statistics.runtime_filter_segments_pruned += 1
-        self.scan.actual_segments_skipped += 1
-        self.scan.actual_runtime_segments_pruned += 1
-        self.join.runtime_segments_pruned += 1
+        scan.actual_segments_skipped += 1
+        scan.actual_runtime_segments_pruned += 1
+        if self.join is not None:
+            self.join.runtime_segments_pruned += 1
 
-    def note_rows(self, statistics: ExecutionStatistics, pruned: int) -> None:
+    def note_rows(self, statistics: ExecutionStatistics, scan: "TableScan",
+                  pruned: int) -> None:
         if not pruned:
             return
         statistics.runtime_filter_rows_pruned += pruned
-        self.scan.actual_runtime_rows_pruned += pruned
-        self.join.runtime_rows_pruned += pruned
+        scan.actual_runtime_rows_pruned += pruned
+        if self.join is not None:
+            self.join.runtime_rows_pruned += pruned
 
 
 def _runtime_join_filter(join: "HashJoin", hash_table: dict,
@@ -1305,33 +1282,20 @@ def _runtime_join_filter(join: "HashJoin", hash_table: dict,
                          probe_key_fns: Sequence[tuple[VectorExpression,
                                                        Optional[str]]]
                          ) -> Optional["RuntimeJoinFilter"]:
-    """Derive the probe-side filter from a finished build, or None.
+    """The probe-side filter of a finished batch build, or None.
 
-    Only single-key joins are summarized (a compound key's range per
-    component would still be sound but is not worth the bookkeeping),
-    and the range layer additionally requires a bare numeric probe-key
-    column — NaN build keys disable it, since NaN poisons min/max.
+    Only single-key joins are filtered (a compound key's per-component
+    test would still be sound but is not worth the bookkeeping).
     """
-    if not getattr(join, "runtime_filter_enabled", False):
+    if not join.runtime_filter_enabled:
         return None
     if len(probe_key_fns) != 1 or len(join.probe_keys) != 1:
         return None
-    scan = probe_chain[0]
-    key_fn = probe_key_fns[0][0]
-    keys = hash_table.keys()
-    empty = not hash_table
-    bloom = None if empty else _BloomFilter(keys)
-    zone_fn = None
-    key_expr = join.probe_keys[0]
-    if (not empty and scan.use_zone_maps
-            and isinstance(key_expr, ColumnRef)
-            and all(isinstance(key, (int, float)) and not isinstance(key, bool)
-                    and key == key for key in keys)):
-        zone_fn = runtime_range_zone(key_expr.name.lower(),
-                                     min(keys), max(keys))
-    join.runtime_filter_kind = ("range+bloom" if empty or zone_fn is not None
-                                else "bloom")
-    return RuntimeJoinFilter(join, scan, key_fn, bloom, zone_fn, empty)
+    runtime_filter = RuntimeJoinFilter(
+        hash_table.keys(), probe_key_fns[0][0], join.probe_keys[0],
+        zone_maps=probe_chain[0].use_zone_maps, join=join)
+    join.runtime_filter_kind = runtime_filter.kind
+    return runtime_filter
 
 
 class _BatchJoinSource:

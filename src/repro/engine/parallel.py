@@ -31,9 +31,9 @@ parallelism instead of wasting a worker on an empty morsel.  Runtime
 join filters prune at the same point: a hash join's build-key range is
 checked against each segment's zones during dispatch, so a morsel a
 sibling's build side rules out is never submitted (and never charged
-simulated I/O), while the Bloom row filter runs inside the workers —
-only its counters fold back on the coordinator, keeping every
-statistics mutation single-threaded.
+simulated I/O), while the row test against the build's key set runs
+inside the workers — only its counters fold back on the coordinator,
+keeping every statistics mutation single-threaded.
 """
 
 from __future__ import annotations

@@ -129,8 +129,9 @@ def test_cluster_configs_are_repr_identical(data):
                 cluster = ShardCluster.from_database(
                     _build_database(storage, obj_rows, nbr_rows, cat_rows),
                     shards=shards, affinity=AFFINITY)
-                cluster.executor.enable_runtime_filters = runtime_filters
                 session = ClusterSession(cluster)
+                session.cluster_planner.engine.enable_runtime_filters = \
+                    runtime_filters
                 rendered = repr(session.query(CLUSTER_SQL).rows)
                 assert rendered == expected, (storage, shards, runtime_filters)
         if CLUSTER_SQL not in baseline:
