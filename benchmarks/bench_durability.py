@@ -19,6 +19,14 @@ so reopening is a header parse plus lazy reads) and the
   admitted after see the new release; none fail), and the twenty
   data-mining queries must return byte-identical rows before and
   after a flip to an identical release.
+* **durable writes cost what they change** — three ratios, so the gate
+  holds on any host: a durable single insert into the 148-column
+  PhotoObj column store costs at most 1.5x a non-durable one (the row
+  is one schema-driven WAL frame); a checkpoint after 300 changed rows
+  costs at most 0.35x a cold checkpoint of the same database (tables
+  and sealed segments that did not change are written from the bytes
+  the last checkpoint encoded); and the WAL writes at most half the
+  bytes per row the generic tagged codec writes for that row.
 """
 
 from __future__ import annotations
@@ -32,9 +40,17 @@ from repro.bench import ExperimentReport
 from repro.engine.durable import DurabilityManager
 from repro.loader import load_release_database
 from repro.skyserver import SkyServer
+from repro.storage import encode_value
 
 #: Reopen must beat the loader path by at least this factor.
 REOPEN_SPEEDUP_FLOOR = 5.0
+
+#: A durable single insert may cost at most this much a plain one.
+DURABLE_INSERT_CEILING = 1.5
+#: A checkpoint after a write round may cost at most this much a cold one.
+WARM_CHECKPOINT_CEILING = 0.35
+#: WAL bytes per row at most this much the generic codec's record.
+WAL_BYTES_CEILING = 0.5
 
 #: Queries pumped through the pool while the release flip runs: an
 #: index lookup, a selective scan and an aggregate, with a rotating
@@ -179,4 +195,120 @@ def test_online_release_flip_gate(bench_survey):
     finally:
         if server is not None:
             server.close()
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def _fresh_photo_rows(table, count: int, start: int) -> list[dict]:
+    """``count`` copies of a loaded PhotoObj row under new object ids."""
+    _row_id, template = next(table.storage.iter_rows())
+    rows = []
+    for key in range(start, start + count):
+        row = dict(template)
+        row["objid"] = key
+        rows.append(row)
+    return rows
+
+
+def _best_block(run, blocks: int = 3) -> float:
+    best = float("inf")
+    for block in range(blocks):
+        started = time.perf_counter()
+        run(block)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _forget_encodings(manager: DurabilityManager) -> None:
+    """Make the next checkpoint cold: no table payload or sealed-segment
+    encoding of an earlier checkpoint is left to reuse."""
+    manager._payloads.clear()
+    manager._statistics_payload = None
+    for table in manager.database.tables.values():
+        if table.storage.kind == "column":
+            for segment in table.storage.segments():
+                segment.encoded = None
+
+
+def test_durable_write_path_gate(bench_survey):
+    """Durable insert <= 1.5x plain; warm checkpoint <= 0.35x cold; WAL
+    bytes per row <= 0.5x the generic codec's."""
+    root = tempfile.mkdtemp(prefix="bench-durable-writes-")
+    try:
+        database, _report = load_release_database(bench_survey, columnar=True)
+        photo = database.table("PhotoObj")
+        assert len(photo.columns) == 148
+        next_key = [10 ** 15]
+
+        def inserts(_block: int, count: int = 100) -> None:
+            for row in _fresh_photo_rows(photo, count, next_key[0]):
+                photo.insert(row, database=database)
+            next_key[0] += count
+
+        plain = _best_block(inserts)
+        manager = DurabilityManager.attach(database, root)
+        durable = _best_block(inserts)
+
+        # WAL bytes of one insert against the generic record of its row.
+        wal_before = manager.wal.size()
+        (row,) = _fresh_photo_rows(photo, 1, next_key[0])
+        next_key[0] += 1
+        photo.insert(row, database=database)
+        frame_bytes = manager.wal.size() - wal_before
+        generic_bytes = 12 + len(encode_value(
+            {"row": photo._prepare_row(row), "op": "insert", "table": "PhotoObj"}))
+
+        def write_round(_block: int) -> None:
+            manager.checkpoint()
+            for _batch in range(2):
+                inserts(0)
+                bulk = _fresh_photo_rows(photo, 50, next_key[0])
+                next_key[0] += 50
+                photo.insert_many(bulk, database=database)
+            victims = {bulk_row["objid"] for bulk_row in bulk}
+            photo.delete_where(lambda row: row["objid"] in victims)
+
+        warm = float("inf")
+        for block in range(3):
+            write_round(block)
+            started = time.perf_counter()
+            manager.checkpoint()
+            warm = min(warm, time.perf_counter() - started)
+
+        def cold_checkpoint(_block: int) -> None:
+            _forget_encodings(manager)
+            manager.checkpoint()
+        cold = _best_block(cold_checkpoint)
+        on_disk = manager.statistics()["on_disk_bytes"]
+        manager.close()
+
+        report = ExperimentReport(
+            "Durable writes cost what they change",
+            "Each DML statement is one schema-driven WAL frame, and a "
+            "checkpoint writes unchanged tables and sealed segments from "
+            "the bytes the last checkpoint encoded.")
+        report.add("plain insert", "n/a", f"{plain / 100 * 1e6:.0f}", unit="us")
+        report.add("durable insert", "n/a", f"{durable / 100 * 1e6:.0f}", unit="us")
+        report.add("durable / plain insert", f"<= {DURABLE_INSERT_CEILING}x",
+                   f"{durable / plain:.2f}x")
+        report.add("checkpoint after 300 rows", "n/a", f"{warm * 1e3:.1f}", unit="ms")
+        report.add("cold checkpoint", "n/a", f"{cold * 1e3:.1f}", unit="ms")
+        report.add("warm / cold checkpoint", f"<= {WARM_CHECKPOINT_CEILING}x",
+                   f"{warm / cold:.2f}x")
+        report.add("WAL bytes per row", "n/a", str(frame_bytes), unit="B")
+        report.add("generic codec bytes per row", "n/a", str(generic_bytes), unit="B")
+        report.add("WAL / generic bytes", f"<= {WAL_BYTES_CEILING}x",
+                   f"{frame_bytes / generic_bytes:.2f}x")
+        report.add("on-disk size", "n/a", f"{on_disk / 1e6:.1f}", unit="MB")
+        print_report(report)
+
+        assert durable <= DURABLE_INSERT_CEILING * plain, (
+            f"a durable insert costs {durable / plain:.2f}x a plain one "
+            f"(ceiling {DURABLE_INSERT_CEILING}x)")
+        assert warm <= WARM_CHECKPOINT_CEILING * cold, (
+            f"a checkpoint after 300 changed rows costs {warm / cold:.2f}x "
+            f"a cold one (ceiling {WARM_CHECKPOINT_CEILING}x)")
+        assert frame_bytes <= WAL_BYTES_CEILING * generic_bytes, (
+            f"{frame_bytes} WAL bytes per row against the generic codec's "
+            f"{generic_bytes} (ceiling {WAL_BYTES_CEILING}x)")
+    finally:
         shutil.rmtree(root, ignore_errors=True)

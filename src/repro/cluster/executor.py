@@ -20,9 +20,12 @@ tags so merged groups surface in single-node first-seen order;
 aggregates whose result is order-sensitive (floating SUM/AVG,
 DISTINCT) fall back to gathering the tagged aggregate *inputs* and
 folding them in merged order, trading transfer for bit-identical
-results.  TOP-N re-sorts at the coordinator, DISTINCT unions in merged
-order, and anything a fragment cannot express falls back to the
-row-path gather executed by the unmodified single-node engine.
+results; so does a MIN/MAX merge whose shard partials hold NaN or tie
+in value but not in representation (``0.0``/``-0.0``), re-run once
+its partials show it.  TOP-N re-sorts at the coordinator, DISTINCT
+unions in merged order, and anything a fragment cannot express falls
+back to the row-path gather executed by the unmodified single-node
+engine.
 
 ``simulated_scan_mbps`` models the per-shard disk bandwidth of the
 paper's scan-bound hardware (Figure 15): each fragment sleeps for the
@@ -33,6 +36,7 @@ clock even on a single-CPU host.  It is off (None) by default.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import threading
 import time
@@ -100,6 +104,34 @@ class _Fragment:
         #: Partial aggregation: group key -> [min merge key, [_AggState, ...]].
         self.groups: dict[tuple, list] = {}
         self.statistics = ExecutionStatistics()
+
+
+def _extremes_tie(plan, fragments: Sequence[_Fragment]) -> bool:
+    """True when merging the fragments' partial MIN/MAX states in shard
+    order could pick another value than the single node's scan-order
+    fold: a partial extreme is NaN (nothing compares below it, so the
+    fold keeps whichever NaN or number the scan met first), or two equal
+    extremes of one group differ in representation (``0.0``/``-0.0``,
+    ``1``/``1.0``: the fold keeps the first the scan met)."""
+    positions = [(position, aggregate.func == "min")
+                 for position, aggregate in enumerate(plan.aggregates)
+                 if aggregate.func in ("min", "max")]
+    if not positions or len(fragments) < 2:
+        return False
+    seen: dict[tuple, Any] = {}
+    for fragment in fragments:
+        for key, (_tag, states) in fragment.groups.items():
+            for position, is_min in positions:
+                state = states[position]
+                value = state.minimum if is_min else state.maximum
+                if value is None:
+                    continue
+                if value != value:
+                    return True
+                first = seen.setdefault((key, position, value), value)
+                if repr(first) != repr(value):
+                    return True
+    return False
 
 
 class ClusterExecutor:
@@ -170,6 +202,15 @@ class ClusterExecutor:
                 lambda shard_id: self._run_fragment(shard_id, plan, variables,
                                                     parent_span=parent_span),
                 sorted(survivors)))
+            if (plan.is_aggregate and plan.aggregate_mode == "partial"
+                    and _extremes_tie(plan, fragments)):
+                # Partials merge in shard order; the first row's value
+                # needs the inputs folded in merged (scan) order.
+                plan = dataclasses.replace(plan, aggregate_mode="ordered")
+                fragments = list(grant.ordered_map(
+                    lambda shard_id: self._run_fragment(
+                        shard_id, plan, variables, parent_span=parent_span),
+                    sorted(survivors)))
 
         statistics = ExecutionStatistics()
         for fragment in fragments:

@@ -21,12 +21,14 @@ one per shard plus one for the coordinator — see
 
 Crash-safety argument, in full:
 
-1.  Every DML/DDL mutation appends one WAL frame *inside* the mutating
-    lock section, so per-table WAL order equals row-id assignment
-    order; replaying the frames in order through the same code paths
-    (``insert(skip_fk=True)`` with the already-prepared row, real
+1.  Every DML/DDL statement appends one WAL frame *inside* the
+    mutating lock section, so per-table WAL order equals row-id
+    assignment order; replaying the frames in order through the same
+    code paths (``insert_many(skip_fk=True)`` with the already-prepared
+    rows, ``delete_row`` per logged row id, real
     ``vacuum()``/``convert_storage()`` calls) reassigns identical row
     ids.  Recovery is bit-for-bit, not merely logically equivalent.
+    A bulk statement is one frame, so it recovers whole or not at all.
 2.  A checkpoint freezes the database under **read locks on every
     table** (writers drain, readers keep flowing), serializes storage
     state while frozen, then commits with a single atomic
@@ -43,6 +45,22 @@ Crash-safety argument, in full:
     (:mod:`repro.storage.wal`).  Mutations whose frames did not fully
     reach disk are the *suffix* of the log, so the reopened state is
     always a prefix of history — never a gap.
+
+Frames come in two kinds (first payload byte): an insert statement is
+an *insert frame* (``+``, :class:`~repro.storage.format.RowCodec` —
+the rows encoded against the table's schema, decoded at replay against
+the table as it is at that point of the log); everything else, and an
+insert holding a value no fixed-width slot keeps exactly, is a generic
+tagged-codec record (``M``).  Generic records of the older
+one-frame-per-row form still replay.
+
+Checkpoints cost what changed.  Every file is byte-identical to a full
+encode, but a table whose observed state (:func:`_reuse_key`) is the
+same as at the last checkpoint is written from the byte pieces that
+checkpoint encoded, and a sealed segment keeps the encoding of its
+immutable parts from the first checkpoint that wrote it.  Neither cache
+listens to mutation hooks: a release flip swaps table contents without
+logging.
 
 What recovery may assume (and what it may not) is written down in
 CONTRIBUTING.md; the format itself in ``engine/README.md``.
@@ -64,9 +82,14 @@ import re
 import shutil
 import threading
 import time
-from typing import Any, Callable, Optional
+import weakref
+from array import array
+from operator import is_
+from typing import Any, Callable, Optional, Sequence
 
-from ..storage import decode_value, encode_value
+from ..storage import (INSERT_FRAME, RowCodec, decode_insert_frame,
+                       decode_value, encode_insert_frame, encode_pieces,
+                       encode_value)
 from ..storage.wal import WriteAheadLog, replay_file
 from ..telemetry.metrics import METRICS
 from ..telemetry.trace import TRACER
@@ -134,12 +157,49 @@ def _highest_generation(path: str) -> int:
     return highest
 
 
-def _write_file(path: str, payload: bytes, *, fsync: bool) -> None:
+def _write_file(path: str, payload: bytes | Sequence[bytes], *,
+                fsync: bool) -> None:
+    """Write ``payload`` — bytes, or byte pieces written in order."""
     with open(path, "wb") as handle:
-        handle.write(payload)
+        if isinstance(payload, bytes):
+            handle.write(payload)
+        else:
+            handle.writelines(payload)
         handle.flush()
         if fsync:
             os.fsync(handle.fileno())
+
+
+def table_snapshot(table: Table) -> dict[str, Any]:
+    """What a checkpoint writes for ``table`` (its ``t<N>.tbl`` file is
+    this mapping's encoding).  Caller holds the table's lock."""
+    return {
+        "table": table.name,
+        "state": table.storage.checkpoint_state(),
+        "data_bytes": table._data_bytes,
+        "modification_counter": table.modification_counter,
+        "indexes": {index.name: index.entries_state()
+                    for index in table.indexes.values()},
+    }
+
+
+def _reuse_key(table: Table) -> tuple:
+    """What a table's checkpoint payload is a function of, as observed
+    on the table itself: its storage object, slot count (tombstones
+    included), modification counter and index objects.  The objects
+    compare by identity (none defines ``__eq__``).
+
+    Every path that changes the payload changes one of these: an
+    insert, delete or non-empty truncate bumps the counter; a vacuum or
+    a truncate of tombstones alone shrinks the slot count; a storage
+    conversion or a release flip installs a new storage object; index
+    DDL changes the index set.  The per-segment tombstone counts, the
+    byte total and a column store's parts only change together with
+    one of them.  Hook notifications are not consulted: a release flip
+    swaps table contents without logging.
+    """
+    return (table.storage, len(table.storage), table.modification_counter,
+            tuple(table.indexes.values()))
 
 
 # -- schema <-> manifest JSON -------------------------------------------------
@@ -246,6 +306,15 @@ class DurabilityManager:
         #: methods: ``replay_insert(table, row, sequence)``,
         #: ``replay_vacuum(table)``, ``replay_convert(table, layout)``.
         self.replay_delegate: Any = None
+        #: Each table's insert-frame codec, built on first use.
+        self._row_codecs: "weakref.WeakKeyDictionary[Table, RowCodec]" = (
+            weakref.WeakKeyDictionary())
+        #: Table name -> (:func:`_reuse_key`, payload pieces) as of the
+        #: last checkpoint; a table whose key still matches is written
+        #: from these bytes instead of being encoded again.
+        self._payloads: dict[str, tuple[tuple, list[bytes]]] = {}
+        #: (the ANALYZE snapshots, their encoding) as of the last checkpoint.
+        self._statistics_payload: Optional[tuple[dict, bytes]] = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -395,26 +464,43 @@ class DurabilityManager:
         cluster's DML lock, which serializes staged inserts."""
         self._staged_sequence = sequence
 
+    def _row_codec(self, table: Table) -> RowCodec:
+        codec = self._row_codecs.get(table)
+        if codec is None:
+            codec = self._row_codecs[table] = RowCodec(table.columns)
+        return codec
+
     def _log(self, op: str, table: Optional[Table], payload: dict) -> None:
         if self._replaying or self.wal is None:
             return
-        record = dict(payload)
-        record["op"] = op
-        if table is not None:
-            record["table"] = table.name
+        name = table.name if table is not None else ""
+        frame = None
         if op == "insert":
             sequence = self._staged_sequence
             self._staged_sequence = None
-            if sequence is not None:
-                record["sequence"] = sequence
-        frame = encode_value(record)
+            rows = payload["rows"]
+            frame = encode_insert_frame(self._row_codec(table), name, rows,
+                                        sequence)
+            if frame is None:       # a value without an exact fixed slot
+                record = {"op": op, "table": name, "rows": list(rows)}
+                if sequence is not None:
+                    record["sequence"] = sequence
+        elif op == "delete":
+            record = {"op": op, "table": name,
+                      "row_ids": array("q", payload["row_ids"])}
+        else:
+            record = dict(payload)
+            record["op"] = op
+            if table is not None:
+                record["table"] = name
+        if frame is None:
+            frame = encode_value(record)
         tracer = TRACER
         if tracer.enabled and tracer.current() is not None:
             # Only attach WAL spans under an active query trace — bulk
             # loads append thousands of frames and would drown the
             # ring buffer with system noise.  Metrics count always.
-            with tracer.span("wal.append", op=op,
-                             table=record.get("table", "")):
+            with tracer.span("wal.append", op=op, table=name):
                 with self._append_lock:
                     if self.wal is not None:
                         self.wal.append(frame)
@@ -430,7 +516,7 @@ class DurabilityManager:
     # -- checkpoint -------------------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
-        """Write a full checkpoint and swing the manifest to it.
+        """Write a checkpoint of every table and swing the manifest to it.
 
         Freezes the database under read locks on every table (writers
         drain; readers keep flowing), serializes while frozen, then
@@ -472,24 +558,36 @@ class DurabilityManager:
 
         table_entries = []
         on_disk = 0
+        payloads: dict[str, tuple[tuple, list[bytes]]] = {}
         for position, table in enumerate(tables):
             file_name = f"t{position:04d}.tbl"
-            payload = encode_value({
-                "table": table.name,
-                "state": table.storage.checkpoint_state(),
-                "data_bytes": table._data_bytes,
-                "modification_counter": table.modification_counter,
-                "indexes": {index.name: index.entries_state()
-                            for index in table.indexes.values()},
-            })
-            _write_file(os.path.join(data_dir, file_name), payload,
+            key = _reuse_key(table)
+            cached = self._payloads.get(table.name)
+            if cached is not None and cached[0] == key:
+                pieces = cached[1]
+            else:
+                pieces = encode_pieces(table_snapshot(table))
+            payloads[table.name] = (key, pieces)
+            _write_file(os.path.join(data_dir, file_name), pieces,
                         fsync=self.fsync)
-            on_disk += len(payload)
+            on_disk += sum(map(len, pieces))
             entry = _table_schema(table)
             entry["file"] = file_name
             table_entries.append(entry)
+        self._payloads = payloads
 
-        payload = encode_value(dict(database.statistics))
+        # ANALYZE replaces a table's snapshot object and never changes
+        # one in place: the same objects in the same order encode alike.
+        statistics = dict(database.statistics)
+        cached_statistics = self._statistics_payload
+        if (cached_statistics is not None
+                and list(cached_statistics[0]) == list(statistics)
+                and all(map(is_, cached_statistics[0].values(),
+                            statistics.values()))):
+            payload = cached_statistics[1]
+        else:
+            payload = encode_value(statistics)
+        self._statistics_payload = (statistics, payload)
         _write_file(os.path.join(data_dir, "statistics.bin"), payload,
                     fsync=self.fsync)
         on_disk += len(payload)
@@ -527,7 +625,7 @@ class DurabilityManager:
         }
         manifest_tmp = os.path.join(self.path, MANIFEST_NAME + ".tmp")
         _write_file(manifest_tmp,
-                    json.dumps(manifest, indent=1).encode("utf-8"),
+                    json.dumps(manifest, separators=(",", ":")).encode("utf-8"),
                     fsync=self.fsync)
         # The commit point: everything before this rename is invisible
         # to recovery; everything after it is the new truth.
@@ -590,11 +688,30 @@ class DurabilityManager:
         count = 0
         try:
             for record in replay_file(self._wal_path):
-                self._apply(decode_value(record.payload))
+                payload = record.payload
+                if payload[:1] == INSERT_FRAME:
+                    # Decoded against the table as it is at this point
+                    # of the log (a later frame may drop and re-create it).
+                    name, sequence, rows = decode_insert_frame(
+                        payload, lambda name: self._row_codec(
+                            self.database.table(name)))
+                    self._replay_insert(self.database.table(name), rows,
+                                        sequence)
+                else:
+                    self._apply(decode_value(payload))
                 count += 1
         finally:
             self._replaying = False
         return count
+
+    def _replay_insert(self, table: Table, rows: list[dict[str, Any]],
+                       sequence: Optional[int]) -> None:
+        delegate = self.replay_delegate
+        if delegate is not None and hasattr(delegate, "replay_insert"):
+            for row in rows:            # a sequenced frame holds one row
+                delegate.replay_insert(table, row, sequence)
+        else:
+            table.insert_many(rows, skip_fk=True)
 
     def _apply(self, record: dict[str, Any]) -> None:
         op = record["op"]
@@ -608,13 +725,14 @@ class DurabilityManager:
         table = database.table(record["table"])
         delegate = self.replay_delegate
         if op == "insert":
-            if delegate is not None and hasattr(delegate, "replay_insert"):
-                delegate.replay_insert(table, record["row"],
-                                       record.get("sequence"))
-            else:
-                table.insert(record["row"], skip_fk=True)
+            # "row": a frame written before inserts became one frame per
+            # statement.
+            rows = record["rows"] if "rows" in record else [record["row"]]
+            self._replay_insert(table, rows, record.get("sequence"))
         elif op == "delete":
-            table.delete_row(record["row_id"])
+            for row_id in (record["row_ids"] if "row_ids" in record
+                           else (record["row_id"],)):
+                table.delete_row(row_id)
         elif op == "truncate":
             table.truncate()
         elif op == "vacuum":

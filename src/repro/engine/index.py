@@ -27,6 +27,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (Any, Iterable, Iterator, Mapping, Optional, Sequence,
                     TYPE_CHECKING)
 
@@ -62,14 +63,22 @@ _ROW_ID_LIMIT = 2 ** 63
 _MOVES_PER_COMPARISON = 512
 
 
+_ENTRY_ROW_ID = itemgetter(1)
+_ENTRY_KEY = itemgetter(2)
+
+
 def _pack_key_column(values: list) -> Any:
     """Pack one key column for a checkpoint: an ``array`` when every
-    value is a plain int64/float (bools and NULL force the list form —
-    an array would come back as a different type)."""
-    if all(type(value) is int and -(1 << 63) <= value < (1 << 63)
-           for value in values):
-        return array("q", values)
-    if all(type(value) is float for value in values):
+    value is a plain int64/float (bools, NULL and ints beyond 64 bits
+    force the list form — an array would come back as a different type
+    or not hold the value)."""
+    types = set(map(type, values))
+    if types <= {int}:
+        try:
+            return array("q", values)
+        except OverflowError:
+            pass
+    elif types == {float}:
         return array("d", values)
     return values
 
@@ -284,14 +293,12 @@ class BTreeIndex:
         """
         self._ensure_sorted()
         entries = self._entries
-        columns = []
-        for position in range(len(self.columns)):
-            columns.append(_pack_key_column(
-                [entry[2][position] for entry in entries]))
+        keys = list(map(_ENTRY_KEY, entries))
         return {
             "count": len(entries),
-            "columns": columns,
-            "row_ids": array("q", [entry[1] for entry in entries]),
+            "columns": [_pack_key_column(list(map(itemgetter(position), keys)))
+                        for position in range(len(self.columns))],
+            "row_ids": array("q", list(map(_ENTRY_ROW_ID, entries))),
         }
 
     def restore_entries(self, state: dict) -> None:

@@ -1396,7 +1396,9 @@ class Planner:
         bit-exactly.
 
         The cluster planner asks this rule for shard partials too.
-        COUNT/MIN/MAX are always safe; SUM/AVG only over an
+        COUNT/MIN/MAX are always safe (shard partials merge in shard
+        order, not scan order, so the cluster executor re-runs a merge
+        whose MIN/MAX partials tie or hold NaN); SUM/AVG only over an
         integer-typed column whose ANALYZE-bounded total provably stays
         below 2**53 (the running total is a float, so integer addition
         is associative only while exactly representable); DISTINCT

@@ -387,9 +387,17 @@ class SealedSegment:
     null masks (only where the segment actually holds NULLs), zone maps
     and a tombstone count (DML invalidation: a nonzero count keeps the
     zone map usable for *skipping* — it still bounds a superset of the
-    live rows — but bars answering aggregates from it)."""
+    live rows — but bars answering aggregates from it).
 
-    __slots__ = ("base", "rows", "columns", "masks", "zones", "tombstones")
+    Only ``tombstones`` changes after sealing, so the on-disk bytes of
+    ``columns``, ``masks`` and ``zones`` are computed once, by the
+    first checkpoint that writes the segment, and kept in ``encoded``
+    (:mod:`repro.storage.format`); a server that never checkpoints
+    never fills it.
+    """
+
+    __slots__ = ("base", "rows", "columns", "masks", "zones", "tombstones",
+                 "encoded")
 
     def __init__(self, base: int, rows: int, columns: dict, masks: dict,
                  zones: dict, tombstones: int = 0):
@@ -399,6 +407,7 @@ class SealedSegment:
         self.masks = masks              # name -> bytes (local; only if nulls)
         self.zones = zones              # name -> ZoneStats
         self.tombstones = tombstones    # live-row deletes since sealing
+        self.encoded: Optional[bytes] = None
 
     def decode_column(self, name: str) -> Sequence:
         _note_decode()

@@ -23,17 +23,8 @@ from .constraints import (CheckConstraint, ForeignKey, PrimaryKey,
 from .errors import SchemaError, TypeMismatchError
 from .index import BTreeIndex
 from .storage import TableStorage, make_storage
-from .types import (CURRENT_TIMESTAMP, Column, DataType, NULL, coerce_value,
-                    value_byte_size)
-
-#: The exact Python type each column type stores.  A value already of
-#: that type is stored as is: :func:`coerce_value` would return it
-#: unchanged.
-_STORED_TYPES = {
-    DataType.INTEGER: int, DataType.BIGINT: int, DataType.FLOAT: float,
-    DataType.TEXT: str, DataType.BOOLEAN: bool,
-    DataType.TIMESTAMP: _dt.datetime, DataType.BLOB: bytes,
-}
+from .types import (CURRENT_TIMESTAMP, STORED_TYPES, Column, DataType, NULL,
+                    coerce_value, value_byte_size)
 
 # Row-plan default markers: "absent", "the table clock", and "a literal
 # default that does not coerce" (it raises when a row needs it, as
@@ -87,7 +78,7 @@ class Table:
         self._row_plan = tuple(
             (column.name.lower(), column.nullable, _planned_default(column), column)
             for column in self.columns)
-        self._stored_types = [_STORED_TYPES[column.dtype] for column in self.columns]
+        self._stored_types = [STORED_TYPES[column.dtype] for column in self.columns]
         #: Every spelling of a column name seen in inserted values ->
         #: its row key (learned on first sight, so a row pays one dict
         #: lookup per value, not a ``str.lower`` call).
@@ -119,10 +110,11 @@ class Table:
         self.modification_counter = 0
         self._clock: Callable[[], _dt.datetime] = _default_clock
         self._on_schema_change: Optional[Callable[[], None]] = None
-        #: Durability hook: called as ``hook(op, payload)`` inside the
-        #: mutating lock section, after the mutation has applied (see
-        #: :mod:`repro.engine.durable`).  ``None`` when the table is not
-        #: attached to a write-ahead log.
+        #: Durability hook: called as ``hook(op, payload)`` once per
+        #: statement, inside the mutating lock section, after the
+        #: mutation has applied (see :mod:`repro.engine.durable`); an
+        #: insert passes ``{"rows": ...}``, a delete ``{"row_ids": ...}``.
+        #: ``None`` when the table is not attached to a write-ahead log.
         self._on_mutation: Optional[Callable[[str, dict], None]] = None
         if primary_key is not None:
             for column in primary_key.columns:
@@ -381,7 +373,7 @@ class Table:
             self.storage.append(row)
             self._data_bytes += self._row_bytes(row)
             self.modification_counter += 1
-            self._log_mutation("insert", {"row": row})
+            self._log_mutation("insert", {"rows": (row,)})
         return row_id
 
     def insert_lock_specs(self, database: Optional["Database"], *,
@@ -408,7 +400,8 @@ class Table:
         changes neither the table nor the write-ahead log.  It runs in
         one exclusive section (FK parents held shared throughout):
         readers see none or all of it, and the database epoch advances
-        once.
+        once.  The whole bulk is one WAL frame, so a crash recovers all
+        of it or none.
         """
         prepared = [self._prepare_row(values) for values in rows]
         for check in self.checks:
@@ -423,8 +416,9 @@ class Table:
             for row in prepared:
                 self.storage.append(row)
                 self._data_bytes += self._row_bytes(row)
-                self._log_mutation("insert", {"row": row})
             self.modification_counter += len(prepared)
+            if prepared:
+                self._log_mutation("insert", {"rows": prepared})
         return len(prepared)
 
     def _index_rows(self, rows: Sequence[dict[str, Any]], first_row_id: int) -> None:
@@ -442,16 +436,22 @@ class Table:
 
     def delete_row(self, row_id: int) -> bool:
         with self.lock.write():
-            row = self.storage.get(row_id)
-            if row is None:
+            if not self._delete(row_id):
                 return False
-            for index in self.indexes.values():
-                index.remove(row_id, row)
-            self.storage.delete(row_id)
-            self._data_bytes -= self._row_bytes(row)
-            self.modification_counter += 1
-            self._log_mutation("delete", {"row_id": row_id})
+            self._log_mutation("delete", {"row_ids": (row_id,)})
             return True
+
+    def _delete(self, row_id: int) -> bool:
+        """Delete one live row (caller holds the write lock; not logged)."""
+        row = self.storage.get(row_id)
+        if row is None:
+            return False
+        for index in self.indexes.values():
+            index.remove(row_id, row)
+        self.storage.delete(row_id)
+        self._data_bytes -= self._row_bytes(row)
+        self.modification_counter += 1
+        return True
 
     def delete_where(self, predicate: Callable[[Mapping[str, Any]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the number deleted.
@@ -459,13 +459,16 @@ class Table:
         Selection and deletion happen in one exclusive section, so the
         predicate runs against a stable snapshot.  It is handed a
         read-only mapping per row (a column store decodes only the
-        columns the predicate reads).
+        columns the predicate reads).  The victims' row ids are one WAL
+        frame, so a crash recovers the whole statement or none of it.
         """
         with self.lock.write():
             victims = [row_id for row_id, row in self.storage.iter_row_views()
                        if predicate(row)]
             for row_id in victims:
-                self.delete_row(row_id)
+                self._delete(row_id)
+            if victims:
+                self._log_mutation("delete", {"row_ids": victims})
             return len(victims)
 
     def truncate(self) -> None:

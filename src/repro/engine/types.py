@@ -57,6 +57,16 @@ _BYTE_WIDTHS = {
 }
 
 
+#: The exact Python type each column type stores.  A value already of
+#: that type is stored as is: :func:`coerce_value` would return it
+#: unchanged.
+STORED_TYPES = {
+    DataType.INTEGER: int, DataType.BIGINT: int, DataType.FLOAT: float,
+    DataType.TEXT: str, DataType.BOOLEAN: bool,
+    DataType.TIMESTAMP: _dt.datetime, DataType.BLOB: bytes,
+}
+
+
 #: Sentinel used for "default value is the insert timestamp", mirroring
 #: SQL Server's ``CURRENT_TIMESTAMP`` column default that the loader's
 #: UNDO mechanism depends on (paper section 9.4).

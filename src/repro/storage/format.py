@@ -29,12 +29,14 @@ from __future__ import annotations
 import datetime as _dt
 import struct
 from array import array
-from typing import Any
+from itertools import compress
+from operator import is_not, itemgetter
+from typing import Any, Callable, Optional, Sequence
 
 from ..engine.segments import (DeltaColumn, DictColumn, PlainColumn,
                                RleColumn, SealedSegment, ZoneStats)
 from ..engine.stats import ColumnStatistics, TableStatistics
-from ..engine.types import DataType, NULL
+from ..engine.types import NULL, STORED_TYPES, Column, DataType
 
 
 class FormatError(ValueError):
@@ -151,9 +153,19 @@ def _encode(out: bytearray, value: Any) -> None:
         _encode(out, value.base)
         _encode(out, value.rows)
         _encode(out, value.tombstones)
-        _encode(out, value.columns)
-        _encode(out, value.masks)
-        _encode(out, value.zones)
+        body = value.encoded
+        if body is None:
+            # Everything after the tombstone count never changes once
+            # sealed: encode it once and keep the bytes on the segment.
+            buffer = bytearray()
+            _encode(buffer, value.columns)
+            _encode(buffer, value.masks)
+            _encode(buffer, value.zones)
+            body = value.encoded = bytes(buffer)
+        if type(out) is _Pieces:
+            out.share(body)
+        else:
+            out += body
     elif isinstance(value, ColumnStatistics):
         out += b"c"
         _encode(out, [value.column, value.dtype, value.row_count,
@@ -173,6 +185,33 @@ def encode_value(value: Any) -> bytes:
     out = bytearray()
     _encode(out, value)
     return bytes(out)
+
+
+class _Pieces(bytearray):
+    """An encode buffer that passes large shared byte strings (a sealed
+    segment's cached encoding) through as pieces of their own instead
+    of copying them in."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pieces: list[bytes] = []
+
+    def share(self, chunk: bytes) -> None:
+        if self:
+            self.pieces.append(bytes(self))
+            del self[:]
+        self.pieces.append(chunk)
+
+
+def encode_pieces(value: Any) -> list[bytes]:
+    """:func:`encode_value` as a list of byte strings whose concatenation
+    is the same bytes; sealed segments contribute their cached encoding
+    itself, so a checkpoint holds no byte of it twice."""
+    out = _Pieces()
+    _encode(out, value)
+    if out:
+        out.pieces.append(bytes(out))
+    return out.pieces
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +343,191 @@ def decode_value(data: bytes) -> Any:
         raise FormatError(
             f"{len(reader.data) - reader.offset} trailing bytes after value")
     return value
+
+
+# ---------------------------------------------------------------------------
+# Insert frames: one statement's rows, encoded against the table's schema
+# ---------------------------------------------------------------------------
+
+#: First byte of an insert frame.  Every generic WAL record is a dict,
+#: which the tagged codec starts with ``b"M"``, so the two never collide.
+INSERT_FRAME = b"+"
+
+#: The fixed-width column types: their ``struct`` code and the filler a
+#: NULL packs as.
+_FIXED_WIDTH = {DataType.INTEGER: ("q", 0), DataType.BIGINT: ("q", 0),
+                DataType.FLOAT: ("d", 0.0), DataType.BOOLEAN: ("?", False)}
+
+
+def _tuple_getter(keys: Sequence[Any]) -> Callable[[Any], tuple]:
+    """``itemgetter(*keys)`` that returns a tuple for any number of keys."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda container: (container[key],)
+    if not keys:
+        return lambda container: ()
+    return itemgetter(*keys)
+
+
+class RowCodec:
+    """One table's prepared rows <-> the row part of an insert frame.
+
+    A row is a NULL bitmap (bit ``i`` set: column ``i`` is NULL), one
+    ``struct`` run of the fixed-width columns in column order
+    (INTEGER/BIGINT as int64, FLOAT as an IEEE double — the bits of
+    -0.0 and NaN kept —, BOOLEAN as one byte; a NULL packs the type's
+    zero), then each non-NULL variable-width column in column order,
+    length-prefixed: TEXT as UTF-8, BLOB raw, TIMESTAMP as ISO text —
+    the generic codec's own spellings, so a row decodes to exactly what
+    the generic codec would have returned.
+    """
+
+    def __init__(self, columns: Sequence[Column]):
+        self.keys = tuple(column.name.lower() for column in columns)
+        count = len(self.keys)
+        self._positions = range(count)
+        self._types = tuple(STORED_TYPES[column.dtype] for column in columns)
+        fixed = [position for position, column in enumerate(columns)
+                 if column.dtype in _FIXED_WIDTH]
+        self._fixed = struct.Struct("<" + "".join(
+            _FIXED_WIDTH[columns[position].dtype][0] for position in fixed))
+        self._fixed_slot = {position: slot for slot, position in enumerate(fixed)}
+        self._fixed_zero = [_FIXED_WIDTH[columns[position].dtype][1]
+                            for position in fixed]
+        self._variable = tuple((position, column.dtype)
+                               for position, column in enumerate(columns)
+                               if column.dtype not in _FIXED_WIDTH)
+        self._values = _tuple_getter(self.keys)
+        self._fixed_values = _tuple_getter(fixed)
+        # Decoding yields the fixed values, then the variable ones; this
+        # puts them back in column order.
+        order = fixed + [position for position, _dtype in self._variable]
+        slot_of = {position: slot for slot, position in enumerate(order)}
+        self._reorder = _tuple_getter([slot_of[position]
+                                       for position in range(count)])
+        self._no_nulls = bytes((count + 7) // 8)
+
+    def encode_rows(self, rows: Sequence[dict[str, Any]], out: bytearray) -> bool:
+        """Append ``rows`` to ``out``; False (``out`` then holds a
+        partial row) when some value has no exact slot here — a value
+        not of its column's stored type, or an int beyond 64 bits."""
+        values_of, fixed_of = self._values, self._fixed_values
+        types, positions = self._types, self._positions
+        pack = self._fixed.pack
+        for row in rows:
+            values = values_of(row)
+            odd = list(compress(positions, map(is_not, map(type, values), types)))
+            fixed = fixed_of(values)
+            if odd:
+                bitmap = bytearray(self._no_nulls)
+                fixed = list(fixed)
+                for position in odd:
+                    if values[position] is not NULL:
+                        return False
+                    bitmap[position >> 3] |= 1 << (position & 7)
+                    slot = self._fixed_slot.get(position)
+                    if slot is not None:
+                        fixed[slot] = self._fixed_zero[slot]
+                out += bitmap
+            else:
+                out += self._no_nulls
+            try:
+                out += pack(*fixed)
+            except struct.error:
+                return False
+            for position, dtype in self._variable:
+                value = values[position]
+                if value is NULL:
+                    continue
+                if dtype is DataType.TEXT:
+                    data = value.encode("utf-8")
+                elif dtype is DataType.TIMESTAMP:
+                    data = value.isoformat().encode("ascii")
+                else:
+                    data = value
+                out += _U32.pack(len(data))
+                out += data
+        return True
+
+    def decode_rows(self, data: bytes, offset: int,
+                    count: int) -> tuple[list[dict[str, Any]], int]:
+        """``count`` rows starting at ``offset``, and the offset after them."""
+        keys, fixed, reorder = self.keys, self._fixed, self._reorder
+        width = len(self._no_nulls)
+        rows = []
+        for _ in range(count):
+            bitmap = data[offset:offset + width]
+            offset += width
+            values = list(fixed.unpack_from(data, offset))
+            offset += fixed.size
+            for position, dtype in self._variable:
+                if bitmap[position >> 3] >> (position & 7) & 1:
+                    values.append(NULL)
+                    continue
+                (size,) = _U32.unpack_from(data, offset)
+                offset += 4
+                chunk = data[offset:offset + size]
+                if len(chunk) != size:
+                    raise FormatError("truncated insert frame")
+                offset += size
+                if dtype is DataType.TEXT:
+                    values.append(chunk.decode("utf-8"))
+                elif dtype is DataType.TIMESTAMP:
+                    values.append(_dt.datetime.fromisoformat(chunk.decode("ascii")))
+                else:
+                    values.append(chunk)
+            values = reorder(values)
+            if bitmap != self._no_nulls:
+                values = list(values)
+                for byte_index, byte in enumerate(bitmap):
+                    for bit in range(8):
+                        if byte >> bit & 1:
+                            values[byte_index * 8 + bit] = NULL
+            rows.append(dict(zip(keys, values)))
+        return rows, offset
+
+
+def encode_insert_frame(codec: RowCodec, table: str,
+                        rows: Sequence[dict[str, Any]],
+                        sequence: Optional[int] = None) -> Optional[bytes]:
+    """One insert statement as a WAL payload: the tag, the table name,
+    the optional cluster sequence, the row count, then the rows.  None
+    when a row needs the generic codec (:meth:`RowCodec.encode_rows`)."""
+    out = bytearray(INSERT_FRAME)
+    _put_bytes(out, table.encode("utf-8"))
+    if sequence is None:
+        out += b"\x00"
+    elif -(1 << 63) <= sequence < (1 << 63):
+        out += b"\x01"
+        out += _I64.pack(sequence)
+    else:
+        return None
+    out += _U32.pack(len(rows))
+    if not codec.encode_rows(rows, out):
+        return None
+    return bytes(out)
+
+
+def decode_insert_frame(payload: bytes, codec_for: Callable[[str], RowCodec]
+                        ) -> tuple[str, Optional[int], list[dict[str, Any]]]:
+    """(table name, sequence, rows) of an insert frame; ``codec_for``
+    maps the table name to the codec of the table as it is now."""
+    try:
+        reader = _Reader(payload)
+        if reader.take(1) != INSERT_FRAME:
+            raise FormatError("not an insert frame")
+        table = reader.take_sized().decode("utf-8")
+        sequence = (_I64.unpack(reader.take(8))[0]
+                    if reader.take(1) == b"\x01" else None)
+        (count,) = _U32.unpack(reader.take(4))
+        rows, offset = codec_for(table).decode_rows(payload, reader.offset, count)
+    except (struct.error, IndexError, ValueError) as error:
+        if isinstance(error, FormatError):
+            raise
+        raise FormatError(f"malformed insert frame: {error}") from error
+    if offset != len(payload):
+        raise FormatError(f"{len(payload) - offset} trailing bytes after insert frame")
+    return table, sequence, rows
 
 
 # ---------------------------------------------------------------------------

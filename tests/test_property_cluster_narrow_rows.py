@@ -361,3 +361,37 @@ def test_the_battery_engages_seeks_runtime_filters_and_covering_scans():
     assert "Shard Index Seek ix_type_mag" in columnar.explain(ACCESS_ORDER[2])
     join = columnar.query(ORDERED[10])
     assert join.statistics.runtime_filter_rows_pruned > 0
+
+
+@pytest.mark.parametrize("palette,dec_step,where", [
+    # 0.0 and -0.0 tie: MIN/MAX keep the first one the scan meets
+    ([None, -0.0, 0.0], 7, "where dec > -3"),
+    ([None, -0.0, 0.0], 13, "where dec > -3"),
+    # a NaN poisons the comparisons the first rows make
+    ([None, float("nan"), None, -0.0, 19.5], 13, ""),
+])
+def test_shard_float_min_max_match_the_single_node(palette, dec_step, where):
+    """Shard partials merge in shard order, not scan order: when float
+    MIN/MAX partials tie or hold NaN (in shard order these data answer
+    0.0 and NaN), the merge re-runs as an ordered gather and keeps the
+    first row's value."""
+    data = dict(FIXED, dec_step=dec_step, tombstones=[], neighbours=[],
+                palettes=dict(FIXED["palettes"], modelmag_r=palette))
+    sql = ("select min(modelMag_r) as lo, max(modelMag_r) as hi "
+           f"from PhotoObj {where}")
+    for storage in ("column", "row"):
+        session = cluster_session(storage, data, 4, "zone")
+        executor = session.cluster.executor
+        assert session.cluster_planner.plan(
+            parse_select(sql)).aggregate_mode == "partial"
+        gathers = executor.ordered_aggregate_gathers
+        assert outcome(lambda: session.query(sql)) == whole_rows(
+            single_node(storage, data), sql), storage
+        assert executor.ordered_aggregate_gathers == gathers + 1, storage
+    # Untied, NaN-free partials still merge as partials.
+    data = dict(FIXED, tombstones=[], neighbours=[])
+    session = cluster_session("column", data, 4, "zone")
+    sql = "select min(ra) as lo, max(ra) as hi from PhotoObj where ra > 1"
+    assert outcome(lambda: session.query(sql)) == whole_rows(
+        single_node("column", data), sql)
+    assert session.cluster.executor.ordered_aggregate_gathers == 0
