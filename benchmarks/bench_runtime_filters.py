@@ -8,11 +8,11 @@ with PR 7's zone maps to skip whole sealed segments before they are
 read, and the build's own key set drops non-matching rows
 pre-materialization.
 
-This benchmark gates the win on the ISSUE's shape — a **selective
-100k ⋈ 25k ⋈ 5k three-table join+aggregate** under the same 8 MB/s
-simulated scan disk as ``bench_segments.py``, executed **serially**
-(``parallelism=1``), so the asserted speedup can only come from
-runtime-filter pruning, never from morsel parallelism.  The
+This benchmark gates the win on a **selective 100k ⋈ 25k ⋈ 5k
+three-table join+aggregate**, timed on real CPU (no simulated disk)
+like ``bench_segments.py``.  The engine executes serially, so the
+asserted speedup can only come from runtime-filter pruning: probe
+segments never decoded and probe rows never gathered.  The
 segment-skip counters prove it: the filtered run must skip sealed
 probe segments, the unfiltered run must skip none, and both must
 return byte-identical rows.
@@ -31,10 +31,6 @@ from repro.engine import (Database, Planner, SqlSession, bigint, floating,
 PHOTO_ROWS = 100_000
 NEIGHBOR_ROWS = 25_000
 FIELD_ROWS = 5_000
-#: Modelled sequential-scan bandwidth (same role as bench_segments'):
-#: both configurations pay the same rate per byte actually read, so the
-#: runtime-filter win is exactly the probe segments never read.
-SCAN_MBPS = 8.0
 
 #: field(5k, 2% selected) ⋈ neighbors(25k) ⋈ photoobj(100k): the
 #: selected field rows' neighbors all point into one narrow objid band
@@ -82,8 +78,7 @@ def _bench_database() -> Database:
 
 
 def _session(database: Database, *, runtime_filters: bool) -> SqlSession:
-    planner = Planner(database, enable_runtime_filters=runtime_filters,
-                      simulated_scan_mbps=SCAN_MBPS)
+    planner = Planner(database, enable_runtime_filters=runtime_filters)
     return SqlSession(database, planner=planner)
 
 
@@ -106,8 +101,8 @@ def test_runtime_filter_join_speedup_gate():
         _session(database, runtime_filters=True), JOIN_SQL)
 
     assert repr(on.rows) == repr(off.rows)
-    # The win is pruning, not parallelism: both runs are serial, and
-    # only the filtered one may skip probe segments.
+    # The win is pruning: only the filtered run may skip probe
+    # segments.
     assert on.statistics.runtime_filter_segments_pruned > 0
     assert on.statistics.runtime_filter_rows_pruned > 0
     assert off.statistics.runtime_filter_segments_pruned == 0
@@ -117,10 +112,10 @@ def test_runtime_filter_join_speedup_gate():
 
     report = ExperimentReport(
         "Runtime join filters — selective 100k ⋈ 25k ⋈ 5k join+aggregate",
-        f"field(2% selected) ⋈ neighbors ⋈ photoobj on a {SCAN_MBPS:g} "
-        "MB/s scan disk, serial execution: the outer hash build's key "
-        "range and key set prune the probe scan's sealed segments "
-        "and rows before they are read.")
+        "field(2% selected) ⋈ neighbors ⋈ photoobj, real CPU, serial "
+        "execution: the outer hash build's key range and key set prune "
+        "the probe scan's sealed segments and rows before they are "
+        "read.")
     report.add("no-filter elapsed", "", round(off_seconds, 4), unit="s")
     report.add("filtered elapsed", "", round(on_seconds, 4), unit="s")
     report.add("segments pruned by filter", "most",

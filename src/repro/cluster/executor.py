@@ -55,7 +55,6 @@ from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
                                 _SortKey, _create_table_for_rows,
                                 _group_key_name, _hashable, join_key,
                                 key_range_row_ids)
-from ..engine.planner import Planner
 from ..engine.sql import SqlSession, parse_batch
 from ..engine.sql.ast import (AnalyzeStatement, DeclareStatement,
                               SelectStatement, SetStatement)
@@ -141,11 +140,12 @@ class ClusterExecutor:
                  max_workers: Optional[int] = None,
                  simulated_scan_mbps: Optional[float] = None):
         self.cluster = cluster
-        #: Shard fragments run on the process-wide shared worker pool
-        #: (the same one morsel-parallel scans and the serving pool
-        #: lease from), so a sharded cluster under a parallel serving
-        #: workload cannot oversubscribe the machine.  ``max_workers``
-        #: bounds this executor's lease request, not a private pool.
+        #: Shard fragments run on the process-wide shared worker pool,
+        #: which every cluster leases from, so several clusters under a
+        #: concurrent serving workload cannot oversubscribe the
+        #: machine.  ``max_workers`` bounds this executor's lease
+        #: request, not a private pool.  The engine itself executes
+        #: each fragment serially.
         from ..engine.parallel import get_worker_pool
 
         self._pool = get_worker_pool()
@@ -873,9 +873,9 @@ class ClusterExecutor:
             }
 
     def shutdown(self) -> None:
-        # The worker pool is process-global and shared with the rest of
-        # the stack (morsel scans, other clusters, the serving pool), so
-        # tearing down one executor must not stop its threads.
+        # The worker pool is process-global and shared with every other
+        # cluster, so tearing down one executor must not stop its
+        # threads.
         pass
 
     # -- helpers -----------------------------------------------------------
@@ -938,22 +938,13 @@ class ClusterSession:
 
     def __init__(self, cluster: ShardCluster, *,
                  row_limit: Optional[int] = None,
-                 time_limit_seconds: Optional[float] = None,
-                 parallelism: int = 1):
+                 time_limit_seconds: Optional[float] = None):
         self.cluster = cluster
         self.database = cluster.coordinator
         self.row_limit = row_limit
         self.time_limit_seconds = time_limit_seconds
-        #: Morsel-parallel degree for coordinator-side (fallback/gather)
-        #: plans; the distributed scatter-gather path parallelises over
-        #: shards instead.  1 keeps the session byte-compatible with the
-        #: pre-parallel behaviour.
-        self.parallelism = max(1, parallelism)
-        planner = (Planner(cluster.coordinator, parallelism=self.parallelism)
-                   if self.parallelism > 1 else None)
         self.session = SqlSession(cluster.coordinator, row_limit=row_limit,
-                                  time_limit_seconds=time_limit_seconds,
-                                  planner=planner)
+                                  time_limit_seconds=time_limit_seconds)
         self.planner = self.session.planner
         self.variables = self.session.variables
         self.plan_cache = self.session.plan_cache
@@ -1176,10 +1167,6 @@ class ClusterSession:
                     result.statistics.batches_processed)
             else:
                 self.session.row_executions += 1
-        if result.statistics.morsels_dispatched:
-            self.session.parallel_executions += 1
-            self.session.morsels_dispatched += (
-                result.statistics.morsels_dispatched)
         self.session.segments_scanned += result.statistics.segments_scanned
         self.session.segments_skipped += result.statistics.segments_skipped
         result.statistics.plan_cache_hits = 1 if cached else 0

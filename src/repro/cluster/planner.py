@@ -125,7 +125,7 @@ class _FragmentShape(ClusterPlan):
     distinct: bool = False
     into: Optional[str] = None
     #: ``"partial"`` when shard partial aggregates merge bit-exactly,
-    #: else ``"ordered"`` (``Planner._parallel_aggregate_mode``).
+    #: else ``"ordered"`` (``Planner._partial_aggregate_mode``).
     aggregate_mode: str = "ordered"
 
     @property
@@ -287,7 +287,7 @@ class ClusterPlanner:
             "distinct": query.distinct,
             "into": query.into,
             "aggregate_mode": (
-                self.engine._parallel_aggregate_mode(aggregate_op, infos)
+                self.engine._partial_aggregate_mode(aggregate_op, infos)
                 if aggregate_op is not None else "ordered"),
         }
 

@@ -22,23 +22,6 @@ from .types import NULL
 BATCH_ROWS = 4096
 
 
-def morsel_ranges(total: int, size: int = BATCH_ROWS) -> list[tuple[int, int]]:
-    """The ``[start, stop)`` row ranges a scan of ``total`` slots splits into.
-
-    Morsels are fixed-size row-range slices of the column buffers — the
-    unit the parallel scheduler hands to workers.  The serial batch loop
-    walks the identical ranges, which is what makes parallel execution's
-    ordered gather reproduce the serial batch stream exactly.
-
-    Segmented column stores no longer call this for scans — their
-    morsels are :meth:`ColumnStore.scan_units` (one per sealed
-    segment, ``SEGMENT_ROWS == BATCH_ROWS``, plus the tail), which
-    tile row ids exactly like these ranges do.  It remains the tiling
-    for row stores and non-scan consumers.
-    """
-    return [(start, min(start + size, total)) for start in range(0, total, size)]
-
-
 class BatchRowView:
     """A dict-like view of one batch row, addressed by column name.
 

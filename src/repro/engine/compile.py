@@ -69,14 +69,13 @@ products (folded constants, pre-compiled regexes, the frozen variable
 values, functions) and *reads* whatever binding, row dict or column
 buffers it is handed — it never writes shared state; its locals are
 per call.  The factory cache is an ``lru_cache`` (safe to share).  The
-morsel-parallel scan driver (:mod:`repro.engine.parallel`) and the
-cluster's shard fragments rely on this: one compiled function is shared
-by every worker, each applying it to its own morsel's
-:class:`~repro.engine.batch.ColumnBatch` concurrently.  Keep new codegen
-paths free of per-call mutable caches.  Runtime join filters
-(:class:`repro.engine.operators.RuntimeJoinFilter`) obey the same
-contract — built once after the hash build, then only *read* by
-workers — so they compose with any function compiled here without
+cluster's shard fragments and the serving pool's worker threads rely
+on this: one cached factory serves every thread, each applying its
+function to its own :class:`~repro.engine.batch.ColumnBatch`
+concurrently.  Keep new codegen paths free of per-call mutable caches.
+Runtime join filters (:class:`repro.engine.operators.RuntimeJoinFilter`)
+obey the same contract — built once after the hash build, then only
+*read* — so they compose with any function compiled here without
 changing which rows those functions ultimately accept.
 """
 

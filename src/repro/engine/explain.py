@@ -6,8 +6,9 @@ results table), Query 15A (Figure 11: a parallel table scan) and the
 NEO pair query (Figure 12: a nested-loop join of two index scans).
 :func:`render_plan` produces an indented text rendering of the same
 information: operator, target object, predicate, estimated rows and —
-after execution — actual rows (plus worker/morsel counts for
-morsel-parallel operators).
+after execution — actual rows, segment counts and runtime-filter
+pruning.  The engine executes serially, so no plan carries a worker
+count.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ def render_operator(operator: PhysicalOperator, depth: int = 0,
     line += f" (estimated rows={estimated}"
     if operator.planner_cost:
         line += f" cost={operator.planner_cost:.1f}"
-    if operator.workers > 1:
-        line += f" workers={operator.workers}"
     if executed or operator.actual_rows:
         # After EXPLAIN ANALYZE, every operator reports its actual row
         # count — zero included: "produced nothing" is an actual, not a
@@ -51,8 +50,6 @@ def render_operator(operator: PhysicalOperator, depth: int = 0,
         if operator.planner_rows is not None:
             error = q_error(operator.planner_rows, operator.actual_rows)
             line += f" est={operator.planner_rows} q-err={error:.1f}"
-        if operator.actual_morsels:
-            line += f" morsels={operator.actual_morsels}"
         scanned = getattr(operator, "actual_segments_scanned", 0)
         skipped = getattr(operator, "actual_segments_skipped", 0)
         if scanned or skipped:
@@ -84,9 +81,6 @@ def render_plan(plan: "PhysicalPlan") -> str:
         if statistics.batches_processed:
             footer += (f"; batches={statistics.batches_processed} "
                        f"({statistics.batch_rows} rows)")
-        if statistics.morsels_dispatched:
-            footer += (f"; morsels={statistics.morsels_dispatched} "
-                       f"workers={statistics.parallel_workers}")
         lines.append(footer + "]")
     return "\n".join(lines)
 

@@ -74,14 +74,6 @@ class ExecutionStatistics:
     #: decoding a single value.
     segments_scanned: int = 0
     segments_skipped: int = 0
-    #: Morsels executed on the shared worker pool, and the widest
-    #: worker grant any parallel operator ran with (zero when the whole
-    #: execution was serial).
-    morsels_dispatched: int = 0
-    parallel_workers: int = 0
-    #: Seconds spent in the simulated per-table I/O model (sleeps are
-    #: concurrent across workers, so this can exceed elapsed time).
-    simulated_io_seconds: float = 0.0
     #: Probe-side pruning by runtime join filters (sideways information
     #: passing): sealed segments never read because the build side's
     #: key range proved them matchless, and probe rows whose key the
@@ -107,13 +99,6 @@ class ExecutionContext:
     #: ``Expression.evaluate`` path (the pre-compilation behaviour; kept for
     #: the ablation benchmark and as a safety hatch).
     compile_enabled: bool = True
-    #: Intra-query worker budget (1 = serial; the planner only marks
-    #: operators parallel when it planned with ``parallelism > 1``).
-    parallelism: int = 1
-    #: Simulated sequential-scan bandwidth (MB/s); None = off.  Mirrors
-    #: the cluster executor's per-shard model so morsel workers can
-    #: overlap I/O stalls with compute on a single node.
-    simulated_scan_mbps: Optional[float] = None
 
     def compile(self, expression: Optional[Expression], layout: Layout, *,
                 projected: bool = False) -> Optional[CompiledExpression]:
@@ -201,14 +186,8 @@ class PhysicalOperator:
     planner_rows: Optional[int] = None
     planner_cost: float = 0.0
 
-    #: Worker budget the planner assigned this operator (1 = serial).
-    #: EXPLAIN shows ``workers=N`` when the plan is parallel here.
-    workers = 1
-
     def __init__(self) -> None:
         self.actual_rows = 0
-        #: Morsels this operator actually ran on the pool (EXPLAIN ANALYZE).
-        self.actual_morsels = 0
         #: Inclusive wall-clock seconds spent producing this operator's
         #: rows, populated only when the plan executed with
         #: ``time_operators=True`` (EXPLAIN ANALYZE).
@@ -348,18 +327,17 @@ class TableScan(PhysicalOperator):
         filters stacked above the scan; when omitted, the scan
         predicate's own zone form applies.  ``runtime_filter`` is a
         finished hash-join build's :class:`RuntimeJoinFilter`: segments
-        its key range disproves are skipped like zone misses (no rows,
-        no simulated I/O) and, after the scan predicate, surviving rows
-        keep only probe keys the build holds.  Statistics account
-        exactly as the row path for every unit actually scanned, pass
-        or fail; skipped segments contribute neither rows nor simulated
-        I/O.  Each batch carries its unit's ``base`` row id.
+        its key range disproves are skipped like zone misses and,
+        after the scan predicate, surviving rows keep only probe keys
+        the build holds.  Statistics account exactly as the row path
+        for every unit actually scanned, pass or fail; skipped segments
+        contribute no rows.  Each batch carries its unit's ``base`` row
+        id.
         """
         storage = self.table.storage
         statistics = context.statistics
         row_bytes = int(self.table.average_row_bytes())
         binding_name = self.binding_name
-        mbps = context.simulated_scan_mbps
         if zone_fns is None:
             zone_fns = _zone_predicates(self.use_zone_maps, predicate_fn)
         for unit in storage.scan_units():
@@ -383,10 +361,6 @@ class TableScan(PhysicalOperator):
             statistics.bytes_scanned += len(selection) * row_bytes
             statistics.batches_processed += 1
             statistics.batch_rows += len(selection)
-            if mbps:
-                seconds = (len(selection) * row_bytes) / (mbps * 1.0e6)
-                statistics.simulated_io_seconds += seconds
-                time.sleep(seconds)
             batch = ColumnBatch(unit.columns(), unit.masks(), selection,
                                 binding_name, unit.base)
             if predicate_fn is not None:
@@ -1039,12 +1013,6 @@ def _drive_batches(context: ExecutionContext, scan: "TableScan",
                    runtime_filter: Optional["RuntimeJoinFilter"] = None
                    ) -> Iterator[ColumnBatch]:
     """Pull batches through the scan and its filters, skipping empty ones."""
-    if _parallel_eligible(context, scan):
-        for batch, _payload in _parallel_morsels(context, scan, scan_predicate,
-                                                 filter_fns,
-                                                 runtime_filter=runtime_filter):
-            yield batch
-        return
     zone_fns = _zone_predicates(scan.use_zone_maps, scan_predicate,
                                 *[fn for _op, fn in filter_fns])
     for batch in scan.batches(context, scan_predicate, zone_fns=zone_fns,
@@ -1055,131 +1023,6 @@ def _drive_batches(context: ExecutionContext, scan: "TableScan",
             filter_op.apply_batch(batch, predicate_fn)
         if batch.selection:
             yield batch
-
-
-# -- the morsel-parallel scan driver -----------------------------------------
-
-def _parallel_eligible(context: ExecutionContext, scan: "TableScan") -> bool:
-    """Runtime re-check of the planner's parallel marking (advisory flags)."""
-    return (context.parallelism > 1 and scan.workers > 1
-            and scan.table.storage.kind == "column")
-
-
-def _parallel_morsels(context: ExecutionContext, scan: "TableScan",
-                      scan_predicate: Optional[VectorExpression],
-                      filter_fns: Sequence[tuple["FilterOp", VectorExpression]],
-                      payload_fn=None,
-                      runtime_filter: Optional["RuntimeJoinFilter"] = None
-                      ) -> Iterator[tuple[ColumnBatch, Any]]:
-    """Run a scan chain's morsels on the shared pool, gathering in order.
-
-    Each morsel is one scan unit — a sealed segment or the append tail,
-    which the storage aligns with the ``BATCH_ROWS`` morsel size; its
-    task — live-mask lookup against a snapshot taken once up front, the
-    simulated I/O stall, the vectorized scan predicate and every
-    filter, then the optional ``payload_fn`` over the filtered batch —
-    runs entirely on a worker thread.  Workers touch no shared mutable
-    state (compiled vector closures only read the buffers — sealed
-    segments decode into a per-task cache; each morsel owns its batch),
-    so probes and filters are lock-free.
-
-    Zone-map skipping composes with the pool on the coordinator side:
-    sealed segments the compiled zone predicates prove empty are never
-    submitted as tasks, so they pay neither worker time nor simulated
-    I/O.  A ``runtime_filter`` (a finished hash-join build's
-    :class:`RuntimeJoinFilter`) prunes the same way — its range verdict
-    runs before dispatch, so a disproved segment is never charged — and
-    its key test thins each surviving morsel on the worker, with the
-    pruned counts folded in by the coordinator alone.
-
-    The coordinator consumes results strictly in morsel order, folding
-    the per-morsel counters into the shared statistics and the
-    operators' actuals in that same order, which makes the yielded
-    ``(batch, payload)`` stream — and every counter — byte-identical to
-    the serial driver's, whatever the worker grant was.
-
-    Empty morsels (no live rows, or nothing survived the filters) are
-    dropped exactly as the serial driver drops them.
-    """
-    from .parallel import get_worker_pool
-
-    storage = scan.table.storage
-    row_bytes = int(scan.table.average_row_bytes())
-    binding_name = scan.binding_name
-    mbps = context.simulated_scan_mbps
-    units = storage.scan_units()
-    mask = storage.live_mask_snapshot()
-    predicates = [fn for _op, fn in filter_fns]
-    zone_fns = _zone_predicates(scan.use_zone_maps, scan_predicate, *predicates)
-    statistics = context.statistics
-
-    tasks = []
-    for unit in units:
-        if (unit.segment is not None and zone_fns
-                and _zone_skips(zone_fns, unit.segment)):
-            statistics.segments_skipped += 1
-            scan.actual_segments_skipped += 1
-            continue
-        if (unit.segment is not None and runtime_filter is not None
-                and runtime_filter.prunes_segment(unit.segment)):
-            runtime_filter.note_segment(statistics, scan)
-            continue
-        tasks.append(unit)
-
-    def run_unit(unit):
-        selection = unit.selection(mask=mask)
-        if not selection:
-            return None
-        scanned = len(selection)
-        io_seconds = 0.0
-        if mbps:
-            io_seconds = (scanned * row_bytes) / (mbps * 1.0e6)
-            time.sleep(io_seconds)
-        batch = ColumnBatch(unit.columns(), unit.masks(), selection,
-                            binding_name, unit.base)
-        if scan_predicate is not None:
-            batch.selection = _apply_scan_predicate(scan_predicate, batch,
-                                                    selection, unit.segment)
-        counts = [len(batch.selection)]
-        pruned = 0
-        if runtime_filter is not None and batch.selection:
-            kept = runtime_filter.filter_rows(batch, batch.selection)
-            pruned = len(batch.selection) - len(kept)
-            batch.selection = kept
-        for predicate_fn in predicates:
-            if not batch.selection:
-                break
-            batch.selection = predicate_fn(batch, batch.selection)
-            counts.append(len(batch.selection))
-        payload = (payload_fn(batch) if payload_fn is not None and batch.selection
-                   else None)
-        return batch, scanned, counts, io_seconds, pruned, payload
-
-    pool = get_worker_pool()
-    with pool.lease(scan.workers) as lease:
-        statistics.parallel_workers = max(statistics.parallel_workers,
-                                          lease.workers, 1)
-        for unit, result in zip(tasks, lease.ordered_map(run_unit, tasks)):
-            if result is None:
-                continue
-            batch, scanned, counts, io_seconds, pruned, payload = result
-            if unit.sealed:
-                statistics.segments_scanned += 1
-                scan.actual_segments_scanned += 1
-            statistics.rows_scanned += scanned
-            statistics.bytes_scanned += scanned * row_bytes
-            statistics.batches_processed += 1
-            statistics.batch_rows += scanned
-            statistics.morsels_dispatched += 1
-            statistics.simulated_io_seconds += io_seconds
-            scan.actual_rows += counts[0]
-            scan.actual_morsels += 1
-            if runtime_filter is not None:
-                runtime_filter.note_rows(statistics, scan, pruned)
-            for (filter_op, _fn), passed in zip(filter_fns, counts[1:]):
-                filter_op.actual_rows += passed
-            if batch.selection:
-                yield batch, payload
 
 
 # -- the vectorized hash-join pipeline ---------------------------------------
@@ -1202,8 +1045,7 @@ class RuntimeJoinFilter:
 
     * **range** — when the (single) probe key is a bare column, zone
       maps are on and every build key is a real number, the keys'
-      min/max disproves whole sealed segments before they are read
-      (on the parallel path, before their morsel is dispatched).
+      min/max disproves whole sealed segments before they are read.
       Tombstones keep this sound: zone bounds cover a superset of the
       live rows.  An empty build prunes every sealed segment outright
       — nothing can join.
@@ -1212,9 +1054,7 @@ class RuntimeJoinFilter:
       before the join gathers any columns.  NULL never is: NULL build
       keys are not hashed.
 
-    Counters change only through ``note_*``, which the scan (or the
-    parallel coordinator) calls serially — workers only ever *read*
-    the filter.
+    Counters change only through ``note_*``, which the scan calls.
     """
 
     __slots__ = ("keys", "key_fn", "zone_fn", "join")
@@ -1363,13 +1203,9 @@ class _BatchJoinSource:
         probe_fns = [fn for fn, _tag in self.probe_key_fns]
         single_key = len(probe_fns) == 1
         residual_fn = self.residual_fn
-        filter_predicates = [fn for _op, fn in self.filter_fns]
 
-        def probe_batch(batch: ColumnBatch):
-            """One probe morsel: lock-free lookups into the finished
-            (read-only) hash table, gather, residual and filters.  Safe
-            to run on a worker: it reads only the shared table/store and
-            this morsel's own batch."""
+        for batch in _drive_batches(context, *self.probe_chain[:3],
+                                    runtime_filter=runtime_filter):
             selection = batch.selection
             key_columns = [fn(batch, selection) for fn in probe_fns]
             probe_positions: list[int] = []
@@ -1389,7 +1225,7 @@ class _BatchJoinSource:
                         probe_positions.append(position)
                         build_ordinals.append(ordinal)
             if not probe_positions:
-                return None
+                continue
             columns: dict[str, list] = {}
             for key_name in needed_probe:
                 buffer = batch.columns[key_name.split(".", 1)[1]]
@@ -1401,57 +1237,41 @@ class _BatchJoinSource:
                               JOIN_BATCH_BINDING)
             if residual_fn is not None:
                 out.selection = residual_fn(out, out.selection)
-            joined = len(out.selection)
-            counts: list[int] = []
-            for predicate_fn in filter_predicates:
+            join.actual_rows += len(out.selection)
+            for filter_op, predicate_fn in self.filter_fns:
                 if not out.selection:
                     break
-                out.selection = predicate_fn(out, out.selection)
-                counts.append(len(out.selection))
-            return out, joined, counts
-
-        probe_scan = self.probe_chain[0]
-        if _parallel_eligible(context, probe_scan):
-            morsels = _parallel_morsels(context, *self.probe_chain[:3],
-                                        payload_fn=probe_batch,
-                                        runtime_filter=runtime_filter)
-            for _batch, probed in morsels:
-                join.actual_morsels += 1
-                if probed is None:
-                    continue
-                out, joined, counts = probed
-                join.actual_rows += joined
-                for (filter_op, _fn), passed in zip(self.filter_fns, counts):
-                    filter_op.actual_rows += passed
-                if out.selection:
-                    yield out
-            return
-        for batch in _drive_batches(context, *self.probe_chain[:3],
-                                    runtime_filter=runtime_filter):
-            probed = probe_batch(batch)
-            if probed is None:
-                continue
-            out, joined, counts = probed
-            join.actual_rows += joined
-            for (filter_op, _fn), passed in zip(self.filter_fns, counts):
-                filter_op.actual_rows += passed
+                filter_op.apply_batch(out, predicate_fn)
             if out.selection:
                 yield out
 
     def _build(self, context: ExecutionContext, needed_build: Sequence[str]
                ) -> tuple[dict, dict[str, list]]:
+        """Hash the build side's keys to ordinals and gather its columns.
+
+        A scan-chain build gathers by bare column name; a nested build
+        consumes the inner join's output batches, whose columns are
+        already keyed ``"binding.column"`` and whose build-key closures
+        are join-schema compiled.  Every NULL key still consumes an
+        ordinal, so ordinals index the gathered store.
+        """
         if self.nested_build is not None:
-            return self._build_nested(context, needed_build)
-        if _parallel_eligible(context, self.build_chain[0]):
-            return self._build_parallel(context, needed_build)
+            source, base_needed = self.nested_build
+            batches = source.batches(context,
+                                     set(base_needed) | set(needed_build))
+            columns = list(needed_build)
+        else:
+            batches = _drive_batches(context, *self.build_chain[:3])
+            columns = [key.split(".", 1)[1] for key in needed_build]
         build_fns = [fn for fn, _tag in self.build_key_fns]
         null_possible = any(tag is None for _fn, tag in self.build_key_fns)
         single_key = len(build_fns) == 1
         hash_table: dict = {}
         build_store: dict[str, list] = {key: [] for key in needed_build}
-        gathered = [(build_store[key], key.split(".", 1)[1]) for key in needed_build]
+        gathered = [(build_store[key], column)
+                    for key, column in zip(needed_build, columns)]
         ordinal = 0
-        for batch in _drive_batches(context, *self.build_chain[:3]):
+        for batch in batches:
             selection = batch.selection
             key_columns = [fn(batch, selection) for fn in build_fns]
             for store, column in gathered:
@@ -1473,117 +1293,6 @@ class _BatchJoinSource:
                 else:
                     bucket.append(ordinal)
                 ordinal += 1
-        return hash_table, build_store
-
-    def _build_nested(self, context: ExecutionContext,
-                      needed_build: Sequence[str]
-                      ) -> tuple[dict, dict[str, list]]:
-        """Consume an inner batch join as this join's build side.
-
-        Identical to the serial single-table build except that the
-        incoming batches are the inner join's gathered output — columns
-        already keyed ``"binding.column"`` — so the store gathers by
-        qualified key and the build-key closures are join-schema
-        compiled.  The inner source parallelizes its *own* probe; its
-        ordered batch stream equals its serial one, so ordinals (and
-        with them this join's output order) are unchanged.
-        """
-        source, base_needed = self.nested_build
-        build_fns = [fn for fn, _tag in self.build_key_fns]
-        null_possible = any(tag is None for _fn, tag in self.build_key_fns)
-        single_key = len(build_fns) == 1
-        hash_table: dict = {}
-        build_store: dict[str, list] = {key: [] for key in needed_build}
-        gathered = [(build_store[key], key) for key in needed_build]
-        ordinal = 0
-        for batch in source.batches(context, set(base_needed) | set(needed_build)):
-            selection = batch.selection
-            key_columns = [fn(batch, selection) for fn in build_fns]
-            for store, column in gathered:
-                buffer = batch.columns[column]
-                store.extend(buffer[i] for i in selection)
-            if single_key:
-                keys: Sequence = key_columns[0]
-            else:
-                keys = list(zip(*key_columns))
-            for key in keys:
-                if null_possible and (
-                        key is NULL if single_key
-                        else any(part is NULL for part in key)):
-                    ordinal += 1
-                    continue
-                bucket = hash_table.get(key)
-                if bucket is None:
-                    hash_table[key] = [ordinal]
-                else:
-                    bucket.append(ordinal)
-                ordinal += 1
-        return hash_table, build_store
-
-    def _build_parallel(self, context: ExecutionContext,
-                        needed_build: Sequence[str]
-                        ) -> tuple[dict, dict[str, list]]:
-        """Partitioned parallel build: per-morsel hash fragments.
-
-        Each worker builds a *local* hash fragment over its morsel —
-        local ordinals, locally gathered store columns — and the
-        coordinator merges the fragments in morsel order, shifting each
-        fragment's ordinals by the running slot count.  Because morsel
-        order equals scan order and every NULL key still consumes a
-        slot, the merged table and store are exactly what the serial
-        single-pass build produces, so probe output (and its order) is
-        unchanged.
-        """
-        build_fns = [fn for fn, _tag in self.build_key_fns]
-        null_possible = any(tag is None for _fn, tag in self.build_key_fns)
-        single_key = len(build_fns) == 1
-        columns = [key.split(".", 1)[1] for key in needed_build]
-
-        def build_fragment(batch: ColumnBatch):
-            selection = batch.selection
-            key_columns = [fn(batch, selection) for fn in build_fns]
-            stores = []
-            for column in columns:
-                buffer = batch.columns[column]
-                stores.append([buffer[i] for i in selection])
-            if single_key:
-                keys: Sequence = key_columns[0]
-            else:
-                keys = list(zip(*key_columns))
-            local_table: dict = {}
-            slot = 0
-            for key in keys:
-                if null_possible and (
-                        key is NULL if single_key
-                        else any(part is NULL for part in key)):
-                    slot += 1
-                    continue
-                bucket = local_table.get(key)
-                if bucket is None:
-                    local_table[key] = [slot]
-                else:
-                    bucket.append(slot)
-                slot += 1
-            return local_table, stores, slot
-
-        hash_table: dict = {}
-        build_store: dict[str, list] = {key: [] for key in needed_build}
-        offset = 0
-        morsels = _parallel_morsels(context, *self.build_chain[:3],
-                                    payload_fn=build_fragment)
-        for _batch, fragment in morsels:
-            if fragment is None:
-                continue
-            local_table, stores, slots = fragment
-            for key_name, values in zip(needed_build, stores):
-                build_store[key_name].extend(values)
-            for key, locals_ in local_table.items():
-                bucket = hash_table.get(key)
-                if bucket is None:
-                    hash_table[key] = [slot + offset for slot in locals_]
-                else:
-                    bucket.extend(slot + offset for slot in locals_)
-            offset += slots
         return hash_table, build_store
 
 
@@ -1784,14 +1493,6 @@ class GroupAggregate(PhysicalOperator):
 
     label = "Aggregate"
 
-    #: Parallel merge strategy the planner proved safe: ``"partial"``
-    #: merges per-morsel :meth:`_AggState.partial_state` fragments (only
-    #: when the merge is provably bit-exact — the same associativity
-    #: rules the cluster executor applies across shards); ``"ordered"``
-    #: keeps the fold on the coordinator in morsel order (order-sensitive
-    #: float SUM/AVG, DISTINCT, unproven integer sums).
-    parallel_mode = "ordered"
-
     #: Planner proof (the CBO's ``_sum_stays_exact``) that every SUM/AVG
     #: argument is an exact-integer column bounded below 2**53, letting
     #: the scalar fold answer sums from zone-map integer totals on
@@ -1894,19 +1595,11 @@ class GroupAggregate(PhysicalOperator):
             except VectorCompileError:
                 return None
             context.statistics.exprs_compiled += compiled_count
-            if self.parallel_mode == "partial" and _parallel_eligible(context, scan):
-                return self._run_parallel_partial(context, scan, scan_predicate,
-                                                  filter_fns, group_fns,
-                                                  argument_fns)
-            if not self.group_by and not _parallel_eligible(context, scan):
+            if not self.group_by:
                 zone_run = self._run_zone_scalar(context, scan, scan_predicate,
                                                  filter_fns, argument_fns)
                 if zone_run is not None:
                     return zone_run
-            # "ordered" parallel mode needs no special casing: the
-            # parallel driver inside _drive_batches gathers morsels in
-            # scan order and the fold below runs on the coordinator,
-            # which IS the ordered gather.
             batches = _drive_batches(context, scan, scan_predicate, filter_fns)
             return self._run_vectorized(context, batches, group_fns, argument_fns)
         joined = _join_vector_source(context, self.child)
@@ -2053,7 +1746,6 @@ class GroupAggregate(PhysicalOperator):
         storage = scan.table.storage
         row_bytes = int(scan.table.average_row_bytes())
         binding_name = scan.binding_name
-        mbps = context.simulated_scan_mbps
         states: dict[str, _AggState] = {}
         for aggregate, spec in zip(self.aggregates, specs):
             states[spec[0]] = _AggState(aggregate)
@@ -2071,9 +1763,9 @@ class GroupAggregate(PhysicalOperator):
                     contributions = _zone_contributions(segment, specs)
                     if contributions is not None:
                         # Answered without touching the data: counts as
-                        # a skipped segment (no rows or bytes scanned,
-                        # no simulated I/O), but the operators' actual
-                        # rows match the scan they replaced.
+                        # a skipped segment (no rows or bytes scanned),
+                        # but the operators' actual rows match the scan
+                        # they replaced.
                         statistics.segments_skipped += 1
                         scan.actual_segments_skipped += 1
                         scan.actual_rows += segment.rows
@@ -2092,10 +1784,6 @@ class GroupAggregate(PhysicalOperator):
             statistics.bytes_scanned += len(selection) * row_bytes
             statistics.batches_processed += 1
             statistics.batch_rows += len(selection)
-            if mbps:
-                seconds = (len(selection) * row_bytes) / (mbps * 1.0e6)
-                statistics.simulated_io_seconds += seconds
-                time.sleep(seconds)
             batch = ColumnBatch(unit.columns(), unit.masks(), selection,
                                 binding_name)
             if scan_predicate is not None:
@@ -2118,107 +1806,6 @@ class GroupAggregate(PhysicalOperator):
         row = {result_key: state.result()
                for result_key, state in states.items()}
         yield self._emit({self.binding_name: row})
-
-    def _run_parallel_partial(self, context: ExecutionContext, scan: "TableScan",
-                              scan_predicate: Optional[VectorExpression],
-                              filter_fns: Sequence[tuple["FilterOp",
-                                                         VectorExpression]],
-                              group_fns: Sequence[VectorExpression],
-                              argument_fns: Sequence[tuple[str,
-                                                           Optional[VectorExpression],
-                                                           Optional[str]]]
-                              ) -> Iterator[Binding]:
-        """Morsel-parallel aggregation through mergeable partial states.
-
-        Each worker folds its morsel into local :class:`_AggState`
-        fragments (the exact per-batch arithmetic of the serial fold);
-        the coordinator merges the fragments **in morsel order** through
-        ``partial_state()/merge_partial()`` — the same machinery the
-        cluster uses across shards.  The planner only selects this mode
-        when the merge is provably bit-exact, so results stay
-        byte-identical to serial execution.  Group output order is
-        first-seen order under the morsel-order merge, which equals the
-        serial scan's first-seen order.
-        """
-        aggregates = self.aggregates
-
-        if not self.group_by:
-            def scalar_partial(batch: ColumnBatch):
-                local = {aggregate.result_key(): _AggState(aggregate)
-                         for aggregate in aggregates}
-                selection = batch.selection
-                for result_key, argument_fn, tag in argument_fns:
-                    state = local[result_key]
-                    if argument_fn is None:
-                        state.update_count(len(selection))
-                    else:
-                        state.update_batch(argument_fn(batch, selection), tag)
-                return local
-
-            states = {aggregate.result_key(): _AggState(aggregate)
-                      for aggregate in aggregates}
-            morsels = _parallel_morsels(context, scan, scan_predicate,
-                                        filter_fns, payload_fn=scalar_partial)
-            for _batch, local in morsels:
-                self.actual_morsels += 1
-                if local is None:
-                    continue
-                for result_key, state in states.items():
-                    state.merge_partial(local[result_key].partial_state())
-            row = {result_key: state.result()
-                   for result_key, state in states.items()}
-            yield self._emit({self.binding_name: row})
-            return
-
-        def grouped_partial(batch: ColumnBatch):
-            selection = batch.selection
-            key_columns = [group_fn(batch, selection) for group_fn in group_fns]
-            value_columns = [(result_key,
-                              argument_fn(batch, selection)
-                              if argument_fn is not None else None)
-                             for result_key, argument_fn, _tag in argument_fns]
-            local_groups: dict[tuple, dict[str, _AggState]] = {}
-            local_order: list[tuple] = []
-            for position in range(len(selection)):
-                key = tuple(column[position] for column in key_columns)
-                local = local_groups.get(key)
-                if local is None:
-                    local = {aggregate.result_key(): _AggState(aggregate)
-                             for aggregate in aggregates}
-                    local_groups[key] = local
-                    local_order.append(key)
-                for result_key, column in value_columns:
-                    local[result_key].update(
-                        1 if column is None else column[position])
-            return local_groups, local_order
-
-        groups: dict[tuple, dict[str, _AggState]] = {}
-        order: list[tuple] = []
-        morsels = _parallel_morsels(context, scan, scan_predicate, filter_fns,
-                                    payload_fn=grouped_partial)
-        for _batch, fragment in morsels:
-            self.actual_morsels += 1
-            if fragment is None:
-                continue
-            local_groups, local_order = fragment
-            for key in local_order:
-                states = groups.get(key)
-                if states is None:
-                    states = {aggregate.result_key(): _AggState(aggregate)
-                              for aggregate in aggregates}
-                    groups[key] = states
-                    order.append(key)
-                local = local_groups[key]
-                for result_key, state in states.items():
-                    state.merge_partial(local[result_key].partial_state())
-        for key in order:
-            states = groups[key]
-            row = {}
-            for expression, value in zip(self.group_by, key):
-                row[_group_key_name(expression)] = value
-            for aggregate in self.aggregates:
-                row[aggregate.result_key()] = states[aggregate.result_key()].result()
-            yield self._emit({self.binding_name: row})
 
     def details(self) -> str:
         groups = ", ".join(expression.sql() for expression in self.group_by) or "(scalar)"
@@ -2829,10 +2416,6 @@ class PhysicalPlan:
     database: Database
     description: str = ""
     last_statistics: Optional[ExecutionStatistics] = None
-    #: Intra-query worker budget the planner built this plan with (1 =
-    #: serial) and the simulated-I/O bandwidth executions should model.
-    parallelism: int = 1
-    simulated_scan_mbps: Optional[float] = None
     #: Whether the most recent execution ran with per-operator timers
     #: (EXPLAIN prints ``time=…ms`` only for timed runs).
     last_timed: bool = False
@@ -2842,7 +2425,6 @@ class PhysicalPlan:
 
         def walk(operator: PhysicalOperator) -> None:
             operator.actual_rows = 0
-            operator.actual_morsels = 0
             operator.actual_seconds = 0.0
             if isinstance(operator, TableScan):
                 operator.actual_segments_scanned = 0
@@ -2874,8 +2456,6 @@ class PhysicalPlan:
             database=self.database,
             evaluation=self.database.evaluation_context(variables),
             compile_enabled=compiled,
-            parallelism=self.parallelism,
-            simulated_scan_mbps=self.simulated_scan_mbps,
         )
         self.last_statistics = context.statistics
         self.last_timed = bool(time_operators)

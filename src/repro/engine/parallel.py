@@ -1,39 +1,17 @@
-"""The shared intra-query worker pool: morsel-driven parallelism.
+"""The shared worker pool behind the cluster's scatter.
 
-One process-global :class:`WorkerPool` serves every parallel consumer —
-morsel-parallel scans inside a single-node plan, the cluster executor's
-shard fragments, and the serving pool's worker sessions all submit to
-the same bounded set of threads, so a 4-shard cluster running 4-worker
-queries under an 8-worker serving pool can never oversubscribe the
-machine: total thread demand is capped by the pool's capacity, full
-stop.
+The engine executes every plan serially: under CPython's GIL extra
+threads add no CPU to a scan.  One process-global :class:`WorkerPool`
+runs the cluster executor's shard fragments, so any number of
+clusters under a concurrent serving workload can never oversubscribe
+the machine: total thread demand is capped by the pool's capacity.
 
-Fairness is lease-based.  A parallel operator asks for N workers
+Fairness is lease-based.  A caller asks for N workers
 (:meth:`WorkerPool.lease`) and is *granted* anywhere between 0 and N
 slots depending on how many are already leased out; a grant of 0 (or 1)
-degrades that operator to inline serial execution.  Because a grant
-only bounds the in-flight window of the ordered morsel scheduler — it
-never changes morsel boundaries or gather order — the *results* of a
-query are byte-identical whatever the grant turns out to be.
-
-The ordered gather (:meth:`_Lease.ordered_map`) is the correctness
-backbone of the whole layer: morsels are submitted in scan order with a
-bounded in-flight window and their results are yielded strictly in
-submission order, so every downstream consumer observes exactly the
-batch stream the serial path would have produced.
-
-Since the segment layer landed, a columnar scan's morsels are its
-storage **scan units** — one per sealed segment (``SEGMENT_ROWS`` =
-``BATCH_ROWS``) plus the append tail — and the coordinator consults
-each unit's zone maps *before* submission: a provably-empty segment is
-dropped from the task list entirely, so skipping composes with
-parallelism instead of wasting a worker on an empty morsel.  Runtime
-join filters prune at the same point: a hash join's build-key range is
-checked against each segment's zones during dispatch, so a morsel a
-sibling's build side rules out is never submitted (and never charged
-simulated I/O), while the row test against the build's key set runs
-inside the workers — only its counters fold back on the coordinator,
-keeping every statistics mutation single-threaded.
+runs the work inline.  A grant only bounds the in-flight window of
+:meth:`_Lease.ordered_map`, which yields results strictly in
+submission order, so results never depend on the grant.
 """
 
 from __future__ import annotations
@@ -47,12 +25,11 @@ from ..telemetry.metrics import METRICS
 
 _T = TypeVar("_T")
 
-#: Upper bound on threads the global pool will ever run.  Sized so the
-#: default serving pool (8 workers) times the default intra-query
-#: grant stays within it; the lease accounting enforces the rest.
+#: Upper bound on threads the global pool will ever run; the lease
+#: accounting enforces it.
 DEFAULT_CAPACITY = max(8, min(32, (os.cpu_count() or 8) * 2))
 
-# Cached handles: lease/submit are per-morsel hot paths, so skip the
+# Cached handles: lease/submit are per-fragment hot paths, so skip the
 # registry lookup (``MetricsRegistry.reset`` zeroes in place).
 _TASKS = METRICS.counter("workers.tasks_submitted")
 _LEASES = METRICS.counter("workers.leases_granted")
@@ -88,9 +65,8 @@ class _Lease:
         """Apply ``fn`` to every item on the pool, yielding **in order**.
 
         Submissions run ahead of consumption by a bounded window
-        (``2 × workers``) so workers pipeline I/O and compute while the
-        coordinator drains results in submission order — the property
-        that keeps parallel execution byte-identical to serial.
+        (``2 × workers``) while the caller drains results in submission
+        order, so the output never depends on the grant.
         """
         if self.workers < 2:
             for item in items:
@@ -150,7 +126,7 @@ class WorkerPool:
         reservations: a holder bounds its in-flight submissions by the
         grant, so the sum of grants bounds total thread demand.  When
         everything is spoken for the grant is 0 and the caller runs
-        inline — intra-query parallelism degrades before it queues.
+        inline — a scatter degrades before it queues.
         """
         requested = max(0, requested)
         with self._mutex:

@@ -58,8 +58,8 @@ from .types import NULL, DataType
 
 #: Integer-valued column types whose float-accumulated SUM/AVG partials
 #: merge bit-exactly while the total stays below 2**53: the rule for
-#: per-morsel partials and for shard partials
-#: (:meth:`Planner._parallel_aggregate_mode`).
+#: shard partials (:meth:`Planner._partial_aggregate_mode`) and for
+#: zone-map integer sums.
 EXACT_SUM_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.BOOLEAN)
 
 #: Sentinel for "this bound does not fold to a plan-time constant".
@@ -270,18 +270,15 @@ class Planner:
     HASH_BUILD_COST = 2.0
     HASH_PROBE_COST = 1.0
 
-    #: Tables below this row count are not worth splitting into morsels:
-    #: a parallel scan pays a lease, per-morsel dispatch and an ordered
-    #: gather, which only amortises over enough batches.
-    PARALLEL_ROW_THRESHOLD = 10_000
-
     def __init__(self, database: Database, *, enable_hash_join: bool = True,
                  enable_vectorized: bool = True, enable_cbo: bool = True,
-                 enable_index_join: bool = True, parallelism: int = 1,
-                 parallel_row_threshold: Optional[int] = None,
-                 simulated_scan_mbps: Optional[float] = None,
+                 enable_index_join: bool = True,
                  enable_zone_maps: bool = True,
-                 enable_runtime_filters: bool = True):
+                 enable_runtime_filters: bool = True,
+                 # Accepted and ignored: benchmarks/e2e/layers.py:208 still
+                 # passes them (ROADMAP item 0 drops that probe).
+                 parallelism: int = 1,
+                 parallel_row_threshold: Optional[int] = None):
         self.database = database
         #: When False, equality joins without a usable index fall back to a
         #: nested-loop join of the two inputs — the plan SQL Server 2000 chose
@@ -300,20 +297,6 @@ class Planner:
         #: together with ``enable_hash_join`` this pins the join strategy
         #: (the join-equivalence property tests force all three).
         self.enable_index_join = enable_index_join
-        #: Morsel-parallel degree requested for eligible scans.  1 (the
-        #: default) plans exactly as before — no operator is annotated
-        #: and execution stays serial.
-        self.parallelism = max(1, parallelism)
-        #: Row-count floor below which scans stay serial even with
-        #: ``parallelism > 1`` (tests pass 0 to force parallel plans).
-        self.parallel_row_threshold = (self.PARALLEL_ROW_THRESHOLD
-                                       if parallel_row_threshold is None
-                                       else max(0, parallel_row_threshold))
-        #: Simulated sequential-scan bandwidth (MB/s) charged as sleep
-        #: time per batch — the same knob the cluster executor exposes,
-        #: so single-node parallel speedups are measurable under the
-        #: I/O model of §5 rather than pure-GIL compute.
-        self.simulated_scan_mbps = simulated_scan_mbps
         #: When False, batch scans never consult per-segment zone maps
         #: (every sealed segment is scanned) and scalar aggregates never
         #: answer segments from them — the segment benchmark's ablation
@@ -1294,15 +1277,11 @@ class Planner:
 
         if self.enable_vectorized:
             self._mark_vectorized_pipeline(root)
-            if self.parallelism > 1:
-                self._mark_parallel(root, relations)
         self._mark_zone_maps(root, relations)
         if self.enable_cbo:
             self._propagate_costs(root)
         return PhysicalPlan(root=root, output_names=query.output_names(),
-                            database=self.database,
-                            parallelism=self.parallelism,
-                            simulated_scan_mbps=self.simulated_scan_mbps)
+                            database=self.database)
 
     # -- zone-map marking ----------------------------------------------------------
 
@@ -1315,7 +1294,7 @@ class Planner:
         Scalar aggregates additionally get :attr:`GroupAggregate.
         zone_exact_sums` when the CBO's exact-integer proof
         (:meth:`_sum_stays_exact` — the same machinery that picks the
-        parallel partial-merge mode) covers every SUM/AVG argument, which
+        shard partial-merge mode) covers every SUM/AVG argument, which
         lets execution answer fully-matched segments from zone integer
         sums without changing a single bit of the result.
         """
@@ -1340,62 +1319,11 @@ class Planner:
 
         walk(root)
 
-    # -- morsel-parallel marking ---------------------------------------------------
+    def _partial_aggregate_mode(self, aggregate: GroupAggregate,
+                                relations: Sequence[_RelationInfo]) -> str:
+        """``"partial"`` when per-shard partials merge bit-exactly.
 
-    def _mark_parallel(self, root: PhysicalOperator,
-                       relations: Sequence[_RelationInfo]) -> None:
-        """Annotate batch-marked operators with the parallel degree.
-
-        Only columnar, batch-mode table scans above the row threshold
-        get ``workers > 1``; hash joins and aggregates fed by such a
-        scan inherit the annotation (and aggregates get their
-        partial/ordered mode).  Execution re-checks eligibility at run
-        time, so these flags — like the vectorized marks they piggyback
-        on — are advisory.
-        """
-
-        def chain_scan(node: PhysicalOperator) -> Optional[TableScan]:
-            while isinstance(node, FilterOp):
-                node = node.child
-            return node if isinstance(node, TableScan) else None
-
-        def scan_parallel(node: PhysicalOperator) -> bool:
-            scan = chain_scan(node)
-            return scan is not None and scan.workers > 1
-
-        def walk(operator: PhysicalOperator) -> None:
-            for child in operator.children():
-                walk(child)
-            if isinstance(operator, TableScan):
-                if (operator.vectorized
-                        and self._storage_kind(operator.table) == "column"
-                        and self._row_count(operator.table)
-                        >= self.parallel_row_threshold):
-                    operator.workers = self.parallelism
-            elif isinstance(operator, HashJoin) and operator.vectorized:
-                if scan_parallel(operator.build) or scan_parallel(operator.probe):
-                    operator.workers = self.parallelism
-            elif isinstance(operator, GroupAggregate) and operator.vectorized:
-                chain: PhysicalOperator = operator.child
-                while isinstance(chain, FilterOp):
-                    chain = chain.child
-                if isinstance(chain, TableScan) and chain.workers > 1:
-                    operator.workers = self.parallelism
-                    operator.parallel_mode = self._parallel_aggregate_mode(
-                        operator, relations)
-                elif isinstance(chain, HashJoin) and chain.workers > 1:
-                    # Join-fed aggregation consumes the (ordered) parallel
-                    # batch stream; the fold itself stays on the coordinator.
-                    operator.workers = self.parallelism
-
-        walk(root)
-
-    def _parallel_aggregate_mode(self, aggregate: GroupAggregate,
-                                 relations: Sequence[_RelationInfo]) -> str:
-        """``"partial"`` when per-morsel (or per-shard) partials merge
-        bit-exactly.
-
-        The cluster planner asks this rule for shard partials too.
+        The cluster planner asks this rule for shard partials.
         COUNT/MIN/MAX are always safe (shard partials merge in shard
         order, not scan order, so the cluster executor re-runs a merge
         whose MIN/MAX partials tie or hold NaN); SUM/AVG only over an
@@ -1403,8 +1331,8 @@ class Planner:
         below 2**53 (the running total is a float, so integer addition
         is associative only while exactly representable); DISTINCT
         needs the merged value stream.
-        ``"ordered"`` folds morsels on the coordinator in scan order —
-        bit-identical to serial by construction, just less parallel.
+        ``"ordered"`` gathers the inputs and folds them on the
+        coordinator in merged order — bit-identical by construction.
         """
         for call in aggregate.aggregates:
             if call.distinct:

@@ -6,7 +6,7 @@ arms (``type``, ``mode``, flag fields) hold a handful of distinct
 values, and ``objID``/``htmID`` ascend almost monotonically because the
 pipeline loads in scan order.  This module provides the in-memory
 segment format the :class:`~repro.engine.storage.ColumnStore` seals
-full morsels into:
+full batches into:
 
 * **Encodings** — each sealed column picks one of
 
@@ -51,9 +51,9 @@ from .expressions import (Between, BinaryOp, ColumnRef, EvaluationContext,
                           Expression, InList, RowScope, UnaryOp)
 from .types import NULL, DataType
 
-#: Rows per sealed segment.  Aligned with the morsel size so one sealed
-#: segment is exactly one unit of parallel dispatch: skipping a segment
-#: skips a whole morsel.
+#: Rows per sealed segment.  Aligned with the batch size so one sealed
+#: segment is exactly one batch of a scan: skipping a segment skips a
+#: whole batch.
 SEGMENT_ROWS = BATCH_ROWS
 
 #: Test/bench hook: force every seal to a single encoding ("plain",

@@ -46,7 +46,7 @@ class Session(Protocol):
         ...
 
     def execution_mode_statistics(self) -> dict[str, Any]:
-        """How many statements ran vectorized / row-mode / parallel."""
+        """How many statements ran vectorized / row-mode."""
         ...
 
     def feedback_statistics(self) -> dict[str, Any]:
@@ -56,26 +56,18 @@ class Session(Protocol):
 
 def make_session(database, *, cluster=None,
                  row_limit: Optional[int] = None,
-                 time_limit_seconds: Optional[float] = None,
-                 parallelism: int = 1) -> Session:
+                 time_limit_seconds: Optional[float] = None) -> Session:
     """Build the right session for the backend at hand.
 
     With ``cluster`` the session is the cluster's distributed-planning
     coordinator session; otherwise a plain single-node session over
-    ``database`` (with a morsel-parallel planner when ``parallelism``
-    exceeds 1).  Either way the return value satisfies :class:`Session`.
+    ``database``.  Either way the return value satisfies
+    :class:`Session`.
     """
     if cluster is not None:
         from ..cluster import ClusterSession
 
         return ClusterSession(cluster, row_limit=row_limit,
-                              time_limit_seconds=time_limit_seconds,
-                              parallelism=parallelism)
-    planner = None
-    if parallelism > 1:
-        from .planner import Planner
-
-        planner = Planner(database, parallelism=parallelism)
+                              time_limit_seconds=time_limit_seconds)
     return SqlSession(database, row_limit=row_limit,
-                      time_limit_seconds=time_limit_seconds,
-                      planner=planner)
+                      time_limit_seconds=time_limit_seconds)

@@ -179,10 +179,6 @@ class SqlSession:
         self.batch_executions = 0
         self.row_executions = 0
         self.batches_processed = 0
-        #: SELECT executions that dispatched morsels to the shared
-        #: worker pool, and the total morsel count across them.
-        self.parallel_executions = 0
-        self.morsels_dispatched = 0
         #: Sealed segments scanned vs skipped-or-answered by zone maps
         #: across this session's SELECTs.
         self.segments_scanned = 0
@@ -296,8 +292,6 @@ class SqlSession:
             "batch_executions": self.batch_executions,
             "row_executions": self.row_executions,
             "batches_processed": self.batches_processed,
-            "parallel_executions": self.parallel_executions,
-            "morsels_dispatched": self.morsels_dispatched,
             "segments_scanned": self.segments_scanned,
             "segments_skipped": self.segments_skipped,
         }
@@ -373,7 +367,6 @@ class SqlSession:
                     span.attributes.update(
                         rows=len(result.rows),
                         batches=stats.batches_processed,
-                        morsels=stats.morsels_dispatched,
                         segments_scanned=stats.segments_scanned,
                         segments_skipped=stats.segments_skipped,
                         runtime_filter_rows_pruned=(
@@ -392,9 +385,6 @@ class SqlSession:
                 self.batches_processed += result.statistics.batches_processed
             else:
                 self.row_executions += 1
-            if result.statistics.morsels_dispatched:
-                self.parallel_executions += 1
-                self.morsels_dispatched += result.statistics.morsels_dispatched
             self.segments_scanned += result.statistics.segments_scanned
             self.segments_skipped += result.statistics.segments_skipped
             self._record_feedback(cache_key, position, entry, plan)

@@ -303,7 +303,7 @@ class _Parts:
 
 
 class _ScanUnit:
-    """One unit of scan dispatch: a sealed segment or the append tail.
+    """One unit of a batch scan: a sealed segment or the append tail.
 
     Positions are *local* (0-based within the unit); ``base`` converts
     back to global row ids.  ``columns()``/``masks()`` give local
@@ -322,19 +322,15 @@ class _ScanUnit:
         self.base = base
         self.stop = stop
 
-    @property
-    def sealed(self) -> bool:
-        return self.segment is not None
-
-    def selection(self, mask: Optional[bytes] = None) -> list[int]:
-        """Local positions of live rows (optionally from a frozen mask)."""
-        live = mask if mask is not None else self.parts.live
+    def selection(self) -> list[int]:
+        """Local positions of live rows."""
+        live = self.parts.live
         base = self.base
         stop = min(self.stop, len(live))
         if stop <= base:
             return []
         if (self.segment is None or self.segment.tombstones == 0) and \
-                mask is None and self.store._live_count == len(live):
+                self.store._live_count == len(live):
             return list(range(stop - base))
         return [i - base for i in range(base, stop) if live[i]]
 
@@ -348,11 +344,6 @@ class _ScanUnit:
             return self.segment.masks
         return {name: data.mask for name, data in self.parts.tail.items()
                 if data.null_count}
-
-    def zone(self, name: str):
-        if self.segment is None:
-            return None
-        return self.segment.zone(name)
 
 
 class _UnitColumns(dict):
@@ -671,11 +662,10 @@ class ColumnStore(TableStorage):
     # -- the vectorized read interface -----------------------------------
 
     def scan_units(self) -> list[_ScanUnit]:
-        """The scan's dispatch units — one per sealed segment plus (when
+        """The batch scan's units — one per sealed segment plus (when
         non-empty) one for the append tail — from a single consistent
-        parts snapshot.  This is both the batch loop and the morsel
-        scheduler's work list: sealed units carry zone maps, so a unit
-        the zone verdict rules out is skipped without decoding."""
+        parts snapshot.  Sealed units carry zone maps, so a unit the
+        zone verdict rules out is skipped without decoding."""
         parts = self._parts
         units = [_ScanUnit(self, parts, segment, segment.base,
                            segment.base + segment.rows)
@@ -732,34 +722,13 @@ class ColumnStore(TableStorage):
     def column_dtype(self, name: str) -> DataType:
         return self._column_defs[name.lower()].dtype
 
-    def live_positions(self, start: int, stop: int,
-                       mask: Optional[bytes] = None) -> list[int]:
-        """Row ids of live rows in [start, stop) — a batch's selection vector.
-
-        With ``mask`` (a :meth:`live_mask_snapshot`), positions come
-        from that frozen mask instead of the current one: every morsel
-        of a parallel scan reads the same snapshot, so one scan sees
-        one consistent row set even while DML lands behind it.
-        """
-        if mask is not None:
-            stop = min(stop, len(mask))
-            return [i for i in range(start, stop) if mask[i]]
+    def live_positions(self, start: int, stop: int) -> list[int]:
+        """Row ids of live rows in [start, stop) — a batch's selection vector."""
         live = self._parts.live
         stop = min(stop, len(live))
         if self._live_count == len(live):
             return list(range(start, stop))
         return [i for i in range(start, stop) if live[i]]
-
-    def live_mask_snapshot(self) -> bytes:
-        """An immutable copy of the live mask, frozen at call time.
-
-        The parallel scan driver snapshots once up front and passes the
-        copy to every morsel's :meth:`live_positions`; appends that
-        publish after the snapshot are invisible to the whole scan
-        (vacuum/clear only run under the table's exclusive lock, so the
-        buffers behind the snapshot stay position-stable for readers).
-        """
-        return bytes(self._parts.live)
 
     def checkpoint_state(self) -> dict[str, Any]:
         parts = self._parts

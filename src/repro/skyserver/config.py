@@ -1,8 +1,7 @@
 """Server configuration: one declarative object instead of kwarg soup.
 
 ``SkyServer.from_survey`` historically grew a flag per feature
-(``columnar=``, ``shards=``, ``partition=``, ``analyze=``,
-``parallelism=``, ...), and every call site repeated the subset it
+(``columnar=``, ``shards=``, ``partition=``, ``analyze=``, ...), and every call site repeated the subset it
 cared about.  :class:`ServerConfig` groups the knobs by the subsystem
 they steer — storage layout and durability, cluster partitioning,
 planner behaviour, the serving pool — and is what
@@ -58,10 +57,11 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Optimizer inputs: collect ANALYZE statistics at load time, and
-    the per-session morsel parallelism degree."""
+    """Optimizer inputs: collect ANALYZE statistics at load time."""
 
     analyze: bool = True
+    # Accepted and ignored: benchmarks/e2e/workloads.py:216 still reads
+    # it (ROADMAP item 0 drops that argument).
     parallelism: int = 1
 
 

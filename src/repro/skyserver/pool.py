@@ -295,22 +295,8 @@ class SkyServerPool:
 
     def __init__(self, server: Any, *, workers: int = 8,
                  service_classes: Optional[dict[str, ServiceClass]] = None,
-                 result_cache_size: int = 256, parallelism: int = 1):
+                 result_cache_size: int = 256):
         self.database: Database = getattr(server, "database", server)
-        #: Morsel-parallel degree for each worker's sessions.  Clamped
-        #: so ``workers × parallelism`` cannot exceed the shared worker
-        #: pool's capacity — nested parallelism (a full serving pool of
-        #: parallel queries) throttles at the door, and the pool's
-        #: lease accounting degrades the remainder at run time.  The
-        #: knob never affects cache keys or admission quotas: parallel
-        #: and serial execution share a cache entry, and admission
-        #: counts queries, not the workers inside one.
-        if parallelism > 1:
-            from ..engine.parallel import get_worker_pool
-
-            capacity = get_worker_pool().capacity
-            parallelism = min(parallelism, max(1, capacity // max(1, workers)))
-        self.parallelism = max(1, parallelism)
         #: The server's shard cluster, when it is a cluster coordinator:
         #: worker sessions route through the distributed planner and
         #: cache entries record per-shard modification counters.
@@ -567,8 +553,7 @@ class SkyServerPool:
             limits = self.service_classes[ticket.user_class].limits
             session = make_session(self.database, cluster=self.cluster,
                                    row_limit=limits.max_rows,
-                                   time_limit_seconds=limits.max_seconds,
-                                   parallelism=self.parallelism)
+                                   time_limit_seconds=limits.max_seconds)
             sessions[ticket.user_class] = session
         try:
             info = self._analyze_batch(ticket.sql, key)
@@ -837,7 +822,6 @@ class SkyServerPool:
         with self._cond:
             return {
                 "workers": len(self._threads),
-                "parallelism": self.parallelism,
                 "worker_pool": get_worker_pool().statistics(),
                 "queue_depth": len(self._queue),
                 "queue_depth_peak": self.queue_depth_peak,

@@ -127,8 +127,7 @@ class SkyServer:
             server.make_durable(durable_path, fsync=config.storage.fsync)
         if config.pool.workers:
             server.start_pool(workers=config.pool.workers,
-                              result_cache_size=config.pool.result_cache_size,
-                              parallelism=config.planner.parallelism)
+                              result_cache_size=config.pool.result_cache_size)
         return server
 
     @classmethod
@@ -394,16 +393,16 @@ class SkyServer:
     # -- concurrent serving ------------------------------------------------------
 
     def start_pool(self, *, workers: int = 8, service_classes=None,
-                   result_cache_size: int = 256, parallelism: int = 1):
+                   result_cache_size: int = 256,
+                   # Accepted and ignored: benchmarks/e2e/workloads.py:216
+                   # still passes it (ROADMAP item 0 drops that argument).
+                   parallelism: int = 1):
         """Start (and attach) a concurrent serving pool over this database.
 
         Returns the :class:`~repro.skyserver.pool.SkyServerPool`; its
         admission/queue/cache/lock counters appear in
         ``site_statistics()["serving"]`` from then on.  A previously
-        attached pool is shut down first.  ``parallelism`` enables
-        morsel-parallel execution inside each worker's sessions (clamped
-        so workers x parallelism never oversubscribes the shared engine
-        worker pool; cache keys and admission quotas are unaffected).
+        attached pool is shut down first.
         """
         from .pool import SkyServerPool
 
@@ -411,8 +410,7 @@ class SkyServer:
             self._pool.shutdown()
         return SkyServerPool(self, workers=workers,
                              service_classes=service_classes,
-                             result_cache_size=result_cache_size,
-                             parallelism=parallelism)
+                             result_cache_size=result_cache_size)
 
     def attach_pool(self, pool) -> None:
         """Register ``pool`` as this server's serving pool (pool calls this)."""

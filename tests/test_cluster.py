@@ -806,3 +806,66 @@ class TestShardedSkyServer:
             assert actual == expected, query_id
             checked.append(query_id)
         assert checked == FRAGMENT_QUERIES
+
+
+# ---------------------------------------------------------------------------
+# The inert planner keywords on the fig13 suite
+# ---------------------------------------------------------------------------
+
+def _fig13_answers(server):
+    """Per fig13 statement: columns, rows (by repr) and the executed
+    plan's EXPLAIN text, from a cold plan cache."""
+    server.session.plan_cache.clear()
+    return [(run.query_id, run.result.columns, repr(run.result.rows),
+             run.result.plan.explain())
+            for run in server.run_all_data_mining_queries()]
+
+
+class TestInertPlannerKeywords:
+    @pytest.mark.parametrize("fixture", ["skyserver", "columnar_skyserver"])
+    def test_planner_parallelism_changes_no_answer_or_plan(self, request,
+                                                           fixture):
+        from repro.engine import Planner
+
+        server = request.getfixturevalue(fixture)
+
+        def inert_planner():
+            return Planner(server.database, parallelism=4,
+                           parallel_row_threshold=0)
+
+        # Executions feed the estimates back, so both plans of a
+        # statement are made before either runs.
+        for query_id, query in fig13_selects(server):
+            text = inert_planner().plan(query).explain()
+            assert text == Planner(server.database).plan(query).explain(), (
+                query_id)
+            assert "workers=" not in text and "morsels=" not in text
+        stock = _fig13_answers(server)
+        original = server.session.planner
+        server.session.planner = inert_planner()
+        try:
+            inert = _fig13_answers(server)
+        finally:
+            server.session.planner = original
+            server.session.plan_cache.clear()
+        assert len(stock) >= 20
+        assert ([answer[:3] for answer in inert]
+                == [answer[:3] for answer in stock])
+
+    def test_planner_config_parallelism_changes_no_answer_or_plan(self):
+        """Two servers built alike, but for the inert config field,
+        answer every statement alike and explain it byte for byte."""
+        from repro.pipeline import SurveyConfig
+        from repro.skyserver import PlannerConfig, ServerConfig, StorageConfig
+
+        def serve(planner):
+            return SkyServer.create(ServerConfig(
+                survey=SurveyConfig(scale=0.0003, seed=4,
+                                    density_per_sq_deg=900.0),
+                storage=StorageConfig(columnar=True), planner=planner,
+                limits=QueryLimits.private()))
+
+        stock = _fig13_answers(serve(PlannerConfig()))
+        inert = _fig13_answers(serve(PlannerConfig(parallelism=4)))
+        assert len(stock) >= 20
+        assert inert == stock

@@ -412,6 +412,33 @@ class TestResultCache:
             assert cached.rows == after_delete.rows
             assert pool.result_cache.hits == 1
 
+    def test_cache_key_normalizes_whitespace(self):
+        sql = "select count(*) as n from obj"
+        assert (SkyServerPool._cache_key(sql, "public")
+                == SkyServerPool._cache_key("select  count(*)  as n \n from obj",
+                                            "public"))
+
+    def test_start_pool_parallelism_is_accepted_and_ignored(self):
+        """``start_pool(parallelism=)`` survives only for an older
+        caller: the pool it starts is the plain one, and its answers
+        (cached or not) are a serial session's."""
+        database = _make_database("column")
+        server = SkyServer(database, limits=QueryLimits.private())
+        pool = server.start_pool(workers=2, parallelism=4)
+        try:
+            assert server.pool is pool
+            assert not hasattr(pool, "parallelism")
+            first = pool.submit(self.SQL)
+            first.result(5.0)
+            second = pool.submit(self.SQL)
+            assert repr(second.result(5.0).rows) == repr(
+                SqlSession(database).query(self.SQL).rows)
+            assert second.cache_hit and not first.cache_hit
+            statistics = pool.statistics()
+            assert statistics["submitted"] == statistics["completed"] == 2
+        finally:
+            pool.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # Mixed concurrent workloads (both storage layouts)

@@ -813,11 +813,6 @@ class TestSessionProtocol:
                       "execution_mode_statistics", "feedback_statistics"):
             assert callable(getattr(session, probe))
 
-    def test_make_session_parallel_planner(self):
-        database = _build_db("column")
-        session = make_session(database, parallelism=4)
-        assert session.planner.parallelism == 4
-
     def test_make_session_cluster(self):
         from repro.cluster import ClusterSession, ShardCluster
 

@@ -4,9 +4,10 @@ import inspect
 
 import pytest
 
-from repro.engine import Planner, PrimaryKey, View, bigint, floating, integer
+from repro.engine import (Database, Planner, PrimaryKey, View, bigint, floating,
+                          integer)
 from repro.engine.explain import plan_operators
-from repro.engine.sql import SqlSession, parse_expression
+from repro.engine.sql import SqlSession, parse_expression, parse_select
 
 
 @pytest.fixture()
@@ -157,7 +158,68 @@ def test_planner_keywords_are_the_documented_switches():
     assert keywords == {
         "enable_hash_join", "enable_vectorized", "enable_cbo",
         "enable_index_join", "enable_zone_maps", "enable_runtime_filters",
-        "parallelism", "parallel_row_threshold", "simulated_scan_mbps"}
+        "parallelism", "parallel_row_threshold"}
+
+
+@pytest.fixture(scope="module")
+def segmented_pair():
+    """A columnar ``obj`` with two sealed segments plus an append tail,
+    and a columnar ``nbr`` to join it with."""
+    database = Database("inert")
+    obj = database.create_table("obj", [
+        bigint("objid"), floating("mag"), integer("run"),
+    ], primary_key=PrimaryKey(["objid"]), storage="column")
+    obj.insert_many({"objid": index, "mag": 14.0 + (index % 997) * 0.01,
+                     "run": index % 11} for index in range(10_000))
+    nbr = database.create_table("nbr", [
+        bigint("objid"), integer("grp"),
+    ], storage="column")
+    nbr.insert_many({"objid": index * 3, "grp": index % 5}
+                    for index in range(3_000))
+    database.analyze()
+    assert len(obj.storage.segments()) >= 2
+    return database
+
+
+#: One statement per operator shape the inert keywords once steered:
+#: a filter, grouped and scalar aggregates (the scalar one skips a
+#: sealed segment by its zone map), TOP-N, DISTINCT, and batch hash
+#: joins with an unfiltered and a selective build side.
+INERT_QUERIES = {
+    "filter": "select objid, mag from obj where mag < 15 and run = 3",
+    "grouped_aggregate":
+        "select run, count(*) as n, sum(mag) as s from obj group by run",
+    "scalar_aggregate":
+        "select count(*) as n, min(mag) as lo, max(mag) as hi, "
+        "avg(mag) as a from obj where objid >= 5000",
+    "top_n": "select top 9 objid, mag from obj where run = 7 "
+             "order by mag desc, objid",
+    "distinct": "select distinct run from obj where mag > 23",
+    "count_distinct":
+        "select count(distinct run) as d from obj where mag < 16",
+    "hash_join": "select n.grp, count(*) as c, sum(o.mag) as s "
+                 "from obj o, nbr n where o.objid = n.objid group by n.grp",
+    "filtered_build_join": "select o.objid, o.run, n.grp from obj o, nbr n "
+                           "where o.objid = n.objid and o.mag < 14.05",
+}
+
+
+@pytest.mark.parametrize("sql", INERT_QUERIES.values(), ids=INERT_QUERIES)
+def test_parallelism_keywords_are_inert(segmented_pair, sql):
+    """``parallelism`` / ``parallel_row_threshold`` are accepted and
+    ignored: plans, EXPLAIN text and rows equal the stock planner's."""
+    stock = Planner(segmented_pair).plan(parse_select(sql))
+    inert = Planner(segmented_pair, parallelism=4,
+                    parallel_row_threshold=0).plan(parse_select(sql))
+    assert inert.explain() == stock.explain()
+    stock_rows, inert_rows = stock.execute().rows, inert.execute().rows
+    assert inert.explain() == stock.explain()
+    assert "workers=" not in inert.explain()
+    assert "morsels=" not in inert.explain()
+    assert inert_rows
+    assert repr(inert_rows) == repr(stock_rows)
+    if " join " in sql or ", nbr" in sql:
+        assert "Batch Hash Join" in plan_operators(inert)
 
 
 class TestAggregationAndOrdering:

@@ -4,10 +4,11 @@ Compiled execution resolves every column reference once per execution
 against the operators' layouts (``binding[alias][key]``); the
 interpreter (``execute(compiled=False)``) resolves names per row through
 a ``RowScope`` and is the oracle.  Over random 2–3-table joins on row and
-column storage, under every join strategy the planner can be pinned to,
-the two must return ``repr``-identical rows — and fail alike: an unknown
-column or alias raises ``UnknownColumnError`` exactly when the
-interpreter does, which over an empty input is not at all.
+column storage, under every join strategy the planner can be pinned to
+and on the row-at-a-time path over column storage, the two must return
+``repr``-identical rows — and fail alike: an unknown column or alias
+raises ``UnknownColumnError`` exactly when the interpreter does, which
+over an empty input is not at all.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ PLANNERS = [
     {"enable_index_join": False, "enable_hash_join": False},
     {"enable_cbo": False},
     {"enable_runtime_filters": False},
-    {"parallelism": 4, "parallel_row_threshold": 0},
+    {"enable_vectorized": False},
 ]
 
 _keys = st.one_of(st.none(), st.integers(min_value=1, max_value=30))

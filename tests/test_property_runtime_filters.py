@@ -2,8 +2,7 @@
 
 The same random three-table data (an Obj spine, a Nbr arm with NULLable
 join keys, and a Cat lookup) is queried under runtime filters on vs
-off and serial vs 4-worker morsel-parallel planners, over both row and
-column layouts, and single-node vs 1-shard vs 4-shard clusters.
+off, over both row and column layouts, and single-node vs 1-shard vs 4-shard clusters.
 Every combination must return repr-identical rows.  The generators
 deliberately include NULL join keys (which never join, and which a
 runtime filter must therefore be free to drop) and draws where the hash
@@ -70,8 +69,6 @@ def _planners(database: Database) -> dict[str, Planner]:
     return {
         "rf_off": Planner(database, enable_runtime_filters=False),
         "rf_on": Planner(database),
-        "workers4_rf_on": Planner(database, parallelism=4,
-                                  parallel_row_threshold=0),
     }
 
 

@@ -7,9 +7,8 @@ scalar aggregate answered from its zone) only when the stored min/max
 prove the result cannot differ, and DML tombstones immediately bar
 zone answers until ``vacuum`` re-seals.  And encoding choice is
 invisible — plain, dict, RLE and delta layouts return byte-identical
-rows under any worker count, with zone maps on or off.  These tests
-attack all three: random queries across forced layouts × parallelism ×
-zone maps, deterministic seams (segment-boundary DELETE, vacuum
+rows with zone maps on or off.  These tests
+attack all three: random queries across forced layouts × zone maps, deterministic seams (segment-boundary DELETE, vacuum
 re-seal, dictionary-code filters with zero decodes), and the paper's
 fig13 data-mining suite on segmented storage, single-node and sharded.
 """
@@ -49,10 +48,8 @@ def _exact(rows) -> str:
     return repr(rows)
 
 
-def _run(database: Database, sql: str, *, workers: int = 1,
-         zone_maps: bool = True):
-    planner = Planner(database, parallelism=workers, parallel_row_threshold=0,
-                      enable_zone_maps=zone_maps)
+def _run(database: Database, sql: str, *, zone_maps: bool = True):
+    planner = Planner(database, enable_zone_maps=zone_maps)
     return planner.plan(parse_select(sql)).execute()
 
 
@@ -101,7 +98,7 @@ def _boundary_delete(database: Database) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: layouts × workers × zone maps are result-identical
+# Hypothesis: layouts × zone maps are result-identical
 # ---------------------------------------------------------------------------
 
 QUERIES = [
@@ -129,15 +126,13 @@ def test_layouts_byte_identical(seed, query_index, layout, with_dml):
     if with_dml:
         _boundary_delete(plain)
         _boundary_delete(other)
-    want = _run(plain, sql, workers=1, zone_maps=False)
+    want = _run(plain, sql, zone_maps=False)
     for database in (plain, other):
-        for workers in (1, 4):
-            for zone_maps in (False, True):
-                got = _run(database, sql, workers=workers,
-                           zone_maps=zone_maps)
-                context = (sql, database.name, workers, zone_maps)
-                assert got.columns == want.columns, context
-                assert _exact(got.rows) == _exact(want.rows), context
+        for zone_maps in (False, True):
+            got = _run(database, sql, zone_maps=zone_maps)
+            context = (sql, database.name, zone_maps)
+            assert got.columns == want.columns, context
+            assert _exact(got.rows) == _exact(want.rows), context
 
 
 # ---------------------------------------------------------------------------

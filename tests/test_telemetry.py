@@ -2,8 +2,8 @@
 
 The layer's one hard ground rule — tracing off produces byte-identical
 plans and results, tracing on changes only counters — is attacked with
-hypothesis over random queries under both storage layouts, worker
-counts 1 and 4, and shard counts 1 and 4.  Unit tests cover histogram
+hypothesis over random queries under both storage layouts and shard
+counts 1 and 4.  Unit tests cover histogram
 percentile math, span parenting (including explicit cross-thread
 parents), the durable query log's recovery round-trip, and the
 acceptance path: one pooled query on a four-shard server produces a
@@ -204,9 +204,8 @@ def _build_obj(storage: str, rows) -> Database:
     return database
 
 
-def _plan_and_run(database: Database, sql: str, workers: int):
-    planner = Planner(database, parallel_row_threshold=0,
-                      parallelism=workers)
+def _plan_and_run(database: Database, sql: str):
+    planner = Planner(database)
     plan = planner.plan(parse_select(sql))
     return plan_operators(plan), plan.execute()
 
@@ -217,18 +216,17 @@ def _plan_and_run(database: Database, sql: str, workers: int):
                   st.integers(min_value=0, max_value=9)),
         min_size=0, max_size=80),
        query_index=st.integers(min_value=0, max_value=63),
-       storage=st.sampled_from(["row", "column"]),
-       workers=st.sampled_from([1, 4]))
+       storage=st.sampled_from(["row", "column"]))
 def test_tracing_is_invisible_to_single_node_queries(rows, query_index,
-                                                     storage, workers):
+                                                     storage):
     database = _build_obj(storage, rows)
     sql = INVARIANCE_QUERIES[query_index % len(INVARIANCE_QUERIES)]
     enabled_before = TRACER.enabled
     try:
         TRACER.enabled = False
-        off_ops, off = _plan_and_run(database, sql, workers)
+        off_ops, off = _plan_and_run(database, sql)
         TRACER.enabled = True
-        on_ops, on = _plan_and_run(database, sql, workers)
+        on_ops, on = _plan_and_run(database, sql)
     finally:
         TRACER.enabled = enabled_before
     assert on_ops == off_ops
