@@ -7,8 +7,10 @@ placement), a :class:`ClusterPlanner` rewrites distributable queries
 into per-shard fragments plus a merge stage, and a
 :class:`ClusterExecutor` scatters the fragments over a thread pool and
 merges the streams back into single-node-identical results.  The
-:class:`ClusterSession` is the drop-in SQL entry point the SkyServer
-facade and the serving pool use when a cluster is attached.
+:class:`ClusterSession` — a :class:`~repro.engine.sql.SqlSession` that
+plans each SELECT for the cluster and analyzes every shard — is the SQL
+entry point the SkyServer facade and the serving pool use when a
+cluster is attached.
 
 See ``src/repro/cluster/README.md`` for the architecture.
 """

@@ -40,14 +40,13 @@ import dataclasses
 import heapq
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Iterator, Optional, Sequence
 
 from ..engine.compile import (Layout, VectorCompileError, VectorExpression,
                               compile_expression, merge_layouts, row_keys,
                               table_layout)
-from ..engine.errors import QueryLimitExceeded, SQLSyntaxError
-from ..engine.expressions import Expression, RowScope, Star
+from ..engine.errors import QueryLimitExceeded
+from ..engine.expressions import Expression, Star
 from ..engine.index import key_rank
 from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
                                 ExecutionStatistics, PhysicalPlan, QueryResult,
@@ -55,10 +54,13 @@ from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
                                 _SortKey, _create_table_for_rows,
                                 _group_key_name, _hashable, join_key,
                                 key_range_row_ids)
-from ..engine.sql import SqlSession, parse_batch
-from ..engine.sql.ast import (AnalyzeStatement, DeclareStatement,
-                              SelectStatement, SetStatement)
-from ..engine.sql.session import PlanCache, StatementResult
+from ..engine.concurrency import read_locks
+from ..engine.sql import SqlSession
+# Bound here, though unused, for the benchmark harness's wrap point
+# (ROADMAP item 8 retires those wrap points).
+from ..engine.sql import parse_batch  # noqa: F401
+from ..engine.sql.ast import AnalyzeStatement
+from ..engine.sql.session import StatementResult
 from ..engine.types import NULL
 from ..telemetry.trace import TRACER
 from .planner import (ClusterPlan, ClusterPlanner, CoPartitionedJoinPlan,
@@ -908,134 +910,96 @@ def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
 # The cluster-aware SQL session
 # ---------------------------------------------------------------------------
 
-class _CachedPlan:
-    """One fragment-plan cache entry."""
+class _StatementPlan:
+    """One SELECT's plan as a :class:`ClusterSession` caches it.
 
-    __slots__ = ("plan", "schema_version", "versions", "physical")
+    Either a distributed plan, which :meth:`ClusterExecutor.execute_plan`
+    runs, or a fallback: gather the plan's tables into the coordinator,
+    then run the coordinator plan (made after the first gather) under
+    the read locks of the coordinator's copies.
+    """
 
-    def __init__(self, plan: ClusterPlan, schema_version: int,
-                 versions: dict[str, tuple]):
+    __slots__ = ("session", "plan", "versions", "physical")
+
+    def __init__(self, session: "ClusterSession", plan: ClusterPlan):
+        self.session = session
         self.plan = plan
-        #: The coordinator's schema version and every shard's
-        #: modification counters of the plan's tables at planning time.
-        self.schema_version = schema_version
-        self.versions = versions
-        #: A fallback's coordinator plan, made after its first gather.
+        #: Every shard's modification counters of the plan's placed
+        #: tables at planning time: the cached plan holds only while
+        #: they do.
+        self.versions = session._table_versions(plan)
+        #: A fallback's coordinator plan.
         self.physical: Optional[PhysicalPlan] = None
 
+    def _gathered(self) -> list:
+        """Gather the fallback's tables; returns the coordinator copies."""
+        session = self.session
+        names = session.cluster_planner.plan_tables(self.plan)
+        session.cluster.ensure_local(names)
+        if self.physical is None:
+            self.physical = session.planner.plan(self.plan.query)
+        database = session.database
+        return [database.table(name) for name in names
+                if database.has_table(name)]
 
-class ClusterSession:
-    """Drop-in :class:`~repro.engine.sql.SqlSession` over a cluster.
+    def explain(self) -> str:
+        plan = self.plan
+        if not isinstance(plan, FallbackPlan):
+            return self.session.cluster.executor.explain_plan(
+                plan, self.session.variables)
+        self._gathered()
+        assert self.physical is not None
+        return (f"Gather (fallback: {plan.reason}) -> coordinator plan:\n"
+                + self.physical.explain())
 
-    DECLARE/SET keep their variables in the wrapped coordinator session;
-    SELECTs route through the distributed planner — distributable
-    fragments scatter to the shards, everything else gathers its tables
-    into the coordinator and runs on the unmodified single-node engine.
+    def execute(self, variables: dict[str, Any], *,
+                row_limit: Optional[int] = None,
+                time_limit_seconds: Optional[float] = None,
+                time_operators: bool = False) -> QueryResult:
+        executor = self.session.cluster.executor
+        if not isinstance(self.plan, FallbackPlan):
+            return executor.execute_plan(
+                self.plan, variables, row_limit=row_limit,
+                time_limit_seconds=time_limit_seconds)
+        executor._count(fallback_queries=1)
+        tables = self._gathered()
+        assert self.physical is not None
+        # Hold the coordinator copies' read locks through execution so a
+        # concurrent re-gather (which truncates) cannot be observed
+        # mid-flight.  The gather above completed first: never take
+        # these locks before gathering (read→write upgrades are
+        # forbidden).
+        with read_locks(tables):
+            return self.physical.execute(
+                variables, row_limit=row_limit,
+                time_limit_seconds=time_limit_seconds,
+                time_operators=time_operators)
+
+
+class ClusterSession(SqlSession):
+    """A :class:`~repro.engine.sql.SqlSession` over a cluster.
+
+    The coordinator's session with two differences.  A SELECT's plan is
+    a :class:`_StatementPlan`: distributable statements scatter to the
+    shards, everything else gathers its tables into the coordinator and
+    runs on the unmodified single-node engine.  A cached plan is reused
+    only while the coordinator's DDL check and every per-shard version
+    of its tables are unchanged, so shard-local DML re-plans it.
     ANALYZE refreshes every shard's statistics (the coordinator's
     snapshots are refreshed only for tables it actually holds, so the
-    planner keeps costing against full-data statistics).
+    planner keeps costing against full-data statistics) and clears the
+    plan cache.
     """
 
     def __init__(self, cluster: ShardCluster, *,
                  row_limit: Optional[int] = None,
                  time_limit_seconds: Optional[float] = None):
+        super().__init__(cluster.coordinator, row_limit=row_limit,
+                         time_limit_seconds=time_limit_seconds)
         self.cluster = cluster
-        self.database = cluster.coordinator
-        self.row_limit = row_limit
-        self.time_limit_seconds = time_limit_seconds
-        self.session = SqlSession(cluster.coordinator, row_limit=row_limit,
-                                  time_limit_seconds=time_limit_seconds)
-        self.planner = self.session.planner
-        self.variables = self.session.variables
-        self.plan_cache = self.session.plan_cache
         self.cluster_planner = ClusterPlanner(cluster)
-        #: Fragment-plan cache: (normalised SQL, statement position) →
-        #: :class:`_CachedPlan`, fallbacks included.  A hit re-checks
-        #: staleness **per shard** before reuse: shard-local DML bumps
-        #: that shard's counter, the snapshot no longer matches, and the
-        #: plan is re-derived from current statistics instead of
-        #: shipping a shape chosen against stale ones.
-        self._fragment_plans: "OrderedDict[tuple[str, int], _CachedPlan]" = OrderedDict()
-        self._fragment_plan_capacity = 128
-        self.fragment_plan_hits = 0
-        self.fragment_plan_misses = 0
-        self.fragment_plan_invalidations = 0
-        #: Telemetry: how the most recent SELECT was planned
-        #: ("fragment-cache" for either plan kind, else "planned" or
-        #: "fallback").
-        self.last_plan_source = ""
-
-    # -- SqlSession surface -------------------------------------------------
-
-    def execute(self, sql_text: str) -> list[StatementResult]:
-        statements = parse_batch(sql_text)
-        if not statements:
-            raise SQLSyntaxError("empty SQL batch")
-        results: list[StatementResult] = []
-        cache_key = PlanCache.normalize(sql_text)
-        for position, statement in enumerate(statements):
-            if isinstance(statement, DeclareStatement):
-                for name in statement.names:
-                    self.session.declare(name)
-                results.append(StatementResult(statement, "declare"))
-            elif isinstance(statement, SetStatement):
-                assert statement.expression is not None
-                context = self.database.evaluation_context(self.variables)
-                value = statement.expression.evaluate(RowScope(), context)
-                self.session.set_variable(statement.name, value)
-                results.append(StatementResult(statement, "set",
-                                               variable=statement.name,
-                                               value=value))
-            elif isinstance(statement, AnalyzeStatement):
-                results.append(self._analyze(statement))
-            elif isinstance(statement, SelectStatement):
-                results.append(self._select(statement,
-                                            (cache_key, position)))
-            else:
-                raise SQLSyntaxError(
-                    f"unsupported statement type {type(statement).__name__}")
-        return results
-
-    def query(self, sql_text: str) -> QueryResult:
-        results = self.execute(sql_text)
-        for outcome in reversed(results):
-            if outcome.kind == "select" and outcome.result is not None:
-                return outcome.result
-        raise SQLSyntaxError("batch contained no SELECT statement")
-
-    def explain(self, sql_text: str, *, analyze: bool = False) -> str:
-        if analyze:
-            for outcome in self.execute(sql_text):
-                if outcome.kind == "select" and outcome.result is not None:
-                    return outcome.result.plan.explain()
-            raise SQLSyntaxError("batch contained no SELECT statement")
-        for statement in parse_batch(sql_text):
-            if isinstance(statement, SelectStatement) and statement.query is not None:
-                plan = self.cluster_planner.plan(statement.query)
-                if isinstance(plan, FallbackPlan):
-                    self._gather_for(plan)
-                    header = (f"Gather (fallback: {plan.reason}) -> "
-                              "coordinator plan:")
-                    return header + "\n" + self.planner.plan(
-                        statement.query).explain()
-                return self.cluster.executor.explain_plan(plan, self.variables)
-        raise SQLSyntaxError("batch contained no SELECT statement")
-
-    def optimizer_statistics(self) -> dict[str, int]:
-        return self.session.optimizer_statistics()
-
-    def execution_mode_statistics(self) -> dict[str, int]:
-        return self.session.execution_mode_statistics()
-
-    def feedback_statistics(self) -> dict[str, int]:
-        return self.session.feedback_statistics()
-
-    # -- statement dispatch -------------------------------------------------
 
     def _analyze(self, statement: AnalyzeStatement) -> StatementResult:
-        # Fresh statistics can change access-path choices everywhere, so
-        # the whole fragment-plan cache is rebuilt on demand.
-        self._fragment_plans.clear()
         names = ([statement.table] if statement.table
                  else sorted(self.cluster.table_keys()))
         analyzed: list[str] = []
@@ -1048,127 +1012,28 @@ class ClusterSession:
                          or self.database.table(name).row_count)):
                 self.database.analyze_table(name)
             analyzed.append(name)
+        # Fresh statistics can change access-path choices everywhere.
+        self.plan_cache.clear()
         return StatementResult(statement, "analyze", value=analyzed)
 
-    def _gather_for(self, plan: FallbackPlan) -> list[str]:
-        """Gather ``plan``'s tables to the coordinator; returns their names."""
-        tables = self.cluster_planner.plan_tables(plan)
-        self.cluster.ensure_local(tables)
-        return tables
-
-    def _plan_fragment(self, query, key: tuple[str, int]) -> _CachedPlan:
-        """Plan ``query``, reusing a cached plan only when every shard is
-        provably unchanged since it was planned.
-
-        Sets :attr:`last_plan_source`; an ``INTO`` plan's entry is
-        returned without being cached.
-        """
-        entry = self._fragment_plans.get(key)
-        if entry is not None:
-            fresh = (not self.database.changed_since(
-                         entry.schema_version,
-                         (name.lower() for name in entry.versions))
-                     and all(self.cluster.table_versions(name) == captured
-                             for name, captured in entry.versions.items()))
-            if fresh:
-                self._fragment_plans.move_to_end(key)
-                self.fragment_plan_hits += 1
-                self.last_plan_source = "fragment-cache"
-                return entry
-            # Some shard (or the coordinator catalog) changed under the
-            # plan: one shard-local INSERT is enough to make the cached
-            # shape's statistics-derived choices stale — and a fallback's
-            # tables are re-gathered, so its coordinator plan re-plans.
-            del self._fragment_plans[key]
-            self.fragment_plan_invalidations += 1
-        self.fragment_plan_misses += 1
+    def _plan_select(self, query, overrides) -> _StatementPlan:
         plan = self.cluster_planner.plan(query)
-        self.last_plan_source = ("fallback" if isinstance(plan, FallbackPlan)
-                                 else "planned")
-        entry = _CachedPlan(plan, self.database.schema_version, {
-            name: self.cluster.table_versions(name)
-            for name in self.cluster_planner.plan_tables(plan)})
-        if not query.into:
-            self._fragment_plans[key] = entry
-            while len(self._fragment_plans) > self._fragment_plan_capacity:
-                self._fragment_plans.popitem(last=False)
-        return entry
-
-    def fragment_plan_statistics(self) -> dict[str, int]:
-        """Fragment-plan cache counters for this session."""
-        return {
-            "entries": len(self._fragment_plans),
-            "hits": self.fragment_plan_hits,
-            "misses": self.fragment_plan_misses,
-            "invalidations": self.fragment_plan_invalidations,
-        }
-
-    def _select(self, statement: SelectStatement,
-                key: tuple[str, int]) -> StatementResult:
-        assert statement.query is not None
-        query = statement.query
-        tracer = TRACER
-        if tracer.enabled:
-            with tracer.span("plan") as span:
-                entry = self._plan_fragment(query, key)
-                span.attributes["source"] = self.last_plan_source
-        else:
-            entry = self._plan_fragment(query, key)
-        cached = self.last_plan_source == "fragment-cache"
-        plan = entry.plan
         if isinstance(plan, FallbackPlan):
-            self.cluster.executor._count(fallback_queries=1)
-            names = self._gather_for(plan)
-            from ..engine.concurrency import read_locks
+            self.last_plan_source = "fallback"
+        return _StatementPlan(self, plan)
 
-            tables = [self.database.table(name) for name in names
-                      if self.database.has_table(name)]
-            if entry.physical is None:
-                # Planned after the gather, over the refilled copies; the
-                # entry's version snapshot keeps it until they change.
-                entry.physical = self.session.planner.plan(query)
-            physical = entry.physical
-            # Hold the coordinator copies' read locks through execution
-            # so a concurrent re-gather (which truncates) cannot be
-            # observed mid-flight.  The gather above completed first —
-            # never take these locks before gathering (read→write
-            # upgrades are forbidden).
-            with read_locks(tables):
-                if tracer.enabled:
-                    with tracer.span("execute", mode="fallback") as span:
-                        result = physical.execute(
-                            self.variables, row_limit=self.row_limit,
-                            time_limit_seconds=self.time_limit_seconds)
-                        span.attributes["rows"] = len(result.rows)
-                else:
-                    result = physical.execute(
-                        self.variables, row_limit=self.row_limit,
-                        time_limit_seconds=self.time_limit_seconds)
-            if result.statistics.batches_processed:
-                self.session.batch_executions += 1
-                self.session.batches_processed += (
-                    result.statistics.batches_processed)
-            else:
-                self.session.row_executions += 1
-        else:
-            if tracer.enabled:
-                with tracer.span("execute", mode="distributed") as span:
-                    result = self.cluster.executor.execute_plan(
-                        plan, self.variables, row_limit=self.row_limit,
-                        time_limit_seconds=self.time_limit_seconds)
-                    span.attributes["rows"] = len(result.rows)
-            else:
-                result = self.cluster.executor.execute_plan(
-                    plan, self.variables, row_limit=self.row_limit,
-                    time_limit_seconds=self.time_limit_seconds)
-            if result.statistics.batches_processed:
-                self.session.batch_executions += 1
-                self.session.batches_processed += (
-                    result.statistics.batches_processed)
-            else:
-                self.session.row_executions += 1
-        self.session.segments_scanned += result.statistics.segments_scanned
-        self.session.segments_skipped += result.statistics.segments_skipped
-        result.statistics.plan_cache_hits = 1 if cached else 0
-        result.statistics.plan_cache_misses = 0 if cached else 1
-        return StatementResult(statement, "select", result=result)
+    def _table_versions(self, plan: ClusterPlan) -> dict[str, tuple]:
+        # A table only the coordinator holds is read in place, so as on
+        # one node its plans outlive DML on it.
+        return {name: self.cluster.table_versions(name)
+                for name in self.cluster_planner.plan_tables(plan)
+                if self.cluster.placement(name) is not None}
+
+    def _stale(self, entry) -> bool:
+        return super()._stale(entry) or any(
+            plan.versions != self._table_versions(plan.plan)
+            for plan in entry.plans.values())
+
+    def _record_feedback(self, cache_key, position, entry, plan) -> None:
+        """Cluster plans are not observed: a distributed plan has no
+        single-node operator tree to compare estimates against."""

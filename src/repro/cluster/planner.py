@@ -206,9 +206,8 @@ class ClusterPlanner:
         """Base tables a plan reads: a fragment plan's relations, or the
         tables a fallback gathers.
 
-        The session's fragment-plan cache validates a cached plan
-        against the per-shard modification counters of exactly these
-        tables (see :meth:`ShardCluster.table_versions`), so a write
+        The session's plan cache validates a cached plan against the
+        per-shard modification counters of exactly these tables (see :meth:`ShardCluster.table_versions`), so a write
         re-plans the fragments — or re-gathers and re-plans a fallback.
         """
         if isinstance(plan, SingleTablePlan):

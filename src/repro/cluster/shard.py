@@ -441,9 +441,20 @@ class ShardCluster:
         return self.shards[0].table(table_name).storage.kind
 
     def table_versions(self, table_name: str) -> tuple[int, ...]:
-        """Per-shard modification counters: the cache-invalidation vector."""
-        return tuple(node.table(table_name).modification_counter
-                     for node in self.shards if node.database.has_table(table_name))
+        """Per-shard modification counters: the cache-invalidation vector.
+
+        A table that lives only on the coordinator (``##results``,
+        ``QueryLog``) answers the coordinator's ``(modification_counter,)``,
+        as :meth:`Database.table_versions` does.
+        """
+        return (tuple(node.table(table_name).modification_counter
+                      for node in self.shards if node.database.has_table(table_name))
+                or self.coordinator.table_versions(table_name))
+
+    @property
+    def schema_version(self) -> int:
+        """The catalog version: the coordinator holds every table's schema."""
+        return self.coordinator.schema_version
 
     @property
     def epoch(self) -> int:

@@ -33,7 +33,7 @@ from .logical import (FunctionRef, Join, LogicalQuery, OrderItem, Query,
 from .operators import ExecutionStatistics, PhysicalPlan, QueryResult
 from .parallel import WorkerPool, get_worker_pool
 from .planner import Planner
-from .session import Session, make_session
+from .session import make_session
 from .sql import PlanCache, SqlSession, parse_batch, parse_expression, parse_select
 from .stats import (ColumnStatistics, TableStatistics, collect_table_statistics)
 from .storage import ColumnStore, RowStore, TableStorage, make_storage
@@ -87,7 +87,6 @@ __all__ = [
     "QueryResult",
     "ExecutionStatistics",
     "SqlSession",
-    "Session",
     "make_session",
     "PlanCache",
     "parse_batch",

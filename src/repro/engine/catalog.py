@@ -90,6 +90,12 @@ class Database:
         versions = self._table_ddl_versions
         return any(versions.get(name, 0) > version for name in tables)
 
+    def table_versions(self, name: str) -> tuple[int, ...]:
+        """``(modification_counter,)`` of one table: the shape
+        :meth:`ShardCluster.table_versions` gives per shard.  Any DML
+        moves it; caches of results compare it before reuse."""
+        return (self.table(name).modification_counter,)
+
     def _bump_epoch(self) -> None:
         with self._epoch_lock:
             self.epoch += 1

@@ -17,13 +17,19 @@ when DDL (CREATE/DROP of tables, views, indexes or functions) bumps it;
 batches that themselves change the schema (``SELECT ... INTO``) are
 never cached, because their plans capture catalog objects the next
 execution would replace.
+
+:class:`~repro.cluster.ClusterSession` is this session over a shard
+cluster's coordinator.  It overrides how ANALYZE runs (:meth:`_analyze`),
+how a SELECT gets its plan (:meth:`_plan_select`), when a cached batch
+is stale (:meth:`_stale`) and records no cardinality feedback;
+everything else is this class.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..catalog import Database
 from ..errors import SQLSyntaxError
@@ -60,7 +66,9 @@ class CachedBatch:
     tables: frozenset[str] = frozenset()
     #: Plans keyed by statement position, filled lazily as statements run
     #: (a SELECT later in a batch must be planned after the statements
-    #: before it have executed).
+    #: before it have executed).  Whatever :meth:`SqlSession._plan_select`
+    #: returns: a :class:`PhysicalPlan` here, a cluster statement plan in
+    #: :class:`~repro.cluster.ClusterSession`.
     plans: dict[int, PhysicalPlan] = field(default_factory=dict)
 
 
@@ -114,20 +122,19 @@ class PlanCache:
                 i += 1
         return "".join(out)
 
-    def get(self, sql_text: str, database: Database) -> Optional[CachedBatch]:
+    def get(self, sql_text: str,
+            stale: Callable[[CachedBatch], bool]) -> Optional[CachedBatch]:
+        """The entry for ``sql_text``, unless ``stale`` says it no longer holds."""
         key = self.normalize(sql_text)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        version = database.schema_version
-        if entry.schema_version != version:
-            if database.changed_since(entry.schema_version, entry.tables):
-                del self._entries[key]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            entry.schema_version = version      # the DDL since was elsewhere
+        if stale(entry):
+            del self._entries[key]
+            self.invalidations += 1
+            self.misses += 1
+            return None
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
@@ -194,10 +201,10 @@ class SqlSession:
         self.feedback_invalidations = 0
         self.feedback_replans = 0
         #: How the most recent SELECT obtained its plan: "cache" (plan
-        #: cache hit), "planned" (fresh CBO/fallback plan) or
-        #: "feedback" (re-planned with observed cardinalities).  Pure
-        #: telemetry — read by spans and the query log, never by the
-        #: engine itself.
+        #: cache hit), "planned" (fresh plan), "feedback" (re-planned
+        #: with observed cardinalities) or, on a cluster, "fallback"
+        #: (fresh data-shipping plan).  Pure telemetry — read by spans
+        #: and the query log, never by the engine itself.
         self.last_plan_source = ""
         #: When True, executions install per-operator wall-clock timers
         #: (EXPLAIN ANALYZE turns this on around its execution).
@@ -243,13 +250,8 @@ class SqlSession:
         entry, from_cache = self._lookup_or_parse(sql_text)
         for position, statement in enumerate(entry.statements):
             if isinstance(statement, SelectStatement) and statement.query is not None:
-                plan = entry.plans.get(position)
-                if plan is None:
-                    overrides = self._feedback_overrides(
-                        PlanCache.normalize(sql_text), position, entry)
-                    plan = self.planner.plan(
-                        statement.query, cardinality_overrides=overrides)
-                    entry.plans[position] = plan
+                plan = self._acquire_plan(statement, entry, position,
+                                          PlanCache.normalize(sql_text))
                 if (not from_cache and self._cacheable(entry.statements)
                         and self.database.schema_version == entry.schema_version):
                     self.plan_cache.put(sql_text, entry)
@@ -299,12 +301,21 @@ class SqlSession:
     # -- plan cache -------------------------------------------------------------
 
     def _lookup_or_parse(self, sql_text: str) -> tuple[CachedBatch, bool]:
-        entry = self.plan_cache.get(sql_text, self.database)
+        entry = self.plan_cache.get(sql_text, self._stale)
         if entry is not None:
             return entry, True
         version = self.database.schema_version
         statements = parse_batch(sql_text)
         return CachedBatch(version, statements, self._batch_tables(statements)), False
+
+    def _stale(self, entry: CachedBatch) -> bool:
+        """Whether DDL since ``entry`` was planned could affect its plans."""
+        version = self.database.schema_version
+        if entry.schema_version != version:
+            if self.database.changed_since(entry.schema_version, entry.tables):
+                return True
+            entry.schema_version = version      # the DDL since was elsewhere
+        return False
 
     def _batch_tables(self, statements: list[Statement]) -> frozenset[str]:
         """Lower-cased names of the tables a batch reads, views resolved."""
@@ -346,10 +357,7 @@ class SqlSession:
             self.set_variable(statement.name, value)
             return StatementResult(statement, "set", variable=statement.name, value=value)
         if isinstance(statement, AnalyzeStatement):
-            names = ([statement.table] if statement.table
-                     else self.database.table_names())
-            analyzed = [self.database.analyze_table(name).table for name in names]
-            return StatementResult(statement, "analyze", value=analyzed)
+            return self._analyze(statement)
         if isinstance(statement, SelectStatement):
             assert statement.query is not None
             tracer = TRACER
@@ -391,10 +399,16 @@ class SqlSession:
             return StatementResult(statement, "select", result=result)
         raise SQLSyntaxError(f"unsupported statement type {type(statement).__name__}")
 
+    def _analyze(self, statement: AnalyzeStatement) -> StatementResult:
+        names = ([statement.table] if statement.table
+                 else self.database.table_names())
+        analyzed = [self.database.analyze_table(name).table for name in names]
+        return StatementResult(statement, "analyze", value=analyzed)
+
     def _acquire_plan(self, statement: SelectStatement, entry: CachedBatch,
                       position: int, cache_key: str) -> PhysicalPlan:
-        """The statement's physical plan — cached, fresh, or feedback
-        re-planned — recording which on :attr:`last_plan_source`."""
+        """The statement's plan — cached, fresh, or feedback re-planned —
+        recording which on :attr:`last_plan_source`."""
         plan = entry.plans.get(position)
         if plan is not None:
             self.last_plan_source = "cache"
@@ -405,10 +419,15 @@ class SqlSession:
             self.last_plan_source = "feedback"
         else:
             self.last_plan_source = "planned"
-        plan = self.planner.plan(statement.query,
-                                 cardinality_overrides=overrides)
+        plan = self._plan_select(statement.query, overrides)
         entry.plans[position] = plan
         return plan
+
+    def _plan_select(self, query, overrides: Optional[dict[str, int]]
+                     ) -> PhysicalPlan:
+        """A fresh plan for one SELECT: anything with ``execute`` and
+        ``explain`` as :class:`PhysicalPlan` has them."""
+        return self.planner.plan(query, cardinality_overrides=overrides)
 
     # -- cardinality feedback -----------------------------------------------------
 

@@ -6,9 +6,10 @@ service absorbing millions of hits with hard per-user limits (§4, §7).
 :class:`SkyServerPool` is that serving tier in library form:
 
 * a fixed pool of **worker threads**, each owning one
-  :class:`~repro.engine.Session` per service class (built by
-  :func:`~repro.engine.make_session` for whichever backend the server
-  fronts; sessions keep variables and a plan cache, so they are
+  :class:`~repro.engine.sql.SqlSession` per service class (built by
+  :func:`~repro.engine.make_session`: a
+  :class:`~repro.cluster.ClusterSession` when the server fronts a shard
+  cluster; sessions keep variables and a plan cache, so they are
   deliberately not shared across threads);
 * **admission control** in front of the workers: every submission names
   a :class:`~repro.skyserver.limits.ServiceClass` (public / power /
@@ -19,19 +20,24 @@ service absorbing millions of hits with hard per-user limits (§4, §7).
   same template queries over and over (the paper's §7 traffic mix), so
   finished SELECT results are cached under their normalised SQL text
   and served without re-execution while still valid.  An entry is valid
-  only while the catalog's ``schema_version`` and the *per-table
-  modification counters* of every table the query read are unchanged —
-  the same invalidation discipline as the session plan cache, extended
-  to DML.  Identical cacheable queries in flight are **coalesced**
-  (dogpile protection): one worker executes, the duplicates wait for
-  its cache fill instead of burning more workers on the same answer;
+  only while the catalog's ``schema_version`` and the ``table_versions``
+  of every table the query read are unchanged — the same invalidation
+  discipline as the session plan cache, extended to DML.  One version
+  source answers both: the database, or on a sharded server the
+  :class:`~repro.cluster.ShardCluster`, whose per-shard counters see
+  writes the coordinator does not.  Identical cacheable queries in
+  flight are **coalesced** (dogpile protection): one worker executes,
+  the duplicates wait for its cache fill instead of burning more
+  workers on the same answer;
 * **snapshot reads**: a worker acquires the read locks of every table
   its query references (in one global order, via
   :func:`repro.engine.concurrency.read_locks`) for the duration of the
   execution, so VACUUM, bulk loads and storage conversions can run
   concurrently without ever being observed mid-flight.  The database
   epoch recorded under those locks identifies the snapshot the query
-  saw.
+  saw.  On a cluster the session locks the shards and the gathered
+  copies itself, so the worker takes no locks; there a result is cached
+  only if its tables' versions read before and after the run agree.
 
 Batches that depend on session state (``DECLARE``/``SET``/``@var``
 references), perform DDL (``SELECT INTO``) or mutate statistics
@@ -46,11 +52,11 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, replace as _dataclass_replace
 from typing import Any, Optional
 
-from ..engine import (FunctionRef, QueryResult, Session, contains_variables,
+from ..engine import (FunctionRef, QueryResult, contains_variables,
                       make_session, read_locks, referenced_tables)
 from ..engine.catalog import Database
 from ..engine.errors import CatalogError
-from ..engine.sql import PlanCache, parse_batch
+from ..engine.sql import PlanCache, SqlSession, parse_batch
 from ..engine.sql.ast import SelectStatement
 from ..telemetry import LatencyHistogram, TRACER
 from ..telemetry.trace import clip as _clip_sql
@@ -91,7 +97,7 @@ class QueryTicket:
         #: Telemetry trace id, once a tracing worker picks the ticket up.
         self.query_id = 0
         #: How the executing session obtained its plan ("cache",
-        #: "planned", "feedback", "fragment-cache", ...; "" if unknown).
+        #: "planned", "feedback" or "fallback"; "" if it did not run).
         self.plan_source = ""
         #: Database epoch the execution observed under its read locks.
         self.epoch: Optional[int] = None
@@ -143,17 +149,12 @@ class CacheEntry:
     """One cached result and the versions it is valid against."""
 
     schema_version: int
-    #: Lower-cased base-table name -> ``modification_counter`` at
-    #: execution time, for every table the query read.
-    table_versions: dict[str, int]
+    #: Lower-cased base-table name -> its ``table_versions`` at execution
+    #: time, for every table the query read: the table's
+    #: ``(modification_counter,)`` on one node, every shard's counter on
+    #: a cluster (whose coordinator cannot see shard-local writes).
+    table_versions: dict[str, tuple[int, ...]]
     result: QueryResult
-    #: On a sharded server: lower-cased base-table name -> the tuple of
-    #: *per-shard* modification counters the result was computed
-    #: against.  DML on any one shard moves its counter and invalidates
-    #: the entry — the coordinator's own counters cannot see shard-local
-    #: writes, so without this vector a cluster result would be served
-    #: stale.  ``None`` on single-node servers.
-    cluster_versions: Optional[dict[str, tuple[int, ...]]] = None
 
 
 def _copy_result(result: QueryResult) -> QueryResult:
@@ -170,9 +171,11 @@ class ResultCache:
     """Thread-safe LRU of finished query results.
 
     Keys are whitespace-normalised SQL (the plan cache's normalisation);
-    validity is re-checked on every lookup against the catalog's schema
-    version and the recorded per-table modification counters, so any
-    DML, DDL or ANALYZE against a dependency invalidates the entry.
+    validity is re-checked on every lookup against the version source's
+    ``schema_version`` and ``table_versions(name)`` — the
+    :class:`~repro.engine.catalog.Database`, or on a sharded server its
+    :class:`~repro.cluster.ShardCluster` — so any DML, DDL or ANALYZE
+    against a dependency invalidates the entry.
     """
 
     def __init__(self, capacity: int = 256):
@@ -184,14 +187,11 @@ class ResultCache:
         self.invalidations = 0
         self.evictions = 0
 
-    def lookup(self, key: str, database: Database, *,
-               cluster=None,
+    def lookup(self, key: str, versions: Any, *,
                record_miss: bool = True) -> Optional[QueryResult]:
-        """The cached result for ``key`` if still valid, else None.
+        """The cached result for ``key`` if still valid against the
+        ``versions`` source, else None.
 
-        ``cluster`` is the server's :class:`~repro.cluster.ShardCluster`
-        when sharded: entries are additionally validated against the
-        per-shard modification counters they recorded.
         ``record_miss=False`` keeps a second probe for the same
         submission (the worker's pre-execution re-check) from counting
         one logical miss twice.
@@ -201,7 +201,7 @@ class ResultCache:
             if entry is None:
                 self.misses += record_miss
                 return None
-            if not self._valid(entry, database, cluster):
+            if not self._valid(entry, versions):
                 del self._entries[key]
                 self.invalidations += 1
                 self.misses += record_miss
@@ -212,32 +212,18 @@ class ResultCache:
         return _copy_result(result)
 
     @staticmethod
-    def _valid(entry: CacheEntry, database: Database, cluster=None) -> bool:
-        if entry.schema_version != database.schema_version:
+    def _valid(entry: CacheEntry, versions: Any) -> bool:
+        if entry.schema_version != versions.schema_version:
             return False
         try:
-            if not all(database.table(name).modification_counter == counter
-                       for name, counter in entry.table_versions.items()):
-                return False
+            return all(versions.table_versions(name) == recorded
+                       for name, recorded in entry.table_versions.items())
         except CatalogError:
             return False
-        if cluster is not None:
-            if entry.cluster_versions is None:
-                # Cached before the cluster attached: cannot prove freshness.
-                return False
-            try:
-                return all(cluster.table_versions(name) == versions
-                           for name, versions in entry.cluster_versions.items())
-            except CatalogError:
-                return False
-        return True
 
     def put(self, key: str, entry: CacheEntry) -> None:
         entry = CacheEntry(entry.schema_version, dict(entry.table_versions),
-                           _copy_result(entry.result),
-                           cluster_versions=(dict(entry.cluster_versions)
-                                             if entry.cluster_versions is not None
-                                             else None))
+                           _copy_result(entry.result))
         with self._mutex:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -298,9 +284,12 @@ class SkyServerPool:
                  result_cache_size: int = 256):
         self.database: Database = getattr(server, "database", server)
         #: The server's shard cluster, when it is a cluster coordinator:
-        #: worker sessions route through the distributed planner and
-        #: cache entries record per-shard modification counters.
+        #: worker sessions route through the distributed planner.
         self.cluster = getattr(server, "cluster", None)
+        #: The result cache's version source (``schema_version`` and
+        #: ``table_versions(name)``): the cluster, whose shards see
+        #: writes the coordinator does not, else the database.
+        self.versions = self.cluster if self.cluster is not None else self.database
         self.service_classes = dict(service_classes or default_service_classes())
         self.result_cache = ResultCache(result_cache_size)
         self._cond = threading.Condition()
@@ -378,7 +367,7 @@ class SkyServerPool:
                 f"(have {sorted(self.service_classes)})", reason="unknown-class")
         ticket = QueryTicket(sql, user_class)
         cached = self.result_cache.lookup(self._cache_key(sql, user_class),
-                                          self.database, cluster=self.cluster)
+                                          self.versions)
         if cached is not None:
             with self._cond:
                 self.submitted += 1
@@ -461,7 +450,7 @@ class SkyServerPool:
     # -- worker loop -------------------------------------------------------
 
     def _worker(self) -> None:
-        sessions: dict[str, Session] = {}
+        sessions: dict[str, SqlSession] = {}
         while True:
             with self._cond:
                 ticket = self._pop_eligible()
@@ -495,7 +484,7 @@ class SkyServerPool:
         self._queue.extend(survivors)
         return chosen
 
-    def _run_ticket(self, ticket: QueryTicket, sessions: dict[str, Session]) -> None:
+    def _run_ticket(self, ticket: QueryTicket, sessions: dict[str, SqlSession]) -> None:
         """Telemetry shell around :meth:`_run_ticket_inner`.
 
         Opens the root ``query`` span (backdated to submission so it
@@ -527,20 +516,18 @@ class SkyServerPool:
         self._observe_ticket(ticket)
 
     def _run_ticket_inner(self, ticket: QueryTicket,
-                          sessions: dict[str, Session]) -> None:
+                          sessions: dict[str, SqlSession]) -> None:
         key = self._cache_key(ticket.sql, ticket.user_class)
         # A duplicate submitted while its twin was still queued may be
         # servable by now; re-probe before paying for execution.
         tracer = TRACER
         if tracer.enabled:
             with tracer.span("result_cache") as span:
-                cached = self.result_cache.lookup(key, self.database,
-                                                  cluster=self.cluster,
+                cached = self.result_cache.lookup(key, self.versions,
                                                   record_miss=False)
                 span.attributes["hit"] = cached is not None
         else:
-            cached = self.result_cache.lookup(key, self.database,
-                                              cluster=self.cluster,
+            cached = self.result_cache.lookup(key, self.versions,
                                               record_miss=False)
         if cached is not None:
             with self._cond:
@@ -590,8 +577,7 @@ class SkyServerPool:
         own.
         """
         for ticket in followers:
-            cached = self.result_cache.lookup(key, self.database,
-                                              cluster=self.cluster,
+            cached = self.result_cache.lookup(key, self.versions,
                                               record_miss=False)
             if cached is not None:
                 with self._cond:
@@ -615,69 +601,32 @@ class SkyServerPool:
                              status="rejected")
                 self._observe_ticket(ticket)
 
-    def _execute(self, ticket: QueryTicket, session: Session,
+    def _execute(self, ticket: QueryTicket, session: SqlSession,
                  info: "_BatchInfo", key: str) -> None:
-        """Run the batch under its tables' read locks; fill the cache."""
-        try:
-            if self.cluster is not None:
-                self._execute_clustered(ticket, session, info, key)
-                return
-            tables = [self.database.table(name) for name in info.table_names
-                      if self.database.has_table(name)]
-            with read_locks(tables):
-                ticket.epoch = self.database.epoch
-                result = session.query(ticket.sql)
-                ticket.plan_source = getattr(session, "last_plan_source", "")
-                versions = {table.name.lower(): table.modification_counter
-                            for table in tables}
-                schema_version = self.database.schema_version
-            if info.cacheable:
-                self.result_cache.put(
-                    key, CacheEntry(schema_version, versions, result))
-        except Exception as error:
-            self._finish_failed(ticket, error)
-            return
-        with self._cond:
-            self.completed += 1
-            self._per_class[ticket.user_class]["completed"] += 1
-        ticket._complete(result)
+        """Run the batch; fill the result cache if nothing moved under it.
 
-    def _execute_clustered(self, ticket: QueryTicket, session: Any,
-                           info: "_BatchInfo", key: str) -> None:
-        """The cluster-mode execution path (no coordinator-wide locks).
-
-        The :class:`~repro.cluster.ClusterSession` takes the shard (or
-        gathered-coordinator) read locks itself — the worker must NOT
-        pre-acquire coordinator read locks, because a data-shipping
-        fallback would then need the write lock to re-gather (a
-        forbidden upgrade).  Freshness for the cache is established by
-        snapshotting every referenced table's per-shard modification
-        counters before and after: an entry is only filled when nothing
-        moved underneath the execution.
+        On one node the worker holds the read locks of every table the
+        batch reads.  On a cluster it takes none: the session locks the
+        shards (or the gathered coordinator copies) itself, and a
+        data-shipping fallback needs the coordinator's write lock to
+        re-gather, a forbidden upgrade from a read lock.  Either way the
+        result is cached only when every table's versions read before
+        the run (and the schema version) equal those read after it.
         """
-        cluster = self.cluster
+        names = [name for name in info.table_names
+                 if self.database.has_table(name)]
+        locked = ([] if self.cluster is not None
+                  else [self.database.table(name) for name in names])
         try:
-            placed = [name for name in info.table_names
-                      if cluster.placement(name) is not None]
-            unplaced = [name for name in info.table_names
-                        if cluster.placement(name) is None]
-            before = {name: cluster.table_versions(name) for name in placed}
-            ticket.epoch = self.database.epoch + cluster.epoch
-            result = session.query(ticket.sql)
-            ticket.plan_source = getattr(session, "last_plan_source", "")
-            # Placed tables validate against the shard counters (the
-            # coordinator's copy is just a gather cache whose counters
-            # move on every re-materialisation); tables living only on
-            # the coordinator (##results and friends) keep using its own
-            # modification counters.
-            versions = {name: self.database.table(name).modification_counter
-                        for name in unplaced if self.database.has_table(name)}
-            schema_version = self.database.schema_version
-            after = {name: cluster.table_versions(name) for name in placed}
+            with read_locks(locked):
+                before = self._versions(names)
+                ticket.epoch = self.database.epoch + (
+                    self.cluster.epoch if self.cluster is not None else 0)
+                result = session.query(ticket.sql)
+                ticket.plan_source = session.last_plan_source
+                after = self._versions(names)
             if info.cacheable and before == after:
-                self.result_cache.put(
-                    key, CacheEntry(schema_version, versions, result,
-                                    cluster_versions=after))
+                self.result_cache.put(key, CacheEntry(*after, result))
         except Exception as error:
             self._finish_failed(ticket, error)
             return
@@ -685,6 +634,13 @@ class SkyServerPool:
             self.completed += 1
             self._per_class[ticket.user_class]["completed"] += 1
         ticket._complete(result)
+
+    def _versions(self, names: list[str]
+                  ) -> tuple[int, dict[str, tuple[int, ...]]]:
+        """The schema version and ``names``' table versions, as a
+        :class:`CacheEntry` records them."""
+        return (self.versions.schema_version,
+                {name: self.versions.table_versions(name) for name in names})
 
     def _finish_failed(self, ticket: QueryTicket, error: BaseException) -> None:
         with self._cond:

@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from ..engine import Database, QueryResult, Session, lock_tables, make_session
+from ..engine import (Database, QueryResult, SqlSession, lock_tables,
+                      make_session)
 from ..engine.durable import DurabilityManager
 from ..loader import load_release_database
 from ..pipeline import PipelineOutput, SurveyConfig, SyntheticSurvey
@@ -85,7 +86,7 @@ class SkyServer:
             query_log=telemetry_config.query_log,
             slow_query_seconds=telemetry_config.slow_query_seconds,
             trace_capacity=telemetry_config.trace_capacity)
-        self.session: Session = make_session(
+        self.session: SqlSession = make_session(
             database, cluster=cluster, row_limit=self.limits.max_rows,
             time_limit_seconds=self.limits.max_seconds)
         #: The concurrent serving pool, once one is started/attached.

@@ -103,7 +103,7 @@ class Telemetry:
             self.logger.record(
                 sql=sql, user_class=user_class, status=status, rows=rows,
                 elapsed_seconds=elapsed, cache_hit=cache_hit,
-                plan_cached=source in ("cache", "fragment-cache"),
+                plan_cached=source == "cache",
                 query_id=query_id, error=error)
 
     # -- the pooled path ---------------------------------------------------
@@ -129,7 +129,7 @@ class Telemetry:
             status=ticket.status,
             rows=len(result.rows) if result is not None else 0,
             elapsed_seconds=elapsed, cache_hit=ticket.cache_hit,
-            plan_cached=plan_source in ("cache", "fragment-cache"),
+            plan_cached=plan_source == "cache",
             query_id=getattr(ticket, "query_id", 0) or 0,
             error=f"{type(error).__name__}: {error}" if error is not None
             else None)

@@ -18,6 +18,8 @@ from repro.cluster import (ClusterSession, DerivedPlacement, FallbackPlan,
 from repro.engine import (Database, PrimaryKey, SqlSession, bigint, floating,
                           integer)
 from repro.engine.operators import AggregateState
+from repro.engine.sql import parse_batch
+from repro.engine.sql.ast import SelectStatement
 from repro.engine.expressions import AggregateCall
 from repro.skyserver import QueryLimits, SkyServer
 from repro.skyserver.pool import SkyServerPool
@@ -379,7 +381,7 @@ def test_analyze_refreshes_shard_statistics():
 
 
 # ---------------------------------------------------------------------------
-# The fragment-plan cache holds both plan kinds
+# The session's plan cache holds both plan kinds
 # ---------------------------------------------------------------------------
 
 FALLBACK = ("select o.objID, n.distance from Obj o join Neighbors n "
@@ -400,7 +402,7 @@ def test_fallback_plans_are_cached_until_a_shard_write():
         first = session.query(FALLBACK)
         second = session.query(FALLBACK)
         assert (_cache_flags(first), _cache_flags(second)) == ((0, 1), (1, 0))
-        assert session.last_plan_source == "fragment-cache"
+        assert session.last_plan_source == "cache"
         assert plan.call_count == 1
         assert second.rows == first.rows == single.query(FALLBACK).rows
 
@@ -416,7 +418,7 @@ def test_fallback_plans_are_cached_until_a_shard_write():
         assert third.rows == single.query(FALLBACK).rows
         assert len(third.rows) == len(first.rows) + 1
         assert _cache_flags(session.query(FALLBACK)) == (1, 0)
-    statistics = session.fragment_plan_statistics()
+    statistics = session.plan_cache.statistics()
     assert (statistics["hits"], statistics["misses"],
             statistics["invalidations"]) == (2, 2, 1)
 
@@ -430,6 +432,37 @@ def test_distributed_plans_report_cache_hits():
     into = "select objID into ##few from Obj where mag < 15"
     assert _cache_flags(session.query(into)) == (0, 1)
     assert _cache_flags(session.query(into)) == (0, 1)
+
+
+def test_plan_sources_are_one_set_on_both_backends():
+    cluster = make_cluster(2)
+    single = SqlSession(build_generic())
+    distributed = "select objID, mag from Obj where mag < 15"
+    sources = []
+    for session in (single, ClusterSession(cluster)):
+        for sql in (distributed, distributed, FALLBACK, FALLBACK):
+            session.query(sql)
+            sources.append(session.last_plan_source)
+    assert sources == ["planned", "cache", "planned", "cache",
+                       "planned", "cache", "fallback", "cache"]
+
+
+def test_cluster_batch_is_parsed_once(monkeypatch):
+    from repro.engine.sql import session as sql_session
+
+    cluster = make_cluster(4)
+    server = SkyServer(cluster.coordinator, limits=QueryLimits.private(),
+                       cluster=cluster)
+    parse = mock.Mock(wraps=sql_session.parse_batch)
+    monkeypatch.setattr(sql_session, "parse_batch", parse)
+    sql = ("declare @bright float; set @bright = 15; "
+           "select objID, mag from Obj where mag < @bright")
+    answers = [server.query(sql).rows for _ in range(3)]
+    assert parse.call_count == 1
+    assert answers[0] == answers[1] == answers[2] != []
+    for statistics in (server.plan_cache_statistics(),
+                       server.site_statistics()["plan_cache"]):
+        assert (statistics["hits"], statistics["misses"]) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +601,18 @@ def test_cone_pruning_keeps_shards_with_stale_statistics():
 # Result-cache invalidation across shards (pool satellite)
 # ---------------------------------------------------------------------------
 
-def test_pool_cache_invalidated_by_shard_dml():
-    cluster = make_cluster(3)
-
+def _cluster_pool(cluster: ShardCluster, workers: int = 2) -> SkyServerPool:
     class _Host:
         database = cluster.coordinator
 
     host = _Host()
     host.cluster = cluster
-    pool = SkyServerPool(host, workers=2, result_cache_size=16)
+    return SkyServerPool(host, workers=workers, result_cache_size=16)
+
+
+def test_pool_cache_invalidated_by_shard_dml():
+    cluster = make_cluster(3)
+    pool = _cluster_pool(cluster)
     try:
         sql = "select count(*) as n from Obj"
         first = pool.execute(sql)
@@ -593,6 +629,48 @@ def test_pool_cache_invalidated_by_shard_dml():
         assert pool.result_cache.invalidations >= 1
     finally:
         pool.shutdown()
+
+
+def test_pool_cache_invalidated_by_coordinator_only_dml():
+    """A table only the coordinator holds versions by its own counter."""
+    cluster = make_cluster(2)
+    scratch = cluster.coordinator.create_table("##t", [bigint("id")])
+    scratch.insert({"id": 1})
+    assert (cluster.table_versions("##t")
+            == cluster.coordinator.table_versions("##t")
+            == (scratch.modification_counter,))
+    with _cluster_pool(cluster) as pool:
+        sql = "select count(*) as n from ##t"
+        assert pool.execute(sql).rows[0]["n"] == 1
+        assert pool.execute(sql).rows[0]["n"] == 1
+        assert pool.result_cache.hits == 1
+        scratch.insert({"id": 2})
+        assert pool.execute(sql).rows[0]["n"] == 2
+        assert pool.result_cache.invalidations == 1
+
+
+def test_plans_over_coordinator_only_tables_outlive_dml():
+    """As on one node: the coordinator reads ``##t`` in place, so DML on
+    it leaves the cached plan valid."""
+    cluster = make_cluster(2)
+    scratch = cluster.coordinator.create_table("##t", [bigint("id")])
+    session = ClusterSession(cluster)
+    sql = "select count(*) as n from ##t"
+    assert session.query(sql).rows[0]["n"] == 0
+    scratch.insert({"id": 1})
+    again = session.query(sql)
+    assert again.rows[0]["n"] == 1 and _cache_flags(again) == (1, 0)
+
+
+def test_pool_tickets_report_cluster_plan_cache_hits():
+    with _cluster_pool(make_cluster(2), workers=1) as pool:
+        sources = []
+        for sql in ("select objID from Obj where mag < 15", FALLBACK) * 2:
+            ticket = pool.submit(sql)
+            ticket.result(10.0)
+            sources.append(ticket.plan_source)
+            pool.result_cache.clear()
+    assert sources == ["planned", "fallback", "cache", "cache"]
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +762,55 @@ class TestShardedSkyServer:
                 expected.query_id)
             assert repr(actual.result.rows) == repr(expected.result.rows), (
                 expected.query_id)
+
+    def test_cached_fig13_statements_stay_unchanged(
+            self, skyserver, columnar_skyserver, columnar_sharded_skyserver):
+        """Two fig13 passes through one columnar 4-shard session: the
+        second is served from the plan cache (bar the INTO statements,
+        which are never cached) with the first pass's and the single
+        node's rows, and EXPLAIN before any execution renders as the
+        distributed executor or the fallback's coordinator planner does."""
+        from repro.engine import Planner
+        from repro.skyserver.queries import DATA_MINING_QUERIES
+
+        server = columnar_sharded_skyserver
+        cluster = server.cluster
+        session = ClusterSession(cluster)
+        planner = session.cluster_planner
+        texts = {query.query_id: server._resolve_placeholders(query)
+                 for query in DATA_MINING_QUERIES}
+        selects = dict(fig13_selects(server))
+        for query_id, sql in texts.items():
+            plan = planner.plan(next(
+                statement.query for statement in parse_batch(sql)
+                if isinstance(statement, SelectStatement)))
+            if isinstance(plan, FallbackPlan):
+                cluster.ensure_local(planner.plan_tables(plan))
+                expected = (f"Gather (fallback: {plan.reason}) -> "
+                            "coordinator plan:\n"
+                            + Planner(cluster.coordinator).plan(plan.query).explain())
+            else:
+                expected = cluster.executor.explain_plan(plan, {})
+            assert session.explain(sql) == expected, query_id
+
+        first = {query_id: session.query(sql) for query_id, sql in texts.items()}
+        second = {query_id: session.query(sql) for query_id, sql in texts.items()}
+        into = {query_id for query_id, query in selects.items() if query.into}
+        assert into == {"Q1", "Q15A"}
+        assert {query_id: result.statistics.plan_cache_hits
+                for query_id, result in second.items()} == {
+            query_id: 0 if query_id in into else 1 for query_id in texts}
+        fragments = {query_id for query_id, query in selects.items()
+                     if not isinstance(planner.plan(query), FallbackPlan)}
+        rows = {run.query_id: run.result
+                for run in skyserver.run_all_data_mining_queries()}
+        columns = {run.query_id: run.result
+                   for run in columnar_skyserver.run_all_data_mining_queries()}
+        for query_id, result in second.items():
+            single = (columns if query_id in fragments else rows)[query_id]
+            assert result.columns == first[query_id].columns == single.columns
+            assert (repr(result.rows) == repr(first[query_id].rows)
+                    == repr(single.rows)), query_id
 
     def test_additional_queries_identical(self, skyserver, sharded_skyserver):
         single = skyserver.run_all_data_mining_queries(

@@ -587,7 +587,7 @@ class TestResultCacheKeyProperty:
                 else:
                     cache.put(key, CacheEntry(
                         database.schema_version,
-                        {table.name.lower(): table.modification_counter},
+                        {table.name.lower(): database.table_versions(table.name)},
                         fresh))
             elif kind == "insert":
                 tables[which].insert({"id": next_id[which], "v": next_id[which]})

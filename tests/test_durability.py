@@ -31,7 +31,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.engine import (Database, PrimaryKey, Session, bigint, blob,
+from repro.engine import (Database, PrimaryKey, SqlSession, bigint, blob,
                           boolean, floating, integer, make_session, text,
                           timestamp)
 from repro.engine.durable import (MANIFEST_NAME, DurabilityManager,
@@ -800,14 +800,14 @@ class TestServerLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# The session protocol
+# One session class for both backends
 # ---------------------------------------------------------------------------
 
 class TestSessionProtocol:
     def test_make_session_single_node(self):
         database = _build_db("row")
         session = make_session(database, row_limit=10)
-        assert isinstance(session, Session)
+        assert isinstance(session, SqlSession)
         assert session.database is database
         for probe in ("execute", "query", "explain", "optimizer_statistics",
                       "execution_mode_statistics", "feedback_statistics"):
@@ -822,5 +822,5 @@ class TestSessionProtocol:
         cluster = ShardCluster.from_database(database, shards=2)
         session = make_session(cluster.coordinator, cluster=cluster)
         assert isinstance(session, ClusterSession)
-        assert isinstance(session, Session)
+        assert isinstance(session, SqlSession)
         assert session.feedback_statistics() is not None
