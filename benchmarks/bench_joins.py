@@ -108,6 +108,75 @@ def test_batch_hash_join_speedup_at_least_1_5x():
                             f"(row {row_s * 1e3:.1f} ms, batch {column_s * 1e3:.1f} ms)")
 
 
+NEIGHBOR_OBJECTS = 20_000
+NEIGHBOR_PAIRS = 60_000
+
+#: Figure 13's Q18 on a column store: an index seek builds the join, the
+#: Neighbors scan probes, and GROUP BY … HAVING count(*) folds the pairs.
+SEEK_GROUP_SQL = ("select n.objid, count(*) as companions "
+                  "from neighbors n join photoobj p on p.objid = n.objid "
+                  "where p.type = 3 group by n.objid having count(*) >= 5 "
+                  "order by companions desc")
+
+
+def _build_neighbors() -> Database:
+    database = Database("bench_joins_neighbors")
+    photo = database.create_table("photoobj", [
+        bigint("objid"), bigint("type"), floating("modelmag_r"),
+    ], primary_key=PrimaryKey(["objid"]), storage="column")
+    neighbors = database.create_table("neighbors", [
+        bigint("objid"), bigint("neighborobjid"), floating("distance"),
+    ], primary_key=PrimaryKey(["objid", "neighborobjid"]), storage="column")
+    rng = random.Random(2002)
+    photo.insert_many([
+        {"objid": index, "type": rng.choice((3, 3, 6, 6, 0)),
+         "modelmag_r": rng.uniform(14.0, 24.0)}
+        for index in range(NEIGHBOR_OBJECTS)
+    ])
+    photo.create_index("ix_photoobj_type_mag", ["type", "modelmag_r"])
+    pairs = sorted({(rng.randrange(NEIGHBOR_OBJECTS), rng.randrange(NEIGHBOR_OBJECTS))
+                    for _ in range(NEIGHBOR_PAIRS)})
+    neighbors.insert_many([
+        {"objid": objid, "neighborobjid": other, "distance": rng.uniform(0.0, 0.5)}
+        for objid, other in pairs
+    ])
+    database.analyze()
+    return database
+
+
+def test_seek_built_join_aggregate_speedup_at_least_1_5x():
+    """The gate: Q18's seek ⋈ scan → GROUP BY … HAVING, batch >= 1.5x row."""
+    database = _build_neighbors()
+    batch_plan = Planner(database).plan(parse_select(SEEK_GROUP_SQL))
+    row_plan = Planner(database, enable_vectorized=False).plan(
+        parse_select(SEEK_GROUP_SQL))
+    labels = plan_operators(batch_plan)
+    assert {"Batch Aggregate", "Batch Hash Join", "Batch Index Seek"} <= set(labels)
+    assert not any(label.startswith("Batch") for label in plan_operators(row_plan))
+
+    row_s, row_result = _best_of(lambda: row_plan.execute())
+    batch_s, batch_result = _best_of(lambda: batch_plan.execute())
+    assert repr(batch_result.rows) == repr(row_result.rows)
+    assert batch_result.statistics.batches_processed > 0
+    speedup = row_s / batch_s
+
+    report = ExperimentReport(
+        "Seek-built batch join + grouped aggregate (Figure 13's Q18)",
+        f"{NEIGHBOR_PAIRS // 1000}k Neighbors pairs probing a type = 3 "
+        f"index seek of {NEIGHBOR_OBJECTS // 1000}k PhotoObj rows, grouped "
+        "with HAVING count(*) >= 5: enable_vectorized off vs on, one "
+        "column-store database.")
+    report.add("row-mode elapsed", "", round(row_s, 4), unit="s")
+    report.add("batch elapsed", "", round(batch_s, 4), unit="s")
+    report.add("speedup", ">= 1.5x", f"{speedup:.1f}x")
+    report.add("groups", "", len(batch_result.rows))
+    print_report(report)
+    print(f"row mode {row_s * 1e3:.1f} ms, batch {batch_s * 1e3:.1f} ms")
+
+    assert speedup >= 1.5, (f"seek-built batch join only {speedup:.2f}x faster "
+                            f"(row {row_s * 1e3:.1f} ms, batch {batch_s * 1e3:.1f} ms)")
+
+
 def test_cbo_join_estimates_are_sane():
     """ANALYZE-backed estimates land within 3x of the actual join output."""
     database = _build_database("column")

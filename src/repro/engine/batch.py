@@ -83,6 +83,20 @@ class ColumnBatch:
         return row_dicts(column_order, zip(*buffers))
 
 
+class GatheredBatch(ColumnBatch):
+    """A batch of rows gathered by row id — an index seek's — whose
+    ``columns`` (:meth:`repro.engine.storage.ColumnStore.gather`) read
+    value by value.  Its row adapter reads row by row, as a
+    row-at-a-time fetch does, so ``select *`` of one row costs one pass
+    over the columns, not one gather per column."""
+
+    __slots__ = ()
+
+    def rows(self, column_order: Sequence[str]) -> Iterator[dict[str, Any]]:
+        row = self.columns.row
+        return (row(position, column_order) for position in self.selection)
+
+
 def column_values(values: Sequence, mask: Optional[Sequence[int]],
                   local: Optional[list[int]], count: int) -> Sequence:
     """One column's values at positions ``local``, NULL where masked.

@@ -34,7 +34,11 @@ expressions **once per execution**:
   constant non-column operands, statically compatible types) the
   expression is translated into one **generated list comprehension**
   over the column buffers; otherwise the row-mode function is driven
-  over a NULL-mask-aware batch row view.  :class:`VectorCompileError`
+  over a NULL-mask-aware batch row view.  Over a *joined* batch
+  (:func:`compile_join_vector_predicate` /
+  :func:`compile_join_vector_projection`) the fallback is the binding
+  function of :func:`compile_expression`, run per position over
+  bindings that read the gathered columns.  :class:`VectorCompileError`
   signals that not even row mode applies.
 
 **Constants.**  Constant subtrees are folded at compile time (``2*3+1``
@@ -152,6 +156,18 @@ def resolve_column(layout: Layout, name: str,
         if key is not None:
             return binding_key, key
     raise UnknownColumnError(f"unknown column {name!r}")
+
+
+def resolve_function(evaluation: EvaluationContext, name: str
+                     ) -> tuple[Optional[Callable[..., Any]], str]:
+    """``(function, bare name)`` a scalar call resolves to (None when
+    unknown): the session's functions first, under the ``dbo.``-prefixed
+    or the bare name, then the built-ins."""
+    lowered = name.lower()
+    bare = lowered[len("dbo."):] if lowered.startswith("dbo.") else lowered
+    functions = evaluation.functions
+    func = functions.get(lowered) or functions.get(bare) or _BUILTIN_FUNCTIONS.get(bare)
+    return func, bare
 
 
 class RowCompileError(Exception):
@@ -756,10 +772,7 @@ class _Emitter:
         # Arguments evaluate first, as interpreted; functions may be
         # impure (fGetUrlExpId, random samplers), so a call never folds.
         arguments = ", ".join(self.name(self.emit(argument)) for argument in node.args)
-        lowered = node.name.lower()
-        bare = lowered[len("dbo."):] if lowered.startswith("dbo.") else lowered
-        functions = self.evaluation.functions
-        func = functions.get(lowered) or functions.get(bare) or _BUILTIN_FUNCTIONS.get(bare)
+        func, _bare = resolve_function(self.evaluation, node.name)
         if func is None:
             message = f"unknown function {node.name!r}"
             return self.assign(f"_fail(_UnknownFunctionError, {message!r})")
@@ -846,6 +859,12 @@ def _value_tag(value: Any) -> str:
     raise _Unvectorizable(f"constant of type {type(value).__name__}")
 
 
+#: The pure built-in math functions the vector codegen writes inline,
+#: over non-NULL numeric operands.
+_VECTOR_MATH: dict[str, Callable[..., Any]] = {
+    "abs": abs, "sqrt": math.sqrt, "power": math.pow}
+
+
 def _make_int_div(divisor: int) -> Callable[[int], int]:
     """SQL Server integer division by a non-zero constant (truncates toward 0)."""
     return lambda value: truncate_int_div(value, divisor)
@@ -861,9 +880,18 @@ class _VectorCodegen:
     must be NULL-free (checked against the store's null counts), every
     non-column operand must fold to a non-NULL constant, and operand
     types must be statically compatible (so the interpreter's
-    comparison/arithmetic errors cannot occur).  Anything else raises
-    :class:`_Unvectorizable` and the caller uses the row-view fallback.
+    comparison/arithmetic errors cannot occur).  The pure built-ins
+    ``abs``, ``sqrt``, ``power`` and ``pi`` are called as the math
+    functions themselves, so their domain and range errors are the row
+    path's.  Anything else raises :class:`_Unvectorizable` and the
+    caller uses the row-view fallback.
     """
+
+    #: Set when the code calls a function that can raise on a value
+    #: (``sqrt``/``power`` domain and range errors): such a predicate
+    #: must see only the rows the row path evaluates, so it never runs
+    #: over a segment's dictionary, whose values include dead rows'.
+    may_raise = False
 
     def __init__(self, evaluation: EvaluationContext, table: "Any", binding_name: str):
         self.evaluation = evaluation
@@ -883,7 +911,14 @@ class _VectorCodegen:
         return name
 
     def constant_value(self, node: Expression) -> Any:
-        """Fold ``node`` to a compile-time constant or raise."""
+        """Fold ``node`` to a compile-time constant or raise.
+
+        Calls never fold (functions may be impure), except the built-in
+        ``pi()``: Q15B divides by it.
+        """
+        if (isinstance(node, FunctionCall) and not node.args
+                and self.builtin(node) == "pi"):
+            return math.pi
         operand = _Emitter(self.evaluation).emit(node)
         if not isinstance(operand, _Constant):
             raise _Unvectorizable(f"non-constant operand {node.sql()}")
@@ -915,6 +950,8 @@ class _VectorCodegen:
             return self.in_list(node)
         if isinstance(node, Like):
             return self.like(node)
+        if isinstance(node, FunctionCall):
+            return self.function_call(node)
         raise _Unvectorizable(f"node {type(node).__name__}")
 
     # -- leaves --------------------------------------------------------------
@@ -1096,6 +1133,35 @@ class _VectorCodegen:
         test = "is None" if node.negated else "is not None"
         return f"({regex}.match({operand}) {test})", "bool"
 
+    def builtin(self, node: FunctionCall) -> Optional[str]:
+        """The bare name of a call that resolves, as the row emitter
+        resolves it, to the built-in function itself (None otherwise: a
+        session function of the same name keeps its own semantics)."""
+        func, bare = resolve_function(self.evaluation, node.name)
+        if func is None or func is not _BUILTIN_FUNCTIONS.get(bare):
+            return None
+        return bare
+
+    def function_call(self, node: FunctionCall) -> tuple[str, str]:
+        name = self.builtin(node)
+        if name == "pi" and not node.args:
+            return self.const(math.pi), "float"
+        math_fn = _VECTOR_MATH.get(name) if name is not None else None
+        if math_fn is None or len(node.args) != (2 if name == "power" else 1):
+            raise _Unvectorizable(f"function {node.name}")
+        arguments = [self.emit(argument) for argument in node.args]
+        if any(tag not in _NUMERIC_TAGS for _source, tag in arguments):
+            raise _Unvectorizable(f"{name} of a non-number")
+        # Operands are never NULL here, so the built-in's NULL test is
+        # moot and the math function itself raises what the row path's
+        # call raises (sqrt(-1): ValueError "math domain error").
+        if name != "abs":
+            self.may_raise = True
+        call = f"{self.const(math_fn)}({', '.join(source for source, _tag in arguments)})"
+        tag = ("int" if name == "abs" and arguments[0][1] in ("int", "bool")
+               else "float")
+        return call, tag
+
 
 class _JoinVectorCodegen(_VectorCodegen):
     """Vector codegen over a *joined* batch: columns from several tables.
@@ -1149,6 +1215,34 @@ class _JoinVectorCodegen(_VectorCodegen):
         return f"{identifier}[_i]", tag
 
 
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _vector_factory(source: str) -> Callable[..., VectorExpression]:
+    """The compiled factory of one generated batch loop (the code cache
+    of the vector codegen, keyed like :func:`_factory` by source text)."""
+    namespace: dict[str, Any] = {}
+    exec(compile(source, "<vector-codegen>", "exec"), namespace)
+    return namespace["_factory"]
+
+
+def _vector_loop(env: Mapping[str, Any], reads: Mapping[str, str], body: str,
+                 predicate: bool) -> VectorExpression:
+    """The generated loop over a batch's selection: ``reads`` binds each
+    identifier to its column buffer, ``body`` is one position's value
+    (or test).  ``env``'s values are the factory's arguments, so one
+    expression shape compiles once whatever its constants."""
+    lines = [f"def _factory({', '.join(env)}):",
+             "    def _vector_fn(_batch, _sel):",
+             "        _cols = _batch.columns"]
+    for identifier, key in reads.items():
+        lines.append(f"        {identifier} = _cols[{key!r}]")
+    if predicate:
+        lines.append(f"        return [_i for _i in _sel if {body}]")
+    else:
+        lines.append(f"        return [{body} for _i in _sel]")
+    lines.append("    return _vector_fn")
+    return _vector_factory("\n".join(lines))(*env.values())
+
+
 def _codegen_join_vector(expression: Expression, evaluation: EvaluationContext,
                          schema: "Mapping[str, Any]", predicate: bool
                          ) -> tuple[VectorExpression, str, list[str]]:
@@ -1162,47 +1256,132 @@ def _codegen_join_vector(expression: Expression, evaluation: EvaluationContext,
     body, tag = generator.emit(expression)
     if predicate and tag != "bool":
         raise _Unvectorizable("predicate does not produce a boolean")
-    lines = ["def _vector_fn(_batch, _sel):",
-             "    _cols = _batch.columns"]
-    for key, identifier in generator.column_ids.items():
-        lines.append(f"    {identifier} = _cols[{key!r}]")
-    if predicate:
-        lines.append(f"    return [_i for _i in _sel if {body}]")
-    else:
-        lines.append(f"    return [{body} for _i in _sel]")
-    namespace = dict(generator.env)
-    exec(compile("\n".join(lines), "<join-vector-codegen>", "exec"), namespace)
-    return namespace["_vector_fn"], tag, list(generator.column_ids)
+    reads = {identifier: key for key, identifier in generator.column_ids.items()}
+    return (_vector_loop(generator.env, reads, body, predicate), tag,
+            list(generator.column_ids))
+
+
+class _JoinRowEmitter(_Emitter):
+    """The binding-mode emitter over a joined batch's schema.  It records
+    every column it reads (the batch join gathers exactly those) and
+    refuses the embedded interpreter, which needs real row dicts."""
+
+    def __init__(self, evaluation: EvaluationContext, layout: Layout):
+        super().__init__(evaluation, layout)
+        self.read_columns: dict[tuple[str, str], None] = {}
+
+    def read(self, alias: str, key: str) -> str:
+        self.read_columns[(alias, key)] = None
+        return super().read(alias, key)
+
+    def fallback(self, node: Expression) -> _Operand:
+        raise _Unvectorizable(f"node {type(node).__name__} needs the interpreter")
+
+
+class _GatheredRow:
+    """One alias's row of a joined batch at position ``index``: what
+    binding-mode code reads as ``b[alias][key]``."""
+
+    __slots__ = ("buffers", "index")
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, Sequence] = {}
+        self.index = 0
+
+    def __getitem__(self, key: str) -> Any:
+        return self.buffers[key][self.index]
+
+
+def _join_row_fallback(expression: Expression, evaluation: EvaluationContext,
+                       schema: "Mapping[str, Any]", predicate: bool,
+                       projected: bool) -> tuple[VectorExpression, list[str]]:
+    """A row-compiled function run once per selected position of a joined
+    batch, over bindings that read the gathered columns; or
+    :class:`_Unvectorizable`.
+
+    The layout is the row path's (``HashJoin.layout``: build bindings,
+    then probe), so names resolve and fail exactly as they do there.
+    Gathered columns hold NULLs as values, so three-valued logic is the
+    row path's too.
+    """
+    layout = tuple((binding, table.row_keys) for binding, table in schema.items())
+    emitter = _JoinRowEmitter(evaluation, layout)
+    row_fn = emitter.function(expression, projected)
+    reads = [(alias, key, f"{alias.lower()}.{key}")
+             for alias, key in emitter.read_columns]
+
+    def vector(batch: Any, selection: list) -> list:
+        columns = batch.columns
+        binding: dict[str, _GatheredRow] = {}
+        for alias, key, qualified in reads:
+            row = binding.get(alias)
+            if row is None:
+                row = binding[alias] = _GatheredRow()
+            row.buffers[key] = columns[qualified]
+        rows = list(binding.values())
+        out = []
+        append = out.append
+        for position in selection:
+            for row in rows:
+                row.index = position
+            value = row_fn(binding)
+            if not predicate:
+                append(value)
+            elif value is True:
+                append(position)
+        return out
+
+    return vector, [qualified for _alias, _key, qualified in reads]
 
 
 def compile_join_vector_predicate(expression: Expression,
                                   evaluation: EvaluationContext,
                                   schema: "Mapping[str, Any]"
                                   ) -> tuple[VectorExpression, list[str]]:
-    """Compile a predicate over a joined batch (no row fallback).
+    """Compile a predicate over a joined batch; returns ``(fn, keys)``.
 
-    Raises :class:`VectorCompileError` outside the codegen subset — the
-    caller then abandons the whole batch-join pipeline and the operator
-    tree executes row-at-a-time.
+    Prefers the generated loop; outside the codegen subset the
+    row-compiled function runs per selected position
+    (:func:`_join_row_fallback`).  Raises :class:`VectorCompileError`
+    only when not even that applies — the caller then abandons the
+    batch-join pipeline and the operator tree executes row-at-a-time.
     """
     try:
         fn, _tag, keys = _codegen_join_vector(expression, evaluation, schema,
                                               predicate=True)
         return fn, keys
+    except _Unvectorizable:
+        pass
+    try:
+        return _join_row_fallback(expression, evaluation, schema,
+                                  predicate=True, projected=False)
     except _Unvectorizable as exc:
         raise VectorCompileError(str(exc)) from exc
 
 
 def compile_join_vector_projection(expression: Expression,
                                    evaluation: EvaluationContext,
-                                   schema: "Mapping[str, Any]"
-                                   ) -> tuple[VectorExpression, str, list[str]]:
-    """Compile a scalar over a joined batch; returns ``(fn, tag, keys)``."""
+                                   schema: "Mapping[str, Any]", *,
+                                   projected: bool = False
+                                   ) -> tuple[VectorExpression, Optional[str],
+                                              list[str]]:
+    """Compile a scalar over a joined batch; returns ``(fn, tag, keys)``.
+
+    The tag is None for the per-position fallback (its values may be
+    NULL); ``projected`` is the select-list rule, as for
+    :func:`compile_expression`.
+    """
     try:
         return _codegen_join_vector(expression, evaluation, schema,
                                     predicate=False)
+    except _Unvectorizable:
+        pass
+    try:
+        fn, keys = _join_row_fallback(expression, evaluation, schema,
+                                      predicate=False, projected=projected)
     except _Unvectorizable as exc:
         raise VectorCompileError(str(exc)) from exc
+    return fn, None, keys
 
 
 def _codegen_vector(expression: Expression, evaluation: EvaluationContext,
@@ -1215,22 +1394,14 @@ def _codegen_vector(expression: Expression, evaluation: EvaluationContext,
         # `FilterOp` keeps rows only when the predicate `is True`; a
         # truthy non-boolean must not pass, so don't generate `if body`.
         raise _Unvectorizable("predicate does not produce a boolean")
-    lines = ["def _vector_fn(_batch, _sel):",
-             "    _cols = _batch.columns"]
-    for name in generator.columns:
-        lines.append(f"    _c_{name} = _cols[{name!r}]")
-    if predicate:
-        lines.append(f"    return [_i for _i in _sel if {body}]")
-    else:
-        lines.append(f"    return [{body} for _i in _sel]")
-    namespace = dict(generator.env)
-    exec(compile("\n".join(lines), "<vector-codegen>", "exec"), namespace)
-    fn = namespace["_vector_fn"]
+    reads = {f"_c_{name}": name for name in generator.columns}
+    fn = _vector_loop(generator.env, reads, body, predicate)
     # The column names the generated loop reads.  A single-column
     # predicate can run over a sealed segment's dictionary instead of
     # its decoded rows (segments.SealedSegment.code_filter); row-view
-    # fallbacks never set this, so they always take the decoded path.
-    fn.vector_columns = list(generator.columns)
+    # fallbacks and code that may raise never set this, so they always
+    # take the decoded path.
+    fn.vector_columns = None if generator.may_raise else list(generator.columns)
     return fn, tag
 
 

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from .batch import ColumnBatch
+from .batch import BATCH_ROWS, ColumnBatch, GatheredBatch, column_values
 from .catalog import Database
 from .compile import (CompiledExpression, Layout, RowCompileError,
                       VectorCompileError, VectorExpression, compile_expression,
@@ -165,8 +166,10 @@ class ExecutionContext:
         """Join-batch vector compile (raises VectorCompileError)."""
         return compile_join_vector_predicate(expression, self.evaluation, schema)
 
-    def compile_join_vector_projection(self, expression: Expression, schema):
-        return compile_join_vector_projection(expression, self.evaluation, schema)
+    def compile_join_vector_projection(self, expression: Expression, schema, *,
+                                       projected: bool = False):
+        return compile_join_vector_projection(expression, self.evaluation, schema,
+                                              projected=projected)
 
 
 class PhysicalOperator:
@@ -541,6 +544,54 @@ class IndexRangeScan(PhysicalOperator):
             if not covering:
                 statistics.random_lookups += scanned
             self.actual_rows += emitted
+
+    @property
+    def table(self) -> Table:
+        return self.index.table
+
+    def batches(self, context: ExecutionContext,
+                predicate_fn: Optional[VectorExpression] = None
+                ) -> Iterator[ColumnBatch]:
+        """Columnar seek: the seek's live rows as column batches.
+
+        Rows are in index order, as :meth:`rows` yields them, so a hash
+        build over the batches numbers its rows as the row path does.
+        Each batch holds up to :data:`~repro.engine.batch.BATCH_ROWS`
+        index entries (an empty range is one empty batch), and its
+        columns are gathered per row id on first access
+        (:meth:`~repro.engine.storage.ColumnStore.gather`), so only the
+        columns the pipeline reads are fetched and a point lookup
+        decodes no segment.  ``predicate_fn`` is the vector form of
+        :attr:`predicate`; statistics account exactly as :meth:`rows`.
+        """
+        statistics = context.statistics
+        table = self.index.table
+        covering = self.covering
+        row_bytes = int(self.index.entry_byte_width() if covering
+                        else table.average_row_bytes())
+        entries = iter(key_range_row_ids(
+            self.index, self.low, self.high,
+            lambda expression: context.compile(expression, ())({})))
+        chunk = list(islice(entries, BATCH_ROWS))
+        while True:
+            row_ids, columns = table.storage.gather(chunk)
+            scanned = len(row_ids)
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * row_bytes
+            statistics.index_entries_read += scanned
+            if not covering:
+                statistics.random_lookups += scanned
+            statistics.batches_processed += 1
+            statistics.batch_rows += scanned
+            batch = GatheredBatch(columns, {}, list(range(scanned)),
+                                  self.binding_name)
+            if predicate_fn is not None and scanned:
+                batch.selection = predicate_fn(batch, batch.selection)
+            self.actual_rows += len(batch.selection)
+            yield batch
+            chunk = list(islice(entries, BATCH_ROWS))
+            if not chunk:
+                return
 
     def layout(self) -> Layout:
         return table_layout(self.index.table, self.binding_name)
@@ -920,7 +971,7 @@ class FilterOp(PhysicalOperator):
         return self.scale_rows(self.child.estimated_rows())
 
 
-# -- the vectorized single-table pipeline -----------------------------------
+# -- batch sources: scans, seeks and their filters ----------------------------
 
 def _zone_predicates(enabled: bool, *fns) -> list:
     """Collect the compiled zone-map forms riding on vector predicates.
@@ -965,64 +1016,138 @@ def _apply_scan_predicate(predicate_fn, batch: ColumnBatch, selection: list,
     return predicate_fn(batch, selection)
 
 
-def _vector_chain(context: ExecutionContext, child: PhysicalOperator
-                  ) -> Optional[tuple["TableScan", Optional[VectorExpression],
-                                      list[tuple["FilterOp", VectorExpression]], int]]:
-    """Resolve ``child`` as ``[FilterOp…] → TableScan`` over columnar storage.
+def _column_store(table: Table) -> bool:
+    return table.storage.kind == "column"
 
-    Vector-compiles the scan predicate and every filter; returns
-    ``(scan, scan_predicate, filter_fns, compiled_count)`` or None when
-    the shape, the storage layout or any predicate disqualifies the
-    chain.  ``compiled_count`` is added to ``exprs_compiled`` by the
-    caller only once the whole pipeline (including its projections)
-    compiles, mirroring the fused path's accounting.
+
+@dataclass
+class BatchShape:
+    """An operator subtree the batch engine executes as one input.
+
+    Either a *chain* — ``[FilterOp…]`` over a :class:`TableScan` or an
+    :class:`IndexRangeScan` of a column store — or ``[FilterOp…]`` over
+    a :class:`HashJoin` whose build and probe are batch shapes with
+    disjoint bindings.  The planner labels exactly these operators
+    ``Batch`` (:meth:`operators`) and the executor runs exactly these
+    (:func:`_batch_input`), from the one walk :func:`batch_shape`.
+    """
+
+    #: Filters above ``source``, outermost first.
+    filters: list["FilterOp"]
+    source: PhysicalOperator
+    #: Lower-cased binding names of every relation below.
+    bindings: frozenset
+    build: Optional["BatchShape"] = None
+    probe: Optional["BatchShape"] = None
+
+    def operators(self) -> Iterator[PhysicalOperator]:
+        yield from self.filters
+        yield self.source
+        for side in (self.build, self.probe):
+            if side is not None:
+                yield from side.operators()
+
+
+def batch_shape(node: PhysicalOperator,
+                column_backed: Callable[[Table], bool] = _column_store
+                ) -> Optional[BatchShape]:
+    """``node`` as a :class:`BatchShape`, or None.
+
+    ``column_backed`` tells whether a table is column-stored: execution
+    reads the storage itself, the planner asks its storage-kind hook.
     """
     filters: list[FilterOp] = []
-    node: PhysicalOperator = child
     while isinstance(node, FilterOp):
         filters.append(node)
         node = node.child
-    if not isinstance(node, TableScan):
-        return None
-    scan = node
-    table = scan.table
-    if table.storage.kind != "column":
-        return None
-    compiled_count = 0
-    try:
-        scan_predicate = None
-        if scan.predicate is not None:
-            scan_predicate = context.compile_vector_predicate(
-                scan.predicate, table, scan.binding_name)
-            compiled_count += 1
-        filter_fns: list[tuple[FilterOp, VectorExpression]] = []
-        for filter_op in reversed(filters):
-            filter_fns.append(
-                (filter_op,
-                 context.compile_vector_predicate(filter_op.predicate, table,
-                                                  scan.binding_name)))
-            compiled_count += 1
-    except VectorCompileError:
-        return None
-    return scan, scan_predicate, filter_fns, compiled_count
+    if isinstance(node, (TableScan, IndexRangeScan)):
+        if not column_backed(node.table):
+            return None
+        return BatchShape(filters, node, frozenset((node.binding_name.lower(),)))
+    if isinstance(node, HashJoin):
+        build = batch_shape(node.build, column_backed)
+        probe = batch_shape(node.probe, column_backed)
+        if build is None or probe is None or build.bindings & probe.bindings:
+            return None
+        return BatchShape(filters, node, build.bindings | probe.bindings,
+                          build, probe)
+    return None
 
 
-def _drive_batches(context: ExecutionContext, scan: "TableScan",
-                   scan_predicate: Optional[VectorExpression],
-                   filter_fns: Sequence[tuple["FilterOp", VectorExpression]],
-                   runtime_filter: Optional["RuntimeJoinFilter"] = None
-                   ) -> Iterator[ColumnBatch]:
-    """Pull batches through the scan and its filters, skipping empty ones."""
-    zone_fns = _zone_predicates(scan.use_zone_maps, scan_predicate,
-                                *[fn for _op, fn in filter_fns])
-    for batch in scan.batches(context, scan_predicate, zone_fns=zone_fns,
-                              runtime_filter=runtime_filter):
-        for filter_op, predicate_fn in filter_fns:
-            if not batch.selection:
-                break
-            filter_op.apply_batch(batch, predicate_fn)
-        if batch.selection:
-            yield batch
+class _ChainInput:
+    """A chain :class:`BatchShape`, vector-compiled for one execution.
+
+    Its batches are the scan's or seek's, narrowed by the filters, with
+    columns keyed by bare name.  ``compiled`` counts the expressions
+    compiled against it; the consumer adds them to ``exprs_compiled``
+    only once its whole pipeline compiled, as the fused path does.
+    """
+
+    def __init__(self, context: ExecutionContext, shape: BatchShape):
+        leaf = shape.source
+        assert isinstance(leaf, (TableScan, IndexRangeScan))
+        self.leaf = leaf
+        self.table: Table = leaf.table
+        self.binding_name = leaf.binding_name
+        self.schema = {leaf.binding_name: leaf.table}
+        self.compiled = 0
+        self.predicate_fn = (self.predicate(context, leaf.predicate)
+                             if leaf.predicate is not None else None)
+        # Filters stack downward; batches meet them scan-upward.
+        self.filter_fns = [(filter_op, self.predicate(context, filter_op.predicate))
+                           for filter_op in reversed(shape.filters)]
+
+    def predicate(self, context: ExecutionContext,
+                  expression: Expression) -> VectorExpression:
+        self.compiled += 1
+        return context.compile_vector_predicate(expression, self.table,
+                                                self.binding_name)
+
+    def projection(self, context: ExecutionContext, expression: Expression, *,
+                   projected: bool = False
+                   ) -> tuple[VectorExpression, Optional[str]]:
+        """``(fn, tag)`` of a scalar over the chain's batches
+        (``projected`` is moot: nothing below a chain aggregates)."""
+        self.compiled += 1
+        return context.compile_vector_projection(expression, self.table,
+                                                 self.binding_name)
+
+    def compiled_count(self) -> int:
+        return self.compiled
+
+    @staticmethod
+    def column(key: str) -> str:
+        """The batch column of a qualified ``"binding.column"`` key."""
+        return key.split(".", 1)[1]
+
+    def batches(self, context: ExecutionContext, needed: Iterable[str] = (),
+                runtime_filter: Optional["RuntimeJoinFilter"] = None
+                ) -> Iterator[ColumnBatch]:
+        """The chain's non-empty batches (columns load on first read, so
+        ``needed`` asks nothing of a chain)."""
+        leaf = self.leaf
+        if isinstance(leaf, TableScan):
+            zone_fns = _zone_predicates(leaf.use_zone_maps, self.predicate_fn,
+                                        *[fn for _op, fn in self.filter_fns])
+            batches = leaf.batches(context, self.predicate_fn, zone_fns=zone_fns,
+                                   runtime_filter=runtime_filter)
+        else:
+            batches = leaf.batches(context, self.predicate_fn)
+        for batch in batches:
+            for filter_op, predicate_fn in self.filter_fns:
+                if not batch.selection:
+                    break
+                filter_op.apply_batch(batch, predicate_fn)
+            if batch.selection:
+                yield batch
+
+
+def _batch_input(context: ExecutionContext, shape: BatchShape
+                 ) -> "_ChainInput | _BatchJoinSource":
+    """``shape`` compiled for this execution (raises VectorCompileError)."""
+    if isinstance(shape.source, HashJoin):
+        return _BatchJoinSource(context, shape)
+    return _ChainInput(context, shape)
 
 
 # -- the vectorized hash-join pipeline ---------------------------------------
@@ -1118,83 +1243,110 @@ class RuntimeJoinFilter:
 
 
 def _runtime_join_filter(join: "HashJoin", hash_table: dict,
-                         probe_chain: tuple,
+                         probe: "_ChainInput | _BatchJoinSource",
                          probe_key_fns: Sequence[tuple[VectorExpression,
                                                        Optional[str]]]
                          ) -> Optional["RuntimeJoinFilter"]:
     """The probe-side filter of a finished batch build, or None.
 
-    Only single-key joins are filtered (a compound key's per-component
-    test would still be sound but is not worth the bookkeeping).
+    Only single-key joins probed by a table scan are filtered (a
+    compound key's per-component test would still be sound but is not
+    worth the bookkeeping; a seek or a join has no segments to skip).
     """
     if not join.runtime_filter_enabled:
+        return None
+    if not (isinstance(probe, _ChainInput) and isinstance(probe.leaf, TableScan)):
         return None
     if len(probe_key_fns) != 1 or len(join.probe_keys) != 1:
         return None
     runtime_filter = RuntimeJoinFilter(
         hash_table.keys(), probe_key_fns[0][0], join.probe_keys[0],
-        zone_maps=probe_chain[0].use_zone_maps, join=join)
+        zone_maps=probe.leaf.use_zone_maps, join=join)
     join.runtime_filter_kind = runtime_filter.kind
     return runtime_filter
 
 
 class _BatchJoinSource:
-    """Drives a :class:`HashJoin` batch-at-a-time over columnar inputs.
+    """Drives a :class:`HashJoin` batch-at-a-time over two batch inputs.
+
+    Each side is a chain (:class:`_ChainInput`, columns keyed by bare
+    name) or another :class:`_BatchJoinSource` (columns keyed
+    ``"binding.column"``), so left-deep, right-deep and bushy join
+    trees all stay on the batch path.  The join keys compile against
+    their own side; the residual, the filters above the join and the
+    consumer's expressions compile under the join schema (build
+    bindings, then probe — ``HashJoin.layout``'s order) and record the
+    qualified columns they read in ``needed``.
 
     The build side's batches are consumed once: join-key columns feed a
-    hash table of build-row ordinals while every column a downstream
-    expression needs is gathered into one growing list per column.  The
-    probe side then streams; each probe batch's matches are gathered
-    into a fresh :class:`ColumnBatch` whose columns are keyed
-    ``"binding.column"`` so the join-schema compiled expressions of the
-    residual, the filters above the join and the consuming
-    projection/aggregation all run as generated loops.
-
-    The probe side is always a scan chain; the build side is either a
-    scan chain (``build_chain``) or another :class:`_BatchJoinSource`
-    (``nested_build``), which is how a left-deep or bushy join tree
-    stays on the batch path: the inner join's gathered output batches —
-    already keyed ``"binding.column"`` — feed the outer build exactly
-    like scan batches feed a single-table build.
+    hash table of build-row ordinals while every needed build column
+    is gathered into one growing list.  The probe side then streams;
+    each probe batch's matches are gathered into a fresh
+    :class:`ColumnBatch` keyed ``"binding.column"``.  Gathers apply the
+    null masks, so a gathered column holds NULL where the row does.
 
     Once the build finishes, its key set is summarized into a
     :class:`RuntimeJoinFilter` (when the planner enabled them) and
-    pushed into the probe scan, so segments and rows that cannot match
-    any build key are never read, charged or gathered.
+    pushed into a probe-side scan, so segments and rows that cannot
+    match any build key are never read, charged or gathered.
     """
 
-    def __init__(self, join: "HashJoin",
-                 build_chain: Optional[tuple], probe_chain: tuple,
-                 build_key_fns: Sequence[tuple[VectorExpression, Optional[str]]],
-                 probe_key_fns: Sequence[tuple[VectorExpression, Optional[str]]],
-                 residual_fn: Optional[VectorExpression],
-                 filter_fns: Sequence[tuple["FilterOp", VectorExpression]],
-                 schema: dict[str, "Table"],
-                 nested_build: Optional[tuple["_BatchJoinSource",
-                                              set[str]]] = None):
+    def __init__(self, context: ExecutionContext, shape: BatchShape):
+        join = shape.source
+        assert isinstance(join, HashJoin) and shape.build and shape.probe
         self.join = join
-        self.build_chain = build_chain
-        self.probe_chain = probe_chain
-        self.build_key_fns = list(build_key_fns)
-        self.probe_key_fns = list(probe_key_fns)
-        self.residual_fn = residual_fn
-        self.filter_fns = list(filter_fns)
-        self.schema = schema
-        #: ``(inner source, its residual/filter/key column needs)``
-        #: when the build side is itself a batch join.
-        self.nested_build = nested_build
-        self.probe_binding = probe_chain[0].binding_name.lower()
+        self.build = _batch_input(context, shape.build)
+        self.probe = _batch_input(context, shape.probe)
+        self.probe_bindings = shape.probe.bindings
+        self.schema = {**self.build.schema, **self.probe.schema}
+        #: Qualified columns the join's own and its consumer's
+        #: expressions read from its output batches.
+        self.needed: set[str] = set()
+        self.compiled = 0
+        self.build_key_fns = [self.build.projection(context, expression)
+                              for expression in join.build_keys]
+        self.probe_key_fns = [self.probe.projection(context, expression)
+                              for expression in join.probe_keys]
+        self.residual_fn = (self.predicate(context, join.residual)
+                            if join.residual is not None else None)
+        self.filter_fns = [(filter_op, self.predicate(context, filter_op.predicate))
+                           for filter_op in reversed(shape.filters)]
+
+    def predicate(self, context: ExecutionContext,
+                  expression: Expression) -> VectorExpression:
+        fn, keys = context.compile_join_vector_predicate(expression, self.schema)
+        self.needed.update(keys)
+        self.compiled += 1
+        return fn
+
+    def projection(self, context: ExecutionContext, expression: Expression, *,
+                   projected: bool = False
+                   ) -> tuple[VectorExpression, Optional[str]]:
+        fn, tag, keys = context.compile_join_vector_projection(
+            expression, self.schema, projected=projected)
+        self.needed.update(keys)
+        self.compiled += 1
+        return fn, tag
+
+    def compiled_count(self) -> int:
+        return (self.compiled + self.build.compiled_count()
+                + self.probe.compiled_count())
+
+    @staticmethod
+    def column(key: str) -> str:
+        return key
 
     def batches(self, context: ExecutionContext,
-                needed: set[str]) -> Iterator[ColumnBatch]:
-        probe_prefix = self.probe_binding + "."
-        needed_build = sorted(key for key in needed
-                              if not key.startswith(probe_prefix))
-        needed_probe = sorted(key for key in needed
-                              if key.startswith(probe_prefix))
+                needed: Iterable[str] = ()) -> Iterator[ColumnBatch]:
+        """The join's output batches, carrying :attr:`needed` and ``needed``."""
+        wanted = self.needed.union(needed)
+        probe_bindings = self.probe_bindings
+        needed_probe = sorted(key for key in wanted
+                              if key.split(".", 1)[0] in probe_bindings)
+        needed_build = sorted(key for key in wanted
+                              if key.split(".", 1)[0] not in probe_bindings)
         hash_table, build_store = self._build(context, needed_build)
-        runtime_filter = _runtime_join_filter(self.join, hash_table,
-                                              self.probe_chain,
+        runtime_filter = _runtime_join_filter(self.join, hash_table, self.probe,
                                               self.probe_key_fns)
         join = self.join
         # Row-view key fallbacks (tag None) may produce NULLs, which
@@ -1203,9 +1355,13 @@ class _BatchJoinSource:
         probe_fns = [fn for fn, _tag in self.probe_key_fns]
         single_key = len(probe_fns) == 1
         residual_fn = self.residual_fn
-
-        for batch in _drive_batches(context, *self.probe_chain[:3],
-                                    runtime_filter=runtime_filter):
+        probe = self.probe
+        probe_columns = [(key, probe.column(key)) for key in needed_probe]
+        if runtime_filter is not None:
+            probe_batches = probe.batches(context, needed_probe, runtime_filter)
+        else:
+            probe_batches = probe.batches(context, needed_probe)
+        for batch in probe_batches:
             selection = batch.selection
             key_columns = [fn(batch, selection) for fn in probe_fns]
             probe_positions: list[int] = []
@@ -1227,12 +1383,13 @@ class _BatchJoinSource:
             if not probe_positions:
                 continue
             columns: dict[str, list] = {}
-            for key_name in needed_probe:
-                buffer = batch.columns[key_name.split(".", 1)[1]]
-                columns[key_name] = [buffer[i] for i in probe_positions]
-            for key_name in needed_build:
-                store = build_store[key_name]
-                columns[key_name] = [store[i] for i in build_ordinals]
+            masks = batch.masks
+            for key, column in probe_columns:
+                columns[key] = column_values(batch.columns[column],
+                                             masks.get(column), probe_positions, 0)
+            for key in needed_build:
+                store = build_store[key]
+                columns[key] = [store[i] for i in build_ordinals]
             out = ColumnBatch(columns, {}, list(range(len(probe_positions))),
                               JOIN_BATCH_BINDING)
             if residual_fn is not None:
@@ -1249,34 +1406,24 @@ class _BatchJoinSource:
                ) -> tuple[dict, dict[str, list]]:
         """Hash the build side's keys to ordinals and gather its columns.
 
-        A scan-chain build gathers by bare column name; a nested build
-        consumes the inner join's output batches, whose columns are
-        already keyed ``"binding.column"`` and whose build-key closures
-        are join-schema compiled.  Every NULL key still consumes an
-        ordinal, so ordinals index the gathered store.
+        Every NULL key still consumes an ordinal, so ordinals index the
+        gathered store.
         """
-        if self.nested_build is not None:
-            source, base_needed = self.nested_build
-            batches = source.batches(context,
-                                     set(base_needed) | set(needed_build))
-            columns = list(needed_build)
-        else:
-            batches = _drive_batches(context, *self.build_chain[:3])
-            columns = [key.split(".", 1)[1] for key in needed_build]
+        build = self.build
         build_fns = [fn for fn, _tag in self.build_key_fns]
         null_possible = any(tag is None for _fn, tag in self.build_key_fns)
         single_key = len(build_fns) == 1
         hash_table: dict = {}
         build_store: dict[str, list] = {key: [] for key in needed_build}
-        gathered = [(build_store[key], column)
-                    for key, column in zip(needed_build, columns)]
+        gathered = [(build_store[key], build.column(key)) for key in needed_build]
         ordinal = 0
-        for batch in batches:
+        for batch in build.batches(context, needed_build):
             selection = batch.selection
             key_columns = [fn(batch, selection) for fn in build_fns]
+            masks = batch.masks
             for store, column in gathered:
-                buffer = batch.columns[column]
-                store.extend(buffer[i] for i in selection)
+                store.extend(column_values(batch.columns[column],
+                                           masks.get(column), selection, 0))
             if single_key:
                 keys: Sequence = key_columns[0]
             else:
@@ -1294,90 +1441,6 @@ class _BatchJoinSource:
                     bucket.append(ordinal)
                 ordinal += 1
         return hash_table, build_store
-
-
-def _join_vector_source(context: ExecutionContext, child: PhysicalOperator
-                        ) -> Optional[tuple["_BatchJoinSource", set[str], int]]:
-    """Resolve ``child`` as ``[FilterOp…] → HashJoin`` over columnar inputs.
-
-    The probe input must be a ``[FilterOp…] → TableScan`` chain over a
-    column store; the build input may be such a chain *or* another
-    resolvable batch hash join (resolved recursively), which keeps
-    multi-way join trees on the batch path.  All bindings must be
-    distinct, the join keys must vector-compile against their own side,
-    and the residual plus every filter above the join must compile
-    under the join schema.  Returns ``(source, needed_columns,
-    compiled_count)`` or None (the caller falls back to the row path).
-    """
-    filters: list[FilterOp] = []
-    node: PhysicalOperator = child
-    while isinstance(node, FilterOp):
-        filters.append(node)
-        node = node.child
-    if not isinstance(node, HashJoin):
-        return None
-    join = node
-    probe_chain = _vector_chain(context, join.probe)
-    if probe_chain is None:
-        return None
-    probe_scan = probe_chain[0]
-    build_chain = _vector_chain(context, join.build)
-    nested = None
-    if build_chain is not None:
-        build_scan = build_chain[0]
-        build_schema = {build_scan.binding_name: build_scan.table}
-        compiled_count = build_chain[3] + probe_chain[3]
-    else:
-        resolved = _join_vector_source(context, join.build)
-        if resolved is None:
-            return None
-        nested_source, nested_needed, nested_compiled = resolved
-        nested = (nested_source, set(nested_needed))
-        build_schema = dict(nested_source.schema)
-        compiled_count = nested_compiled + probe_chain[3]
-    build_bindings = {binding.lower() for binding in build_schema}
-    if probe_scan.binding_name.lower() in build_bindings:
-        return None
-    schema = dict(build_schema)
-    schema[probe_scan.binding_name] = probe_scan.table
-    needed: set[str] = set()
-    try:
-        build_key_fns = []
-        for expression in join.build_keys:
-            if nested is None:
-                fn, tag = context.compile_vector_projection(
-                    expression, build_scan.table, build_scan.binding_name)
-            else:
-                fn, tag, keys = context.compile_join_vector_projection(
-                    expression, build_schema)
-                nested[1].update(keys)
-            build_key_fns.append((fn, tag))
-            compiled_count += 1
-        probe_key_fns = []
-        for expression in join.probe_keys:
-            fn, tag = context.compile_vector_projection(
-                expression, probe_scan.table, probe_scan.binding_name)
-            probe_key_fns.append((fn, tag))
-            compiled_count += 1
-        residual_fn = None
-        if join.residual is not None:
-            residual_fn, keys = context.compile_join_vector_predicate(
-                join.residual, schema)
-            needed.update(keys)
-            compiled_count += 1
-        filter_fns: list[tuple[FilterOp, VectorExpression]] = []
-        for filter_op in reversed(filters):
-            fn, keys = context.compile_join_vector_predicate(
-                filter_op.predicate, schema)
-            filter_fns.append((filter_op, fn))
-            needed.update(keys)
-            compiled_count += 1
-    except VectorCompileError:
-        return None
-    source = _BatchJoinSource(join, build_chain, probe_chain, build_key_fns,
-                              probe_key_fns, residual_fn, filter_fns, schema,
-                              nested_build=nested)
-    return source, needed, compiled_count
 
 
 class SortOp(PhysicalOperator):
@@ -1511,6 +1574,13 @@ class GroupAggregate(PhysicalOperator):
             deduplicated.setdefault(aggregate.result_key(), aggregate)
         self.aggregates = list(deduplicated.values())
         self.binding_name = binding_name
+        self._names = [_group_key_name(expression) for expression in self.group_by]
+        self._result_keys = [aggregate.result_key() for aggregate in self.aggregates]
+        # COUNT(*) is its group's row count; every other aggregate keeps
+        # a running state (another ``f(*)`` folds 1 per row).
+        self._counting = [_counts_rows(aggregate) for aggregate in self.aggregates]
+        self._stateful = [aggregate for aggregate, counts
+                          in zip(self.aggregates, self._counting) if not counts]
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -1524,110 +1594,100 @@ class GroupAggregate(PhysicalOperator):
         child_layout = self.child.layout()
         group_key = row_key([context.compile(expression, child_layout)
                              for expression in self.group_by])
-        aggregates = self.aggregates
-        # COUNT(*) is its group's row count, as the batch path's
-        # ``update_count(len(selection))`` is; every other aggregate
-        # keeps a running state (another ``f(*)`` folds 1 per row).
-        counting = [_counts_rows(aggregate) for aggregate in aggregates]
-        stateful = [aggregate for aggregate, counts in zip(aggregates, counting)
-                    if not counts]
         argument_fns = [context.compile(aggregate.argument, child_layout)
                         if aggregate.argument is not None else _star_argument
-                        for aggregate in stateful]
-        # Group key → [rows, states]; insertion order is first-seen order.
-        groups: dict[Any, list] = {}
-        for binding in self.child.rows(context):
-            key = group_key(binding)
-            group = groups.get(key)
+                        for aggregate in self._stateful]
+        counts: dict[Any, int] = {}
+        states: dict[Any, list[_AggState]] = {}
+        bindings = self.child.rows(context)
+        if not argument_fns:
+            self._fold(counts, states, map(group_key, bindings), None)
+        else:
+            # Chunks let one fold read keys and arguments column-wise,
+            # as it reads a batch; each row still evaluates its key,
+            # then its arguments, in order.
+            while True:
+                chunk = list(islice(bindings, BATCH_ROWS))
+                if not chunk:
+                    break
+                self._fold(counts, states, map(group_key, chunk),
+                           zip(*[map(fn, chunk) for fn in argument_fns]))
+        yield from self._emit_groups(counts, states)
+
+    def _fold(self, counts: dict[Any, int], states: dict[Any, list["_AggState"]],
+              keys: Iterable[Any], values: Optional[Iterable[tuple]]) -> None:
+        """Fold rows into their groups: ``keys`` holds one group key per
+        row and ``values`` (None when every aggregate is COUNT(*)) the
+        stateful aggregates' arguments per row.
+
+        A single grouping key is the bare value, which groups exactly as
+        its 1-tuple would (see :func:`row_key`).  ``counts`` keeps
+        first-seen group order.
+        """
+        get = counts.get
+        if values is None:
+            for key in keys:
+                counts[key] = get(key, 0) + 1
+            return
+        stateful = self._stateful
+        for key, row in zip(keys, values):
+            counts[key] = get(key, 0) + 1
+            group = states.get(key)
             if group is None:
-                group = groups[key] = [0, list(map(_AggState, stateful))]
-            group[0] += 1
-            if argument_fns:
-                for state, argument_fn in zip(group[1], argument_fns):
-                    state.update(argument_fn(binding))
-        if not groups and not self.group_by:
+                group = states[key] = [_AggState(aggregate) for aggregate in stateful]
+            for state, value in zip(group, row):
+                state.update(value)
+
+    def _emit_groups(self, counts: dict[Any, int],
+                     states: dict[Any, list["_AggState"]]) -> Iterator[Binding]:
+        """One output row per group, in first-seen order."""
+        if not counts and not self.group_by:
             # Aggregates over an empty input still produce one row (count=0, others NULL).
-            empty = {aggregate.result_key(): _AggState(aggregate).result()
-                     for aggregate in aggregates}
-            row = dict(empty)
+            row = {aggregate.result_key(): _AggState(aggregate).result()
+                   for aggregate in self.aggregates}
             yield self._emit({self.binding_name: row})
             return
-        names = [_group_key_name(expression) for expression in self.group_by]
+        names = self._names
         single = len(names) == 1
-        result_keys = [aggregate.result_key() for aggregate in aggregates]
-        for key, (count, states) in groups.items():
+        columns = list(zip(self._result_keys, self._counting))
+        for key, count in counts.items():
             row: dict[str, Any] = dict(zip(names, (key,) if single else key))
-            results = iter(states)
-            for result_key, counts in zip(result_keys, counting):
-                row[result_key] = count if counts else next(results).result()
+            results = iter(states[key]) if states else iter(())
+            for result_key, counts_rows in columns:
+                row[result_key] = count if counts_rows else next(results).result()
             yield self._emit({self.binding_name: row})
 
     def layout(self) -> Layout:
-        names = [_group_key_name(expression) for expression in self.group_by]
-        names.extend(aggregate.result_key() for aggregate in self.aggregates)
-        return ((self.binding_name, row_keys(names)),)
+        return ((self.binding_name, row_keys([*self._names, *self._result_keys])),)
 
     # -- the vectorized aggregation path -----------------------------------
 
     def _vectorized_rows(self, context: ExecutionContext) -> Optional[Iterator[Binding]]:
-        """Batch aggregation over a columnar scan or hash-join chain, or None."""
-        chain = _vector_chain(context, self.child)
-        if chain is not None:
-            scan, scan_predicate, filter_fns, compiled_count = chain
-            table, binding_name = scan.table, scan.binding_name
-            try:
-                group_fns = []
-                for expression in self.group_by:
-                    fn, _tag = context.compile_vector_projection(expression, table,
-                                                                 binding_name)
-                    group_fns.append(fn)
-                    compiled_count += 1
-                argument_fns: list[tuple[str, Optional[VectorExpression],
-                                         Optional[str]]] = []
-                for aggregate in self.aggregates:
-                    if aggregate.argument is None:
-                        argument_fns.append((aggregate.result_key(), None, None))
-                    else:
-                        fn, tag = context.compile_vector_projection(
-                            aggregate.argument, table, binding_name)
-                        argument_fns.append((aggregate.result_key(), fn, tag))
-                        compiled_count += 1
-            except VectorCompileError:
-                return None
-            context.statistics.exprs_compiled += compiled_count
-            if not self.group_by:
-                zone_run = self._run_zone_scalar(context, scan, scan_predicate,
-                                                 filter_fns, argument_fns)
-                if zone_run is not None:
-                    return zone_run
-            batches = _drive_batches(context, scan, scan_predicate, filter_fns)
-            return self._run_vectorized(context, batches, group_fns, argument_fns)
-        joined = _join_vector_source(context, self.child)
-        if joined is None:
+        """Batch aggregation over a batch input (:func:`batch_shape`), or None."""
+        shape = batch_shape(self.child)
+        if shape is None:
             return None
-        source, needed, compiled_count = joined
         try:
-            group_fns = []
-            for expression in self.group_by:
-                fn, _tag, keys = context.compile_join_vector_projection(
-                    expression, source.schema)
-                group_fns.append(fn)
-                needed.update(keys)
-                compiled_count += 1
-            argument_fns = []
+            source = _batch_input(context, shape)
+            group_fns = [source.projection(context, expression)[0]
+                         for expression in self.group_by]
+            argument_fns: list[tuple[str, Optional[VectorExpression],
+                                     Optional[str]]] = []
             for aggregate in self.aggregates:
                 if aggregate.argument is None:
                     argument_fns.append((aggregate.result_key(), None, None))
                 else:
-                    fn, tag, keys = context.compile_join_vector_projection(
-                        aggregate.argument, source.schema)
+                    fn, tag = source.projection(context, aggregate.argument)
                     argument_fns.append((aggregate.result_key(), fn, tag))
-                    needed.update(keys)
-                    compiled_count += 1
         except VectorCompileError:
             return None
-        context.statistics.exprs_compiled += compiled_count
-        return self._run_vectorized(context, source.batches(context, needed),
+        context.statistics.exprs_compiled += source.compiled_count()
+        if (not self.group_by and isinstance(source, _ChainInput)
+                and isinstance(source.leaf, TableScan)):
+            zone_run = self._run_zone_scalar(context, source, argument_fns)
+            if zone_run is not None:
+                return zone_run
+        return self._run_vectorized(context, source.batches(context),
                                     group_fns, argument_fns)
 
     def _run_vectorized(self, context: ExecutionContext,
@@ -1650,39 +1710,24 @@ class GroupAggregate(PhysicalOperator):
             row = {result_key: state.result() for result_key, state in states.items()}
             yield self._emit({self.binding_name: row})
             return
-        groups: dict[tuple, dict[str, _AggState]] = {}
-        order: list[tuple] = []
+        stateful_fns = [argument_fn for (_key, argument_fn, _tag), counts
+                        in zip(argument_fns, self._counting) if not counts]
+        single = len(group_fns) == 1
+        counts: dict[Any, int] = {}
+        states: dict[Any, list[_AggState]] = {}
         for batch in batches:
             selection = batch.selection
             key_columns = [group_fn(batch, selection) for group_fn in group_fns]
-            value_columns = [(result_key,
-                              argument_fn(batch, selection)
-                              if argument_fn is not None else None)
-                             for result_key, argument_fn, _tag in argument_fns]
-            for position in range(len(selection)):
-                key = tuple(column[position] for column in key_columns)
-                states = groups.get(key)
-                if states is None:
-                    states = {aggregate.result_key(): _AggState(aggregate)
-                              for aggregate in self.aggregates}
-                    groups[key] = states
-                    order.append(key)
-                for result_key, column in value_columns:
-                    states[result_key].update(
-                        1 if column is None else column[position])
-        for key in order:
-            states = groups[key]
-            row = {}
-            for expression, value in zip(self.group_by, key):
-                row[_group_key_name(expression)] = value
-            for aggregate in self.aggregates:
-                row[aggregate.result_key()] = states[aggregate.result_key()].result()
-            yield self._emit({self.binding_name: row})
+            keys = key_columns[0] if single else zip(*key_columns)
+            values = None
+            if stateful_fns:
+                values = zip(*[argument_fn(batch, selection)
+                               if argument_fn is not None else [1] * len(selection)
+                               for argument_fn in stateful_fns])
+            self._fold(counts, states, keys, values)
+        yield from self._emit_groups(counts, states)
 
-    def _run_zone_scalar(self, context: ExecutionContext, scan: "TableScan",
-                         scan_predicate: Optional[VectorExpression],
-                         filter_fns: Sequence[tuple["FilterOp",
-                                                    VectorExpression]],
+    def _run_zone_scalar(self, context: ExecutionContext, source: "_ChainInput",
                          argument_fns: Sequence[tuple[str,
                                                       Optional[VectorExpression],
                                                       Optional[str]]]
@@ -1700,6 +1745,8 @@ class GroupAggregate(PhysicalOperator):
         (or skipped) are scanned with the ordinary per-batch
         accounting; the append tail always scans.
         """
+        scan = source.leaf
+        assert isinstance(scan, TableScan)
         if not scan.use_zone_maps:
             return None
         specs: list[tuple[str, Optional[str], str,
@@ -1731,11 +1778,11 @@ class GroupAggregate(PhysicalOperator):
                 # answered from zone integer sums.
                 return None
             specs.append((result_key, column, func, argument_fn, tag))
-        predicate_fns = [scan_predicate] + [fn for _op, fn in filter_fns]
+        predicate_fns = [source.predicate_fn] + [fn for _op, fn in source.filter_fns]
         zone_pairs = [getattr(fn, "zone_predicate", None)
                       for fn in predicate_fns if fn is not None]
-        return self._zone_scalar_fold(context, scan, scan_predicate,
-                                      filter_fns, specs, zone_pairs)
+        return self._zone_scalar_fold(context, scan, source.predicate_fn,
+                                      source.filter_fns, specs, zone_pairs)
 
     def _zone_scalar_fold(self, context: ExecutionContext, scan: "TableScan",
                           scan_predicate: Optional[VectorExpression],
@@ -2055,56 +2102,45 @@ class ProjectOp(PhysicalOperator):
                 names.append(item.output_name(position))
         return ((OUTPUT_BINDING, row_keys(names)),)
 
-    # -- the vectorized single-table fast path ------------------------------
+    def batches_over(self, shape: BatchShape) -> bool:
+        """Whether every select item runs over ``shape``'s batches: a
+        ``*`` expands through a chain's row adapter, so it needs a chain
+        over the binding it names (star over a join stays row-mode)."""
+        for item in self.items:
+            if isinstance(item.expression, Star):
+                if isinstance(shape.source, HashJoin):
+                    return False
+                qualifier = (item.expression.qualifier or "").lower()
+                if qualifier and qualifier not in shape.bindings:
+                    return False
+        return True
+
+    # -- the vectorized path -----------------------------------------------
 
     def _vectorized_rows(self, context: ExecutionContext) -> Optional[Iterator[Binding]]:
-        """A batch scan/join→filter→project pipeline, or None when not applicable."""
-        chain = _vector_chain(context, self.child)
-        if chain is not None:
-            scan, scan_predicate, filter_fns, compiled_count = chain
-            table, binding_name = scan.table, scan.binding_name
-            # (output name, vector fn); a Star is (None, None) and expands to
-            # every table column through the batch's row-dict adapter.
-            compiled_items: list[tuple[Optional[str], Optional[VectorExpression]]] = []
-            try:
-                for position, item in enumerate(self.items):
-                    if isinstance(item.expression, Star):
-                        qualifier = (item.expression.qualifier or "").lower()
-                        if qualifier and qualifier != binding_name.lower():
-                            return None
-                        compiled_items.append((None, None))
-                    else:
-                        fn, _tag = context.compile_vector_projection(
-                            item.expression, table, binding_name)
-                        compiled_items.append((item.output_name(position), fn))
-                        compiled_count += 1
-            except VectorCompileError:
-                return None
-            context.statistics.exprs_compiled += compiled_count
-            batches = _drive_batches(context, scan, scan_predicate, filter_fns)
-            star_columns = [column.name.lower() for column in scan.table.columns]
-            return self._run_vectorized(context, batches, compiled_items,
-                                        star_columns)
-        joined = _join_vector_source(context, self.child)
-        if joined is None:
+        """A batch source→filter→project pipeline, or None when not applicable."""
+        shape = batch_shape(self.child)
+        if shape is None or not self.batches_over(shape):
             return None
-        source, needed, compiled_count = joined
-        compiled_items = []
+        # (output name, vector fn); a Star is (None, None) and expands to
+        # every table column through the batch's row-dict adapter.
+        compiled_items: list[tuple[Optional[str], Optional[VectorExpression]]] = []
         try:
+            source = _batch_input(context, shape)
             for position, item in enumerate(self.items):
                 if isinstance(item.expression, Star):
-                    # Star expansion over a join stays on the row path.
-                    return None
-                fn, _tag, keys = context.compile_join_vector_projection(
-                    item.expression, source.schema)
-                compiled_items.append((item.output_name(position), fn))
-                needed.update(keys)
-                compiled_count += 1
+                    compiled_items.append((None, None))
+                else:
+                    fn, _tag = source.projection(context, item.expression,
+                                                 projected=True)
+                    compiled_items.append((item.output_name(position), fn))
         except VectorCompileError:
             return None
-        context.statistics.exprs_compiled += compiled_count
-        return self._run_vectorized(context, source.batches(context, needed),
-                                    compiled_items, None)
+        context.statistics.exprs_compiled += source.compiled_count()
+        star_columns = (list(source.table.row_keys)
+                        if any(fn is None for _name, fn in compiled_items) else None)
+        return self._run_vectorized(context, source.batches(context),
+                                    compiled_items, star_columns)
 
     def _run_vectorized(self, context: ExecutionContext,
                         batches: Iterator[ColumnBatch],

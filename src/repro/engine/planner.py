@@ -51,7 +51,7 @@ from .operators import (CoveringIndexScan, DistinctOp, FilterOp, FunctionScan,
                         GroupAggregate, HashJoin, IndexNestedLoopJoin,
                         IndexRangeScan, InsertIntoOp, NestedLoopJoin,
                         PhysicalOperator, PhysicalPlan, ProjectOp, SortOp,
-                        TableScan, TopOp)
+                        TableScan, TopOp, batch_shape)
 from .stats import TableStatistics
 from .table import Table
 from .types import NULL, DataType
@@ -1417,15 +1417,17 @@ class Planner:
         walk(root)
 
     def _mark_vectorized_pipeline(self, root: PhysicalOperator) -> None:
-        """Flag batch execution for a columnar single-table chain.
+        """Flag batch execution for the projection's or aggregation's input.
 
-        The vectorized pipeline applies when the plan is
-        ``scan→filter…→project`` or ``scan→filter…→aggregate`` over one
-        column-backed table (TOP/DISTINCT/INTO above it just consume the
-        projected rows; a Sort between project and scan disqualifies the
-        projection but not an aggregation below it).  The flags are
-        advisory: execution re-verifies the chain and falls back to the
-        row path when it no longer qualifies.
+        The vectorized pipeline applies when a projection or an
+        aggregation reads a :func:`~repro.engine.operators.batch_shape`:
+        filtered column-store scans and index seeks, and hash joins of
+        such inputs (TOP/DISTINCT/INTO above the projection just
+        consume its rows; a Sort between projection and source
+        disqualifies the projection but not an aggregation below it).
+        The executor runs exactly the shape marked here, re-derived
+        from the same walk at run time, and falls back to the row path
+        only when the storage layout changed since planning.
         """
         node = root
         passthrough: list[PhysicalOperator] = []
@@ -1436,101 +1438,33 @@ class Planner:
             return
         project = node
         inner: PhysicalOperator = project.child
-        filters: list[FilterOp] = []
         crossed_sort = False
         while isinstance(inner, (FilterOp, SortOp)):
-            if isinstance(inner, SortOp):
-                crossed_sort = True
-            else:
-                filters.append(inner)
+            crossed_sort = crossed_sort or isinstance(inner, SortOp)
             inner = inner.child
         if isinstance(inner, GroupAggregate):
             # Filters above the aggregate are HAVING residuals and a Sort
             # is an ORDER BY over the group rows: both run row-at-a-time
             # over the (few) groups while the aggregation itself batches.
-            aggregate = inner
-            chain: PhysicalOperator = aggregate.child
-            below: list[FilterOp] = []
-            while isinstance(chain, FilterOp):
-                below.append(chain)
-                chain = chain.child
-            if self._batch_source_ok(chain):
-                aggregate.mark_batch_mode()
-                for filter_op in below:
-                    filter_op.mark_batch_mode()
-                self._mark_batch_source(chain)
-        elif not crossed_sort and self._batch_source_ok(inner):
-            # A Sort between projection and scan consumes scan bindings
+            shape = batch_shape(inner.child, self._column_backed)
+            if shape is not None:
+                inner.mark_batch_mode()
+                for operator in shape.operators():
+                    operator.mark_batch_mode()
+        elif not crossed_sort:
+            # A Sort between projection and source consumes its bindings
             # row-at-a-time, so the projection cannot batch.
-            project.mark_batch_mode()
-            for filter_op in filters:
-                filter_op.mark_batch_mode()
-            self._mark_batch_source(inner)
-            for op in passthrough:
-                if isinstance(op, TopOp):
-                    op.mark_batch_mode()
+            shape = batch_shape(project.child, self._column_backed)
+            if shape is not None and project.batches_over(shape):
+                project.mark_batch_mode()
+                for operator in shape.operators():
+                    operator.mark_batch_mode()
+                for op in passthrough:
+                    if isinstance(op, TopOp):
+                        op.mark_batch_mode()
 
-    def _batch_source_ok(self, node: PhysicalOperator) -> bool:
-        """A columnar TableScan, or a HashJoin whose probe is a columnar
-        scan chain and whose build is either one too or (recursively)
-        another such HashJoin — the shapes the batch join driver
-        executes."""
-        if isinstance(node, TableScan):
-            return self._column_backed(node)
-        if isinstance(node, HashJoin):
-            return self._batch_join_bindings(node) is not None
-        return False
-
-    def _batch_join_bindings(self, join: HashJoin) -> Optional[set[str]]:
-        """Binding set of a batch-executable (possibly nested) HashJoin.
-
-        Mirrors the execution-side resolver
-        (:func:`repro.engine.operators._join_vector_source`): the probe
-        must be a ``[FilterOp…] → columnar TableScan`` chain; the build
-        may be one, or a batch-executable HashJoin itself.  Returns
-        None when the shape disqualifies.
-        """
-        sides = []
-        for side in (join.build, join.probe):
-            inner: PhysicalOperator = side
-            while isinstance(inner, FilterOp):
-                inner = inner.child
-            sides.append(inner)
-        build, probe = sides
-        if not (isinstance(probe, TableScan) and self._column_backed(probe)):
-            return None
-        if isinstance(build, TableScan) and self._column_backed(build):
-            build_bindings = {build.binding_name.lower()}
-        elif isinstance(build, HashJoin):
-            nested = self._batch_join_bindings(build)
-            if nested is None:
-                return None
-            build_bindings = nested
-        else:
-            return None
-        probe_binding = probe.binding_name.lower()
-        if probe_binding in build_bindings:
-            return None
-        return build_bindings | {probe_binding}
-
-    def _mark_batch_source(self, node: PhysicalOperator) -> None:
-        if isinstance(node, TableScan):
-            node.mark_batch_mode()
-            return
-        assert isinstance(node, HashJoin)
-        node.mark_batch_mode()
-        for side in (node.build, node.probe):
-            inner: PhysicalOperator = side
-            while isinstance(inner, FilterOp):
-                inner.mark_batch_mode()
-                inner = inner.child
-            if isinstance(inner, HashJoin):
-                self._mark_batch_source(inner)
-            else:
-                inner.mark_batch_mode()
-
-    def _column_backed(self, scan: TableScan) -> bool:
-        return self._storage_kind(scan.table) == "column"
+    def _column_backed(self, table: Table) -> bool:
+        return self._storage_kind(table) == "column"
 
     def _rewrite_order_key(self, expression: Expression, query: LogicalQuery) -> Expression:
         """ORDER BY may reference select-list aliases; rewrite to the underlying expression."""

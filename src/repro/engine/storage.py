@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .batch import column_values, row_dicts
 from .errors import SchemaError
@@ -411,6 +411,40 @@ class _LazySegmentColumns(dict):
         return decoded
 
 
+class _GatheredColumns(dict):
+    """The columns of :meth:`ColumnStore.gather`: each read value by
+    value at the gathered row ids on first access, then kept."""
+
+    __slots__ = ("store", "locations")
+
+    def __init__(self, store: "ColumnStore", parts: _Parts, row_ids: list[int]):
+        super().__init__()
+        self.store = store
+        base, segments, tail = parts.base, parts.segments, parts.tail
+
+        def tail_value(name: str, local: int) -> Any:
+            return tail[name].get(local)
+
+        #: ``(value_at(name, local), local)`` per row id.
+        self.locations = [
+            (tail_value, row_id - base) if row_id >= base
+            else (segments[row_id // SEGMENT_ROWS].value_at,
+                  row_id - segments[row_id // SEGMENT_ROWS].base)
+            for row_id in row_ids]
+
+    def __missing__(self, name: str) -> list:
+        if name not in self.store._column_defs:
+            raise KeyError(name)
+        values = self[name] = [value_at(name, local)
+                               for value_at, local in self.locations]
+        return values
+
+    def row(self, position: int, names: Sequence[str]) -> dict[str, Any]:
+        """The row at ``position`` as a dict of ``names`` (table columns)."""
+        value_at, local = self.locations[position]
+        return {name: value_at(name, local) for name in names}
+
+
 class ColumnStore(TableStorage):
     """Column-oriented storage: sealed, encoded segments plus an append tail.
 
@@ -674,6 +708,20 @@ class ColumnStore(TableStorage):
             units.append(_ScanUnit(self, parts, None, parts.base,
                                    parts.base + SEGMENT_ROWS))
         return units
+
+    def gather(self, row_ids: Iterable[int]) -> tuple[list[int], Mapping[str, list]]:
+        """The live ``row_ids``, in the order given, and their columns.
+
+        One parts snapshot serves both.  A column is read when first
+        accessed, one value per row id (``SealedSegment.value_at`` or the
+        tail buffer, NULL where masked), so a point lookup never decodes
+        a segment — the batch form of :meth:`get`.
+        """
+        parts = self._parts
+        live = parts.live
+        count = len(live)
+        ids = [row_id for row_id in row_ids if 0 <= row_id < count and live[row_id]]
+        return ids, _GatheredColumns(self, parts, ids)
 
     def segments(self) -> tuple:
         """The sealed segments of the current snapshot (tests/statistics)."""
