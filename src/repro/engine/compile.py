@@ -893,6 +893,12 @@ class _VectorCodegen:
     #: over a segment's dictionary, whose values include dead rows'.
     may_raise = False
 
+    #: Whether a column holding NULLs translates (only
+    #: :func:`conjunct_hazards`, which never runs the code, allows it)
+    #: and whether one was read.
+    nulls_allowed = False
+    reads_nullable = False
+
     def __init__(self, evaluation: EvaluationContext, table: "Any", binding_name: str):
         self.evaluation = evaluation
         self.table = table
@@ -973,7 +979,9 @@ class _VectorCodegen:
             # their contract (row-view fallback, never AttributeError).
             raise _Unvectorizable("table is not column-backed")
         if self.storage.column_null_count(node.name) > 0:
-            raise _Unvectorizable(f"column {node.name!r} holds NULLs")
+            if not self.nulls_allowed:
+                raise _Unvectorizable(f"column {node.name!r} holds NULLs")
+            self.reads_nullable = True
         tag = _DTYPE_TAGS.get(column.dtype)
         if tag is None:
             raise _Unvectorizable(f"column type {column.dtype.value}")
@@ -1403,6 +1411,31 @@ def _codegen_vector(expression: Expression, evaluation: EvaluationContext,
     # take the decoded path.
     fn.vector_columns = None if generator.may_raise else list(generator.columns)
     return fn, tag
+
+
+class _HazardCodegen(_VectorCodegen):
+    """The vector codegen's type rules with NULL-holding columns allowed
+    (a NULL operand makes the row path's result NULL, never an error)."""
+
+    nulls_allowed = True
+
+
+def conjunct_hazards(expression: Expression, evaluation: EvaluationContext,
+                     table: "Any", binding_name: str) -> tuple[bool, bool]:
+    """``(may_raise, may_be_null)`` of one predicate conjunct over ``table``.
+
+    Inside the vector codegen's subset the row path's evaluation raises
+    only through the math built-ins (:attr:`_VectorCodegen.may_raise`)
+    and is NULL only through a column that holds NULLs; anything outside
+    the subset may do both.  Segment skips consult this
+    (:func:`repro.engine.segments.compile_zone_predicate`).
+    """
+    generator = _HazardCodegen(evaluation, table, binding_name)
+    try:
+        generator.emit(expression)
+    except _Unvectorizable:
+        return True, True
+    return generator.may_raise, generator.reads_nullable
 
 
 def _row_view_fallback(expression: Expression, evaluation: EvaluationContext,

@@ -32,10 +32,10 @@ from .compile import (CompiledExpression, Layout, RowCompileError,
                       compile_join_vector_predicate,
                       compile_join_vector_projection, compile_row_expression,
                       compile_vector_predicate, compile_vector_projection,
-                      merge_layouts, row_keys, table_layout)
+                      conjunct_hazards, merge_layouts, row_keys, table_layout)
 from .errors import PlanError, UnknownColumnError
 from .expressions import (AggregateCall, ColumnRef, EvaluationContext,
-                          Expression, RowScope, Star)
+                          Expression, RowScope, Star, conjuncts)
 from .functions import TableValuedFunction
 from .index import BTreeIndex
 from .logical import SelectItem
@@ -146,15 +146,19 @@ class ExecutionContext:
         """Vector compile (raises VectorCompileError); counters as compile_row.
 
         The compiled function also carries the predicate's *zone form*
-        (``fn.zone_predicate``) when the expression is analyzable over
-        per-segment zone maps — scans consult it to skip sealed
-        segments before touching their data.
+        (``fn.zone_predicate``, None unless the expression is analyzable
+        over per-segment zone maps) — scans consult it to skip sealed
+        segments before touching their data — and ``fn.may_raise``,
+        whether the row path's evaluation of it could raise (then no
+        segment may be skipped on a later predicate's account).
         """
         fn = compile_vector_predicate(expression, self.evaluation,
                                       table, binding_name)
-        if getattr(fn, "zone_predicate", None) is None:
-            fn.zone_predicate = compile_zone_predicate(
-                expression, self.evaluation, table, binding_name)
+        hazards = [conjunct_hazards(conjunct, self.evaluation, table, binding_name)
+                   for conjunct in conjuncts(expression)]
+        fn.may_raise = any(may_raise for may_raise, _null in hazards)
+        fn.zone_predicate = compile_zone_predicate(
+            expression, self.evaluation, table, binding_name, hazards)
         return fn
 
     def compile_vector_projection(self, expression: Expression, table: "Table",
@@ -236,6 +240,12 @@ class PhysicalOperator:
     def children(self) -> Sequence["PhysicalOperator"]:
         return ()
 
+    def row_inputs(self) -> Sequence["PhysicalOperator"]:
+        """The children this operator's row path reads through
+        :func:`input_rows` — each consumed once, start to end, so a
+        batch chain can feed it."""
+        return ()
+
     def details(self) -> str:
         return ""
 
@@ -314,7 +324,7 @@ class TableScan(PhysicalOperator):
 
     def batches(self, context: ExecutionContext,
                 predicate_fn: Optional[VectorExpression] = None,
-                zone_fns: Optional[Sequence[Any]] = None,
+                filter_fns: Sequence[VectorExpression] = (),
                 runtime_filter: Optional["RuntimeJoinFilter"] = None
                 ) -> Iterator[ColumnBatch]:
         """Columnar scan: yield :class:`ColumnBatch` chunks of live rows.
@@ -326,23 +336,27 @@ class TableScan(PhysicalOperator):
         sealed segments whose zone maps prove the predicate can never
         match are skipped before any column is decoded, and equality
         predicates over a dictionary-encoded column filter by code.
-        ``zone_fns`` extends the skip test with the zone forms of
-        filters stacked above the scan; when omitted, the scan
-        predicate's own zone form applies.  ``runtime_filter`` is a
+        ``filter_fns`` are the vector predicates of the filters stacked
+        above the scan (scan-upward); their zone forms extend the skip
+        test (see :func:`_zone_predicates`).  ``runtime_filter`` is a
         finished hash-join build's :class:`RuntimeJoinFilter`: segments
         its key range disproves are skipped like zone misses and,
         after the scan predicate, surviving rows keep only probe keys
-        the build holds.  Statistics account exactly as the row path
-        for every unit actually scanned, pass or fail; skipped segments
-        contribute no rows.  Each batch carries its unit's ``base`` row
-        id.
+        the build holds.  The join looks keys up after every predicate,
+        so each step runs early only past predicates that cannot raise
+        (:func:`_may_raise`).  Statistics account exactly as the row
+        path for every unit actually scanned, pass or fail; skipped
+        segments contribute no rows.  Each batch carries its unit's
+        ``base`` row id.
         """
         storage = self.table.storage
         statistics = context.statistics
         row_bytes = int(self.table.average_row_bytes())
         binding_name = self.binding_name
-        if zone_fns is None:
-            zone_fns = _zone_predicates(self.use_zone_maps, predicate_fn)
+        zone_fns = _zone_predicates(self.use_zone_maps, predicate_fn, *filter_fns)
+        if runtime_filter is not None and _may_raise(*filter_fns):
+            runtime_filter = None       # its row test runs before the filters
+        prune_segments = runtime_filter is not None and not _may_raise(predicate_fn)
         for unit in storage.scan_units():
             segment = unit.segment
             if segment is not None and zone_fns and _zone_skips(zone_fns,
@@ -350,7 +364,7 @@ class TableScan(PhysicalOperator):
                 statistics.segments_skipped += 1
                 self.actual_segments_skipped += 1
                 continue
-            if (segment is not None and runtime_filter is not None
+            if (segment is not None and prune_segments
                     and runtime_filter.prunes_segment(segment)):
                 runtime_filter.note_segment(statistics, self)
                 continue
@@ -680,9 +694,12 @@ class NestedLoopJoin(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer, self.inner)
 
+    def row_inputs(self) -> Sequence[PhysicalOperator]:
+        return (self.outer,)
+
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         condition = context.compile(self.condition, self.layout())
-        for outer_binding in self.outer.rows(context):
+        for outer_binding in input_rows(context, self.outer):
             for inner_binding in self.inner.rows(context):
                 merged = {**outer_binding, **inner_binding}
                 if condition is not None and condition(merged) is not True:
@@ -742,6 +759,9 @@ class IndexNestedLoopJoin(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer,)
 
+    def row_inputs(self) -> Sequence[PhysicalOperator]:
+        return (self.outer,)
+
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
         covering = self.covering
@@ -759,7 +779,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
         residual = context.compile(self.residual, self.layout())
         scanned = emitted = 0
         try:
-            for outer_binding in self.outer.rows(context):
+            for outer_binding in input_rows(context, self.outer):
                 if high_fn is not None:
                     row_ids = _range_probe(index, key_fns[0](outer_binding),
                                            high_fn(outer_binding))
@@ -877,6 +897,9 @@ class HashJoin(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.build, self.probe)
 
+    def row_inputs(self) -> Sequence[PhysicalOperator]:
+        return (self.build, self.probe)
+
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         build_layout = self.build.layout()
         probe_layout = self.probe.layout()
@@ -887,7 +910,7 @@ class HashJoin(PhysicalOperator):
         residual = context.compile(self.residual,
                                    merge_layouts(build_layout, probe_layout))
         hash_table: dict[Any, list[Binding]] = {}
-        for binding in self.build.rows(context):
+        for binding in input_rows(context, self.build):
             key = build_key(binding)
             if key is NULL:
                 continue
@@ -898,7 +921,7 @@ class HashJoin(PhysicalOperator):
                 bucket.append(binding)
         emitted = 0
         try:
-            for probe_binding in self.probe.rows(context):
+            for probe_binding in input_rows(context, self.probe):
                 key = probe_key(probe_binding)
                 if key is NULL:
                     continue
@@ -979,16 +1002,31 @@ def _zone_predicates(enabled: bool, *fns) -> list:
     Each entry maps a sealed segment to an ``(any_possible, all_match)``
     verdict; a predicate outside the zone-analyzable subset simply
     carries no zone form and contributes nothing (conservative: the
-    segment is scanned).
+    segment is scanned).  ``fns`` come in evaluation order — the scan
+    predicate, then the filters above it — and a row reaches a
+    predicate only when every earlier one held, so once a predicate may
+    raise, none after it may skip a segment whose rows would meet the
+    error first.
     """
     if not enabled:
         return []
     zones = []
     for fn in fns:
-        zone = getattr(fn, "zone_predicate", None) if fn is not None else None
+        if fn is None:
+            continue
+        zone = getattr(fn, "zone_predicate", None)
         if zone is not None:
             zones.append(zone)
+        if _may_raise(fn):
+            break
     return zones
+
+
+def _may_raise(*fns) -> bool:
+    """Whether the row path's evaluation of any of these vector
+    predicates could raise (unknown — not compiled through
+    :meth:`ExecutionContext.compile_vector_predicate` — counts as yes)."""
+    return any(getattr(fn, "may_raise", True) for fn in fns if fn is not None)
 
 
 def _zone_skips(zone_fns, segment) -> bool:
@@ -1127,10 +1165,9 @@ class _ChainInput:
         ``needed`` asks nothing of a chain)."""
         leaf = self.leaf
         if isinstance(leaf, TableScan):
-            zone_fns = _zone_predicates(leaf.use_zone_maps, self.predicate_fn,
-                                        *[fn for _op, fn in self.filter_fns])
-            batches = leaf.batches(context, self.predicate_fn, zone_fns=zone_fns,
-                                   runtime_filter=runtime_filter)
+            batches = leaf.batches(context, self.predicate_fn,
+                                   [fn for _op, fn in self.filter_fns],
+                                   runtime_filter)
         else:
             batches = leaf.batches(context, self.predicate_fn)
         for batch in batches:
@@ -1141,6 +1178,18 @@ class _ChainInput:
             if batch.selection:
                 yield batch
 
+    def rows(self, context: ExecutionContext) -> Iterator[Binding]:
+        """The row adapter: ``{binding: row}`` for each row that passes
+        the chain, built from its batches and narrowed to the leaf's
+        ``columns``, in the order the row path yields them."""
+        names = self.leaf.columns
+        if names is None:
+            names = list(self.table.row_keys)
+        binding_name = self.binding_name
+        for batch in self.batches(context):
+            for row in batch.rows(names):
+                yield {binding_name: row}
+
 
 def _batch_input(context: ExecutionContext, shape: BatchShape
                  ) -> "_ChainInput | _BatchJoinSource":
@@ -1148,6 +1197,28 @@ def _batch_input(context: ExecutionContext, shape: BatchShape
     if isinstance(shape.source, HashJoin):
         return _BatchJoinSource(context, shape)
     return _ChainInput(context, shape)
+
+
+def input_rows(context: ExecutionContext, node: PhysicalOperator
+               ) -> Iterator[Binding]:
+    """``node``'s bindings for a row-mode consumer (its
+    :meth:`~PhysicalOperator.row_inputs`).
+
+    A chain the planner marked batch runs through the batch scan, so
+    only the rows that pass its vector-filtered batches become dicts
+    (:meth:`_ChainInput.rows`); anything else — and the interpreter —
+    is ``node.rows``.
+    """
+    if node.vectorized and context.compile_enabled:
+        shape = batch_shape(node)
+        if shape is not None and shape.build is None:
+            try:
+                source = _ChainInput(context, shape)
+            except VectorCompileError:
+                return node.rows(context)
+            context.statistics.exprs_compiled += source.compiled_count()
+            return source.rows(context)
+    return node.rows(context)
 
 
 # -- the vectorized hash-join pipeline ---------------------------------------
@@ -1457,12 +1528,15 @@ class SortOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
+    def row_inputs(self) -> Sequence[PhysicalOperator]:
+        return (self.child,)
+
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         layout = self.layout()
         key_fns = [(context.compile(expression, layout, projected=True), descending)
                    for expression, descending in self.keys]
         materialised: list[tuple[list, Binding]] = []
-        for binding in self.child.rows(context):
+        for binding in input_rows(context, self.child):
             key = [_SortKey(key_fn(binding), descending)
                    for key_fn, descending in key_fns]
             materialised.append((key, binding))
@@ -1585,6 +1659,9 @@ class GroupAggregate(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
+    def row_inputs(self) -> Sequence[PhysicalOperator]:
+        return (self.child,)
+
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         if self.vectorized and context.compile_enabled:
             vectorized = self._vectorized_rows(context)
@@ -1599,7 +1676,7 @@ class GroupAggregate(PhysicalOperator):
                         for aggregate in self._stateful]
         counts: dict[Any, int] = {}
         states: dict[Any, list[_AggState]] = {}
-        bindings = self.child.rows(context)
+        bindings = input_rows(context, self.child)
         if not argument_fns:
             self._fold(counts, states, map(group_key, bindings), None)
         else:
@@ -1778,17 +1855,17 @@ class GroupAggregate(PhysicalOperator):
                 # answered from zone integer sums.
                 return None
             specs.append((result_key, column, func, argument_fn, tag))
-        predicate_fns = [source.predicate_fn] + [fn for _op, fn in source.filter_fns]
-        zone_pairs = [getattr(fn, "zone_predicate", None)
-                      for fn in predicate_fns if fn is not None]
+        predicate_fns = [fn for fn in (source.predicate_fn,
+                                       *[fn for _op, fn in source.filter_fns])
+                         if fn is not None]
         return self._zone_scalar_fold(context, scan, source.predicate_fn,
-                                      source.filter_fns, specs, zone_pairs)
+                                      source.filter_fns, specs, predicate_fns)
 
     def _zone_scalar_fold(self, context: ExecutionContext, scan: "TableScan",
                           scan_predicate: Optional[VectorExpression],
                           filter_fns: Sequence[tuple["FilterOp",
                                                      VectorExpression]],
-                          specs, zone_fns) -> Iterator[Binding]:
+                          specs, predicate_fns) -> Iterator[Binding]:
         statistics = context.statistics
         storage = scan.table.storage
         row_bytes = int(scan.table.average_row_bytes())
@@ -1796,17 +1873,20 @@ class GroupAggregate(PhysicalOperator):
         states: dict[str, _AggState] = {}
         for aggregate, spec in zip(self.aggregates, specs):
             states[spec[0]] = _AggState(aggregate)
+        skip_fns = _zone_predicates(True, *predicate_fns)
+        match_fns = [getattr(fn, "zone_predicate", None) for fn in predicate_fns]
         for unit in storage.scan_units():
             segment = unit.segment
             if segment is not None:
-                verdicts = [(zone_fn(segment) if zone_fn is not None
-                             else (True, False)) for zone_fn in zone_fns]
-                if any(not any_possible for any_possible, _all in verdicts):
+                if _zone_skips(skip_fns, segment):
                     statistics.segments_skipped += 1
                     scan.actual_segments_skipped += 1
                     continue
+                # No raise rule here: a row that matches every
+                # conjunct raised on none of them.
                 if (segment.tombstones == 0
-                        and all(all_match for _any, all_match in verdicts)):
+                        and all(zone_fn is not None and zone_fn(segment)[1]
+                                for zone_fn in match_fns)):
                     contributions = _zone_contributions(segment, specs)
                     if contributions is not None:
                         # Answered without touching the data: counts as

@@ -1417,26 +1417,37 @@ class Planner:
         walk(root)
 
     def _mark_vectorized_pipeline(self, root: PhysicalOperator) -> None:
-        """Flag batch execution for the projection's or aggregation's input.
+        """Flag batch execution wherever a batch shape feeds an operator.
 
-        The vectorized pipeline applies when a projection or an
-        aggregation reads a :func:`~repro.engine.operators.batch_shape`:
-        filtered column-store scans and index seeks, and hash joins of
-        such inputs (TOP/DISTINCT/INTO above the projection just
-        consume its rows; a Sort between projection and source
-        disqualifies the projection but not an aggregation below it).
-        The executor runs exactly the shape marked here, re-derived
-        from the same walk at run time, and falls back to the row path
-        only when the storage layout changed since planning.
+        A projection or an aggregation batches when it reads a
+        :func:`~repro.engine.operators.batch_shape`: filtered
+        column-store scans and index seeks, and hash joins of such
+        inputs (TOP/DISTINCT/INTO above the projection just consume its
+        rows; a Sort between projection and source keeps the projection
+        row-mode but not an aggregation below it).  Every other chain —
+        ``[filter…]`` over a column-store scan or seek — that a row-mode
+        operator reads once through
+        :meth:`~repro.engine.operators.PhysicalOperator.row_inputs` (a
+        Sort, a join's outer, build or probe side, a row-mode
+        aggregation) is marked too: it runs as a batch scan whose
+        passing rows alone become dicts
+        (:func:`~repro.engine.operators.input_rows`).  A hash-join shape
+        under a row consumer stays a row join over batch chains.  The
+        executor runs exactly the shapes marked here, re-derived from
+        the same walk at run time, and falls back to the row path only
+        when the storage layout changed since planning.
         """
         node = root
         passthrough: list[PhysicalOperator] = []
         while isinstance(node, (InsertIntoOp, TopOp, DistinctOp)):
             passthrough.append(node)
             node = node.child
-        if not isinstance(node, ProjectOp):
-            return
-        project = node
+        if isinstance(node, ProjectOp):
+            self._mark_projection(node, passthrough)
+        self._mark_row_inputs(root)
+
+    def _mark_projection(self, project: ProjectOp,
+                         passthrough: Sequence[PhysicalOperator]) -> None:
         inner: PhysicalOperator = project.child
         crossed_sort = False
         while isinstance(inner, (FilterOp, SortOp)):
@@ -1462,6 +1473,19 @@ class Planner:
                 for op in passthrough:
                     if isinstance(op, TopOp):
                         op.mark_batch_mode()
+
+    def _mark_row_inputs(self, operator: PhysicalOperator) -> None:
+        """Mark the chains row-mode operators read (batch subtrees are
+        marked whole already)."""
+        if operator.vectorized:
+            return
+        for child in operator.row_inputs():
+            shape = batch_shape(child, self._column_backed)
+            if shape is not None and shape.build is None:
+                for chained in shape.operators():
+                    chained.mark_batch_mode()
+        for child in operator.children():
+            self._mark_row_inputs(child)
 
     def _column_backed(self, table: Table) -> bool:
         return self._storage_kind(table) == "column"

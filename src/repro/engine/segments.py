@@ -48,7 +48,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .batch import BATCH_ROWS, ColumnBatch
 from .expressions import (Between, BinaryOp, ColumnRef, EvaluationContext,
-                          Expression, InList, RowScope, UnaryOp)
+                          Expression, InList, RowScope, UnaryOp, conjuncts)
 from .types import NULL, DataType
 
 #: Rows per sealed segment.  Aligned with the batch size so one sealed
@@ -676,15 +676,11 @@ def _analyze(node: Expression, evaluation: EvaluationContext, table,
     return None
 
 
-def _conjuncts_of(node: Expression) -> list[Expression]:
-    if isinstance(node, BinaryOp) and node.op == "and":
-        return _conjuncts_of(node.left) + _conjuncts_of(node.right)
-    return [node]
-
-
 def compile_zone_predicate(expression: Expression,
                            evaluation: EvaluationContext, table,
-                           binding_name: str) -> Optional[Callable]:
+                           binding_name: str,
+                           hazards: Sequence[tuple[bool, bool]]
+                           ) -> Optional[Callable]:
     """A per-segment verdict function for ``expression``, or None.
 
     The returned callable maps a :class:`SealedSegment` to
@@ -694,23 +690,37 @@ def compile_zone_predicate(expression: Expression,
     a zero tombstone count, aggregates can answer from the zone map
     alone).  Unsupported conjuncts degrade to "maybe" — never to a
     skip.
+
+    ``hazards`` holds ``(may_raise, may_be_null)`` per conjunct
+    (:func:`~repro.engine.compile.conjunct_hazards`).  The row path
+    evaluates conjuncts left to right and stops at the first False, so
+    a skip must not hide an error it would meet: a conjunct disproves
+    the segment only when neither it nor a conjunct before it can
+    raise — and, when it can be NULL (the AND then goes on), no
+    conjunct after it can raise either.
     """
-    conjuncts = _conjuncts_of(expression)
-    analyzed = [_analyze(conjunct, evaluation, table, binding_name)
-                for conjunct in conjuncts]
-    known = [conjunct for conjunct in analyzed if conjunct is not None]
-    if not known:
+    parts = conjuncts(expression)
+    raises = [may_raise for may_raise, _null in hazards]
+    analyzed = []
+    for position, (conjunct, (_raise, may_be_null)) in enumerate(
+            zip(parts, hazards)):
+        zone_conjunct = _analyze(conjunct, evaluation, table, binding_name)
+        if zone_conjunct is not None:
+            skips = not (any(raises[:position + 1])
+                         or (may_be_null and any(raises[position + 1:])))
+            analyzed.append((zone_conjunct, skips))
+    if not analyzed:
         return None
-    complete = len(known) == len(analyzed)
+    complete = len(analyzed) == len(parts)
 
     def verdict(segment: SealedSegment) -> tuple[bool, bool]:
         all_match = complete
-        for conjunct in known:
+        for conjunct, skips in analyzed:
             any_possible, conjunct_all = conjunct.verdict(
                 segment.zones.get(conjunct.column))
-            if not any_possible:
+            if not any_possible and skips:
                 return (False, False)
-            all_match = all_match and conjunct_all
+            all_match = all_match and any_possible and conjunct_all
         return (True, all_match)
 
     return verdict

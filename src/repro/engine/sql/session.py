@@ -90,7 +90,11 @@ class PlanCache:
         Case is preserved and quoted string literals are copied verbatim
         (including their whitespace and ``''`` escapes): ``'a  b'`` and
         ``'a b'`` are different queries and must not share an entry.
+        Text without a quote takes one C-level pass: ``str.split()``
+        splits on exactly the characters ``str.isspace()`` accepts.
         """
+        if "'" not in sql_text:
+            return " ".join(sql_text.split())
         out: list[str] = []
         pending_space = False
         i, n = 0, len(sql_text)

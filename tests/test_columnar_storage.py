@@ -213,11 +213,19 @@ class TestVectorizedExecution:
         assert col_result.rows == row_result.rows
         assert col_result.statistics.batches_processed > 0
 
-    def test_sort_between_project_and_scan_stays_row_mode(self):
-        sql = "select ra from photoobj where flags >= 0 order by ra"
+    def test_sort_reads_its_chain_through_batches(self):
+        """The Sort runs row-mode, but its scan is a batch chain: only
+        the rows that pass become dicts, in the row store's order."""
+        sql = "select ra from photoobj where flags >= 4 order by ra"
         plan = Planner(_build_database("column")).plan(parse_select(sql))
-        assert not any(label.startswith("Batch") for label in plan_operators(plan))
-        assert plan.execute().statistics.batches_processed == 0
+        assert plan_operators(plan) == ["Compute Scalar", "Sort",
+                                        "Batch Table Scan"]
+        result = plan.execute()
+        assert result.statistics.batches_processed > 0
+        row = Planner(_build_database("row")).plan(parse_select(sql)).execute()
+        assert repr(result.rows) == repr(row.rows)
+        assert result.statistics.rows_scanned == row.statistics.rows_scanned
+        assert repr(plan.execute(compiled=False).rows) == repr(row.rows)
 
     def test_planner_switch_disables_vectorization(self):
         database = _build_database("column")
@@ -377,6 +385,60 @@ class TestSerialBatchScans:
                                analyze=True)
         assert "segments=2/2 skipped=0" in text
         assert "batches=3 " in text
+
+
+def _raising_segment(storage: str) -> Database:
+    """``t``: one sealed segment holding the only negative ``x`` and no
+    ``kind = 3`` (its zone map disproves that conjunct), then a tail of
+    rows that pass both conjuncts; ``b`` holds join keys that only the
+    tail matches (a runtime filter's key range disproves the segment)."""
+    database = Database(f"raising-{storage}")
+    table = database.create_table("t", [
+        bigint("k"), floating("x"), integer("kind")], storage=storage)
+    table.insert_many({"k": index, "x": -1.0 if index == 17 else 4.0,
+                       "kind": index % 3} for index in range(SEGMENT_ROWS))
+    table.insert_many({"k": 100_000 + index, "x": 9.0, "kind": 3}
+                      for index in range(5))
+    database.create_table("b", [bigint("k")], storage=storage).insert_many(
+        {"k": 100_000 + index} for index in range(50))
+    database.analyze()
+    return database
+
+
+class TestZoneSkipsKeepErrors:
+    """A zone map or a runtime join filter must not skip a segment whose
+    rows would make an earlier conjunct raise: the row path evaluates
+    ``sqrt(x)`` before ``kind = 3`` and fails on the negative ``x``."""
+
+    @pytest.mark.parametrize("sql", [
+        "select x from t where sqrt(x) > 1 and kind = 3",
+        "select x from t where sqrt(x) > 1 and kind = 3 order by x",
+        "select count(*) as n from t where sqrt(x) > 1 and kind = 3",
+        "select b.k, t.x from b join t on t.k = b.k where sqrt(t.x) > 1",
+    ])
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_the_segment_is_read_and_raises(self, sql, storage):
+        database = _raising_segment(storage)
+        if storage == "column":
+            assert len(database.table("t").storage.segments()) == 1
+        planner = Planner(database, enable_index_join=False)
+        with pytest.raises(ValueError, match="math domain error"):
+            planner.plan(parse_select(sql)).execute()
+
+    @pytest.mark.parametrize("sql", [
+        "select x from t where kind = 3 and sqrt(x) > 1",
+        "select x from t where kind = 3 and sqrt(x) > 1 order by x",
+    ])
+    def test_a_safe_leading_conjunct_still_skips(self, sql):
+        """``kind = 3`` first: the row path never evaluates ``sqrt`` on
+        the segment's rows, so skipping it is sound and still happens."""
+        database = _raising_segment("column")
+        result = Planner(database).plan(parse_select(sql)).execute()
+        assert [row["x"] for row in result.rows] == [9.0] * 5
+        assert result.statistics.segments_skipped == 1
+        row_result = Planner(_raising_segment("row")).plan(
+            parse_select(sql)).execute()
+        assert repr(result.rows) == repr(row_result.rows)
 
 
 @pytest.fixture(scope="module")

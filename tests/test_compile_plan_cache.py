@@ -1,6 +1,7 @@
 """Tests for the compiled expression pipeline, plan cache and vacuum."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (CURRENT_TIMESTAMP, Database, PrimaryKey, Planner,
                           SqlSession, bigint, floating, text, timestamp)
@@ -11,6 +12,7 @@ from repro.engine.errors import ExpressionError
 from repro.engine.expressions import (BinaryOp, ColumnRef, EvaluationContext,
                                       FunctionCall, Literal, RowScope, Variable)
 from repro.engine.sql import parse_expression, parse_select
+from repro.engine.sql.session import PlanCache
 from repro.engine.types import NULL
 from repro.loader.undo import undo_time_window
 import datetime as _dt
@@ -161,6 +163,66 @@ class TestFusedPath:
 # ---------------------------------------------------------------------------
 # Plan cache
 # ---------------------------------------------------------------------------
+
+def _normalize_char_by_char(sql_text: str) -> str:
+    """``PlanCache.normalize`` as it was before its unquoted fast path:
+    one character at a time, quoted literals copied verbatim."""
+    out: list[str] = []
+    pending_space = False
+    i, n = 0, len(sql_text)
+    while i < n:
+        ch = sql_text[i]
+        if ch == "'":
+            end = i + 1
+            while end < n:
+                if sql_text[end] == "'":
+                    if end + 1 < n and sql_text[end + 1] == "'":
+                        end += 2
+                        continue
+                    break
+                end += 1
+            end = min(end, n - 1)
+            if pending_space and out:
+                out.append(" ")
+            pending_space = False
+            out.append(sql_text[i:end + 1])
+            i = end + 1
+        elif ch.isspace():
+            pending_space = True
+            i += 1
+        else:
+            if pending_space and out:
+                out.append(" ")
+            pending_space = False
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+#: Every character ``str.isspace()`` accepts, plus look-alikes it does
+#: not (zero-width space, word joiner) and SQL text.
+_SPACES = "".join(chr(code) for code in range(0x3001) if chr(code).isspace())
+_SQL_TEXT = st.lists(st.sampled_from(
+    list(_SPACES) + ["\u200b", "\u2060", "'", "''", "a", "B", "1", "=",
+                     "select", " from ", "é"]), max_size=40).map("".join)
+
+
+class TestNormalize:
+    @settings(max_examples=300, deadline=None)
+    @given(_SQL_TEXT)
+    def test_matches_the_character_loop(self, sql_text):
+        assert PlanCache.normalize(sql_text) == _normalize_char_by_char(sql_text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SQL_TEXT.filter(lambda text: "'" not in text))
+    def test_unquoted_text_matches_the_character_loop(self, sql_text):
+        assert PlanCache.normalize(sql_text) == _normalize_char_by_char(sql_text)
+
+    def test_quoted_whitespace_is_kept(self):
+        assert PlanCache.normalize(" select  'a  b'\t from\n t ") == \
+            "select 'a  b' from t"
+        assert PlanCache.normalize("select\u3000x\x1c y") == "select x y"
+
 
 class TestPlanCache:
     def test_second_execution_skips_parse_and_plan(self):

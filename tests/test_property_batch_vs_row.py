@@ -19,6 +19,17 @@ shapes Figure 13's heavy joins take on a column store:
 
 Runtime join filters are off on both sides: by design they skip probe
 segments the row path scans, which changes ``rows_scanned``.
+
+A second suite covers the row-mode operators that read a batch chain
+(``operators.input_rows``): ORDER BY — ascending and descending, over
+several keys, NULL-heavy and duplicate keys so ties show, mixed-case
+text — with and without TOP, and index nested-loop, nested-loop and
+hash joins whose sides are column-store chains.  The same data in a
+column store and a row store, and the column store's plan run by the
+interpreter (``execute(compiled=False)``), must give ``repr``-identical
+rows and the same ``rows_scanned``, ``index_entries_read`` and
+``random_lookups``; zone maps are off there (a skipped segment is not
+scanned) and on for a rows-only check.
 """
 
 from __future__ import annotations
@@ -32,7 +43,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import (ColumnBatch, Database, Planner, PrimaryKey,  # noqa: E402
-                          bigint, compile_vector_projection, floating, integer)
+                          bigint, compile_vector_projection, floating, integer,
+                          text)
 from repro.engine.expressions import EvaluationContext  # noqa: E402
 from repro.engine.explain import plan_operators  # noqa: E402
 from repro.engine.segments import SEGMENT_ROWS  # noqa: E402
@@ -206,6 +218,164 @@ def test_math_codegen_only_for_the_builtins_themselves():
         values("sqrt(x)")
     shadowed = EvaluationContext(functions={"abs": lambda value: 42})
     assert values("abs(k)", shadowed) == ([42] * 4, None)
+
+
+# -- row-mode consumers of batch chains ---------------------------------------
+
+#: Mixed-case text: the sort compares lower-cased, so these tie in groups.
+NAMES = ("abc", "ABC", "Abc", "b", "B", "ab", "", "zeta", "Zeta")
+
+#: Sort keys (``-0.0`` and ``0.0`` tie in ``b``; ``a`` is 40 % NULL).
+SORT_KEYS = ("s.a", "s.b", "s.name", "s.grp", "s.a + s.grp", "s.id")
+
+#: Scan predicates; ``s.grp = 3`` can plan as a seek of ``ix_s_grp``.
+PREDICATES = (None, "s.b < 1", "s.a is null or s.grp = 2", "s.name like 'a%'",
+              "s.grp in (1, 3)", "s.b <> 0.5 and s.a >= 1", "s.grp = 3")
+
+#: Join shapes: planner switches and the FROM clause (the other side is
+#: ``x``).  ``s.a = x.id`` is NULL for 40 % of ``s``; NULL keys never join.
+JOINS = {
+    "index": ({"enable_hash_join": False},
+              "from s join t x on x.id = s.grp"),
+    "hash": ({"enable_index_join": False},
+             "from t x join s on s.a = x.id"),
+    "nested": ({"enable_index_join": False, "enable_hash_join": False},
+               "from s join u x on x.id = s.grp"),
+}
+
+
+def _build_pair(seed: int, tail: int, dead: list[int]) -> dict[str, Database]:
+    """The same ``s`` (one sealed segment plus ``tail`` rows, tombstones),
+    ``t`` (keyed) and ``u`` (five rows, the nested loop's inner) in a
+    column store and a row store, row ids alike."""
+    rng = random.Random(seed)
+    count = SEGMENT_ROWS + tail
+    s_rows = [{"id": objid, "grp": rng.randrange(7),
+               "a": None if rng.random() < 0.4 else rng.randrange(5),
+               "b": None if rng.random() < 0.2 else rng.choice(
+                   (-1.5, -0.0, 0.0, 0.5, 1.0, 2.5)),
+               "name": None if rng.random() < 0.15 else rng.choice(NAMES)}
+              for objid in range(count)]
+    t_rows = [{"id": objid, "label": rng.choice(NAMES),
+               "w": round(rng.uniform(0, 9), 1)} for objid in range(600)]
+    doomed = {position % count for position in dead}
+    databases = {}
+    for storage in ("column", "row"):
+        database = Database(f"chains-{storage}")
+        s = database.create_table("s", [
+            bigint("id"), integer("grp"), integer("a", nullable=True),
+            floating("b", nullable=True), text("name", nullable=True),
+        ], primary_key=PrimaryKey(["id"]), storage=storage)
+        s.insert_many(dict(row) for row in s_rows)
+        s.create_index("ix_s_grp", ["grp"])
+        t = database.create_table("t", [
+            bigint("id"), text("label"), floating("w"),
+        ], primary_key=PrimaryKey(["id"]), storage=storage)
+        t.insert_many(dict(row) for row in t_rows)
+        database.create_table("u", [
+            bigint("id"), text("label"), floating("w"),
+        ], storage=storage).insert_many(dict(row) for row in t_rows[:5])
+        s.delete_where(lambda row: row["id"] in doomed)
+        database.analyze()
+        databases[storage] = database
+    return databases
+
+
+@st.composite
+def ordered_statements(draw):
+    keys = draw(st.lists(st.sampled_from(SORT_KEYS), min_size=1, max_size=3,
+                         unique=True))
+    order = ", ".join(key + draw(st.sampled_from(("", " desc")))
+                      for key in keys)
+    predicate = draw(st.sampled_from(PREDICATES))
+    where = f" where {predicate}" if predicate else ""
+    top = draw(st.sampled_from(("", "top 1 ", "top 7 ", "top 60 ")))
+    join = draw(st.sampled_from((None, *JOINS)))
+    if join is None:
+        return {}, (f"select {top}s.id, s.a, s.b, s.name from s{where} "
+                    f"order by {order}")
+    flags, source = JOINS[join]
+    sorted_by = draw(st.booleans())
+    if not sorted_by:
+        # TOP without ORDER BY stops a join early: the row path stops
+        # mid-scan, a batch scan at a batch edge.
+        top, order = "", ""
+    else:
+        order = f" order by {order}, x.label, x.w"
+    return flags, (f"select {top}s.id, s.b, s.name, x.label, x.w "
+                   f"{source}{where}{order}")
+
+
+def _run(plan, **options):
+    try:
+        result = plan.execute(**options)
+    except Exception as error:  # every side must raise the same error
+        return ("error", type(error).__name__, str(error))
+    statistics = result.statistics
+    return ("rows", repr(result.rows), statistics.rows_scanned,
+            statistics.index_entries_read, statistics.random_lookups)
+
+
+def _chain_outcomes(databases: dict[str, Database], flags: dict, sql: str):
+    """(column store, row store, interpreter, column store with zone maps)."""
+    exact = dict(flags, enable_zone_maps=False, enable_runtime_filters=False)
+    column = Planner(databases["column"], **exact).plan(parse_select(sql))
+    row = Planner(databases["row"], **exact).plan(parse_select(sql))
+    zoned = Planner(databases["column"], **flags).plan(parse_select(sql))
+    # One plan on both stores, so the counters compare.
+    assert [label.removeprefix("Batch ") for label in plan_operators(column)] \
+        == plan_operators(row), sql
+    return (_run(column), _run(row), _run(column, compiled=False), _run(zoned))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       tail=st.integers(min_value=1, max_value=200),
+       dead=st.lists(st.integers(min_value=0, max_value=SEGMENT_ROWS + 200),
+                     max_size=30),
+       statements=st.lists(ordered_statements(), min_size=1, max_size=6))
+@settings(max_examples=10, deadline=None)
+def test_row_consumers_of_batch_chains_answer_as_the_row_store(
+        seed, tail, dead, statements):
+    databases = _build_pair(seed, tail, dead)
+    for flags, sql in statements:
+        column, row, interpreted, zoned = _chain_outcomes(databases, flags, sql)
+        assert column == row == interpreted, sql
+        assert zoned[:2] == column[:2], sql
+
+
+def test_row_consumers_read_their_chains_as_batches():
+    """The shapes above: the Sort, the index and nested-loop joins'
+    outer sides and the row hash join's sides are Batch chains, and
+    batches ran."""
+    databases = _build_pair(seed=5, tail=50, dead=[1, 4100])
+    database = databases["column"]
+    cases = [
+        ({}, "select top 7 s.id, s.a from s where s.b < 1 order by s.a desc, s.name",
+         ["Top", "Compute Scalar", "Sort", "Batch Table Scan"]),
+        ({}, "select s.id, s.a from s where s.grp = 3 order by s.name",
+         ["Compute Scalar", "Sort", "Batch Index Seek"]),
+        (JOINS["index"][0], "select s.id, s.b, x.label " + JOINS["index"][1],
+         ["Compute Scalar", "Index Nested Loop Join", "Batch Table Scan"]),
+        (JOINS["index"][0], "select s.id, s.b, x.label " + JOINS["index"][1]
+         + " where s.grp = 3 order by x.label desc",
+         ["Compute Scalar", "Sort", "Index Nested Loop Join",
+          "Batch Index Seek"]),
+        (JOINS["nested"][0], "select s.id, s.b, x.label " + JOINS["nested"][1],
+         ["Compute Scalar", "Nested Loop Join", "Batch Table Scan",
+          "Table Scan"]),
+        (JOINS["hash"][0], "select s.id, s.b, x.label " + JOINS["hash"][1]
+         + " order by x.label",
+         ["Compute Scalar", "Sort", "Hash Join", "Batch Table Scan",
+          "Batch Table Scan"]),
+    ]
+    for flags, sql, labels in cases:
+        plan = Planner(database, **flags).plan(parse_select(sql))
+        assert plan_operators(plan) == labels, sql
+        assert plan.execute().statistics.batches_processed > 0, sql
+        assert Planner(database, enable_vectorized=False, **flags).plan(
+            parse_select(sql)).execute().statistics.batches_processed == 0, sql
+        column, row, interpreted, _zoned = _chain_outcomes(databases, flags, sql)
+        assert column == row == interpreted, sql
 
 
 def _walk(operator):
