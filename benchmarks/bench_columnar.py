@@ -22,10 +22,17 @@ become dicts, narrowed to the columns the query references: over a
 120-column table the top-n plan runs within 2x of the same plan on a
 row store when ~60 % of the rows pass (decoding only the referenced
 columns), and at least 2x faster than the row store when ~1 % pass.
+Q15B's red/green selection — the NEO pair query without its URL
+projections: column divisors, ``power`` and column-to-column
+comparisons — runs on the benchmark survey's column-store PhotoObj as
+generated loops, with no row-view fallback, at least 4x faster than on
+the row store (measured 5.4-8.8x; before column divisors vectorized its
+scans ran the row view per row, 1.8-2.1x; 2-core host, Python 3.11).
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 
@@ -35,6 +42,8 @@ from repro.engine import (Database, Planner, PrimaryKey, SqlSession, bigint,
                           floating, segments)
 from repro.engine.segments import SEGMENT_ROWS
 from repro.engine.sql import parse_select
+from repro.loader import load_release_database
+from repro.skyserver.queries import QUERY_15B_SQL
 
 ROW_COUNT = 50_000
 SCAN_SQL = ("select id, ra + dec as pos, modelmag_r * 2 - 1 as m2 "
@@ -251,3 +260,55 @@ def test_selective_top_n_on_wide_column_store_at_least_2x_faster():
     print_report(report)
 
     assert speedup >= 2.0, f"column store selective top-n only {speedup:.2f}x faster"
+
+
+
+#: Q15B's red/green selection: the NEO pair query without its two
+#: ``dbo.fGetUrlExpId`` projections (a session function, run per row).
+NEO_SQL = "select r.objID as rId, g.objId as gId from" + QUERY_15B_SQL.split("from", 1)[1]
+
+
+def test_q15b_selection_vectorizes_at_least_4x_the_row_store(bench_survey,
+                                                              bench_database):
+    """Q15B's red/green selection over the benchmark survey's 148-column
+    PhotoObj: on a column store every predicate and projection compiles
+    to a generated loop (zero row-view fallbacks: the axis-ratio column
+    divisors and ``power`` included) and the statement runs at least 4x
+    faster than on the row store."""
+    column_database, _report = load_release_database(bench_survey, columnar=True)
+    row_plan = Planner(bench_database).plan(parse_select(NEO_SQL))
+    column_plan = Planner(column_database).plan(parse_select(NEO_SQL))
+    # Alternate the two sides so a slow spell of the host hits both, and
+    # keep the collector out of the timings (as timeit does).
+    row_s = column_s = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(15):
+            elapsed, row_result = _best_of(lambda: row_plan.execute(), repeats=1)
+            row_s = min(row_s, elapsed)
+            elapsed, column_result = _best_of(lambda: column_plan.execute(), repeats=1)
+            column_s = min(column_s, elapsed)
+    finally:
+        gc.enable()
+    # The row store probes in covering-index order, the column store in
+    # row-id order: the same pairs, in another order.
+    assert sorted(map(repr, column_result.rows)) == sorted(map(repr, row_result.rows))
+    assert column_result.rows
+    assert column_result.statistics.batches_processed > 0
+    assert column_result.statistics.vector_fallbacks == 0
+    speedup = row_s / column_s
+
+    report = ExperimentReport(
+        "Q15B's red/green selection on a column store",
+        "The NEO pair query without its URL projections over the benchmark "
+        "survey's PhotoObj: the row store's plan vs generated batch loops "
+        "(column divisors, power, column comparisons).")
+    report.add("row store elapsed", "", round(row_s, 4), unit="s")
+    report.add("column store elapsed", "", round(column_s, 4), unit="s")
+    report.add("row / column", ">= 4x", f"{speedup:.2f}x")
+    report.add("pairs found", "", len(column_result.rows))
+    report.add("vector fallbacks", "0", column_result.statistics.vector_fallbacks)
+    print_report(report)
+
+    assert speedup >= 4.0, f"Q15B selection only {speedup:.2f}x faster"

@@ -72,7 +72,8 @@ from .shard import ShardCluster
 _FRAGMENT_COUNTERS = (
     "rows_scanned", "bytes_scanned", "batches_processed", "batch_rows",
     "exprs_compiled", "segments_scanned", "segments_skipped",
-    "runtime_filter_segments_pruned", "runtime_filter_rows_pruned")
+    "runtime_filter_segments_pruned", "runtime_filter_rows_pruned",
+    "vector_fallbacks")
 
 
 class ClusterPlanHandle:

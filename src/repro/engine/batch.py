@@ -85,15 +85,20 @@ class ColumnBatch:
 
 class GatheredBatch(ColumnBatch):
     """A batch of rows gathered by row id — an index seek's — whose
-    ``columns`` (:meth:`repro.engine.storage.ColumnStore.gather`) read
-    value by value.  Its row adapter reads row by row, as a
-    row-at-a-time fetch does, so ``select *`` of one row costs one pass
-    over the columns, not one gather per column."""
+    ``columns`` (:meth:`repro.engine.storage.ColumnStore.gather`) read a
+    column at its gathered positions on first access.  Its row adapter
+    reads a column at a time when the gather reads whole units (many
+    rows), else row by row, as a row-at-a-time fetch does, so ``select
+    *`` of one row costs one pass over the columns, not one gather per
+    column."""
 
     __slots__ = ()
 
     def rows(self, column_order: Sequence[str]) -> Iterator[dict[str, Any]]:
-        row = self.columns.row
+        columns = self.columns
+        if columns.whole_units:
+            return super().rows(column_order)
+        row = columns.row
         return (row(position, column_order) for position in self.selection)
 
 

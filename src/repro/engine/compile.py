@@ -31,10 +31,12 @@ expressions **once per execution**:
   produce batch-at-a-time functions over
   :class:`~repro.engine.batch.ColumnBatch` selection vectors.  Where
   three-valued logic provably cannot surface (NULL-free columns,
-  constant non-column operands, statically compatible types) the
-  expression is translated into one **generated list comprehension**
-  over the column buffers; otherwise the row-mode function is driven
-  over a NULL-mask-aware batch row view.  Over a *joined* batch
+  constant non-column operands, statically compatible types) — or
+  surfaces only as a column divisor's NULL where False is as good
+  (:meth:`_VectorCodegen.guarded`) — the expression is translated into
+  one **generated list comprehension** over the column buffers;
+  otherwise the row-mode function is driven over a NULL-mask-aware
+  batch row view.  Over a *joined* batch
   (:func:`compile_join_vector_predicate` /
   :func:`compile_join_vector_projection`) the fallback is the binding
   function of :func:`compile_expression`, run per position over
@@ -825,7 +827,10 @@ class _RowEmitter(_Emitter):
 #: A compiled vectorized expression.  Called with a
 #: :class:`~repro.engine.batch.ColumnBatch` and a selection vector; a
 #: predicate returns the narrowed selection, a projection returns one
-#: value per selected position.
+#: value per selected position.  A function that runs a row-mode
+#: function per position instead of a generated loop carries
+#: ``row_fallback = True`` (counted in ``ExecutionStatistics.
+#: vector_fallbacks``).
 VectorExpression = Callable[[Any, list], list]
 
 
@@ -839,8 +844,19 @@ class _Unvectorizable(Exception):
 
 
 #: Tags the codegen treats as orderable numbers (bool compares as 0/1,
-#: exactly as the interpreter's comparison operators do).
-_NUMERIC_TAGS = frozenset(("int", "float", "bool"))
+#: exactly as the interpreter's comparison operators do).  ``"num"`` is
+#: an int *or* a float, decided per value (``sign`` returns ``0`` or
+#: ``±1.0``): it compares and adds like a number, but ``/``, ``%`` and
+#: the bitwise operators, whose result type follows the operand types,
+#: refuse it.
+_NUMERIC_TAGS = frozenset(("int", "float", "bool", "num"))
+_EXACT_NUMERIC_TAGS = frozenset(("int", "float", "bool"))
+
+#: The tag of a boolean that is NULL on the row path where the generated
+#: code has False: a comparison of a value whose column divisor may be
+#: zero.  Only AND/OR and a predicate's root accept it (see
+#: :meth:`_VectorCodegen.guarded`).
+_NULLABLE_BOOL = "bool?"
 
 _DTYPE_TAGS = {DataType.INTEGER: "int", DataType.BIGINT: "int",
                DataType.FLOAT: "float", DataType.BOOLEAN: "bool",
@@ -859,15 +875,36 @@ def _value_tag(value: Any) -> str:
     raise _Unvectorizable(f"constant of type {type(value).__name__}")
 
 
-#: The pure built-in math functions the vector codegen writes inline,
-#: over non-NULL numeric operands.
-_VECTOR_MATH: dict[str, Callable[..., Any]] = {
-    "abs": abs, "sqrt": math.sqrt, "power": math.pow}
+def _int_or_tag(tag: str) -> str:
+    """``abs``/``square``/``round``: an int or bool operand gives an int,
+    a float (or "num") operand keeps its tag."""
+    return "int" if tag in ("int", "bool") else tag
 
 
-def _make_int_div(divisor: int) -> Callable[[int], int]:
-    """SQL Server integer division by a non-zero constant (truncates toward 0)."""
-    return lambda value: truncate_int_div(value, divisor)
+#: The numeric built-ins the vector codegen translates: bare name ->
+#: (argument counts it accepts, result tag given the first argument's
+#: tag).  The generated loop calls the :data:`_BUILTIN_FUNCTIONS`
+#: callable's NULL-free ``core`` (the callable itself for ``round``) —
+#: its operands are never NULL there — so values and errors are the row
+#: path's by construction.
+_VECTOR_BUILTINS: dict[str, tuple[tuple[int, ...], Callable[[str], str]]] = {
+    "abs": ((1,), _int_or_tag),
+    "square": ((1,), _int_or_tag),
+    "round": ((1, 2), _int_or_tag),
+    "floor": ((1,), lambda _tag: "int"),
+    "ceiling": ((1,), lambda _tag: "int"),
+    "cast_int": ((1,), lambda _tag: "int"),
+    # 0 for a zero operand, else math.copysign's float.
+    "sign": ((1,), lambda _tag: "num"),
+    **{name: ((2,), lambda _tag: "float") for name in ("power", "atn2")},
+    **{name: ((1,), lambda _tag: "float")
+       for name in ("sqrt", "exp", "log", "log10", "sin", "cos", "tan", "asin",
+                    "acos", "atan", "radians", "degrees", "cast_float")},
+}
+
+#: The built-ins above that cannot raise on a number.  The rest can
+#: (domain and range errors, ``int(nan)``) — ``may_raise``.
+_TOTAL_BUILTINS = frozenset(("abs", "square"))
 
 
 class _VectorCodegen:
@@ -876,21 +913,22 @@ class _VectorCodegen:
     The generated code reads directly from a :class:`ColumnStore`'s
     per-column sequences inside one list comprehension — no per-row
     function calls, no dicts, no scopes.  The translation is exact only
-    where SQL three-valued logic cannot surface: every referenced column
-    must be NULL-free (checked against the store's null counts), every
-    non-column operand must fold to a non-NULL constant, and operand
-    types must be statically compatible (so the interpreter's
-    comparison/arithmetic errors cannot occur).  The pure built-ins
-    ``abs``, ``sqrt``, ``power`` and ``pi`` are called as the math
-    functions themselves, so their domain and range errors are the row
-    path's.  Anything else raises :class:`_Unvectorizable` and the
-    caller uses the row-view fallback.
+    where SQL three-valued logic cannot surface, or surfaces in a way the
+    code reproduces: every referenced column must be NULL-free (checked
+    against the store's null counts), every non-column operand must fold
+    to a non-NULL constant, and operand types must be statically
+    compatible (so the interpreter's comparison/arithmetic errors cannot
+    occur).  The numeric built-ins (:data:`_VECTOR_BUILTINS`) are called
+    as the interpreter's own callables.  The one NULL left is a zero
+    *column* divisor; :meth:`division` and :meth:`guarded` describe how
+    it is handled.  Anything else raises :class:`_Unvectorizable` and
+    the caller uses the row-view fallback.
     """
 
     #: Set when the code calls a function that can raise on a value
-    #: (``sqrt``/``power`` domain and range errors): such a predicate
-    #: must see only the rows the row path evaluates, so it never runs
-    #: over a segment's dictionary, whose values include dead rows'.
+    #: (domain and range errors): such a predicate must see only the
+    #: rows the row path evaluates, so it never runs over a segment's
+    #: dictionary, whose values include dead rows'.
     may_raise = False
 
     #: Whether a column holding NULLs translates (only
@@ -899,14 +937,30 @@ class _VectorCodegen:
     nulls_allowed = False
     reads_nullable = False
 
+    #: Set once a non-constant divisor was translated: the value it
+    #: divides may be NULL on the row path.
+    divides = False
+
+    #: Set once a comparison of a may-be-NULL value was emitted, and once
+    #: code that may raise was emitted after it (see :meth:`guarded`).
+    nullable_seen = False
+    raises_after_nullable = False
+
     def __init__(self, evaluation: EvaluationContext, table: "Any", binding_name: str):
-        self.evaluation = evaluation
+        self.start(evaluation)
         self.table = table
         self.storage = table.storage
         self.binding_name = binding_name.lower()
-        self.env: dict[str, Any] = {}
         self.columns: list[str] = []
+
+    def start(self, evaluation: EvaluationContext) -> None:
+        self.evaluation = evaluation
+        self.env: dict[str, Any] = {}
         self._counter = 0
+        #: The pending zero-divisor tests (``"<divisor> != 0"``) of the
+        #: value being emitted, in evaluation order: the value is NULL
+        #: on the row path unless all hold.
+        self.guards: list[str] = []
 
     # -- helpers -----------------------------------------------------------
 
@@ -936,6 +990,53 @@ class _VectorCodegen:
             self.columns.append(lowered)
         return f"_c_{lowered}"
 
+    def note_may_raise(self) -> None:
+        self.may_raise = True
+        if self.nullable_seen:
+            self.raises_after_nullable = True
+
+    def capture(self, build: Callable[[], tuple[str, str]]
+                ) -> tuple[str, str, list[str], bool]:
+        """Run ``build`` (an emit) on its own: ``(source, tag, guards,
+        may_raise)``, where ``guards`` are its zero-divisor tests (kept
+        off the pending list) and ``may_raise`` whether its code can
+        raise."""
+        outer_guards, outer_raise = self.guards, self.may_raise
+        self.guards, self.may_raise = [], False
+        try:
+            source, tag = build()
+            return source, tag, self.guards, self.may_raise
+        finally:
+            self.guards = outer_guards
+            self.may_raise = outer_raise or self.may_raise
+
+    def guarded(self, build: Callable[[], tuple[str, str]]) -> tuple[str, str]:
+        """A boolean test whose operands may carry zero-divisor guards.
+
+        ``build`` emits the test.  Should a guard fail, the row path's
+        operand is NULL and so is the test; the generated code has False
+        instead (``guard and test``), tagged :data:`_NULLABLE_BOOL`.
+        That is exact only where False and NULL lead to the same
+        outcome and the same evaluation:
+
+        * the result reaches a predicate's root through AND/OR only —
+          every other consumer refuses the tag, so no NOT, CASE or IS
+          NULL sits above it, and a projection never produces it;
+        * nothing the failed guard skips can raise: the row path
+          evaluates every operand of the test before it sees the NULL,
+          so a test with code that may raise is refused;
+        * nothing after it may raise: the row path's AND evaluates its
+          right side after a NULL and stops only after a False
+          (:attr:`raises_after_nullable`, checked at the root).
+        """
+        source, tag, guards, inner_raise = self.capture(build)
+        if not guards:
+            return source, tag
+        if inner_raise:
+            raise _Unvectorizable("a may-be-NULL test whose operands may raise")
+        self.nullable_seen = True
+        return f"({' and '.join(guards)} and {source})", _NULLABLE_BOOL
+
     # -- dispatch ------------------------------------------------------------
 
     def emit(self, node: Expression) -> tuple[str, str]:
@@ -951,9 +1052,9 @@ class _VectorCodegen:
         if isinstance(node, UnaryOp):
             return self.unary(node)
         if isinstance(node, Between):
-            return self.between(node)
+            return self.guarded(lambda: self.between(node))
         if isinstance(node, InList):
-            return self.in_list(node)
+            return self.guarded(lambda: self.in_list(node))
         if isinstance(node, Like):
             return self.like(node)
         if isinstance(node, FunctionCall):
@@ -1003,17 +1104,20 @@ class _VectorCodegen:
         if op in ("and", "or"):
             left, left_tag = self.emit(node.left)
             right, right_tag = self.emit(node.right)
-            if left_tag != "bool" or right_tag != "bool":
+            tags = {left_tag, right_tag}
+            if not tags <= {"bool", _NULLABLE_BOOL}:
                 raise _Unvectorizable(f"non-boolean {op} operand")
-            return f"({left} {op} {right})", "bool"
+            return (f"({left} {op} {right})",
+                    _NULLABLE_BOOL if _NULLABLE_BOOL in tags else "bool")
         if op in _COMPARISON:
-            return self.comparison(node)
+            return self.guarded(lambda: self.comparison(node))
         if op in ("+", "-", "*"):
             left, left_tag = self.emit(node.left)
             right, right_tag = self.emit(node.right)
             if left_tag not in _NUMERIC_TAGS or right_tag not in _NUMERIC_TAGS:
                 raise _Unvectorizable(f"non-numeric {op!r}")
-            tag = "float" if "float" in (left_tag, right_tag) else "int"
+            tags = (left_tag, right_tag)
+            tag = "float" if "float" in tags else "num" if "num" in tags else "int"
             return f"({left} {op} {right})", tag
         if op == "/":
             return self.division(node)
@@ -1044,36 +1148,67 @@ class _VectorCodegen:
             return f"({left}.lower() {pyop} {right}.lower())", "bool"
         raise _Unvectorizable(f"comparison of {left_tag} with {right_tag}")
 
-    def division(self, node: BinaryOp) -> tuple[str, str]:
+    def divisor(self, node: BinaryOp) -> tuple[str, str, Optional[Any]]:
+        """``(dividend, its tag, constant divisor)`` of ``/`` or ``%``;
+        the divisor is None when it is not a constant — then it is
+        emitted here and its zero test becomes a guard."""
         left, left_tag = self.emit(node.left)
-        if left_tag not in _NUMERIC_TAGS:
-            raise _Unvectorizable("non-numeric dividend")
-        divisor = self.constant_value(node.right)
+        if left_tag not in _EXACT_NUMERIC_TAGS:
+            raise _Unvectorizable(f"dividend of tag {left_tag}")
+        try:
+            divisor = self.constant_value(node.right)
+        except _Unvectorizable:
+            return left, left_tag, None
         if divisor is NULL or not isinstance(divisor, (int, float)) or divisor == 0:
             # A zero (or NULL) divisor makes the whole expression NULL —
             # three-valued logic the fallback path handles exactly.
-            raise _Unvectorizable("division needs a non-zero constant divisor")
+            raise _Unvectorizable("division by a zero or NULL constant")
+        return left, left_tag, divisor
+
+    def column_divisor(self, node: BinaryOp) -> tuple[str, str]:
+        """A non-constant divisor: emitted, and its zero test pending.
+
+        The row path's ``/`` and ``%`` are NULL when the divisor ``== 0``
+        (``0.0`` and ``-0.0`` included, NaN not), after evaluating both
+        operands; the guard is exactly that test."""
+        right, right_tag = self.emit(node.right)
+        if right_tag not in _EXACT_NUMERIC_TAGS:
+            raise _Unvectorizable(f"divisor of tag {right_tag}")
+        self.guards.append(f"{right} != 0")
+        self.divides = True
+        return right, right_tag
+
+    def division(self, node: BinaryOp) -> tuple[str, str]:
+        left, left_tag, divisor = self.divisor(node)
+        if divisor is None:
+            right, right_tag = self.column_divisor(node)
+            if left_tag in ("int", "bool") and right_tag in ("int", "bool"):
+                # The interpreter's isinstance(…, int) counts bools too.
+                return f"{self.const(truncate_int_div)}({left}, {right})", "int"
+            return f"({left} / {right})", "float"
         if left_tag in ("int", "bool") and isinstance(divisor, int):
             # bool divisors count as ints, exactly as the interpreter's
             # isinstance(right, int) check does (7 / (1=1) is 7, not 7.0).
-            helper = self.const(_make_int_div(int(divisor)))
-            return f"{helper}({left})", "int"
+            helper = self.const(truncate_int_div)
+            return f"{helper}({left}, {self.const(int(divisor))})", "int"
         return f"({left} / {self.const(divisor)})", "float"
 
     def modulo(self, node: BinaryOp) -> tuple[str, str]:
-        left, left_tag = self.emit(node.left)
-        if left_tag not in _NUMERIC_TAGS:
-            raise _Unvectorizable("non-numeric modulo")
-        divisor = self.constant_value(node.right)
-        if divisor is NULL or not isinstance(divisor, (int, float)) or divisor == 0:
-            raise _Unvectorizable("modulo needs a non-zero constant divisor")
-        if left_tag == "float" or isinstance(divisor, float):
+        left, left_tag, divisor = self.divisor(node)
+        if divisor is None:
+            right, right_tag = self.column_divisor(node)
+            floats = "float" in (left_tag, right_tag)
+        else:
+            right, floats = self.const(divisor), left_tag == "float" or isinstance(divisor, float)
+        if floats:
             self.env.setdefault("_fmod", math.fmod)
-            return f"_fmod({left}, {self.const(divisor)})", "float"
-        return f"({left} % {self.const(divisor)})", "int"
+            return f"_fmod({left}, {right})", "float"
+        return f"({left} % {right})", "int"
 
     def unary(self, node: UnaryOp) -> tuple[str, str]:
         op = node.op
+        if op in ("is null", "is not null"):
+            return self.null_test(node)
         operand, tag = self.emit(node.operand)
         if op == "-":
             if tag not in _NUMERIC_TAGS:
@@ -1087,17 +1222,44 @@ class _VectorCodegen:
             if tag != "bool":
                 raise _Unvectorizable("NOT of non-boolean")
             return f"(not {operand})", "bool"
-        if op == "is null":
-            # Every codegen-supported subtree is provably non-NULL.
-            return self.const(False), "bool"
-        if op == "is not null":
-            return self.const(True), "bool"
         raise _Unvectorizable(f"unary {op!r}")
 
+    def null_test(self, node: UnaryOp) -> tuple[str, str]:
+        """IS [NOT] NULL: constant, except over a value with a column
+        divisor, which is NULL exactly when one of its guards fails.  An
+        operand that may raise is still evaluated, as the row path does."""
+        source, tag, guards, may_raise = self.capture(lambda: self.emit(node.operand))
+        if tag == _NULLABLE_BOOL:
+            raise _Unvectorizable("IS NULL of a may-be-NULL test")
+        if not guards:
+            # Every other codegen-supported subtree is provably non-NULL.
+            if may_raise:
+                test = "is not" if node.op == "is not null" else "is"
+                return f"({source} {test} {_NULL})", "bool"
+            return self.const(node.op == "is not null"), "bool"
+        if may_raise:
+            raise _Unvectorizable("IS NULL of code that may raise")
+        test = " and ".join(guards)
+        return (f"({test})" if node.op == "is not null" else f"(not ({test}))"), "bool"
+
+    def raising(self, node: Expression) -> tuple[str, str, bool]:
+        """``emit(node)`` and whether that code may raise."""
+        outer, self.may_raise = self.may_raise, False
+        try:
+            source, tag = self.emit(node)
+            return source, tag, self.may_raise
+        finally:
+            self.may_raise = outer or self.may_raise
+
     def between(self, node: Between) -> tuple[str, str]:
-        operand, operand_tag = self.emit(node.operand)
-        low, low_tag = self.emit(node.low)
-        high, high_tag = self.emit(node.high)
+        operand, operand_tag, operand_raises = self.raising(node.operand)
+        low, low_tag, low_raises = self.raising(node.low)
+        high, high_tag, high_raises = self.raising(node.high)
+        if high_raises or (low_raises and operand_raises):
+            # The row path evaluates operand, low and high, in that
+            # order; `low <= operand <= high` evaluates low first and
+            # high only when the first test holds.
+            raise _Unvectorizable("BETWEEN bounds that may raise")
         tags = {operand_tag, low_tag, high_tag}
         if not (tags <= _NUMERIC_TAGS or tags == {"str"}):
             raise _Unvectorizable("mixed-type BETWEEN")
@@ -1154,21 +1316,29 @@ class _VectorCodegen:
         name = self.builtin(node)
         if name == "pi" and not node.args:
             return self.const(math.pi), "float"
-        math_fn = _VECTOR_MATH.get(name) if name is not None else None
-        if math_fn is None or len(node.args) != (2 if name == "power" else 1):
+        spec = _VECTOR_BUILTINS.get(name) if name is not None else None
+        if spec is None or len(node.args) not in spec[0]:
             raise _Unvectorizable(f"function {node.name}")
-        arguments = [self.emit(argument) for argument in node.args]
-        if any(tag not in _NUMERIC_TAGS for _source, tag in arguments):
-            raise _Unvectorizable(f"{name} of a non-number")
-        # Operands are never NULL here, so the built-in's NULL test is
-        # moot and the math function itself raises what the row path's
-        # call raises (sqrt(-1): ValueError "math domain error").
-        if name != "abs":
-            self.may_raise = True
-        call = f"{self.const(math_fn)}({', '.join(source for source, _tag in arguments)})"
-        tag = ("int" if name == "abs" and arguments[0][1] in ("int", "bool")
-               else "float")
-        return call, tag
+        arguments = []
+        for argument in node.args:
+            source, tag, guards, _raise = self.capture(lambda: self.emit(argument))
+            if guards:
+                # Not every built-in is NULL for a NULL argument (round's
+                # digits go through int()): keep such calls on the row path.
+                raise _Unvectorizable(f"{name} of a may-be-NULL value")
+            if tag not in _NUMERIC_TAGS:
+                raise _Unvectorizable(f"{name} of a non-number")
+            arguments.append((source, tag))
+        # Arguments evaluate first, as interpreted; operands are never
+        # NULL here, so the built-in's NULL test is moot and its core
+        # raises what the row path's call raises (sqrt(-1): ValueError
+        # "math domain error").
+        if name not in _TOTAL_BUILTINS:
+            self.note_may_raise()
+        function = _BUILTIN_FUNCTIONS[name]
+        call = (f"{self.const(getattr(function, 'core', function))}"
+                f"({', '.join(source for source, _tag in arguments)})")
+        return call, spec[1](arguments[0][1])
 
 
 class _JoinVectorCodegen(_VectorCodegen):
@@ -1184,12 +1354,10 @@ class _JoinVectorCodegen(_VectorCodegen):
 
     def __init__(self, evaluation: EvaluationContext,
                  schema: "Mapping[str, Any]"):
-        self.evaluation = evaluation
+        self.start(evaluation)
         self.schema = {binding.lower(): table for binding, table in schema.items()}
-        self.env: dict[str, Any] = {}
         #: Qualified column key -> generated identifier, in first-use order.
         self.column_ids: dict[str, str] = {}
-        self._counter = 0
 
     def column(self, node: ColumnRef) -> tuple[str, str]:
         qualifier = (node.qualifier or "").lower()
@@ -1261,9 +1429,7 @@ def _codegen_join_vector(expression: Expression, evaluation: EvaluationContext,
     join gathers exactly those columns.
     """
     generator = _JoinVectorCodegen(evaluation, schema)
-    body, tag = generator.emit(expression)
-    if predicate and tag != "bool":
-        raise _Unvectorizable("predicate does not produce a boolean")
+    body, tag = _root(generator, expression, predicate)
     reads = {identifier: key for key, identifier in generator.column_ids.items()}
     return (_vector_loop(generator.env, reads, body, predicate), tag,
             list(generator.column_ids))
@@ -1339,6 +1505,7 @@ def _join_row_fallback(expression: Expression, evaluation: EvaluationContext,
                 append(position)
         return out
 
+    vector.row_fallback = True
     return vector, [qualified for _alias, _key, qualified in reads]
 
 
@@ -1392,16 +1559,40 @@ def compile_join_vector_projection(expression: Expression,
     return fn, None, keys
 
 
+def _root(generator: _VectorCodegen, expression: Expression,
+          predicate: bool) -> tuple[str, Optional[str]]:
+    """``(body, tag)`` of a whole predicate or projection.
+
+    A predicate must be boolean — `FilterOp` keeps rows only when it
+    `is True`, so a truthy non-boolean must not pass — and may be a
+    :data:`_NULLABLE_BOOL` only when no code after its may-be-NULL tests
+    can raise (:meth:`_VectorCodegen.guarded`).  A projection is never
+    one (it would show False for NULL); a projected value with a column
+    divisor is written ``value if guards else None``, tagged None like
+    the row-view fallback's values, which may hold NULLs too.
+    """
+    body, tag = generator.emit(expression)
+    if predicate:
+        if tag == _NULLABLE_BOOL and generator.raises_after_nullable:
+            raise _Unvectorizable("code that may raise after a may-be-NULL test")
+        if tag not in ("bool", _NULLABLE_BOOL):
+            raise _Unvectorizable("predicate does not produce a boolean")
+        return body, tag
+    if tag == _NULLABLE_BOOL:
+        raise _Unvectorizable("a may-be-NULL test as a value")
+    if not generator.guards:
+        return body, tag
+    if generator.may_raise:
+        raise _Unvectorizable("a may-be-NULL value of code that may raise")
+    return f"({body} if {' and '.join(generator.guards)} else {_NULL})", None
+
+
 def _codegen_vector(expression: Expression, evaluation: EvaluationContext,
                     table: "Any", binding_name: str,
-                    predicate: bool) -> tuple[VectorExpression, str]:
+                    predicate: bool) -> tuple[VectorExpression, Optional[str]]:
     """Build a generated-loop vector function, or raise :class:`_Unvectorizable`."""
     generator = _VectorCodegen(evaluation, table, binding_name)
-    body, tag = generator.emit(expression)
-    if predicate and tag != "bool":
-        # `FilterOp` keeps rows only when the predicate `is True`; a
-        # truthy non-boolean must not pass, so don't generate `if body`.
-        raise _Unvectorizable("predicate does not produce a boolean")
+    body, tag = _root(generator, expression, predicate)
     reads = {f"_c_{name}": name for name in generator.columns}
     fn = _vector_loop(generator.env, reads, body, predicate)
     # The column names the generated loop reads.  A single-column
@@ -1425,9 +1616,10 @@ def conjunct_hazards(expression: Expression, evaluation: EvaluationContext,
     """``(may_raise, may_be_null)`` of one predicate conjunct over ``table``.
 
     Inside the vector codegen's subset the row path's evaluation raises
-    only through the math built-ins (:attr:`_VectorCodegen.may_raise`)
-    and is NULL only through a column that holds NULLs; anything outside
-    the subset may do both.  Segment skips consult this
+    only through the built-ins (:attr:`_VectorCodegen.may_raise`) and is
+    NULL only through a column that holds NULLs or a column divisor
+    (:attr:`_VectorCodegen.divides`); anything outside the subset may do
+    both.  Segment skips consult this
     (:func:`repro.engine.segments.compile_zone_predicate`).
     """
     generator = _HazardCodegen(evaluation, table, binding_name)
@@ -1435,7 +1627,7 @@ def conjunct_hazards(expression: Expression, evaluation: EvaluationContext,
         generator.emit(expression)
     except _Unvectorizable:
         return True, True
-    return generator.may_raise, generator.reads_nullable
+    return generator.may_raise, generator.reads_nullable or generator.divides
 
 
 def _row_view_fallback(expression: Expression, evaluation: EvaluationContext,
@@ -1474,6 +1666,7 @@ def compile_vector_predicate(expression: Expression, evaluation: EvaluationConte
                 append(position)
         return kept
 
+    vector.row_fallback = True
     return vector
 
 
@@ -1504,6 +1697,7 @@ def compile_vector_projection(expression: Expression, evaluation: EvaluationCont
             append(row_fn(view))
         return values
 
+    vector.row_fallback = True
     return vector, None
 
 

@@ -666,11 +666,17 @@ class DurabilityManager:
         return {"checkpoint_id": checkpoint_id, "tables": len(table_entries),
                 "bytes": on_disk}
 
-    def maybe_checkpoint(self, *, record_limit: int = CHECKPOINT_RECORD_LIMIT,
-                         age_limit: float = CHECKPOINT_AGE_LIMIT) -> bool:
+    def maybe_checkpoint(self, *, record_limit: Optional[int] = None,
+                         age_limit: Optional[float] = None) -> bool:
         """Checkpoint when the WAL tail has grown past ``record_limit``
         records or is older than ``age_limit`` seconds (the periodic
-        policy; cheap to call after any write)."""
+        policy; cheap to call after any write).  The limits default to
+        :data:`CHECKPOINT_RECORD_LIMIT` / :data:`CHECKPOINT_AGE_LIMIT` as
+        they stand at the call."""
+        if record_limit is None:
+            record_limit = CHECKPOINT_RECORD_LIMIT
+        if age_limit is None:
+            age_limit = CHECKPOINT_AGE_LIMIT
         pending = self.records_since_checkpoint
         if not pending:
             return False

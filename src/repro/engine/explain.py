@@ -80,7 +80,8 @@ def render_plan(plan: "PhysicalPlan") -> str:
                   f"misses={statistics.plan_cache_misses}")
         if statistics.batches_processed:
             footer += (f"; batches={statistics.batches_processed} "
-                       f"({statistics.batch_rows} rows)")
+                       f"({statistics.batch_rows} rows); "
+                       f"vector fallbacks={statistics.vector_fallbacks}")
         lines.append(footer + "]")
     return "\n".join(lines)
 

@@ -607,28 +607,41 @@ def _sql_str(value: Any) -> str:
     return "" if value is NULL else str(value)
 
 
+def _strict(core: Callable[..., Any], arity: int = 1) -> Callable[..., Any]:
+    """The SQL form of a numeric function: NULL when an argument is NULL,
+    else ``core``'s value.  The core stays reachable as ``.core``: the
+    vector codegen, whose operands are never NULL, calls it directly."""
+    if arity == 1:
+        function = lambda x: NULL if x is NULL else core(x)  # noqa: E731
+    else:
+        function = lambda x, y: NULL if NULL in (x, y) else core(x, y)  # noqa: E731
+    function.core = core
+    return function
+
+
 _BUILTIN_FUNCTIONS: dict[str, Callable[..., Any]] = {
-    "abs": lambda x: NULL if x is NULL else abs(x),
-    "sqrt": lambda x: NULL if x is NULL else math.sqrt(x),
-    "square": lambda x: NULL if x is NULL else x * x,
-    "power": lambda x, y: NULL if NULL in (x, y) else math.pow(x, y),
-    "exp": lambda x: NULL if x is NULL else math.exp(x),
-    "log": lambda x: NULL if x is NULL else math.log(x),
-    "log10": lambda x: NULL if x is NULL else math.log10(x),
-    "floor": lambda x: NULL if x is NULL else math.floor(x),
-    "ceiling": lambda x: NULL if x is NULL else math.ceil(x),
+    "abs": _strict(abs),
+    "sqrt": _strict(math.sqrt),
+    "square": _strict(lambda x: x * x),
+    "power": _strict(math.pow, 2),
+    "exp": _strict(math.exp),
+    "log": _strict(math.log),
+    "log10": _strict(math.log10),
+    "floor": _strict(math.floor),
+    "ceiling": _strict(math.ceil),
+    # Not strict: NULL digits raise in int().
     "round": lambda x, digits=0: NULL if x is NULL else round(x, int(digits)),
-    "sign": lambda x: NULL if x is NULL else (0 if x == 0 else math.copysign(1, x)),
+    "sign": _strict(lambda x: 0 if x == 0 else math.copysign(1, x)),
     "pi": lambda: math.pi,
-    "sin": lambda x: NULL if x is NULL else math.sin(x),
-    "cos": lambda x: NULL if x is NULL else math.cos(x),
-    "tan": lambda x: NULL if x is NULL else math.tan(x),
-    "asin": lambda x: NULL if x is NULL else math.asin(max(-1.0, min(1.0, x))),
-    "acos": lambda x: NULL if x is NULL else math.acos(max(-1.0, min(1.0, x))),
-    "atan": lambda x: NULL if x is NULL else math.atan(x),
-    "atn2": lambda y, x: NULL if NULL in (x, y) else math.atan2(y, x),
-    "radians": lambda x: NULL if x is NULL else math.radians(x),
-    "degrees": lambda x: NULL if x is NULL else math.degrees(x),
+    "sin": _strict(math.sin),
+    "cos": _strict(math.cos),
+    "tan": _strict(math.tan),
+    "asin": _strict(lambda x: math.asin(max(-1.0, min(1.0, x)))),
+    "acos": _strict(lambda x: math.acos(max(-1.0, min(1.0, x)))),
+    "atan": _strict(math.atan),
+    "atn2": _strict(math.atan2, 2),
+    "radians": _strict(math.radians),
+    "degrees": _strict(math.degrees),
     "coalesce": lambda *args: next((a for a in args if a is not NULL), NULL),
     "nullif": lambda a, b: NULL if a == b else a,
     "isnull": lambda a, b: b if a is NULL else a,
@@ -640,8 +653,8 @@ _BUILTIN_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "str": lambda x, *rest: NULL if x is NULL else str(x),
     "substring": lambda s, start, length: NULL if s is NULL else str(s)[int(start) - 1:int(start) - 1 + int(length)],
     "charindex": lambda needle, haystack: 0 if NULL in (needle, haystack) else _sql_str(haystack).lower().find(_sql_str(needle).lower()) + 1,
-    "cast_int": lambda x: NULL if x is NULL else int(x),
-    "cast_float": lambda x: NULL if x is NULL else float(x),
+    "cast_int": _strict(int),
+    "cast_float": _strict(float),
 }
 
 

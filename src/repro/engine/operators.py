@@ -83,6 +83,9 @@ class ExecutionStatistics:
     #: these attribute the win to the runtime filter specifically.
     runtime_filter_segments_pruned: int = 0
     runtime_filter_rows_pruned: int = 0
+    #: Batch predicates and projections compiled to the row-view loop
+    #: (one row-mode call per position) instead of a generated loop.
+    vector_fallbacks: int = 0
 
     def merge_scan(self, rows: int, row_bytes: float) -> None:
         self.rows_scanned += rows
@@ -152,8 +155,8 @@ class ExecutionContext:
         whether the row path's evaluation of it could raise (then no
         segment may be skipped on a later predicate's account).
         """
-        fn = compile_vector_predicate(expression, self.evaluation,
-                                      table, binding_name)
+        fn = self.counted(compile_vector_predicate(expression, self.evaluation,
+                                                   table, binding_name))
         hazards = [conjunct_hazards(conjunct, self.evaluation, table, binding_name)
                    for conjunct in conjuncts(expression)]
         fn.may_raise = any(may_raise for may_raise, _null in hazards)
@@ -163,17 +166,26 @@ class ExecutionContext:
 
     def compile_vector_projection(self, expression: Expression, table: "Table",
                                   binding_name: str):
-        return compile_vector_projection(expression, self.evaluation,
-                                         table, binding_name)
+        fn, tag = compile_vector_projection(expression, self.evaluation,
+                                            table, binding_name)
+        return self.counted(fn), tag
 
     def compile_join_vector_predicate(self, expression: Expression, schema):
         """Join-batch vector compile (raises VectorCompileError)."""
-        return compile_join_vector_predicate(expression, self.evaluation, schema)
+        fn, keys = compile_join_vector_predicate(expression, self.evaluation, schema)
+        return self.counted(fn), keys
 
     def compile_join_vector_projection(self, expression: Expression, schema, *,
                                        projected: bool = False):
-        return compile_join_vector_projection(expression, self.evaluation, schema,
-                                              projected=projected)
+        fn, tag, keys = compile_join_vector_projection(
+            expression, self.evaluation, schema, projected=projected)
+        return self.counted(fn), tag, keys
+
+    def counted(self, fn: VectorExpression) -> VectorExpression:
+        """``fn``, counted in ``vector_fallbacks`` when it is a row-view loop."""
+        if getattr(fn, "row_fallback", False):
+            self.statistics.vector_fallbacks += 1
+        return fn
 
 
 class PhysicalOperator:

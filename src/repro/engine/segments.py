@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from .batch import BATCH_ROWS, ColumnBatch
@@ -418,6 +419,16 @@ class SealedSegment:
         if mask is not None and mask[position]:
             return NULL
         return self.columns[name].value_at(position)
+
+    def reader(self, name: str) -> Callable[[int], Any]:
+        """``position -> value_at(name, position)``, as cheap a call as
+        the column allows (a plain unmasked buffer's own indexing)."""
+        column = self.columns[name]
+        if name in self.masks:
+            return partial(self.value_at, name)
+        if isinstance(column, PlainColumn):
+            return column.values.__getitem__
+        return column.value_at
 
     def zone(self, name: str) -> Optional[ZoneStats]:
         return self.zones.get(name)

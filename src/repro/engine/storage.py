@@ -40,8 +40,8 @@ appends land behind it.
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import chain, compress, repeat
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .batch import column_values, row_dicts
 from .errors import SchemaError
@@ -260,6 +260,11 @@ class _ColumnData:
             return NULL
         return self.values[position]
 
+    def reader(self) -> Callable[[int], Any]:
+        """``position -> get(position)``; the buffer's own indexing when
+        the column holds no NULL."""
+        return self.get if self.null_count else self.values.__getitem__
+
     def compact(self, keep: Sequence[int]) -> None:
         """Rebuild the buffer with only the positions in ``keep``."""
         old_values, old_mask = self.values, self.mask
@@ -411,38 +416,97 @@ class _LazySegmentColumns(dict):
         return decoded
 
 
-class _GatheredColumns(dict):
-    """The columns of :meth:`ColumnStore.gather`: each read value by
-    value at the gathered row ids on first access, then kept."""
+#: A gather reads its units' columns whole once its row ids number at
+#: least 1/_WHOLE_UNIT_SHARE of the units' rows: one decode per unit and
+#: one index per row id then beat a read per row id.
+_WHOLE_UNIT_SHARE = 8
 
-    __slots__ = ("store", "locations")
+
+class _GatheredColumns(dict):
+    """The columns of :meth:`ColumnStore.gather`, each read on first
+    access and then kept.
+
+    Many row ids (:data:`_WHOLE_UNIT_SHARE`): a column is read whole over
+    the scan units they span — decoded and masked once per unit — and
+    indexed by row id in one C-level pass.  Few: each value is read
+    at its unit and local position through the unit's cheapest reader
+    (:meth:`SealedSegment.reader`: a plain unmasked buffer's own
+    indexing), so a point lookup never decodes a segment.  Either way
+    the values come in the caller's order.
+    """
+
+    __slots__ = ("store", "parts", "row_ids", "span", "positions", "touched")
 
     def __init__(self, store: "ColumnStore", parts: _Parts, row_ids: list[int]):
         super().__init__()
         self.store = store
-        base, segments, tail = parts.base, parts.segments, parts.tail
+        self.parts = parts
+        self.row_ids = row_ids
+        #: Whole-unit reads: the first and last unit spanned, and each
+        #: row id's position in their concatenation.
+        self.span: Optional[tuple[int, int]] = None
+        self.positions: list[int] = row_ids
+        #: Per-value reads: the units the row ids touch.
+        self.touched: set[int] = set()
+        if not row_ids:
+            return
+        # Segments are SEGMENT_ROWS-aligned and the tail starts at the
+        # next boundary, so a row id's unit is ``row_id // SEGMENT_ROWS``.
+        low, high = min(row_ids) // SEGMENT_ROWS, max(row_ids) // SEGMENT_ROWS
+        if len(row_ids) * _WHOLE_UNIT_SHARE >= (high - low + 1) * SEGMENT_ROWS:
+            self.span = (low, high)
+            first = low * SEGMENT_ROWS
+            if first:
+                self.positions = [row_id - first for row_id in row_ids]
+        else:
+            self.touched = {row_id // SEGMENT_ROWS for row_id in row_ids}
 
-        def tail_value(name: str, local: int) -> Any:
-            return tail[name].get(local)
+    @property
+    def whole_units(self) -> bool:
+        """Whether columns are read whole over the units (many row ids)."""
+        return self.span is not None
 
-        #: ``(value_at(name, local), local)`` per row id.
-        self.locations = [
-            (tail_value, row_id - base) if row_id >= base
-            else (segments[row_id // SEGMENT_ROWS].value_at,
-                  row_id - segments[row_id // SEGMENT_ROWS].base)
-            for row_id in row_ids]
+    def segment(self, key: int):
+        """Unit ``key``'s sealed segment, or None for the tail."""
+        parts = self.parts
+        return parts.segments[key] if key < len(parts.segments) else None
+
+    def whole(self, name: str, key: int) -> Sequence:
+        """Column ``name`` of unit ``key``, decoded and masked."""
+        segment = self.segment(key)
+        if segment is not None:
+            return column_values(segment.decode_column(name),
+                                 segment.masks.get(name), None, segment.rows)
+        data = self.parts.tail[name]
+        return column_values(data.values, data.mask if data.null_count else None,
+                             None, len(data.values))
+
+    def reader(self, name: str, key: int) -> Callable[[int], Any]:
+        segment = self.segment(key)
+        return (segment.reader(name) if segment is not None
+                else self.parts.tail[name].reader())
 
     def __missing__(self, name: str) -> list:
         if name not in self.store._column_defs:
             raise KeyError(name)
-        values = self[name] = [value_at(name, local)
-                               for value_at, local in self.locations]
+        if self.span is not None:
+            low, high = self.span
+            buffer = list(chain.from_iterable(self.whole(name, key)
+                                              for key in range(low, high + 1)))
+            values = list(map(buffer.__getitem__, self.positions))
+        else:
+            readers: list = [None] * (max(self.touched, default=-1) + 1)
+            for key in self.touched:
+                readers[key] = self.reader(name, key)
+            values = [readers[row_id // SEGMENT_ROWS](row_id % SEGMENT_ROWS)
+                      for row_id in self.row_ids]
+        self[name] = values
         return values
 
     def row(self, position: int, names: Sequence[str]) -> dict[str, Any]:
-        """The row at ``position`` as a dict of ``names`` (table columns)."""
-        value_at, local = self.locations[position]
-        return {name: value_at(name, local) for name in names}
+        """The row at ``position`` as a dict of ``names`` (table columns),
+        read value by value as :meth:`ColumnStore.get` reads it."""
+        return self.store._row_at(self.parts, self.row_ids[position], names)
 
 
 class ColumnStore(TableStorage):
@@ -529,7 +593,10 @@ class ColumnStore(TableStorage):
         parts = self._parts
         if not (0 <= row_id < len(parts.live)) or not parts.live[row_id]:
             return None
-        names = self._names if columns is None else columns
+        return self._row_at(parts, row_id, self._names if columns is None else columns)
+
+    @staticmethod
+    def _row_at(parts: _Parts, row_id: int, names: Sequence[str]) -> dict[str, Any]:
         if row_id >= parts.base:
             local = row_id - parts.base
             return {name: parts.tail[name].get(local) for name in names}
@@ -710,17 +777,23 @@ class ColumnStore(TableStorage):
         return units
 
     def gather(self, row_ids: Iterable[int]) -> tuple[list[int], Mapping[str, list]]:
-        """The live ``row_ids``, in the order given, and their columns.
+        """The live ``row_ids``, in the order given (repeats kept), and
+        their columns.
 
         One parts snapshot serves both.  A column is read when first
-        accessed, one value per row id (``SealedSegment.value_at`` or the
-        tail buffer, NULL where masked), so a point lookup never decodes
-        a segment — the batch form of :meth:`get`.
+        accessed — whole per scan unit when the ids are many, value by
+        value when few (:class:`_GatheredColumns`), so a point lookup
+        never decodes a segment — the batch form of :meth:`get`.
         """
         parts = self._parts
         live = parts.live
-        count = len(live)
-        ids = [row_id for row_id in row_ids if 0 <= row_id < count and live[row_id]]
+        # Rows appended after this snapshot (past its tail) are not in it.
+        count = min(len(live), parts.base + SEGMENT_ROWS)
+        ids = list(row_ids)
+        if ids and (min(ids) < 0 or max(ids) >= count):
+            ids = [row_id for row_id in ids if 0 <= row_id < count]
+        if self._live_count != len(live):
+            ids = list(compress(ids, map(live.__getitem__, ids)))
         return ids, _GatheredColumns(self, parts, ids)
 
     def segments(self) -> tuple:

@@ -21,12 +21,14 @@ How a cover is computed, once per piece of geometry:
   (6) keep their children, deeper ones are built per call and dropped,
   so the retained mesh is at most 43,688 nodes (~44 MB whole-sky, a few
   hundred nodes for a survey footprint).
-* **Circle memo.** ``cover_circle`` answers are kept in an LRU of
-  ``CIRCLE_MEMO_SIZE`` entries keyed by the exact arguments
-  ``(ra, dec, radius_arcmin, cover_depth, storage_depth)``, as
-  immutable tuples (~2 MB at capacity for 1' cones); every caller gets a
-  fresh list.  A cover depends only on its arguments, never on the
-  data, so the memo cannot serve stale rows.
+* **Cover memo.** ``cover`` answers — circles (``cover_circle``),
+  rectangles (``fGetObjFromRectEq``), any hashable region — are kept in
+  one LRU of ``COVER_MEMO_SIZE`` entries keyed by ``(frozen region,
+  cover_depth, storage_depth)``, as immutable tuples (~2 MB at capacity
+  for 1' cones); every caller gets a fresh list.  A cover depends only
+  on its arguments, never on the data, so the memo cannot serve stale
+  rows.  A region that is not a frozen dataclass, or does not hash (a
+  polygon over a list of vertices), is covered afresh each call.
 
 Answers are byte-identical to the plain recursive descent over
 ``Trixel.children()`` and ``Region.classify`` (the oracle in
@@ -47,8 +49,8 @@ from typing import Iterable, Iterator, Sequence
 from .mesh import DEFAULT_DEPTH, ROOT_NODES, id_range_at_depth
 from .regions import Circle, Markup, Region
 
-#: Circle covers remembered, keyed by the exact call arguments.
-CIRCLE_MEMO_SIZE = 1024
+#: Covers remembered, keyed by (region, cover_depth, storage_depth).
+COVER_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,35 @@ def cover(region: Region, *, cover_depth: int = 8,
     id order, so ranges come out sorted and disjoint; ``merge_ranges``
     then only joins neighbours.  The result is sorted, disjoint and
     non-adjacent, so each range is one index seek and no id is returned
-    twice.
+    twice.  Answers are memoised (see the module notes).
     """
     if cover_depth < 0 or storage_depth < cover_depth:
         raise ValueError("need 0 <= cover_depth <= storage_depth")
+    if not _memoisable(region):
+        return _descend(region, cover_depth, storage_depth)
+    return list(_memoised_cover(region, cover_depth, storage_depth))
+
+
+def _memoisable(region: Region) -> bool:
+    """A frozen dataclass region that hashes: equal ones cover alike."""
+    params = getattr(region, "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return False
+    try:
+        hash(region)
+    except TypeError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=COVER_MEMO_SIZE)
+def _memoised_cover(region: Region, cover_depth: int,
+                    storage_depth: int) -> tuple[HtmRange, ...]:
+    return tuple(_descend(region, cover_depth, storage_depth))
+
+
+def _descend(region: Region, cover_depth: int, storage_depth: int) -> list[HtmRange]:
+    """The cover of ``region``, computed."""
     classify = region.classify
     ranges: list[HtmRange] = []
     pending = list(reversed(ROOT_NODES))
@@ -102,21 +129,15 @@ def cover_circle(ra: float, dec: float, radius_arcmin: float, *,
                  storage_depth: int = DEFAULT_DEPTH) -> list[HtmRange]:
     """Cover of a circular cap; picks a cover depth matched to the radius.
 
-    Answers are memoised (LRU, ``CIRCLE_MEMO_SIZE`` entries): a cover is
-    a function of its arguments alone, never of the data, so a repeated
-    cone search skips the geometry but still reads its candidates
-    through the live ``htmID`` index.  Each caller gets a fresh list.
+    Answers are memoised as :func:`cover`'s: a cover is a function of
+    its arguments alone, never of the data, so a repeated cone search
+    skips the geometry but still reads its candidates through the live
+    ``htmID`` index.  Each caller gets a fresh list.
     """
     if cover_depth is None:
         cover_depth = depth_for_radius(radius_arcmin)
-    return list(_memoised_circle_cover(ra, dec, radius_arcmin, cover_depth, storage_depth))
-
-
-@lru_cache(maxsize=CIRCLE_MEMO_SIZE)
-def _memoised_circle_cover(ra: float, dec: float, radius_arcmin: float,
-                           cover_depth: int, storage_depth: int) -> tuple[HtmRange, ...]:
-    return tuple(cover(Circle(ra, dec, radius_arcmin), cover_depth=cover_depth,
-                       storage_depth=storage_depth))
+    return cover(Circle(ra, dec, radius_arcmin), cover_depth=cover_depth,
+                 storage_depth=storage_depth)
 
 
 def depth_for_radius(radius_arcmin: float) -> int:

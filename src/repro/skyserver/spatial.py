@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..engine import Database, bigint, floating, integer
+from ..engine.batch import row_dicts
 from ..htm import (DEFAULT_DEPTH, HtmRange, RectangleEq, arcmin_between, cover,
                    cover_circle, lookup_id, ranges_contain)
 
@@ -40,17 +41,23 @@ def _candidate_rows(database: Database, ranges: Sequence[HtmRange]) -> Iterable[
     result — sorted, disjoint and non-adjacent — so each index region is
     scanned once and every candidate row surfaces once (no dedup set).
     Rows carry those of :data:`CANDIDATE_COLUMNS` the table has (a row
-    store's, every column).
+    store's, every column); a column store's are read through one
+    :meth:`~repro.engine.storage.ColumnStore.gather` of every candidate.
     """
     photo = database.table("PhotoObj")
     columns = tuple(name for name in CANDIDATE_COLUMNS if name in photo.row_keys)
     index = photo.find_index_on(["htmID"])
     if index is not None:
-        for low, high in ranges:
-            for row_id in index.range((low,), (high,)):
-                row = photo.get_row(row_id, columns)
-                if row is not None:
-                    yield row
+        row_ids = [row_id for low, high in ranges
+                   for row_id in index.range((low,), (high,))]
+        if photo.storage.kind == "column":
+            _live, gathered = photo.storage.gather(row_ids)
+            yield from row_dicts(columns, zip(*[gathered[name] for name in columns]))
+            return
+        for row_id in row_ids:
+            row = photo.get_row(row_id, columns)
+            if row is not None:
+                yield row
         return
     for _row_id, row in photo.iter_rows(columns):
         if ranges_contain(ranges, row["htmid"]):

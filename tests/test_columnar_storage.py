@@ -19,7 +19,7 @@ from repro.htm import HtmRange, merge_ranges
 from repro.loader import SkyServerLoader
 from repro.loader.steps import LoadStep
 from repro.skyserver import QueryLimits, SkyServer
-from repro.skyserver.queries import DATA_MINING_QUERIES
+from repro.skyserver.queries import DATA_MINING_QUERIES, query_by_id
 
 
 COLUMNS = [
@@ -465,6 +465,19 @@ class TestFig13BatchLabels:
         # The heavy joins: index seeks and a join probe feed batch joins,
         # and Q15B's math residual and URL projection run in the batch.
         assert {"Q13", "Q15B", "Q18"} <= ran_batch
+
+    def test_batch_expressions_compile_to_generated_loops(self, columnar_skyserver):
+        """No batch predicate or projection of the suite runs a row-mode
+        function per row — column divisors (Q4, Q15B), ``log10`` (Q2)
+        and ``round`` (Q7) included — except the ``dbo.fGetUrlExpId``
+        projections of Q15A and Q15B: a session function."""
+        session = columnar_skyserver.session
+        fallbacks = {query.query_id: session.query(query.sql).statistics.vector_fallbacks
+                     for query in DATA_MINING_QUERIES}
+        assert {qid: count for qid, count in fallbacks.items() if count} == \
+            {"Q15A": 1, "Q15B": 2}
+        assert "vector fallbacks=2]" in session.explain(
+            query_by_id("Q15B").sql, analyze=True)
 
 
 class TestLoaderColumnarSwitch:

@@ -800,6 +800,141 @@ class TestServerLifecycle:
 
 
 # ---------------------------------------------------------------------------
+# The automatic checkpoint policy
+# ---------------------------------------------------------------------------
+
+def _tree(root) -> dict[str, bytes]:
+    """Every file under ``root`` with its bytes."""
+    files = {}
+    for folder, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
+
+
+class TestCheckpointPolicy:
+    """``SkyServer.checkpoint_if_due`` → ``DurabilityManager.
+    maybe_checkpoint`` on every manager: nothing while the WAL tail is
+    under both limits, a checkpoint once it passes ``record_limit`` or
+    grows older than ``age_limit``."""
+
+    RECORD_LIMIT = 6
+
+    @pytest.fixture
+    def small_limits(self, monkeypatch):
+        from repro.engine import durable
+
+        monkeypatch.setattr(durable, "CHECKPOINT_RECORD_LIMIT", self.RECORD_LIMIT)
+        return durable
+
+    def _server(self, root, shards: int = 1):
+        from repro.pipeline import SurveyConfig
+        from repro.skyserver import (ClusterConfig, ServerConfig, SkyServer,
+                                     StorageConfig)
+
+        survey = SurveyConfig(scale=0.0003, seed=4, density_per_sq_deg=900.0)
+        return SkyServer.create(ServerConfig(
+            survey=survey, cluster=ClusterConfig(shards=shards),
+            storage=StorageConfig(columnar=True, path=str(root))))
+
+    def _insert(self, server, count: int, first: int = 0) -> list[int]:
+        """``count`` PhotoObj rows, one WAL record each (per shard)."""
+        photo = server.survey_output.tables["PhotoObj"]
+        base = max(row["objID"] for row in photo) + 1 + first
+        ids = [base + offset for offset in range(count)]
+        for objid in ids:
+            row = dict(photo[0], objID=objid)
+            if server.cluster is not None:
+                server.cluster.insert("PhotoObj", row)
+            else:
+                server.database.table("PhotoObj").insert(row, database=server.database)
+        return ids
+
+    @staticmethod
+    def _answer(server, ids) -> str:
+        listed = ", ".join(str(objid) for objid in ids)
+        return repr((server.query("select count(*) as n from PhotoObj").rows,
+                     server.query(f"select objID, ra, modelMag_r from PhotoObj "
+                                  f"where objID in ({listed}) order by objID").rows))
+
+    def test_under_both_limits_nothing_is_written(self, tmp_path, small_limits):
+        root = tmp_path / "db"
+        server = self._server(root)
+        manager = server.database.durability
+        assert server.checkpoint_if_due() is False      # nothing pending
+        self._insert(server, self.RECORD_LIMIT - 1)
+        before = _tree(root)
+        checkpoints = manager.checkpoints_written
+        assert server.checkpoint_if_due() is False
+        assert manager.checkpoints_written == checkpoints
+        assert manager.records_since_checkpoint == self.RECORD_LIMIT - 1
+        assert _tree(root) == before
+        server.close()
+
+    def test_past_the_record_limit_it_checkpoints(self, tmp_path, small_limits):
+        root = tmp_path / "db"
+        server = self._server(root)
+        manager = server.database.durability
+        ids = self._insert(server, self.RECORD_LIMIT)
+        expected = self._answer(server, ids)
+        checkpoints = manager.checkpoints_written
+        assert server.checkpoint_if_due() is True
+        assert manager.checkpoints_written == checkpoints + 1
+        assert manager.records_since_checkpoint == 0
+        assert list(replay_file(manager.wal.path)) == []
+        manager.close()         # a crash: no closing checkpoint
+        from repro.skyserver import SkyServer
+
+        reopened = SkyServer.open(root)
+        assert reopened.durability_statistics()["wal_records_since_checkpoint"] == 0
+        assert self._answer(reopened, ids) == expected
+        reopened.close()
+
+    def test_past_the_age_limit_it_checkpoints(self, tmp_path, monkeypatch):
+        from repro.engine import durable
+
+        root = tmp_path / "db"
+        server = self._server(root)
+        manager = server.database.durability
+        self._insert(server, 1)
+        now = manager.last_checkpoint_at + durable.CHECKPOINT_AGE_LIMIT
+        monkeypatch.setattr(durable.time, "time", lambda: now - 1.0)
+        assert server.checkpoint_if_due() is False
+        monkeypatch.setattr(durable.time, "time", lambda: now + 1.0)
+        assert server.checkpoint_if_due() is True
+        assert manager.records_since_checkpoint == 0
+        monkeypatch.undo()
+        server.close()
+
+    def test_every_shard_manager_follows_the_same_rules(self, tmp_path, small_limits):
+        root = tmp_path / "db"
+        server = self._server(root, shards=2)
+        managers = server._durability_managers()
+        assert len(managers) == 3                       # coordinator + 2 shards
+        ids = self._insert(server, 2 * self.RECORD_LIMIT)
+        pending = [manager.records_since_checkpoint for manager in managers]
+        written = [manager.checkpoints_written for manager in managers]
+        due = [count >= self.RECORD_LIMIT for count in pending]
+        assert any(due) and not all(due), pending
+        expected = self._answer(server, ids)
+        assert server.checkpoint_if_due() is True
+        for manager, was_pending, was_written, was_due in zip(
+                managers, pending, written, due):
+            assert manager.checkpoints_written == was_written + was_due
+            assert manager.records_since_checkpoint == (0 if was_due else was_pending)
+        assert server.checkpoint_if_due() is False      # each tail is short now
+        for manager in managers:
+            manager.close()     # a crash: shards not due replay their tails
+        from repro.skyserver import SkyServer
+
+        reopened = SkyServer.open(root)
+        assert self._answer(reopened, ids) == expected
+        reopened.close()
+
+
+# ---------------------------------------------------------------------------
 # One session class for both backends
 # ---------------------------------------------------------------------------
 

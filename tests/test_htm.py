@@ -174,6 +174,7 @@ class TestCovers:
 
         def measured_cover(region):
             visits.clear()
+            _cover_module()._memoised_cover.cache_clear()   # count a real descent
             return htm.cover(region, cover_depth=6), len(visits)
 
         wrapped, wrapped_visits = measured_cover(htm.RectangleEq(359.9, 0.1, -0.1, 0.1))
@@ -222,6 +223,13 @@ class TestCovers:
         assert htm.depth_for_radius(0.5) >= htm.depth_for_radius(30.0)
 
 
+def _cover_module():
+    """``repro.htm.cover`` the module (the package attribute is the function)."""
+    import importlib
+
+    return importlib.import_module("repro.htm.cover")
+
+
 class TestSharedMesh:
     """The process-wide mesh and circle memo behind ``cover``/``lookup_id``."""
 
@@ -246,7 +254,7 @@ class TestSharedMesh:
         def make_cold():
             for root in mesh.ROOT_NODES:
                 root._children = None
-            cover_module._memoised_circle_cover.cache_clear()
+            cover_module._memoised_cover.cache_clear()
 
         make_cold()
         expected = self.serial_answers()
@@ -272,6 +280,29 @@ class TestSharedMesh:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == [expected] * 8
+
+    def test_memoised_covers_equal_fresh_ones(self):
+        """One LRU keyed by (region, cover_depth, storage_depth) answers
+        rectangles (Q10's fGetObjFromRectEq) and circles alike: an equal
+        region's second cover is a memo hit, equal to the descent, and a
+        list of its own; a region that does not hash is covered afresh."""
+        cover_module = _cover_module()
+        memo = cover_module._memoised_cover
+        for make, depth in ((lambda: htm.RectangleEq(184.9, 185.1, -0.55, -0.45), 8),
+                            (lambda: htm.RectangleEq(359.9, 0.1, -0.1, 0.1), 6),
+                            (lambda: htm.Circle(185.0, -0.5, 1.0), 9)):
+            fresh = cover_module._descend(make(), depth, htm.DEFAULT_DEPTH)
+            first = htm.cover(make(), cover_depth=depth)
+            hits = memo.cache_info().hits
+            again = htm.cover(make(), cover_depth=depth)
+            assert memo.cache_info().hits == hits + 1
+            assert first == again == fresh
+            assert again is not first
+        vertices = [(184.8, -0.7), (185.2, -0.7), (185.2, -0.3), (184.8, -0.3)]
+        size = memo.cache_info().currsize
+        assert htm.cover(htm.Polygon(vertices), cover_depth=9) == \
+            cover_module._descend(htm.Polygon(vertices), 9, htm.DEFAULT_DEPTH)
+        assert memo.cache_info().currsize == size
 
     def test_mutating_a_returned_cover_does_not_reach_the_memo(self):
         first = htm.cover_circle(185.0, -0.5, 1.0)

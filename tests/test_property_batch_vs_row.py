@@ -20,7 +20,15 @@ shapes Figure 13's heavy joins take on a column store:
 Runtime join filters are off on both sides: by design they skip probe
 segments the row path scans, which changes ``rows_scanned``.
 
-A second suite covers the row-mode operators that read a batch chain
+A second suite covers the vector codegen's whole numeric subset: every
+numeric built-in, and column divisors of 0, -0.0, NaN, ints, floats and
+bools — the row path's NULL for a zero divisor — under AND, OR, NOT,
+CASE and IS NULL, before a conjunct that raises, and in projection and
+group-key positions.  The column store, a row store of the same rows
+and the interpreter must give ``repr``-identical rows or raise the same
+error.
+
+A third suite covers the row-mode operators that read a batch chain
 (``operators.input_rows``): ORDER BY — ascending and descending, over
 several keys, NULL-heavy and duplicate keys so ties show, mixed-case
 text — with and without TOP, and index nested-loop, nested-loop and
@@ -43,8 +51,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import (ColumnBatch, Database, Planner, PrimaryKey,  # noqa: E402
-                          bigint, compile_vector_projection, floating, integer,
-                          text)
+                          bigint, boolean, compile_vector_predicate,
+                          compile_vector_projection, floating, integer, text)
+from repro.engine.compile import conjunct_hazards  # noqa: E402
 from repro.engine.expressions import EvaluationContext  # noqa: E402
 from repro.engine.explain import plan_operators  # noqa: E402
 from repro.engine.segments import SEGMENT_ROWS  # noqa: E402
@@ -218,6 +227,206 @@ def test_math_codegen_only_for_the_builtins_themselves():
         values("sqrt(x)")
     shadowed = EvaluationContext(functions={"abs": lambda value: 42})
     assert values("abs(k)", shadowed) == ([42] * 4, None)
+
+
+# -- the codegen's numeric subset: built-ins and column divisors ---------------
+
+#: Every numeric built-in of one argument (``round``, ``power`` and
+#: ``atn2`` are drawn with their other arguments).
+UNARY_BUILTINS = ("abs", "sqrt", "square", "exp", "log", "log10", "floor",
+                  "ceiling", "sign", "sin", "cos", "tan", "asin", "acos", "atan",
+                  "radians", "degrees", "cast_int", "cast_float")
+
+#: NULL-free columns: ``k`` and ``d`` are the divisors (zeros of both
+#: signs, NaN), ``flag`` a boolean one; ``y`` holds no NaN.
+DIVISOR_COLUMNS = {
+    "i": (-7, -1, 0, 1, 3, 12),
+    "k": (0, 1, -3, 7, 2),
+    "x": (0.0, -0.0, 0.5, -2.5, 3.0, 1e300, math.nan),
+    "y": (0.0, -0.0, 1.5, -2.0, 4.0),
+    "d": (0.0, -0.0, math.nan, 1.5, -2.0, 4.0),
+    "flag": (True, False),
+}
+
+#: Divisors: columns of every tag, and expressions that can be zero.
+DIVISORS = ("k", "d", "x", "i", "flag", "(d - 1.5)", "(k - 1)", "abs(k)")
+
+
+def _build_divisors(seed: int, tail: int, dead: list[int]) -> dict[str, Database]:
+    """The same ``t`` (one sealed segment plus ``tail`` rows, tombstones)
+    in a column store and a row store, row ids alike."""
+    rng = random.Random(seed)
+    count = SEGMENT_ROWS + tail
+    rows = [{"id": row_id, **{name: rng.choice(palette)
+                              for name, palette in DIVISOR_COLUMNS.items()}}
+            for row_id in range(count)]
+    doomed = {position % count for position in dead}
+    databases = {}
+    for storage in ("column", "row"):
+        database = Database(f"divisors-{storage}")
+        table = database.create_table("t", [
+            bigint("id"), integer("i"), integer("k"), floating("x"),
+            floating("y"), floating("d"), boolean("flag"),
+        ], primary_key=PrimaryKey(["id"]), storage=storage)
+        table.insert_many(dict(row) for row in rows)
+        table.delete_where(lambda row: row["id"] in doomed)
+        database.analyze()
+        databases[storage] = database
+    return databases
+
+
+@st.composite
+def numeric_terms(draw, depth: int = 2):
+    """A numeric expression over ``t``: built-ins, divisions, arithmetic."""
+    if depth == 0 or draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(st.sampled_from(("i", "k", "x", "y", "d", "flag", "2", "0.5")))
+    inner = draw(numeric_terms(depth - 1))
+    kind = draw(st.sampled_from(("unary", "round", "power", "atn2", "/", "%",
+                                 "arith", "neg")))
+    if kind == "unary":
+        return f"{draw(st.sampled_from(UNARY_BUILTINS))}({inner})"
+    if kind == "round":
+        return draw(st.sampled_from((f"round({inner}, 1)", f"round({inner})")))
+    if kind in ("power", "atn2"):
+        other = draw(numeric_terms(depth - 1))
+        return f"{kind}({inner}, {other if kind == 'atn2' else 2})"
+    if kind in ("/", "%"):
+        return f"({inner} {kind} {draw(st.sampled_from(DIVISORS))})"
+    if kind == "neg":
+        return f"(-{inner})"
+    other = draw(numeric_terms(depth - 1))
+    return f"({inner} {draw(st.sampled_from(('+', '-', '*')))} {other})"
+
+
+@st.composite
+def divisor_predicates(draw, depth: int = 2):
+    """A predicate over ``t`` whose operands may divide by a column."""
+    term = draw(numeric_terms())
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from((
+            f"{term} > 1", f"{term} <= 0.5", f"{term} = 0", f"{term} <> 0",
+            f"{term} between 0 and 2", f"{term} in (0, 1, 2.5)",
+            f"{term} is null", f"{term} is not null",
+            f"x between {term} and {draw(numeric_terms())}",
+            f"(x / {draw(st.sampled_from(DIVISORS))}) > 1")))
+    left = draw(divisor_predicates(depth - 1))
+    right = draw(divisor_predicates(depth - 1))
+    return draw(st.sampled_from((
+        f"({left} and {right})", f"({left} or {right})", f"(not {left})",
+        # The row path's AND evaluates this conjunct after a NULL; it
+        # raises for negative x.
+        f"({left} and sqrt(x) >= 0)",
+        f"(case when {left} then 1 else 0 end) = 1")))
+
+
+@st.composite
+def divisor_statements(draw):
+    """One statement; a single drawn expression in it may raise, so the
+    row path and the batch engine meet the same error first."""
+    shape = draw(st.sampled_from(("where", "project", "group")))
+    if shape == "where":
+        return f"select id from t where {draw(divisor_predicates())}"
+    if shape == "project":
+        return f"select id, {draw(numeric_terms())} as v from t where i <> 3"
+    # Group keys divide, so no stored NaN object passes through unchanged
+    # (a row store's rows share one; computed ones never do).
+    key = (f"({draw(st.sampled_from(('i', 'k', 'y', 'flag')))} "
+           f"{draw(st.sampled_from(('/', '%')))} {draw(st.sampled_from(DIVISORS))})")
+    key = draw(st.sampled_from((key, f"floor({key})", f"round({key}, 1)",
+                                f"sign({key})", f"abs({key})")))
+    return f"select {key} as g, count(*) as n from t group by {key}"
+
+
+def _divisor_outcomes(databases: dict[str, Database], sql: str):
+    """(column store, row store, column store interpreted); rows only —
+    a column-free predicate may scan the row store's primary key."""
+    column = Planner(databases["column"]).plan(parse_select(sql))
+    row = Planner(databases["row"]).plan(parse_select(sql))
+    return tuple(outcome[:2] if outcome[0] == "rows" else outcome
+                 for outcome in (_run(column), _run(row),
+                                 _run(column, compiled=False)))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       tail=st.integers(min_value=1, max_value=200),
+       dead=st.lists(st.integers(min_value=0, max_value=SEGMENT_ROWS + 200),
+                     max_size=30),
+       statements=st.lists(divisor_statements(), min_size=1, max_size=8))
+@settings(max_examples=12, deadline=None)
+def test_divisors_and_builtins_answer_as_the_row_store(seed, tail, dead, statements):
+    databases = _build_divisors(seed, tail, dead)
+    for sql in statements:
+        column, row, interpreted = _divisor_outcomes(databases, sql)
+        assert column == row == interpreted, sql
+
+
+def test_divisor_and_builtin_shapes_vectorize():
+    """Fig. 13's shapes compile to generated loops — Q15B's and Q4's
+    column divisors, Q2's ``log10``, Q7's ``round`` — and so do IS NULL
+    of a divisor and every numeric built-in; what would show False for
+    the row path's NULL falls back to the row view."""
+    databases = _build_divisors(seed=11, tail=40, dead=[2, 4100])
+    database = databases["column"]
+    table = database.table("t")
+    evaluation = EvaluationContext()
+
+    def fallback(sql, predicate=True):
+        expression = parse_expression(sql)
+        if predicate:
+            fn = compile_vector_predicate(expression, evaluation, table, "t")
+        else:
+            fn, _tag = compile_vector_projection(expression, evaluation, table, "t")
+        return getattr(fn, "row_fallback", False)
+
+    for sql in ("x / d > 1.5 and y > 2.0", "i / k > 1.3 or flag",
+                "y + 2.5 * log10(2 * 3.1415927 * y * y + 0.0001) between 23 and 25",
+                "(i / k) is null", "not ((y % d) is not null)",
+                "power(x, 2) + power(y, 2) > 0.111111 and x / d > 1.5",
+                *(f"{name}(x) > 0" for name in UNARY_BUILTINS),
+                "round(x, 1) > 0", "atn2(x, y) > 0"):
+        assert not fallback(sql), sql
+    for sql in ("x / d", "i / k", "round(x - y, 1)", "i % k", "sign(x)"):
+        assert not fallback(sql, predicate=False), sql
+    for sql in ("not (x / d > 1)", "x / d > 1 and sqrt(x) >= 0",
+                "sqrt(x) / d > 1", "(x / d > 1) is null", "sign(x) / 2 > 0",
+                "round(x, i / k) > 0"):
+        assert fallback(sql), sql
+    assert fallback("x / d > 1", predicate=False)
+    # A raising operand is still evaluated under IS NULL, and BETWEEN
+    # bounds that may raise keep the row path's evaluation order.
+    assert not fallback("sqrt(x) is not null")
+    assert fallback("x between 0 and sqrt(y)")
+    for sql in ("select id from t where sqrt(x) is not null",
+                "select id from t where x between 3 and sqrt(x)"):
+        outcomes = _divisor_outcomes(databases, sql)
+        assert outcomes[0] == outcomes[1] == outcomes[2], sql
+        assert outcomes[0][:2] == ("error", "ValueError"), sql
+    plan = Planner(database).plan(parse_select(
+        "select i / k as q, round(x - y, 1) as r from t where x / d > 1.5"))
+    statistics = plan.execute().statistics
+    assert statistics.batches_processed > 0
+    assert statistics.vector_fallbacks == 0
+    assert "vector fallbacks=0" in plan.explain()
+    plan = Planner(database).plan(parse_select(
+        "select id from t where not (x / d > 1)"))
+    assert plan.execute().statistics.vector_fallbacks == 1
+
+
+def test_divisor_conjuncts_report_may_be_null():
+    """Zone skips read these: a column divisor may be NULL, a built-in
+    other than abs/square may raise."""
+    table = _build_divisors(seed=11, tail=40, dead=[])["column"].table("t")
+    evaluation = EvaluationContext()
+
+    def hazards(sql):
+        return conjunct_hazards(parse_expression(sql), evaluation, table, "t")
+
+    assert hazards("x / d > 1") == (False, True)
+    assert hazards("(i % k) is null") == (False, True)
+    assert hazards("x / 2 > 1") == (False, False)
+    assert hazards("abs(x) > 1") == (False, False)
+    assert hazards("log10(y) > 1") == (True, False)
+    assert hazards("sqrt(x) / d > 1") == (True, True)
 
 
 # -- row-mode consumers of batch chains ---------------------------------------

@@ -237,6 +237,73 @@ def test_dict_equality_filters_run_without_decoding():
 
 
 # ---------------------------------------------------------------------------
+# Gathers by row id read what get() reads, in the order asked
+# ---------------------------------------------------------------------------
+
+#: One sealed segment per forced layout (delta takes the integer
+#: columns; the others fall back to plain), then the append tail.
+GATHER_LAYOUTS = ("plain", "dict", "rle", "delta")
+
+
+@pytest.fixture(scope="module")
+def gather_store():
+    """A column store whose segments are sealed plain, dict, RLE and
+    delta, plus a tail; NULLs in ``mag`` and ``band``, tombstones in
+    every unit."""
+    rng = random.Random(37)
+    database = Database("gather")
+    table = database.create_table("obj", [
+        bigint("objid"), floating("mag", nullable=True), integer("run"),
+        text("band", nullable=True),
+    ], storage="column")
+    rows = [{"objid": index,
+             "mag": None if rng.random() < 0.1 else rng.choice((14.5, -0.0, 21.25)),
+             "run": index % 7,
+             "band": None if (index // 300) % 5 == 2 else BANDS[(index // 64) % 5]}
+            for index in range(SEGMENT_ROWS * len(GATHER_LAYOUTS) + 500)]
+    for position, layout in enumerate(GATHER_LAYOUTS):
+        with _forced(layout):
+            table.insert_many(rows[position * SEGMENT_ROWS:(position + 1) * SEGMENT_ROWS])
+    table.insert_many(rows[SEGMENT_ROWS * len(GATHER_LAYOUTS):])
+    storage = table.storage
+    for row_id in rng.sample(range(len(rows)), 400):
+        storage.delete(row_id)
+    encodings = {(segment.encoding_of("objid"), segment.encoding_of("band"))
+                 for segment in storage.segments()}
+    assert {"plain", "dict", "rle", "delta"} <= {name for pair in encodings
+                                                 for name in pair}
+    assert any(segment.masks for segment in storage.segments())
+    return storage
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       size=st.sampled_from((0, 1, 5, 120, 900, 3000, 20000)),
+       window=st.sampled_from(((0, 1), (0, 5), (3, 5), (1, 3), (4, 5))),
+       order=st.sampled_from(("shuffled", "sorted", "reversed")))
+def test_gather_reads_what_get_reads(gather_store, seed, size, window, order):
+    """Row ids over any units — unsorted, repeated, dead or out of
+    range, sparse (read per id) or dense (units read whole) — gather
+    exactly the live ones, in the order given, valued as ``get``."""
+    storage = gather_store
+    rng = random.Random(seed)
+    low, high = window[0] * SEGMENT_ROWS - 2, min(window[1] * SEGMENT_ROWS,
+                                                  len(storage)) + 2
+    ids = [rng.randrange(low, high) for _ in range(size)]
+    if order != "shuffled":
+        ids.sort(reverse=order == "reversed")
+    live, columns = storage.gather(ids)
+    assert live == [row_id for row_id in ids if storage.get(row_id) is not None]
+    names = ("objid", "mag", "run", "band")
+    for name in names:
+        assert _exact(columns[name]) == _exact([storage.get(row_id)[name]
+                                                for row_id in live]), name
+    for position in range(0, len(live), max(1, len(live) // 7)):
+        assert _exact(columns.row(position, names)) == \
+            _exact(storage.get(live[position], names))
+
+
+# ---------------------------------------------------------------------------
 # Regression: segment-boundary DELETE, then vacuum re-seals the zones
 # ---------------------------------------------------------------------------
 
