@@ -14,13 +14,13 @@ import sys
 
 from repro.bench import QueryTimingTable, Timing, ascii_series
 from repro.pipeline import SurveyConfig
-from repro.skyserver import SkyServer
+from repro.skyserver import ServerConfig, SkyServer
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.001
     print(f"Building a synthetic SkyServer at scale {scale} of the Early Data Release...")
-    server, _output = SkyServer.from_survey(SurveyConfig(scale=scale, seed=2002))
+    server = SkyServer.create(ServerConfig(survey=SurveyConfig(scale=scale, seed=2002)))
 
     print("Running the 20 data-mining queries (plus the Q10A/Q15A/Q15B variants)...\n")
     executions = server.run_all_data_mining_queries()

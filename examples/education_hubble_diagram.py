@@ -8,14 +8,14 @@ Run with::
 from __future__ import annotations
 
 from repro.pipeline import SurveyConfig
-from repro.skyserver import (SkyServer, hubble_diagram, old_time_astronomy_targets,
-                             project_catalog)
+from repro.skyserver import (ServerConfig, SkyServer, hubble_diagram,
+                             old_time_astronomy_targets, project_catalog)
 
 
 def main() -> None:
     print("Building the classroom SkyServer ...")
-    server, _output = SkyServer.from_survey(
-        SurveyConfig(scale=0.0006, seed=6, density_per_sq_deg=9000.0))
+    server = SkyServer.create(ServerConfig(
+        survey=SurveyConfig(scale=0.0006, seed=6, density_per_sq_deg=9000.0)))
 
     print("\nThe education project catalog (audience ladder of §6):")
     for entry in project_catalog():

@@ -8,13 +8,14 @@ Run with::
 from __future__ import annotations
 
 from repro.pipeline import SurveyConfig
-from repro.skyserver import SkyServer, extract_personal_skyserver, render_grid
+from repro.skyserver import (ServerConfig, SkyServer, extract_personal_skyserver,
+                             render_grid)
 
 
 def main() -> None:
     print("Building the full (reproduction-scale) public SkyServer ...")
-    public, _output = SkyServer.from_survey(
-        SurveyConfig(scale=0.0006, seed=4, density_per_sq_deg=9000.0))
+    public = SkyServer.create(ServerConfig(
+        survey=SurveyConfig(scale=0.0006, seed=4, density_per_sq_deg=9000.0)))
     full_stats = public.site_statistics()
     print(f"  total size: {full_stats['total_bytes'] / 1e6:.1f} MB")
 

@@ -13,16 +13,16 @@ own Query 1 — and renders results in the public output formats.
 from __future__ import annotations
 
 from repro.pipeline import SurveyConfig
-from repro.skyserver import SkyServer, render_grid
+from repro.skyserver import ServerConfig, SkyServer, render_grid
 from repro.skyserver.queries import QUERY_1_SQL
 
 
 def main() -> None:
     print("Generating and loading a synthetic SDSS data release "
           "(about 1/2000 of the real Early Data Release)...")
-    server, output = SkyServer.from_survey(
-        SurveyConfig(scale=0.0005, seed=1, density_per_sq_deg=8000.0))
-    summary = output.summary()
+    server = SkyServer.create(ServerConfig(
+        survey=SurveyConfig(scale=0.0005, seed=1, density_per_sq_deg=8000.0)))
+    summary = server.survey_output.summary()
     print(f"  fields: {summary['fields']}, photo objects: {summary['photo_objects']}, "
           f"spectra: {summary['spectra']}, primary fraction: {summary['primary_fraction']:.1%}")
 

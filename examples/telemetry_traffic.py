@@ -22,7 +22,8 @@ import random
 import sys
 
 from repro.pipeline import SurveyConfig
-from repro.skyserver import SkyServer, query_by_id, all_query_ids
+from repro.skyserver import (ServerConfig, SkyServer, all_query_ids,
+                             query_by_id)
 from repro.telemetry import TRACER, render_trace
 
 
@@ -31,7 +32,7 @@ def main() -> None:
     total = int(sys.argv[2]) if len(sys.argv) > 2 else 60
 
     print(f"Building a synthetic SkyServer at scale {scale}...")
-    server, _output = SkyServer.from_survey(SurveyConfig(scale=scale, seed=2002))
+    server = SkyServer.create(ServerConfig(survey=SurveyConfig(scale=scale, seed=2002)))
     pool = server.start_pool(workers=4)
 
     # A Zipf mix over the queries that need no placeholder substitution:

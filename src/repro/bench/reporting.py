@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 
 @dataclass
@@ -16,16 +16,6 @@ class ComparisonRow:
     measured_value: Any
     unit: str = ""
     note: str = ""
-
-    def ratio(self) -> Optional[float]:
-        try:
-            paper = float(self.paper_value)
-            measured = float(self.measured_value)
-        except (TypeError, ValueError):
-            return None
-        if paper == 0:
-            return None
-        return measured / paper
 
 
 @dataclass

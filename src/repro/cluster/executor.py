@@ -40,6 +40,7 @@ import dataclasses
 import heapq
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Sequence
 
 from ..engine.compile import (Layout, VectorCompileError, VectorExpression,
@@ -66,7 +67,7 @@ from ..telemetry.trace import TRACER
 from .planner import (ClusterPlan, ClusterPlanner, CoPartitionedJoinPlan,
                       FallbackPlan, FragmentRelation, SingleTablePlan,
                       candidate_shards)
-from .shard import ShardCluster
+from .shard import ShardCluster, ShardNode
 
 #: The scan counters a fragment's statistics add to the query's.
 _FRAGMENT_COUNTERS = (
@@ -74,6 +75,9 @@ _FRAGMENT_COUNTERS = (
     "exprs_compiled", "segments_scanned", "segments_skipped",
     "runtime_filter_segments_pruned", "runtime_filter_rows_pruned",
     "vector_fallbacks")
+
+#: The most pool workers one scatter leases (one per shard below it).
+MAX_FRAGMENT_WORKERS = 8
 
 
 class ClusterPlanHandle:
@@ -139,23 +143,21 @@ def _extremes_tie(plan, fragments: Sequence[_Fragment]) -> bool:
 class ClusterExecutor:
     """Runs cluster plans over the shard pool and merges the streams."""
 
-    def __init__(self, cluster: ShardCluster, *,
-                 max_workers: Optional[int] = None,
-                 simulated_scan_mbps: Optional[float] = None):
+    def __init__(self, cluster: ShardCluster):
         self.cluster = cluster
         #: Shard fragments run on the process-wide shared worker pool,
         #: which every cluster leases from, so several clusters under a
         #: concurrent serving workload cannot oversubscribe the
-        #: machine.  ``max_workers`` bounds this executor's lease
-        #: request, not a private pool.  The engine itself executes
-        #: each fragment serially.
+        #: machine.  The lease asks for one worker per shard, at most
+        #: ``MAX_FRAGMENT_WORKERS``.  The engine itself executes each
+        #: fragment serially.
         from ..engine.parallel import get_worker_pool
 
         self._pool = get_worker_pool()
-        self._fragment_workers = max_workers or max(
-            1, min(cluster.shard_count, 8))
+        self._fragment_workers = max(
+            1, min(cluster.shard_count, MAX_FRAGMENT_WORKERS))
         #: Per-shard simulated sequential-scan bandwidth (MB/s); None = off.
-        self.simulated_scan_mbps = simulated_scan_mbps
+        self.simulated_scan_mbps: Optional[float] = None
         self._mutex = threading.Lock()
         self.distributed_queries = 0
         self.copartitioned_queries = 0
@@ -180,6 +182,9 @@ class ClusterExecutor:
                      row_limit: Optional[int] = None,
                      time_limit_seconds: Optional[float] = None) -> QueryResult:
         assert not isinstance(plan, FallbackPlan)
+        # One release for the whole scatter: a flip while fragments run
+        # must not hand the later shards the next release's data.
+        release = self.cluster.release
         evaluation = self.cluster.coordinator.evaluation_context(variables)
         if isinstance(plan, SingleTablePlan):
             relations = [plan.relation]
@@ -188,11 +193,12 @@ class ClusterExecutor:
             assert isinstance(plan, CoPartitionedJoinPlan)
             relations = [plan.drive, plan.inner]
             self._count(copartitioned_queries=1)
-        survivors = set(range(self.cluster.shard_count))
+        survivors = set(range(release.shard_count))
         for relation in relations:
-            survivors &= candidate_shards(self.cluster, relation, evaluation)
-        pruned = self.cluster.shard_count - len(survivors)
+            survivors &= candidate_shards(release, relation, evaluation)
+        pruned = release.shard_count - len(survivors)
         self._count(fragments_pruned=pruned, fragments_executed=len(survivors))
+        nodes = [release.shards[shard_id] for shard_id in sorted(survivors)]
 
         started = time.perf_counter()
         # Fragments run on pool threads where this thread's span stack
@@ -202,18 +208,18 @@ class ClusterExecutor:
         parent_span = tracer.current() if tracer.enabled else None
         with self._pool.lease(self._fragment_workers) as grant:
             fragments = list(grant.ordered_map(
-                lambda shard_id: self._run_fragment(shard_id, plan, variables,
-                                                    parent_span=parent_span),
-                sorted(survivors)))
+                lambda shard: self._run_fragment(shard, plan, variables,
+                                                 parent_span=parent_span),
+                nodes))
             if (plan.is_aggregate and plan.aggregate_mode == "partial"
                     and _extremes_tie(plan, fragments)):
                 # Partials merge in shard order; the first row's value
                 # needs the inputs folded in merged (scan) order.
                 plan = dataclasses.replace(plan, aggregate_mode="ordered")
                 fragments = list(grant.ordered_map(
-                    lambda shard_id: self._run_fragment(
-                        shard_id, plan, variables, parent_span=parent_span),
-                    sorted(survivors)))
+                    lambda shard: self._run_fragment(
+                        shard, plan, variables, parent_span=parent_span),
+                    nodes))
 
         statistics = ExecutionStatistics()
         for fragment in fragments:
@@ -262,22 +268,21 @@ class ClusterExecutor:
 
     # -- fragment execution (runs on the pool, one call per shard) ---------
 
-    def _run_fragment(self, shard_id: int, plan: ClusterPlan,
+    def _run_fragment(self, shard: ShardNode, plan: ClusterPlan,
                       variables: dict[str, Any],
                       parent_span=None) -> _Fragment:
         tracer = TRACER
         if tracer.enabled:
             with tracer.span("fragment", parent=parent_span,
-                             shard=shard_id) as span:
-                fragment = self._run_fragment_inner(shard_id, plan, variables)
+                             shard=shard.shard_id) as span:
+                fragment = self._run_fragment_inner(shard, plan, variables)
                 span.attributes["rows_scanned"] = (
                     fragment.statistics.rows_scanned)
                 return fragment
-        return self._run_fragment_inner(shard_id, plan, variables)
+        return self._run_fragment_inner(shard, plan, variables)
 
-    def _run_fragment_inner(self, shard_id: int, plan: ClusterPlan,
+    def _run_fragment_inner(self, shard: ShardNode, plan: ClusterPlan,
                             variables: dict[str, Any]) -> _Fragment:
-        shard = self.cluster.shards[shard_id]
         fragment = _Fragment()
         # The engine's scans account into this context's statistics; the
         # cluster's own per-shard disk model is _simulate_io below.
@@ -293,8 +298,6 @@ class ClusterExecutor:
             assert isinstance(plan, CoPartitionedJoinPlan)
             drive = shard.table(plan.drive.table_name)
             inner = shard.table(plan.inner.table_name)
-            from ..engine.concurrency import read_locks
-
             with read_locks([drive, inner]):
                 self._run_join(shard, plan, context, fragment)
         self._simulate_io(fragment.statistics.bytes_scanned)
@@ -769,8 +772,9 @@ class ClusterExecutor:
         """
         from .shard import prune_with_statistics
 
-        placement = self.cluster.placement("PhotoObj")
-        candidates = set(range(self.cluster.shard_count))
+        release = self.cluster.release
+        placement = release.placement("PhotoObj")
+        candidates = set(range(release.shard_count))
         spans = [(r.low, r.high) for r in ranges]
         if placement is not None and placement.column == "htmid":
             candidates &= placement.prune_ranges(spans)
@@ -780,24 +784,24 @@ class ClusterExecutor:
         stats_survivors: set[int] = set()
         for low, high in spans:
             stats_survivors |= prune_with_statistics(
-                self.cluster, "PhotoObj", "htmid", low, high)
+                release, "PhotoObj", "htmid", low, high)
             if candidates <= stats_survivors:
                 break
         surviving = candidates & stats_survivors
         self._count(fragments_executed=len(surviving),
-                    fragments_pruned=self.cluster.shard_count - len(surviving))
+                    fragments_pruned=release.shard_count - len(surviving))
         rows: list[dict[str, Any]] = []
         with self._pool.lease(self._fragment_workers) as grant:
             for shard_rows in grant.ordered_map(
-                    lambda shard_id: self._shard_candidates(shard_id, ranges),
-                    sorted(surviving)):
+                    lambda shard: self._shard_candidates(shard, ranges),
+                    [release.shards[shard_id] for shard_id in sorted(surviving)]):
                 rows.extend(shard_rows)
         return rows
 
-    def _shard_candidates(self, shard_id: int, ranges) -> list[dict[str, Any]]:
+    @staticmethod
+    def _shard_candidates(shard: ShardNode, ranges) -> list[dict[str, Any]]:
         from ..skyserver.spatial import _candidate_rows
 
-        shard = self.cluster.shards[shard_id]
         table = shard.table("PhotoObj")
         with table.lock.read():
             return list(_candidate_rows(shard.database, ranges))
@@ -875,12 +879,6 @@ class ClusterExecutor:
                 "simulated_io_seconds": round(self.simulated_io_seconds, 6),
             }
 
-    def shutdown(self) -> None:
-        # The worker pool is process-global and shared with every other
-        # cluster, so tearing down one executor must not stop its
-        # threads.
-        pass
-
     # -- helpers -----------------------------------------------------------
 
     @staticmethod
@@ -916,11 +914,11 @@ class _StatementPlan:
 
     Either a distributed plan, which :meth:`ClusterExecutor.execute_plan`
     runs, or a fallback: gather the plan's tables into the coordinator,
-    then run the coordinator plan (made after the first gather) under
-    the read locks of the coordinator's copies.
+    then run the coordinator plan (made after the first gather of each
+    release) under the read locks of the coordinator's copies.
     """
 
-    __slots__ = ("session", "plan", "versions", "physical")
+    __slots__ = ("session", "plan", "versions", "physical", "planned_on")
 
     def __init__(self, session: "ClusterSession", plan: ClusterPlan):
         self.session = session
@@ -929,29 +927,32 @@ class _StatementPlan:
         #: tables at planning time: the cached plan holds only while
         #: they do.
         self.versions = session._table_versions(plan)
-        #: A fallback's coordinator plan.
+        #: A fallback's coordinator plan, and the release it was made on
+        #: (its operators hold that release's index objects).
         self.physical: Optional[PhysicalPlan] = None
+        self.planned_on = None
 
-    def _gathered(self) -> list:
-        """Gather the fallback's tables; returns the coordinator copies."""
+    @contextmanager
+    def _gathered(self) -> Iterator[PhysicalPlan]:
+        """Gather the fallback's tables and hold their coordinator copies'
+        read locks (:meth:`ShardCluster.gathered`); yields the coordinator
+        plan, made for the release the copies hold."""
         session = self.session
         names = session.cluster_planner.plan_tables(self.plan)
-        session.cluster.ensure_local(names)
-        if self.physical is None:
-            self.physical = session.planner.plan(self.plan.query)
-        database = session.database
-        return [database.table(name) for name in names
-                if database.has_table(name)]
+        with session.cluster.gathered(names) as release:
+            if self.physical is None or self.planned_on is not release:
+                self.physical = session.planner.plan(self.plan.query)
+                self.planned_on = release
+            yield self.physical
 
     def explain(self) -> str:
         plan = self.plan
         if not isinstance(plan, FallbackPlan):
             return self.session.cluster.executor.explain_plan(
                 plan, self.session.variables)
-        self._gathered()
-        assert self.physical is not None
-        return (f"Gather (fallback: {plan.reason}) -> coordinator plan:\n"
-                + self.physical.explain())
+        with self._gathered() as physical:
+            return (f"Gather (fallback: {plan.reason}) -> coordinator plan:\n"
+                    + physical.explain())
 
     def execute(self, variables: dict[str, Any], *,
                 row_limit: Optional[int] = None,
@@ -963,15 +964,8 @@ class _StatementPlan:
                 self.plan, variables, row_limit=row_limit,
                 time_limit_seconds=time_limit_seconds)
         executor._count(fallback_queries=1)
-        tables = self._gathered()
-        assert self.physical is not None
-        # Hold the coordinator copies' read locks through execution so a
-        # concurrent re-gather (which truncates) cannot be observed
-        # mid-flight.  The gather above completed first: never take
-        # these locks before gathering (read→write upgrades are
-        # forbidden).
-        with read_locks(tables):
-            return self.physical.execute(
+        with self._gathered() as physical:
+            return physical.execute(
                 variables, row_limit=row_limit,
                 time_limit_seconds=time_limit_seconds,
                 time_operators=time_operators)

@@ -218,9 +218,6 @@ class DerivedPlacement(Placement):
     def prune_equal(self, value: Any) -> set[int]:
         return {self.shard_of_value(value)}
 
-    def route_token(self) -> tuple:
-        return ("derived", self.shard_count, self.parent_table, self.column)
-
     def describe(self) -> dict[str, Any]:
         description = super().describe()
         description["parent"] = self.parent_table

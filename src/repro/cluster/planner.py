@@ -58,7 +58,7 @@ from ..engine.planner import (Planner, _cannot_raise, _RelationInfo,
                               collect_aggregates, qualify_columns)
 from ..engine.table import Table
 from .partition import colocated
-from .shard import ShardCluster, prune_with_statistics
+from .shard import ShardCluster, ShardRelease, prune_with_statistics
 
 #: Sentinel matching the engine planner's "not a plan-time constant".
 _UNKNOWN = object()
@@ -439,8 +439,8 @@ def constant_bound(expression: Optional[Expression], evaluation) -> Any:
     return _UNKNOWN if value is NULL else value
 
 
-def candidate_shards(cluster: ShardCluster, relation: FragmentRelation,
-                     evaluation) -> set[int]:
+def candidate_shards(cluster: ShardCluster | ShardRelease,
+                     relation: FragmentRelation, evaluation) -> set[int]:
     """Shards that can contribute rows to ``relation``'s fragment."""
     placement = cluster.placement(relation.table_name)
     candidates = set(range(cluster.shard_count))

@@ -32,10 +32,11 @@ import json
 import os
 import threading
 from array import array
+from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..engine import Database
-from ..engine.concurrency import lock_tables
+from ..engine.concurrency import lock_tables, read_locks
 from ..engine.durable import DurabilityManager, RecoveryError
 from ..engine.table import Table
 from ..engine.types import NULL
@@ -241,14 +242,39 @@ class ShardNode:
             yield sequences[row_id], row
 
 
+class ShardRelease:
+    """One data release's shard nodes and placement map, published as a
+    unit: a scatter reads :attr:`ShardCluster.release` once and prunes
+    and runs every fragment against it, so a release flip between two
+    fragments cannot mix releases.  It answers the cluster's
+    ``placement``/``shard_count``/``shards``/``coordinator`` reads, so
+    :func:`prune_with_statistics` and the planner's ``candidate_shards``
+    accept either."""
+
+    __slots__ = ("coordinator", "shards", "placements")
+
+    def __init__(self, coordinator: Database, shards: Sequence[ShardNode],
+                 placements: dict[str, Placement]):
+        self.coordinator = coordinator
+        self.shards = tuple(shards)
+        self.placements = placements
+
+    @property
+    def shard_count(self) -> int:
+        return len(self.shards)
+
+    def placement(self, table_name: str) -> Optional[Placement]:
+        return self.placements.get(table_name.lower())
+
+
 class ShardCluster:
     """N shard nodes, a placement map and the coordinator catalog."""
 
     def __init__(self, coordinator: Database, shards: Sequence[ShardNode],
                  placements: dict[str, Placement], scheme: str):
         self.coordinator = coordinator
-        self.shards = list(shards)
-        self.placements = placements
+        #: The serving release; :meth:`swap_release` replaces it whole.
+        self.release = ShardRelease(coordinator, shards, placements)
         self.scheme = scheme
         #: Per-table next global sequence number (monotonic).
         self._next_sequence: dict[str, int] = {}
@@ -421,11 +447,19 @@ class ShardCluster:
     # -- identity / versions ----------------------------------------------
 
     @property
+    def shards(self) -> tuple[ShardNode, ...]:
+        return self.release.shards
+
+    @property
+    def placements(self) -> dict[str, Placement]:
+        return self.release.placements
+
+    @property
     def shard_count(self) -> int:
-        return len(self.shards)
+        return self.release.shard_count
 
     def placement(self, table_name: str) -> Optional[Placement]:
-        return self.placements.get(table_name.lower())
+        return self.release.placement(table_name)
 
     def table_keys(self) -> list[str]:
         return sorted(self.placements)
@@ -466,9 +500,9 @@ class ShardCluster:
     def insert(self, table_name: str, values: dict[str, Any]) -> int:
         """Route one row to its shard; returns the shard id it landed on."""
         key = self.coordinator.table(table_name).name.lower()
-        placement = self.placements[key]
         row = {name.lower(): value for name, value in values.items()}
         with self._dml_lock:
+            placement = self.placements[key]
             shard = placement.shard_of(row)
             sequence = self._next_sequence.get(key, 0)
             self._next_sequence[key] = sequence + 1
@@ -532,6 +566,59 @@ class ShardCluster:
             self.gather_count += 1
             gathered += 1
         return gathered
+
+    def swap_release(self, fresh: "ShardCluster") -> None:
+        """Serve ``fresh``'s release from now on: its shard nodes and
+        placements become :attr:`release` in one assignment, and the
+        coordinator's tables take over its contents, under the DML,
+        gather and coordinator table locks.
+
+        A scatter that began on the old release keeps reading the old
+        shard nodes, which the swap leaves untouched.  A durable cluster
+        releases its WAL handles first and checkpoints the incoming
+        release into the same directory before DML resumes (the
+        manifest rename is the commit point, so a crash mid-swap
+        recovers the old release).
+        """
+        coordinator = self.coordinator
+        tables = [coordinator.table(name) for name in coordinator.table_names()]
+        with self._dml_lock:
+            durability = self.durability
+            if durability is not None:
+                self.close_durable()
+            with self._gather_lock, lock_tables(
+                    [(table, "write") for table in tables]):
+                coordinator.adopt_release(fresh.coordinator)
+                self.release = ShardRelease(coordinator, fresh.shards,
+                                            fresh.placements)
+                self.table_row_bytes = dict(fresh.table_row_bytes)
+                self._next_sequence = dict(fresh._next_sequence)
+                self._gathered.clear()
+                self.gather_invalidations += 1
+            if durability is not None:
+                self.make_durable(durability["path"],
+                                  fsync=durability["coordinator"].fsync)
+
+    @contextmanager
+    def gathered(self, table_names: Sequence[str]) -> Iterator[ShardRelease]:
+        """Gather ``table_names`` into the coordinator and hold their
+        copies' read locks for the block; yields the release they hold.
+
+        The locks keep a concurrent re-gather or release flip (both
+        replace the copies' contents) out until the block ends.  They
+        are taken after the gather, never before it (a read→write
+        upgrade is forbidden), so a flip that lands in between sends
+        the gather round again.
+        """
+        while True:
+            release = self.release
+            self.ensure_local(table_names)
+            tables = [self.coordinator.table(name) for name in table_names
+                      if self.coordinator.has_table(name)]
+            with read_locks(tables):
+                if self.release is release:
+                    yield release
+                    return
 
     def first_row(self, table_name: str) -> Optional[dict[str, Any]]:
         """The globally first row (sequence 0) of a table, if any."""
@@ -730,7 +817,7 @@ class ShardCluster:
         return payload
 
 
-def prune_with_statistics(cluster: ShardCluster, table_name: str,
+def prune_with_statistics(cluster: ShardCluster | ShardRelease, table_name: str,
                           column: str, low: Any, high: Any) -> set[int]:
     """Shards whose ANALYZE min/max for ``column`` intersect [low, high].
 

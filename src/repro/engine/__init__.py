@@ -27,9 +27,8 @@ from .expressions import (AggregateCall, Between, BinaryOp, CaseWhen, ColumnRef,
                           EvaluationContext, Expression, FunctionCall, InList,
                           Like, Literal, RowScope, Star, UnaryOp, Variable)
 from .index import BTreeIndex
-from .logical import (FunctionRef, Join, LogicalQuery, OrderItem, Query,
-                      SelectItem, TableRef, contains_variables,
-                      referenced_tables)
+from .logical import (FunctionRef, Join, LogicalQuery, OrderItem, SelectItem,
+                      TableRef, contains_variables, referenced_tables)
 from .operators import ExecutionStatistics, PhysicalPlan, QueryResult
 from .parallel import WorkerPool, get_worker_pool
 from .planner import Planner
@@ -69,7 +68,6 @@ __all__ = [
     "CheckConstraint",
     "BTreeIndex",
     "View",
-    "Query",
     "LogicalQuery",
     "SelectItem",
     "TableRef",

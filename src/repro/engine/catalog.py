@@ -2,10 +2,10 @@
 
 A :class:`Database` owns tables, views, indices (via tables), scalar
 and table-valued functions, and temporary result tables (the ``##name``
-tables the paper's queries SELECT INTO).  It also exposes the metadata
-browsing interface that SkyServerQA's object browser presents (tables,
-columns, types, units, indexes, constraints and comments) and the
-space-accounting summary used to reproduce Table 1.
+tables the paper's queries SELECT INTO).  It also exposes the
+space-accounting summary used to reproduce Table 1; SkyServerQA's object
+browser (:class:`repro.skyserver.QueryAnalyzer`) reads tables, columns,
+types, units, indexes, constraints and comments off it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import CatalogError
 from .expressions import EvaluationContext
 from .functions import FunctionRegistry
 from .stats import TableStatistics, collect_table_statistics
-from .table import Table
+from .table import Table, _default_clock
 from .types import Column
 from .view import ResolvedRelation, View, fold_view_chain
 
@@ -37,7 +37,7 @@ class Database:
         #: planner's cost-based optimizer reads them, ``ANALYZE`` and
         #: the loader write them.
         self.statistics: dict[str, TableStatistics] = {}
-        self._clock: Callable[[], _dt.datetime] = lambda: _dt.datetime.now(tz=_dt.timezone.utc)
+        self._clock: Callable[[], _dt.datetime] = _default_clock
         #: Bumped by every DDL change (tables, views, indexes, functions);
         #: caches of planned work are valid for the version they were
         #: built under — or any later one that :meth:`changed_since`
@@ -95,6 +95,33 @@ class Database:
         :meth:`ShardCluster.table_versions` gives per shard.  Any DML
         moves it; caches of results compare it before reuse."""
         return (self.table(name).modification_counter,)
+
+    def adopt_release(self, fresh: "Database") -> None:
+        """Serve ``fresh``'s rows, indexes and statistics from this
+        catalog's own table objects: a data-release flip.
+
+        Sessions, the serving pool and a cluster hold references to the
+        table objects and their locks, so only their contents move.
+        Tables ``fresh`` lacks (``##temp`` results, scratch) keep
+        theirs.  Every swapped table's modification counter ends
+        strictly above its old value, whatever either side saw, because
+        cached results and gathers validate against it; the schema
+        version bumps, so every cached plan is dropped.  The caller
+        holds every table's write lock.
+        """
+        for old in list(self.tables.values()):
+            if not fresh.has_table(old.name):
+                continue
+            new = fresh.table(old.name)
+            old.storage = new.storage
+            old._data_bytes = new._data_bytes
+            for index in new.indexes.values():
+                index.table = old
+            old.indexes = new.indexes
+            old.modification_counter += new.modification_counter + 1
+        self.statistics.clear()
+        self.statistics.update(fresh.statistics)
+        self.bump_schema_version()
 
     def _bump_epoch(self) -> None:
         with self._epoch_lock:
@@ -324,15 +351,3 @@ class Database:
 
     def total_bytes(self) -> int:
         return sum(entry["total_bytes"] for entry in self.size_report())
-
-    # -- schema browser -----------------------------------------------------------
-
-    def describe(self) -> dict[str, Any]:
-        """Full metadata tree (the SkyServerQA object browser's data source)."""
-        return {
-            "database": self.name,
-            "description": self.description,
-            "tables": [self.table(name).describe() for name in self.table_names()],
-            "views": [self.view(name).describe() for name in self.view_names()],
-            "functions": self.functions.describe(),
-        }

@@ -159,9 +159,6 @@ class ReadWriteLock:
 
     # -- introspection -----------------------------------------------------
 
-    def held_exclusively_by_me(self) -> bool:
-        return self._writer == threading.get_ident()
-
     def statistics(self) -> dict[str, int]:
         return {
             "read_acquisitions": self.read_acquisitions,

@@ -120,7 +120,3 @@ class ConstraintReport:
 
     def add(self, message: str) -> None:
         self.violations.append(message)
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
-        return f"{self.table}: {self.rows_checked} rows checked, {status}"

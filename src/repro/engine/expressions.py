@@ -59,19 +59,6 @@ class RowScope:
         self._rows[key] = row
         return self
 
-    def unbind(self, alias: str) -> None:
-        key = alias.lower()
-        if key in self._rows:
-            del self._rows[key]
-            self._order.remove(key)
-
-    def child(self) -> "RowScope":
-        """A copy that can be re-bound without disturbing the parent."""
-        clone = RowScope()
-        clone._rows = dict(self._rows)
-        clone._order = list(self._order)
-        return clone
-
     def lookup(self, name: str, qualifier: Optional[str] = None) -> Any:
         if qualifier:
             row = self._rows.get(qualifier.lower())
@@ -89,10 +76,6 @@ class RowScope:
                 if key.lower() == lowered:
                     return value
         raise UnknownColumnError(f"unknown column {name!r}")
-
-    def aliases(self) -> list[str]:
-        return list(self._order)
-
 
 # ---------------------------------------------------------------------------
 # AST nodes
@@ -656,11 +639,6 @@ _BUILTIN_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "cast_int": _strict(int),
     "cast_float": _strict(float),
 }
-
-
-def builtin_function_names() -> list[str]:
-    """Names of the built-in scalar functions (for the schema browser)."""
-    return sorted(_BUILTIN_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------

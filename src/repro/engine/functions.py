@@ -107,15 +107,6 @@ class FunctionRegistry:
 
     # -- lookup --------------------------------------------------------------
 
-    def scalar(self, name: str) -> ScalarFunction:
-        key = normalize_function_name(name)
-        if key not in self._scalar:
-            raise UnknownFunctionError(f"unknown scalar function {name!r}")
-        return self._scalar[key]
-
-    def has_scalar(self, name: str) -> bool:
-        return normalize_function_name(name) in self._scalar
-
     def table_valued(self, name: str) -> TableValuedFunction:
         key = normalize_function_name(name)
         if key not in self._table_valued:

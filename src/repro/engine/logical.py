@@ -1,20 +1,18 @@
-"""Logical query description and the programmatic query-builder API.
+"""Logical query description.
 
 A :class:`LogicalQuery` is the engine's internal, declarative statement
 of *what* to compute: select list, relations, join conditions, filters,
-grouping, ordering, TOP and SELECT INTO target.  It is produced either
-by the SQL binder (:mod:`repro.engine.sql`) or directly through the
-fluent :class:`Query` builder, and consumed by the planner which decides
-*how* to compute it (access paths, join order, join algorithms).
+grouping, ordering, TOP and SELECT INTO target.  It is produced by the
+SQL binder (:mod:`repro.engine.sql`) and consumed by the planner which
+decides *how* to compute it (access paths, join order, join algorithms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .expressions import (AggregateCall, ColumnRef, Expression, Literal, Star,
-                          Variable, combine_conjuncts)
+from .expressions import AggregateCall, ColumnRef, Expression, Variable
 
 
 @dataclass
@@ -97,20 +95,8 @@ class LogicalQuery:
     def all_relations(self) -> list[RelationRef]:
         return list(self.relations) + [join.relation for join in self.joins]
 
-    def has_aggregates(self) -> bool:
-        if self.group_by:
-            return True
-        return any(_contains_aggregate(item.expression) for item in self.select) or (
-            self.having is not None and _contains_aggregate(self.having))
-
     def output_names(self) -> list[str]:
         return [item.output_name(position) for position, item in enumerate(self.select)]
-
-
-def _contains_aggregate(expression: Expression) -> bool:
-    if isinstance(expression, AggregateCall):
-        return True
-    return any(_contains_aggregate(child) for child in expression.children())
 
 
 def _iter_expressions(query: LogicalQuery):
@@ -157,110 +143,3 @@ def contains_variables(query: LogicalQuery) -> bool:
         return any(walk(child) for child in expression.children())
 
     return any(walk(expression) for expression in _iter_expressions(query))
-
-
-class Query:
-    """Fluent builder for :class:`LogicalQuery`.
-
-    Example
-    -------
-    >>> query = (Query()
-    ...          .select(ColumnRef("objID"), (ColumnRef("distance", "GN"), "distance"))
-    ...          .from_table("Galaxy", "G")
-    ...          .join_function("fGetNearbyObjEq", [Literal(185.0), Literal(-0.5), Literal(1.0)],
-    ...                         alias="GN", on=BinaryOp("=", ColumnRef("objID", "G"),
-    ...                                                  ColumnRef("objID", "GN")))
-    ...          .where(...)
-    ...          .order_by(ColumnRef("distance"))
-    ...          .build())
-    """
-
-    def __init__(self) -> None:
-        self._query = LogicalQuery()
-
-    def select(self, *items: Union[Expression, tuple[Expression, str], str]) -> "Query":
-        for item in items:
-            if isinstance(item, tuple):
-                expression, alias = item
-                self._query.select.append(SelectItem(expression, alias))
-            elif isinstance(item, str):
-                if item == "*":
-                    self._query.select.append(SelectItem(Star()))
-                else:
-                    self._query.select.append(SelectItem(ColumnRef(item)))
-            else:
-                self._query.select.append(SelectItem(item))
-        return self
-
-    def select_star(self) -> "Query":
-        self._query.select.append(SelectItem(Star()))
-        return self
-
-    def distinct(self) -> "Query":
-        self._query.distinct = True
-        return self
-
-    def top(self, count: int) -> "Query":
-        self._query.top = int(count)
-        return self
-
-    def from_table(self, name: str, alias: Optional[str] = None) -> "Query":
-        self._query.relations.append(TableRef(name, alias))
-        return self
-
-    def from_function(self, name: str, args: Sequence[Union[Expression, Any]],
-                      alias: Optional[str] = None) -> "Query":
-        self._query.relations.append(FunctionRef(name, [_as_expression(a) for a in args], alias))
-        return self
-
-    def join(self, name: str, alias: Optional[str] = None, *,
-             on: Optional[Expression] = None) -> "Query":
-        self._query.joins.append(Join(TableRef(name, alias), on))
-        return self
-
-    def join_function(self, name: str, args: Sequence[Union[Expression, Any]],
-                      alias: Optional[str] = None, *,
-                      on: Optional[Expression] = None) -> "Query":
-        self._query.joins.append(
-            Join(FunctionRef(name, [_as_expression(a) for a in args], alias), on))
-        return self
-
-    def where(self, *predicates: Expression) -> "Query":
-        combined = combine_conjuncts(
-            ([self._query.where] if self._query.where is not None else []) + list(predicates))
-        self._query.where = combined
-        return self
-
-    def group_by(self, *expressions: Union[Expression, str]) -> "Query":
-        for expression in expressions:
-            self._query.group_by.append(_as_expression(expression, column=True))
-        return self
-
-    def having(self, predicate: Expression) -> "Query":
-        self._query.having = predicate
-        return self
-
-    def order_by(self, *keys: Union[Expression, str, tuple[Union[Expression, str], bool]]) -> "Query":
-        for key in keys:
-            if isinstance(key, tuple):
-                expression, descending = key
-                self._query.order_by.append(
-                    OrderItem(_as_expression(expression, column=True), descending))
-            else:
-                self._query.order_by.append(OrderItem(_as_expression(key, column=True)))
-        return self
-
-    def into(self, table_name: str) -> "Query":
-        self._query.into = table_name
-        return self
-
-    def build(self) -> LogicalQuery:
-        return self._query
-
-
-def _as_expression(value: Any, *, column: bool = False) -> Expression:
-    if isinstance(value, Expression):
-        return value
-    if column and isinstance(value, str):
-        return ColumnRef(value)
-    return Literal(value)

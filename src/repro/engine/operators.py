@@ -262,7 +262,11 @@ class PhysicalOperator:
         return ""
 
     def estimated_rows(self) -> int:
-        return 0
+        """The heuristic cardinality EXPLAIN shows where the planner set
+        no ``planner_rows`` (``enable_cbo=False``): an operator with one
+        child scales the child's; leaves and joins override it."""
+        (child,) = self.children()
+        return self.scale_rows(child.estimated_rows())
 
     def _emit(self, binding: Binding) -> Binding:
         self.actual_rows += 1
@@ -1002,10 +1006,6 @@ class FilterOp(PhysicalOperator):
     def scale_rows(self, child_rows: int) -> int:
         return max(1, child_rows // 3)
 
-    def estimated_rows(self) -> int:
-        return self.scale_rows(self.child.estimated_rows())
-
-
 # -- batch sources: scans, seeks and their filters ----------------------------
 
 def _zone_predicates(enabled: bool, *fns) -> list:
@@ -1566,9 +1566,6 @@ class SortOp(PhysicalOperator):
             f"{expression.sql()}{' DESC' if descending else ''}"
             for expression, descending in self.keys)
 
-    def estimated_rows(self) -> int:
-        return self.child.estimated_rows()
-
 
 class _SortKey:
     """Orders values with NULLs first and mixed types safely; supports DESC.
@@ -1626,9 +1623,6 @@ class TopOp(PhysicalOperator):
 
     def scale_rows(self, child_rows: int) -> int:
         return min(self.count, child_rows)
-
-    def estimated_rows(self) -> int:
-        return self.scale_rows(self.child.estimated_rows())
 
 
 class GroupAggregate(PhysicalOperator):
@@ -1954,9 +1948,6 @@ class GroupAggregate(PhysicalOperator):
     def scale_rows(self, child_rows: int) -> int:
         return max(1, child_rows // 10) if self.group_by else 1
 
-    def estimated_rows(self) -> int:
-        return self.scale_rows(self.child.estimated_rows())
-
 
 def _zone_contributions(segment, specs) -> Optional[list]:
     """Per-aggregate ``partial_state`` tuples read off a segment's zone maps.
@@ -2135,6 +2126,8 @@ class ProjectOp(PhysicalOperator):
     ``FilterOp``s) and every expression compiles in direct-row mode, the
     scan, filters and projection fuse into one tight loop over the
     table's row dicts — no per-row RowScope or binding-dict churn.
+    The operators above a projection (top, distinct, insert) bind no
+    expressions, so it declares no :meth:`layout` of its own.
     """
 
     label = "Compute Scalar"
@@ -2177,22 +2170,6 @@ class ProjectOp(PhysicalOperator):
                 else:
                     output[name] = value_fn(binding)
             yield self._emit({**binding, OUTPUT_BINDING: output})
-
-    def layout(self) -> Layout:
-        """The projected row only: it is all that every execution path
-        (general, fused, vectorized) emits and all that the operators
-        above a projection read."""
-        child_layout = self.child.layout()
-        names: list[str] = []
-        for position, item in enumerate(self.items):
-            if isinstance(item.expression, Star):
-                qualifier = (item.expression.qualifier or "").lower()
-                for binding_key, columns in child_layout:
-                    if binding_key != OUTPUT_BINDING and qualifier in ("", binding_key.lower()):
-                        names.extend(columns.values())
-            else:
-                names.append(item.output_name(position))
-        return ((OUTPUT_BINDING, row_keys(names)),)
 
     def batches_over(self, shape: BatchShape) -> bool:
         """Whether every select item runs over ``shape``'s batches: a
@@ -2368,9 +2345,6 @@ class ProjectOp(PhysicalOperator):
     def details(self) -> str:
         return ", ".join(item.expression.sql() for item in self.items)
 
-    def estimated_rows(self) -> int:
-        return self.child.estimated_rows()
-
 
 class DistinctOp(PhysicalOperator):
     """Duplicate elimination on the projected output row."""
@@ -2393,9 +2367,6 @@ class DistinctOp(PhysicalOperator):
                 continue
             seen.add(key)
             yield self._emit(binding)
-
-    def estimated_rows(self) -> int:
-        return self.child.estimated_rows()
 
 
 def _hashable(value: Any) -> Any:
@@ -2433,9 +2404,6 @@ class InsertIntoOp(PhysicalOperator):
 
     def details(self) -> str:
         return f"INTO {self.target}"
-
-    def estimated_rows(self) -> int:
-        return self.child.estimated_rows()
 
 
 def _create_table_for_rows(database: Database, name: str,

@@ -231,13 +231,6 @@ class _RelationInfo:
     local_conjuncts: list[Expression] = field(default_factory=list)
     estimated_rows: int = 0
 
-    @property
-    def display_name(self) -> str:
-        if self.kind == "function":
-            return self.function_name
-        assert self.table is not None
-        return self.table.name
-
 
 @dataclass
 class _PlannedAccessPath:

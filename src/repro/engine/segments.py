@@ -142,9 +142,6 @@ class DictColumn:
     def value_at(self, position: int) -> Any:
         return self.dictionary[self.codes[position]]
 
-    def code_at(self, position: int) -> int:
-        return self.codes[position]
-
     def encoded_bytes(self) -> int:
         return len(self.codes) + _logical_bytes(self.dictionary, self.dtype)
 
@@ -181,10 +178,6 @@ class RleColumn:
     def value_at(self, position: int) -> Any:
         run = bisect_right(self.starts, position) - 1
         return self.dictionary[self.run_codes[run]]
-
-    def code_at(self, position: int) -> int:
-        run = bisect_right(self.starts, position) - 1
-        return self.run_codes[run]
 
     def encoded_bytes(self) -> int:
         return (len(self.starts) * self.starts.itemsize + len(self.run_codes)

@@ -181,17 +181,6 @@ class ColumnStatistics:
             within = 0.5
         return (position - 1 + max(0.0, min(1.0, within))) / buckets
 
-    def describe(self) -> dict[str, Any]:
-        return {
-            "column": self.column,
-            "distinct": self.distinct_count,
-            "null_fraction": round(self.null_fraction, 4),
-            "min": self.minimum,
-            "max": self.maximum,
-            "histogram_buckets": max(0, len(self.histogram_bounds) - 1),
-            "mcvs": len(self.mcvs),
-        }
-
 
 @dataclass
 class TableStatistics:
@@ -212,14 +201,6 @@ class TableStatistics:
 
     def is_stale(self, table: "Table") -> bool:
         return table.modification_counter != self.modification_counter
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "table": self.table,
-            "row_count": self.row_count,
-            "analyzed_at_modification": self.modification_counter,
-            "columns": {name: stats.describe() for name, stats in self.columns.items()},
-        }
 
 
 # ---------------------------------------------------------------------------

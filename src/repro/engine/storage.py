@@ -265,25 +265,6 @@ class _ColumnData:
         the column holds no NULL."""
         return self.get if self.null_count else self.values.__getitem__
 
-    def compact(self, keep: Sequence[int]) -> None:
-        """Rebuild the buffer with only the positions in ``keep``."""
-        old_values, old_mask = self.values, self.mask
-        if isinstance(old_values, array):
-            self.values = array(old_values.typecode,
-                                (old_values[i] for i in keep))
-        else:
-            self.values = [old_values[i] for i in keep]
-        self.mask = bytearray(old_mask[i] for i in keep)
-        self.null_count = sum(self.mask)
-
-    def clear(self) -> None:
-        if isinstance(self.values, array):
-            self.values = array(self.values.typecode)
-        else:
-            self.values = []
-        self.mask = bytearray()
-        self.null_count = 0
-
 
 class _Parts:
     """One atomically-published snapshot of a :class:`ColumnStore`.
@@ -839,9 +820,6 @@ class ColumnStore(TableStorage):
         for segment in parts.segments:
             total += segment.null_count(key)
         return total
-
-    def column_dtype(self, name: str) -> DataType:
-        return self._column_defs[name.lower()].dtype
 
     def live_positions(self, start: int, stop: int) -> list[int]:
         """Row ids of live rows in [start, stop) — a batch's selection vector."""

@@ -128,9 +128,6 @@ class Table:
     def column(self, name: str) -> Optional[Column]:
         return self._columns_by_name.get(name.lower())
 
-    def column_names(self) -> list[str]:
-        return [column.name for column in self.columns]
-
     def has_column(self, name: str) -> bool:
         return name.lower() in self._columns_by_name
 

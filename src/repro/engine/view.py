@@ -34,15 +34,6 @@ class View:
     columns: Sequence[str] = ()
     description: str = ""
 
-    def describe(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "base": self.base,
-            "predicate": self.predicate.sql() if self.predicate is not None else "",
-            "columns": list(self.columns),
-            "description": self.description,
-        }
-
 
 @dataclass
 class ResolvedRelation:
@@ -52,10 +43,6 @@ class ResolvedRelation:
     predicate: Optional[Expression]
     columns: Sequence[str]
     view_chain: list[str] = field(default_factory=list)
-
-    @property
-    def via_view(self) -> bool:
-        return bool(self.view_chain)
 
 
 def fold_view_chain(name: str, views: dict[str, View]) -> ResolvedRelation:

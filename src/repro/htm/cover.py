@@ -60,9 +60,6 @@ class HtmRange:
     low: int
     high: int
 
-    def contains(self, htm_id: int) -> bool:
-        return self.low <= htm_id <= self.high
-
     def __iter__(self) -> Iterator[int]:
         return iter((self.low, self.high))
 

@@ -80,9 +80,6 @@ class PciBus:
 
     max_mbps: float = PCI_64_33_MBPS
 
-    def bandwidth(self, offered_mbps: float) -> float:
-        return min(self.max_mbps, offered_mbps)
-
 
 @dataclass(frozen=True)
 class CpuModel:
@@ -107,11 +104,6 @@ class CpuModel:
                            predicate: bool = False) -> float:
         return self.max_mbps(predicate=predicate) * 1.0e6 / record_bytes
 
-    def clocks_per_byte(self, *, predicate: bool = False) -> float:
-        """Effective clocks per byte implied by the measured ceilings."""
-        clocks_per_second = self.ghz * 1.0e9 * self.processors * self.utilisation_at_ceiling
-        return clocks_per_second / (self.max_mbps(predicate=predicate) * 1.0e6)
-
     def utilisation(self, achieved_mbps: float, *, predicate: bool = False) -> float:
         """CPU fraction consumed while scanning at ``achieved_mbps``."""
         ceiling = self.max_mbps(predicate=predicate)
@@ -124,9 +116,6 @@ class Memory:
 
     single_thread_mbps: float = MEMORY_SINGLE_THREAD_MBPS
     multi_thread_read_mbps: float = MEMORY_MULTI_THREAD_READ_MBPS
-
-    def bandwidth(self) -> float:
-        return self.single_thread_mbps
 
 
 @dataclass(frozen=True)

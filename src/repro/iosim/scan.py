@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from ..engine import Database
 from .components import (NTFS_MAX_MBPS, PCI_64_33_MBPS, PCI_64_66_MBPS,
-                         ServerHardware, TAG_RECORD_BYTES)
+                         ServerHardware)
 from .config import DiskConfiguration, figure15_configurations
 
 
@@ -42,9 +42,6 @@ class BandwidthPrediction:
     def achieved_mbps(self) -> float:
         return self.sql_mbps
 
-    def records_per_second(self, record_bytes: float = TAG_RECORD_BYTES) -> float:
-        return self.achieved_mbps * 1.0e6 / record_bytes
-
 
 def predict_bandwidth(hardware: ServerHardware, configuration: DiskConfiguration, *,
                       predicate_scan: bool = False) -> BandwidthPrediction:
@@ -54,8 +51,7 @@ def predict_bandwidth(hardware: ServerHardware, configuration: DiskConfiguration
     controller_mbps = 0.0
     per_controller_offered: list[float] = []
     for attached in configuration.disks_per_controller():
-        offered = attached * hardware.disk.bandwidth()
-        limited = min(offered, hardware.controller.max_mbps)
+        limited = hardware.controller.bandwidth(attached, hardware.disk)
         per_controller_offered.append(limited)
         controller_mbps += limited
 

@@ -5,10 +5,10 @@ from .events import (LOAD_EVENTS_TABLE, LoadEvent, LoadEventLog, STATUS_FAILED,
                      ensure_load_events_table)
 from .imagepyramid import (PYRAMID_LEVELS, Tile, build_pyramid, decode_tile,
                            downsample, encode_tile, nonlinear_rgb,
-                           pyramid_for_field, render_field_image)
+                           render_field_image)
 from .loader import LoadReport, SkyServerLoader, load_release_database
 from .steps import LoadStep, LoadStepResult, steps_from_directory, steps_from_tables
-from .undo import undo_last_failed, undo_load_event, undo_time_window
+from .undo import undo_load_event, undo_time_window
 from .validate import ValidationIssue, ValidationReport, validate_database
 
 __all__ = [
@@ -29,13 +29,11 @@ __all__ = [
     "STATUS_UNDONE",
     "undo_load_event",
     "undo_time_window",
-    "undo_last_failed",
     "validate_database",
     "ValidationReport",
     "ValidationIssue",
     "Tile",
     "build_pyramid",
-    "pyramid_for_field",
     "render_field_image",
     "nonlinear_rgb",
     "downsample",

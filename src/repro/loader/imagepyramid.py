@@ -160,17 +160,3 @@ def build_pyramid(image: Image, *, levels: int = PYRAMID_LEVELS) -> list[Tile]:
         current = downsample(current)
         tiles.append(encode_tile(current, zoom))
     return tiles
-
-
-def pyramid_for_field(objects: Sequence[dict], field_row: dict, *,
-                      levels: int = PYRAMID_LEVELS,
-                      width: int = 128, height: int = 96) -> list[Tile]:
-    """Convenience wrapper: render a field's image and build its pyramid."""
-    image = render_field_image(
-        objects,
-        ra_min=field_row.get("ramin", field_row.get("raMin")),
-        ra_max=field_row.get("ramax", field_row.get("raMax")),
-        dec_min=field_row.get("decmin", field_row.get("decMin")),
-        dec_max=field_row.get("decmax", field_row.get("decMax")),
-        width=width, height=height)
-    return build_pyramid(image, levels=levels)

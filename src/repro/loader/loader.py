@@ -213,14 +213,6 @@ class SkyServerLoader:
         """The operations-interface UNDO button for one load step."""
         return undo_load_event(self.database, self.events, event_id)
 
-    def undo_failed_steps(self) -> int:
-        """Undo every failed step (most recent first); returns rows removed."""
-        removed = 0
-        for event in reversed(self.events.events()):
-            if event.status == STATUS_FAILED:
-                removed += self.undo(event.event_id)
-        return removed
-
     def load_events(self) -> list:
         """The loadEvents view the web operations page displays."""
         return self.events.events()

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..engine import Database
 from ..engine.errors import LoadError
-from .events import LoadEvent, LoadEventLog, STATUS_UNDONE
+from .events import LoadEventLog, STATUS_UNDONE
 
 #: Name of the insert-timestamp column every SkyServer table carries.
 TIMESTAMP_COLUMN = "inserttime"
@@ -63,13 +63,3 @@ def undo_load_event(database: Database, log: LoadEventLog, event_id: int, *,
                                event.start_time, event.end_time)
     log.mark_undone(event_id, message or f"undo removed {deleted} rows")
     return deleted
-
-
-def undo_last_failed(database: Database, log: LoadEventLog) -> Optional[LoadEvent]:
-    """Convenience: undo the most recent failed step, if any; returns it."""
-    failed = [event for event in log.events() if event.status == "failed"]
-    if not failed:
-        return None
-    latest = failed[-1]
-    undo_load_event(database, log, latest.event_id)
-    return latest

@@ -2,7 +2,7 @@
 
 from .crossmatch import CrossMatcher, CrossMatchOutput, MatchRates
 from .csvexport import export_tables, read_csv, write_csv
-from .deblend import (DEFAULT_BLEND_FRACTION, deblend_detections, deblend_family,
+from .deblend import (DEFAULT_BLEND_FRACTION, deblend_family,
                       primary_fraction, resolve_primaries)
 from .geometry import (FieldGeometry, SurveyGeometry, make_geometry,
                        overlap_fraction)
@@ -15,7 +15,7 @@ from .survey import (EDR_FIELD_COUNT, PipelineOutput, SurveyConfig,
                      SyntheticSurvey)
 from .targeting import (FIBERS_PER_PLATE, SCIENCE_FIBERS_PER_PLATE,
                         TARGET_FRACTION, PlateDesign, Target, design_plates,
-                        design_special_plate, select_targets)
+                        select_targets)
 
 __all__ = [
     "SyntheticSurvey",
@@ -37,7 +37,6 @@ __all__ = [
     "encode_field_id",
     "encode_spec_obj_id",
     "deblend_family",
-    "deblend_detections",
     "resolve_primaries",
     "primary_fraction",
     "DEFAULT_BLEND_FRACTION",
@@ -45,7 +44,6 @@ __all__ = [
     "PlateDesign",
     "select_targets",
     "design_plates",
-    "design_special_plate",
     "TARGET_FRACTION",
     "FIBERS_PER_PLATE",
     "SCIENCE_FIBERS_PER_PLATE",

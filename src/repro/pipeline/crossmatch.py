@@ -30,9 +30,6 @@ class CrossMatchOutput:
     rosat: list[dict] = field(default_factory=list)
     first: list[dict] = field(default_factory=list)
 
-    def counts(self) -> dict[str, int]:
-        return {"USNO": len(self.usno), "ROSAT": len(self.rosat), "FIRST": len(self.first)}
-
 
 @dataclass
 class MatchRates:

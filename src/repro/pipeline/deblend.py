@@ -38,59 +38,16 @@ def _recompute_position_columns(row: dict) -> None:
 DEFAULT_BLEND_FRACTION = 0.14
 
 
-def deblend_detections(detections: list[dict], *, rng: Optional[random.Random] = None,
-                       blend_fraction: float = DEFAULT_BLEND_FRACTION) -> list[dict]:
-    """Expand a list of detection rows with deblended children.
-
-    Parent rows are modified in place (BLENDED flag, nChild=2) and two
-    child rows per parent are appended.  Child objIDs reuse the parent's
-    field coordinates with fresh object numbers above the existing
-    range.  Returns the expanded list (parents + children + untouched
-    rows); the caller still owns primary/secondary marking.
-    """
-    rng = rng or random.Random(0)
-    next_obj_number = max((row["obj"] for row in detections), default=0) + 1
-    expanded = list(detections)
-    for row in detections:
-        if row["type"] != int(PhotoType.GALAXY) and rng.random() > 0.25:
-            # Blends are mostly around extended objects; stars blend less often.
-            continue
-        if rng.random() >= blend_fraction:
-            continue
-        row["flags"] |= int(PhotoFlags.BLENDED)
-        row["nChild"] = 2
-        for child_index in range(2):
-            child = dict(row)
-            child["obj"] = next_obj_number
-            child["objID"] = (row["objID"] & ~0xFFFF) | next_obj_number
-            next_obj_number += 1
-            child["parentID"] = row["objID"]
-            child["nChild"] = 0
-            child["flags"] = (row["flags"] & ~int(PhotoFlags.BLENDED)) | int(PhotoFlags.CHILD)
-            offset_scale = max(row["petroRad_r"], 1.0) / 3600.0
-            child["ra"] = row["ra"] + rng.gauss(0.0, offset_scale)
-            child["dec"] = row["dec"] + rng.gauss(0.0, offset_scale)
-            # Each child carries roughly half the parent's flux (0.75 mag fainter).
-            for key, value in list(child.items()):
-                if isinstance(key, str) and ("mag_" in key.lower()) and "err" not in key.lower():
-                    child[key] = value + 0.75 + rng.gauss(0.0, 0.1)
-            child["probPSF"] = min(1.0, max(0.0, rng.gauss(0.5, 0.3)))
-            if child_index == 1 and rng.random() < 0.5:
-                child["type"] = int(PhotoType.STAR)
-            expanded.append(child)
-    return expanded
-
-
 def deblend_family(row: dict, rng: random.Random, next_obj_number: int, *,
                    blend_fraction: float = DEFAULT_BLEND_FRACTION,
                    force: Optional[bool] = None) -> tuple[list[dict], int]:
     """Possibly deblend one detection into a parent plus two children.
 
     Returns ``(rows, next_obj_number)`` where rows is ``[row]`` when no
-    deblending happened or ``[parent, child, child]`` otherwise.  The
-    blend decision follows the same class-dependent probabilities as
-    :func:`deblend_detections`; pass ``force`` to override it (used by
-    tests and by the survey generator to keep blend statistics stable).
+    deblending happened or ``[parent, child, child]`` otherwise.  Extended
+    detections blend with probability ``blend_fraction``, stars with a
+    quarter of it; pass ``force`` to override the draw (used by tests and
+    by the survey generator to keep blend statistics stable).
     """
     should_blend = force
     if should_blend is None:

@@ -63,10 +63,6 @@ class FieldGeometry:
     def dec_center(self) -> float:
         return (self.dec_min + self.dec_max) / 2.0
 
-    @property
-    def area_sq_deg(self) -> float:
-        return (self.ra_max - self.ra_min) * (self.dec_max - self.dec_min)
-
     def contains(self, ra: float, dec: float) -> bool:
         return (self.ra_min <= ra < self.ra_max
                 and self.dec_min <= dec < self.dec_max)

@@ -64,10 +64,6 @@ class TrueObject:
     extinction_r: float = 0.05
     tag: str = ""                  # planted-population marker
 
-    @property
-    def ellipticity(self) -> float:
-        return 1.0 - self.axis_ratio
-
 
 @dataclass
 class PlantedPopulations:

@@ -60,16 +60,6 @@ class SpectroscopicOutput:
     xc_redshifts: list[dict] = field(default_factory=list)
     el_redshifts: list[dict] = field(default_factory=list)
 
-    def counts(self) -> dict[str, int]:
-        return {
-            "Plate": len(self.plates),
-            "SpecObj": len(self.spec_objs),
-            "SpecLine": len(self.spec_lines),
-            "SpecLineIndex": len(self.spec_line_indices),
-            "xcRedShift": len(self.xc_redshifts),
-            "elRedShift": len(self.el_redshifts),
-        }
-
 
 class SpectroscopicPipeline:
     """Simulates the 2D+1D spectroscopic reductions for a set of plates."""

@@ -6,18 +6,13 @@ selects roughly the Early Data Release's fraction of photometric
 objects for spectroscopy — bright primary galaxies (the main galaxy
 sample), colour-selected quasar candidates and a sprinkling of stars —
 and packs them onto plates of at most 640 fibers.
-
-The plate-drilling anecdote of §11 (designing special plates for
-under-sampled parameter space) is reproduced by
-:func:`design_special_plate`, which selects targets from an arbitrary
-query predicate instead of the standard targeting cuts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..schema.flags import PhotoFlags, PhotoType
 
@@ -166,31 +161,3 @@ def design_plates(targets: Sequence[Target], *, mjd_start: float = 51690.0,
             plate.targets.append((fiber, target))
         plates.append(plate)
     return plates
-
-
-def design_special_plate(photo_rows: Iterable[dict], predicate: Callable[[dict], bool],
-                         true_lookup: dict[int, object], *,
-                         max_targets: int = 1000,
-                         plate_number: int = 999,
-                         mjd: float = 52000.0,
-                         program: str = "special") -> PlateDesign:
-    """Design a special-purpose plate from an arbitrary selection predicate.
-
-    This reproduces the paper's closing anecdote: "by writing some SQL
-    and playing with the data, we were able to develop a drilling plan
-    in an evening" to obtain spectra of 1 000 galaxies from an
-    under-sampled region of colour space.
-    """
-    selected_rows = [row for row in photo_rows if predicate(row)][:max_targets]
-    targets = [_target_from_row(row, true_lookup) for row in selected_rows]
-    plate = PlateDesign(
-        plate_id=(plate_number << 20) | int(mjd),
-        plate_number=plate_number,
-        mjd=mjd,
-        ra=sum(t.ra for t in targets) / len(targets) if targets else 0.0,
-        dec=sum(t.dec for t in targets) / len(targets) if targets else 0.0,
-        program=program,
-    )
-    for fiber, target in enumerate(targets, start=1):
-        plate.targets.append((fiber, target))
-    return plate

@@ -8,8 +8,7 @@ from .flags import (BANDS, MAGNITUDE_KINDS, PhotoFlags, PhotoStatus, PhotoType,
                     register_flag_functions)
 from .indices import (MAX_KEY_COLUMNS, IndexDefinition, create_indices,
                       drop_indices, standard_indices)
-from .neighbors import (DEFAULT_RADIUS_ARCMIN, compute_neighbors,
-                        compute_neighbors_htm)
+from .neighbors import DEFAULT_RADIUS_ARCMIN, compute_neighbors
 from .photo import photo_tables
 from .spectro import spectro_tables
 from .views import register_views, standard_views
@@ -28,7 +27,6 @@ __all__ = [
     "IndexDefinition",
     "MAX_KEY_COLUMNS",
     "compute_neighbors",
-    "compute_neighbors_htm",
     "DEFAULT_RADIUS_ARCMIN",
     "PhotoFlags",
     "PhotoStatus",

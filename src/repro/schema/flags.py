@@ -11,7 +11,6 @@ same functions are registered into the engine here.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 
 class PhotoFlags(enum.IntFlag):
@@ -181,10 +180,3 @@ def register_flag_functions(database) -> None:
     database.register_scalar_function(
         "fPhotoFlagsN", fphoto_flags_describe,
         description="Names of the flags set in a flags word", replace=True)
-
-
-def magnitude_columns() -> Iterable[tuple[str, str, str]]:
-    """Yield (column, kind, band) for every magnitude column of PhotoObj."""
-    for kind in MAGNITUDE_KINDS:
-        for band in BANDS:
-            yield f"{kind}_{band}", kind, band

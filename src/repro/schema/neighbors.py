@@ -5,22 +5,17 @@ object the neighbors table contains a list of all other objects within
 ½ arcminute of the object (typically 10 objects).  This speeds
 proximity searches." (paper §9.1.1)
 
-Two builders are provided:
-
-* :func:`compute_neighbors` — a declination-band sweep that is linear
-  in the number of objects (how a production build would do it);
-* :func:`compute_neighbors_htm` — a per-object HTM cone search, the
-  straightforward-but-slower formulation used by the ablation benchmark
-  to quantify what the materialised table buys.
+:func:`compute_neighbors` builds it with a declination-band sweep that
+is linear in the number of objects (how a production build would do it).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..engine import Database
-from ..htm import arcmin_between, cover_circle, ranges_contain
+from ..htm import arcmin_between
 
 #: The paper's neighbourhood radius: half an arcminute.
 DEFAULT_RADIUS_ARCMIN = 0.5
@@ -98,54 +93,3 @@ def _ra_window(sorted_rows: list[dict], ra: float, window: float) -> Iterable[di
         high = bisect.bisect_right(ras, ra + window - 360.0)
         for position in range(0, high):
             yield sorted_rows[position]
-
-
-def compute_neighbors_htm(database: Database, *,
-                          radius_arcmin: float = DEFAULT_RADIUS_ARCMIN,
-                          limit_objects: Optional[int] = None,
-                          truncate: bool = True) -> int:
-    """Populate Neighbors via a per-object HTM cone search (ablation baseline).
-
-    This is the formulation a user would write without the materialised
-    table: for every object, compute the HTM cover of a half-arcminute
-    circle and probe the htmID index.  It produces identical pairs to
-    :func:`compute_neighbors` but costs one cover per object, which is
-    what the Neighbors ablation benchmark measures.
-    """
-    photo = database.table("PhotoObj")
-    neighbors = database.table("Neighbors")
-    if truncate:
-        neighbors.truncate()
-    htm_index = photo.find_index_on(["htmID"])
-    pairs: list[dict] = []
-    count = 0
-    for _row_id, row in photo.iter_rows():
-        if limit_objects is not None and count >= limit_objects:
-            break
-        count += 1
-        ranges = cover_circle(row["ra"], row["dec"], radius_arcmin)
-        candidate_ids: set[int] = set()
-        if htm_index is not None:
-            for htm_range in ranges:
-                for row_id in htm_index.range((htm_range.low,), (htm_range.high,)):
-                    candidate_ids.add(row_id)
-        else:
-            for row_id, candidate in photo.iter_rows():
-                if ranges_contain(ranges, candidate["htmid"]):
-                    candidate_ids.add(row_id)
-        for row_id in candidate_ids:
-            candidate = photo.get_row(row_id)
-            if candidate is None or candidate["objid"] == row["objid"]:
-                continue
-            distance = arcmin_between(row["ra"], row["dec"],
-                                      candidate["ra"], candidate["dec"])
-            if distance <= radius_arcmin:
-                pairs.append({
-                    "objID": row["objid"],
-                    "neighborObjID": candidate["objid"],
-                    "distance": distance,
-                    "neighborType": candidate["type"],
-                    "neighborMode": candidate["mode"],
-                })
-    neighbors.insert_many(pairs, database=database)
-    return len(pairs)

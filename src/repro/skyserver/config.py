@@ -1,8 +1,6 @@
 """Server configuration: one declarative object instead of kwarg soup.
 
-``SkyServer.from_survey`` historically grew a flag per feature
-(``columnar=``, ``shards=``, ``partition=``, ``analyze=``, ...), and every call site repeated the subset it
-cared about.  :class:`ServerConfig` groups the knobs by the subsystem
+:class:`ServerConfig` groups the server's knobs by the subsystem
 they steer — storage layout and durability, cluster partitioning,
 planner behaviour, the serving pool — and is what
 :meth:`SkyServer.create` consumes.  All sections are frozen
@@ -28,17 +26,13 @@ class StorageConfig:
     store.  ``path`` makes the server durable: segments checkpoint to
     an on-disk tree there and every DML statement is WAL-logged so a
     crash recovers to the last committed write.  ``fsync`` additionally
-    forces each WAL append to stable storage (slow; tests leave it off
+    forces each WAL append to stable storage (slow; most tests leave it off
     and rely on OS-crash-excluded torn-write semantics).
     """
 
     columnar: bool = False
     path: Optional[str] = None
     fsync: bool = False
-
-    @property
-    def durable(self) -> bool:
-        return self.path is not None
 
 
 @dataclass(frozen=True)
@@ -49,10 +43,6 @@ class ClusterConfig:
 
     shards: int = 1
     partition: str = "hash"
-
-    @property
-    def clustered(self) -> bool:
-        return self.shards > 1
 
 
 @dataclass(frozen=True)

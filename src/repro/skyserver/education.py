@@ -36,11 +36,6 @@ class HubblePoint:
         """The low-redshift approximation v = c·z the project uses."""
         return 299792.458 * self.redshift
 
-    @property
-    def relative_distance(self) -> float:
-        """Relative distance from the magnitude (distance modulus, arbitrary zero)."""
-        return 10.0 ** (self.magnitude / 5.0)
-
 
 @dataclass
 class HubbleDiagram:

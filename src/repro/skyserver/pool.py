@@ -106,9 +106,6 @@ class QueryTicket:
         self._error: Optional[BaseException] = None
         self._done = threading.Event()
 
-    def done(self) -> bool:
-        return self._done.is_set()
-
     def result(self, timeout: Optional[float] = None) -> QueryResult:
         """Block until the query finishes; re-raises its failure, if any."""
         if not self._done.wait(timeout):
@@ -118,12 +115,6 @@ class QueryTicket:
             raise self._error
         assert self._result is not None
         return self._result
-
-    @property
-    def wait_seconds(self) -> Optional[float]:
-        if self.started_at is None:
-            return None
-        return self.started_at - self.submitted_at
 
     def _complete(self, result: QueryResult, *, status: str = "done",
                   cache_hit: bool = False) -> None:

@@ -4,8 +4,9 @@ A :class:`SkyServer` wraps a loaded schema database and exposes what the
 ASP pages and SkyServerQA expose: free-form SQL (with the public row and
 time limits when asked for), the spatial search forms (cone and
 rectangle), the object explorer (the "drill down to the whole record"
-page of Figure 2), the famous-places gallery, the schema browser and the
-20-query data-mining suite used by the evaluation benchmarks.
+page of Figure 2), the famous-places gallery and the 20-query
+data-mining suite used by the evaluation benchmarks.  The schema browser
+is :class:`~repro.skyserver.QueryAnalyzer`'s object browser.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class SkyServer:
             time_limit_seconds=self.limits.max_seconds)
         #: The concurrent serving pool, once one is started/attached.
         self._pool = None
-        #: The survey a ``create()``/``from_survey()`` server was loaded
-        #: from (None for ``open()``ed or hand-built servers).
+        #: The survey a ``create()`` server was loaded from (None for
+        #: ``open()``ed or hand-built servers).
         self.survey_output: Optional[PipelineOutput] = None
         #: Data releases served so far (bumped by :meth:`load_release`).
         self.release_number = 1
@@ -159,27 +160,6 @@ class SkyServer:
         register_schema_functions(database)
         return cls(database, limits=limits, site_name=site_name,
                    cluster=cluster, telemetry=telemetry)
-
-    @classmethod
-    def from_survey(cls, config: Optional[SurveyConfig] = None, *,
-                    limits: Optional[QueryLimits] = None,
-                    build_neighbors: bool = True,
-                    columnar: bool = False,
-                    shards: int = 1,
-                    partition: str = "hash") -> tuple["SkyServer", PipelineOutput]:
-        """Deprecated alias for :meth:`create` (kwargs instead of
-        :class:`ServerConfig`); returns the historical
-        ``(server, output)`` tuple."""
-        from .config import ClusterConfig, PlannerConfig, StorageConfig
-
-        server = cls.create(ServerConfig(
-            survey=config,
-            storage=StorageConfig(columnar=columnar),
-            cluster=ClusterConfig(shards=shards, partition=partition),
-            planner=PlannerConfig(),
-            limits=limits,
-            build_neighbors=build_neighbors))
-        return server, server.survey_output
 
     # -- durability lifecycle ----------------------------------------------------
 
@@ -276,7 +256,7 @@ class SkyServer:
                        if self.cluster is not None else "hash"),
             build_neighbors=build_neighbors)
         if self.cluster is not None:
-            self._flip_cluster(report.cluster)
+            self.cluster.swap_release(report.cluster)
         else:
             self._flip_database(fresh_db)
         self.release_number += 1
@@ -302,70 +282,11 @@ class SkyServer:
         in place, under exclusive locks (single-node path)."""
         tables = [self.database.table(name)
                   for name in self.database.table_names()]
-        manager = self.database.durability
         with lock_tables([(table, "write") for table in tables]):
-            for old in tables:
-                # Serving-only tables (##temp results, scratch) have no
-                # counterpart in the release; they survive the flip.
-                if fresh.has_table(old.name):
-                    self._swap_table_contents(old, fresh.table(old.name))
-            self.database.statistics.clear()
-            self.database.statistics.update(fresh.statistics)
-            self.database.bump_schema_version()
+            self.database.adopt_release(fresh)
+        manager = self.database.durability
         if manager is not None:
             manager.checkpoint()
-
-    def _flip_cluster(self, fresh) -> None:
-        """Swap the cluster's shards, placements and coordinator copies
-        for the fresh release's.  The outgoing release's WAL handles are
-        released first and the incoming release re-checkpoints into the
-        same directory afterwards (fresh durable segments; the manifest
-        rename is the commit point, so a crash mid-flip recovers the
-        old release)."""
-        cluster = self.cluster
-        durable_path = None
-        fsync = False
-        if cluster.durability is not None:
-            durable_path = cluster.durability["path"]
-            fsync = cluster.durability["coordinator"].fsync
-            cluster.close_durable()
-        coordinator_tables = [self.database.table(name)
-                              for name in self.database.table_names()]
-        with cluster._dml_lock, cluster._gather_lock:
-            with lock_tables([(table, "write")
-                              for table in coordinator_tables]):
-                for old in coordinator_tables:
-                    if fresh.coordinator.has_table(old.name):
-                        self._swap_table_contents(
-                            old, fresh.coordinator.table(old.name))
-                self.database.statistics.clear()
-                self.database.statistics.update(fresh.coordinator.statistics)
-                for node, fresh_node in zip(cluster.shards, fresh.shards):
-                    node.database = fresh_node.database
-                    node._sequences = fresh_node._sequences
-                cluster.placements.clear()
-                cluster.placements.update(fresh.placements)
-                cluster.table_row_bytes = dict(fresh.table_row_bytes)
-                cluster._next_sequence = dict(fresh._next_sequence)
-                cluster._gathered.clear()
-                cluster.gather_invalidations += 1
-                self.database.bump_schema_version()
-        if durable_path is not None:
-            cluster.make_durable(durable_path, fsync=fsync)
-
-    @staticmethod
-    def _swap_table_contents(old, new) -> None:
-        """Repoint one serving table at the fresh release's data.  The
-        table *object* (and its lock) stays — sessions, the pool and
-        the cluster hold references to it — only the guts move."""
-        old.storage = new.storage
-        old._data_bytes = new._data_bytes
-        for index in new.indexes.values():
-            index.table = old
-        old.indexes = new.indexes
-        # Strictly above the old counter, whatever either side saw:
-        # cached results and gathers validate against it.
-        old.modification_counter += new.modification_counter + 1
 
     # -- free-form SQL -----------------------------------------------------------
 
@@ -507,18 +428,12 @@ class SkyServer:
     def explore_object(self, obj_id: int) -> dict[str, Any]:
         """The Object Explorer page: the whole record plus everything linked to it."""
         if self.cluster is not None:
-            from ..engine.concurrency import read_locks
-
-            # The explorer reads point lookups across the whole snowflake;
-            # gather the (cached) coordinator copies once, then hold their
-            # read locks so a concurrent re-gather (truncate + refill)
-            # cannot be observed between the lookups below.
+            # The explorer reads point lookups across the whole snowflake
+            # from the (cached) coordinator copies, locked against a
+            # re-gather or release flip between the lookups below.
             names = ["PhotoObj", "Neighbors", "SpecObj", "SpecLine",
                      "USNO", "ROSAT", "FIRST"]
-            self.cluster.ensure_local(names)
-            tables = [self.database.table(name) for name in names
-                      if self.database.has_table(name)]
-            with read_locks(tables):
+            with self.cluster.gathered(names):
                 return self._explore_object_locked(obj_id)
         return self._explore_object_locked(obj_id)
 
@@ -582,10 +497,6 @@ class SkyServer:
         return result.rows
 
     # -- metadata -------------------------------------------------------------------
-
-    def schema_browser(self) -> dict[str, Any]:
-        """The SkyServerQA object-browser tree (tables, views, functions, indexes)."""
-        return self.database.describe()
 
     def storage_statistics(self) -> dict[str, Any]:
         """The segment/compression report behind ``site_statistics()["storage"]``.

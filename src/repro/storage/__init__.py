@@ -18,8 +18,7 @@ lives in :mod:`repro.engine.durable`; this package knows only bytes.
 
 from .format import (INSERT_FRAME, FormatError, RowCodec, decode_insert_frame,
                      decode_value, encode_insert_frame, encode_pieces,
-                     encode_value, statistics_from_state, statistics_state,
-                     storage_from_state, storage_state)
+                     encode_value, storage_from_state, storage_state)
 from .wal import WalRecord, WriteAheadLog
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "decode_insert_frame",
     "storage_state",
     "storage_from_state",
-    "statistics_state",
-    "statistics_from_state",
     "WriteAheadLog",
     "WalRecord",
 ]

@@ -554,12 +554,3 @@ def storage_from_state(state: dict[str, Any], columns: Any) -> Any:
     storage = make_storage(state["kind"], columns)
     storage.restore_state(state)
     return storage
-
-
-def statistics_state(statistics: dict[str, TableStatistics]) -> dict[str, Any]:
-    """The catalog's ANALYZE snapshots as one encodable mapping."""
-    return dict(statistics)
-
-
-def statistics_from_state(state: dict[str, Any]) -> dict[str, TableStatistics]:
-    return dict(state)

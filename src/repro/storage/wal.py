@@ -78,11 +78,6 @@ class WriteAheadLog:
             _FSYNCS.inc()
         return handle.tell()
 
-    def sync(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        _FSYNCS.inc()
-
     def truncate(self) -> None:
         """Empty the log (after a successful checkpoint).  Always synced:
         the checkpoint's manifest rename must not become visible while
@@ -94,9 +89,6 @@ class WriteAheadLog:
         os.fsync(handle.fileno())
 
     # -- reading ----------------------------------------------------------
-
-    def replay(self) -> Iterator[WalRecord]:
-        return replay_file(self.path)
 
     def size(self) -> int:
         self._file.flush()

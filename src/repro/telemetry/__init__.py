@@ -19,11 +19,10 @@ Three always-available pieces (ISSUE 10):
 ``ServerConfig.telemetry`` section.
 """
 
-from .metrics import (Counter, Gauge, LatencyHistogram, METRICS,
-                      MetricsRegistry, get_metrics)
+from .metrics import Counter, Gauge, LatencyHistogram, METRICS, MetricsRegistry
 from .querylog import QUERY_LOG_TABLE, QueryLogger
 from .runtime import Telemetry
-from .trace import Span, TRACER, Tracer, get_tracer, render_trace
+from .trace import Span, TRACER, Tracer, render_trace
 
 __all__ = [
     "Counter",
@@ -31,11 +30,9 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "METRICS",
-    "get_metrics",
     "Span",
     "Tracer",
     "TRACER",
-    "get_tracer",
     "render_trace",
     "QueryLogger",
     "QUERY_LOG_TABLE",

@@ -23,7 +23,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "METRICS",
-    "get_metrics",
 ]
 
 
@@ -135,10 +134,6 @@ class LatencyHistogram:
     def count(self) -> int:
         return self._count
 
-    @property
-    def total_seconds(self) -> float:
-        return self._sum
-
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
@@ -244,7 +239,3 @@ class MetricsRegistry:
 
 #: Process-wide registry; subsystems cache instrument handles from it.
 METRICS = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    return METRICS

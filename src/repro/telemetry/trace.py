@@ -29,7 +29,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
-__all__ = ["Span", "Tracer", "TRACER", "get_tracer", "clip"]
+__all__ = ["Span", "Tracer", "TRACER", "clip"]
 
 
 def clip(sql: str, limit: int = 200) -> str:
@@ -57,17 +57,6 @@ class Span:
     @property
     def duration_seconds(self) -> float:
         return max(0.0, self.ended - self.started)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "query_id": self.query_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "started": self.started,
-            "duration_ms": round(self.duration_seconds * 1000.0, 3),
-            "attributes": dict(self.attributes),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, query={self.query_id}, "
@@ -254,7 +243,3 @@ def render_trace(spans: List[Span]) -> str:
 
 #: Process-wide tracer; ``Telemetry`` flips ``enabled`` from config.
 TRACER = Tracer()
-
-
-def get_tracer() -> Tracer:
-    return TRACER

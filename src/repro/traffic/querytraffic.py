@@ -67,10 +67,6 @@ class QueryTrafficReport:
     def cache_hit_fraction(self) -> float:
         return self.cache_hits / self.total_queries if self.total_queries else 0.0
 
-    @property
-    def failure_fraction(self) -> float:
-        return self.failed / self.total_queries if self.total_queries else 0.0
-
     def summary_rows(self) -> list[tuple[str, str]]:
         """Human-readable (metric, value) pairs for reports."""
         rows = [

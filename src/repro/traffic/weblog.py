@@ -22,7 +22,7 @@ import datetime as _dt
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Operating period covered by the paper's Figure 5.
 DEFAULT_START = _dt.date(2001, 6, 1)
@@ -99,9 +99,6 @@ class WebLog:
     config: TrafficModelConfig
     sessions: list[Session] = field(default_factory=list)
     daily: list[LogRecord] = field(default_factory=list)
-
-    def days(self) -> int:
-        return len(self.daily)
 
 
 def _day_weight(config: TrafficModelConfig, day: _dt.date) -> float:
@@ -190,7 +187,3 @@ def _crawler_session_fraction(config: TrafficModelConfig) -> float:
     boost = 2.5
     hit_fraction = config.crawler_hit_fraction
     return hit_fraction / (boost + hit_fraction * (1.0 - boost))
-
-
-def iter_daily(log: WebLog) -> Iterator[LogRecord]:
-    return iter(log.daily)

@@ -96,6 +96,32 @@ class TestPlacements:
         assert placement.prune_range(-5.0, 5.0) == {1, 2}
         assert placement.prune_range(11.0, 20.0) == {3}
         assert placement.prune_range(None, -15.0) == {0}
+        assert placement.prune_equal(-5.0) == {1}
+        assert placement.describe() == {
+            "table": "Obj", "scheme": "zone", "column": "dec", "shards": 4,
+            "boundaries": [-10.0, 0.0, 10.0]}
+
+    def test_range_colocation_requires_the_same_boundaries(self):
+        a = ZonePlacement("Obj", "dec", 2, [0.0])
+        b = ZonePlacement("Other", "dec", 2, [0.0])
+        c = ZonePlacement("Other", "dec", 2, [5.0])
+        assert colocated(a, "dec", b, "dec")
+        assert not colocated(a, "dec", c, "dec")
+
+    @pytest.mark.parametrize("partition", ["zone", "htm"])
+    def test_an_empty_table_splits_the_key_space_evenly(self, partition):
+        database = Database("empty")
+        database.create_table("PhotoObj", [bigint("objID"), floating("dec"),
+                                           bigint("htmID")],
+                              primary_key=PrimaryKey(["objID"]))
+        cluster = ShardCluster.from_database(database, shards=3,
+                                             partition=partition)
+        boundaries = cluster.placement("PhotoObj").boundaries
+        assert len(boundaries) == 2 and boundaries == sorted(boundaries)
+        if partition == "zone":
+            assert boundaries == [-30.0, 30.0]
+        cluster.insert("PhotoObj", {"objID": 1, "dec": 45.0, "htmID": 10 ** 12})
+        assert cluster.total_rows("PhotoObj") == 1
 
     def test_htm_placement_prunes_cover_ranges(self):
         placement = HtmPlacement("PhotoObj", "htmid", 4, [100, 200, 300])
@@ -116,6 +142,9 @@ class TestPlacements:
         assert derived.shard_of({"objid": 2}) == 1
         assert colocated(derived, "objid", parent, "objid")
         assert not colocated(derived, "neighborobjid", parent, "objid")
+        assert derived.prune_equal(2) == {1}
+        assert derived.prune_equal(99) == {stable_hash(99) % 2}
+        assert derived.describe()["parent"] == "obj"
 
     def test_hash_colocation_requires_same_token_and_columns(self):
         a = HashPlacement("Obj", "objid", 4)
@@ -306,6 +335,9 @@ class TestPlanningAndPruning:
         assert "Merge" in text
         assert "Shard[0]" in text and "Shard[3]" in text
         assert "pruned=3" in text
+        # A distributed result's plan renders the same text on demand.
+        result = session.query("select objID from Obj where objID = 57")
+        assert result.plan.explain() == text
         fallback = session.explain(
             "select o.objID from Obj o join Neighbors n "
             "on n.neighborObjID = o.objID")
@@ -996,3 +1028,132 @@ class TestInertPlannerKeywords:
         inert = _fig13_answers(serve(PlannerConfig(parallelism=4)))
         assert len(stock) >= 20
         assert inert == stock
+
+
+# ---------------------------------------------------------------------------
+# Data-release flips on a sharded server
+# ---------------------------------------------------------------------------
+
+class TestShardedReleaseFlip:
+    """``SkyServer.load_release`` on a cluster (``ShardCluster.
+    swap_release``): every read answers from one release, whatever
+    the flip interleaves with."""
+
+    SEED_A, SEED_B = 4, 99
+    COUNT = "select count(*) as n from PhotoObj where type = 3"
+    STATEMENTS = (
+        COUNT,
+        "select top 10 objID, modelMag_r from PhotoObj "
+        "where modelMag_r < 21 order by modelMag_r, objID",
+        # Not distributable: gathers both tables into the coordinator.
+        "select count(*) as n from PhotoObj o join Neighbors n "
+        "on n.neighborObjID = o.objID where o.type = 3",
+    )
+
+    @staticmethod
+    def _survey(seed: int):
+        from repro.pipeline import SurveyConfig
+
+        return SurveyConfig(scale=0.0003, seed=seed, density_per_sq_deg=900.0)
+
+    def _server(self, root=None, workers: int = 0):
+        from repro.skyserver import (ClusterConfig, PoolConfig, ServerConfig,
+                                     StorageConfig)
+
+        return SkyServer.create(ServerConfig(
+            survey=self._survey(self.SEED_A),
+            cluster=ClusterConfig(shards=4),
+            storage=StorageConfig(path=None if root is None else str(root)),
+            pool=PoolConfig(workers=workers)))
+
+    def _release_b(self):
+        from repro.pipeline import SyntheticSurvey
+
+        return SyntheticSurvey(self._survey(self.SEED_B)).run()
+
+    def _answers(self, run) -> tuple:
+        return tuple(repr(run(sql).rows) for sql in self.STATEMENTS)
+
+    def test_a_flip_between_fragments_leaves_the_scatter_on_one_release(
+            self, monkeypatch):
+        server = self._server()
+        release_a = server.query(self.COUNT).rows
+        release_b = self._release_b()
+        executor = server.cluster.executor
+        # Fragments run inline, in shard order; the flip lands just
+        # before the third shard's fragment.
+        monkeypatch.setattr(executor, "_fragment_workers", 1)
+        original = executor._run_fragment
+        calls = []
+
+        def run_fragment(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                server.load_release(release_b)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "_run_fragment", run_fragment)
+        during = server.query(self.COUNT).rows
+        assert len(calls) >= 4 and server.release_number == 2
+        monkeypatch.undo()
+        after = server.query(self.COUNT).rows
+        assert after != release_a
+        assert during == release_a
+
+    def test_readers_during_a_flip_see_one_release_and_reopen_on_the_new(
+            self, tmp_path):
+        import sys
+        import threading
+
+        root = tmp_path / "db"
+        server = self._server(root, workers=2)
+        pool = server._pool
+
+        def pooled(sql):
+            return pool.execute(sql, "admin", timeout=120)
+
+        release_a = self._answers(pooled)
+        release_b = self._release_b()
+        seen: list[tuple] = []
+        errors: list[BaseException] = []
+        flipped = threading.Event()
+
+        def reader(position: int) -> None:
+            sql = self.STATEMENTS[position % len(self.STATEMENTS)]
+            extra = 0
+            try:
+                while extra < 3:
+                    seen.append((position, repr(pooled(sql).rows)))
+                    extra += flipped.is_set()
+            except BaseException as error:      # reported below
+                errors.append(error)
+
+        readers = [threading.Thread(target=reader, args=(position,))
+                   for position in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            info = server.load_release(release_b)
+        finally:
+            flipped.set()
+            for thread in readers:
+                thread.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        assert info["release"] == 2 and info["checkpointed"]
+        answers_b = self._answers(pooled)
+        assert answers_b != release_a
+        for position, answer in seen:
+            statement = position % len(self.STATEMENTS)
+            assert answer in (release_a[statement], answers_b[statement])
+        assert {answer for _position, answer in seen} & set(answers_b)
+
+        # A crash after the flip reopens on release B.
+        pool.shutdown()
+        server.cluster.close_durable()
+        reopened = SkyServer.open(root)
+        assert self._answers(lambda sql: reopened.query(sql)) == answers_b
+        reopened.close()

@@ -254,6 +254,21 @@ class TestVectorizedExecution:
         assert col_result.rows == row_result.rows
         assert col_result.statistics.batches_processed > 0
 
+    @pytest.mark.parametrize("value, fallbacks", [("19.5", 0), ("null", 1)])
+    def test_variables_in_batch_predicates(self, value, fallbacks):
+        """A bound variable is a constant of the generated loop; a NULL
+        one runs the predicate's row-mode function instead."""
+        from repro.engine import make_session
+
+        sql = (f"declare @cut float; set @cut = {value}; "
+               "select count(*) as n, min(id) as lo from photoobj "
+               "where ra + 0 > 10 and modelmag_r < @cut")
+        row = make_session(_build_database("row")).query(sql)
+        column = make_session(_build_database("column")).query(sql)
+        assert column.rows == row.rows
+        assert column.statistics.batches_processed > 0
+        assert column.statistics.vector_fallbacks == fallbacks
+
     def test_case_insensitive_string_predicates(self):
         sql = ("select id from photoobj "
                "where type = 'STAR' and type in ('Star', 'GALAXY') "

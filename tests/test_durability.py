@@ -645,7 +645,7 @@ class TestCheckpointReuse:
 
 
 class TestClusterCrashRecovery:
-    def _build_cluster(self, columnar: bool):
+    def _build_cluster(self, columnar: bool, shards: int = 4):
         from repro.cluster import ShardCluster
 
         database = Database("cl")
@@ -659,7 +659,7 @@ class TestClusterCrashRecovery:
                          "tag": rng.choice(UNICODE_TAGS)}
                         for i in range(400))
         database.analyze()
-        return ShardCluster.from_database(database, shards=4, partition="zone",
+        return ShardCluster.from_database(database, shards=shards, partition="zone",
                                           affinity={"obj": "objid"},
                                           columnar=columnar)
 
@@ -694,6 +694,43 @@ class TestClusterCrashRecovery:
 
         recovered = ShardCluster.open_durable(tmp_path)
         assert self._gathered(recovered) == expected
+        recovered.close_durable()
+
+    def test_vacuum_and_convert_replay_through_the_shard_nodes(self, tmp_path):
+        """A shard's WAL logs ``vacuum`` and ``convert`` like any table's;
+        recovery replays them through the node (``ShardNode.
+        replay_vacuum``/``replay_convert``), which remaps the global
+        sequence list the way the live operation did."""
+        from unittest import mock
+
+        from repro.cluster import ClusterSession, ShardCluster, ShardNode
+
+        cluster = self._build_cluster(columnar=False, shards=2)
+        cluster.make_durable(tmp_path)
+        self._online_dml(cluster, seed=41, inserts=30)   # ends in a delete
+        for node in cluster.shards:
+            assert node.vacuum("Obj") > 0
+            node.convert_storage("column")
+        sql = ("select objID, mag, tag from Obj where dec > 0 "
+               "order by mag, objID")
+
+        def answers(cluster):
+            return (self._gathered(cluster),
+                    [node.sequence_list("Obj") for node in cluster.shards],
+                    [node.table("Obj").storage.kind for node in cluster.shards],
+                    repr(ClusterSession(cluster).query(sql).rows))
+
+        expected = answers(cluster)
+        for manager in [cluster.durability["coordinator"],
+                        *cluster.durability["shards"]]:
+            manager.close()         # a crash: no closing checkpoint
+        with mock.patch.object(ShardNode, "replay_vacuum", autospec=True,
+                               side_effect=ShardNode.replay_vacuum) as vacuum, \
+                mock.patch.object(ShardNode, "replay_convert", autospec=True,
+                                  side_effect=ShardNode.replay_convert) as convert:
+            recovered = ShardCluster.open_durable(tmp_path)
+        assert vacuum.call_count == 2 and convert.call_count == 2
+        assert answers(recovered) == expected
         recovered.close_durable()
 
     def test_torn_shard_wal_drops_only_that_shards_tail(self, tmp_path):
@@ -797,6 +834,51 @@ class TestServerLifecycle:
             "select top 5 objID, modelMag_r from Galaxy "
             "order by objID").rows) == dr2_galaxies
         final.close()
+
+    def test_fsync_server_recovers_byte_identical(self, tmp_path):
+        """``StorageConfig(fsync=True)``: every WAL append and every
+        checkpoint's directory entries reach stable storage, and a crash
+        reopens to the same bytes."""
+        from unittest import mock
+
+        from repro.engine import durable
+        from repro.pipeline import SurveyConfig
+        from repro.skyserver import ServerConfig, SkyServer, StorageConfig
+
+        root = tmp_path / "db"
+        with mock.patch.object(durable, "_fsync_directory",
+                               wraps=durable._fsync_directory) as directory:
+            server = SkyServer.create(ServerConfig(
+                survey=SurveyConfig(scale=0.0003, seed=4,
+                                    density_per_sq_deg=900.0),
+                storage=StorageConfig(columnar=True, path=str(root),
+                                      fsync=True)))
+            assert directory.call_count >= 2
+        manager = server.database.durability
+        assert manager.fsync and manager.wal.fsync
+        photo = server.database.table("PhotoObj")
+        rows = [row for _row_id, row in photo.iter_rows()]
+        base = max(row["objid"] for row in rows) + 1
+        with mock.patch.object(os, "fsync", wraps=os.fsync) as fsync:
+            for offset, row in enumerate(rows[:5]):
+                photo.insert(dict(row, objid=base + offset),
+                             database=server.database)
+            assert fsync.call_count >= 5
+        server.checkpoint()
+        photo.delete_where(lambda row: row["objid"] == base)
+        server.query("select count(*) from PhotoObj where type = 3")
+
+        def state(database):
+            return {name: repr(list(database.table(name).storage.iter_rows()))
+                    for name in database.table_names()}
+
+        expected = state(server.database)
+        manager.close()             # a crash: no closing checkpoint
+        reopened = SkyServer.open(root, fsync=True)
+        assert reopened.durability_statistics()[
+            "wal_records_since_checkpoint"] > 0
+        assert state(reopened.database) == expected
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,9 @@ class TestFunctionsAndCase:
         assert evaluate(parse_expression("upper('abc')")) == "ABC"
         assert evaluate(parse_expression("len('abcd')")) == 4
         assert evaluate(parse_expression("substring('galaxy', 1, 3)")) == "gal"
+        assert evaluate(parse_expression("charindex('LAX', 'galaxy')")) == 3
+        assert evaluate(parse_expression("charindex('z', 'galaxy')")) == 0
+        assert evaluate(parse_expression("charindex(null, 'galaxy')")) == 0
 
     def test_null_handling_functions(self):
         assert evaluate(parse_expression("isnull(mag, -1)"), {"mag": None}) == -1

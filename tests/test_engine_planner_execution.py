@@ -271,6 +271,8 @@ class TestAggregationAndOrdering:
 
     def test_scalar_select_without_from(self, session):
         assert session.query("select 6 * 7 as answer").scalar() == 42
+        assert ("Row Source [1 rows AS #dual] (estimated rows=1"
+                in session.explain("select 6 * 7 as answer"))
 
     def test_execution_statistics_populated(self, session):
         result = session.query("select count(*) as n from PhotoObj where modelMag_r > 0")

@@ -55,6 +55,8 @@ class TestTrixels:
         htm_id = htm.lookup_id(185.0, -0.5, 8)
         name = htm.htm_id_to_name(htm_id)
         assert htm.htm_name_to_id(name) == htm_id
+        assert [root.name for root in htm.root_trixels()] == [
+            "S0", "S1", "S2", "S3", "N0", "N1", "N2", "N3"]
 
     def test_invalid_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +111,9 @@ class TestCovers:
         ranges = htm.cover_circle(185.0, -0.5, 1.0)
         center_id = htm.lookup_id(185.0, -0.5)
         assert htm.ranges_contain(ranges, center_id)
+        circle = htm.Circle(185.0, -0.5, 1.0)
+        assert circle.contains_radec(185.0, -0.5 + 0.9 / 60)
+        assert not circle.contains_radec(185.0, -0.5 + 1.1 / 60)
 
     def test_circle_cover_contains_all_interior_points(self):
         import random

@@ -42,6 +42,9 @@ SINGLE_TABLE = [
     # filter + project
     "select objid, mag * 2 as m2, band from obj "
     "where run = 3 and err is null order by objid",
+    # a CASE reads the columns of every branch and its default
+    "select objid, case when mag < 18 then band when err is null then run "
+    "else type end as c from obj where run < 4 order by objid",
     # GROUP BY / HAVING
     "select band, count(*) as n, min(run) as lo from obj "
     "group by band having count(*) > 1 order by band",

@@ -213,6 +213,20 @@ def test_zone_maps_skip_segments_for_selective_filters():
     assert off.statistics.segments_skipped == 0
 
 
+@pytest.mark.parametrize("where", [
+    "objid < 100 or objid between 200 and 300",
+    "objid in (7, 150, 299)",
+])
+def test_zone_maps_skip_segments_for_a_disjunction_on_one_column(where):
+    database = _build(None, seed=4, with_pk=False)
+    sql = f"select count(*) as n, sum(mag) as s from obj where {where}"
+    off = _run(database, sql, zone_maps=False)
+    on = _run(database, sql)
+    assert _exact(on.rows) == _exact(off.rows)
+    assert on.statistics.segments_skipped >= 1
+    assert on.statistics.rows_scanned < off.statistics.rows_scanned
+
+
 def test_scalar_aggregates_answer_from_zone_maps():
     database = _build(None, seed=5)
     sql = ("select count(*) as n, min(objid) as lo, max(objid) as hi, "

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.engine.errors import SchemaError
-from repro.schema import (IndexDefinition, MAX_KEY_COLUMNS, PhotoFlags, PhotoType,
-                          SpecClass, create_indices, create_skyserver_database,
+from repro.schema import (IndexDefinition, MAX_KEY_COLUMNS, PhotoFlags, PhotoStatus,
+                          PhotoType, SpecClass, create_indices, create_skyserver_database,
                           drop_indices, fphoto_flags, fphoto_type, fphoto_type_name,
                           fspec_class, standard_indices, standard_views,
                           table_load_order)
@@ -65,6 +65,11 @@ class TestSchemaBuild:
         context = schema.evaluation_context()
         assert context.call("fPhotoFlags", ["saturated"]) == int(PhotoFlags.SATURATED)
         assert context.call("fPhotoType", ["galaxy"]) == int(PhotoType.GALAXY)
+        assert context.call("fPhotoStatus", ["primary"]) == int(PhotoStatus.PRIMARY)
+        assert context.call("fSpecClassN", [3]) == "qso"
+        assert context.call("fPhotoFlagsN", [int(PhotoFlags.SATURATED)
+                                             | int(PhotoFlags.PRIMARY)]) == "PRIMARY+SATURATED"
+        assert context.call("fPhotoFlagsN", [0]) == "none"
 
     def test_table_load_order_respects_foreign_keys(self, schema):
         order = table_load_order()

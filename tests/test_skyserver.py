@@ -51,6 +51,18 @@ class TestSpatialFunctions:
         assert result.rows
         assert all(row["htmIDstart"] <= row["htmIDend"] for row in result.rows)
 
+    def test_htm_and_url_scalar_functions_through_sql(self, skyserver):
+        row = skyserver.query(
+            "select top 1 objID, htmID, specObjID, "
+            "dbo.fHTM_Lookup(ra, dec) as htm, "
+            "dbo.fGetUrlSpecImg(specObjID) as spec, "
+            "dbo.fGetUrlFrameImg(objID, 2) as frame "
+            "from PhotoObj where specObjID > 0 order by objID").rows[0]
+        assert row["htm"] == row["htmID"]
+        assert row["spec"].endswith(f"specById.asp?id={row['specObjID']}")
+        assert "frameByRCFZ.asp?run=" in row["frame"]
+        assert row["frame"].endswith("&zoom=2")
+
 
 class TestDataMiningQueries:
     def test_query1_returns_unsaturated_galaxies_near_the_spot(self, skyserver):
@@ -186,6 +198,18 @@ class TestExplorerAndTool:
         assert constraints["primary_key"] == ["specobjid"]
         assert any(fk["references"] == "Plate" for fk in constraints["foreign_keys"])
         assert analyzer.dependencies("Galaxy")[-1] == "PhotoObj"
+        columns = {column["name"]: column for column in analyzer.columns("PhotoObj")}
+        assert columns["htmID"]["type"] == "bigint"
+        indexes = {index["name"].lower(): index for index in analyzer.indexes("PhotoObj")}
+        assert indexes["ix_photoobj_htm"]["columns"] == ["htmid"]
+        functions = analyzer.functions()
+        assert "fGetNearbyObjEq" in {entry["name"] for entry in functions["table_valued"]}
+        assert "fPhotoFlags" in {entry["name"] for entry in functions["scalar"]}
+        nearby = next(entry for entry in functions["table_valued"]
+                      if entry["name"] == "fGetNearbyObjEq")
+        assert "distance" in nearby["columns"]
+        assert "Index Seek" in analyzer.explain(
+            "select objID from PhotoObj where objID = 1")
 
     def test_site_statistics(self, skyserver):
         stats = skyserver.site_statistics()

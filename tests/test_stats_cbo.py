@@ -253,6 +253,36 @@ class TestCostBasedChoices:
         assert build_rows <= probe_rows
         assert build_rows == 40
 
+    def test_heuristic_explain_shows_each_operators_own_estimate(
+            self, toy_photo_database):
+        """Without the cost model no operator carries ``planner_rows``:
+        EXPLAIN shows leaves' sizes, joins' larger input, and the
+        child's estimate above them."""
+        toy_photo_database.register_table_function(
+            "fFew", [bigint("objID")], lambda: [{"objID": 1}, {"objID": 2}],
+            row_estimate=3)
+        shapes = [
+            ({}, "select type, modelMag_r from PhotoObj where type = type",
+             ["Covering Index Scan"]),
+            ({}, "select a.objID from PhotoObj a join PhotoObj b "
+                 "on a.objID = b.objID where a.rowv > 29",
+             ["Index Nested Loop Join"]),
+            ({"enable_index_join": False},
+             "select a.objID from PhotoObj a join PhotoObj b "
+             "on a.objID = b.objID where a.rowv > 29", ["Hash Join"]),
+            ({}, "select a.objID from PhotoObj a, PhotoObj b "
+                 "where a.rowv > b.colv + 29.9 and a.objID < 3",
+             ["Nested Loop Join", "Index Seek"]),
+        ]
+        for options, sql, labels in shapes:
+            plan = Planner(toy_photo_database, enable_cbo=False,
+                           **options).plan(parse_select(sql))
+            assert all(label in plan_operators(plan) for label in labels), sql
+            assert "estimated rows=500)" in plan.explain().splitlines()[0]
+        text = Planner(toy_photo_database, enable_cbo=False).plan(parse_select(
+            "select f.objID from fFew() as f")).explain()
+        assert "(estimated rows=3)" in text.splitlines()[-1]
+
     def test_enable_cbo_false_reproduces_heuristic_plans(self, toy_photo_database):
         queries = [
             "select ra from PhotoObj where objID = 42",

@@ -25,7 +25,8 @@ from repro.engine import (Database, Planner, PrimaryKey, bigint, floating,
                           integer)
 from repro.engine.explain import plan_operators
 from repro.engine.sql import parse_select
-from repro.skyserver import QueryLimits, ServerConfig, SkyServer, TelemetryConfig
+from repro.skyserver import (ClusterConfig, QueryLimits, ServerConfig, SkyServer,
+                             TelemetryConfig)
 from repro.skyserver.pool import SkyServerPool
 from repro.telemetry import (LatencyHistogram, MetricsRegistry, Telemetry,
                              Tracer, TRACER, render_trace)
@@ -91,10 +92,17 @@ class TestMetrics:
         registry = MetricsRegistry()
         counter = registry.counter("kept")
         counter.inc(7)
+        gauge = registry.gauge("level")
+        gauge.set(3.0)
+        histogram = registry.histogram("latency")
+        histogram.observe(0.25)
         registry.reset()
-        assert counter.value == 0
+        assert counter.value == 0 and gauge.value == 0.0
+        assert histogram.count == 0 and histogram.percentile(50.0) == 0.0
         counter.inc()
+        histogram.observe(0.002)
         assert registry.counter("kept").value == 1
+        assert registry.histogram("latency").snapshot()["max_ms"] == 2.0
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
@@ -424,7 +432,7 @@ class TestServerIntegration:
         assert all(span.query_id == root.query_id for span in spans)
 
     def test_pooled_sharded_query_traces_end_to_end(self):
-        server, _ = SkyServer.from_survey(shards=4)
+        server = SkyServer.create(ServerConfig(cluster=ClusterConfig(shards=4)))
         pool = SkyServerPool(server, workers=2)
         try:
             ticket = pool.submit(
