@@ -43,18 +43,17 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Sequence
 
-from ..engine.compile import (Layout, VectorCompileError, VectorExpression,
-                              compile_expression, merge_layouts, row_keys,
-                              table_layout)
+from ..engine.compile import (Layout, VectorCompileError, compile_expression,
+                              merge_layouts, row_keys, table_layout)
 from ..engine.errors import QueryLimitExceeded
-from ..engine.expressions import Expression, Star
+from ..engine.expressions import Expression, Literal, Star
 from ..engine.index import key_rank
 from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
                                 ExecutionStatistics, PhysicalPlan, QueryResult,
                                 RuntimeJoinFilter, TableScan, _AggState,
-                                _SortKey, _create_table_for_rows,
-                                _group_key_name, _hashable, join_key,
-                                key_range_row_ids)
+                                _ChainInput, _SortKey, _create_table_for_rows,
+                                _group_key_name, _hashable, chain_input,
+                                fold_scalar, join_key, key_range_row_ids)
 from ..engine.concurrency import read_locks
 from ..engine.sql import SqlSession
 # Bound here, though unused, for the benchmark harness's wrap point
@@ -78,6 +77,9 @@ _FRAGMENT_COUNTERS = (
 
 #: The most pool workers one scatter leases (one per shard below it).
 MAX_FRAGMENT_WORKERS = 8
+
+#: COUNT(*)'s argument in a fragment's row fold.
+_ONE = Literal(1)
 
 
 class ClusterPlanHandle:
@@ -330,8 +332,7 @@ class ClusterExecutor:
         return table_layout(shard.table(relation.table_name), relation.binding)
 
     def _iter_single(self, shard, relation: FragmentRelation,
-                     context: ExecutionContext,
-                     runtime_filter: Optional[RuntimeJoinFilter] = None
+                     context: ExecutionContext
                      ) -> Iterator[tuple[tuple, dict[str, dict[str, Any]]]]:
         """(merge key, binding) pairs in this shard's access-path order.
 
@@ -340,7 +341,8 @@ class ClusterExecutor:
         compiled against.  Each row holds ``relation.columns``.
         """
         if relation.access.kind == "scan":
-            return self._iter_scan(shard, relation, context, runtime_filter)
+            return self._iter_scan(shard, relation, context,
+                                   self._chain(shard, relation, context))
         return self._iter_index(shard, relation, context)
 
     def _iter_index(self, shard, relation: FragmentRelation,
@@ -385,52 +387,40 @@ class ClusterExecutor:
             # scans still account their rows/bytes (and simulated I/O).
             context.statistics.merge_scan(scanned, row_bytes)
 
+    @staticmethod
+    def _chain(shard, relation: FragmentRelation,
+               context: ExecutionContext) -> Optional[_ChainInput]:
+        """The engine's batch chain over a scan relation, or None (a row
+        store, or a predicate the vector compiler cannot take)."""
+        scan = TableScan(shard.table(relation.table_name), relation.binding,
+                         relation.access.predicate, columns=relation.columns)
+        return chain_input(context, scan)
+
     def _iter_scan(self, shard, relation: FragmentRelation,
-                   context: ExecutionContext,
+                   context: ExecutionContext, chain: Optional[_ChainInput],
                    runtime_filter: Optional[RuntimeJoinFilter] = None
                    ) -> Iterator[tuple[tuple, dict[str, Any]]]:
-        """A column store's scan runs the engine's batch loop; a row
-        store, or a predicate the vector compiler cannot take, runs
-        row-mode, without a runtime filter (as the engine's row-mode
-        hash join does)."""
+        """A scan through the engine's batch ``chain``, survivors keyed by
+        sequence (each batch's ``base`` maps its positions back); without
+        one, row-mode and without a runtime filter (as the engine's
+        row-mode hash join does)."""
         table = shard.table(relation.table_name)
         sequences = shard.sequence_list(relation.table_name)
-        if table.storage.kind == "column":
-            compiled = self._batch_scan(table, relation, context)
-            if compiled is not None:
-                return self._iter_batches(*compiled, sequences, relation,
-                                          context, runtime_filter)
-        return self._iter_scan_rows(shard, table, sequences, relation, context)
+        if chain is None:
+            return self._iter_scan_rows(shard, table, sequences, relation,
+                                        context)
+        return self._iter_batches(chain, sequences, context, runtime_filter)
 
     @staticmethod
-    def _batch_scan(table, relation: FragmentRelation,
-                    context: ExecutionContext
-                    ) -> Optional[tuple[TableScan, Optional[VectorExpression]]]:
-        """The engine scan of ``relation`` and its vector predicate, or
-        None when the predicate does not vector-compile."""
-        scan = TableScan(table, relation.binding, relation.access.predicate,
-                         columns=relation.columns)
-        if scan.predicate is None:
-            return scan, None
-        try:
-            return scan, context.compile_vector_predicate(
-                scan.predicate, table, relation.binding)
-        except VectorCompileError:
-            return None
-
-    @staticmethod
-    def _iter_batches(scan: TableScan,
-                      predicate_fn: Optional[VectorExpression],
-                      sequences: Sequence[int], relation: FragmentRelation,
+    def _iter_batches(chain: _ChainInput, sequences: Sequence[int],
                       context: ExecutionContext,
                       runtime_filter: Optional[RuntimeJoinFilter]
                       ) -> Iterator[tuple[tuple, dict[str, Any]]]:
-        """Survivor bindings of the engine's batch scan, keyed by sequence."""
-        names = (list(scan.table.row_keys) if relation.columns is None
-                 else relation.columns)
-        alias = relation.binding
-        for batch in scan.batches(context, predicate_fn,
-                                  runtime_filter=runtime_filter):
+        names = chain.leaf.columns
+        if names is None:
+            names = list(chain.table.row_keys)
+        alias = chain.binding_name
+        for batch in chain.batches(context, runtime_filter=runtime_filter):
             base = batch.base
             for position, row in zip(batch.selection, batch.rows(names)):
                 yield (sequences[base + position],), {alias: row}
@@ -498,10 +488,13 @@ class ClusterExecutor:
                               for expression in plan.drive_keys])
         residual = (compile_expression(plan.residual, evaluation, layout)
                     if plan.residual is not None else None)
-        runtime_filter = self._shard_join_filter(shard, plan, context,
-                                                 hash_table)
-        drive_stream = self._iter_single(shard, plan.drive, context,
-                                         runtime_filter)
+        if plan.drive.access.kind == "scan":
+            chain = self._chain(shard, plan.drive, context)
+            drive_stream = self._iter_scan(
+                shard, plan.drive, context, chain,
+                self._shard_join_filter(plan, context, chain, hash_table))
+        else:
+            drive_stream = self._iter_index(shard, plan.drive, context)
         try:
             for drive_tag, drive_binding in drive_stream:
                 key = drive_key(drive_binding)
@@ -519,24 +512,22 @@ class ClusterExecutor:
             drive_stream.close()
 
     @staticmethod
-    def _shard_join_filter(shard, plan: CoPartitionedJoinPlan,
-                           context: ExecutionContext, hash_table: dict
+    def _shard_join_filter(plan: CoPartitionedJoinPlan,
+                           context: ExecutionContext,
+                           drive: Optional[_ChainInput], hash_table: dict
                            ) -> Optional[RuntimeJoinFilter]:
         """The engine's runtime filter over the shard's finished build.
 
         Co-partitioning makes the shard's own build keys the whole truth
         for its drive rows.  Pushed when the engine planner enables
         runtime filters (``plan.runtime_filter_enabled``) and the drive
-        side is a columnar scan with a single key that vector-compiles.
+        side is a batch chain with a single key that vector-compiles.
         """
-        table = shard.table(plan.drive.table_name)
-        if (not plan.runtime_filter_enabled or len(plan.drive_keys) != 1
-                or plan.drive.access.kind != "scan"
-                or table.storage.kind != "column"):
+        if (drive is None or not plan.runtime_filter_enabled
+                or len(plan.drive_keys) != 1):
             return None
         try:
-            key_fn, _tag = context.compile_vector_projection(
-                plan.drive_keys[0], table, plan.drive.binding)
+            key_fn, _tag = drive.projection(context, plan.drive_keys[0])
         except VectorCompileError:
             return None
         return RuntimeJoinFilter(hash_table.keys(), key_fn, plan.drive_keys[0])
@@ -604,15 +595,14 @@ class ClusterExecutor:
         try:
             group_fns = [compile_expression(expression, evaluation, layout)
                          for expression in plan.group_by]
-            argument_fns = [compile_expression(aggregate.argument, evaluation,
-                                               layout)
-                            if aggregate.argument is not None else None
+            # COUNT(*) folds the constant 1 per row.
+            argument_fns = [compile_expression(aggregate.argument or _ONE,
+                                               evaluation, layout)
                             for aggregate in plan.aggregates]
             if plan.aggregate_mode == "ordered":
                 for tag, binding in stream:
                     key = tuple([fn(binding) for fn in group_fns])
-                    values = tuple([fn(binding) if fn is not None else 1
-                                    for fn in argument_fns])
+                    values = tuple([fn(binding) for fn in argument_fns])
                     fragment.rows.append((tag, key, values))
                 return
             groups = fragment.groups
@@ -624,42 +614,30 @@ class ClusterExecutor:
                                    for aggregate in plan.aggregates]]
                     groups[key] = entry
                 for state, fn in zip(entry[1], argument_fns):
-                    state.update(fn(binding) if fn is not None else 1)
+                    state.update(fn(binding))
         finally:
             stream.close()
 
     def _scalar_vector_aggregate(self, shard, plan: SingleTablePlan,
                                  context: ExecutionContext,
                                  fragment: _Fragment) -> bool:
-        """Batch fast path: scalar aggregates over a columnar scan."""
+        """Batch fast path: scalar aggregates over the engine's batch
+        chain, folded as the engine folds them."""
         relation = plan.relation
-        table = shard.table(relation.table_name)
         if (plan.group_by or relation.access.kind != "scan"
-                or table.storage.kind != "column"
                 or any(aggregate.distinct for aggregate in plan.aggregates)):
             return False
-        compiled = self._batch_scan(table, relation, context)
-        if compiled is None:
+        chain = self._chain(shard, relation, context)
+        if chain is None:
             return False
         try:
-            argument_fns = [
-                context.compile_vector_projection(aggregate.argument, table,
-                                                  relation.binding)
-                if aggregate.argument is not None else (None, None)
-                for aggregate in plan.aggregates]
+            argument_fns = [(None, None) if aggregate.argument is None
+                            else chain.projection(context, aggregate.argument)
+                            for aggregate in plan.aggregates]
         except VectorCompileError:
             return False
         states = [_AggState(aggregate) for aggregate in plan.aggregates]
-        scan, predicate_fn = compiled
-        for batch in scan.batches(context, predicate_fn):
-            selection = batch.selection
-            if not selection:
-                continue
-            for state, (fn, tag) in zip(states, argument_fns):
-                if fn is None:
-                    state.update_count(len(selection))
-                else:
-                    state.update_batch(fn(batch, selection), tag)
+        fold_scalar(chain.batches(context), states, argument_fns)
         if any(state.count for state in states):
             fragment.groups[()] = [(0,), states]
         return True

@@ -13,10 +13,8 @@ from .batch import BATCH_ROWS, ColumnBatch
 from .catalog import Database
 from .concurrency import LockUpgradeError, ReadWriteLock, lock_tables, read_locks
 from .compile import (VectorCompileError, compile_expression,
-                      compile_join_vector_predicate,
-                      compile_join_vector_projection, compile_row_expression,
-                      compile_vector_predicate, compile_vector_projection,
-                      supports_row_mode)
+                      compile_row_expression, compile_vector_predicate,
+                      compile_vector_projection, supports_row_mode)
 from .constraints import CheckConstraint, ForeignKey, PrimaryKey
 from .errors import (BindError, CatalogError, CheckViolation, ConstraintViolation,
                      EngineError, ExpressionError, ForeignKeyViolation, LoadError,
@@ -94,8 +92,6 @@ __all__ = [
     "compile_row_expression",
     "compile_vector_predicate",
     "compile_vector_projection",
-    "compile_join_vector_predicate",
-    "compile_join_vector_projection",
     "ColumnStatistics",
     "TableStatistics",
     "collect_table_statistics",

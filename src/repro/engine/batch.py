@@ -23,13 +23,13 @@ BATCH_ROWS = 4096
 
 
 class BatchRowView:
-    """A dict-like view of one batch row, addressed by column name.
+    """A dict-like view of one batch row, addressed by batch column key.
 
-    ``view[name]`` reads the current row position from the column
+    ``view[key]`` reads the current row position from the column
     buffers (honouring the null masks), which lets the row-mode
-    functions of :func:`repro.engine.compile.compile_row_expression` run
-    unchanged over columnar data: their ``r['key']`` reads call
-    ``__getitem__`` exactly as they would on a row dict.
+    functions of the vector compiler's fallback run over a batch: their
+    ``r['key']`` reads call ``__getitem__`` exactly as they would on a
+    row dict.
     """
 
     __slots__ = ("_columns", "_masks", "index")

@@ -29,19 +29,19 @@ expressions **once per execution**:
   path);
 * :func:`compile_vector_predicate` / :func:`compile_vector_projection`
   produce batch-at-a-time functions over
-  :class:`~repro.engine.batch.ColumnBatch` selection vectors.  Where
+  :class:`~repro.engine.batch.ColumnBatch` selection vectors.  One
+  compiler serves every batch: it takes a *schema* (binding → table).
+  A scan's or a seek's batch is the one-binding case, with columns keyed
+  by bare name; a batch join's output carries several bindings, with
+  columns keyed ``"binding.column"`` (:func:`batch_key`).  Where
   three-valued logic provably cannot surface (NULL-free columns,
   constant non-column operands, statically compatible types) — or
   surfaces only as a column divisor's NULL where False is as good
   (:meth:`_VectorCodegen.guarded`) — the expression is translated into
   one **generated list comprehension** over the column buffers;
-  otherwise the row-mode function is driven over a NULL-mask-aware
-  batch row view.  Over a *joined* batch
-  (:func:`compile_join_vector_predicate` /
-  :func:`compile_join_vector_projection`) the fallback is the binding
-  function of :func:`compile_expression`, run per position over
-  bindings that read the gathered columns.  :class:`VectorCompileError`
-  signals that not even row mode applies.
+  otherwise a row-mode function is driven over a NULL-mask-aware batch
+  row view.  :class:`VectorCompileError` signals that not even row mode
+  applies.
 
 **Constants.**  Constant subtrees are folded at compile time (``2*3+1``
 evaluates once through the interpreter; session variables are frozen to
@@ -112,6 +112,17 @@ CompiledExpression = Callable[[Any], Any]
 #: name to the key it has in that alias's row dicts.  Order is the
 #: unqualified-name search order (first alias with the column wins).
 Layout = tuple[tuple[str, Mapping[str, str]], ...]
+
+#: The relations a column batch carries: binding name → table, in the
+#: row path's layout order.
+Schema = Mapping[str, Any]
+
+
+def batch_key(schema: Schema, binding: str, key: str) -> str:
+    """The batch column holding ``binding``'s row key ``key``: the bare
+    key in a batch of one binding (a scan's or a seek's), else
+    ``"binding.key"`` (a batch join's output)."""
+    return key if len(schema) == 1 else f"{binding.lower()}.{key}"
 
 
 def row_keys(names: Iterable[str]) -> dict[str, str]:
@@ -188,7 +199,7 @@ class VectorCompileError(Exception):
     Raised by :func:`compile_vector_predicate` /
     :func:`compile_vector_projection` when not even the per-row
     fallback (a row-mode function driven over a batch row view) can
-    evaluate the expression against the scanned table.  Callers fall
+    evaluate the expression against the batch's schema.  Callers fall
     back to the row-at-a-time operator pipeline.
     """
 
@@ -800,9 +811,9 @@ class _Emitter:
 
 
 class _RowEmitter(_Emitter):
-    """The one-alias case: the function takes that alias's row dict
-    itself (the fused fast path and the batch row-view fallback), and a
-    reference outside the one table is a compile-time error."""
+    """The one-argument case: the function takes a row dict itself (the
+    fused fast path) or a batch row view (:class:`_BatchRowEmitter`),
+    and a reference outside the layout is a compile-time error."""
 
     argument = "r"
 
@@ -910,12 +921,16 @@ _TOTAL_BUILTINS = frozenset(("abs", "square"))
 class _VectorCodegen:
     """Translates an expression tree into Python source over column buffers.
 
-    The generated code reads directly from a :class:`ColumnStore`'s
-    per-column sequences inside one list comprehension — no per-row
-    function calls, no dicts, no scopes.  The translation is exact only
-    where SQL three-valued logic cannot surface, or surfaces in a way the
-    code reproduces: every referenced column must be NULL-free (checked
-    against the store's null counts), every non-column operand must fold
+    The generated code reads the batch's column buffers inside one list
+    comprehension — no per-row function calls, no dicts, no scopes.  A
+    reference resolves against the ``schema`` (binding → table): a
+    qualified one names its binding, an unqualified one must have one
+    owner; it reads the batch column :func:`batch_key` names.  The
+    translation is exact only where SQL three-valued logic cannot
+    surface, or surfaces in a way the code reproduces: every referenced
+    column must be NULL-free (checked against its column store's null
+    counts; a batch join's gathered buffers hold the same values), every
+    non-column operand must fold
     to a non-NULL constant, and operand types must be statically
     compatible (so the interpreter's comparison/arithmetic errors cannot
     occur).  The numeric built-ins (:data:`_VECTOR_BUILTINS`) are called
@@ -946,12 +961,11 @@ class _VectorCodegen:
     nullable_seen = False
     raises_after_nullable = False
 
-    def __init__(self, evaluation: EvaluationContext, table: "Any", binding_name: str):
+    def __init__(self, evaluation: EvaluationContext, schema: Schema):
         self.start(evaluation)
-        self.table = table
-        self.storage = table.storage
-        self.binding_name = binding_name.lower()
-        self.columns: list[str] = []
+        self.schema = {binding.lower(): table for binding, table in schema.items()}
+        #: Batch column key -> generated identifier, in first-use order.
+        self.columns: dict[str, str] = {}
 
     def start(self, evaluation: EvaluationContext) -> None:
         self.evaluation = evaluation
@@ -984,11 +998,11 @@ class _VectorCodegen:
             raise _Unvectorizable(f"non-constant operand {node.sql()}")
         return operand.value
 
-    def use_column(self, name: str) -> str:
-        lowered = name.lower()
-        if lowered not in self.columns:
-            self.columns.append(lowered)
-        return f"_c_{lowered}"
+    def use_column(self, key: str) -> str:
+        identifier = self.columns.get(key)
+        if identifier is None:
+            identifier = self.columns[key] = f"_c{len(self.columns)}"
+        return identifier
 
     def note_may_raise(self) -> None:
         self.may_raise = True
@@ -1070,23 +1084,33 @@ class _VectorCodegen:
 
     def column(self, node: ColumnRef) -> tuple[str, str]:
         qualifier = (node.qualifier or "").lower()
-        if qualifier and qualifier != self.binding_name:
-            raise _Unvectorizable(f"column {node.sql()} outside {self.binding_name!r}")
-        column = self.table.column(node.name)
+        if qualifier:
+            binding, table = qualifier, self.schema.get(qualifier)
+            if table is None:
+                raise _Unvectorizable(f"column {node.sql()} outside the batch")
+        else:
+            owners = [(binding, table) for binding, table in self.schema.items()
+                      if table.has_column(node.name)]
+            if len(owners) != 1:
+                raise _Unvectorizable(f"no single owner of column {node.name!r}")
+            ((binding, table),) = owners
+        column = table.column(node.name)
         if column is None:
-            raise _Unvectorizable(f"no column {node.name!r}")
-        if self.storage.kind != "column":
+            raise _Unvectorizable(f"no column {node.sql()}")
+        storage = table.storage
+        if storage.kind != "column":
             # Row-backed table: the public entry points still honour
             # their contract (row-view fallback, never AttributeError).
             raise _Unvectorizable("table is not column-backed")
-        if self.storage.column_null_count(node.name) > 0:
+        if storage.column_null_count(node.name) > 0:
             if not self.nulls_allowed:
-                raise _Unvectorizable(f"column {node.name!r} holds NULLs")
+                raise _Unvectorizable(f"column {node.sql()} holds NULLs")
             self.reads_nullable = True
         tag = _DTYPE_TAGS.get(column.dtype)
         if tag is None:
             raise _Unvectorizable(f"column type {column.dtype.value}")
-        return f"{self.use_column(node.name)}[_i]", tag
+        key = batch_key(self.schema, binding, node.name.lower())
+        return f"{self.use_column(key)}[_i]", tag
 
     def variable(self, node: Variable) -> tuple[str, str]:
         try:
@@ -1341,56 +1365,6 @@ class _VectorCodegen:
         return call, spec[1](arguments[0][1])
 
 
-class _JoinVectorCodegen(_VectorCodegen):
-    """Vector codegen over a *joined* batch: columns from several tables.
-
-    The batch's ``columns`` mapping is keyed by the qualified name
-    ``"<binding>.<column>"`` (both parts lower-cased); gathered buffers
-    are plain lists built by the batch hash join.  The same NULL-freedom
-    rule as the single-table codegen applies, checked against each
-    source table's column store, so the generated loop never has to
-    consider three-valued logic.
-    """
-
-    def __init__(self, evaluation: EvaluationContext,
-                 schema: "Mapping[str, Any]"):
-        self.start(evaluation)
-        self.schema = {binding.lower(): table for binding, table in schema.items()}
-        #: Qualified column key -> generated identifier, in first-use order.
-        self.column_ids: dict[str, str] = {}
-
-    def column(self, node: ColumnRef) -> tuple[str, str]:
-        qualifier = (node.qualifier or "").lower()
-        if qualifier:
-            table = self.schema.get(qualifier)
-            if table is None:
-                raise _Unvectorizable(f"unknown binding {qualifier!r}")
-            binding = qualifier
-        else:
-            owners = [(binding, table) for binding, table in self.schema.items()
-                      if table.has_column(node.name)]
-            if len(owners) != 1:
-                raise _Unvectorizable(f"ambiguous column {node.name!r}")
-            binding, table = owners[0]
-        column = table.column(node.name)
-        if column is None:
-            raise _Unvectorizable(f"no column {node.sql()}")
-        storage = table.storage
-        if storage.kind != "column":
-            raise _Unvectorizable("join side is not column-backed")
-        if storage.column_null_count(node.name) > 0:
-            raise _Unvectorizable(f"column {node.sql()} holds NULLs")
-        tag = _DTYPE_TAGS.get(column.dtype)
-        if tag is None:
-            raise _Unvectorizable(f"column type {column.dtype.value}")
-        key = f"{binding}.{node.name.lower()}"
-        identifier = self.column_ids.get(key)
-        if identifier is None:
-            identifier = f"_jc{len(self.column_ids)}"
-            self.column_ids[key] = identifier
-        return f"{identifier}[_i]", tag
-
-
 @functools.lru_cache(maxsize=CODE_CACHE_SIZE)
 def _vector_factory(source: str) -> Callable[..., VectorExpression]:
     """The compiled factory of one generated batch loop (the code cache
@@ -1417,146 +1391,6 @@ def _vector_loop(env: Mapping[str, Any], reads: Mapping[str, str], body: str,
         lines.append(f"        return [{body} for _i in _sel]")
     lines.append("    return _vector_fn")
     return _vector_factory("\n".join(lines))(*env.values())
-
-
-def _codegen_join_vector(expression: Expression, evaluation: EvaluationContext,
-                         schema: "Mapping[str, Any]", predicate: bool
-                         ) -> tuple[VectorExpression, str, list[str]]:
-    """Generated-loop vector fn over a joined batch, or :class:`_Unvectorizable`.
-
-    Returns ``(fn, tag, column_keys)`` where ``column_keys`` are the
-    qualified ``"binding.column"`` keys the function reads — the batch
-    join gathers exactly those columns.
-    """
-    generator = _JoinVectorCodegen(evaluation, schema)
-    body, tag = _root(generator, expression, predicate)
-    reads = {identifier: key for key, identifier in generator.column_ids.items()}
-    return (_vector_loop(generator.env, reads, body, predicate), tag,
-            list(generator.column_ids))
-
-
-class _JoinRowEmitter(_Emitter):
-    """The binding-mode emitter over a joined batch's schema.  It records
-    every column it reads (the batch join gathers exactly those) and
-    refuses the embedded interpreter, which needs real row dicts."""
-
-    def __init__(self, evaluation: EvaluationContext, layout: Layout):
-        super().__init__(evaluation, layout)
-        self.read_columns: dict[tuple[str, str], None] = {}
-
-    def read(self, alias: str, key: str) -> str:
-        self.read_columns[(alias, key)] = None
-        return super().read(alias, key)
-
-    def fallback(self, node: Expression) -> _Operand:
-        raise _Unvectorizable(f"node {type(node).__name__} needs the interpreter")
-
-
-class _GatheredRow:
-    """One alias's row of a joined batch at position ``index``: what
-    binding-mode code reads as ``b[alias][key]``."""
-
-    __slots__ = ("buffers", "index")
-
-    def __init__(self) -> None:
-        self.buffers: dict[str, Sequence] = {}
-        self.index = 0
-
-    def __getitem__(self, key: str) -> Any:
-        return self.buffers[key][self.index]
-
-
-def _join_row_fallback(expression: Expression, evaluation: EvaluationContext,
-                       schema: "Mapping[str, Any]", predicate: bool,
-                       projected: bool) -> tuple[VectorExpression, list[str]]:
-    """A row-compiled function run once per selected position of a joined
-    batch, over bindings that read the gathered columns; or
-    :class:`_Unvectorizable`.
-
-    The layout is the row path's (``HashJoin.layout``: build bindings,
-    then probe), so names resolve and fail exactly as they do there.
-    Gathered columns hold NULLs as values, so three-valued logic is the
-    row path's too.
-    """
-    layout = tuple((binding, table.row_keys) for binding, table in schema.items())
-    emitter = _JoinRowEmitter(evaluation, layout)
-    row_fn = emitter.function(expression, projected)
-    reads = [(alias, key, f"{alias.lower()}.{key}")
-             for alias, key in emitter.read_columns]
-
-    def vector(batch: Any, selection: list) -> list:
-        columns = batch.columns
-        binding: dict[str, _GatheredRow] = {}
-        for alias, key, qualified in reads:
-            row = binding.get(alias)
-            if row is None:
-                row = binding[alias] = _GatheredRow()
-            row.buffers[key] = columns[qualified]
-        rows = list(binding.values())
-        out = []
-        append = out.append
-        for position in selection:
-            for row in rows:
-                row.index = position
-            value = row_fn(binding)
-            if not predicate:
-                append(value)
-            elif value is True:
-                append(position)
-        return out
-
-    vector.row_fallback = True
-    return vector, [qualified for _alias, _key, qualified in reads]
-
-
-def compile_join_vector_predicate(expression: Expression,
-                                  evaluation: EvaluationContext,
-                                  schema: "Mapping[str, Any]"
-                                  ) -> tuple[VectorExpression, list[str]]:
-    """Compile a predicate over a joined batch; returns ``(fn, keys)``.
-
-    Prefers the generated loop; outside the codegen subset the
-    row-compiled function runs per selected position
-    (:func:`_join_row_fallback`).  Raises :class:`VectorCompileError`
-    only when not even that applies — the caller then abandons the
-    batch-join pipeline and the operator tree executes row-at-a-time.
-    """
-    try:
-        fn, _tag, keys = _codegen_join_vector(expression, evaluation, schema,
-                                              predicate=True)
-        return fn, keys
-    except _Unvectorizable:
-        pass
-    try:
-        return _join_row_fallback(expression, evaluation, schema,
-                                  predicate=True, projected=False)
-    except _Unvectorizable as exc:
-        raise VectorCompileError(str(exc)) from exc
-
-
-def compile_join_vector_projection(expression: Expression,
-                                   evaluation: EvaluationContext,
-                                   schema: "Mapping[str, Any]", *,
-                                   projected: bool = False
-                                   ) -> tuple[VectorExpression, Optional[str],
-                                              list[str]]:
-    """Compile a scalar over a joined batch; returns ``(fn, tag, keys)``.
-
-    The tag is None for the per-position fallback (its values may be
-    NULL); ``projected`` is the select-list rule, as for
-    :func:`compile_expression`.
-    """
-    try:
-        return _codegen_join_vector(expression, evaluation, schema,
-                                    predicate=False)
-    except _Unvectorizable:
-        pass
-    try:
-        fn, keys = _join_row_fallback(expression, evaluation, schema,
-                                      predicate=False, projected=projected)
-    except _Unvectorizable as exc:
-        raise VectorCompileError(str(exc)) from exc
-    return fn, None, keys
 
 
 def _root(generator: _VectorCodegen, expression: Expression,
@@ -1588,19 +1422,19 @@ def _root(generator: _VectorCodegen, expression: Expression,
 
 
 def _codegen_vector(expression: Expression, evaluation: EvaluationContext,
-                    table: "Any", binding_name: str,
-                    predicate: bool) -> tuple[VectorExpression, Optional[str]]:
+                    schema: Schema, predicate: bool
+                    ) -> tuple[VectorExpression, Optional[str]]:
     """Build a generated-loop vector function, or raise :class:`_Unvectorizable`."""
-    generator = _VectorCodegen(evaluation, table, binding_name)
+    generator = _VectorCodegen(evaluation, schema)
     body, tag = _root(generator, expression, predicate)
-    reads = {f"_c_{name}": name for name in generator.columns}
+    reads = {identifier: key for key, identifier in generator.columns.items()}
     fn = _vector_loop(generator.env, reads, body, predicate)
-    # The column names the generated loop reads.  A single-column
-    # predicate can run over a sealed segment's dictionary instead of
-    # its decoded rows (segments.SealedSegment.code_filter); row-view
-    # fallbacks and code that may raise never set this, so they always
-    # take the decoded path.
-    fn.vector_columns = None if generator.may_raise else list(generator.columns)
+    fn.reads = list(generator.columns)
+    # A single-column predicate can run over a sealed segment's
+    # dictionary instead of its decoded rows (segments.SealedSegment.
+    # code_filter); row-view fallbacks and code that may raise never
+    # set this, so they always take the decoded path.
+    fn.vector_columns = None if generator.may_raise else fn.reads
     return fn, tag
 
 
@@ -1612,8 +1446,8 @@ class _HazardCodegen(_VectorCodegen):
 
 
 def conjunct_hazards(expression: Expression, evaluation: EvaluationContext,
-                     table: "Any", binding_name: str) -> tuple[bool, bool]:
-    """``(may_raise, may_be_null)`` of one predicate conjunct over ``table``.
+                     schema: Schema) -> tuple[bool, bool]:
+    """``(may_raise, may_be_null)`` of one predicate conjunct over ``schema``.
 
     Inside the vector codegen's subset the row path's evaluation raises
     only through the built-ins (:attr:`_VectorCodegen.may_raise`) and is
@@ -1622,7 +1456,7 @@ def conjunct_hazards(expression: Expression, evaluation: EvaluationContext,
     both.  Segment skips consult this
     (:func:`repro.engine.segments.compile_zone_predicate`).
     """
-    generator = _HazardCodegen(evaluation, table, binding_name)
+    generator = _HazardCodegen(evaluation, schema)
     try:
         generator.emit(expression)
     except _Unvectorizable:
@@ -1630,49 +1464,80 @@ def conjunct_hazards(expression: Expression, evaluation: EvaluationContext,
     return generator.may_raise, generator.reads_nullable or generator.divides
 
 
+class _BatchRowEmitter(_RowEmitter):
+    """The row emitter over a batch's row view
+    (:class:`~repro.engine.batch.BatchRowView`): a reference reads its
+    batch column, and the columns read are recorded (a batch join
+    gathers exactly those).  Under one binding the source is
+    :func:`compile_row_expression`'s."""
+
+    def __init__(self, evaluation: EvaluationContext, schema: Schema):
+        super().__init__(evaluation, tuple((binding, table.row_keys)
+                                           for binding, table in schema.items()))
+        self.schema = schema
+        self.keys: dict[str, None] = {}
+
+    def reference(self, alias: str, key: str) -> str:
+        column = batch_key(self.schema, alias, key)
+        self.keys[column] = None
+        return f"r[{column!r}]"
+
+
 def _row_view_fallback(expression: Expression, evaluation: EvaluationContext,
-                       table: "Any", binding_name: str) -> CompiledExpression:
-    """A row-mode function for batch row views; raises VectorCompileError."""
+                       schema: Schema, predicate: bool) -> VectorExpression:
+    """A row-mode function called once per selected position over the
+    batch's NULL-mask-aware row view; raises VectorCompileError.
+
+    The layout is the row path's (one table's, or ``HashJoin.layout``'s
+    build bindings then probe), so names resolve as they do there; a
+    reference that does not resolve, an aggregate or a node only the
+    interpreter evaluates leaves the batch engine to the row path.
+    """
+    emitter = _BatchRowEmitter(evaluation, schema)
     try:
-        return compile_row_expression(expression, evaluation, table, binding_name)
+        row_fn = emitter.function(expression)
     except RowCompileError as exc:
         raise VectorCompileError(str(exc)) from exc
 
-
-def compile_vector_predicate(expression: Expression, evaluation: EvaluationContext,
-                             table: "Any", binding_name: str) -> VectorExpression:
-    """Compile a predicate to ``fn(batch, selection) -> narrowed selection``.
-
-    Prefers the generated-loop fast path; falls back to calling a
-    row-mode function per selected position (NULL-mask aware) when the
-    expression is outside the codegen subset.  Raises
-    :class:`VectorCompileError` when not even row mode applies.
-    """
-    try:
-        fn, _tag = _codegen_vector(expression, evaluation, table, binding_name,
-                                   predicate=True)
-        return fn
-    except _Unvectorizable:
-        pass
-    row_fn = _row_view_fallback(expression, evaluation, table, binding_name)
-
     def vector(batch: Any, selection: list) -> list:
         view = batch.row_view()
-        kept = []
-        append = kept.append
+        out = []
+        append = out.append
         for position in selection:
             view.index = position
-            if row_fn(view) is True:
+            value = row_fn(view)
+            if not predicate:
+                append(value)
+            elif value is True:
                 append(position)
-        return kept
+        return out
 
     vector.row_fallback = True
+    vector.reads = list(emitter.keys)
     return vector
 
 
+def compile_vector_predicate(expression: Expression, evaluation: EvaluationContext,
+                             schema: Schema) -> VectorExpression:
+    """Compile a predicate to ``fn(batch, selection) -> narrowed selection``.
+
+    ``schema`` maps each binding of the batch to its table (see
+    :func:`batch_key` for the batch's column keys).  Prefers the
+    generated-loop fast path; falls back to calling a row-mode function
+    per selected position (NULL-mask aware) when the expression is
+    outside the codegen subset.  ``fn.reads`` lists the batch columns
+    either reads.  Raises :class:`VectorCompileError` when not even row
+    mode applies.
+    """
+    try:
+        fn, _tag = _codegen_vector(expression, evaluation, schema, predicate=True)
+        return fn
+    except _Unvectorizable:
+        return _row_view_fallback(expression, evaluation, schema, predicate=True)
+
+
 def compile_vector_projection(expression: Expression, evaluation: EvaluationContext,
-                              table: "Any", binding_name: str
-                              ) -> tuple[VectorExpression, Optional[str]]:
+                              schema: Schema) -> tuple[VectorExpression, Optional[str]]:
     """Compile a scalar to ``fn(batch, selection) -> [value, ...]``.
 
     Returns ``(fn, tag)`` where ``tag`` is the codegen type tag
@@ -1682,22 +1547,7 @@ def compile_vector_projection(expression: Expression, evaluation: EvaluationCont
     row-view fallback (whose values may include NULLs).
     """
     try:
-        return _codegen_vector(expression, evaluation, table, binding_name,
-                               predicate=False)
+        return _codegen_vector(expression, evaluation, schema, predicate=False)
     except _Unvectorizable:
-        pass
-    row_fn = _row_view_fallback(expression, evaluation, table, binding_name)
-
-    def vector(batch: Any, selection: list) -> list:
-        view = batch.row_view()
-        values = []
-        append = values.append
-        for position in selection:
-            view.index = position
-            append(row_fn(view))
-        return values
-
-    vector.row_fallback = True
-    return vector, None
-
-
+        return _row_view_fallback(expression, evaluation, schema,
+                                  predicate=False), None

@@ -27,10 +27,9 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .batch import BATCH_ROWS, ColumnBatch, GatheredBatch, column_values
 from .catalog import Database
-from .compile import (CompiledExpression, Layout, RowCompileError,
-                      VectorCompileError, VectorExpression, compile_expression,
-                      compile_join_vector_predicate,
-                      compile_join_vector_projection, compile_row_expression,
+from .compile import (CompiledExpression, Layout, RowCompileError, Schema,
+                      VectorCompileError, VectorExpression, batch_key,
+                      compile_expression, compile_row_expression,
                       compile_vector_predicate, compile_vector_projection,
                       conjunct_hazards, merge_layouts, row_keys, table_layout)
 from .errors import PlanError, UnknownColumnError
@@ -144,42 +143,33 @@ class ExecutionContext:
         return compile_row_expression(expression, self.evaluation,
                                       table, binding_name)
 
-    def compile_vector_predicate(self, expression: Expression, table: "Table",
-                                 binding_name: str) -> VectorExpression:
+    def compile_vector_predicate(self, expression: Expression,
+                                 schema: Schema) -> VectorExpression:
         """Vector compile (raises VectorCompileError); counters as compile_row.
 
-        The compiled function also carries the predicate's *zone form*
-        (``fn.zone_predicate``, None unless the expression is analyzable
-        over per-segment zone maps) — scans consult it to skip sealed
-        segments before touching their data — and ``fn.may_raise``,
-        whether the row path's evaluation of it could raise (then no
-        segment may be skipped on a later predicate's account).
+        Over one binding the compiled function also carries the
+        predicate's *zone form* (``fn.zone_predicate``, None unless the
+        expression is analyzable over per-segment zone maps) — scans
+        consult it to skip sealed segments before touching their data —
+        and ``fn.may_raise``, whether the row path's evaluation of it
+        could raise (then no segment may be skipped on a later
+        predicate's account).
         """
         fn = self.counted(compile_vector_predicate(expression, self.evaluation,
-                                                   table, binding_name))
-        hazards = [conjunct_hazards(conjunct, self.evaluation, table, binding_name)
-                   for conjunct in conjuncts(expression)]
-        fn.may_raise = any(may_raise for may_raise, _null in hazards)
-        fn.zone_predicate = compile_zone_predicate(
-            expression, self.evaluation, table, binding_name, hazards)
+                                                   schema))
+        if len(schema) == 1:
+            ((binding_name, table),) = schema.items()
+            hazards = [conjunct_hazards(conjunct, self.evaluation, schema)
+                       for conjunct in conjuncts(expression)]
+            fn.may_raise = any(may_raise for may_raise, _null in hazards)
+            fn.zone_predicate = compile_zone_predicate(
+                expression, self.evaluation, table, binding_name, hazards)
         return fn
 
-    def compile_vector_projection(self, expression: Expression, table: "Table",
-                                  binding_name: str):
-        fn, tag = compile_vector_projection(expression, self.evaluation,
-                                            table, binding_name)
+    def compile_vector_projection(self, expression: Expression, schema: Schema
+                                  ) -> tuple[VectorExpression, Optional[str]]:
+        fn, tag = compile_vector_projection(expression, self.evaluation, schema)
         return self.counted(fn), tag
-
-    def compile_join_vector_predicate(self, expression: Expression, schema):
-        """Join-batch vector compile (raises VectorCompileError)."""
-        fn, keys = compile_join_vector_predicate(expression, self.evaluation, schema)
-        return self.counted(fn), keys
-
-    def compile_join_vector_projection(self, expression: Expression, schema, *,
-                                       projected: bool = False):
-        fn, tag, keys = compile_join_vector_projection(
-            expression, self.evaluation, schema, projected=projected)
-        return self.counted(fn), tag, keys
 
     def counted(self, fn: VectorExpression) -> VectorExpression:
         """``fn``, counted in ``vector_fallbacks`` when it is a row-view loop."""
@@ -341,7 +331,8 @@ class TableScan(PhysicalOperator):
     def batches(self, context: ExecutionContext,
                 predicate_fn: Optional[VectorExpression] = None,
                 filter_fns: Sequence[VectorExpression] = (),
-                runtime_filter: Optional["RuntimeJoinFilter"] = None
+                runtime_filter: Optional["RuntimeJoinFilter"] = None,
+                answer: Optional[Callable[[Any], bool]] = None
                 ) -> Iterator[ColumnBatch]:
         """Columnar scan: yield :class:`ColumnBatch` chunks of live rows.
 
@@ -364,6 +355,14 @@ class TableScan(PhysicalOperator):
         path for every unit actually scanned, pass or fail; skipped
         segments contribute no rows.  Each batch carries its unit's
         ``base`` row id.
+
+        ``answer`` lets a consumer take a sealed segment from its zone
+        maps instead of its rows: it is asked about each segment
+        without tombstones whose every predicate's zone form proves
+        *all* its rows match, and returns True when it took the
+        segment (which then counts as skipped, its rows as the scan's
+        output).  No raise rule applies there: a row that matches
+        every predicate raised on none of them.
         """
         storage = self.table.storage
         statistics = context.statistics
@@ -373,12 +372,25 @@ class TableScan(PhysicalOperator):
         if runtime_filter is not None and _may_raise(*filter_fns):
             runtime_filter = None       # its row test runs before the filters
         prune_segments = runtime_filter is not None and not _may_raise(predicate_fn)
+        if not self.use_zone_maps:
+            answer = None
+        match_fns = [getattr(fn, "zone_predicate", None)
+                     for fn in (predicate_fn, *filter_fns) if fn is not None]
         for unit in storage.scan_units():
             segment = unit.segment
             if segment is not None and zone_fns and _zone_skips(zone_fns,
                                                                 segment):
                 statistics.segments_skipped += 1
                 self.actual_segments_skipped += 1
+                continue
+            if (segment is not None and answer is not None
+                    and segment.tombstones == 0
+                    and all(zone_fn is not None and zone_fn(segment)[1]
+                            for zone_fn in match_fns)
+                    and answer(segment)):
+                statistics.segments_skipped += 1
+                self.actual_segments_skipped += 1
+                self.actual_rows += segment.rows
                 continue
             if (segment is not None and prune_segments
                     and runtime_filter.prunes_segment(segment)):
@@ -1124,62 +1136,78 @@ def batch_shape(node: PhysicalOperator,
     return None
 
 
-class _ChainInput:
-    """A chain :class:`BatchShape`, vector-compiled for one execution.
+class _BatchInput:
+    """What both batch inputs share: the expressions of a consumer (or
+    of the input itself) compile under the input's :attr:`schema`, and
+    the batch columns they read accumulate in :attr:`needed`.
+    ``compiled`` counts them; the consumer adds them to
+    ``exprs_compiled`` only once its whole pipeline compiled, as the
+    fused path does."""
 
-    Its batches are the scan's or seek's, narrowed by the filters, with
-    columns keyed by bare name.  ``compiled`` counts the expressions
-    compiled against it; the consumer adds them to ``exprs_compiled``
-    only once its whole pipeline compiled, as the fused path does.
-    """
+    #: Binding → table of the relations below, in the row path's
+    #: layout order; its size decides how batch columns are keyed
+    #: (:func:`~repro.engine.compile.batch_key`).
+    schema: dict[str, Table]
+
+    def __init__(self) -> None:
+        self.needed: set[str] = set()
+        self.compiled = 0
+
+    def predicate(self, context: ExecutionContext,
+                  expression: Expression) -> VectorExpression:
+        fn = context.compile_vector_predicate(expression, self.schema)
+        self.needed.update(fn.reads)
+        self.compiled += 1
+        return fn
+
+    def projection(self, context: ExecutionContext, expression: Expression
+                   ) -> tuple[VectorExpression, Optional[str]]:
+        """``(fn, tag)`` of a scalar over this input's batches."""
+        fn, tag = context.compile_vector_projection(expression, self.schema)
+        self.needed.update(fn.reads)
+        self.compiled += 1
+        return fn, tag
+
+    def compiled_count(self) -> int:
+        return self.compiled
+
+    def column(self, key: str) -> str:
+        """The batch column of a qualified ``"binding.column"`` key."""
+        binding, name = key.split(".", 1)
+        return batch_key(self.schema, binding, name)
+
+
+class _ChainInput(_BatchInput):
+    """A chain :class:`BatchShape`, vector-compiled for one execution:
+    the one-binding batch input.  Its batches are the scan's or seek's,
+    narrowed by the filters."""
 
     def __init__(self, context: ExecutionContext, shape: BatchShape):
+        super().__init__()
         leaf = shape.source
         assert isinstance(leaf, (TableScan, IndexRangeScan))
         self.leaf = leaf
         self.table: Table = leaf.table
         self.binding_name = leaf.binding_name
         self.schema = {leaf.binding_name: leaf.table}
-        self.compiled = 0
         self.predicate_fn = (self.predicate(context, leaf.predicate)
                              if leaf.predicate is not None else None)
         # Filters stack downward; batches meet them scan-upward.
         self.filter_fns = [(filter_op, self.predicate(context, filter_op.predicate))
                            for filter_op in reversed(shape.filters)]
 
-    def predicate(self, context: ExecutionContext,
-                  expression: Expression) -> VectorExpression:
-        self.compiled += 1
-        return context.compile_vector_predicate(expression, self.table,
-                                                self.binding_name)
-
-    def projection(self, context: ExecutionContext, expression: Expression, *,
-                   projected: bool = False
-                   ) -> tuple[VectorExpression, Optional[str]]:
-        """``(fn, tag)`` of a scalar over the chain's batches
-        (``projected`` is moot: nothing below a chain aggregates)."""
-        self.compiled += 1
-        return context.compile_vector_projection(expression, self.table,
-                                                 self.binding_name)
-
-    def compiled_count(self) -> int:
-        return self.compiled
-
-    @staticmethod
-    def column(key: str) -> str:
-        """The batch column of a qualified ``"binding.column"`` key."""
-        return key.split(".", 1)[1]
-
     def batches(self, context: ExecutionContext, needed: Iterable[str] = (),
-                runtime_filter: Optional["RuntimeJoinFilter"] = None
+                runtime_filter: Optional["RuntimeJoinFilter"] = None,
+                answer: Optional[Callable[[Any], bool]] = None
                 ) -> Iterator[ColumnBatch]:
         """The chain's non-empty batches (columns load on first read, so
-        ``needed`` asks nothing of a chain)."""
+        ``needed`` asks nothing of a chain).  ``runtime_filter`` and
+        ``answer`` go to a table scan (:meth:`TableScan.batches`)."""
         leaf = self.leaf
         if isinstance(leaf, TableScan):
             batches = leaf.batches(context, self.predicate_fn,
                                    [fn for _op, fn in self.filter_fns],
-                                   runtime_filter)
+                                   runtime_filter, answer)
         else:
             batches = leaf.batches(context, self.predicate_fn)
         for batch in batches:
@@ -1222,15 +1250,25 @@ def input_rows(context: ExecutionContext, node: PhysicalOperator
     is ``node.rows``.
     """
     if node.vectorized and context.compile_enabled:
-        shape = batch_shape(node)
-        if shape is not None and shape.build is None:
-            try:
-                source = _ChainInput(context, shape)
-            except VectorCompileError:
-                return node.rows(context)
+        source = chain_input(context, node)
+        if source is not None:
             context.statistics.exprs_compiled += source.compiled_count()
             return source.rows(context)
     return node.rows(context)
+
+
+def chain_input(context: ExecutionContext, node: PhysicalOperator
+                ) -> Optional[_ChainInput]:
+    """``node`` as a batch chain compiled for this execution, or None:
+    not a chain over a column store, or an expression that does not
+    vector-compile."""
+    shape = batch_shape(node)
+    if shape is None or shape.build is not None:
+        return None
+    try:
+        return _ChainInput(context, shape)
+    except VectorCompileError:
+        return None
 
 
 # -- the vectorized hash-join pipeline ---------------------------------------
@@ -1349,17 +1387,16 @@ def _runtime_join_filter(join: "HashJoin", hash_table: dict,
     return runtime_filter
 
 
-class _BatchJoinSource:
+class _BatchJoinSource(_BatchInput):
     """Drives a :class:`HashJoin` batch-at-a-time over two batch inputs.
 
-    Each side is a chain (:class:`_ChainInput`, columns keyed by bare
-    name) or another :class:`_BatchJoinSource` (columns keyed
-    ``"binding.column"``), so left-deep, right-deep and bushy join
+    Each side is a chain (:class:`_ChainInput`) or another
+    :class:`_BatchJoinSource`, so left-deep, right-deep and bushy join
     trees all stay on the batch path.  The join keys compile against
     their own side; the residual, the filters above the join and the
     consumer's expressions compile under the join schema (build
-    bindings, then probe — ``HashJoin.layout``'s order) and record the
-    qualified columns they read in ``needed``.
+    bindings, then probe — ``HashJoin.layout``'s order), so they read
+    qualified ``"binding.column"`` keys, and record them in ``needed``.
 
     The build side's batches are consumed once: join-key columns feed a
     hash table of build-row ordinals while every needed build column
@@ -1375,6 +1412,7 @@ class _BatchJoinSource:
     """
 
     def __init__(self, context: ExecutionContext, shape: BatchShape):
+        super().__init__()
         join = shape.source
         assert isinstance(join, HashJoin) and shape.build and shape.probe
         self.join = join
@@ -1382,10 +1420,6 @@ class _BatchJoinSource:
         self.probe = _batch_input(context, shape.probe)
         self.probe_bindings = shape.probe.bindings
         self.schema = {**self.build.schema, **self.probe.schema}
-        #: Qualified columns the join's own and its consumer's
-        #: expressions read from its output batches.
-        self.needed: set[str] = set()
-        self.compiled = 0
         self.build_key_fns = [self.build.projection(context, expression)
                               for expression in join.build_keys]
         self.probe_key_fns = [self.probe.projection(context, expression)
@@ -1395,29 +1429,9 @@ class _BatchJoinSource:
         self.filter_fns = [(filter_op, self.predicate(context, filter_op.predicate))
                            for filter_op in reversed(shape.filters)]
 
-    def predicate(self, context: ExecutionContext,
-                  expression: Expression) -> VectorExpression:
-        fn, keys = context.compile_join_vector_predicate(expression, self.schema)
-        self.needed.update(keys)
-        self.compiled += 1
-        return fn
-
-    def projection(self, context: ExecutionContext, expression: Expression, *,
-                   projected: bool = False
-                   ) -> tuple[VectorExpression, Optional[str]]:
-        fn, tag, keys = context.compile_join_vector_projection(
-            expression, self.schema, projected=projected)
-        self.needed.update(keys)
-        self.compiled += 1
-        return fn, tag
-
     def compiled_count(self) -> int:
         return (self.compiled + self.build.compiled_count()
                 + self.probe.compiled_count())
-
-    @staticmethod
-    def column(key: str) -> str:
-        return key
 
     def batches(self, context: ExecutionContext,
                 needed: Iterable[str] = ()) -> Iterator[ColumnBatch]:
@@ -1657,7 +1671,7 @@ class GroupAggregate(PhysicalOperator):
         self._names = [_group_key_name(expression) for expression in self.group_by]
         self._result_keys = [aggregate.result_key() for aggregate in self.aggregates]
         # COUNT(*) is its group's row count; every other aggregate keeps
-        # a running state (another ``f(*)`` folds 1 per row).
+        # a running state.
         self._counting = [_counts_rows(aggregate) for aggregate in self.aggregates]
         self._stateful = [aggregate for aggregate, counts
                           in zip(self.aggregates, self._counting) if not counts]
@@ -1678,7 +1692,6 @@ class GroupAggregate(PhysicalOperator):
         group_key = row_key([context.compile(expression, child_layout)
                              for expression in self.group_by])
         argument_fns = [context.compile(aggregate.argument, child_layout)
-                        if aggregate.argument is not None else _star_argument
                         for aggregate in self._stateful]
         counts: dict[Any, int] = {}
         states: dict[Any, list[_AggState]] = {}
@@ -1754,46 +1767,40 @@ class GroupAggregate(PhysicalOperator):
             source = _batch_input(context, shape)
             group_fns = [source.projection(context, expression)[0]
                          for expression in self.group_by]
-            argument_fns: list[tuple[str, Optional[VectorExpression],
-                                     Optional[str]]] = []
-            for aggregate in self.aggregates:
-                if aggregate.argument is None:
-                    argument_fns.append((aggregate.result_key(), None, None))
-                else:
-                    fn, tag = source.projection(context, aggregate.argument)
-                    argument_fns.append((aggregate.result_key(), fn, tag))
+            argument_fns = [(None, None) if aggregate.argument is None
+                            else source.projection(context, aggregate.argument)
+                            for aggregate in self.aggregates]
         except VectorCompileError:
             return None
         context.statistics.exprs_compiled += source.compiled_count()
-        if (not self.group_by and isinstance(source, _ChainInput)
-                and isinstance(source.leaf, TableScan)):
-            zone_run = self._run_zone_scalar(context, source, argument_fns)
-            if zone_run is not None:
-                return zone_run
-        return self._run_vectorized(context, source.batches(context),
-                                    group_fns, argument_fns)
+        if self.group_by:
+            return self._run_grouped(source.batches(context), group_fns,
+                                     argument_fns)
+        return self._run_scalar(context, source, argument_fns)
 
-    def _run_vectorized(self, context: ExecutionContext,
-                        batches: Iterator[ColumnBatch],
-                        group_fns: Sequence[VectorExpression],
-                        argument_fns: Sequence[tuple[str, Optional[VectorExpression],
-                                                     Optional[str]]]
-                        ) -> Iterator[Binding]:
-        if not self.group_by:
-            states = {aggregate.result_key(): _AggState(aggregate)
-                      for aggregate in self.aggregates}
-            for batch in batches:
-                selection = batch.selection
-                for result_key, argument_fn, tag in argument_fns:
-                    state = states[result_key]
-                    if argument_fn is None:
-                        state.update_count(len(selection))
-                    else:
-                        state.update_batch(argument_fn(batch, selection), tag)
-            row = {result_key: state.result() for result_key, state in states.items()}
-            yield self._emit({self.binding_name: row})
-            return
-        stateful_fns = [argument_fn for (_key, argument_fn, _tag), counts
+    def _run_scalar(self, context: ExecutionContext,
+                    source: "_ChainInput | _BatchJoinSource",
+                    argument_fns: Sequence[tuple[Optional[VectorExpression],
+                                                 Optional[str]]]
+                    ) -> Iterator[Binding]:
+        states = [_AggState(aggregate) for aggregate in self.aggregates]
+        if isinstance(source, _ChainInput):
+            answer = self._zone_answer(source, states,
+                                       [tag for _fn, tag in argument_fns])
+            batches = source.batches(context, answer=answer)
+        else:
+            batches = source.batches(context)
+        fold_scalar(batches, states, argument_fns)
+        row = {result_key: state.result()
+               for result_key, state in zip(self._result_keys, states)}
+        yield self._emit({self.binding_name: row})
+
+    def _run_grouped(self, batches: Iterator[ColumnBatch],
+                     group_fns: Sequence[VectorExpression],
+                     argument_fns: Sequence[tuple[Optional[VectorExpression],
+                                                  Optional[str]]]
+                     ) -> Iterator[Binding]:
+        stateful_fns = [argument_fn for (argument_fn, _tag), counts
                         in zip(argument_fns, self._counting) if not counts]
         single = len(group_fns) == 1
         counts: dict[Any, int] = {}
@@ -1805,42 +1812,31 @@ class GroupAggregate(PhysicalOperator):
             values = None
             if stateful_fns:
                 values = zip(*[argument_fn(batch, selection)
-                               if argument_fn is not None else [1] * len(selection)
                                for argument_fn in stateful_fns])
             self._fold(counts, states, keys, values)
         yield from self._emit_groups(counts, states)
 
-    def _run_zone_scalar(self, context: ExecutionContext, source: "_ChainInput",
-                         argument_fns: Sequence[tuple[str,
-                                                      Optional[VectorExpression],
-                                                      Optional[str]]]
-                         ) -> Optional[Iterator[Binding]]:
-        """Scalar aggregation that answers segments from zone maps, or None.
+    def _zone_answer(self, source: "_ChainInput", states: Sequence["_AggState"],
+                     tags: Sequence[Optional[str]]
+                     ) -> Optional[Callable[[Any], bool]]:
+        """The scan hook that folds a fully-matched segment from its zone
+        maps (:meth:`TableScan.batches`' ``answer``), or None.
 
-        A sealed segment that every predicate conjunct proves *fully
-        matched* — and that carries no tombstoned rows — contributes
-        COUNT/MIN/MAX (and, when the planner proved the sum exact via
-        :attr:`zone_exact_sums`, SUM/AVG) straight from its zone map,
-        without decoding a single value.  Zone minima/maxima use the
-        same first-wins comparisons and zone integer sums the same
-        exact arithmetic as :class:`_AggState`, so the merged fold is
-        bit-identical to scanning.  Segments that cannot be answered
-        (or skipped) are scanned with the ordinary per-batch
-        accounting; the append tail always scans.
+        Such a segment contributes COUNT/MIN/MAX (and, when the planner
+        proved the sum exact via :attr:`zone_exact_sums`, SUM/AVG)
+        straight from its zone map, without decoding a single value.
+        Zone minima/maxima use the same first-wins comparisons and zone
+        integer sums the same exact arithmetic as :class:`_AggState`,
+        so the merged fold is bit-identical to scanning.  A segment the
+        zones cannot answer is scanned and folded as usual.
         """
-        scan = source.leaf
-        assert isinstance(scan, TableScan)
-        if not scan.use_zone_maps:
-            return None
-        specs: list[tuple[str, Optional[str], str,
-                          Optional[VectorExpression], Optional[str]]] = []
-        binding = scan.binding_name.lower()
-        for aggregate, (result_key, argument_fn, tag) in zip(self.aggregates,
-                                                             argument_fns):
+        specs: list[tuple[Optional[str], str]] = []
+        binding = source.binding_name.lower()
+        for aggregate, tag in zip(self.aggregates, tags):
             if aggregate.distinct:
                 return None
             if aggregate.argument is None:
-                specs.append((result_key, None, "count_star", argument_fn, tag))
+                specs.append((None, "count_star"))
                 continue
             func = aggregate.func
             if func not in ("count", "min", "max", "sum", "avg"):
@@ -1852,7 +1848,7 @@ class GroupAggregate(PhysicalOperator):
             if qualifier and qualifier != binding:
                 return None
             column = argument.name.lower()
-            if not scan.table.has_column(column):
+            if not source.table.has_column(column):
                 return None
             if func in ("sum", "avg") and (not self.zone_exact_sums
                                            or tag != "int"):
@@ -1860,85 +1856,20 @@ class GroupAggregate(PhysicalOperator):
                 # codegen tag guarantees non-NULL, non-bool ints may be
                 # answered from zone integer sums.
                 return None
-            specs.append((result_key, column, func, argument_fn, tag))
-        predicate_fns = [fn for fn in (source.predicate_fn,
-                                       *[fn for _op, fn in source.filter_fns])
-                         if fn is not None]
-        return self._zone_scalar_fold(context, scan, source.predicate_fn,
-                                      source.filter_fns, specs, predicate_fns)
+            specs.append((column, func))
 
-    def _zone_scalar_fold(self, context: ExecutionContext, scan: "TableScan",
-                          scan_predicate: Optional[VectorExpression],
-                          filter_fns: Sequence[tuple["FilterOp",
-                                                     VectorExpression]],
-                          specs, predicate_fns) -> Iterator[Binding]:
-        statistics = context.statistics
-        storage = scan.table.storage
-        row_bytes = int(scan.table.average_row_bytes())
-        binding_name = scan.binding_name
-        states: dict[str, _AggState] = {}
-        for aggregate, spec in zip(self.aggregates, specs):
-            states[spec[0]] = _AggState(aggregate)
-        skip_fns = _zone_predicates(True, *predicate_fns)
-        match_fns = [getattr(fn, "zone_predicate", None) for fn in predicate_fns]
-        for unit in storage.scan_units():
-            segment = unit.segment
-            if segment is not None:
-                if _zone_skips(skip_fns, segment):
-                    statistics.segments_skipped += 1
-                    scan.actual_segments_skipped += 1
-                    continue
-                # No raise rule here: a row that matches every
-                # conjunct raised on none of them.
-                if (segment.tombstones == 0
-                        and all(zone_fn is not None and zone_fn(segment)[1]
-                                for zone_fn in match_fns)):
-                    contributions = _zone_contributions(segment, specs)
-                    if contributions is not None:
-                        # Answered without touching the data: counts as
-                        # a skipped segment (no rows or bytes scanned),
-                        # but the operators' actual rows match the scan
-                        # they replaced.
-                        statistics.segments_skipped += 1
-                        scan.actual_segments_skipped += 1
-                        scan.actual_rows += segment.rows
-                        for filter_op, _fn in filter_fns:
-                            filter_op.actual_rows += segment.rows
-                        for result_key, partial in contributions:
-                            states[result_key].merge_partial(partial)
-                        continue
-            selection = unit.selection()
-            if not selection:
-                continue
-            if segment is not None:
-                statistics.segments_scanned += 1
-                scan.actual_segments_scanned += 1
-            statistics.rows_scanned += len(selection)
-            statistics.bytes_scanned += len(selection) * row_bytes
-            statistics.batches_processed += 1
-            statistics.batch_rows += len(selection)
-            batch = ColumnBatch(unit.columns(), unit.masks(), selection,
-                                binding_name)
-            if scan_predicate is not None:
-                batch.selection = _apply_scan_predicate(scan_predicate, batch,
-                                                        selection, segment)
-            scan.actual_rows += len(batch.selection)
-            for filter_op, predicate_fn in filter_fns:
-                if not batch.selection:
-                    break
-                filter_op.apply_batch(batch, predicate_fn)
-            if not batch.selection:
-                continue
-            selection = batch.selection
-            for result_key, _column, _func, argument_fn, tag in specs:
-                state = states[result_key]
-                if argument_fn is None:
-                    state.update_count(len(selection))
-                else:
-                    state.update_batch(argument_fn(batch, selection), tag)
-        row = {result_key: state.result()
-               for result_key, state in states.items()}
-        yield self._emit({self.binding_name: row})
+        def answer(segment) -> bool:
+            partials = _zone_contributions(segment, specs)
+            if partials is None:
+                return False
+            # The operators' actual rows match the scan they replaced.
+            for filter_op, _fn in source.filter_fns:
+                filter_op.actual_rows += segment.rows
+            for state, partial in zip(states, partials):
+                state.merge_partial(partial)
+            return True
+
+        return answer
 
     def details(self) -> str:
         groups = ", ".join(expression.sql() for expression in self.group_by) or "(scalar)"
@@ -1952,36 +1883,50 @@ class GroupAggregate(PhysicalOperator):
 def _zone_contributions(segment, specs) -> Optional[list]:
     """Per-aggregate ``partial_state`` tuples read off a segment's zone maps.
 
-    Returns ``[(result_key, (count, total, minimum, maximum)), ...]`` —
-    the exact mergeable fragments :meth:`_AggState.merge_partial`
-    consumes — or None when any aggregate needs the real values (e.g. a
-    MIN over a segment whose zone could not rank its values, or a SUM
-    whose zone lost integer exactness).
+    ``specs`` holds one ``(column, func)`` per aggregate.  Returns the
+    ``(count, total, minimum, maximum)`` fragments
+    :meth:`_AggState.merge_partial` consumes, in order — or None when
+    any aggregate needs the real values (e.g. a MIN over a segment
+    whose zone could not rank its values, or a SUM whose zone lost
+    integer exactness).
     """
     contributions = []
-    for result_key, column, func, _argument_fn, _tag in specs:
+    for column, func in specs:
         if func == "count_star":
-            contributions.append((result_key, (segment.rows, 0.0, None, None)))
+            contributions.append((segment.rows, 0.0, None, None))
             continue
         zone = segment.zone(column)
         if zone is None:
             return None
         nonnull = zone.nonnull
         if func == "count":
-            contributions.append((result_key, (nonnull, 0.0, None, None)))
+            contributions.append((nonnull, 0.0, None, None))
         elif func in ("min", "max"):
             if nonnull and zone.kind is None:
                 # Mixed types or NaN: the zone could not rank the
                 # values, so the segment must be scanned.
                 return None
-            contributions.append((result_key,
-                                  (nonnull, 0.0, zone.minimum, zone.maximum)))
+            contributions.append((nonnull, 0.0, zone.minimum, zone.maximum))
         else:  # sum / avg over planner-proved exact-integer columns
             if zone.int_sum is None or (nonnull and zone.kind != "num"):
                 return None
-            contributions.append((result_key,
-                                  (nonnull, zone.int_sum, None, None)))
+            contributions.append((nonnull, zone.int_sum, None, None))
     return contributions
+
+
+def fold_scalar(batches: Iterable[ColumnBatch], states: Sequence["_AggState"],
+                argument_fns: Sequence[tuple[Optional[VectorExpression],
+                                             Optional[str]]]) -> None:
+    """Fold each batch's selected rows into ungrouped aggregate states,
+    one ``(fn, tag)`` per state (``fn`` None for COUNT(*))."""
+    folds = [(state, fn, tag) for state, (fn, tag) in zip(states, argument_fns)]
+    for batch in batches:
+        selection = batch.selection
+        for state, fn, tag in folds:
+            if fn is None:
+                state.update_count(len(selection))
+            else:
+                state.update_batch(fn(batch, selection), tag)
 
 
 def _group_key_name(expression: Expression) -> str:
@@ -1991,14 +1936,9 @@ def _group_key_name(expression: Expression) -> str:
 
 
 def _counts_rows(aggregate: AggregateCall) -> bool:
-    """COUNT(*): folding 1 per row is counting the group's rows."""
-    return (aggregate.func == "count" and aggregate.argument is None
-            and not aggregate.distinct)
-
-
-def _star_argument(_binding: Binding) -> int:
-    """The value any other ``f(*)`` aggregate folds per row."""
-    return 1
+    """COUNT(*), the one aggregate without an argument: its group's row
+    count."""
+    return aggregate.argument is None
 
 
 class _AggState:
@@ -2200,8 +2140,7 @@ class ProjectOp(PhysicalOperator):
                 if isinstance(item.expression, Star):
                     compiled_items.append((None, None))
                 else:
-                    fn, _tag = source.projection(context, item.expression,
-                                                 projected=True)
+                    fn, _tag = source.projection(context, item.expression)
                     compiled_items.append((item.output_name(position), fn))
         except VectorCompileError:
             return None

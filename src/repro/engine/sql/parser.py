@@ -420,6 +420,10 @@ class _Parser:
     def parse_aggregate_arguments(self, func: str) -> Expression:
         distinct = self.accept_keyword("distinct")
         if self.peek().type is TokenType.STAR:
+            # T-SQL takes ``*`` in COUNT(*) alone.
+            if func != "count" or distinct:
+                raise self.error(f"{func.upper()}({'DISTINCT ' if distinct else ''}*)"
+                                 " is not allowed; only COUNT(*) takes '*'")
             self.advance()
             self.expect(TokenType.RPAREN)
             return AggregateCall(func, None, distinct)

@@ -20,6 +20,17 @@ from repro.pipeline import PlantedPopulations, SurveyConfig, SyntheticSurvey
 from repro.schema import create_skyserver_database
 from repro.skyserver import QueryLimits, SkyServer
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property suites skip themselves
+    pass
+else:
+    # One profile for the whole run: no deadline, and a fixed example
+    # sequence, so every run covers the same inputs.  Each property test
+    # sets its own ``max_examples``.
+    settings.register_profile("repro", deadline=None, derandomize=True)
+    settings.load_profile("repro")
+
 #: Reduced sky density used by the test fixtures (objects per square degree).
 TEST_DENSITY = 6000.0
 TEST_SEED = 20020603       # SIGMOD 2002, June 3rd

@@ -595,6 +595,33 @@ class TestAggregatePartials:
         assert cluster.executor.ordered_aggregate_gathers == 1
 
 
+#: Aggregates T-SQL rejects: ``*`` is COUNT(*)'s alone.
+STAR_AGGREGATES = ("sum(*)", "avg(*)", "min(*)", "max(*)", "count(distinct *)")
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_star_is_count_star_only(shards):
+    """``f(*)`` other than COUNT(*) is a syntax error on one node and on
+    shards alike, and COUNT(*) still counts rows, grouped or not."""
+    from repro.engine import SQLSyntaxError
+
+    database = build_generic()
+    session = (SqlSession(database) if shards == 1
+               else ClusterSession(make_cluster(shards)))
+    for aggregate in STAR_AGGREGATES:
+        with pytest.raises(SQLSyntaxError):
+            session.query(f"select {aggregate} as v from Obj")
+    rows = [row for _row_id, row in database.table("Obj").iter_rows()]
+    assert session.query("select count(*) as n from Obj where mag < 20").rows == [
+        {"n": sum(1 for row in rows if row["mag"] < 20)}]
+    grouped = session.query(
+        "select type, count(*) as n, avg(mag) as m from Obj group by type "
+        "order by type").rows
+    assert [(row["type"], row["n"]) for row in grouped] == sorted(
+        (kind, sum(1 for row in rows if row["type"] == kind))
+        for kind in {row["type"] for row in rows})
+
+
 def test_cone_pruning_keeps_shards_with_stale_statistics():
     """A row inserted after ANALYZE (outside every analyzed htmID range)
     must still be found by the pruned cone scatter."""

@@ -44,9 +44,6 @@ from repro.storage import (INSERT_FRAME, FormatError, RowCodec,
                            storage_from_state, storage_state)
 from repro.storage.wal import WriteAheadLog, replay_file
 
-settings.register_profile("repro-durability", deadline=None, max_examples=15)
-settings.load_profile("repro-durability")
-
 
 # ---------------------------------------------------------------------------
 # The binary codec
@@ -316,6 +313,7 @@ class TestCrashRecovery:
            layout=st.sampled_from(["row", "column"]),
            checkpoint_after=st.integers(0, 40),
            tear=st.floats(0.0, 1.0))
+    @settings(max_examples=15)
     def test_truncated_wal_recovers_exact_prefix(self, tmp_path_factory, seed,
                                                  layout, checkpoint_after, tear):
         """Random DML, kill at a random WAL offset, reopen: the result

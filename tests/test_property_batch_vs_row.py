@@ -24,9 +24,12 @@ A second suite covers the vector codegen's whole numeric subset: every
 numeric built-in, and column divisors of 0, -0.0, NaN, ints, floats and
 bools — the row path's NULL for a zero divisor — under AND, OR, NOT,
 CASE and IS NULL, before a conjunct that raises, and in projection and
-group-key positions.  The column store, a row store of the same rows
-and the interpreter must give ``repr``-identical rows or raise the same
-error.
+group-key positions — over ``t`` alone and over ``t`` joined 1:1 on its
+key with ``u``, a renamed copy, each column read through either alias
+(a batch join's two-binding schema).  The column store, a row store of
+the same rows and the interpreter must give ``repr``-identical rows or
+raise the same error, and a two-binding compile must fall back to the
+per-position loop exactly when the one-binding compile does.
 
 A third suite covers the row-mode operators that read a batch chain
 (``operators.input_rows``): ORDER BY — ascending and descending, over
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -51,8 +55,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import (ColumnBatch, Database, Planner, PrimaryKey,  # noqa: E402
-                          bigint, boolean, compile_vector_predicate,
-                          compile_vector_projection, floating, integer, text)
+                          bigint, boolean, compile_expression,
+                          compile_vector_predicate, compile_vector_projection,
+                          floating, integer, text)
 from repro.engine.compile import conjunct_hazards  # noqa: E402
 from repro.engine.expressions import EvaluationContext  # noqa: E402
 from repro.engine.explain import plan_operators  # noqa: E402
@@ -215,7 +220,7 @@ def test_math_codegen_only_for_the_builtins_themselves():
 
     def values(sql, evaluation=EvaluationContext()):
         fn, tag = compile_vector_projection(parse_expression(sql), evaluation,
-                                            table, "t")
+                                            {"t": table})
         return fn(batch, batch.selection), tag
 
     assert values("abs(k)") == ([3, 0, 1, 7], "int")
@@ -254,7 +259,7 @@ DIVISORS = ("k", "d", "x", "i", "flag", "(d - 1.5)", "(k - 1)", "abs(k)")
 
 def _build_divisors(seed: int, tail: int, dead: list[int]) -> dict[str, Database]:
     """The same ``t`` (one sealed segment plus ``tail`` rows, tombstones)
-    in a column store and a row store, row ids alike."""
+    and its copy ``u`` in a column store and a row store, row ids alike."""
     rng = random.Random(seed)
     count = SEGMENT_ROWS + tail
     rows = [{"id": row_id, **{name: rng.choice(palette)
@@ -264,12 +269,13 @@ def _build_divisors(seed: int, tail: int, dead: list[int]) -> dict[str, Database
     databases = {}
     for storage in ("column", "row"):
         database = Database(f"divisors-{storage}")
-        table = database.create_table("t", [
-            bigint("id"), integer("i"), integer("k"), floating("x"),
-            floating("y"), floating("d"), boolean("flag"),
-        ], primary_key=PrimaryKey(["id"]), storage=storage)
-        table.insert_many(dict(row) for row in rows)
-        table.delete_where(lambda row: row["id"] in doomed)
+        for name in ("t", "u"):
+            table = database.create_table(name, [
+                bigint("id"), integer("i"), integer("k"), floating("x"),
+                floating("y"), floating("d"), boolean("flag"),
+            ], primary_key=PrimaryKey(["id"]), storage=storage)
+            table.insert_many(dict(row) for row in rows)
+            table.delete_where(lambda row: row["id"] in doomed)
         database.analyze()
         databases[storage] = database
     return databases
@@ -319,15 +325,37 @@ def divisor_predicates(draw, depth: int = 2):
         f"(case when {left} then 1 else 0 end) = 1")))
 
 
+#: A column of ``t`` in generated SQL (function names never match).
+COLUMN_WORD = re.compile(r"\b(i|k|x|y|d|flag)\b")
+
+
+def _qualified(draw, sql: str) -> str:
+    """``sql`` with each column read through ``t`` or its copy ``u``."""
+    return COLUMN_WORD.sub(
+        lambda match: f"{draw(st.sampled_from(('t', 'u')))}.{match.group(1)}",
+        sql)
+
+
+#: ``t`` joined 1:1 on its key with its copy: a two-binding batch.
+SELF_JOIN = "from t join u on u.id = t.id"
+
+
 @st.composite
 def divisor_statements(draw):
     """One statement; a single drawn expression in it may raise, so the
     row path and the batch engine meet the same error first."""
-    shape = draw(st.sampled_from(("where", "project", "group")))
+    shape = draw(st.sampled_from(("where", "project", "group", "join where",
+                                  "join project")))
     if shape == "where":
         return f"select id from t where {draw(divisor_predicates())}"
     if shape == "project":
         return f"select id, {draw(numeric_terms())} as v from t where i <> 3"
+    if shape == "join where":
+        predicate = _qualified(draw, draw(divisor_predicates()))
+        return f"select t.id {SELF_JOIN} where {predicate}"
+    if shape == "join project":
+        term = _qualified(draw, draw(numeric_terms()))
+        return f"select t.id, {term} as v {SELF_JOIN} where t.i <> 3"
     # Group keys divide, so no stored NaN object passes through unchanged
     # (a row store's rows share one; computed ones never do).
     key = (f"({draw(st.sampled_from(('i', 'k', 'y', 'flag')))} "
@@ -339,9 +367,12 @@ def divisor_statements(draw):
 
 def _divisor_outcomes(databases: dict[str, Database], sql: str):
     """(column store, row store, column store interpreted); rows only —
-    a column-free predicate may scan the row store's primary key."""
-    column = Planner(databases["column"]).plan(parse_select(sql))
-    row = Planner(databases["row"]).plan(parse_select(sql))
+    a column-free predicate may scan the row store's primary key.  The
+    self-join is a hash join, which runs batch on the column store."""
+    column = Planner(databases["column"], enable_index_join=False).plan(
+        parse_select(sql))
+    row = Planner(databases["row"], enable_index_join=False).plan(
+        parse_select(sql))
     return tuple(outcome[:2] if outcome[0] == "rows" else outcome
                  for outcome in (_run(column), _run(row),
                                  _run(column, compiled=False)))
@@ -373,9 +404,10 @@ def test_divisor_and_builtin_shapes_vectorize():
     def fallback(sql, predicate=True):
         expression = parse_expression(sql)
         if predicate:
-            fn = compile_vector_predicate(expression, evaluation, table, "t")
+            fn = compile_vector_predicate(expression, evaluation, {"t": table})
         else:
-            fn, _tag = compile_vector_projection(expression, evaluation, table, "t")
+            fn, _tag = compile_vector_projection(expression, evaluation,
+                                                 {"t": table})
         return getattr(fn, "row_fallback", False)
 
     for sql in ("x / d > 1.5 and y > 2.0", "i / k > 1.3 or flag",
@@ -419,7 +451,7 @@ def test_divisor_conjuncts_report_may_be_null():
     evaluation = EvaluationContext()
 
     def hazards(sql):
-        return conjunct_hazards(parse_expression(sql), evaluation, table, "t")
+        return conjunct_hazards(parse_expression(sql), evaluation, {"t": table})
 
     assert hazards("x / d > 1") == (False, True)
     assert hazards("(i % k) is null") == (False, True)
@@ -427,6 +459,69 @@ def test_divisor_conjuncts_report_may_be_null():
     assert hazards("abs(x) > 1") == (False, False)
     assert hazards("log10(y) > 1") == (True, False)
     assert hazards("sqrt(x) / d > 1") == (True, True)
+
+
+def _outcome_of(compute):
+    try:
+        return ("values", repr(compute()))
+    except Exception as error:  # every side must raise the same error
+        return ("error", type(error).__name__, str(error))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       predicate=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_two_bindings_compile_as_one(seed, predicate, data):
+    """A drawn expression over ``t``'s batch, and the same expression
+    with each column read through ``t`` or ``u`` over the 1:1 join's
+    batch: both agree with the row path, and the join's falls back to
+    the per-position loop exactly when the scan's does."""
+    rng = random.Random(seed)
+    rows = [{"id": row_id, **{name: rng.choice(palette)
+                              for name, palette in DIVISOR_COLUMNS.items()}}
+            for row_id in range(40)]
+    database = Database("two-bindings")
+    schema = {}
+    for name in ("t", "u"):
+        schema[name] = database.create_table(name, [
+            bigint("id"), integer("i"), integer("k"), floating("x"),
+            floating("y"), floating("d"), boolean("flag"),
+        ], primary_key=PrimaryKey(["id"]), storage="column")
+        schema[name].insert_many(dict(row) for row in rows)
+    sql = data.draw(divisor_predicates() if predicate else numeric_terms())
+    single = parse_expression(sql)
+    joined = parse_expression(_qualified(data.draw, sql))
+    evaluation = EvaluationContext()
+    positions = list(range(len(rows)))
+    columns, masks = schema["t"].storage.batch_columns()
+    scan_batch = ColumnBatch(columns, masks, positions, "t")
+    join_batch = ColumnBatch({f"{alias}.{key}": values for alias in schema
+                              for key, values in columns.items()},
+                             {}, positions, "#join")
+
+    def vector(expression, compile_schema, batch):
+        if predicate:
+            fn = compile_vector_predicate(expression, evaluation, compile_schema)
+        else:
+            fn, _tag = compile_vector_projection(expression, evaluation,
+                                                 compile_schema)
+        return (getattr(fn, "row_fallback", False),
+                _outcome_of(lambda: fn(batch, batch.selection)))
+
+    def row_path():
+        fn = compile_expression(joined, evaluation,
+                                tuple((alias, table.row_keys)
+                                      for alias, table in schema.items()))
+        values = [fn({"t": row, "u": row}) for row in rows]
+        if predicate:
+            return [position for position, value in enumerate(values)
+                    if value is True]
+        return values
+
+    scan_fallback, scan_outcome = vector(single, {"t": schema["t"]}, scan_batch)
+    join_fallback, join_outcome = vector(joined, schema, join_batch)
+    assert scan_fallback == join_fallback, sql
+    assert scan_outcome == join_outcome == _outcome_of(row_path), sql
 
 
 # -- row-mode consumers of batch chains ---------------------------------------

@@ -17,9 +17,6 @@ from repro.engine import (Database, Planner, PrimaryKey, bigint, boolean,
                           floating, text)
 from repro.engine.sql import parse_select
 
-settings.register_profile("repro-columnar", deadline=None, max_examples=40)
-settings.load_profile("repro-columnar")
-
 
 ROW_STRATEGY = st.lists(
     st.tuples(
@@ -108,6 +105,7 @@ def _queries(predicate_index, projection_index, aggregate_index,
        aggregate_index=st.integers(min_value=0, max_value=63),
        order_desc=st.booleans(),
        top=st.integers(min_value=0, max_value=7))
+@settings(max_examples=40)
 def test_column_store_matches_row_store(rows, predicate_index, projection_index,
                                         aggregate_index, order_desc, top):
     row_db, col_db = _build_pair(rows)
@@ -125,6 +123,7 @@ def test_column_store_matches_row_store(rows, predicate_index, projection_index,
 @given(rows=ROW_STRATEGY,
        predicate_index=st.integers(min_value=0, max_value=63),
        modulus=st.integers(min_value=2, max_value=5))
+@settings(max_examples=40)
 def test_vacuum_preserves_results_on_both_stores(rows, predicate_index, modulus):
     row_db, col_db = _build_pair(rows)
     sql = (f"select id, value, flags, label from t "

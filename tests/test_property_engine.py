@@ -12,9 +12,6 @@ from repro.engine.expressions import (Between, BinaryOp, CaseWhen, ColumnRef,
                                       Like, Literal, RowScope, UnaryOp)
 from repro.engine.types import NULL
 
-settings.register_profile("repro", deadline=None, max_examples=60)
-settings.load_profile("repro")
-
 
 def build_table(values):
     database = Database("prop")
@@ -28,6 +25,7 @@ def build_table(values):
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=120))
+@settings(max_examples=60)
 def test_index_range_matches_brute_force(values):
     """An index range scan returns exactly the rows a full scan would."""
     _database, table = build_table(values)
@@ -48,6 +46,7 @@ def test_index_range_matches_brute_force(values):
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
                 min_size=1, max_size=120))
+@settings(max_examples=60)
 def test_index_scan_is_sorted_and_complete(values):
     _database, table = build_table(values)
     index = table.create_index("ix_value", ["value"])
@@ -57,6 +56,7 @@ def test_index_scan_is_sorted_and_complete(values):
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=100))
+@settings(max_examples=60)
 def test_index_seek_equality_matches_filter(labels):
     database = Database("prop2")
     table = database.create_table("t", [bigint("id"), bigint("bucket")],
@@ -72,6 +72,7 @@ def test_index_seek_equality_matches_filter(labels):
 
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
        st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
+@settings(max_examples=60)
 def test_parsed_arithmetic_matches_python(a, b):
     expression = parse_expression("a * 2 + b - 3")
     scope = RowScope().bind("t", {"a": a, "b": b})
@@ -82,6 +83,7 @@ def test_parsed_arithmetic_matches_python(a, b):
 @given(st.floats(min_value=-100, max_value=100, allow_nan=False),
        st.floats(min_value=-100, max_value=100, allow_nan=False),
        st.floats(min_value=-100, max_value=100, allow_nan=False))
+@settings(max_examples=60)
 def test_between_equivalent_to_comparisons(value, low, high):
     low, high = min(low, high), max(low, high)
     scope = RowScope().bind("t", {"x": value})
@@ -94,6 +96,7 @@ def test_between_equivalent_to_comparisons(value, low, high):
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                           st.floats(min_value=10, max_value=25, allow_nan=False)),
                 min_size=1, max_size=80))
+@settings(max_examples=60)
 def test_sql_group_count_matches_python(rows):
     """GROUP BY counts agree with a plain Python dictionary count."""
     database = Database("prop3")
@@ -112,6 +115,7 @@ def test_sql_group_count_matches_python(rows):
 @given(st.lists(st.floats(min_value=10, max_value=25, allow_nan=False),
                 min_size=1, max_size=80),
        st.floats(min_value=10, max_value=25, allow_nan=False))
+@settings(max_examples=60)
 def test_sql_filter_matches_python(values, threshold):
     """WHERE mag < t returns exactly the Python-filtered set."""
     database, table = build_table(values)
@@ -186,6 +190,7 @@ def _outcome(thunk):
 
 
 @given(_expression_strategy(), _row_values)
+@settings(max_examples=60)
 def test_compiled_evaluation_matches_interpreted(expression, row):
     """compile_expression(e, layout)(binding) ≡ e.evaluate(scope, ctx) on random trees."""
     context = EvaluationContext()
@@ -200,6 +205,7 @@ def test_compiled_evaluation_matches_interpreted(expression, row):
                           st.integers(min_value=0, max_value=15)),
                 min_size=1, max_size=60),
        st.floats(min_value=-50, max_value=50, allow_nan=False))
+@settings(max_examples=60)
 def test_fused_plan_matches_interpreted_plan(rows, threshold):
     """The fused scan→filter→project path returns the interpreted rows."""
     database = Database("prop_fused")
@@ -216,6 +222,7 @@ def test_fused_plan_matches_interpreted_plan(rows, threshold):
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                 min_size=1, max_size=60))
+@settings(max_examples=60)
 def test_order_by_is_total_and_stable_under_reversal(values):
     database, _table = build_table(values)
     session = SqlSession(database)

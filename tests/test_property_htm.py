@@ -9,14 +9,13 @@ from repro import htm
 from repro.htm.regions import Markup
 from repro.htm.vectors import angular_distance, centroid
 
-settings.register_profile("repro-htm", deadline=None, max_examples=80)
-settings.load_profile("repro-htm")
 
 ras = st.floats(min_value=0.0, max_value=359.999, allow_nan=False)
 decs = st.floats(min_value=-89.5, max_value=89.5, allow_nan=False)
 
 
 @given(ras, decs, st.integers(min_value=0, max_value=14))
+@settings(max_examples=80)
 def test_lookup_returns_containing_trixel(ra, dec, depth):
     """The trixel returned by lookup always geometrically contains the point."""
     htm_id = htm.lookup_id(ra, dec, depth)
@@ -25,6 +24,7 @@ def test_lookup_returns_containing_trixel(ra, dec, depth):
 
 
 @given(ras, decs)
+@settings(max_examples=80)
 def test_deep_id_falls_in_shallow_ancestor_range(ra, dec):
     """B-tree property: descendants occupy a contiguous id range of the ancestor."""
     shallow = htm.lookup_id(ra, dec, 6)
@@ -34,6 +34,7 @@ def test_deep_id_falls_in_shallow_ancestor_range(ra, dec):
 
 
 @given(ras, decs, st.floats(min_value=0.1, max_value=30.0, allow_nan=False))
+@settings(max_examples=80)
 def test_cover_never_misses_the_center(ra, dec, radius_arcmin):
     ranges = htm.cover_circle(ra, dec, radius_arcmin)
     assert htm.ranges_contain(ranges, htm.lookup_id(ra, dec))
@@ -43,6 +44,7 @@ def test_cover_never_misses_the_center(ra, dec, radius_arcmin):
        st.floats(min_value=0.2, max_value=10.0, allow_nan=False),
        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
        st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False))
+@settings(max_examples=80)
 def test_cover_contains_every_point_inside_the_circle(ra, dec, radius_arcmin,
                                                       radial_fraction, angle):
     """Superset property: any point inside the circle falls inside the cover."""
@@ -56,6 +58,7 @@ def test_cover_contains_every_point_inside_the_circle(ra, dec, radius_arcmin,
 
 
 @given(ras, decs, ras, decs)
+@settings(max_examples=80)
 def test_angular_distance_is_a_metric(ra1, dec1, ra2, dec2):
     forward = htm.angular_distance_radec(ra1, dec1, ra2, dec2)
     backward = htm.angular_distance_radec(ra2, dec2, ra1, dec1)
@@ -67,6 +70,7 @@ def test_angular_distance_is_a_metric(ra1, dec1, ra2, dec2):
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 12),
                           st.integers(min_value=0, max_value=10 ** 6)),
                 max_size=30))
+@settings(max_examples=80)
 def test_merge_ranges_preserves_membership(raw):
     ranges = [htm.HtmRange(low, low + span) for low, span in raw]
     merged = htm.merge_ranges(ranges)

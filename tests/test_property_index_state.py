@@ -24,8 +24,6 @@ from repro.engine import (Database, PrimaryKey, PrimaryKeyViolation, bigint,
                           boolean, floating, text)
 from repro.engine.index import BTreeIndex
 
-settings.register_profile("repro-index-state", deadline=None, max_examples=60)
-settings.load_profile("repro-index-state")
 
 NAN = float("nan")
 
@@ -155,11 +153,13 @@ def _run_raw_ops(ops: list, unique: bool) -> None:
 
 
 @given(raw_ops(RAW_PARTS + [NAN]))
+@settings(max_examples=60)
 def test_raw_keys_keep_the_reference_order(ops):
     _run_raw_ops(ops, unique=False)
 
 
 @given(raw_ops(RAW_PARTS))
+@settings(max_examples=60)
 def test_unique_index_rejects_every_equal_rank(ops):
     """A NaN has no equal, so uniqueness is only promised without one."""
     _run_raw_ops(ops, unique=True)
@@ -210,6 +210,7 @@ def _assert_table_indexes(table) -> None:
 
 
 @given(table_ops, st.sampled_from(["row", "column"]))
+@settings(max_examples=60)
 def test_table_writes_keep_every_index_exact(ops, layout):
     table = _table(layout)
     next_id = 0

@@ -31,8 +31,6 @@ from repro.engine.segments import (DeltaColumn, DictColumn, PlainColumn,
 from repro.engine.sql import parse_select
 from repro.engine.types import DataType
 
-settings.register_profile("repro-segments", deadline=None, max_examples=25)
-settings.load_profile("repro-segments")
 
 #: None lets every sealed column pick its own encoding.
 LAYOUTS = ("plain", "dict", "rle", "delta", None)
