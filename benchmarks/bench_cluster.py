@@ -25,6 +25,10 @@ cluster subsystem:
   referenced columns × sealed segments, counted by
   ``segments.DECODE_EVENTS``) and runs within 2x of the same query on a
   single-node column store.
+* **batch fragments** (real CPU) — on the benchmark survey, fig13's
+  grouped scan (Q16), index-probe join (Q17) and hash join + grouped
+  aggregate (Q18) on a 4-shard columnar cluster each run within 2x of
+  one columnar node.
 
 Every cluster returns byte-identical results to a single-node session,
 re-checked here.
@@ -43,6 +47,9 @@ from repro.engine import (Database, Planner, PrimaryKey, SqlSession, bigint,
 from repro.engine.segments import SEGMENT_ROWS
 from repro.engine.sql import parse_select
 from repro.htm import cover_circle, lookup_id
+from repro.loader import load_release_database
+from repro.skyserver import QueryLimits, SkyServer
+from repro.skyserver.queries import query_by_id
 from repro.skyserver.spatial import get_nearby_objects, nearby_from_candidates
 
 SCAN_ROWS = 100_000
@@ -266,3 +273,46 @@ def test_narrow_shard_reads_gate():
 
     assert decodes <= 2 * sealed, f"{decodes} decodes for 2 referenced columns"
     assert ratio <= 2.0, f"4 shards take {ratio:.2f}x the single node"
+
+
+#: Shard fragments that join and group (Q16, Q17, Q18): at most this
+#: much the single columnar node's time, on real CPU.
+FRAGMENT_CEILING = 2.0
+FRAGMENT_QUERIES = ("Q16", "Q17", "Q18")
+
+
+def test_batch_fragments_gate(bench_survey):
+    """A 4-shard columnar cluster runs the grouped, index-joined and
+    hash-joined fig13 statements within 2x of one columnar node."""
+    single_database, _report = load_release_database(bench_survey,
+                                                     columnar=True)
+    database, report = load_release_database(bench_survey, columnar=True,
+                                             shards=4)
+    single = SkyServer(single_database, limits=QueryLimits.private())
+    sharded = SkyServer(database, limits=QueryLimits.private(),
+                        cluster=report.cluster)
+    ratios = {}
+    table = ExperimentReport(
+        "Cluster batch fragments — real CPU",
+        "Q16 (grouped partial aggregate), Q17 (index-probe join) and Q18 "
+        "(hash join + grouped aggregate) on a 4-shard hash-partitioned "
+        "columnar cluster vs one columnar node, best of 7 alternating "
+        "runs each, no simulated disk.")
+    for query_id in FRAGMENT_QUERIES:
+        sql = query_by_id(query_id).sql
+        single_s = sharded_s = float("inf")
+        for _ in range(7):
+            # Alternate, so a drift in the host's speed meets both sides.
+            seconds, expected = _best_of(lambda: single.query(sql), repeats=1)
+            single_s = min(single_s, seconds)
+            seconds, actual = _best_of(lambda: sharded.query(sql), repeats=1)
+            sharded_s = min(sharded_s, seconds)
+            assert repr(actual.rows) == repr(expected.rows), query_id
+        ratios[query_id] = sharded_s / single_s
+        table.add(f"{query_id} 4 shards / single node", f"<= {FRAGMENT_CEILING}x",
+                  f"{sharded_s * 1e3:.1f} / {single_s * 1e3:.1f} ms "
+                  f"({ratios[query_id]:.2f}x)")
+    print_report(table)
+    slow = {query_id: round(ratio, 2) for query_id, ratio in ratios.items()
+            if ratio > FRAGMENT_CEILING}
+    assert not slow, f"4 shards over the single node: {slow}"

@@ -1,37 +1,49 @@
 """Scatter-gather execution of cluster plans.
 
-Fragments run on a shared thread pool, one per surviving shard, each
-under the shard table's read lock (the same
-:mod:`repro.engine.concurrency` discipline the serving pool uses) and
-its own :class:`~repro.engine.operators.ExecutionContext`, whose
-statistics are the fragment's counters.  A columnar shard scan is the
-engine's own batch loop (:meth:`TableScan.batches`; each batch's
-``base`` maps its positions back to global sequences), and a
-co-partitioned join pushes the engine's
-:class:`~repro.engine.operators.RuntimeJoinFilter` over the shard's
-build keys into that scan.  A fragment emits rows tagged with a
-**merge key** — the global sequence for scans, ``(index key rank…,
-sequence)`` for index access paths, plus the inner match ordinal for
-joins — and the coordinator k-way merges the shard streams by that
-key, which reproduces the single-node engine's emission order
-exactly.  Aggregates ship as partial states (COUNT/SUM/MIN/MAX merge
-directly; AVG merges as sum+count pairs) with per-group first-seen
-tags so merged groups surface in single-node first-seen order;
-aggregates whose result is order-sensitive (floating SUM/AVG,
-DISTINCT) fall back to gathering the tagged aggregate *inputs* and
-folding them in merged order, trading transfer for bit-identical
-results; so does a MIN/MAX merge whose shard partials hold NaN or tie
-in value but not in representation (``0.0``/``-0.0``), re-run once
-its partials show it.  TOP-N re-sorts at the coordinator, DISTINCT
-unions in merged order, and anything a fragment cannot express falls
-back to the row-path gather executed by the unmodified single-node
-engine.
+One fragment runs per surviving shard, each under the shard tables'
+read locks (the same :mod:`repro.engine.concurrency` discipline the
+serving pool uses) and its own
+:class:`~repro.engine.operators.ExecutionContext`, whose statistics are
+the fragment's counters.  Fragments are CPU work under the GIL, so they
+run one after another on the calling thread; only simulated per-shard
+disks (below) lease workers from the shared pool.
+
+On column-store shards a fragment runs the engine's batch inputs: a
+scan or seek chain (:func:`~repro.engine.operators.chain_input`), a
+hash join built on the inner side and probed by the drive side
+(:func:`~repro.engine.operators.batch_input`, which pushes its
+:class:`~repro.engine.operators.RuntimeJoinFilter` into the drive
+scan), or :class:`_IndexJoinInput`, which seeks the inner index once
+per drive row.  Select items, sort keys, group keys and aggregate
+arguments are vector projections over those batches; the fragments of
+one scatter share their vector compiles where the columns they read
+hold NULLs alike.  Row stores, covering scans and expressions that do
+not vector-compile run row by row.
+
+A fragment emits rows tagged with a **merge key** — the global
+sequence for scans (a batch's ``base`` maps positions back to
+sequences), ``(index key rank…, sequence)`` for index access paths,
+plus the match ordinal for joins — and the coordinator k-way merges
+the shard streams by that key, which reproduces the single-node
+engine's emission order exactly.  Aggregates ship as partial states
+(COUNT/SUM/MIN/MAX merge directly; AVG merges as sum+count pairs) with
+per-group first-seen tags so merged groups surface in single-node
+first-seen order; aggregates whose result is order-sensitive (floating
+SUM/AVG, DISTINCT) fall back to gathering the tagged aggregate
+*inputs* and folding them in merged order, trading transfer for
+bit-identical results; so does a MIN/MAX merge whose shard partials
+hold NaN or tie in value but not in representation (``0.0``/``-0.0``),
+re-run once its partials show it.  TOP-N re-sorts at the coordinator,
+DISTINCT unions in merged order, and anything a fragment cannot
+express falls back to the row-path gather executed by the unmodified
+single-node engine.
 
 ``simulated_scan_mbps`` models the per-shard disk bandwidth of the
 paper's scan-bound hardware (Figure 15): each fragment sleeps for the
-time its bytes would take to stream off one shard's disks, so the
-scatter-gather overlap — the reason to shard at all — shows up in wall
-clock even on a single-CPU host.  It is off (None) by default.
+time its bytes would take to stream off one shard's disks, on the
+pool, so the scatter-gather overlap — the reason to shard at all —
+shows up in wall clock even on a single-CPU host.  It is off (None) by
+default.
 """
 
 from __future__ import annotations
@@ -40,19 +52,27 @@ import dataclasses
 import heapq
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Sequence
+from itertools import islice, repeat
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from ..engine.compile import (Layout, VectorCompileError, compile_expression,
-                              merge_layouts, row_keys, table_layout)
+from ..engine.batch import JoinBatch, column_values, row_dicts
+from ..engine.compile import (Layout, VectorCompileError, batch_key,
+                              compile_expression, merge_layouts, row_keys,
+                              table_layout)
 from ..engine.errors import QueryLimitExceeded
-from ..engine.expressions import Expression, Literal, Star
+from ..engine.expressions import EvaluationContext, Expression, Literal, Star
 from ..engine.index import key_rank
 from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
-                                ExecutionStatistics, PhysicalPlan, QueryResult,
-                                RuntimeJoinFilter, TableScan, _AggState,
-                                _ChainInput, _SortKey, _create_table_for_rows,
-                                _group_key_name, _hashable, chain_input,
+                                JOIN_BATCH_BINDING, ExecutionStatistics,
+                                HashJoin, IndexRangeScan,
+                                PhysicalOperator, PhysicalPlan, QueryResult,
+                                TableScan, _AggState,
+                                _BatchInput, _ChainInput, _SortKey,
+                                _create_table_for_rows, _group_key_name,
+                                _hashable, batch_input, chain_input,
                                 fold_scalar, join_key, key_range_row_ids)
 from ..engine.concurrency import read_locks
 from ..engine.sql import SqlSession
@@ -70,16 +90,19 @@ from .shard import ShardCluster, ShardNode
 
 #: The scan counters a fragment's statistics add to the query's.
 _FRAGMENT_COUNTERS = (
-    "rows_scanned", "bytes_scanned", "batches_processed", "batch_rows",
-    "exprs_compiled", "segments_scanned", "segments_skipped",
-    "runtime_filter_segments_pruned", "runtime_filter_rows_pruned",
-    "vector_fallbacks")
+    "rows_scanned", "bytes_scanned", "index_entries_read", "random_lookups",
+    "batches_processed", "batch_rows", "exprs_compiled", "segments_scanned",
+    "segments_skipped", "runtime_filter_segments_pruned",
+    "runtime_filter_rows_pruned", "vector_fallbacks")
 
 #: The most pool workers one scatter leases (one per shard below it).
 MAX_FRAGMENT_WORKERS = 8
 
-#: COUNT(*)'s argument in a fragment's row fold.
+#: COUNT(*)'s argument where a fragment evaluates one per row.
 _ONE = Literal(1)
+
+#: ``tags(batch, positions)``: the merge keys of a batch's positions.
+_Tags = Callable[..., list]
 
 
 class ClusterPlanHandle:
@@ -109,7 +132,10 @@ class _Fragment:
         #: for row fragments, or (merge key, group key, argument values)
         #: for ordered-aggregate input fragments.
         self.rows: list[tuple] = []
-        #: Partial aggregation: group key -> [min merge key, [_AggState, ...]].
+        #: Partial aggregation: group key -> [its first row's merge key,
+        #: the key as that row shows it, then one partial per aggregate:
+        #: an _AggState, or a COUNT(*)'s row count] (the merge adopts
+        #: these lists).
         self.groups: dict[tuple, list] = {}
         self.statistics = ExecutionStatistics()
 
@@ -128,9 +154,9 @@ def _extremes_tie(plan, fragments: Sequence[_Fragment]) -> bool:
         return False
     seen: dict[tuple, Any] = {}
     for fragment in fragments:
-        for key, (_tag, states) in fragment.groups.items():
+        for key, entry in fragment.groups.items():
             for position, is_min in positions:
-                state = states[position]
+                state = entry[2 + position]
                 value = state.minimum if is_min else state.maximum
                 if value is None:
                     continue
@@ -147,12 +173,12 @@ class ClusterExecutor:
 
     def __init__(self, cluster: ShardCluster):
         self.cluster = cluster
-        #: Shard fragments run on the process-wide shared worker pool,
-        #: which every cluster leases from, so several clusters under a
-        #: concurrent serving workload cannot oversubscribe the
-        #: machine.  The lease asks for one worker per shard, at most
-        #: ``MAX_FRAGMENT_WORKERS``.  The engine itself executes each
-        #: fragment serially.
+        #: Under simulated per-shard disks, shard fragments run on the
+        #: process-wide shared worker pool, which every cluster leases
+        #: from, so several clusters under a concurrent serving workload
+        #: cannot oversubscribe the machine.  The lease asks for one
+        #: worker per shard, at most ``MAX_FRAGMENT_WORKERS``.  The
+        #: engine itself executes each fragment serially.
         from ..engine.parallel import get_worker_pool
 
         self._pool = get_worker_pool()
@@ -203,31 +229,32 @@ class ClusterExecutor:
         nodes = [release.shards[shard_id] for shard_id in sorted(survivors)]
 
         started = time.perf_counter()
-        # Fragments run on pool threads where this thread's span stack
-        # is invisible — capture the parent span here and pass it
+        # Fragments may run on pool threads where this thread's span
+        # stack is invisible — capture the parent span here and pass it
         # across explicitly so per-shard spans join the query's trace.
         tracer = TRACER
         parent_span = tracer.current() if tracer.enabled else None
-        with self._pool.lease(self._fragment_workers) as grant:
-            fragments = list(grant.ordered_map(
-                lambda shard: self._run_fragment(shard, plan, variables,
-                                                 parent_span=parent_span),
-                nodes))
-            if (plan.is_aggregate and plan.aggregate_mode == "partial"
-                    and _extremes_tie(plan, fragments)):
-                # Partials merge in shard order; the first row's value
-                # needs the inputs folded in merged (scan) order.
-                plan = dataclasses.replace(plan, aggregate_mode="ordered")
-                fragments = list(grant.ordered_map(
-                    lambda shard: self._run_fragment(
-                        shard, plan, variables, parent_span=parent_span),
-                    nodes))
+        # The fragments share the evaluation context, and their vector
+        # compiles where their NULL signatures match (_null_signature).
+        memos: dict[tuple, dict] = {}
 
-        statistics = ExecutionStatistics()
-        for fragment in fragments:
-            for name in _FRAGMENT_COUNTERS:
-                setattr(statistics, name, getattr(statistics, name)
-                        + getattr(fragment.statistics, name))
+        def run(shard: ShardNode) -> _Fragment:
+            return self._run_fragment(shard, plan, evaluation, memos,
+                                      parent_span=parent_span)
+        fragments = self._scatter(run, nodes)
+        if (plan.is_aggregate and plan.aggregate_mode == "partial"
+                and _extremes_tie(plan, fragments)):
+            # Partials merge in shard order; the first row's value
+            # needs the inputs folded in merged (scan) order.  ``run``
+            # reads ``plan`` when called, so it runs the ordered mode.
+            plan = dataclasses.replace(plan, aggregate_mode="ordered")
+            fragments = self._scatter(run, nodes)
+
+        counters = attrgetter(*_FRAGMENT_COUNTERS)
+        statistics = ExecutionStatistics(**dict(zip(
+            _FRAGMENT_COUNTERS,
+            map(sum, zip(*[counters(fragment.statistics)
+                           for fragment in fragments])))))
 
         if tracer.enabled:
             with tracer.span("merge", parent=parent_span,
@@ -268,40 +295,48 @@ class ClusterExecutor:
         return QueryResult(columns=columns, rows=rows, statistics=statistics,
                            plan=handle)
 
-    # -- fragment execution (runs on the pool, one call per shard) ---------
+    def _scatter(self, run: Callable[[ShardNode], _Fragment],
+                 nodes: Sequence[ShardNode]) -> list[_Fragment]:
+        """``run`` over ``nodes``, in order.  Fragments are CPU-bound
+        under the GIL, so they run inline; only modelled per-shard disks,
+        whose sleeps overlap, lease pool workers."""
+        if not self.simulated_scan_mbps:
+            return [run(node) for node in nodes]
+        with self._pool.lease(self._fragment_workers) as grant:
+            return list(grant.ordered_map(run, nodes))
+
+    # -- fragment execution (one call per shard) ---------------------------
 
     def _run_fragment(self, shard: ShardNode, plan: ClusterPlan,
-                      variables: dict[str, Any],
+                      evaluation: EvaluationContext, memos: dict,
                       parent_span=None) -> _Fragment:
         tracer = TRACER
         if tracer.enabled:
             with tracer.span("fragment", parent=parent_span,
                              shard=shard.shard_id) as span:
-                fragment = self._run_fragment_inner(shard, plan, variables)
+                fragment = self._run_fragment_inner(shard, plan, evaluation,
+                                                    memos)
                 span.attributes["rows_scanned"] = (
                     fragment.statistics.rows_scanned)
                 return fragment
-        return self._run_fragment_inner(shard, plan, variables)
+        return self._run_fragment_inner(shard, plan, evaluation, memos)
 
     def _run_fragment_inner(self, shard: ShardNode, plan: ClusterPlan,
-                            variables: dict[str, Any]) -> _Fragment:
+                            evaluation: EvaluationContext,
+                            memos: dict) -> _Fragment:
         fragment = _Fragment()
         # The engine's scans account into this context's statistics; the
         # cluster's own per-shard disk model is _simulate_io below.
-        context = ExecutionContext(
-            shard.database,
-            self.cluster.coordinator.evaluation_context(variables),
-            statistics=fragment.statistics)
-        if isinstance(plan, SingleTablePlan):
-            table = shard.table(plan.relation.table_name)
-            with table.lock.read():
-                self._run_single(shard, plan, context, fragment)
-        else:
-            assert isinstance(plan, CoPartitionedJoinPlan)
-            drive = shard.table(plan.drive.table_name)
-            inner = shard.table(plan.inner.table_name)
-            with read_locks([drive, inner]):
-                self._run_join(shard, plan, context, fragment)
+        context = ExecutionContext(shard.database, evaluation,
+                                   statistics=fragment.statistics)
+        relations = ((plan.relation,) if isinstance(plan, SingleTablePlan)
+                     else (plan.drive, plan.inner))
+        with read_locks([shard.table(relation.table_name)
+                         for relation in relations]):
+            context.vector_memo = memos.setdefault(
+                _null_signature(shard, relations), {})
+            if not self._run_batches(shard, plan, context, fragment):
+                self._run_rows(shard, plan, context, fragment)
         self._simulate_io(fragment.statistics.bytes_scanned)
         return fragment
 
@@ -312,20 +347,230 @@ class ClusterExecutor:
         self._count(simulated_io_seconds=seconds)
         time.sleep(seconds)
 
-    # -- single-table fragments -------------------------------------------
+    # -- batch fragments (column-store shards) ------------------------------
 
-    def _run_single(self, shard, plan: SingleTablePlan,
-                    context: ExecutionContext, fragment: _Fragment) -> None:
-        layout = self._relation_layout(shard, plan.relation)
-        if plan.is_aggregate:
-            if plan.aggregate_mode == "partial" and self._scalar_vector_aggregate(
-                    shard, plan, context, fragment):
-                return
+    def _run_batches(self, shard, plan, context: ExecutionContext,
+                     fragment: _Fragment) -> bool:
+        """Run the fragment through the engine's batch inputs; False when
+        they cannot take it (a row store, a covering scan, an expression
+        that does not vector-compile), and the row path runs it instead."""
+        found = self._batch_source(shard, plan, context)
+        if found is None:
+            return False
+        source, tags = found
+        try:
+            if plan.is_aggregate:
+                run = self._batch_aggregate(plan, context, fragment, source,
+                                            tags)
+            else:
+                run = self._batch_rows(shard, plan, context, fragment, source,
+                                       tags)
+        except VectorCompileError:
+            return False
+        context.statistics.exprs_compiled += source.compiled_count()
+        run()
+        return True
+
+    def _batch_source(self, shard, plan, context: ExecutionContext
+                      ) -> Optional[tuple[_BatchInput, _Tags]]:
+        """The fragment's batch input and the merge keys of its batch
+        positions, or None."""
+        if isinstance(plan, SingleTablePlan):
+            access = self._access(shard, plan.relation)
+            source = None if access is None else chain_input(context, access)
+            if source is None:
+                return None
+            return source, self._leaf_tags(shard, access)
+        drive = self._access(shard, plan.drive)
+        if drive is None:
+            return None
+        if plan.strategy == "index":
+            chain = chain_input(context, drive)
+            index = self._index(shard, plan.inner)
+            if chain is None or index.table.storage.kind != "column":
+                return None
+            try:
+                source = _IndexJoinInput(context, chain, index,
+                                         plan.inner.binding, plan.drive_keys,
+                                         plan.residual)
+            except VectorCompileError:
+                return None
+        else:
+            inner = self._access(shard, plan.inner)
+            if inner is None:
+                return None
+            # Build on the inner side, probe with the drive side: the
+            # drive rows stream, their matches in the inner's order.
+            join = HashJoin(inner, drive, plan.inner_keys, plan.drive_keys,
+                            plan.residual)
+            join.runtime_filter_enabled = plan.runtime_filter_enabled
+            source = batch_input(context, join)
+            if source is None:
+                return None
+        return source, _join_tags(self._leaf_tags(shard, drive))
+
+    def _access(self, shard, relation: FragmentRelation
+                ) -> Optional[PhysicalOperator]:
+        """The engine's scan or seek of ``relation`` on this shard; None
+        for a covering scan, which only the row path reads."""
+        access = relation.access
+        if access.kind == "scan":
+            return TableScan(shard.table(relation.table_name),
+                             relation.binding, access.predicate,
+                             columns=relation.columns)
+        if access.kind != "seek":
+            return None
+        return IndexRangeScan(self._index(shard, relation), relation.binding,
+                              access.low, access.high, access.predicate,
+                              columns=relation.columns)
+
+    def _index(self, shard, relation: FragmentRelation):
+        """The shard's index of ``relation``'s access path."""
+        index = self._find_index(shard.table(relation.table_name),
+                                 relation.access.index_name)
+        if index is None:
+            # The shard lost the index (dropped after planning).  A scan
+            # could not produce the index-rank merge keys the other
+            # shards emit, so fail loudly instead of degrading.
+            raise RuntimeError(
+                f"shard {shard.shard_id} is missing index "
+                f"{relation.access.index_name!r} on {relation.table_name}")
+        return index
+
+    @staticmethod
+    def _leaf_tags(shard, leaf: PhysicalOperator) -> _Tags:
+        """Merge keys of a scan's batch positions, ``(sequence,)``, or of
+        a seek's, ``(index key rank, sequence)``; with ``ordinals``, one
+        per position, each key ends with its ordinal."""
+        sequences = shard.sequence_list(leaf.table.name)
+        if isinstance(leaf, TableScan):
+            def scan_tags(batch, positions: Sequence[int],
+                          ordinals: Optional[Sequence[int]] = None) -> list[tuple]:
+                base = batch.base
+                if ordinals is None:
+                    return [(sequences[base + position],) for position in positions]
+                return [(sequences[base + position], ordinal)
+                        for position, ordinal in zip(positions, ordinals)]
+            return scan_tags
+        key_columns = leaf.index.columns
+
+        def seek_tags(batch, positions: Sequence[int],
+                      ordinals: Optional[Sequence[int]] = None) -> list[tuple]:
+            keys = [batch.columns[column] for column in key_columns]
+            row_ids = batch.row_ids
+            ranks = [key_rank([key[position] for key in keys])
+                     for position in positions]
+            if ordinals is None:
+                return [(rank, sequences[row_ids[position]])
+                        for rank, position in zip(ranks, positions)]
+            return [(rank, sequences[row_ids[position]], ordinal)
+                    for rank, position, ordinal in zip(ranks, positions, ordinals)]
+        return seek_tags
+
+    def _batch_rows(self, shard, plan, context: ExecutionContext,
+                    fragment: _Fragment, source: _BatchInput, tags: _Tags
+                    ) -> Callable[[], None]:
+        """Compile a row fragment (project, sort keys, local TOP) over
+        ``source``; returns the loop that runs it."""
+        relations = _layout_order(plan)
+        # (output name, fn) per item; a ``*`` is (None, its columns'
+        # (row key, batch key) pairs).
+        items: list[tuple[Optional[str], Any]] = []
+        for position, item in enumerate(plan.select):
+            expression = item.expression
+            if isinstance(expression, Star):
+                items.append((None, _star_keys(shard, expression, source,
+                                               relations)))
+            else:
+                items.append((item.output_name(position),
+                              source.projection(context, expression)[0]))
+        sort_fns = [(source.projection(context, expression)[0], descending)
+                    for expression, descending in plan.order_by]
+        local_top = (plan.top if not plan.order_by and not plan.distinct
+                     else None)
+        stars = any(name is None for name, _fn in items)
+        needed = [key for name, keys in items if name is None
+                  for _column, key in keys]
+        names = [name for name, _fn in items]
+
+        def run() -> None:
+            produced = 0
+            batches = source.batches(context, needed)
+            try:
+                for batch in batches:
+                    if local_top is not None:
+                        batch.selection = batch.selection[:local_top - produced]
+                    selection = batch.selection
+                    values = [_star_rows(batch, fn) if name is None
+                              else fn(batch, selection) for name, fn in items]
+                    if stars:
+                        outputs = _star_outputs(names, values)
+                    else:
+                        outputs = list(row_dicts(names, zip(*values)))
+                    if sort_fns:
+                        sort_values = [list(keys) for keys in zip(*[
+                            [_SortKey(value, descending)
+                             for value in fn(batch, selection)]
+                            for fn, descending in sort_fns])]
+                    else:
+                        sort_values = [None] * len(outputs)
+                    fragment.rows.extend(zip(tags(batch, selection),
+                                             sort_values, outputs))
+                    produced += len(selection)
+                    if local_top is not None and produced >= local_top:
+                        break
+            finally:
+                batches.close()
+        return run
+
+    def _batch_aggregate(self, plan, context: ExecutionContext,
+                         fragment: _Fragment, source: _BatchInput,
+                         tags: _Tags) -> Callable[[], None]:
+        """Compile an aggregate fragment over ``source``; returns the
+        fold that runs it."""
+        group_fns = [source.projection(context, expression)[0]
+                     for expression in plan.group_by]
+        if plan.aggregate_mode == "ordered":
+            # COUNT(*) gathers the constant 1 per row.
+            argument_fns = [source.projection(context,
+                                              aggregate.argument or _ONE)[0]
+                            for aggregate in plan.aggregates]
+            return lambda: _gather_inputs(fragment.rows,
+                                          source.batches(context), group_fns,
+                                          argument_fns, tags)
+        arguments = [(None, None) if aggregate.argument is None
+                     else source.projection(context, aggregate.argument)
+                     for aggregate in plan.aggregates]
+        if plan.group_by:
+            return lambda: _fold_groups(fragment.groups, plan.aggregates,
+                                        source.batches(context), group_fns,
+                                        [fn for fn, _tag in arguments], tags)
+
+        def fold() -> None:
+            states = [_AggState(aggregate) for aggregate in plan.aggregates]
+            fold_scalar(source.batches(context), states, arguments)
+            if any(state.count for state in states):
+                fragment.groups[()] = [(0,), (), *states]
+        return fold
+
+    # -- row fragments (row-store shards, and what batches cannot take) ----
+
+    def _run_rows(self, shard, plan, context: ExecutionContext,
+                  fragment: _Fragment) -> None:
+        if isinstance(plan, SingleTablePlan):
+            layout = self._relation_layout(shard, plan.relation)
             stream = self._iter_single(shard, plan.relation, context)
+        else:
+            layout = merge_layouts(self._relation_layout(shard, plan.drive),
+                                   self._relation_layout(shard, plan.inner))
+            if plan.strategy == "index":
+                stream = self._iter_probe(shard, plan, context, layout)
+            else:
+                stream = self._iter_join(shard, plan, context, layout)
+        if plan.is_aggregate:
             self._aggregate_fragment(plan, context, fragment, stream, layout)
-            return
-        stream = self._iter_single(shard, plan.relation, context)
-        self._row_fragment(plan, context, fragment, stream, layout)
+        else:
+            self._row_fragment(plan, context, fragment, stream, layout)
 
     @staticmethod
     def _relation_layout(shard, relation: FragmentRelation) -> Layout:
@@ -341,8 +586,7 @@ class ClusterExecutor:
         compiled against.  Each row holds ``relation.columns``.
         """
         if relation.access.kind == "scan":
-            return self._iter_scan(shard, relation, context,
-                                   self._chain(shard, relation, context))
+            return self._iter_scan(shard, relation, context)
         return self._iter_index(shard, relation, context)
 
     def _iter_index(self, shard, relation: FragmentRelation,
@@ -352,14 +596,7 @@ class ClusterExecutor:
         table = shard.table(relation.table_name)
         sequences = shard.sequence_list(relation.table_name)
         access = relation.access
-        index = self._find_index(table, access.index_name)
-        if index is None:
-            # The shard lost the index (dropped after planning).  A scan
-            # could not produce the index-rank merge keys the other
-            # shards emit, so fail loudly instead of degrading.
-            raise RuntimeError(
-                f"shard {shard.shard_id} is missing index {access.index_name!r} "
-                f"on {relation.table_name}")
+        index = self._index(shard, relation)
         evaluation = context.evaluation
         predicate = (compile_expression(access.predicate, evaluation,
                                         self._relation_layout(shard, relation))
@@ -371,6 +608,7 @@ class ClusterExecutor:
             index, access.low, access.high,
             lambda expression: compile_expression(expression, evaluation)({}))
         scanned = 0
+        statistics = context.statistics
         try:
             for row_id in row_ids:
                 row = table.get_row(row_id, columns)
@@ -385,49 +623,17 @@ class ClusterExecutor:
         finally:
             # Runs on close() too (a consumer's TOP break), so abandoned
             # scans still account their rows/bytes (and simulated I/O).
-            context.statistics.merge_scan(scanned, row_bytes)
-
-    @staticmethod
-    def _chain(shard, relation: FragmentRelation,
-               context: ExecutionContext) -> Optional[_ChainInput]:
-        """The engine's batch chain over a scan relation, or None (a row
-        store, or a predicate the vector compiler cannot take)."""
-        scan = TableScan(shard.table(relation.table_name), relation.binding,
-                         relation.access.predicate, columns=relation.columns)
-        return chain_input(context, scan)
+            statistics.merge_scan(scanned, row_bytes)
+            statistics.index_entries_read += scanned
+            if access.kind == "seek":
+                statistics.random_lookups += scanned
 
     def _iter_scan(self, shard, relation: FragmentRelation,
-                   context: ExecutionContext, chain: Optional[_ChainInput],
-                   runtime_filter: Optional[RuntimeJoinFilter] = None
+                   context: ExecutionContext
                    ) -> Iterator[tuple[tuple, dict[str, Any]]]:
-        """A scan through the engine's batch ``chain``, survivors keyed by
-        sequence (each batch's ``base`` maps its positions back); without
-        one, row-mode and without a runtime filter (as the engine's
-        row-mode hash join does)."""
+        """A scan row by row, survivors keyed by sequence."""
         table = shard.table(relation.table_name)
         sequences = shard.sequence_list(relation.table_name)
-        if chain is None:
-            return self._iter_scan_rows(shard, table, sequences, relation,
-                                        context)
-        return self._iter_batches(chain, sequences, context, runtime_filter)
-
-    @staticmethod
-    def _iter_batches(chain: _ChainInput, sequences: Sequence[int],
-                      context: ExecutionContext,
-                      runtime_filter: Optional[RuntimeJoinFilter]
-                      ) -> Iterator[tuple[tuple, dict[str, Any]]]:
-        names = chain.leaf.columns
-        if names is None:
-            names = list(chain.table.row_keys)
-        alias = chain.binding_name
-        for batch in chain.batches(context, runtime_filter=runtime_filter):
-            base = batch.base
-            for position, row in zip(batch.selection, batch.rows(names)):
-                yield (sequences[base + position],), {alias: row}
-
-    def _iter_scan_rows(self, shard, table, sequences: Sequence[int],
-                        relation: FragmentRelation, context: ExecutionContext
-                        ) -> Iterator[tuple[tuple, dict[str, Any]]]:
         predicate_expr = relation.access.predicate
         row_bytes = int(table.average_row_bytes())
         scanned = 0
@@ -444,18 +650,6 @@ class ClusterExecutor:
                 yield (sequences[row_id],), binding
         finally:
             context.statistics.merge_scan(scanned, row_bytes)
-
-    # -- join fragments ----------------------------------------------------
-
-    def _run_join(self, shard, plan: CoPartitionedJoinPlan,
-                  context: ExecutionContext, fragment: _Fragment) -> None:
-        layout = merge_layouts(self._relation_layout(shard, plan.drive),
-                               self._relation_layout(shard, plan.inner))
-        stream = self._iter_join(shard, plan, context, layout)
-        if plan.is_aggregate:
-            self._aggregate_fragment(plan, context, fragment, stream, layout)
-        else:
-            self._row_fragment(plan, context, fragment, stream, layout)
 
     def _iter_join(self, shard, plan: CoPartitionedJoinPlan,
                    context: ExecutionContext,
@@ -488,13 +682,7 @@ class ClusterExecutor:
                               for expression in plan.drive_keys])
         residual = (compile_expression(plan.residual, evaluation, layout)
                     if plan.residual is not None else None)
-        if plan.drive.access.kind == "scan":
-            chain = self._chain(shard, plan.drive, context)
-            drive_stream = self._iter_scan(
-                shard, plan.drive, context, chain,
-                self._shard_join_filter(plan, context, chain, hash_table))
-        else:
-            drive_stream = self._iter_index(shard, plan.drive, context)
+        drive_stream = self._iter_single(shard, plan.drive, context)
         try:
             for drive_tag, drive_binding in drive_stream:
                 key = drive_key(drive_binding)
@@ -511,26 +699,44 @@ class ClusterExecutor:
         finally:
             drive_stream.close()
 
-    @staticmethod
-    def _shard_join_filter(plan: CoPartitionedJoinPlan,
-                           context: ExecutionContext,
-                           drive: Optional[_ChainInput], hash_table: dict
-                           ) -> Optional[RuntimeJoinFilter]:
-        """The engine's runtime filter over the shard's finished build.
-
-        Co-partitioning makes the shard's own build keys the whole truth
-        for its drive rows.  Pushed when the engine planner enables
-        runtime filters (``plan.runtime_filter_enabled``) and the drive
-        side is a batch chain with a single key that vector-compiles.
-        """
-        if (drive is None or not plan.runtime_filter_enabled
-                or len(plan.drive_keys) != 1):
-            return None
+    def _iter_probe(self, shard, plan: CoPartitionedJoinPlan,
+                    context: ExecutionContext,
+                    layout: Layout) -> Iterator[tuple[tuple, dict]]:
+        """The index strategy row by row, as the engine's
+        IndexNestedLoopJoin runs it: each drive row seeks the inner
+        index once (a NULL key part seeks nothing), matches in index
+        order, each fetched row one random lookup."""
+        evaluation = context.evaluation
+        drive_layout = self._relation_layout(shard, plan.drive)
+        key_fns = [compile_expression(expression, evaluation, drive_layout)
+                   for expression in plan.drive_keys]
+        residual = (compile_expression(plan.residual, evaluation, layout)
+                    if plan.residual is not None else None)
+        inner = plan.inner
+        table = shard.table(inner.table_name)
+        index = self._index(shard, inner)
+        alias = inner.binding
+        row_bytes = int(table.average_row_bytes())
+        scanned = 0
+        drive_stream = self._iter_single(shard, plan.drive, context)
         try:
-            key_fn, _tag = drive.projection(context, plan.drive_keys[0])
-        except VectorCompileError:
-            return None
-        return RuntimeJoinFilter(hash_table.keys(), key_fn, plan.drive_keys[0])
+            for drive_tag, drive_binding in drive_stream:
+                key = [fn(drive_binding) for fn in key_fns]
+                if NULL in key:
+                    continue
+                for ordinal, row_id in enumerate(index.seek(key)):
+                    row = table.get_row(row_id, inner.columns)
+                    if row is None:
+                        continue
+                    scanned += 1
+                    merged = {**drive_binding, alias: row}
+                    if residual is not None and residual(merged) is not True:
+                        continue
+                    yield drive_tag + (ordinal,), merged
+        finally:
+            drive_stream.close()
+            context.statistics.merge_scan(scanned, row_bytes)
+            context.statistics.random_lookups += scanned
 
     # -- row fragments (project / sort keys / local TOP) -------------------
 
@@ -540,6 +746,7 @@ class ClusterExecutor:
                       layout: Layout) -> None:
         evaluation = context.evaluation
         try:
+            aliases = [relation.binding for relation in _layout_order(plan)]
             items: list[tuple[Optional[str], Optional[Any], Optional[Star]]] = []
             for position, item in enumerate(plan.select):
                 if isinstance(item.expression, Star):
@@ -559,7 +766,7 @@ class ClusterExecutor:
                 output: dict[str, Any] = {}
                 for name, fn, star in items:
                     if star is not None:
-                        self._expand_star(star, binding, output)
+                        _expand_star(star, aliases, binding, output)
                     else:
                         output[name] = fn(binding)
                 sort_values = ([_SortKey(fn(binding), descending)
@@ -574,16 +781,6 @@ class ClusterExecutor:
             # closing runs their finally blocks, which flush the
             # row-mode scans' rows/bytes scanned.
             stream.close()
-
-    @staticmethod
-    def _expand_star(star: Star, binding: dict[str, dict[str, Any]],
-                     output: dict[str, Any]) -> None:
-        qualifier = (star.qualifier or "").lower()
-        for alias, row in binding.items():
-            if qualifier and qualifier != alias:
-                continue
-            for column, value in row.items():
-                output.setdefault(column, value)
 
     # -- aggregate fragments ----------------------------------------------
 
@@ -610,37 +807,13 @@ class ClusterExecutor:
                 key = tuple([fn(binding) for fn in group_fns])
                 entry = groups.get(key)
                 if entry is None:
-                    entry = [tag, [_AggState(aggregate)
-                                   for aggregate in plan.aggregates]]
+                    entry = [tag, key, *[_AggState(aggregate)
+                                         for aggregate in plan.aggregates]]
                     groups[key] = entry
-                for state, fn in zip(entry[1], argument_fns):
+                for state, fn in zip(islice(entry, 2, None), argument_fns):
                     state.update(fn(binding))
         finally:
             stream.close()
-
-    def _scalar_vector_aggregate(self, shard, plan: SingleTablePlan,
-                                 context: ExecutionContext,
-                                 fragment: _Fragment) -> bool:
-        """Batch fast path: scalar aggregates over the engine's batch
-        chain, folded as the engine folds them."""
-        relation = plan.relation
-        if (plan.group_by or relation.access.kind != "scan"
-                or any(aggregate.distinct for aggregate in plan.aggregates)):
-            return False
-        chain = self._chain(shard, relation, context)
-        if chain is None:
-            return False
-        try:
-            argument_fns = [(None, None) if aggregate.argument is None
-                            else chain.projection(context, aggregate.argument)
-                            for aggregate in plan.aggregates]
-        except VectorCompileError:
-            return False
-        states = [_AggState(aggregate) for aggregate in plan.aggregates]
-        fold_scalar(chain.batches(context), states, argument_fns)
-        if any(state.count for state in states):
-            fragment.groups[()] = [(0,), states]
-        return True
 
     # -- coordinator merges -------------------------------------------------
 
@@ -674,27 +847,33 @@ class ClusterExecutor:
             for tag, key, values in merged:
                 entry = groups.get(key)
                 if entry is None:
-                    entry = [tag, key, [_AggState(aggregate)
-                                        for aggregate in plan.aggregates]]
+                    entry = [tag, key, *[_AggState(aggregate)
+                                         for aggregate in plan.aggregates]]
                     groups[key] = entry
-                for state, value in zip(entry[2], values):
+                for state, value in zip(islice(entry, 2, None), values):
                     state.update(value)
         else:
+            partial_merges = 0
             for fragment in fragments:
-                for key, (tag, states) in fragment.groups.items():
+                for key, theirs in fragment.groups.items():
                     entry = groups.get(key)
                     if entry is None:
-                        groups[key] = [tag, key, states]
+                        groups[key] = theirs
                         continue
-                    if tag < entry[0]:
-                        entry[0], entry[1] = tag, key
-                    for mine, theirs in zip(entry[2], states):
-                        mine.merge_partial(theirs.partial_state())
-                        self._count(partial_merges=1)
+                    if theirs[0] < entry[0]:
+                        entry[0], entry[1] = theirs[0], theirs[1]
+                    for position in range(2, len(entry)):
+                        mine, state = entry[position], theirs[position]
+                        if type(mine) is int:
+                            entry[position] = mine + _result(state)
+                        else:
+                            mine.merge_partial(_partial_state(state))
+                    partial_merges += len(entry) - 2
+            self._count(partial_merges=partial_merges)
         if not groups and not plan.group_by:
             # Aggregates over an empty input still produce one row.
-            groups[()] = [(0,), (), [_AggState(aggregate)
-                                     for aggregate in plan.aggregates]]
+            groups[()] = [(0,), (), *[_AggState(aggregate)
+                                      for aggregate in plan.aggregates]]
         ordered_groups = sorted(groups.values(), key=lambda entry: entry[0])
         self._count(groups_merged=len(ordered_groups))
 
@@ -705,12 +884,18 @@ class ClusterExecutor:
                        for expression in plan.group_by]
         result_keys = [aggregate.result_key() for aggregate in plan.aggregates]
         layout = ((OUTPUT_BINDING, row_keys(group_names + result_keys)),)
-        groups_out: list[dict[str, dict[str, Any]]] = []
-        for _tag, key, states in ordered_groups:
-            row: dict[str, Any] = dict(zip(group_names, key))
-            for result_key, state in zip(result_keys, states):
-                row[result_key] = state.result()
-            groups_out.append({OUTPUT_BINDING: row})
+        rows: list[dict[str, Any]] = []
+        for entry in ordered_groups:
+            row: dict[str, Any] = dict(zip(group_names, entry[1]))
+            for result_key, state in zip(result_keys, islice(entry, 2, None)):
+                row[result_key] = _result(state)
+            rows.append(row)
+        # One binding, re-pointed at each group row in turn.
+        binding: dict[str, dict[str, Any]] = {}
+
+        def bound(row: dict[str, Any]) -> dict[str, dict[str, Any]]:
+            binding[OUTPUT_BINDING] = row
+            return binding
 
         def projected(expression: Expression):
             return compile_expression(expression, evaluation, layout,
@@ -718,21 +903,20 @@ class ClusterExecutor:
 
         if plan.having is not None:
             having = projected(plan.having)
-            groups_out = [group for group in groups_out
-                          if having(group) is True]
+            rows = [row for row in rows if having(bound(row)) is True]
         if plan.order_by:
             sort_fns = [(projected(expression), descending)
                         for expression, descending in plan.order_by]
-            decorated = [([_SortKey(fn(group), descending)
-                           for fn, descending in sort_fns], group)
-                         for group in groups_out]
+            decorated = [([_SortKey(fn(bound(row)), descending)
+                           for fn, descending in sort_fns], row)
+                         for row in rows]
             decorated.sort(key=lambda pair: pair[0])
-            groups_out = [group for _keys, group in decorated]
+            rows = [row for _keys, row in decorated]
             self._count(topn_resorts=1 if plan.top is not None else 0)
         item_fns = [(item.output_name(position), projected(item.expression))
                     for position, item in enumerate(plan.select)]
-        outputs = [{name: fn(group) for name, fn in item_fns}
-                   for group in groups_out]
+        outputs = [{name: fn(bound(row)) for name, fn in item_fns}
+                   for row in rows]
         if plan.distinct:
             outputs = _distinct_rows(outputs)
         if plan.top is not None:
@@ -863,6 +1047,9 @@ class ClusterExecutor:
     def _find_index(table, name: Optional[str]):
         if name is None:
             return None
+        index = table.indexes.get(name)
+        if index is not None:
+            return index
         for index_name, index in table.indexes.items():
             if index_name.lower() == name.lower():
                 return index
@@ -881,6 +1068,295 @@ def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
         seen.add(key)
         deduplicated.append(row)
     return deduplicated
+
+
+# ---------------------------------------------------------------------------
+# Batch fragment helpers
+# ---------------------------------------------------------------------------
+
+class _IndexJoinInput(_BatchInput):
+    """The batch form of the engine's IndexNestedLoopJoin, on one shard.
+
+    Each drive row that passes the drive chain seeks the inner index
+    once with its key (a NULL key part seeks nothing); one drive batch's
+    matches, each drive row's in index order, are gathered together
+    (:meth:`~repro.engine.storage.ColumnStore.gather`) into a
+    :class:`~repro.engine.batch.JoinBatch` keyed ``"binding.column"``,
+    which the join's residual narrows.  Each fetched inner row counts
+    as the engine join counts it: scanned, and one random lookup.
+    """
+
+    def __init__(self, context: ExecutionContext, drive: _ChainInput, index,
+                 binding: str, keys: Sequence[Expression],
+                 residual: Optional[Expression]):
+        super().__init__()
+        self.drive = drive
+        self.index = index
+        self.inner_binding = binding.lower()
+        self.schema = {drive.binding_name: drive.table, binding: index.table}
+        self.key_fns = [drive.projection(context, key)[0] for key in keys]
+        self.residual_fn = (self.predicate(context, residual)
+                            if residual is not None else None)
+
+    def compiled_count(self) -> int:
+        return self.compiled + self.drive.compiled_count()
+
+    def batches(self, context: ExecutionContext,
+                needed: Iterable[str] = ()) -> Iterator[JoinBatch]:
+        drive_columns: list[tuple[str, str]] = []
+        inner_columns: list[tuple[str, str]] = []
+        for key in sorted(self.needed.union(needed)):
+            binding, column = key.split(".", 1)
+            side = inner_columns if binding == self.inner_binding else drive_columns
+            side.append((key, column))
+        statistics = context.statistics
+        table = self.index.table
+        row_bytes = int(table.average_row_bytes())
+        seek = self.index.seek
+        key_fns = self.key_fns
+        residual_fn = self.residual_fn
+        for batch in self.drive.batches(context):
+            selection = batch.selection
+            probe_positions: list[int] = []
+            row_ids: list[int] = []
+            keys = zip(*[fn(batch, selection) for fn in key_fns])
+            for position, key in zip(selection, keys):
+                if NULL in key:
+                    continue
+                for row_id in seek(key):
+                    probe_positions.append(position)
+                    row_ids.append(row_id)
+            if not row_ids:
+                continue
+            live, gathered = table.storage.gather(row_ids)
+            if len(live) != len(row_ids):
+                kept = set(live)
+                probe_positions = [position for position, row_id
+                                   in zip(probe_positions, row_ids)
+                                   if row_id in kept]
+            scanned = len(live)
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * row_bytes
+            statistics.random_lookups += scanned
+            if not scanned:
+                continue
+            masks = batch.masks
+            columns = {key: column_values(batch.columns[column],
+                                          masks.get(column), probe_positions, 0)
+                       for key, column in drive_columns}
+            columns.update((key, gathered[column])
+                           for key, column in inner_columns)
+            out = JoinBatch(columns, list(range(scanned)), JOIN_BATCH_BINDING,
+                            batch, probe_positions)
+            if residual_fn is not None:
+                out.selection = residual_fn(out, out.selection)
+            if out.selection:
+                yield out
+
+
+def _join_tags(drive_tags: _Tags) -> _Tags:
+    """Merge keys of join output positions: the drive row's merge key
+    plus the match's ordinal among that drive row's matches.  A drive
+    row's matches are all on its shard, so the ordinal totally orders
+    them across the cluster."""
+
+    def tags(batch: JoinBatch, positions: Sequence[int]) -> list[tuple]:
+        probe_positions = batch.probe_positions
+        ordinals = _match_ordinals(probe_positions)
+        return drive_tags(batch.probe,
+                          [probe_positions[position] for position in positions],
+                          [ordinals[position] for position in positions])
+    return tags
+
+
+def _match_ordinals(probe_positions: Sequence[int]) -> list[int]:
+    """Each join output position's ordinal among its probe row's matches
+    (a probe row's matches are adjacent)."""
+    ordinals = []
+    previous, ordinal = None, 0
+    for position in probe_positions:
+        ordinal = ordinal + 1 if position == previous else 0
+        previous = position
+        ordinals.append(ordinal)
+    return ordinals
+
+
+def _result(state: Any) -> Any:
+    """A fragment partial's result (a COUNT(*) partial is its row count)."""
+    return state if type(state) is int else state.result()
+
+
+def _partial_state(state: Any) -> tuple:
+    """A fragment partial as :meth:`_AggState.partial_state`."""
+    return (state, 0.0, None, None) if type(state) is int else state.partial_state()
+
+
+def _null_signature(shard, relations: Sequence[FragmentRelation]) -> tuple:
+    """Which of the columns the fragment reads hold NULLs on this shard
+    (None for a row store): the one fact of a shard's data its vector
+    compiles depend on, so fragments with equal signatures share them."""
+    flags: list[Optional[bool]] = []
+    for relation in relations:
+        table = shard.table(relation.table_name)
+        storage = table.storage
+        if storage.kind != "column":
+            flags.append(None)
+            continue
+        columns = relation.columns
+        if columns is None:
+            columns = table.row_keys
+        null_count = storage.column_null_count
+        flags.extend([null_count(column) > 0 for column in columns])
+    return tuple(flags)
+
+
+def _layout_order(plan) -> tuple[FragmentRelation, ...]:
+    """The plan's relations in the single-node join's binding order,
+    the order ``*`` expands them in: a hash join's build (inner) side
+    first, else the drive side first."""
+    if isinstance(plan, SingleTablePlan):
+        return (plan.relation,)
+    if plan.strategy == "hash":
+        return (plan.inner, plan.drive)
+    return (plan.drive, plan.inner)
+
+
+def _expand_star(star: Star, aliases: Sequence[str],
+                 binding: dict[str, dict[str, Any]],
+                 output: dict[str, Any]) -> None:
+    qualifier = (star.qualifier or "").lower()
+    for alias in aliases:
+        if qualifier and qualifier != alias.lower():
+            continue
+        for column, value in binding[alias].items():
+            output.setdefault(column, value)
+
+
+def _star_keys(shard, star: Star, source: _BatchInput,
+               relations: Sequence[FragmentRelation]) -> list[tuple[str, str]]:
+    """(row key, batch key) of each column ``star`` expands to, as the
+    row path expands it: the relations' rows in layout order, each in
+    its column order, a row key met twice keeping its first."""
+    qualifier = (star.qualifier or "").lower()
+    keys: dict[str, str] = {}
+    for relation in relations:
+        if qualifier and qualifier != relation.binding.lower():
+            continue
+        columns = relation.columns
+        if columns is None:
+            columns = shard.table(relation.table_name).row_keys
+        for column in columns:
+            keys.setdefault(column, batch_key(source.schema, relation.binding,
+                                              column))
+    return list(keys.items())
+
+
+def _star_rows(batch, keys: Sequence[tuple[str, str]]) -> list[dict[str, Any]]:
+    """The rows a ``*`` expands to at a batch's selected positions."""
+    names = [name for name, _key in keys]
+    if all(name == key for name, key in keys):
+        return list(batch.rows(names))
+    selection = batch.selection
+    masks = batch.masks
+    return list(row_dicts(names, zip(*[
+        column_values(batch.columns[key], masks.get(key), selection,
+                      len(selection))
+        for _name, key in keys])))
+
+
+def _star_outputs(names: Sequence[Optional[str]],
+                  values: Sequence[list]) -> list[dict[str, Any]]:
+    """Output rows of a select list with ``*``, as the row path builds
+    them: ``*`` (a None name) adds the columns not yet named, an item
+    sets its name."""
+    outputs = []
+    for row in zip(*values):
+        output: dict[str, Any] = {}
+        for name, value in zip(names, row):
+            if name is None:
+                for key, column_value in value.items():
+                    output.setdefault(key, column_value)
+            else:
+                output[name] = value
+        outputs.append(output)
+    return outputs
+
+
+def _gather_inputs(rows: list, batches: Iterable, group_fns, argument_fns,
+                   tags: _Tags) -> None:
+    """An ordered aggregate's shard side: ``(merge key, group key,
+    argument values)`` per row, folded at the coordinator in merged
+    order."""
+    for batch in batches:
+        selection = batch.selection
+        count = len(selection)
+        keys = (zip(*[fn(batch, selection) for fn in group_fns])
+                if group_fns else repeat((), count))
+        values = (zip(*[fn(batch, selection) for fn in argument_fns])
+                  if argument_fns else repeat((), count))
+        rows.extend(zip(tags(batch, selection), keys, values))
+
+
+def _fold_groups(groups: dict, aggregates, batches: Iterable, group_fns,
+                 argument_fns, tags: _Tags) -> None:
+    """A grouped partial aggregate's shard side: fold each batch's rows
+    into ``groups`` (group key tuple → [its first row's merge key, one
+    state per aggregate]), keys and arguments read column-wise.  COUNT(*)
+    (``argument_fns`` None) is its group's row count.  One grouping
+    column folds by the bare value, which groups exactly as its 1-tuple
+    (:func:`~repro.engine.operators.row_key`)."""
+    stateful = [aggregate for aggregate, fn in zip(aggregates, argument_fns)
+                if fn is not None]
+    stateful_fns = [fn for fn in argument_fns if fn is not None]
+    single = len(group_fns) == 1
+    counts: dict[Any, int] = {}
+    states: dict[Any, list[_AggState]] = {}
+    first_tags: dict[Any, tuple] = {}
+    for batch in batches:
+        selection = batch.selection
+        key_columns = [fn(batch, selection) for fn in group_fns]
+        keys = key_columns[0] if single else zip(*key_columns)
+        get = counts.get
+        firsts: list[int] = []
+        first_keys: list[Any] = []
+        if stateful_fns:
+            values = zip(*[fn(batch, selection) for fn in stateful_fns])
+            for position, key, row in zip(selection, keys, values):
+                count = get(key)
+                if count is None:
+                    counts[key] = 1
+                    firsts.append(position)
+                    first_keys.append(key)
+                    group = states[key] = [_AggState(aggregate)
+                                           for aggregate in stateful]
+                else:
+                    counts[key] = count + 1
+                    group = states[key]
+                for state, value in zip(group, row):
+                    state.update(value)
+        else:
+            # Only row counts: count and find each key's first position
+            # in C (a dict over the reversed rows keeps the first), then
+            # visit each distinct key once.
+            reverse = (reversed(keys) if single else
+                       zip(*[column[::-1] for column in key_columns]))
+            first = dict(zip(reverse, reversed(selection)))
+            for key, rows in Counter(keys).items():
+                count = get(key)
+                if count is None:
+                    counts[key] = rows
+                    firsts.append(first[key])
+                    first_keys.append(key)
+                else:
+                    counts[key] = count + rows
+        if firsts:
+            first_tags.update(zip(first_keys, tags(batch, firsts)))
+    for key, count in counts.items():
+        running = iter(states.get(key, ()))
+        shown = (key,) if single else key
+        groups[shown] = [first_tags[key], shown,
+                         *[count if fn is None else next(running)
+                           for fn in argument_fns]]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ aggregate mode off that plan; a join shape the fragment executor does
 not run (the range-probe join) falls back.  The chosen access path
 also fixes the **merge key** each fragment row carries: ``(sequence,)``
 for scans, ``(index key rank…, sequence)`` for index paths, plus the
-inner sequence for joins.
+match ordinal for joins.
 
 **Partition pruning** combines two sources, both applied per shard at
 execution time: the placement metadata (hash owner for key equalities,
@@ -45,9 +45,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..engine.catalog import Database
+from ..engine.compile import compile_expression
 from ..engine.errors import BindError, PlanError
 from ..engine.expressions import (AggregateCall, BinaryOp, ColumnRef,
-                                  Expression, combine_conjuncts,
+                                  Expression, Literal, combine_conjuncts,
                                   extract_sargable)
 from ..engine.logical import FunctionRef, LogicalQuery, SelectItem
 from ..engine.operators import (CoveringIndexScan, GroupAggregate, HashJoin,
@@ -57,6 +58,7 @@ from ..engine.operators import (CoveringIndexScan, GroupAggregate, HashJoin,
 from ..engine.planner import (Planner, _cannot_raise, _RelationInfo,
                               collect_aggregates, qualify_columns)
 from ..engine.table import Table
+from ..engine.types import NULL
 from .partition import colocated
 from .shard import ShardCluster, ShardRelease, prune_with_statistics
 
@@ -70,7 +72,7 @@ _JOINS = (HashJoin, IndexNestedLoopJoin, NestedLoopJoin)
 class AccessChoice:
     """The engine planner's access path for one fragment relation."""
 
-    kind: str                                  # "scan" | "seek" | "covering"
+    kind: str                                  # "scan" | "seek" | "covering" | "probe"
     predicate: Optional[Expression]            # the full local predicate
     index_name: Optional[str] = None
     low: Optional[list[Expression]] = None     # key-prefix bounds (plan-time expressions)
@@ -83,7 +85,8 @@ class AccessChoice:
     def describe(self) -> str:
         if self.kind == "scan":
             return "Shard Scan"
-        label = "Covering Index Scan" if self.kind == "covering" else "Index Seek"
+        label = {"covering": "Covering Index Scan",
+                 "probe": "Index Probe"}.get(self.kind, "Index Seek")
         bounds = (f" {key_range_text(self.low, self.high)}"
                   if self.low or self.high else "")
         return f"Shard {label} {self.index_name}{bounds}"
@@ -151,11 +154,15 @@ class CoPartitionedJoinPlan(_FragmentShape):
     drive_keys: list[Expression] = field(default_factory=list)
     inner_keys: list[Expression] = field(default_factory=list)
     residual: Optional[Expression] = None
+    #: ``"hash"`` or ``"nested"``: shards hash the inner side and the
+    #: drive side probes it; ``"index"``: each drive row probes the
+    #: inner side's index (``inner.access.index_name``) with
+    #: ``drive_keys``, in the index's column order, and ``residual`` is
+    #: the engine join's, the inner's local conjuncts included.
     strategy: str = "hash"
     #: The engine planner's ``enable_runtime_filters`` (which it also
-    #: stamps on every ``HashJoin``): shards push their build keys into
-    #: the drive scan.  Every strategy hashes the inner side on a shard,
-    #: so every strategy can carry the filter.
+    #: stamps on every ``HashJoin``): shards that hash the inner side
+    #: push its keys into the drive scan.
     runtime_filter_enabled: bool = False
 
     kind = "join"
@@ -295,12 +302,18 @@ class ClusterPlanner:
                   extra_conjuncts: Sequence[Expression] = ()
                   ) -> FragmentRelation:
         """``info`` as a fragment relation read off its engine access
-        operator, filtered by its local conjuncts plus ``extra_conjuncts``."""
+        operator (or the index join that probes it), filtered by its
+        local conjuncts plus ``extra_conjuncts``."""
         table = info.table
         conjuncts = list(info.local_conjuncts) + list(extra_conjuncts)
         predicate = combine_conjuncts(
             [qualify_columns(part, info.binding_name, table)
              for part in conjuncts])
+        if isinstance(operator, IndexNestedLoopJoin):
+            return FragmentRelation(
+                table.name, info.binding_name, conjuncts,
+                AccessChoice("probe", predicate, index_name=operator.index.name),
+                operator.inner_columns)
         columns = operator.columns
         if isinstance(operator, TableScan):
             access = AccessChoice("scan", predicate)
@@ -360,22 +373,30 @@ class ClusterPlanner:
         elif isinstance(join, NestedLoopJoin):
             drive_op, inner_op, strategy = join.outer, join.inner, "nested"
         elif isinstance(join, IndexNestedLoopJoin) and join.outer_high is None:
-            # The probed side has no access operator in the plan: the
-            # shards hash it in the order the engine would read it alone.
-            drive_op, strategy = join.outer, "index"
-            inner_op = self.engine._access_path_cbo(
-                by_name[join.inner_binding], query).operator
+            drive_op, inner_op, strategy = join.outer, join, "index"
         else:
             return FallbackPlan(query, tables=base_tables,
                                 reason="range-probe join")
         drive = by_name[drive_op.binding_name]
         inner = next(info for info in infos if info is not drive)
+        if strategy == "index":
+            # The shards probe as the join does: its key, in the index's
+            # column order, and its residual, which holds the inner's
+            # local conjuncts too.
+            drive_keys = list(join.outer_key)
+            inner_keys: list[Expression] = [
+                ColumnRef(column, inner.binding_name)
+                for column in join.index.columns[:len(drive_keys)]]
+            residual = join.residual
+        else:
+            drive_keys = [sides[drive.binding_name] for _c, sides in equalities]
+            inner_keys = [sides[inner.binding_name] for _c, sides in equalities]
+            residual = combine_conjuncts(residual_parts)
         return CoPartitionedJoinPlan(
             query, drive=self._relation(drive, drive_op),
             inner=self._relation(inner, inner_op),
-            drive_keys=[sides[drive.binding_name] for _c, sides in equalities],
-            inner_keys=[sides[inner.binding_name] for _c, sides in equalities],
-            residual=combine_conjuncts(residual_parts), strategy=strategy,
+            drive_keys=drive_keys, inner_keys=inner_keys, residual=residual,
+            strategy=strategy,
             runtime_filter_enabled=self.engine.enable_runtime_filters,
             **self._shape(query, spine, infos))
 
@@ -428,14 +449,13 @@ def constant_bound(expression: Optional[Expression], evaluation) -> Any:
     """Fold a bound to a constant under ``evaluation`` (or ``_UNKNOWN``)."""
     if expression is None:
         return None
-    try:
-        from ..engine.compile import compile_expression
-
-        value = compile_expression(expression, evaluation)({})
-    except Exception:
-        return _UNKNOWN
-    from ..engine.types import NULL
-
+    if isinstance(expression, Literal):
+        value = expression.value
+    else:
+        try:
+            value = compile_expression(expression, evaluation)({})
+        except Exception:
+            return _UNKNOWN
     return _UNKNOWN if value is NULL else value
 
 

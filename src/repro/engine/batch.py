@@ -94,12 +94,33 @@ class GatheredBatch(ColumnBatch):
 
     __slots__ = ()
 
+    @property
+    def row_ids(self) -> list[int]:
+        """The row id of each position."""
+        return self.columns.row_ids
+
     def rows(self, column_order: Sequence[str]) -> Iterator[dict[str, Any]]:
         columns = self.columns
         if columns.whole_units:
             return super().rows(column_order)
         row = columns.row
         return (row(position, column_order) for position in self.selection)
+
+
+class JoinBatch(ColumnBatch):
+    """A batch join's output: position ``i`` joins position
+    ``probe_positions[i]`` of the probe-side batch ``probe`` with a row
+    of the other side, one probe position's matches adjacent and in
+    order."""
+
+    __slots__ = ("probe", "probe_positions")
+
+    def __init__(self, columns: Mapping[str, Sequence], selection: list[int],
+                 binding_name: str, probe: ColumnBatch,
+                 probe_positions: list[int]):
+        super().__init__(columns, {}, selection, binding_name)
+        self.probe = probe
+        self.probe_positions = probe_positions
 
 
 def column_values(values: Sequence, mask: Optional[Sequence[int]],

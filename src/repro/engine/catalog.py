@@ -176,9 +176,12 @@ class Database:
             raise CatalogError(f"no table named {name!r}")
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self._lowered_table_names()
+        return name in self.tables or name.lower() in self._lowered_table_names()
 
     def table(self, name: str) -> Table:
+        table = self.tables.get(name)
+        if table is not None:
+            return table
         key = name.lower()
         for existing, table in self.tables.items():
             if existing.lower() == key:

@@ -23,9 +23,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Any, Callable, ClassVar, Iterable, Iterator, Optional,
+                    Sequence)
 
-from .batch import BATCH_ROWS, ColumnBatch, GatheredBatch, column_values
+from .batch import (BATCH_ROWS, ColumnBatch, GatheredBatch, JoinBatch,
+                    column_values)
 from .catalog import Database
 from .compile import (CompiledExpression, Layout, RowCompileError, Schema,
                       VectorCompileError, VectorExpression, batch_key,
@@ -102,6 +104,13 @@ class ExecutionContext:
     #: ``Expression.evaluate`` path (the pre-compilation behaviour; kept for
     #: the ablation benchmark and as a safety hatch).
     compile_enabled: bool = True
+    #: Vector compiles shared by executions under one evaluation context
+    #: over same-schema tables whose read columns hold NULLs alike (the
+    #: fragments of one cluster scatter), or None.  A compile depends on
+    #: its tables' data only through which of the columns it reads hold
+    #: NULLs.  Keyed by ``(id(expression), kind, bindings)``: the caller
+    #: keeps the expressions alive while the memo lives.
+    vector_memo: ClassVar[Optional[dict]] = None
 
     def compile(self, expression: Optional[Expression], layout: Layout, *,
                 projected: bool = False) -> Optional[CompiledExpression]:
@@ -155,20 +164,33 @@ class ExecutionContext:
         could raise (then no segment may be skipped on a later
         predicate's account).
         """
-        fn = self.counted(compile_vector_predicate(expression, self.evaluation,
-                                                   schema))
-        if len(schema) == 1:
-            ((binding_name, table),) = schema.items()
-            hazards = [conjunct_hazards(conjunct, self.evaluation, schema)
-                       for conjunct in conjuncts(expression)]
-            fn.may_raise = any(may_raise for may_raise, _null in hazards)
-            fn.zone_predicate = compile_zone_predicate(
-                expression, self.evaluation, table, binding_name, hazards)
-        return fn
+        memo = self.vector_memo
+        key = (id(expression), "predicate", tuple(schema))
+        fn = None if memo is None else memo.get(key)
+        if fn is None:
+            fn = compile_vector_predicate(expression, self.evaluation, schema)
+            if len(schema) == 1:
+                ((binding_name, table),) = schema.items()
+                hazards = [conjunct_hazards(conjunct, self.evaluation, schema)
+                           for conjunct in conjuncts(expression)]
+                fn.may_raise = any(may_raise for may_raise, _null in hazards)
+                fn.zone_predicate = compile_zone_predicate(
+                    expression, self.evaluation, table, binding_name, hazards)
+            if memo is not None:
+                memo[key] = fn
+        return self.counted(fn)
 
     def compile_vector_projection(self, expression: Expression, schema: Schema
                                   ) -> tuple[VectorExpression, Optional[str]]:
-        fn, tag = compile_vector_projection(expression, self.evaluation, schema)
+        memo = self.vector_memo
+        key = (id(expression), "projection", tuple(schema))
+        compiled = None if memo is None else memo.get(key)
+        if compiled is None:
+            compiled = compile_vector_projection(expression, self.evaluation,
+                                                 schema)
+            if memo is not None:
+                memo[key] = compiled
+        fn, tag = compiled
         return self.counted(fn), tag
 
     def counted(self, fn: VectorExpression) -> VectorExpression:
@@ -812,9 +834,15 @@ class IndexNestedLoopJoin(PhysicalOperator):
                     row_ids = _range_probe(index, key_fns[0](outer_binding),
                                            high_fn(outer_binding))
                 elif single:
-                    row_ids = index.seek((key_fns[0](outer_binding),))
+                    key = key_fns[0](outer_binding)
+                    if key is NULL:
+                        continue        # NULL equals nothing, NULL included
+                    row_ids = index.seek((key,))
                 else:
-                    row_ids = index.seek([key_fn(outer_binding) for key_fn in key_fns])
+                    key = [key_fn(outer_binding) for key_fn in key_fns]
+                    if NULL in key:
+                        continue
+                    row_ids = index.seek(key)
                 for row_id in row_ids:
                     row = inner_table.get_row(row_id, inner_columns)
                     if row is None:
@@ -1265,8 +1293,20 @@ def chain_input(context: ExecutionContext, node: PhysicalOperator
     shape = batch_shape(node)
     if shape is None or shape.build is not None:
         return None
+    return _compiled_input(context, shape)
+
+
+def batch_input(context: ExecutionContext, node: PhysicalOperator
+                ) -> "Optional[_ChainInput | _BatchJoinSource]":
+    """:func:`chain_input`, batch hash joins included."""
+    shape = batch_shape(node)
+    return None if shape is None else _compiled_input(context, shape)
+
+
+def _compiled_input(context: ExecutionContext, shape: BatchShape
+                    ) -> "Optional[_ChainInput | _BatchJoinSource]":
     try:
-        return _ChainInput(context, shape)
+        return _batch_input(context, shape)
     except VectorCompileError:
         return None
 
@@ -1487,8 +1527,8 @@ class _BatchJoinSource(_BatchInput):
             for key in needed_build:
                 store = build_store[key]
                 columns[key] = [store[i] for i in build_ordinals]
-            out = ColumnBatch(columns, {}, list(range(len(probe_positions))),
-                              JOIN_BATCH_BINDING)
+            out = JoinBatch(columns, list(range(len(probe_positions))),
+                            JOIN_BATCH_BINDING, batch, probe_positions)
             if residual_fn is not None:
                 out.selection = residual_fn(out, out.selection)
             join.actual_rows += len(out.selection)
@@ -1944,6 +1984,9 @@ def _counts_rows(aggregate: AggregateCall) -> bool:
 class _AggState:
     """Running state of one aggregate within one group."""
 
+    __slots__ = ("func", "distinct", "count", "total", "minimum", "maximum",
+                 "seen")
+
     def __init__(self, aggregate: AggregateCall):
         self.func = aggregate.func
         self.distinct = aggregate.distinct
@@ -1951,7 +1994,8 @@ class _AggState:
         self.total = 0.0
         self.minimum: Any = None
         self.maximum: Any = None
-        self.seen: set = set()
+        #: A DISTINCT aggregate's values so far.
+        self.seen: Optional[set] = set() if self.distinct else None
 
     def update(self, value: Any) -> None:
         if value is NULL:

@@ -34,7 +34,7 @@ from repro.cluster import ClusterSession, ShardCluster  # noqa: E402
 from repro.engine import (Database, Planner, PrimaryKey, bigint,  # noqa: E402
                           floating, integer, text)
 from repro.engine.segments import SEGMENT_ROWS  # noqa: E402
-from repro.engine.sql import parse_select  # noqa: E402
+from repro.engine.sql import SqlSession, parse_select  # noqa: E402
 from repro.engine.types import NULL  # noqa: E402
 
 #: Two sealed segments on one shard; the tail comes on top.
@@ -80,6 +80,27 @@ ORDERED = [
     "on p.objID = n.objID order by n.neighborObjID, p.objID",
     "select n.*, p.band from Neighbors n join PhotoObj p "
     "on p.objID = n.objID order by n.neighborObjID, n.objID",
+    # A self-join on Neighbors' duplicate keys is a hash join; a NULL
+    # in its second key part joins nothing.
+    "select n1.neighborObjID, n2.neighborObjID as m from Neighbors n1 "
+    "join Neighbors n2 on n2.objID = n1.objID and n2.kind = n1.kind "
+    "order by n1.neighborObjID, m",
+    # PhotoObj joins probe an index; ix_obj_type takes the NULL kinds
+    # too, which must seek nothing
+    "select n.neighborObjID, p.band from Neighbors n join PhotoObj p "
+    "on p.objID = n.objID and p.type = n.kind order by n.neighborObjID, p.band",
+    # float SUM/AVG over each join strategy: ordered gathers, NULL groups
+    "select sum(n.distance) as s, avg(p.ra) as a, count(*) as c "
+    "from Neighbors n join PhotoObj p on p.objID = n.objID "
+    "where p.type is not null",
+    "select n1.kind, sum(n2.distance) as s, count(*) as c from Neighbors n1 "
+    "join Neighbors n2 on n2.objID = n1.objID group by n1.kind order by n1.kind",
+    # a bare * over each join strategy: a column both sides hold shows
+    # the drive side's value
+    "select top 40 *, p.ra as r from Neighbors n join PhotoObj p "
+    "on p.objID = n.objID where p.flags <> 4 order by n.neighborObjID, p.objID",
+    "select * from Neighbors n1 join Neighbors n2 on n2.objID = n1.objID "
+    "and n2.kind = n1.kind order by n1.neighborObjID, n2.neighborObjID",
 ]
 
 #: Rows come in the access path's order: compared within one layout.
@@ -99,6 +120,12 @@ ACCESS_ORDER = [
     # a co-partitioned join in the drive side's order
     "select n.objID, p.modelMag_r from Neighbors n join PhotoObj p "
     "on p.objID = n.objID",
+    # Groups in first-seen order over a hash join whose sides both hold
+    # duplicate keys, so one drive row's matches carry ordinals above 0.
+    # NULL and -0.0/0.0 group keys; the build side's predicate leaves a
+    # runtime filter.
+    "select n2.distance, count(*) as c from Neighbors n1 join Neighbors n2 "
+    "on n2.objID = n1.objID where n2.neighborObjID < 300 group by n2.distance",
 ]
 
 #: References the table lacks: UnknownColumnError once a row reaches them.
@@ -196,11 +223,13 @@ def build_database(storage: str, data: dict) -> Database:
     photo.create_index("ix_type_mag", ["type", "modelMag_r"],
                        included_columns=["flags"])
     photo.create_index("ix_htm", ["htmID"])
+    photo.create_index("ix_obj_type", ["objID", "type"])
     neighbors = database.create_table("Neighbors", [
         bigint("objID"), bigint("neighborObjID"),
-        floating("distance", nullable=True),
+        floating("distance", nullable=True), integer("kind", nullable=True),
     ], storage=storage)
-    neighbors.insert_many({"objID": a, "neighborObjID": b, "distance": _null(d)}
+    neighbors.insert_many({"objID": a, "neighborObjID": b, "distance": _null(d),
+                           "kind": None if b % 4 == 0 else b % 5}
                           for a, b, d in data["neighbours"])
     database.analyze()
     return database
@@ -304,9 +333,13 @@ FIXED = {
                  "band": ["r", None, "g"], "pad": [None, 1.0]},
     "tombstones": [0, SEGMENT_ROWS - 1, SEGMENT_ROWS, SEALED_ROWS + 3, 77],
     "vacuum": False,
+    # Every third object has two more neighbours: duplicate join keys.
     "neighbours": [(index * 53 % (SEALED_ROWS + 29), index * 31 % 400,
                     None if index % 4 == 0 else index / 50.0)
-                   for index in range(60)],
+                   for index in range(60)]
+                  + [(index * 53 % (SEALED_ROWS + 29), (index * 7 + copy) % 400,
+                      (-0.0, 0.0, None)[(index + copy) % 3])
+                     for index in range(0, 60, 3) for copy in (1, 2)],
 }
 
 
@@ -359,8 +392,26 @@ def test_the_battery_engages_seeks_runtime_filters_and_covering_scans():
     assert "Shard Index Seek ix_radec" in columnar.explain(sql)
     assert "Shard Covering Index Scan ix_radec" in row.explain(ACCESS_ORDER[1])
     assert "Shard Index Seek ix_type_mag" in columnar.explain(ACCESS_ORDER[2])
-    join = columnar.query(ORDERED[10])
-    assert join.statistics.runtime_filter_rows_pruned > 0
+    planner = columnar.cluster_planner
+
+    def strategy(sql):
+        return planner.plan(parse_select(sql)).strategy
+
+    # PhotoObj joins probe its indexes per drive row, NULL keys included
+    assert strategy(ORDERED[10]) == strategy(ORDERED[16]) == "index"
+    probe = planner.plan(parse_select(ORDERED[16]))
+    assert probe.inner.access.index_name == "ix_obj_type"
+    assert columnar.query(ORDERED[10]).statistics.random_lookups > 0
+    # Neighbors self-joins hash, push a runtime filter and match one
+    # drive row more than once (ordinals above 0)
+    assert strategy(ORDERED[15]) == strategy(ACCESS_ORDER[-1]) == "hash"
+    grouped = planner.plan(parse_select(ACCESS_ORDER[-1]))
+    assert grouped.aggregate_mode == "partial"
+    assert columnar.query(ACCESS_ORDER[-1]).statistics.runtime_filter_rows_pruned > 0
+    objects = [a for a, _b, _d in FIXED["neighbours"]]
+    assert len(set(objects)) < len(objects)
+    assert planner.plan(parse_select(ORDERED[17])).aggregate_mode == "ordered"
+    assert planner.plan(parse_select(ORDERED[18])).aggregate_mode == "ordered"
 
 
 @pytest.mark.parametrize("palette,dec_step,where", [
@@ -395,3 +446,88 @@ def test_shard_float_min_max_match_the_single_node(palette, dec_step, where):
     assert outcome(lambda: session.query(sql)) == whole_rows(
         single_node("column", data), sql)
     assert session.cluster.executor.ordered_aggregate_gathers == 0
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_join_groups_surface_in_their_first_matches_order(shards):
+    """Two groups first meet on one drive row, in one order there and in
+    the other on a shard the merge reads first.  Each group's merge key
+    is its first row's — the drive row's key plus the match's ordinal —
+    and only the ordinal puts the two in the single node's order."""
+    from repro.cluster.partition import stable_hash
+
+    early, late = (next(objid for objid in range(100)
+                        if stable_hash(objid) % 4 == shard) for shard in (0, 1))
+    # kind = None if neighborObjID % 4 == 0 else neighborObjID % 5: the
+    # first drive row (late's) meets kind 0 then NULL, early's NULL then 0.
+    data = dict(FIXED, tombstones=[], neighbours=[
+        (late, 10, 0.5), (late, 20, 1.5), (early, 40, 2.5), (early, 30, 3.5)])
+    sql = ("select n2.kind, count(*) as c from Neighbors n1 join Neighbors n2 "
+           "on n2.objID = n1.objID where n2.neighborObjID < 1000 "
+           "group by n2.kind")
+    session = cluster_session("column", data, shards, "hash")
+    if shards == 4:
+        placement = session.cluster.placement("Neighbors")
+        assert [placement.shard_of_value(objid) for objid in (early, late)] == [0, 1]
+    plan = session.cluster_planner.plan(parse_select(sql))
+    assert (plan.strategy, plan.inner.binding, plan.aggregate_mode) == (
+        "hash", "n2", "partial")
+    expected = whole_rows(single_node("column", data), sql)
+    assert expected == ("rows", "[{'kind': 0, 'c': 4}, {'kind': None, 'c': 4}]")
+    assert outcome(lambda: session.query(sql)) == expected
+
+
+def _magnitudes(storage: str) -> Database:
+    db = Database(f"nulls_{storage}")
+    photo = db.create_table("PhotoObj", [
+        bigint("objID"), floating("dec"), floating("mag", nullable=True),
+    ], primary_key=PrimaryKey(["objID"]), storage=storage)
+    # NULL magnitudes only in the northern half: zone shards split on
+    # dec, so some shards hold NULLs and some do not.
+    photo.insert_many({"objID": index, "dec": index / 100.0,
+                       "mag": NULL if index > 600 and index % 3 == 0
+                       else 15.0 + index % 7}
+                      for index in range(1200))
+    db.analyze()
+    return db
+
+
+def _magnitude_shards() -> ClusterSession:
+    cluster = ShardCluster.from_database(_magnitudes("row"), shards=4,
+                                         partition="zone", columnar=True)
+    return ClusterSession(cluster)
+
+
+def test_shards_share_compiles_only_where_nulls_match():
+    """A scatter's fragments share their vector compiles, and a compile
+    for a shard whose column holds no NULL reads the column unmasked: a
+    shard whose column holds NULLs must compile its own."""
+    # Shard 0 (no NULL) compiles first; a NULL row read unmasked would
+    # pass the filter with whatever its buffer slot holds.
+    sql = "select objID, mag + 1 as m from PhotoObj where mag < 100 order by objID"
+    session = _magnitude_shards()
+    nulls = [node.table("PhotoObj").storage.column_null_count("mag") > 0
+             for node in session.cluster.shards]
+    assert True in nulls and False in nulls
+    assert outcome(lambda: session.query(sql)) == whole_rows(
+        _magnitudes("column"), sql)
+
+
+def test_a_cached_statement_follows_its_variables_types():
+    """Variables compile to typed constants.  A cached statement run
+    again with an equal value of another type (3 then 3.0, 0.0 then
+    -0.0) must answer as the single node does, which compiles anew."""
+    sql = ("select objID, objID / @x as q, mag * @s as z from PhotoObj "
+           "where objID < 700 and objID % 50 = 1 order by objID")
+    session = _magnitude_shards()
+    single = SqlSession(_magnitudes("column"))
+    answers = set()
+    for x, s in ((3, 0.0), (3.0, -0.0), (3, -0.0), (3.0, 0.0)):
+        for target in (session, single):
+            target.set_variable("x", x)
+            target.set_variable("s", s)
+        answer = outcome(lambda: session.query(sql))
+        assert answer == outcome(lambda: single.query(sql)), (x, s)
+        answers.add(answer)
+    assert len(answers) == 4
+    assert session.plan_cache.hits >= 3
