@@ -13,11 +13,12 @@ scan or seek chain (:func:`~repro.engine.operators.chain_input`), a
 hash join built on the inner side and probed by the drive side
 (:func:`~repro.engine.operators.batch_input`, which pushes its
 :class:`~repro.engine.operators.RuntimeJoinFilter` into the drive
-scan), or :class:`_IndexJoinInput`, which seeks the inner index once
-per drive row.  Select items, sort keys, group keys and aggregate
-arguments are vector projections over those batches; the fragments of
-one scatter share their vector compiles where the columns they read
-hold NULLs alike.  Row stores, covering scans and expressions that do
+scan), or the batch form of the engine's index nested-loop join
+(:class:`~repro.engine.operators._IndexJoinInput`), which seeks the
+inner index once per drive row.  Select items, sort keys, group keys
+and aggregate arguments are vector projections over those batches; the
+fragments of one scatter share their vector compiles where the columns
+they read hold NULLs alike.  Row stores, covering scans and expressions that do
 not vector-compile run row by row.
 
 A fragment emits rows tagged with a **merge key** — the global
@@ -66,14 +67,14 @@ from ..engine.errors import QueryLimitExceeded
 from ..engine.expressions import EvaluationContext, Expression, Literal, Star
 from ..engine.index import key_rank
 from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
-                                JOIN_BATCH_BINDING, ExecutionStatistics,
-                                HashJoin, IndexRangeScan,
+                                ExecutionStatistics, HashJoin, IndexRangeScan,
                                 PhysicalOperator, PhysicalPlan, QueryResult,
-                                TableScan, _AggState,
-                                _BatchInput, _ChainInput, _SortKey,
+                                TableScan, _AggState, _BatchInput, _ChainInput,
+                                _IndexJoinInput, _SortKey,
                                 _create_table_for_rows, _group_key_name,
                                 _hashable, batch_input, chain_input,
-                                fold_scalar, join_key, key_range_row_ids)
+                                count_groups, fold_scalar, join_key,
+                                key_range_row_ids)
 from ..engine.concurrency import read_locks
 from ..engine.sql import SqlSession
 # Bound here, though unused, for the benchmark harness's wrap point
@@ -1074,86 +1075,6 @@ def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
 # Batch fragment helpers
 # ---------------------------------------------------------------------------
 
-class _IndexJoinInput(_BatchInput):
-    """The batch form of the engine's IndexNestedLoopJoin, on one shard.
-
-    Each drive row that passes the drive chain seeks the inner index
-    once with its key (a NULL key part seeks nothing); one drive batch's
-    matches, each drive row's in index order, are gathered together
-    (:meth:`~repro.engine.storage.ColumnStore.gather`) into a
-    :class:`~repro.engine.batch.JoinBatch` keyed ``"binding.column"``,
-    which the join's residual narrows.  Each fetched inner row counts
-    as the engine join counts it: scanned, and one random lookup.
-    """
-
-    def __init__(self, context: ExecutionContext, drive: _ChainInput, index,
-                 binding: str, keys: Sequence[Expression],
-                 residual: Optional[Expression]):
-        super().__init__()
-        self.drive = drive
-        self.index = index
-        self.inner_binding = binding.lower()
-        self.schema = {drive.binding_name: drive.table, binding: index.table}
-        self.key_fns = [drive.projection(context, key)[0] for key in keys]
-        self.residual_fn = (self.predicate(context, residual)
-                            if residual is not None else None)
-
-    def compiled_count(self) -> int:
-        return self.compiled + self.drive.compiled_count()
-
-    def batches(self, context: ExecutionContext,
-                needed: Iterable[str] = ()) -> Iterator[JoinBatch]:
-        drive_columns: list[tuple[str, str]] = []
-        inner_columns: list[tuple[str, str]] = []
-        for key in sorted(self.needed.union(needed)):
-            binding, column = key.split(".", 1)
-            side = inner_columns if binding == self.inner_binding else drive_columns
-            side.append((key, column))
-        statistics = context.statistics
-        table = self.index.table
-        row_bytes = int(table.average_row_bytes())
-        seek = self.index.seek
-        key_fns = self.key_fns
-        residual_fn = self.residual_fn
-        for batch in self.drive.batches(context):
-            selection = batch.selection
-            probe_positions: list[int] = []
-            row_ids: list[int] = []
-            keys = zip(*[fn(batch, selection) for fn in key_fns])
-            for position, key in zip(selection, keys):
-                if NULL in key:
-                    continue
-                for row_id in seek(key):
-                    probe_positions.append(position)
-                    row_ids.append(row_id)
-            if not row_ids:
-                continue
-            live, gathered = table.storage.gather(row_ids)
-            if len(live) != len(row_ids):
-                kept = set(live)
-                probe_positions = [position for position, row_id
-                                   in zip(probe_positions, row_ids)
-                                   if row_id in kept]
-            scanned = len(live)
-            statistics.rows_scanned += scanned
-            statistics.bytes_scanned += scanned * row_bytes
-            statistics.random_lookups += scanned
-            if not scanned:
-                continue
-            masks = batch.masks
-            columns = {key: column_values(batch.columns[column],
-                                          masks.get(column), probe_positions, 0)
-                       for key, column in drive_columns}
-            columns.update((key, gathered[column])
-                           for key, column in inner_columns)
-            out = JoinBatch(columns, list(range(scanned)), JOIN_BATCH_BINDING,
-                            batch, probe_positions)
-            if residual_fn is not None:
-                out.selection = residual_fn(out, out.selection)
-            if out.selection:
-                yield out
-
-
 def _join_tags(drive_tags: _Tags) -> _Tags:
     """Merge keys of join output positions: the drive row's merge key
     plus the match's ordinal among that drive row's matches.  A drive
@@ -1309,7 +1230,7 @@ def _fold_groups(groups: dict, aggregates, batches: Iterable, group_fns,
                 if fn is not None]
     stateful_fns = [fn for fn in argument_fns if fn is not None]
     single = len(group_fns) == 1
-    counts: dict[Any, int] = {}
+    counts: Counter = Counter()
     states: dict[Any, list[_AggState]] = {}
     first_tags: dict[Any, tuple] = {}
     for batch in batches:
@@ -1335,20 +1256,14 @@ def _fold_groups(groups: dict, aggregates, batches: Iterable, group_fns,
                 for state, value in zip(group, row):
                     state.update(value)
         else:
-            # Only row counts: count and find each key's first position
-            # in C (a dict over the reversed rows keeps the first), then
-            # visit each distinct key once.
-            reverse = (reversed(keys) if single else
-                       zip(*[column[::-1] for column in key_columns]))
-            first = dict(zip(reverse, reversed(selection)))
-            for key, rows in Counter(keys).items():
-                count = get(key)
-                if count is None:
-                    counts[key] = rows
-                    firsts.append(first[key])
-                    first_keys.append(key)
-                else:
-                    counts[key] = count + rows
+            # Only row counts: count in C, then find each new key's
+            # first row (a dict over the reversed rows keeps it).
+            first_keys = count_groups(counts, keys)
+            if first_keys:
+                reverse = (reversed(key_columns[0]) if single else
+                           zip(*[column[::-1] for column in key_columns]))
+                first = dict(zip(reverse, reversed(selection)))
+                firsts = [first[key] for key in first_keys]
         if firsts:
             first_tags.update(zip(first_keys, tags(batch, firsts)))
     for key, count in counts.items():

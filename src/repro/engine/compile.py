@@ -98,8 +98,8 @@ from .expressions import (_ARITHMETIC, _BITWISE, _BUILTIN_FUNCTIONS,
                           _COMPARISON, AggregateCall, Between,
                           BinaryOp, CaseWhen, ColumnRef, EvaluationContext,
                           Expression, FunctionCall, InList, Like, Literal,
-                          RowScope, Star, UnaryOp, Variable, like_regex,
-                          truncate_int_div)
+                          RowScope, Star, UnaryOp, Variable, between_error,
+                          like_regex, truncate_int_div)
 from .types import DataType, NULL
 
 #: A compiled scalar expression.  The single argument is a binding
@@ -315,6 +315,7 @@ def _in_candidates(value: Any, candidates: "Any", negated: bool) -> Any:
 _GENERATED_GLOBALS = {
     "_fail": _fail,
     "_compare_error": _compare_error,
+    "_between_error": between_error,
     "_arithmetic_error": _arithmetic_error,
     "_in_candidates": _in_candidates,
     "_ExpressionError": ExpressionError,
@@ -740,7 +741,12 @@ class _Emitter:
         value, low, high = (self.name(operand) for operand in operands)
         test = f"{low} <= {value} <= {high}"
         result = self.local()
-        compute = [f"{result} = not ({test})" if node.negated else f"{result} = {test}"]
+        compute = ["try:",
+                   f"    {result} = not ({test})" if node.negated
+                   else f"    {result} = {test}",
+                   "except TypeError as _e:",
+                   f"    raise _between_error({value}, {low}, {high}, "
+                   f"{node.negated}) from _e"]
         return self.strict(operands, compute, result)
 
     def in_list(self, node: InList) -> _Operand:

@@ -382,6 +382,12 @@ class UnaryOp(Expression):
         return f"({self.op.upper()} {self.operand.sql()})"
 
 
+def between_error(value: Any, low: Any, high: Any, negated: bool) -> ExpressionError:
+    """The error of a BETWEEN whose operand and bounds do not compare."""
+    keyword = "NOT BETWEEN" if negated else "BETWEEN"
+    return ExpressionError(f"cannot compare {value!r} {keyword} {low!r} AND {high!r}")
+
+
 class Between(Expression):
     """``expr BETWEEN low AND high`` (inclusive on both ends)."""
 
@@ -403,7 +409,10 @@ class Between(Expression):
         high = self.high.evaluate(scope, context)
         if value is NULL or low is NULL or high is NULL:
             return NULL
-        result = low <= value <= high
+        try:
+            result = low <= value <= high
+        except TypeError as exc:
+            raise between_error(value, low, high, self.negated) from exc
         return (not result) if self.negated else result
 
     def sql(self) -> str:

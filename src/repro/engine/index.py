@@ -42,19 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 NUMERIC_KEY_TYPES = (DataType.INTEGER, DataType.BIGINT, DataType.FLOAT)
 
 
-class _MinSentinel:
-    """Pads short range bounds so they sort before every real value."""
-
-
-class _MaxSentinel:
-    """Pads short range bounds so they sort after every real value."""
-
-
-_MIN = _MinSentinel()
-_MAX = _MaxSentinel()
-
 #: Above every row id: ``(rank, _ROW_ID_LIMIT)`` sorts after each entry of ``rank``.
 _ROW_ID_LIMIT = 2 ** 63
+
+#: Entries a seek walks before it bisects for the end of its run: a
+#: walk step costs one comparison, a bisection about log2(n) of them.
+_SEEK_WALK = 8
 
 #: About how many list slots a memmove shifts in the time of one entry
 #: comparison.  :meth:`BTreeIndex.merge` prices a bisected insert into n
@@ -92,6 +85,8 @@ def _has_nan(values: Iterable[Any]) -> bool:
 
 
 _NULL_RANK = (0,)
+#: Segments that pad a short range bound or seek prefix to the key's
+#: length: they rank before / after every real value.
 _MIN_RANK = (-1,)
 _MAX_RANK = (9,)
 
@@ -102,8 +97,7 @@ def _rank_part(part: Any) -> tuple:
 
     NULLs sort first (as in SQL Server index ordering); numbers (bools
     as 0/1) compare by value, so ``1`` and ``1.0`` rank equal; strings
-    compare case-insensitively; anything else by its ``str``; the two
-    sentinels bracket every real value for open-ended ranges.  The
+    compare case-insensitively; anything else by its ``str``.  The
     exact-type tests up front are shortcuts for the common cases and
     give the same segment as the ``isinstance`` chain below them.
     """
@@ -114,10 +108,6 @@ def _rank_part(part: Any) -> tuple:
         return _NULL_RANK
     if kind is str:
         return (2, part.lower())
-    if isinstance(part, _MinSentinel):
-        return _MIN_RANK
-    if isinstance(part, _MaxSentinel):
-        return _MAX_RANK
     if isinstance(part, bool):
         return (1, int(part))
     if isinstance(part, (int, float)):
@@ -151,13 +141,11 @@ class IndexStatistics:
     seeks: int = 0
     range_scans: int = 0
     full_scans: int = 0
-    entries_read: int = 0
 
     def reset(self) -> None:
         self.seeks = 0
         self.range_scans = 0
         self.full_scans = 0
-        self.entries_read = 0
 
 
 class BTreeIndex:
@@ -350,26 +338,37 @@ class BTreeIndex:
     def contains_key(self, key: Sequence[Any]) -> bool:
         return next(self.seek(tuple(key)), None) is not None
 
-    def _bound_rank(self, prefix: tuple, pad: Any) -> tuple:
-        return key_rank(prefix + (pad,) * (len(self.columns) - len(prefix)))
+    def _bound_rank(self, prefix: tuple, pad: tuple) -> tuple:
+        """The rank of ``prefix`` padded to the key's length with the
+        ``pad`` segment (:data:`_MIN_RANK` or :data:`_MAX_RANK`)."""
+        return key_rank(prefix) + pad * (len(self.columns) - len(prefix))
 
     def seek(self, key: Sequence[Any]) -> Iterator[int]:
-        """Row ids whose leading index columns equal ``key`` (a prefix seek)."""
+        """Row ids whose leading index columns equal ``key`` (a prefix seek).
+
+        As in :meth:`range`, the walk is a slice of the leaf level taken
+        at the call, its row ids read in one C pass.  The slice ends
+        after a walk of a short run (a unique key's) or by bisection in
+        a long one.
+        """
         self._ensure_sorted()
-        statistics = self.statistics
-        statistics.seeks += 1
+        self.statistics.seeks += 1
         prefix = tuple(key)
         if len(prefix) < len(self.columns):
-            low, high = self._bound_rank(prefix, _MIN), self._bound_rank(prefix, _MAX)
+            low = self._bound_rank(prefix, _MIN_RANK)
+            high = self._bound_rank(prefix, _MAX_RANK)
         else:
             low = high = key_rank(prefix)
         entries = self._entries
-        for position in range(bisect_left(entries, (low,)), len(entries)):
-            entry = entries[position]
-            if high < entry[0]:
+        size = len(entries)
+        start = end = bisect_left(entries, (low,))
+        while end < size and not high < entries[end][0]:
+            end += 1
+            # A NaN key leaves entries out of key order: walk them all.
+            if end - start == _SEEK_WALK and not self._nan_entries:
+                end = bisect_right(entries, (high, _ROW_ID_LIMIT), end)
                 break
-            statistics.entries_read += 1
-            yield entry[1]
+        return map(_ENTRY_ROW_ID, entries[start:end])
 
     def range(self, low: Optional[Sequence[Any]] = None,
               high: Optional[Sequence[Any]] = None) -> Iterator[int]:
@@ -378,12 +377,11 @@ class BTreeIndex:
         self.statistics.range_scans += 1
         entries = self._entries
         start = (0 if low is None else
-                 bisect_left(entries, (self._bound_rank(tuple(low), _MIN),)))
+                 bisect_left(entries, (self._bound_rank(tuple(low), _MIN_RANK),)))
         end = (len(entries) if high is None else
-               bisect_right(entries, (self._bound_rank(tuple(high), _MAX), _ROW_ID_LIMIT)))
-        for position in range(start, end):
-            self.statistics.entries_read += 1
-            yield entries[position][1]
+               bisect_right(entries, (self._bound_rank(tuple(high), _MAX_RANK),
+                                      _ROW_ID_LIMIT)))
+        return map(_ENTRY_ROW_ID, entries[start:end])
 
     def range_or_scan(self, low: Optional[Sequence[Any]],
                       high: Optional[Sequence[Any]]) -> Iterator[int]:
@@ -411,9 +409,7 @@ class BTreeIndex:
         """All row ids in key order (an ordered index scan)."""
         self._ensure_sorted()
         self.statistics.full_scans += 1
-        for entry in self._entries:
-            self.statistics.entries_read += 1
-            yield entry[1]
+        return map(_ENTRY_ROW_ID, self._entries)
 
     # -- planner metadata --------------------------------------------------
 

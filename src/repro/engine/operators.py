@@ -21,8 +21,10 @@ paper-scale elapsed-time estimates.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, islice, repeat
+from operator import ne
 from typing import (Any, Callable, ClassVar, Iterable, Iterator, Optional,
                     Sequence)
 
@@ -1116,10 +1118,13 @@ class BatchShape:
 
     Either a *chain* — ``[FilterOp…]`` over a :class:`TableScan` or an
     :class:`IndexRangeScan` of a column store — or ``[FilterOp…]`` over
-    a :class:`HashJoin` whose build and probe are batch shapes with
-    disjoint bindings.  The planner labels exactly these operators
-    ``Batch`` (:meth:`operators`) and the executor runs exactly these
-    (:func:`_batch_input`), from the one walk :func:`batch_shape`.
+    a join: a :class:`HashJoin` whose build and probe are batch shapes
+    with disjoint bindings, or an equality :class:`IndexNestedLoopJoin`
+    into a column store whose outer side is a chain (its ``probe``: the
+    outer rows probe the index).  The planner labels exactly these
+    operators ``Batch`` (:meth:`operators`) and the executor runs
+    exactly these (:func:`_batch_input`), from the one walk
+    :func:`batch_shape`.
     """
 
     #: Filters above ``source``, outermost first.
@@ -1129,6 +1134,10 @@ class BatchShape:
     bindings: frozenset
     build: Optional["BatchShape"] = None
     probe: Optional["BatchShape"] = None
+
+    @property
+    def is_chain(self) -> bool:
+        return self.probe is None
 
     def operators(self) -> Iterator[PhysicalOperator]:
         yield from self.filters
@@ -1161,6 +1170,13 @@ def batch_shape(node: PhysicalOperator,
             return None
         return BatchShape(filters, node, build.bindings | probe.bindings,
                           build, probe)
+    if (isinstance(node, IndexNestedLoopJoin) and node.outer_high is None
+            and column_backed(node.inner_table)):
+        outer = batch_shape(node.outer, column_backed)
+        inner = node.inner_binding.lower()
+        if outer is None or not outer.is_chain or inner in outer.bindings:
+            return None
+        return BatchShape(filters, node, outer.bindings | {inner}, probe=outer)
     return None
 
 
@@ -1199,6 +1215,14 @@ class _BatchInput:
     def compiled_count(self) -> int:
         return self.compiled
 
+    def compile_filters(self, context: ExecutionContext,
+                        filters: Sequence["FilterOp"]
+                        ) -> list[tuple["FilterOp", VectorExpression]]:
+        """``filters`` (as a shape lists them, outermost first) compiled
+        under this input's schema, in the order batches meet them."""
+        return [(filter_op, self.predicate(context, filter_op.predicate))
+                for filter_op in reversed(filters)]
+
     def column(self, key: str) -> str:
         """The batch column of a qualified ``"binding.column"`` key."""
         binding, name = key.split(".", 1)
@@ -1220,9 +1244,7 @@ class _ChainInput(_BatchInput):
         self.schema = {leaf.binding_name: leaf.table}
         self.predicate_fn = (self.predicate(context, leaf.predicate)
                              if leaf.predicate is not None else None)
-        # Filters stack downward; batches meet them scan-upward.
-        self.filter_fns = [(filter_op, self.predicate(context, filter_op.predicate))
-                           for filter_op in reversed(shape.filters)]
+        self.filter_fns = self.compile_filters(context, shape.filters)
 
     def batches(self, context: ExecutionContext, needed: Iterable[str] = (),
                 runtime_filter: Optional["RuntimeJoinFilter"] = None,
@@ -1239,10 +1261,7 @@ class _ChainInput(_BatchInput):
         else:
             batches = leaf.batches(context, self.predicate_fn)
         for batch in batches:
-            for filter_op, predicate_fn in self.filter_fns:
-                if not batch.selection:
-                    break
-                filter_op.apply_batch(batch, predicate_fn)
+            _apply_filters(batch, self.filter_fns)
             if batch.selection:
                 yield batch
 
@@ -1259,11 +1278,26 @@ class _ChainInput(_BatchInput):
                 yield {binding_name: row}
 
 
-def _batch_input(context: ExecutionContext, shape: BatchShape
-                 ) -> "_ChainInput | _BatchJoinSource":
+def _apply_filters(batch: ColumnBatch,
+                   filter_fns: Sequence[tuple["FilterOp", VectorExpression]]
+                   ) -> None:
+    """Narrow ``batch``'s selection by each compiled filter in turn."""
+    for filter_op, predicate_fn in filter_fns:
+        if not batch.selection:
+            return
+        filter_op.apply_batch(batch, predicate_fn)
+
+
+def _batch_input(context: ExecutionContext, shape: BatchShape) -> _BatchInput:
     """``shape`` compiled for this execution (raises VectorCompileError)."""
-    if isinstance(shape.source, HashJoin):
+    source = shape.source
+    if isinstance(source, HashJoin):
         return _BatchJoinSource(context, shape)
+    if isinstance(source, IndexNestedLoopJoin):
+        return _IndexJoinInput(
+            context, _ChainInput(context, shape.probe), source.index,
+            source.inner_binding, source.outer_key, source.residual,
+            covering=source.covering, join=source, filters=shape.filters)
     return _ChainInput(context, shape)
 
 
@@ -1291,20 +1325,20 @@ def chain_input(context: ExecutionContext, node: PhysicalOperator
     not a chain over a column store, or an expression that does not
     vector-compile."""
     shape = batch_shape(node)
-    if shape is None or shape.build is not None:
+    if shape is None or not shape.is_chain:
         return None
     return _compiled_input(context, shape)
 
 
 def batch_input(context: ExecutionContext, node: PhysicalOperator
-                ) -> "Optional[_ChainInput | _BatchJoinSource]":
-    """:func:`chain_input`, batch hash joins included."""
+                ) -> Optional[_BatchInput]:
+    """:func:`chain_input`, batch joins included."""
     shape = batch_shape(node)
     return None if shape is None else _compiled_input(context, shape)
 
 
 def _compiled_input(context: ExecutionContext, shape: BatchShape
-                    ) -> "Optional[_ChainInput | _BatchJoinSource]":
+                    ) -> Optional[_BatchInput]:
     try:
         return _batch_input(context, shape)
     except VectorCompileError:
@@ -1317,6 +1351,10 @@ def _compiled_input(context: ExecutionContext, shape: BatchShape
 #: by the qualified ``"binding.column"`` name instead).
 JOIN_BATCH_BINDING = "#join"
 
+#: Build-key types a runtime filter's min/max range orders as SQL does
+#: (bools are excluded: they are ints to Python, not to a zone map).
+_REAL_TYPES = frozenset((int, float))
+
 
 class RuntimeJoinFilter:
     """Sideways information passing: a finished hash build pruning its probe.
@@ -1324,10 +1362,10 @@ class RuntimeJoinFilter:
     Built the moment a hash-join build side completes — by the batch
     join pipeline and by a shard's co-partitioned join — and handed to
     the probe-side scan (:meth:`TableScan.batches`).  It tests probe
-    keys against the build's own ``hash_table.keys()`` view, which is
-    exactly the lookup the probe makes next, so it drops only rows the
-    probe would drop anyway and results are byte-identical with the
-    filter on or off.  Two layers:
+    keys against the build's own hash table, which is exactly the
+    lookup the probe makes next, so it drops only rows the probe would
+    drop anyway and results are byte-identical with the filter on or
+    off.  Two layers:
 
     * **range** — when the (single) probe key is a bare column, zone
       maps are on and every build key is a real number, the keys'
@@ -1336,7 +1374,7 @@ class RuntimeJoinFilter:
       live rows.  An empty build prunes every sealed segment outright
       — nothing can join.
     * **keys** — each surviving batch keeps only the rows whose probe
-      key is in the key view, right after the scan predicate and
+      key is in the hash table, right after the scan predicate and
       before the join gathers any columns.  NULL never is: NULL build
       keys are not hashed.
 
@@ -1348,7 +1386,7 @@ class RuntimeJoinFilter:
     def __init__(self, keys, key_fn, probe_key: Expression, *,
                  zone_maps: bool = True,
                  join: Optional["HashJoin"] = None):
-        #: The build's key view; ``key_fn(batch, selection)`` yields
+        #: The build's hash table; ``key_fn(batch, selection)`` yields
         #: the probe keys it is tested against.
         self.keys = keys
         self.key_fn = key_fn
@@ -1357,10 +1395,10 @@ class RuntimeJoinFilter:
         self.join = join
         self.zone_fn = None
         if (keys and zone_maps and isinstance(probe_key, ColumnRef)
-                and all(isinstance(key, (int, float))
-                        and not isinstance(key, bool)
-                        and key == key for key in keys)):
-            # NaN build keys disable the range: NaN poisons min/max.
+                and set(map(type, keys)) <= _REAL_TYPES
+                and not any(map(ne, keys, keys))):
+            # NaN build keys (the ones unequal to themselves) disable
+            # the range: NaN poisons min/max.
             self.zone_fn = runtime_range_zone(probe_key.name.lower(),
                                               min(keys), max(keys))
 
@@ -1380,9 +1418,8 @@ class RuntimeJoinFilter:
         keys = self.keys
         if not keys:
             return []
-        return [position for position, key
-                in zip(selection, self.key_fn(batch, selection))
-                if key in keys]
+        return list(compress(selection, map(keys.__contains__,
+                                            self.key_fn(batch, selection))))
 
     def note_segment(self, statistics: ExecutionStatistics,
                      scan: "TableScan") -> None:
@@ -1404,7 +1441,7 @@ class RuntimeJoinFilter:
 
 
 def _runtime_join_filter(join: "HashJoin", hash_table: dict,
-                         probe: "_ChainInput | _BatchJoinSource",
+                         probe: _BatchInput,
                          probe_key_fns: Sequence[tuple[VectorExpression,
                                                        Optional[str]]]
                          ) -> Optional["RuntimeJoinFilter"]:
@@ -1421,18 +1458,69 @@ def _runtime_join_filter(join: "HashJoin", hash_table: dict,
     if len(probe_key_fns) != 1 or len(join.probe_keys) != 1:
         return None
     runtime_filter = RuntimeJoinFilter(
-        hash_table.keys(), probe_key_fns[0][0], join.probe_keys[0],
+        hash_table, probe_key_fns[0][0], join.probe_keys[0],
         zone_maps=probe.leaf.use_zone_maps, join=join)
     join.runtime_filter_kind = runtime_filter.kind
     return runtime_filter
 
 
+class _JoinColumns(dict):
+    """A batch hash join's output columns, each gathered on first read.
+
+    ``sources`` tells where a column's values are: ``(probe batch,
+    column)`` for the probe side, read at the output's ``positions`` in
+    that batch, or ``(None, store)`` for a build column, read at
+    ``ordinals``.  A join probed by this output gathers its own columns
+    straight from those sources (:meth:`take` composes the positions),
+    so a column an outer join carries for its own output is gathered
+    once, at the outer join's matches, not first at this join's.
+    """
+
+    __slots__ = ("sources", "positions", "ordinals")
+
+    def __init__(self, sources: dict[str, tuple[Optional[ColumnBatch], Any]],
+                 positions: list[int], ordinals: list[int]):
+        super().__init__()
+        self.sources = sources
+        self.positions = positions
+        self.ordinals = ordinals
+
+    def take(self, key: str, at: Sequence[int]) -> list:
+        """Column ``key`` at output positions ``at`` (not kept)."""
+        values = dict.get(self, key)
+        if values is not None:
+            return [values[i] for i in at]
+        batch, source = self.sources[key]
+        if batch is None:
+            ordinals = self.ordinals
+            return [source[ordinals[i]] for i in at]
+        positions = self.positions
+        return _take(batch, source, [positions[i] for i in at])
+
+    def __missing__(self, key: str) -> list:
+        batch, source = self.sources[key]
+        if batch is None:
+            values = [source[i] for i in self.ordinals]
+        else:
+            values = _take(batch, source, self.positions)
+        self[key] = values
+        return values
+
+
+def _take(batch: ColumnBatch, column: str, positions: Sequence[int]) -> list:
+    """``batch``'s column at ``positions``, NULL where masked."""
+    columns = batch.columns
+    if isinstance(columns, _JoinColumns):
+        return columns.take(column, positions)
+    return column_values(columns[column], batch.masks.get(column), positions, 0)
+
+
 class _BatchJoinSource(_BatchInput):
     """Drives a :class:`HashJoin` batch-at-a-time over two batch inputs.
 
-    Each side is a chain (:class:`_ChainInput`) or another
-    :class:`_BatchJoinSource`, so left-deep, right-deep and bushy join
-    trees all stay on the batch path.  The join keys compile against
+    Each side is a chain (:class:`_ChainInput`) or another batch join
+    (:class:`_BatchJoinSource`, :class:`_IndexJoinInput`), so left-deep,
+    right-deep and bushy join trees all stay on the batch path.  The join keys compile against
     their own side; the residual, the filters above the join and the
     consumer's expressions compile under the join schema (build
     bindings, then probe — ``HashJoin.layout``'s order), so they read
@@ -1441,9 +1529,10 @@ class _BatchJoinSource(_BatchInput):
     The build side's batches are consumed once: join-key columns feed a
     hash table of build-row ordinals while every needed build column
     is gathered into one growing list.  The probe side then streams;
-    each probe batch's matches are gathered into a fresh
-    :class:`ColumnBatch` keyed ``"binding.column"``.  Gathers apply the
-    null masks, so a gathered column holds NULL where the row does.
+    each probe batch's matches form a :class:`JoinBatch` keyed
+    ``"binding.column"`` whose columns are gathered on first read
+    (:class:`_JoinColumns`).  Gathers apply the null masks, so a
+    gathered column holds NULL where the row does.
 
     Once the build finishes, its key set is summarized into a
     :class:`RuntimeJoinFilter` (when the planner enabled them) and
@@ -1466,8 +1555,7 @@ class _BatchJoinSource(_BatchInput):
                               for expression in join.probe_keys]
         self.residual_fn = (self.predicate(context, join.residual)
                             if join.residual is not None else None)
-        self.filter_fns = [(filter_op, self.predicate(context, filter_op.predicate))
-                           for filter_op in reversed(shape.filters)]
+        self.filter_fns = self.compile_filters(context, shape.filters)
 
     def compiled_count(self) -> int:
         return (self.compiled + self.build.compiled_count()
@@ -1482,78 +1570,75 @@ class _BatchJoinSource(_BatchInput):
                               if key.split(".", 1)[0] in probe_bindings)
         needed_build = sorted(key for key in wanted
                               if key.split(".", 1)[0] not in probe_bindings)
-        hash_table, build_store = self._build(context, needed_build)
+        hash_table, unique, build_store = self._build(context, needed_build)
         runtime_filter = _runtime_join_filter(self.join, hash_table, self.probe,
                                               self.probe_key_fns)
         join = self.join
-        # Row-view key fallbacks (tag None) may produce NULLs, which
-        # never join — mirror the row path's NULL-key skip exactly.
-        probe_null_possible = any(tag is None for _fn, tag in self.probe_key_fns)
         probe_fns = [fn for fn, _tag in self.probe_key_fns]
         single_key = len(probe_fns) == 1
         residual_fn = self.residual_fn
         probe = self.probe
         probe_columns = [(key, probe.column(key)) for key in needed_probe]
+        build_sources = [(key, (None, build_store[key])) for key in needed_build]
         if runtime_filter is not None:
             probe_batches = probe.batches(context, needed_probe, runtime_filter)
         else:
             probe_batches = probe.batches(context, needed_probe)
+        get = hash_table.get
         for batch in probe_batches:
             selection = batch.selection
             key_columns = [fn(batch, selection) for fn in probe_fns]
-            probe_positions: list[int] = []
-            build_ordinals: list[int] = []
-            if single_key:
-                keys: Sequence = key_columns[0]
+            keys = key_columns[0] if single_key else zip(*key_columns)
+            # The table holds no key with a NULL part, so a NULL probe
+            # key — a row-view fallback's — misses like any other.
+            build_ordinals = list(map(get, keys))
+            if None in build_ordinals:
+                probe_positions = [position for position, ordinal
+                                   in zip(selection, build_ordinals)
+                                   if ordinal is not None]
+                build_ordinals = [ordinal for ordinal in build_ordinals
+                                  if ordinal is not None]
             else:
-                keys = list(zip(*key_columns))
-            for position, key in zip(selection, keys):
-                if probe_null_possible and (
-                        key is NULL if single_key
-                        else any(part is NULL for part in key)):
-                    continue
-                matches = hash_table.get(key)
-                if matches is not None:
-                    for ordinal in matches:
-                        probe_positions.append(position)
-                        build_ordinals.append(ordinal)
+                probe_positions = list(selection)
             if not probe_positions:
                 continue
-            columns: dict[str, list] = {}
-            masks = batch.masks
-            for key, column in probe_columns:
-                columns[key] = column_values(batch.columns[column],
-                                             masks.get(column), probe_positions, 0)
-            for key in needed_build:
-                store = build_store[key]
-                columns[key] = [store[i] for i in build_ordinals]
-            out = JoinBatch(columns, list(range(len(probe_positions))),
+            if not unique:
+                probe_positions = list(chain.from_iterable(map(
+                    repeat, probe_positions, map(len, build_ordinals))))
+                build_ordinals = list(chain.from_iterable(build_ordinals))
+            sources = {key: (batch, column) for key, column in probe_columns}
+            sources.update(build_sources)
+            out = JoinBatch(_JoinColumns(sources, probe_positions, build_ordinals),
+                            list(range(len(probe_positions))),
                             JOIN_BATCH_BINDING, batch, probe_positions)
             if residual_fn is not None:
                 out.selection = residual_fn(out, out.selection)
             join.actual_rows += len(out.selection)
-            for filter_op, predicate_fn in self.filter_fns:
-                if not out.selection:
-                    break
-                filter_op.apply_batch(out, predicate_fn)
+            _apply_filters(out, self.filter_fns)
             if out.selection:
                 yield out
 
     def _build(self, context: ExecutionContext, needed_build: Sequence[str]
-               ) -> tuple[dict, dict[str, list]]:
-        """Hash the build side's keys to ordinals and gather its columns.
+               ) -> tuple[dict, bool, dict[str, list]]:
+        """Hash the build side's keys to ordinals and gather its columns:
+        ``(hash table, unique, build store)``.
 
-        Every NULL key still consumes an ordinal, so ordinals index the
-        gathered store.
+        Every build row — a NULL-keyed one too — has an ordinal, its
+        index into each gathered column of the store.  A key with a NULL
+        part is not hashed (NULL joins nothing).  When the hashed keys
+        are distinct (``unique``), each maps to its bare ordinal; else
+        each maps to the list of its ordinals, in build order.  Either
+        way the table's key equality is the row join's: ``1``/``1.0``/
+        ``True`` and ``0.0``/``-0.0`` collide and a NaN matches only
+        itself.
         """
         build = self.build
         build_fns = [fn for fn, _tag in self.build_key_fns]
         null_possible = any(tag is None for _fn, tag in self.build_key_fns)
         single_key = len(build_fns) == 1
-        hash_table: dict = {}
         build_store: dict[str, list] = {key: [] for key in needed_build}
         gathered = [(build_store[key], build.column(key)) for key in needed_build]
-        ordinal = 0
+        keys: list = []
         for batch in build.batches(context, needed_build):
             selection = batch.selection
             key_columns = [fn(batch, selection) for fn in build_fns]
@@ -1561,23 +1646,118 @@ class _BatchJoinSource(_BatchInput):
             for store, column in gathered:
                 store.extend(column_values(batch.columns[column],
                                            masks.get(column), selection, 0))
-            if single_key:
-                keys: Sequence = key_columns[0]
+            keys.extend(key_columns[0] if single_key else zip(*key_columns))
+        ordinals: Iterable[int] = range(len(keys))
+        if null_possible:
+            hashed = ([key is not NULL for key in keys] if single_key
+                      else [NULL not in key for key in keys])
+            keys = list(compress(keys, hashed))
+            ordinals = list(compress(ordinals, hashed))
+        hash_table = dict(zip(keys, ordinals))
+        if len(hash_table) == len(keys):
+            return hash_table, True, build_store
+        hash_table = {}
+        for key, ordinal in zip(keys, ordinals):
+            bucket = hash_table.get(key)
+            if bucket is None:
+                hash_table[key] = [ordinal]
             else:
-                keys = list(zip(*key_columns))
-            for key in keys:
-                if null_possible and (
-                        key is NULL if single_key
-                        else any(part is NULL for part in key)):
-                    ordinal += 1
-                    continue
-                bucket = hash_table.get(key)
-                if bucket is None:
-                    hash_table[key] = [ordinal]
-                else:
-                    bucket.append(ordinal)
-                ordinal += 1
-        return hash_table, build_store
+                bucket.append(ordinal)
+        return hash_table, False, build_store
+
+
+class _IndexJoinInput(_BatchInput):
+    """Drives an equality :class:`IndexNestedLoopJoin` batch-at-a-time.
+
+    The outer (drive) side is a chain and the inner table a column
+    store.  Each drive row that passes the chain seeks the inner index
+    once with its key (a NULL key part seeks nothing); one drive
+    batch's matches, each drive row's in index order, are gathered
+    together (:meth:`~repro.engine.storage.ColumnStore.gather`) into a
+    :class:`~repro.engine.batch.JoinBatch` keyed ``"binding.column"``,
+    which the join's residual and the filters above it narrow.  Each
+    fetched live inner row counts as the row join counts it: scanned,
+    and a random lookup — or, when the index covers the inner columns
+    (``covering``), an index entry.  ``join`` is the plan operator whose
+    actual rows it keeps (None on a cluster shard, whose fragments run
+    this class over their drive chain too).
+    """
+
+    def __init__(self, context: ExecutionContext, drive: _ChainInput,
+                 index: BTreeIndex, binding: str, keys: Sequence[Expression],
+                 residual: Optional[Expression], *, covering: bool = False,
+                 join: Optional[IndexNestedLoopJoin] = None,
+                 filters: Sequence[FilterOp] = ()):
+        super().__init__()
+        self.drive = drive
+        self.index = index
+        self.inner_binding = binding.lower()
+        self.covering = covering
+        self.join = join
+        self.schema = {drive.binding_name: drive.table, binding: index.table}
+        self.key_fns = [drive.projection(context, key)[0] for key in keys]
+        self.residual_fn = (self.predicate(context, residual)
+                            if residual is not None else None)
+        self.filter_fns = self.compile_filters(context, filters)
+
+    def compiled_count(self) -> int:
+        return self.compiled + self.drive.compiled_count()
+
+    def batches(self, context: ExecutionContext,
+                needed: Iterable[str] = ()) -> Iterator[JoinBatch]:
+        """The join's output batches, carrying :attr:`needed` and ``needed``."""
+        drive_columns: list[tuple[str, str]] = []
+        inner_columns: list[tuple[str, str]] = []
+        for key in sorted(self.needed.union(needed)):
+            binding, column = key.split(".", 1)
+            side = inner_columns if binding == self.inner_binding else drive_columns
+            side.append((key, column))
+        statistics = context.statistics
+        table = self.index.table
+        covering = self.covering
+        row_bytes = int(self.index.entry_byte_width() if covering
+                        else table.average_row_bytes())
+        seek = self.index.seek
+        key_fns = self.key_fns
+        residual_fn = self.residual_fn
+        join = self.join
+        for batch in self.drive.batches(context):
+            selection = batch.selection
+            matches = [() if NULL in key else tuple(seek(key))
+                       for key in zip(*[fn(batch, selection) for fn in key_fns])]
+            row_ids = list(chain.from_iterable(matches))
+            if not row_ids:
+                continue
+            probe_positions = list(chain.from_iterable(
+                map(repeat, selection, map(len, matches))))
+            live, gathered = table.storage.gather(row_ids)
+            if len(live) != len(row_ids):
+                probe_positions = list(compress(
+                    probe_positions, map(set(live).__contains__, row_ids)))
+            scanned = len(live)
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * row_bytes
+            if covering:
+                statistics.index_entries_read += scanned
+            else:
+                statistics.random_lookups += scanned
+            if not scanned:
+                continue
+            masks = batch.masks
+            columns = {key: column_values(batch.columns[column],
+                                          masks.get(column), probe_positions, 0)
+                       for key, column in drive_columns}
+            columns.update((key, gathered[column])
+                           for key, column in inner_columns)
+            out = JoinBatch(columns, list(range(scanned)), JOIN_BATCH_BINDING,
+                            batch, probe_positions)
+            if residual_fn is not None:
+                out.selection = residual_fn(out, out.selection)
+            if join is not None:
+                join.actual_rows += len(out.selection)
+            _apply_filters(out, self.filter_fns)
+            if out.selection:
+                yield out
 
 
 class SortOp(PhysicalOperator):
@@ -1733,7 +1913,7 @@ class GroupAggregate(PhysicalOperator):
                              for expression in self.group_by])
         argument_fns = [context.compile(aggregate.argument, child_layout)
                         for aggregate in self._stateful]
-        counts: dict[Any, int] = {}
+        counts: Counter = Counter()
         states: dict[Any, list[_AggState]] = {}
         bindings = input_rows(context, self.child)
         if not argument_fns:
@@ -1760,11 +1940,10 @@ class GroupAggregate(PhysicalOperator):
         its 1-tuple would (see :func:`row_key`).  ``counts`` keeps
         first-seen group order.
         """
-        get = counts.get
         if values is None:
-            for key in keys:
-                counts[key] = get(key, 0) + 1
+            count_groups(counts, keys)
             return
+        get = counts.get
         stateful = self._stateful
         for key, row in zip(keys, values):
             counts[key] = get(key, 0) + 1
@@ -1819,7 +1998,7 @@ class GroupAggregate(PhysicalOperator):
         return self._run_scalar(context, source, argument_fns)
 
     def _run_scalar(self, context: ExecutionContext,
-                    source: "_ChainInput | _BatchJoinSource",
+                    source: _BatchInput,
                     argument_fns: Sequence[tuple[Optional[VectorExpression],
                                                  Optional[str]]]
                     ) -> Iterator[Binding]:
@@ -1843,7 +2022,7 @@ class GroupAggregate(PhysicalOperator):
         stateful_fns = [argument_fn for (argument_fn, _tag), counts
                         in zip(argument_fns, self._counting) if not counts]
         single = len(group_fns) == 1
-        counts: dict[Any, int] = {}
+        counts: Counter = Counter()
         states: dict[Any, list[_AggState]] = {}
         for batch in batches:
             selection = batch.selection
@@ -1952,6 +2131,19 @@ def _zone_contributions(segment, specs) -> Optional[list]:
                 return None
             contributions.append((nonnull, zone.int_sum, None, None))
     return contributions
+
+
+def count_groups(counts: Counter, keys: Iterable[Any]) -> list:
+    """Count each row's group (``keys`` holds one group key per row) into
+    ``counts``, in C (:meth:`collections.Counter.update`); returns the
+    groups new to ``counts``.
+
+    ``counts`` keeps first-seen group order and each group's first-seen
+    key, as counting row by row would, so its new groups are its tail.
+    """
+    seen = len(counts)
+    counts.update(keys)
+    return list(islice(counts, seen, None))
 
 
 def fold_scalar(batches: Iterable[ColumnBatch], states: Sequence["_AggState"],
@@ -2161,7 +2353,7 @@ class ProjectOp(PhysicalOperator):
         over the binding it names (star over a join stays row-mode)."""
         for item in self.items:
             if isinstance(item.expression, Star):
-                if isinstance(shape.source, HashJoin):
+                if not shape.is_chain:
                     return False
                 qualifier = (item.expression.qualifier or "").lower()
                 if qualifier and qualifier not in shape.bindings:
@@ -2527,7 +2719,13 @@ class PhysicalPlan:
         """Run the plan.  ``time_operators`` additionally accumulates
         per-operator inclusive wall time on ``actual_seconds`` (EXPLAIN
         ANALYZE's ``time=…ms``); it wraps every reached generator and so
-        is *not* free — the regular path leaves it off."""
+        is *not* free — the regular path leaves it off.
+
+        ``statistics.cpu_seconds`` is the CPU time of the calling thread
+        (:func:`time.thread_time`), so a query running beside others in
+        a serving pool is not charged theirs.  Cluster fragments run on
+        the calling thread too, except under simulated per-shard I/O,
+        which runs them on pool threads whose CPU it does not count."""
         from .errors import QueryLimitExceeded
 
         self.reset_actuals()
@@ -2540,7 +2738,7 @@ class PhysicalPlan:
         self.last_timed = bool(time_operators)
         timed = self._install_operator_timers() if time_operators else None
         started_wall = time.perf_counter()
-        started_cpu = time.process_time()
+        started_cpu = time.thread_time()
         rows: list[dict[str, Any]] = []
         try:
             for binding in self.root.rows(context):
@@ -2560,7 +2758,7 @@ class PhysicalPlan:
             if timed is not None:
                 self._remove_operator_timers(timed)
         context.statistics.elapsed_seconds = time.perf_counter() - started_wall
-        context.statistics.cpu_seconds = time.process_time() - started_cpu
+        context.statistics.cpu_seconds = time.thread_time() - started_cpu
         columns = self.output_names or (list(rows[0].keys()) if rows else [])
         return QueryResult(columns=columns, rows=rows,
                            statistics=context.statistics, plan=self)

@@ -1474,7 +1474,7 @@ class Planner:
             return
         for child in operator.row_inputs():
             shape = batch_shape(child, self._column_backed)
-            if shape is not None and shape.build is None:
+            if shape is not None and shape.is_chain:
                 for chained in shape.operators():
                     chained.mark_batch_mode()
         for child in operator.children():

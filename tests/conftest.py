@@ -11,6 +11,8 @@ depend on the density, so every worked example still returns rows.
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -108,3 +110,31 @@ def toy_photo_database():
     table.create_index("ix_type", ["type"], included_columns=["modelMag_r"])
     table.create_index("ix_field", ["run", "camcol", "field"])
     return database
+
+
+#: CPU seconds the :func:`busy_neighbour` thread burns.
+NEIGHBOUR_CPU_SECONDS = 0.3
+
+
+def _burn() -> None:
+    started = time.thread_time()
+    while time.thread_time() - started < NEIGHBOUR_CPU_SECONDS:
+        pass
+
+
+@pytest.fixture()
+def busy_neighbour():
+    """A function that starts a thread burning :data:`NEIGHBOUR_CPU_SECONDS`
+    of its own CPU and returns True once that thread is done.  Code that
+    calls it waits while the CPU is spent elsewhere: a per-thread clock
+    must not charge it."""
+
+    def run() -> bool:
+        thread = threading.Thread(target=_burn, name="busy-neighbour")
+        thread.start()
+        thread.join(timeout=30)
+        if thread.is_alive():
+            raise RuntimeError("the busy neighbour did not finish in 30 s")
+        return True
+
+    return run

@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine import (Database, Planner, PrimaryKey, SqlSession, bigint,
                           floating, text)
+from repro.engine.errors import ExpressionError
 from repro.engine.explain import plan_operators
 from repro.engine.expressions import RowScope
 from repro.engine.sql import parse_select
@@ -155,10 +156,11 @@ def test_range_probe_reads_only_the_rows_in_range():
 def test_bounds_that_cannot_seek_fail_like_the_nested_loop_join():
     database = _cover_database([("a", "z")])
     probe, nested = _plans(database, BETWEEN_SQL)
-    with pytest.raises(TypeError):
+    with pytest.raises(ExpressionError) as nested_error:
         nested.execute()
-    with pytest.raises(TypeError):
+    with pytest.raises(ExpressionError) as probe_error:
         probe.execute()
+    assert str(probe_error.value) == str(nested_error.value)
 
 
 def test_q10a_probes_the_htm_index(skyserver):

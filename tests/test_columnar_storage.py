@@ -481,6 +481,20 @@ class TestFig13BatchLabels:
         # and Q15B's math residual and URL projection run in the batch.
         assert {"Q13", "Q15B", "Q18"} <= ran_batch
 
+    def test_equality_index_joins_run_batch(self, columnar_skyserver):
+        """Q8, Q17 and Q20's equality index nested-loop joins (a chain
+        outside, a column store inside) run batch; Q1's, whose outer side
+        is a table-valued function, and Q10A's range probe stay row
+        joins."""
+        session = columnar_skyserver.session
+        for query_id in ("Q8", "Q17", "Q20"):
+            plan = session.explain(query_by_id(query_id).sql)
+            assert "-> Batch Index Nested Loop Join" in plan, query_id
+        for query_id in ("Q1", "Q10A"):
+            plan = session.explain(query_by_id(query_id).sql)
+            assert "-> Index Nested Loop Join" in plan, query_id
+            assert "Batch Index Nested Loop Join" not in plan, query_id
+
     def test_batch_expressions_compile_to_generated_loops(self, columnar_skyserver):
         """No batch predicate or projection of the suite runs a row-mode
         function per row — column divisors (Q4, Q15B), ``log10`` (Q2)

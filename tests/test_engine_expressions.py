@@ -194,3 +194,49 @@ class TestPredicateAnalysis:
         expression = parse_expression("r.run = g.run and abs(g.field - r.field) <= 1")
         refs = expression.referenced_columns()
         assert ("r", "run") in refs and ("g", "field") in refs
+
+
+BETWEEN_TEXT_BOUNDS = [
+    "dec between 'a' and 'b'",
+    "dec not between 'a' and 'b'",
+    # The row path tests low <= dec first; only a row that passes it
+    # reaches the text bound.
+    "dec between 1 and 'b'",
+    "'a' between dec and 3",
+]
+
+
+def _between_database(storage: str):
+    from repro.engine import Database
+    from repro.engine.segments import SEGMENT_ROWS
+    from repro.engine.types import Column, DataType
+
+    database = Database(f"between-{storage}")
+    table = database.create_table("T", [
+        Column("id", DataType.BIGINT), Column("dec", DataType.FLOAT),
+    ], storage=storage)
+    # A sealed segment and a tail: zone maps must not hide the error.
+    table.insert_many({"id": i, "dec": i * 0.5} for i in range(SEGMENT_ROWS + 10))
+    return database
+
+
+@pytest.mark.parametrize("where", BETWEEN_TEXT_BOUNDS)
+def test_between_with_text_bounds_raises_the_engine_error(where):
+    """BETWEEN a FLOAT column and text raises ExpressionError — as
+    ``dec >= 'a'`` does — on the row store, on the column store and
+    under the interpreter, with one message."""
+    from repro.engine import Planner
+    from repro.engine.errors import ExpressionError
+    from repro.engine.sql import parse_select
+
+    sql = f"select id from T where {where}"
+    messages = set()
+    for storage in ("row", "column"):
+        database = _between_database(storage)
+        for compiled in (True, False):
+            plan = Planner(database).plan(parse_select(sql))
+            with pytest.raises(ExpressionError) as raised:
+                plan.execute(compiled=compiled)
+            messages.add(str(raised.value))
+    assert len(messages) == 1, messages
+    assert messages.pop().startswith("cannot compare ")

@@ -153,6 +153,18 @@ class TestJoins:
         assert repr(rows) == repr(written.query(sql).rows)
 
 
+def test_cpu_seconds_count_only_the_query_thread(toy_photo_database, busy_neighbour):
+    """A query that waits while another thread burns CPU is charged its
+    own thread's CPU only (a process-wide clock would charge it the
+    neighbour's 0.3 s)."""
+    toy_photo_database.register_scalar_function(
+        "wait_for_neighbour", busy_neighbour, replace=True)
+    result = SqlSession(toy_photo_database).query(
+        "select dbo.wait_for_neighbour() as waited")
+    assert result.rows == [{"waited": True}]
+    assert result.statistics.cpu_seconds < 0.1
+
+
 def test_planner_keywords_are_the_documented_switches():
     keywords = set(inspect.signature(Planner).parameters) - {"database"}
     assert keywords == {

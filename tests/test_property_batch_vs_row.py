@@ -650,7 +650,8 @@ def test_row_consumers_of_batch_chains_answer_as_the_row_store(
 def test_row_consumers_read_their_chains_as_batches():
     """The shapes above: the Sort, the index and nested-loop joins'
     outer sides and the row hash join's sides are Batch chains, and
-    batches ran."""
+    batches ran.  An index join a projection reads directly runs batch
+    whole."""
     databases = _build_pair(seed=5, tail=50, dead=[1, 4100])
     database = databases["column"]
     cases = [
@@ -659,7 +660,8 @@ def test_row_consumers_read_their_chains_as_batches():
         ({}, "select s.id, s.a from s where s.grp = 3 order by s.name",
          ["Compute Scalar", "Sort", "Batch Index Seek"]),
         (JOINS["index"][0], "select s.id, s.b, x.label " + JOINS["index"][1],
-         ["Compute Scalar", "Index Nested Loop Join", "Batch Table Scan"]),
+         ["Batch Compute Scalar", "Batch Index Nested Loop Join",
+          "Batch Table Scan"]),
         (JOINS["index"][0], "select s.id, s.b, x.label " + JOINS["index"][1]
          + " where s.grp = 3 order by x.label desc",
          ["Compute Scalar", "Sort", "Index Nested Loop Join",
@@ -686,3 +688,146 @@ def _walk(operator):
     yield operator
     for child in operator.children():
         yield from _walk(child)
+
+
+# -- whole-batch join passes: hash tables, counted groups, index joins ---------
+
+#: Key palettes whose values collide under Python equality — ``1``/
+#: ``1.0``/``True``, ``0``/``0.0``/``-0.0``/``False`` — plus NaN (equal
+#: only to itself) and NULL (equal to nothing).
+INT_KEYS = (0, 1, 2, 3, True, False, None)
+FLOAT_KEYS = (0.0, -0.0, 1.0, 2.5, 3.0, math.nan, None)
+#: Index keys of ``q``: the palette's, each repeated, among plain ints.
+INNER_KEYS = INT_KEYS + tuple(range(4, 24))
+
+#: Hash joins built on ``b`` (a few rows, drawn keys) and probed by
+#: ``p``, and COUNT(*)-only groups over them.
+HASH_KEY_SQLS = (
+    "select b.id, p.id as pid, p.x from p join b on b.k = p.k",
+    "select b.id, p.id as pid from p join b on b.f = p.f",
+    "select b.id, b.k, p.id as pid, p.f from p join b on b.k = p.f",
+    "select b.id, p.id as pid, p.x from p join b on b.k = p.k and b.f = p.f",
+    "select b.id, p.id as pid from p join b on b.k = p.k where b.w < p.x",
+    "select b.f, count(*) as n from p join b on b.k = p.k group by b.f",
+    "select p.f, p.m, count(*) as n, count(*) as again from p group by p.f, p.m",
+    "select p.f, count(*) as n from p where p.x < 0.6 group by p.f order by n desc",
+)
+
+#: Index nested-loop joins into ``q`` through its non-unique ``(k, m)``
+#: index — prefix and whole-key seeks, NULL key parts, a residual —
+#: driven by a seek of ``p`` across its segment boundary.
+INDEX_KEY_SQLS = (
+    "select p.id, q.id as qid, q.w from p join q on q.k = p.k "
+    "where p.id between 4000 and 4200",
+    "select p.id, q.id as qid from p join q on q.k = p.k and q.m = p.m "
+    "where p.id between 4000 and 4200",
+    "select p.id, q.id as qid, q.label from p join q on q.k = p.k "
+    "and q.w > p.x where q.label like 'a%' and p.id between 4080 and 4150",
+    "select q.m, count(*) as n from p join q on q.k = p.k and q.m = p.m "
+    "where p.id between 4000 and 4200 group by q.m",
+)
+INDEX_JOIN = {"enable_hash_join": False}
+
+
+def _build_keys(seed: int, tail: int, build: list[tuple], dead: list[int],
+                inner_dead: list[int]) -> Database:
+    """``p`` (one sealed segment plus ``tail`` rows) probing ``b`` (one
+    row per ``build`` key pair) and driving index seeks into ``q``;
+    ``dead`` tombstones ``p`` rows, ``inner_dead`` ``q`` rows."""
+    rng = random.Random(seed)
+    database = Database("join-keys")
+    count = SEGMENT_ROWS + tail
+    p = database.create_table("p", [
+        bigint("id"), integer("k", nullable=True), floating("f", nullable=True),
+        integer("m", nullable=True), floating("x"),
+    ], primary_key=PrimaryKey(["id"]), storage="column")
+    p.insert_many({"id": row_id, "k": rng.choice(INT_KEYS),
+                   "f": rng.choice(FLOAT_KEYS), "m": rng.choice((None, 0, 1, 2)),
+                   "x": round(rng.random(), 2)} for row_id in range(count))
+    b = database.create_table("b", [
+        bigint("id"), integer("k", nullable=True), floating("f", nullable=True),
+        floating("w"),
+    ], storage="column")
+    b.insert_many({"id": row_id, "k": k, "f": f, "w": round(rng.random(), 2)}
+                  for row_id, (k, f) in enumerate(build))
+    q = database.create_table("q", [
+        bigint("id"), integer("k", nullable=True), integer("m", nullable=True),
+        floating("w"), text("label"),
+    ], primary_key=PrimaryKey(["id"]), storage="column")
+    q.insert_many({"id": row_id, "k": rng.choice(INNER_KEYS),
+                   "m": rng.choice((None, 0, 1, 2)), "w": round(rng.random(), 2),
+                   "label": rng.choice(NAMES)} for row_id in range(300))
+    q.create_index("ix_q_km", ["k", "m"])
+    doomed = {position % count for position in dead}
+    p.delete_where(lambda row: row["id"] in doomed)
+    gone = {position % 300 for position in inner_dead}
+    q.delete_where(lambda row: row["id"] in gone)
+    database.analyze()
+    return database
+
+
+def _key_outcomes(database: Database, flags: dict, sql: str):
+    """(batch, row) outcomes with runtime filters off, and the batch
+    outcome with them on (they skip probe rows, so only its answer
+    compares)."""
+    exact = dict(flags, enable_runtime_filters=False)
+    batch, row = (_outcome(Planner(database, enable_vectorized=vectorized, **exact),
+                           sql) for vectorized in (True, False))
+    filtered = _outcome(Planner(database, **flags), sql)
+    return batch, row, filtered
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       tail=st.integers(min_value=1, max_value=200),
+       build=st.lists(st.tuples(st.sampled_from(INT_KEYS),
+                                st.sampled_from(FLOAT_KEYS)),
+                      min_size=1, max_size=12),
+       distinct=st.booleans(),
+       dead=st.lists(st.integers(min_value=0, max_value=SEGMENT_ROWS + 200),
+                     max_size=20),
+       inner_dead=st.lists(st.integers(min_value=0, max_value=299), max_size=30))
+@settings(max_examples=20, deadline=None)
+def test_join_keys_and_counted_groups_answer_as_the_row_path(
+        seed, tail, build, distinct, dead, inner_dead):
+    if distinct:
+        # One build row per ``k`` (1, 1.0 and True are one key): the
+        # hash table maps bare ordinals.
+        seen: dict = {}
+        build = [pair for pair in build if seen.setdefault(pair[0], pair) is pair]
+    database = _build_keys(seed, tail, build, dead, inner_dead)
+    for flags, statements in (({"enable_index_join": False}, HASH_KEY_SQLS),
+                              (INDEX_JOIN, INDEX_KEY_SQLS)):
+        for sql in statements:
+            batch, row, filtered = _key_outcomes(database, flags, sql)
+            assert batch == row, sql
+            assert filtered[:2] == row[:2], sql
+
+
+#: Build keys with every hazard at once: 1/True and 0.0/-0.0 twins, a
+#: NaN, NULL parts, and (in ``DUPLICATED``) a repeated key.
+DISTINCT_BUILD = [(1, 1.0), (0, -0.0), (2, math.nan), (None, 2.5), (3, None)]
+DUPLICATED_BUILD = DISTINCT_BUILD + [(True, 0.0), (None, None), (2, 1.0)]
+
+
+@pytest.mark.parametrize("build", [DISTINCT_BUILD, DUPLICATED_BUILD],
+                         ids=["distinct", "duplicated"])
+def test_join_key_shapes_run_batch(build):
+    """The statements above take the batch hash join, the batch
+    aggregate and the batch index join, and answer as the row path."""
+    database = _build_keys(11, 90, build, dead=[5, 4100, 4150],
+                           inner_dead=[0, 7, 8, 120])
+    for sql in HASH_KEY_SQLS:
+        labels = plan_operators(Planner(database, enable_index_join=False).plan(
+            parse_select(sql)))
+        assert {"Batch Hash Join", "Batch Aggregate"} & set(labels), sql
+    for sql in INDEX_KEY_SQLS:
+        labels = plan_operators(Planner(database, **INDEX_JOIN).plan(
+            parse_select(sql)))
+        assert "Batch Index Nested Loop Join" in labels, sql
+    for flags, statements in (({"enable_index_join": False}, HASH_KEY_SQLS),
+                              (INDEX_JOIN, INDEX_KEY_SQLS)):
+        for sql in statements:
+            batch, row, filtered = _key_outcomes(database, flags, sql)
+            assert batch == row, sql
+            assert batch[0] == "rows", batch
+            assert filtered[:2] == row[:2], sql

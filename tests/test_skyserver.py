@@ -117,6 +117,21 @@ class TestDataMiningQueries:
             ["SX1", "SX2", "SX3", "SX4", "SX5"])
         assert all(execution.row_count >= 1 for execution in executions)
 
+    def test_cpu_seconds_count_only_the_query_thread(self, skyserver, busy_neighbour,
+                                                     monkeypatch):
+        """A suite query running while another thread burns CPU is
+        charged its own thread's CPU only."""
+        run_query = skyserver.query
+
+        def waiting_query(sql):
+            busy_neighbour()
+            return run_query(sql)
+
+        monkeypatch.setattr(skyserver, "query", waiting_query)
+        execution = skyserver.run_data_mining_query("SX1")
+        assert execution.row_count >= 1
+        assert execution.cpu_seconds < 0.2
+
     def test_query_lookup_by_id(self):
         assert query_by_id("q15b").verbatim
         with pytest.raises(KeyError):
