@@ -17,19 +17,33 @@ Acceptance gates:
 * result-cache service rate > 50% of requests on that mix;
 * a concurrent mixed read/write run (writers inserting and deleting
   while the pool serves readers, with periodic VACUUM) leaves the
-  database in exactly the state serial execution produces.
+  database in exactly the state serial execution produces;
+* the ``ingest_durable`` request stream of the end-to-end benchmark
+  (``e2e/workloads.py``: cone searches, object pages, colour cuts,
+  top-n pages, rectangle counts, a type histogram) served beside a
+  paced writer on a durable column-store server keeps a result-cache
+  hit rate >= 25%: entries whose rows the writer missed are kept, and
+  cone searches are cached.  Every answer equals a fresh session's.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import threading
 import time
 
 from conftest import print_report
 from repro.bench import ExperimentReport
 from repro.engine import Database, PrimaryKey, SqlSession, bigint, floating
-from repro.skyserver import QueryLimits, ServiceClass, SkyServerPool
+from repro.pipeline import OBJECTS_PER_SQ_DEG, SurveyConfig
+from repro.skyserver import (PoolConfig, QueryLimits, ServerConfig, ServiceClass,
+                             SkyServer, SkyServerPool, StorageConfig)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e"))
+
+from workloads import INGEST_MIX, make_requests  # noqa: E402
 
 TABLE_ROWS = 50_000
 REQUESTS = 160
@@ -212,3 +226,74 @@ def test_concurrent_mixed_read_write_identical_to_serial():
     assert statistics["failed"] == 0
     assert concurrent_state == serial_state
     assert concurrent_sum == serial_sum
+
+
+INGEST_REQUESTS = 500
+WRITER_PERIOD_S = 0.020
+
+
+def test_result_cache_keeps_entries_beside_a_paced_writer(tmp_path):
+    """The gate: >= 25% of the mix served from the cache while a writer
+    inserts one PhotoObj row every 20 ms, and the pool's answers (kept
+    entries included) equal a fresh session's."""
+    survey = SurveyConfig(scale=0.001, seed=2002,
+                          density_per_sq_deg=OBJECTS_PER_SQ_DEG * 0.25)
+    server = SkyServer.create(ServerConfig(
+        survey=survey, pool=PoolConfig(workers=2),
+        storage=StorageConfig(columnar=True, path=str(tmp_path / "live"),
+                              fsync=False)))
+    try:
+        photo = server.survey_output.tables["PhotoObj"]
+        statements = [request.sql for request in make_requests(
+            server.survey_output, 11, INGEST_REQUESTS, INGEST_MIX)]
+        template = dict(photo[0])
+        next_id = [max(row["objID"] for row in photo) + 1]
+        table = server.database.table("PhotoObj")
+        stop = threading.Event()
+
+        def writer() -> None:
+            while not stop.wait(WRITER_PERIOD_S):
+                table.insert(dict(template, objID=next_id[0]),
+                             database=server.database)
+                next_id[0] += 1
+
+        pool = server.pool
+        thread = threading.Thread(target=writer, name="paced-writer")
+        thread.start()
+        try:
+            tickets = []
+            for sql in statements:
+                ticket = pool.submit(sql)
+                ticket.result(60.0)
+                tickets.append(ticket)
+        finally:
+            stop.set()
+            thread.join()
+        hits = sum(ticket.cache_hit for ticket in tickets)
+        statistics = pool.statistics()["result_cache"]
+        limits = pool.service_classes["public"].limits
+        oracle = SqlSession(server.database, row_limit=limits.max_rows,
+                            time_limit_seconds=limits.max_seconds)
+        distinct = sorted(set(statements))
+        random.Random(5).shuffle(distinct)
+        mismatches = [sql for sql in distinct[:120]
+                      if repr(pool.execute(sql, timeout=60.0).rows)
+                      != repr(oracle.query(sql).rows)]
+    finally:
+        server.close()
+
+    hit_rate = hits / len(tickets)
+    report = ExperimentReport(
+        "Result cache beside a paced writer — the ingest request mix",
+        f"{len(tickets)} public requests (cone/explore/colour/top-n/rect/"
+        f"by-type) on a durable column-store server while a writer inserts "
+        f"a PhotoObj row every {WRITER_PERIOD_S * 1000:.0f} ms "
+        f"({next_id[0] - max(row['objID'] for row in photo) - 1} rows).")
+    report.add("served from result cache", ">= 25%", f"{hit_rate:.0%}")
+    report.add("entries kept across writes", "", statistics["revalidated"])
+    report.add("entries the log could not vouch for", "", statistics["stale_by_log"])
+    report.add("answers differing from a fresh session", 0, len(mismatches))
+    print_report(report)
+
+    assert not mismatches, mismatches[:3]
+    assert hit_rate >= 0.25, f"result cache served only {hit_rate:.0%}"

@@ -423,7 +423,8 @@ class ClusterExecutor:
             return None
         return IndexRangeScan(self._index(shard, relation), relation.binding,
                               access.low, access.high, access.predicate,
-                              columns=relation.columns)
+                              columns=relation.columns,
+                              range_predicate=access.predicate)
 
     def _index(self, shard, relation: FragmentRelation):
         """The shard's index of ``relation``'s access path."""

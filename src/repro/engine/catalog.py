@@ -19,7 +19,7 @@ from .errors import CatalogError
 from .expressions import EvaluationContext
 from .functions import FunctionRegistry
 from .stats import TableStatistics, collect_table_statistics
-from .table import Table, _default_clock
+from .table import ChangeLog, Table, _default_clock
 from .types import Column
 from .view import ResolvedRelation, View, fold_view_chain
 
@@ -60,6 +60,9 @@ class Database:
         #: catalog notifies it of table create/drop so new tables get
         #: WAL hooks and checkpoints cover the full table set.
         self.durability = None
+        #: Result caches reading the tables' change logs (see
+        #: :meth:`track_changes`); no table keeps one while it is 0.
+        self._change_readers = 0
 
     def checkpoint(self) -> Optional[dict[str, Any]]:
         """Write a durable checkpoint and truncate the WAL (no-op and
@@ -119,9 +122,29 @@ class Database:
                 index.table = old
             old.indexes = new.indexes
             old.modification_counter += new.modification_counter + 1
+            if old.changes is not None:
+                old.changes.barrier(old.modification_counter)
         self.statistics.clear()
         self.statistics.update(fresh.statistics)
         self.bump_schema_version()
+
+    def track_changes(self, enabled: bool = True) -> None:
+        """Take (``enabled``) or give back one reader's claim on the
+        tables' :class:`~repro.engine.table.ChangeLog`\\ s.
+
+        While any claim is held every table, and every table created
+        later, records the rows its writes touch; when the last is given
+        back the logs are dropped and writes record nothing.  A log
+        attached after a write simply cannot vouch for it.
+        """
+        with self._epoch_lock:
+            self._change_readers += 1 if enabled else -1
+            tracking = self._change_readers > 0
+            for table in self.tables.values():
+                if not tracking:
+                    table.changes = None
+                elif table.changes is None:
+                    table.changes = ChangeLog(table.modification_counter)
 
     def _bump_epoch(self) -> None:
         with self._epoch_lock:
@@ -157,6 +180,8 @@ class Database:
         table.set_clock(self._clock)
         table.on_schema_change(lambda: self.bump_schema_version(name))
         table.lock.on_exclusive_release = self._bump_epoch
+        if self._change_readers:
+            table.changes = ChangeLog(table.modification_counter)
         self.tables[name] = table
         self.bump_schema_version(name)
         if self.durability is not None:
@@ -237,10 +262,32 @@ class Database:
     def register_table_function(self, name: str, columns: Sequence[Column],
                                 implementation: Callable[..., Iterable[Mapping[str, Any]]], *,
                                 description: str = "", row_estimate: int = 10,
-                                replace: bool = False) -> None:
+                                replace: bool = False,
+                                reads: Optional[Sequence[str]] = None,
+                                qualifier: Optional[Callable[..., Callable[
+                                    [Mapping[str, Any]], Any]]] = None) -> None:
+        """Register a table-valued function.
+
+        ``reads`` declares the base tables the implementation reads
+        (``()``: none; ``None``, the default: unknown).  A declared
+        function's results are result-cached and its queries read-lock
+        only those tables; an undeclared one is never cached and locks
+        every table.  ``qualifier``, allowed when ``reads`` names one
+        table, takes the function's argument values and returns a test
+        of one of that table's rows (keyed by lower-cased column name):
+        TRUE when inserting or deleting that row could change the
+        function's output.  Declaring one promises that the output is a
+        function of the set of rows passing it alone, ordered totally,
+        so a cached result survives writes whose rows all fail it.
+        """
+        if qualifier is not None and (reads is None or len(reads) != 1):
+            raise CatalogError(
+                f"table-valued function {name!r}: a qualifier tests the rows "
+                "of exactly one declared table")
         self.functions.register_table_valued(name, columns, implementation,
                                              description=description,
-                                             row_estimate=row_estimate, replace=replace)
+                                             row_estimate=row_estimate, replace=replace,
+                                             reads=reads, qualifier=qualifier)
         self.bump_schema_version()
 
     def evaluation_context(self, variables: Optional[Mapping[str, Any]] = None) -> EvaluationContext:

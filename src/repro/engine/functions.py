@@ -13,7 +13,7 @@ in T-SQL).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CatalogError, UnknownFunctionError
 from .types import Column
@@ -48,6 +48,11 @@ class TableValuedFunction:
     implementation: Callable[..., Iterable[Mapping[str, Any]]]
     description: str = ""
     row_estimate: int = 10
+    #: Base tables the implementation reads, or None when undeclared
+    #: (see :meth:`~repro.engine.catalog.Database.register_table_function`).
+    reads: Optional[tuple[str, ...]] = None
+    #: Argument values -> a test of a row of the one table in ``reads``.
+    qualifier: Optional[Callable[..., Callable[[Mapping[str, Any]], Any]]] = None
 
     def column_names(self) -> list[str]:
         return [column.name for column in self.columns]
@@ -96,12 +101,16 @@ class FunctionRegistry:
     def register_table_valued(self, name: str, columns: Sequence[Column],
                               implementation: Callable[..., Iterable[Mapping[str, Any]]], *,
                               description: str = "", row_estimate: int = 10,
-                              replace: bool = False) -> TableValuedFunction:
+                              replace: bool = False,
+                              reads: Optional[Sequence[str]] = None,
+                              qualifier: Optional[Callable[..., Any]] = None
+                              ) -> TableValuedFunction:
         key = normalize_function_name(name)
         if key in self._table_valued and not replace:
             raise CatalogError(f"table-valued function {name!r} already registered")
-        function = TableValuedFunction(name, list(columns), implementation,
-                                       description, row_estimate)
+        function = TableValuedFunction(
+            name, list(columns), implementation, description, row_estimate,
+            None if reads is None else tuple(reads), qualifier)
         self._table_valued[key] = function
         return function
 

@@ -396,14 +396,22 @@ class BTreeIndex:
         and the caller's predicate matches, or raises, exactly as over
         a full scan.
         """
+        if self.ranks(low, high):
+            return self.range(low, high)
+        return self.scan()
+
+    def ranks(self, low: Optional[Sequence[Any]],
+              high: Optional[Sequence[Any]]) -> bool:
+        """Whether :meth:`range_or_scan` walks ``[low, high]`` rather
+        than the whole index."""
         if self._nan_entries:
-            return self.scan()
+            return False
         for bound in (low, high):
             for column, value in zip(self.columns, bound or ()):
                 if not (isinstance(value, (int, float)) and value == value
                         and self.table.column(column).dtype in NUMERIC_KEY_TYPES):
-                    return self.scan()
-        return self.range(low, high)
+                    return False
+        return True
 
     def scan(self) -> Iterator[int]:
         """All row ids in key order (an ordered index scan)."""

@@ -543,11 +543,25 @@ def key_range_row_ids(index: BTreeIndex,
     a numeric key) or an index holding a NaN key — so the caller's
     filter must keep the conjuncts the bounds came from.
     """
+    bounds = key_range_bounds(index, low, high, evaluate)
+    return index.scan() if bounds is None else index.range(*bounds)
+
+
+def key_range_bounds(index: BTreeIndex,
+                     low: Optional[Sequence[Expression]],
+                     high: Optional[Sequence[Expression]],
+                     evaluate: Callable[[Expression], Any]
+                     ) -> Optional[tuple[Optional[list], Optional[list]]]:
+    """The evaluated ``(low, high)`` that :func:`key_range_row_ids` walks
+    as a key range, or None when it walks the whole index.  Walks
+    nothing, so no index counter moves."""
     if low is None and high is None:
-        return index.scan()
-    low_values = [evaluate(expression) for expression in low or ()]
-    high_values = [evaluate(expression) for expression in high or ()]
-    return index.range_or_scan(low_values or None, high_values or None)
+        return None
+    low_values = [evaluate(expression) for expression in low or ()] or None
+    high_values = [evaluate(expression) for expression in high or ()] or None
+    if index.ranks(low_values, high_values):
+        return low_values, high_values
+    return None
 
 
 def key_range_text(low: Optional[Sequence[Expression]],
@@ -560,7 +574,10 @@ def key_range_text(low: Optional[Sequence[Expression]],
 
 class IndexRangeScan(PhysicalOperator):
     """Range (or equality) seek on an index, filtered by every local
-    conjunct (the bounding ones too: see :func:`key_range_row_ids`)."""
+    conjunct (the bounding ones too: see :func:`key_range_row_ids`) —
+    except, when the walk is the key range itself, those the range
+    implies (``range_predicate``: the planner's
+    :func:`~repro.engine.planner.range_implied`)."""
 
     label = "Index Seek"
 
@@ -568,16 +585,31 @@ class IndexRangeScan(PhysicalOperator):
                  low: Optional[Sequence[Expression]], high: Optional[Sequence[Expression]],
                  predicate: Optional[Expression] = None,
                  estimated: int = 0, covering: bool = False,
-                 columns: Optional[Sequence[str]] = None):
+                 columns: Optional[Sequence[str]] = None, *,
+                 range_predicate: Optional[Expression]):
         super().__init__()
         self.index = index
         self.binding_name = binding_name
         self.low = list(low) if low is not None else None
         self.high = list(high) if high is not None else None
         self.predicate = predicate
+        self.range_predicate = range_predicate
         self._estimated = estimated
         self.covering = covering
         self.columns = columns
+
+    def seek_bounds(self, context: ExecutionContext
+                    ) -> tuple[Optional[tuple], Optional[Expression]]:
+        """This execution's evaluated key range (:func:`key_range_bounds`;
+        None: the whole index) and the filter the rows it walks need."""
+        bounds = key_range_bounds(
+            self.index, self.low, self.high,
+            lambda expression: context.compile(expression, ())({}))
+        return bounds, self.predicate if bounds is None else self.range_predicate
+
+    def walk(self, bounds: Optional[tuple]) -> Iterable[int]:
+        """The row ids of a :meth:`seek_bounds` range, in index order."""
+        return self.index.scan() if bounds is None else self.index.range(*bounds)
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
@@ -587,13 +619,11 @@ class IndexRangeScan(PhysicalOperator):
         covering = self.covering
         binding_name = self.binding_name
         columns = context.read_columns(self.columns)
-        predicate = context.compile(self.predicate, self.layout())
-        row_ids = key_range_row_ids(
-            self.index, self.low, self.high,
-            lambda expression: context.compile(expression, ())({}))
+        bounds, filter_expression = self.seek_bounds(context)
+        predicate = context.compile(filter_expression, self.layout())
         scanned = emitted = 0
         try:
-            for row_id in row_ids:
+            for row_id in self.walk(bounds):
                 row = table.get_row(row_id, columns)
                 if row is None:
                     continue
@@ -615,10 +645,11 @@ class IndexRangeScan(PhysicalOperator):
     def table(self) -> Table:
         return self.index.table
 
-    def batches(self, context: ExecutionContext,
+    def batches(self, context: ExecutionContext, bounds: Optional[tuple],
                 predicate_fn: Optional[VectorExpression] = None
                 ) -> Iterator[ColumnBatch]:
-        """Columnar seek: the seek's live rows as column batches.
+        """Columnar seek: the live rows of the :meth:`seek_bounds` range
+        ``bounds`` as column batches.
 
         Rows are in index order, as :meth:`rows` yields them, so a hash
         build over the batches numbers its rows as the row path does.
@@ -627,17 +658,15 @@ class IndexRangeScan(PhysicalOperator):
         columns are gathered per row id on first access
         (:meth:`~repro.engine.storage.ColumnStore.gather`), so only the
         columns the pipeline reads are fetched and a point lookup
-        decodes no segment.  ``predicate_fn`` is the vector form of
-        :attr:`predicate`; statistics account exactly as :meth:`rows`.
+        decodes no segment.  ``predicate_fn`` is the vector form of the
+        walk's filter; statistics account exactly as :meth:`rows`.
         """
         statistics = context.statistics
         table = self.index.table
         covering = self.covering
         row_bytes = int(self.index.entry_byte_width() if covering
                         else table.average_row_bytes())
-        entries = iter(key_range_row_ids(
-            self.index, self.low, self.high,
-            lambda expression: context.compile(expression, ())({})))
+        entries = iter(self.walk(bounds))
         chunk = list(islice(entries, BATCH_ROWS))
         while True:
             row_ids, columns = table.storage.gather(chunk)
@@ -1242,8 +1271,14 @@ class _ChainInput(_BatchInput):
         self.table: Table = leaf.table
         self.binding_name = leaf.binding_name
         self.schema = {leaf.binding_name: leaf.table}
-        self.predicate_fn = (self.predicate(context, leaf.predicate)
-                             if leaf.predicate is not None else None)
+        predicate = leaf.predicate
+        #: A seek's evaluated key range, which decides its filter; the
+        #: walk itself waits for :meth:`batches`.
+        self.bounds: Optional[tuple] = None
+        if isinstance(leaf, IndexRangeScan):
+            self.bounds, predicate = leaf.seek_bounds(context)
+        self.predicate_fn = (self.predicate(context, predicate)
+                             if predicate is not None else None)
         self.filter_fns = self.compile_filters(context, shape.filters)
 
     def batches(self, context: ExecutionContext, needed: Iterable[str] = (),
@@ -1259,7 +1294,7 @@ class _ChainInput(_BatchInput):
                                    [fn for _op, fn in self.filter_fns],
                                    runtime_filter, answer)
         else:
-            batches = leaf.batches(context, self.predicate_fn)
+            batches = leaf.batches(context, self.bounds, self.predicate_fn)
         for batch in batches:
             _apply_filters(batch, self.filter_fns)
             if batch.selection:
@@ -1770,6 +1805,12 @@ class SortOp(PhysicalOperator):
         super().__init__()
         self.child = child
         self.keys = list(keys)
+        #: Whether the last run emitted a row whose key did not sort
+        #: strictly after its predecessor's (an equal key, or a NaN,
+        #: which orders against nothing): False means the order of what
+        #: it emitted (the row a TOP pulls and cuts included) is the
+        #: only one its input's row set allows.
+        self.tied = False
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -1778,6 +1819,7 @@ class SortOp(PhysicalOperator):
         return (self.child,)
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
+        self.tied = False
         layout = self.layout()
         key_fns = [(context.compile(expression, layout, projected=True), descending)
                    for expression, descending in self.keys]
@@ -1788,8 +1830,12 @@ class SortOp(PhysicalOperator):
             materialised.append((key, binding))
         materialised.sort(key=lambda pair: pair[0])
         emitted = 0
+        previous = None
         try:
-            for _key, binding in materialised:
+            for key, binding in materialised:
+                if previous is not None and not previous < key:
+                    self.tied = True
+                previous = key
                 emitted += 1
                 yield binding
         finally:

@@ -134,6 +134,26 @@ def _cannot_raise(conjunct: Expression, table: Table) -> bool:
             and all(_numeric_literal(operand) for operand in operands))
 
 
+def range_implied(prefix: Sequence[SargablePredicate], table: Table
+                  ) -> list[Expression]:
+    """The conjuncts of a seek's key ``prefix`` that its walk, when a
+    range (not the whole-index fallback), makes TRUE on every row: each
+    ``key = number`` on a numeric leading key column, which bounds the
+    range at that number inclusively at both ends and cannot raise."""
+    implied = []
+    for sargable in prefix:
+        if not sargable.is_equality:
+            break
+        conjunct, bound = sargable.source, sargable.low
+        while isinstance(bound, UnaryOp):
+            bound = bound.operand
+        if (isinstance(conjunct, BinaryOp) and conjunct.op == "="
+                and _cannot_raise(conjunct, table)
+                and isinstance(bound, Literal) and bound.value is not NULL):
+            implied.append(conjunct)
+    return implied
+
+
 def _numeric_literal(expression: Expression) -> bool:
     """A number or NULL literal, possibly signed (``-0.5`` parses as
     unary minus of ``0.5``)."""
@@ -596,14 +616,21 @@ class Planner:
         a NaN key reads the whole index, so the prefix conjuncts must
         still reject, or raise on, exactly the rows a table scan would.
         """
-        predicate = combine_conjuncts(
-            [qualify_columns(part, info.binding_name, table)
-             for part in info.local_conjuncts])
+        parts = [qualify_columns(part, info.binding_name, table)
+                 for part in info.local_conjuncts]
+        predicate = combine_conjuncts(parts)
+        implied = range_implied(best_prefix, table)
+        range_predicate = predicate
+        if implied:
+            range_predicate = combine_conjuncts(
+                [qualified for part, qualified in zip(info.local_conjuncts, parts)
+                 if not any(part is conjunct for conjunct in implied)])
         low, high = prefix_bounds(best_prefix)
         covering = needed is not None and best_index.covers(needed)
         return IndexRangeScan(best_index, info.binding_name, low, high,
                               predicate=predicate, estimated=estimated,
-                              covering=covering, columns=columns)
+                              covering=covering, columns=columns,
+                              range_predicate=range_predicate)
 
     def _access_path(self, info: _RelationInfo,
                      query: LogicalQuery) -> _PlannedAccessPath:

@@ -12,6 +12,8 @@ by a failed load step (paper §9.4).
 from __future__ import annotations
 
 import datetime as _dt
+import threading
+from collections import deque
 from itertools import compress, repeat
 from operator import is_not
 from typing import (Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence,
@@ -46,6 +48,80 @@ def _planned_default(column: Column) -> Any:
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .catalog import Database
+
+
+class ChangeLog:
+    """The rows a table's recent writes touched, for caches that keep
+    a result across a write that provably missed what it read.
+
+    Each record is ``(first, last, rows)``: one statement moved the
+    table's ``modification_counter`` from ``first`` to ``last`` and
+    inserted or deleted ``rows`` (row images keyed like stored rows).
+    :meth:`changes` hands out the rows between two counter values only
+    when the records chain from one to the other without a gap, so a
+    move the log never saw — a truncate, a release flip, a restore, or a
+    table written before the log was attached — is a *barrier*: nothing
+    older than it can be vouched for.  :meth:`barrier` says so
+    explicitly.  The log holds at most :data:`CAPACITY` rows; the oldest
+    records fall off first, raising the horizon past them.
+    """
+
+    #: Row images held per table.
+    CAPACITY = 512
+
+    def __init__(self, counter: int):
+        #: The oldest counter value the log can speak from.
+        self.horizon = counter
+        self._records: "deque[tuple[int, int, Sequence[Mapping[str, Any]]]]" = deque()
+        self._held = 0
+        self._mutex = threading.Lock()
+
+    def record(self, first: int, last: int,
+               rows: Sequence[Mapping[str, Any]]) -> None:
+        """One statement's move of the counter from ``first`` to ``last``."""
+        with self._mutex:
+            if len(rows) > self.CAPACITY:
+                self._reset(last)
+                return
+            records = self._records
+            records.append((first, last, rows))
+            self._held += len(rows)
+            while self._held > self.CAPACITY:
+                _first, dropped_last, dropped = records.popleft()
+                self._held -= len(dropped)
+                self.horizon = dropped_last
+
+    def barrier(self, counter: int) -> None:
+        """Forget everything: the counter reached ``counter`` by a move
+        whose rows are not recorded."""
+        with self._mutex:
+            self._reset(counter)
+
+    def _reset(self, counter: int) -> None:
+        self._records.clear()
+        self._held = 0
+        self.horizon = counter
+
+    def changes(self, since: int, until: int
+                ) -> Optional[list[Mapping[str, Any]]]:
+        """Every row inserted or deleted while the counter moved from
+        ``since`` to ``until``, or None when the records do not chain
+        from the one to the other."""
+        rows: list[Mapping[str, Any]] = []
+        with self._mutex:
+            if since < self.horizon:
+                return None
+            reached = since
+            for first, last, touched in self._records:
+                if reached == until:
+                    break
+                if last <= since:
+                    continue
+                if first != reached:
+                    return None
+                rows.extend(touched)
+                reached = last
+        return rows if reached == until else None
 
 
 class Table:
@@ -108,6 +184,9 @@ class Table:
         #: Bumped by every INSERT/DELETE/TRUNCATE; statistics snapshots
         #: record the value at ANALYZE time so staleness is measurable.
         self.modification_counter = 0
+        #: The rows recent writes touched (:class:`ChangeLog`), kept only
+        #: while a result cache reads them; ``None`` otherwise.
+        self.changes: Optional[ChangeLog] = None
         self._clock: Callable[[], _dt.datetime] = _default_clock
         self._on_schema_change: Optional[Callable[[], None]] = None
         #: Durability hook: called as ``hook(op, payload)`` once per
@@ -369,7 +448,7 @@ class Table:
                 self._index_rows([row], row_id)
             self.storage.append(row)
             self._data_bytes += self._row_bytes(row)
-            self.modification_counter += 1
+            self._count_changes((row,))
             self._log_mutation("insert", {"rows": (row,)})
         return row_id
 
@@ -413,8 +492,8 @@ class Table:
             for row in prepared:
                 self.storage.append(row)
                 self._data_bytes += self._row_bytes(row)
-            self.modification_counter += len(prepared)
             if prepared:
+                self._count_changes(prepared)
                 self._log_mutation("insert", {"rows": prepared})
         return len(prepared)
 
@@ -431,24 +510,35 @@ class Table:
         for index in self.indexes.values():
             index.rebuild()
 
+    def _count_changes(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Move the modification counter past one statement's inserted
+        or deleted ``rows`` (caller holds the write lock), recording
+        them when a change log is attached."""
+        first = self.modification_counter
+        self.modification_counter = first + len(rows)
+        if self.changes is not None:
+            self.changes.record(first, self.modification_counter, rows)
+
     def delete_row(self, row_id: int) -> bool:
         with self.lock.write():
-            if not self._delete(row_id):
+            row = self._delete(row_id)
+            if row is None:
                 return False
+            self._count_changes((row,))
             self._log_mutation("delete", {"row_ids": (row_id,)})
             return True
 
-    def _delete(self, row_id: int) -> bool:
-        """Delete one live row (caller holds the write lock; not logged)."""
+    def _delete(self, row_id: int) -> Optional[dict[str, Any]]:
+        """Delete one live row, returning its image, or None for a dead
+        id (caller holds the write lock and counts the change)."""
         row = self.storage.get(row_id)
         if row is None:
-            return False
+            return None
         for index in self.indexes.values():
             index.remove(row_id, row)
         self.storage.delete(row_id)
         self._data_bytes -= self._row_bytes(row)
-        self.modification_counter += 1
-        return True
+        return row
 
     def delete_where(self, predicate: Callable[[Mapping[str, Any]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the number deleted.
@@ -462,15 +552,22 @@ class Table:
         with self.lock.write():
             victims = [row_id for row_id, row in self.storage.iter_row_views()
                        if predicate(row)]
-            for row_id in victims:
-                self._delete(row_id)
             if victims:
+                deleted = []
+                try:
+                    for row_id in victims:
+                        deleted.append(self._delete(row_id))
+                finally:
+                    # Rows gone before a failure still moved the table.
+                    self._count_changes(deleted)
                 self._log_mutation("delete", {"row_ids": victims})
             return len(victims)
 
     def truncate(self) -> None:
         with self.lock.write():
             self.modification_counter += self.storage.live_count
+            if self.changes is not None:
+                self.changes.barrier(self.modification_counter)
             self.storage.clear()
             self._data_bytes = 0
             for index in self.indexes.values():

@@ -20,18 +20,28 @@ service absorbing millions of hits with hard per-user limits (§4, §7).
   same template queries over and over (the paper's §7 traffic mix), so
   finished SELECT results are cached under their normalised SQL text
   and served without re-execution while still valid.  An entry is valid
-  only while the catalog's ``schema_version`` and the ``table_versions``
-  of every table the query read are unchanged — the same invalidation
+  while the catalog's ``schema_version`` and the ``table_versions`` of
+  every table the query read are unchanged — the same invalidation
   discipline as the session plan cache, extended to DML.  One version
   source answers both: the database, or on a sharded server the
   :class:`~repro.cluster.ShardCluster`, whose per-shard counters see
-  writes the coordinator does not.  Identical cacheable queries in
-  flight are **coalesced** (dogpile protection): one worker executes,
-  the duplicates wait for its cache fill instead of burning more
-  workers on the same answer;
+  writes the coordinator does not.  On one node an entry may also
+  outlive a write: when its statement reads one relation — a table, a
+  view, or a table-valued function that declares what it reads — and
+  its bytes depend only on that relation's *qualifying* rows (the
+  relation's WHERE and view conjuncts, or the function's declared
+  qualifier), the tables' change logs
+  (:class:`~repro.engine.table.ChangeLog`) show whether any row written
+  since qualifies; if none does the entry stays.  Functions declared
+  with ``reads=`` are cached like tables (``spHTM_Cover`` reads none,
+  the cone and rectangle searches PhotoObj); undeclared ones are never
+  cached.  Identical cacheable queries in flight are **coalesced**
+  (dogpile protection): one worker executes, the duplicates wait for
+  its cache fill instead of burning more workers on the same answer;
 * **snapshot reads**: a worker acquires the read locks of every table
-  its query references (in one global order, via
-  :func:`repro.engine.concurrency.read_locks`) for the duration of the
+  its query references, a declared function's tables included (an
+  undeclared function's query locks every table), in one global order, via
+  :func:`repro.engine.concurrency.read_locks`, for the duration of the
   execution, so VACUUM, bulk loads and storage conversions can run
   concurrently without ever being observed mid-flight.  The database
   epoch recorded under those locks identifies the snapshot the query
@@ -50,14 +60,21 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace as _dataclass_replace
-from typing import Any, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from ..engine import (FunctionRef, QueryResult, contains_variables,
+from ..engine import (ColumnRef, DataType, FunctionRef, Planner,
+                      QueryResult, Table, compile_expression, contains_variables,
                       make_session, read_locks, referenced_tables)
 from ..engine.catalog import Database
+from ..engine.compile import table_layout
 from ..engine.errors import CatalogError
+from ..engine.expressions import RowScope
+from ..engine.functions import TableValuedFunction
+from ..engine.logical import LogicalQuery, RelationRef
+from ..engine.operators import SortOp
+from ..engine.planner import collect_aggregates
 from ..engine.sql import PlanCache, SqlSession, parse_batch
-from ..engine.sql.ast import SelectStatement
+from ..engine.sql.ast import SelectStatement, Statement
 from ..telemetry import LatencyHistogram, TRACER
 from ..telemetry.trace import clip as _clip_sql
 from .limits import ServiceClass, default_service_classes
@@ -135,6 +152,45 @@ class QueryTicket:
 # Result cache
 # ---------------------------------------------------------------------------
 
+Qualifier = Callable[[Mapping[str, Any]], Any]
+
+
+class ReadSet:
+    """What a cached result read, for keeping it across writes: one
+    base table, and a test of that table's row images (the qualifier)
+    that is TRUE for any row whose insertion or deletion could change
+    the result.  ``build`` makes the qualifier on first use: most
+    entries never see a write, and compiling costs more than a hit.
+    ``total``: the relation is a declared function, whose output is its
+    qualifying rows' alone, in a total order."""
+
+    __slots__ = ("table", "total", "_qualifier", "_build")
+
+    def __init__(self, table: Table, build: Callable[[], Qualifier], *,
+                 total: bool = False):
+        self.table = table
+        self.total = total
+        self._build = build
+        self._qualifier: Optional[Qualifier] = None
+
+    def missed_by(self, since: int, until: int) -> Optional[bool]:
+        """Whether every row written while the table's counter moved
+        from ``since`` to ``until`` fails the qualifier (NULL fails; a
+        qualifier that raises does not); None when the table's change
+        log cannot say which rows those were."""
+        log = self.table.changes
+        rows = None if log is None else log.changes(since, until)
+        if rows is None:
+            return None
+        try:
+            if self._qualifier is None:
+                self._qualifier = self._build()
+            qualifier = self._qualifier
+            return not any(qualifier(row) is True for row in rows)
+        except Exception:
+            return False
+
+
 @dataclass
 class CacheEntry:
     """One cached result and the versions it is valid against."""
@@ -146,6 +202,9 @@ class CacheEntry:
     #: a cluster (whose coordinator cannot see shard-local writes).
     table_versions: dict[str, tuple[int, ...]]
     result: QueryResult
+    #: Set when the result's bytes depend on its one relation's
+    #: qualifying rows alone: it then outlives writes that miss them.
+    read_set: Optional[ReadSet] = None
 
 
 def _copy_result(result: QueryResult) -> QueryResult:
@@ -165,8 +224,11 @@ class ResultCache:
     validity is re-checked on every lookup against the version source's
     ``schema_version`` and ``table_versions(name)`` — the
     :class:`~repro.engine.catalog.Database`, or on a sharded server its
-    :class:`~repro.cluster.ShardCluster` — so any DML, DDL or ANALYZE
-    against a dependency invalidates the entry.
+    :class:`~repro.cluster.ShardCluster`.  Any DDL or ANALYZE, and any
+    DML against a dependency, invalidates an entry — except that an
+    entry with a :class:`ReadSet` survives writes whose rows all fail
+    its qualifier, and then adopts the new versions, so each change is
+    checked once.
     """
 
     def __init__(self, capacity: int = 256):
@@ -177,6 +239,11 @@ class ResultCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
+        #: Entries kept across a write that missed their rows.
+        self.revalidated = 0
+        #: Entries dropped because the change log did not cover the
+        #: writes since they were filled (a barrier or an overflow).
+        self.stale_by_log = 0
 
     def lookup(self, key: str, versions: Any, *,
                record_miss: bool = True) -> Optional[QueryResult]:
@@ -202,19 +269,33 @@ class ResultCache:
             result = entry.result
         return _copy_result(result)
 
-    @staticmethod
-    def _valid(entry: CacheEntry, versions: Any) -> bool:
+    def _valid(self, entry: CacheEntry, versions: Any) -> bool:
+        """Whether ``entry`` still answers; caller holds the mutex."""
         if entry.schema_version != versions.schema_version:
             return False
         try:
-            return all(versions.table_versions(name) == recorded
-                       for name, recorded in entry.table_versions.items())
+            current = {name: versions.table_versions(name)
+                       for name in entry.table_versions}
         except CatalogError:
             return False
+        if current == entry.table_versions:
+            return True
+        read_set = entry.read_set
+        if read_set is None:
+            return False
+        name = read_set.table.name.lower()
+        (since,), (until,) = entry.table_versions[name], current[name]
+        missed = read_set.missed_by(since, until)
+        if not missed:
+            self.stale_by_log += missed is None
+            return False
+        entry.table_versions = current
+        self.revalidated += 1
+        return True
 
     def put(self, key: str, entry: CacheEntry) -> None:
         entry = CacheEntry(entry.schema_version, dict(entry.table_versions),
-                           _copy_result(entry.result))
+                           _copy_result(entry.result), entry.read_set)
         with self._mutex:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -242,6 +323,8 @@ class ResultCache:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
+            "revalidated": self.revalidated,
+            "stale_by_log": self.stale_by_log,
             "size": size,
             "capacity": self.capacity,
             "hit_rate": round(self.hit_rate(), 4),
@@ -254,11 +337,71 @@ class ResultCache:
 
 @dataclass
 class _BatchInfo:
-    """Memoised per-SQL metadata: which tables to lock, cacheability."""
+    """Memoised per-SQL metadata: the parsed batch, which tables to
+    lock, cacheability, and the read set its results may carry
+    (:meth:`SkyServerPool._read_set`)."""
 
     schema_version: int
+    statements: list[Statement]
     table_names: tuple[str, ...]     # lower-cased base tables
     cacheable: bool
+    read_set: Optional[ReadSet] = None
+
+
+#: Aggregates whose value is a function of the set of rows aggregated.
+#: A float SUM or AVG is not: its last bits follow the order rows arrive
+#: in, which a plan costed on a grown table may change.
+_SET_AGGREGATES = frozenset({"count", "count_big"})
+
+#: Column types whose equal values are the same value, so MIN, MAX,
+#: GROUP BY and DISTINCT over them do not depend on the order rows
+#: arrive in.  Over floats they do: 0.0 and -0.0 are equal and the
+#: first seen is kept, and a NaN compares false with everything.
+_ORDERED_TYPES = frozenset({DataType.INTEGER, DataType.BIGINT,
+                            DataType.TEXT, DataType.BOOLEAN})
+
+
+def _ordered_column(expression: Any, table: Table) -> bool:
+    """Whether ``expression`` is a column of ``table`` whose type is in
+    :data:`_ORDERED_TYPES`."""
+    column = (table.column(expression.name)
+              if isinstance(expression, ColumnRef) else None)
+    return column is not None and column.dtype in _ORDERED_TYPES
+
+
+def _set_function(query: LogicalQuery, table: Table) -> bool:
+    """Whether ``query``'s output over ``table`` is a function of the
+    set of rows it reads, whatever order they arrive in: its aggregates
+    are COUNTs or MIN/MAX of ordered columns, and its GROUP BY keys and
+    DISTINCT items are ordered columns."""
+    expressions = [item.expression for item in query.select]
+    expressions += [order.expression for order in query.order_by]
+    if query.having is not None:
+        expressions.append(query.having)
+    for aggregate in (aggregate for expression in expressions
+                      for aggregate in collect_aggregates(expression)):
+        if aggregate.func in _SET_AGGREGATES:
+            continue
+        if aggregate.func not in ("min", "max") or not _ordered_column(
+                aggregate.argument, table):
+            return False
+    keys = list(query.group_by)
+    if query.distinct:
+        keys += [item.expression for item in query.select]
+    return all(_ordered_column(key, table) for key in keys)
+
+
+def _conjunction(parts: list[Callable[[Any], Any]], binding_name: str
+                 ) -> Callable[[Mapping[str, Any]], bool]:
+    """A row test TRUE when every compiled conjunct is.  Each conjunct
+    is evaluated (no short circuit), so a row on which any of them
+    raises — in whatever order a plan would meet them — raises here."""
+
+    def qualifier(row: Mapping[str, Any]) -> bool:
+        binding = {binding_name: row}
+        values = [part(binding) for part in parts]
+        return all(value is True for value in values)
+    return qualifier
 
 
 class SkyServerPool:
@@ -281,6 +424,11 @@ class SkyServerPool:
         #: ``table_versions(name)``): the cluster, whose shards see
         #: writes the coordinator does not, else the database.
         self.versions = self.cluster if self.cluster is not None else self.database
+        if self.cluster is None:
+            # Entries with a read set are kept across writes that miss
+            # them; the tables' change logs say which rows a write hit.
+            # A cluster's entries keep exact version validation.
+            self.database.track_changes()
         self.service_classes = dict(service_classes or default_service_classes())
         self.result_cache = ResultCache(result_cache_size)
         self._cond = threading.Condition()
@@ -617,7 +765,8 @@ class SkyServerPool:
                 ticket.plan_source = session.last_plan_source
                 after = self._versions(names)
             if info.cacheable and before == after:
-                self.result_cache.put(key, CacheEntry(*after, result))
+                self.result_cache.put(key, CacheEntry(
+                    *after, result, self._read_set(info, result)))
         except Exception as error:
             self._finish_failed(ticket, error)
             return
@@ -685,8 +834,92 @@ class SkyServerPool:
         """
         return user_class + "\x00" + PlanCache.normalize(sql)
 
+    @staticmethod
+    def _read_set(info: _BatchInfo, result: QueryResult) -> Optional[ReadSet]:
+        """``info``'s read set when ``result``'s bytes are a function of
+        its relation's qualifying rows alone, else None.
+
+        A fresh execution after a write may run another plan (plans are
+        costed on live row counts), so rows that tie in the order, or
+        that a TOP picks among equals, may come out otherwise.  Safe
+        are: a declared function's output (ordered totally); at most one
+        row that no TOP cut; and an ORDER BY whose sort emitted strictly
+        increasing keys — with a TOP, the row it pulled and cut sorts
+        after the last it kept.
+        """
+        read_set = info.read_set
+        if read_set is None or read_set.total:
+            return read_set
+        query = info.statements[0].query
+        rows = len(result.rows)
+        if rows <= 1 and (query.top is None or rows < query.top):
+            return read_set
+        if query.order_by:
+            sort = result.plan.root
+            while not isinstance(sort, SortOp):
+                children = sort.children()
+                if len(children) != 1:
+                    return None
+                sort = children[0]
+            if not sort.tied:
+                return read_set
+        return None
+
+    def _table_function(self, relation: RelationRef
+                        ) -> Optional[TableValuedFunction]:
+        """The table-valued function ``relation`` calls, as the planner
+        resolves it (a bare name is a call without arguments)."""
+        functions = self.database.functions
+        if functions.has_table_valued(relation.name):
+            return functions.table_valued(relation.name)
+        return None
+
+    def _candidate_read_set(self, query: LogicalQuery, tables: tuple[str, ...]
+                            ) -> Optional[ReadSet]:
+        """The read set a cacheable statement reading the base ``tables``
+        may give its results, or None when its entries must keep exact
+        version validation: a sharded server, a join, an output that
+        follows the order rows arrive in (:func:`_set_function`), or an
+        undeclared (or unqualified) function."""
+        relations = query.all_relations()
+        if self.cluster is not None or len(relations) != 1 or len(tables) != 1:
+            return None
+        relation = relations[0]
+        table = self.database.table(tables[0])
+        function = self._table_function(relation)
+        if function is not None:
+            if function.qualifier is None:
+                return None
+            evaluation = self.database.evaluation_context()
+            arguments = relation.args if isinstance(relation, FunctionRef) else ()
+            try:
+                values = [argument.evaluate(RowScope(), evaluation)
+                          for argument in arguments]
+            except Exception:
+                return None
+            return ReadSet(table, lambda: function.qualifier(*values), total=True)
+        if not _set_function(query, table):
+            return None
+        return ReadSet(table, lambda: self._qualifier(query))
+
+    def _qualifier(self, query: LogicalQuery) -> Qualifier:
+        """The one relation's filter as the planner pools it — the WHERE
+        conjuncts bound to it, its views' predicates and the constant
+        conjuncts — compiled as a row test (:func:`_conjunction`)."""
+        planner = Planner(self.database)
+        info = planner._resolve_relation(query.all_relations()[0])
+        pool = planner._build_predicate_pool(query, [info])
+        planner._assign_local_conjuncts(pool, [info])
+        evaluation = self.database.evaluation_context()
+        layout = table_layout(info.table, info.binding_name)
+        return _conjunction(
+            [compile_expression(part, evaluation, layout)
+             for part in info.local_conjuncts + pool.remaining],
+            info.binding_name)
+
     def _analyze_batch(self, sql: str, key: str) -> _BatchInfo:
-        """Which base tables the batch reads, and whether to cache it."""
+        """Which base tables the batch reads, whether to cache it, and
+        how its cached results may outlive writes."""
         version = self.database.schema_version
         with self._batch_info_lock:
             info = self._batch_info.get(key)
@@ -695,25 +928,29 @@ class SkyServerPool:
                 return info
         names: set[str] = set()
         cacheable = True
-        uses_functions = False
-        for statement in parse_batch(sql):
+        lock_all = False
+        statements = parse_batch(sql)
+        for statement in statements:
             if isinstance(statement, SelectStatement) and statement.query is not None:
                 names |= referenced_tables(statement.query)
                 if statement.query.into or contains_variables(statement.query):
                     cacheable = False
-                if any(isinstance(relation, FunctionRef)
-                       for relation in statement.query.all_relations()):
-                    # Table-valued functions read tables we cannot see at
-                    # the logical level: their results cannot be keyed to
-                    # modification counters (so never cached), and the
-                    # execution conservatively read-locks *every* table.
-                    cacheable = False
-                    uses_functions = True
+                for relation in statement.query.all_relations():
+                    function = self._table_function(relation)
+                    if function is not None and function.reads is not None:
+                        names.update(function.reads)
+                    elif function is not None or isinstance(relation, FunctionRef):
+                        # An undeclared function reads tables we cannot
+                        # see: its results cannot be keyed to
+                        # modification counters (so never cached), and
+                        # the execution read-locks *every* table.
+                        cacheable = False
+                        lock_all = True
             else:
                 # DECLARE / SET / ANALYZE: session state or statistics
                 # mutation — execute fine, but never serve across users.
                 cacheable = False
-        if uses_functions:
+        if lock_all:
             resolved = {name.lower() for name in self.database.table_names()}
         else:
             resolved = set()
@@ -722,7 +959,11 @@ class SkyServerPool:
                     resolved.add(self.database.resolve_relation(name).table_name.lower())
                 elif self.database.has_table(name):
                     resolved.add(self.database.table(name).name.lower())
-        info = _BatchInfo(version, tuple(sorted(resolved)), cacheable)
+        table_names = tuple(sorted(resolved))
+        read_set = None
+        if cacheable and len(statements) == 1:
+            read_set = self._candidate_read_set(statements[0].query, table_names)
+        info = _BatchInfo(version, statements, table_names, cacheable, read_set)
         with self._batch_info_lock:
             self._batch_info[key] = info
             self._batch_info.move_to_end(key)
@@ -738,6 +979,8 @@ class SkyServerPool:
             if self._shutdown:
                 return
             self._shutdown = True
+            if self.cluster is None:
+                self.database.track_changes(False)
             leftovers = list(self._queue)
             self._queue.clear()
             for ticket in leftovers:

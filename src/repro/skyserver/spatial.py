@@ -12,12 +12,23 @@ such a join.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..engine import Database, bigint, floating, integer
 from ..engine.batch import row_dicts
 from ..htm import (DEFAULT_DEPTH, HtmRange, RectangleEq, arcmin_between, cover,
-                   cover_circle, lookup_id, ranges_contain)
+                   cover_circle, depth_for_radius, lookup_id, ranges_contain)
+
+#: How many levels coarser than :func:`~repro.htm.depth_for_radius` a
+#: cone search covers at.  Trixels a few times the radius make a cover
+#: of a few dozen trixels instead of hundreds: fewer index seeks and a
+#: cheaper cover for a few more candidates, which the exact distance
+#: filter drops.  A 1' cone over 400 fresh positions, in process, took
+#: 2.46 ms at depth 13 and 1.74 ms at 11 (row store; columnar 2.55 and
+#: 1.88 ms), with identical answers.
+NEARBY_COVER_COARSENING = 2
+
+Row = Mapping[str, Any]
 
 
 def htm_cover_circle(ra: float, dec: float, radius_arcmin: float) -> list[dict]:
@@ -111,9 +122,28 @@ def rect_from_candidates(candidates: Iterable[dict],
 
 def get_nearby_objects(database: Database, ra: float, dec: float,
                        radius_arcmin: float) -> list[dict]:
-    """``fGetNearbyObjEq``: objID, distance (arcmin), type and mode of nearby objects."""
-    candidates = _candidate_rows(database, cover_circle(ra, dec, radius_arcmin))
-    return nearby_from_candidates(candidates, ra, dec, radius_arcmin)
+    """``fGetNearbyObjEq``: objID, distance (arcmin), type and mode of
+    nearby objects.  The candidates come from a cover
+    :data:`NEARBY_COVER_COARSENING` levels above the radius's own depth;
+    any depth gives the same answer."""
+    cover_depth = max(0, depth_for_radius(radius_arcmin) - NEARBY_COVER_COARSENING)
+    ranges = cover_circle(ra, dec, radius_arcmin, cover_depth=cover_depth)
+    return nearby_from_candidates(_candidate_rows(database, ranges),
+                                  ra, dec, radius_arcmin)
+
+
+def in_cone(ra: float, dec: float, radius_arcmin: float = 1.0
+            ) -> Callable[[Row], bool]:
+    """The PhotoObj rows a cone search at these arguments can return:
+    ``fGetNearbyObjEq``'s and ``fGetNearestObjEq``'s declared qualifier."""
+    return lambda row: arcmin_between(ra, dec, row["ra"], row["dec"]) <= radius_arcmin
+
+
+def in_rect(ra_min: float, dec_min: float, ra_max: float, dec_max: float
+            ) -> Callable[[Row], bool]:
+    """``fGetObjFromRectEq``'s declared qualifier."""
+    region = RectangleEq(ra_min, ra_max, dec_min, dec_max)
+    return lambda row: region.contains_radec(row["ra"], row["dec"])
 
 
 def get_nearest_object(database: Database, ra: float, dec: float,
@@ -137,27 +167,33 @@ def get_htm_id(ra: float, dec: float, depth: int = DEFAULT_DEPTH) -> int:
 
 
 def register_spatial_functions(database: Database) -> None:
-    """Register the spatial table-valued and scalar functions on a database."""
+    """Register the spatial table-valued and scalar functions on a database.
+
+    Each table-valued function declares what it reads: ``spHTM_Cover``
+    nothing, the object searches PhotoObj, qualified by the region they
+    search (their outputs are sorted totally: by distance then objID,
+    or by ra, dec, objID).
+    """
     database.register_table_function(
         "spHTM_Cover",
         [bigint("htmIDstart"), bigint("htmIDend")],
         lambda ra, dec, radius: htm_cover_circle(ra, dec, radius),
         description="HTM trixel ranges covering a circle (ra, dec, radius arcmin)",
-        row_estimate=12, replace=True)
+        row_estimate=12, replace=True, reads=())
     database.register_table_function(
         "fGetNearbyObjEq",
         [bigint("objID"), floating("distance"), integer("type"), integer("mode"),
          floating("ra"), floating("dec")],
         lambda ra, dec, radius: get_nearby_objects(database, ra, dec, radius),
         description="Objects within radius arcminutes of (ra, dec), nearest first",
-        row_estimate=20, replace=True)
+        row_estimate=20, replace=True, reads=("PhotoObj",), qualifier=in_cone)
     database.register_table_function(
         "fGetNearestObjEq",
         [bigint("objID"), floating("distance"), integer("type"), integer("mode"),
          floating("ra"), floating("dec")],
         lambda ra, dec, radius=1.0: get_nearest_object(database, ra, dec, radius),
         description="The single nearest object within radius arcminutes of (ra, dec)",
-        row_estimate=1, replace=True)
+        row_estimate=1, replace=True, reads=("PhotoObj",), qualifier=in_cone)
     database.register_table_function(
         "fGetObjFromRectEq",
         [bigint("objID"), floating("ra"), floating("dec"), integer("type"),
@@ -165,7 +201,7 @@ def register_spatial_functions(database: Database) -> None:
         lambda ra_min, dec_min, ra_max, dec_max: get_objects_in_rect(
             database, ra_min, dec_min, ra_max, dec_max),
         description="Objects inside an (ra, dec) rectangle",
-        row_estimate=100, replace=True)
+        row_estimate=100, replace=True, reads=("PhotoObj",), qualifier=in_rect)
     database.register_scalar_function(
         "fHTM_Lookup", get_htm_id,
         description="HTM id of an (ra, dec) position", replace=True)

@@ -7,7 +7,9 @@ depth, queue timeouts), the shared result cache (hits, DML / DDL /
 ANALYZE invalidation, session-state exclusions), torn-read safety for
 mixed SELECT/INSERT/VACUUM workloads over both storage layouts, and —
 via hypothesis — result-cache key correctness under arbitrary DML
-interleavings.
+interleavings, and read sets: entries kept across writes that miss
+their rows, cone searches cached under their declared reads, and every
+served answer equal to a fresh session's.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (Database, ForeignKey, LockUpgradeError, PrimaryKey,
-                          ReadWriteLock, SqlSession, bigint, floating,
+                          ReadWriteLock, SqlSession, bigint, floating, integer,
                           read_locks)
 from repro.engine.sql import PlanCache
 from repro.skyserver import (AdmissionRejected, QueryLimits, QueueTimeout,
@@ -596,3 +598,267 @@ class TestResultCacheKeyProperty:
                 tables[which].delete_where(lambda row: row["id"] % 7 == 3)
             elif kind == "analyze":
                 database.analyze_table(tables[which].name)
+
+
+# ---------------------------------------------------------------------------
+# Read sets: entries that outlive writes which miss their rows
+# ---------------------------------------------------------------------------
+
+def _make_sky(storage: str, rows: int = 30, seed: int = 0) -> Database:
+    """A PhotoObj small enough to rebuild per example, indexed on htmID
+    and carrying the spatial functions, plus an unrelated table."""
+    from repro.skyserver.spatial import register_spatial_functions
+
+    database = Database(f"sky-{storage}")
+    photo = database.create_table("PhotoObj", [
+        bigint("objID"), floating("ra"), floating("dec"), integer("type"),
+        integer("mode"), floating("modelMag_r"), bigint("htmID"),
+    ], primary_key=PrimaryKey(["objID"]), storage=storage)
+    photo.insert_many([_sky_row(index, 185.0 + 0.004 * ((index * 7 + seed) % 11 - 5),
+                                0.004 * ((index * 3 + seed) % 9 - 4))
+                       for index in range(rows)])
+    photo.create_index("ix_htm", ["htmID"])
+    database.create_table("Other", [bigint("id")]).insert({"id": 1})
+    register_spatial_functions(database)
+    return database
+
+
+def _sky_row(objid: int, ra: float, dec: float) -> dict:
+    from repro.htm import lookup_id
+
+    return {"objID": objid, "ra": ra, "dec": dec, "type": 3 + objid % 4,
+            "mode": 1, "modelMag_r": 18.0 + objid % 5, "htmID": lookup_id(ra, dec)}
+
+
+CONE = "select N.objID, N.distance from fGetNearbyObjEq(185.0, 0.0, 1.0) as N"
+
+
+class TestReadSets:
+    def test_cone_kept_across_an_insert_outside_it_dropped_inside(self):
+        database = _make_sky("column")
+        photo, other = database.table("PhotoObj"), database.table("Other")
+        with SkyServerPool(database, workers=1, service_classes=ADMIN_ONLY) as pool:
+            other_reads = other.lock.read_acquisitions
+            photo_reads = photo.lock.read_acquisitions
+            first = pool.submit(CONE, "admin")
+            first.result(5.0)
+            assert not first.cache_hit and first.result().rows
+            # Declared reads: the cone read-locks PhotoObj alone.
+            assert photo.lock.read_acquisitions == photo_reads + 1
+            assert other.lock.read_acquisitions == other_reads
+
+            photo.insert(_sky_row(10_000, 185.5, 0.0))            # 30' away
+            kept = pool.submit(CONE, "admin")
+            assert kept.cache_hit
+            assert repr(kept.result().rows) == repr(SqlSession(database).query(CONE).rows)
+            assert pool.result_cache.revalidated == 1
+
+            photo.insert(_sky_row(10_001, 185.0, 0.005))          # 0.3' away
+            dropped = pool.submit(CONE, "admin")
+            rows = dropped.result(5.0).rows
+            assert not dropped.cache_hit
+            assert 10_001 in {row["objID"] for row in rows}
+            assert repr(rows) == repr(SqlSession(database).query(CONE).rows)
+            statistics = pool.result_cache.statistics()
+            assert statistics["revalidated"] == 1
+            assert statistics["invalidations"] == 1
+            assert statistics["stale_by_log"] == 0
+
+    def test_tied_top_boundary_is_not_kept(self):
+        """Rows that tie at a TOP's cut may come out in another order
+        from another plan, so such an entry is not kept across a write;
+        a boundary the sort saw strictly is.  The kept rows' keys (0, 1,
+        2) are strict here: only the row the TOP cut ties."""
+        database = _make_database("row", rows=40)
+        table = database.table("obj")
+        tied = ("select top 3 id, a from obj where a < 10 "
+                "order by case when a > 2 then 2 else a end")
+        strict = "select top 3 id, a from obj where a < 10 order by a"
+        with SkyServerPool(database, workers=1, service_classes=ADMIN_ONLY) as pool:
+            pool.execute(tied, "admin")
+            pool.execute(strict, "admin")
+            table.insert({"id": 5_000, "a": 5_000, "b": 10_000, "mag": 20.0})
+            tied_again = pool.submit(tied, "admin")
+            strict_again = pool.submit(strict, "admin")
+            for ticket, sql in ((tied_again, tied), (strict_again, strict)):
+                assert repr(ticket.result(5.0).rows) == repr(
+                    SqlSession(database).query(sql).rows)
+            assert not tied_again.cache_hit
+            assert strict_again.cache_hit
+
+    def test_order_dependent_outputs_are_not_kept(self):
+        """MIN, MAX and GROUP BY over a float column keep whichever of
+        two equal values (0.0 and -0.0) arrives first, and a NaN sorts
+        against nothing, so another plan may answer otherwise: such
+        entries keep exact validation.  Their integer counterparts are
+        kept across a write that misses them."""
+        database = _make_database("row", rows=40)
+        table = database.table("obj")
+        table.insert_many([{"id": 100, "a": 1, "b": 2, "mag": 0.0},
+                           {"id": 101, "a": 2, "b": 4, "mag": -0.0},
+                           {"id": 102, "a": 3, "b": 6, "mag": float("nan")}])
+        dropped = ("select min(mag) as mn, max(mag) as mx from obj where a < 5",
+                   "select mag, count(*) as n from obj where a between 1 and 2 "
+                   "group by mag order by mag",
+                   "select top 2 id, mag from obj where a between 3 and 4 order by mag")
+        kept = ("select count(*) as n, min(a) as mn, max(b) as mx from obj where a < 5",
+                "select a, count(*) as n from obj where a < 5 group by a order by a")
+        with SkyServerPool(database, workers=1, service_classes=ADMIN_ONLY) as pool:
+            for sql in dropped + kept:
+                pool.execute(sql, "admin")
+            table.insert({"id": 5_000, "a": 5_000, "b": 10_000, "mag": 20.0})
+            for sql in dropped + kept:
+                ticket = pool.submit(sql, "admin")
+                assert repr(ticket.result(5.0).rows) == repr(
+                    SqlSession(database).query(sql).rows)
+                assert ticket.cache_hit == (sql in kept), sql
+
+    def test_barrier_drops_entries_and_logs_stop_with_the_pool(self):
+        database = _make_database("column", rows=40)
+        table = database.table("obj")
+        sql = "select count(*) as n from obj where a < 10"
+        with SkyServerPool(database, workers=1, service_classes=ADMIN_ONLY) as pool:
+            assert table.changes is not None
+            pool.execute(sql, "admin")
+            table.truncate()
+            table.insert({"id": 1, "a": 50, "b": 100, "mag": 15.0})
+            assert pool.execute(sql, "admin").rows == [{"n": 0}]
+            assert pool.result_cache.stale_by_log == 1
+            pool.execute(sql, "admin")
+            # An overflowing bulk is a barrier too.
+            table.insert_many([{"id": 100 + i, "a": 50, "b": 100, "mag": 15.0}
+                               for i in range(table.changes.CAPACITY + 1)])
+            assert pool.execute(sql, "admin").rows == [{"n": 0}]
+            assert pool.result_cache.stale_by_log == 2
+        assert table.changes is None
+
+    def test_undeclared_function_still_uncached_and_locks_everything(self):
+        database = _make_sky("row")
+        database.register_table_function(
+            "fPhotoCopy", [bigint("objID")],
+            lambda: [{"objID": row["objid"]} for _rid, row in
+                     database.table("PhotoObj").storage.iter_rows(["objid"])])
+        other = database.table("Other")
+        with SkyServerPool(database, workers=1, service_classes=ADMIN_ONLY) as pool:
+            reads = other.lock.read_acquisitions
+            pool.execute("select count(*) as n from fPhotoCopy()", "admin")
+            pool.execute("select count(*) as n from fPhotoCopy()", "admin")
+            assert pool.result_cache.hits == 0 and len(pool.result_cache) == 0
+            assert other.lock.read_acquisitions == reads + 2
+
+
+READ_SET_QUERIES = (
+    "select * from obj where id = 7",
+    "select count(*) as n, min(v) as mn, max(g) as mx from obj where g >= 3",
+    "select count(*) as n from obj where h > 0 "
+    "and (case when h = 50 then 'x' else h end) > 0",
+    "select count(*) as n, max(v) as mx from hot where v < 10",
+    "select count(*) as n, min(g) as mn, max(h) as mx from hot",
+    "select top 3 id, g from obj where w < 30 order by g",
+    "select top 3 id, g from obj where w < 30 order by g desc, id",
+    "select top 4 id, v from obj where w < 30 order by v",
+    "select v, count(*) as n from obj where h = 100 group by v order by v",
+    "select sum(v) as s from obj where g < 5",
+    "select count(*) as n from obj",
+    CONE,
+)
+
+_G = st.one_of(st.none(), st.integers(0, 6))
+#: Float values, the signed zeros and NaN included: they are equal (or
+#: unordered) without being the same value, so MIN, MAX, GROUP BY and
+#: ORDER BY over them follow the order rows arrive in.
+_V = st.one_of(st.none(), st.sampled_from(
+    [0.5, 1.25, 3.0, 7.75, 12.5, 0.1, 0.0, -0.0, float("nan")]))
+_OBJ_ROW = st.tuples(_G, _V, st.sampled_from([-5, 10, 20, 50, 100]),
+                     st.sampled_from([5, 25, 60]))
+
+#: Writes (and ANALYZE, a release flip, a PhotoObj insert at a distance
+#: in arcminutes from the cone's centre), each followed by one query.
+READ_SET_OPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("insert"), _OBJ_ROW),
+            st.tuples(st.just("insert_many"), st.lists(_OBJ_ROW, min_size=1, max_size=4)),
+            st.tuples(st.just("delete_where"), _G),
+            st.tuples(st.just("photo"), st.sampled_from([0.2, 0.9, 1.1, 6.0])),
+            st.tuples(st.sampled_from(["truncate", "analyze", "flip", "none"]),
+                      st.none()),
+        ),
+        st.integers(0, len(READ_SET_QUERIES) - 1)),
+    min_size=4, max_size=30)
+
+
+def _obj_rows(start: int, values) -> list[dict]:
+    return [{"id": start + offset, "g": g, "v": v, "h": h, "w": w}
+            for offset, (g, v, h, w) in enumerate(values)]
+
+
+def _read_set_database(storage: str, seed: int = 0) -> Database:
+    from repro.engine import View, parse_expression
+
+    database = _make_sky(storage, seed=seed)
+    table = database.create_table("obj", [
+        bigint("id"), integer("g", nullable=True), floating("v", nullable=True),
+        integer("h"), integer("w"),
+    ], primary_key=PrimaryKey(["id"]), storage=storage)
+    table.insert_many(_obj_rows(0, [
+        ((index + seed) % 7 if index % 5 else None, [0.5, 1.25, 3.0][index % 3],
+         [10, 20, 100][index % 3], (index * 13 + seed) % 40)
+        for index in range(24)]))
+    database.create_view(View("hot", "obj", parse_expression("g >= 3")))
+    database.analyze()
+    return database
+
+
+@pytest.mark.parametrize("storage", ["row", "column"])
+class TestReadSetProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(ops=READ_SET_OPS)
+    def test_served_results_equal_a_fresh_session(self, storage, ops):
+        """Interleave one-relation statements with every kind of write,
+        ANALYZE and a release flip: whatever the pool serves — executed,
+        an exact hit, or an entry kept across writes — is ``repr``-equal
+        to a fresh session's answer (or both raise)."""
+        from repro.engine import ExpressionError, lock_tables
+
+        database = _read_set_database(storage)
+        table, photo = database.table("obj"), database.table("PhotoObj")
+        next_id = [1_000]
+
+        def check(pool, sql):
+            try:
+                fresh = repr(SqlSession(database).query(sql).rows)
+            except ExpressionError:
+                with pytest.raises(ExpressionError):
+                    pool.execute(sql, "admin", timeout=5.0)
+                return
+            assert repr(pool.execute(sql, "admin", timeout=5.0).rows) == fresh, sql
+
+        with SkyServerPool(database, workers=1, service_classes=ADMIN_ONLY) as pool:
+            for sql in READ_SET_QUERIES:
+                check(pool, sql)
+            for (kind, argument), query in ops:
+                if kind in ("insert", "insert_many"):
+                    rows = _obj_rows(next_id[0], [argument] if kind == "insert" else argument)
+                    next_id[0] += len(rows)
+                    if kind == "insert":
+                        table.insert(rows[0])
+                    else:
+                        table.insert_many(rows)
+                elif kind == "delete_where":
+                    table.delete_where(lambda row, g=argument: row["g"] == g)
+                elif kind == "truncate":
+                    table.truncate()
+                elif kind == "analyze":
+                    database.analyze_table("obj")
+                elif kind == "flip":
+                    fresh_release = _read_set_database(storage, seed=len(ops))
+                    tables = [database.table(name) for name in database.table_names()]
+                    with lock_tables([(each, "write") for each in tables]):
+                        database.adopt_release(fresh_release)
+                elif kind == "photo":
+                    next_id[0] += 1
+                    photo.insert(_sky_row(next_id[0], 185.0 + argument / 60.0, 0.0))
+                check(pool, READ_SET_QUERIES[query])
+            for sql in READ_SET_QUERIES:
+                check(pool, sql)

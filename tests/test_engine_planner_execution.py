@@ -165,6 +165,16 @@ def test_cpu_seconds_count_only_the_query_thread(toy_photo_database, busy_neighb
     assert result.statistics.cpu_seconds < 0.1
 
 
+def test_measure_charges_only_the_measuring_thread(busy_neighbour):
+    """``repro.bench.timing.measure`` reads the same per-thread clock."""
+    from repro.bench.timing import measure
+
+    with measure() as timing:
+        busy_neighbour()
+    assert timing.elapsed_seconds >= 0.2
+    assert timing.cpu_seconds < 0.1
+
+
 def test_planner_keywords_are_the_documented_switches():
     keywords = set(inspect.signature(Planner).parameters) - {"database"}
     assert keywords == {
@@ -291,3 +301,63 @@ class TestAggregationAndOrdering:
         assert result.statistics.rows_scanned == 500
         assert result.statistics.bytes_scanned > 0
         assert result.statistics.elapsed_seconds >= 0.0
+
+
+def _seek_of(plan):
+    from repro.engine.operators import IndexRangeScan
+
+    operator = plan.root
+    while not isinstance(operator, IndexRangeScan):
+        (operator,) = operator.children()
+    return operator
+
+
+@pytest.mark.parametrize("storage", ["row", "column"])
+def test_seek_drops_only_the_equalities_its_range_implies(storage):
+    """``key = number`` on a numeric leading key column is TRUE on every
+    row a range walk of that key returns, so the seek does not re-test
+    it; any other conjunct, and every conjunct of a walk that falls back
+    to the whole index (a NaN key), is still tested."""
+    database = Database(f"seek-{storage}")
+    table = database.create_table("t", [
+        bigint("id"), integer("type"), floating("mag", nullable=True),
+    ], primary_key=PrimaryKey(["id"]), storage=storage)
+    table.insert_many([{"id": index, "type": index % 4, "mag": 14.0 + index % 9}
+                       for index in range(200)])
+    table.create_index("ix_type_mag", ["type", "mag"])
+    database.analyze()
+    cases = {
+        "select count(*) as n from t p where p.type = 3": None,
+        "select count(*) as n from t p where 3 = p.type": None,
+        "select count(*) as n from t p where p.type = -1": None,
+        "select count(*) as n from t p where p.type = 3 and p.mag > 20": "(p.mag > 20)",
+        "select count(*) as n from t p where p.type = 3 and p.mag = 16": None,
+        "select count(*) as n from t p where p.type >= 3": "(p.type >= 3)",
+        "select count(*) as n from t p where p.type = null": "(p.type = NULL)",
+    }
+    for sql, residual in cases.items():
+        seek = _seek_of(Planner(database).plan(parse_select(sql)))
+        kept = seek.range_predicate.sql() if seek.range_predicate is not None else None
+        assert kept == residual, sql
+        assert seek.predicate is not None
+    # A NaN key turns every walk of the index into a whole-index read:
+    # the implied conjunct is tested again and the answers stay exact.
+    for nan_row in ({}, {"id": 1_000, "type": 3, "mag": float("nan")}):
+        if nan_row:
+            table.insert(nan_row)
+        for sql in cases:
+            expected = sum(1 for _rid, row in table.iter_rows()
+                           if _matches(sql, row))
+            assert SqlSession(database).query(sql).rows[0]["n"] == expected, sql
+
+
+def _matches(sql: str, row: dict) -> bool:
+    where = sql.split(" where ", 1)[1]
+    type_, mag = row["type"], row["mag"]
+    checks = {
+        "p.type = 3": type_ == 3, "3 = p.type": type_ == 3, "p.type = -1": type_ == -1,
+        "p.type = 3 and p.mag > 20": type_ == 3 and mag > 20,
+        "p.type = 3 and p.mag = 16": type_ == 3 and mag == 16,
+        "p.type >= 3": type_ >= 3, "p.type = null": False,
+    }
+    return checks[where]

@@ -28,6 +28,33 @@ class TestSpatialFunctions:
                 expected += 1
         assert len(rows) == expected
 
+    def test_cone_answers_equal_at_every_cover_depth(self, loaded_database):
+        """The cone search's cover is a superset at any depth and the
+        exact distance filter decides: depths 9 to 13 (13 is
+        ``depth_for_radius(1.0)``) give one answer, the brute-force one."""
+        from repro.htm import cover_circle
+        from repro.skyserver.spatial import (_candidate_rows, get_nearby_objects,
+                                             nearby_from_candidates)
+
+        def nearby_at(ra, dec, radius, depth):
+            ranges = cover_circle(ra, dec, radius, cover_depth=depth)
+            return nearby_from_candidates(_candidate_rows(loaded_database, ranges),
+                                          ra, dec, radius)
+
+        photo = list(loaded_database.table("PhotoObj").iter_rows(["ra", "dec", "objid"]))
+        centres = [(185.0, -0.5, 1.0), (185.02, -0.03, 1.0), (184.9, -0.61, 2.5),
+                   (photo[0][1]["ra"], photo[0][1]["dec"], 0.3)]
+        for ra, dec, radius in centres:
+            expected = sorted(row["objid"] for _rid, row in photo
+                              if arcmin_between(ra, dec, row["ra"], row["dec"]) <= radius)
+            answers = {depth: nearby_at(ra, dec, radius, depth)
+                       for depth in range(9, 14)}
+            assert sorted(row["objID"] for row in answers[13]) == expected
+            for depth, rows in answers.items():
+                assert repr(rows) == repr(answers[13]), (ra, dec, radius, depth)
+            assert repr(get_nearby_objects(loaded_database, ra, dec, radius)) == repr(
+                answers[13])
+
     def test_cone_search_sorted_by_distance(self, skyserver):
         rows = skyserver.cone_search(185.0, -0.5, 2.0)
         distances = [row["distance"] for row in rows]
