@@ -604,20 +604,21 @@ class Planner:
     def _build_index_seek(self, info: _RelationInfo, table: Table,
                           best_index: BTreeIndex,
                           best_prefix: Sequence[SargablePredicate],
+                          parts: Sequence[Expression],
                           needed: Optional[set[str]],
                           columns: Optional[tuple[str, ...]], *,
                           estimated: int) -> IndexRangeScan:
         """Assemble the seek operator both access-path planners build.
 
-        The filter is every local conjunct, the key-prefix ones
-        included — the covering scan's rule: the key range is inclusive
-        (``x > 20`` walks from 20), and a bound that does not rank
-        (NULL, NaN, a string against a numeric key) or an index holding
-        a NaN key reads the whole index, so the prefix conjuncts must
-        still reject, or raise on, exactly the rows a table scan would.
+        ``parts`` are ``info.local_conjuncts`` qualified, in order
+        (:meth:`_qualified_conjuncts`).  The filter is every local
+        conjunct, the key-prefix ones included — the covering scan's
+        rule: the key range is inclusive (``x > 20`` walks from 20), and
+        a bound that does not rank (NULL, NaN, a string against a
+        numeric key) or an index holding a NaN key reads the whole
+        index, so the prefix conjuncts must still reject, or raise on,
+        exactly the rows a table scan would.
         """
-        parts = [qualify_columns(part, info.binding_name, table)
-                 for part in info.local_conjuncts]
         predicate = combine_conjuncts(parts)
         implied = range_implied(best_prefix, table)
         range_predicate = predicate
@@ -632,6 +633,14 @@ class Planner:
                               covering=covering, columns=columns,
                               range_predicate=range_predicate)
 
+    @staticmethod
+    def _qualified_conjuncts(info: _RelationInfo) -> list[Expression]:
+        """``info.local_conjuncts`` with their bare columns of the
+        relation's table qualified by its binding name, in order."""
+        assert info.table is not None
+        return [qualify_columns(part, info.binding_name, info.table)
+                for part in info.local_conjuncts]
+
     def _access_path(self, info: _RelationInfo,
                      query: LogicalQuery) -> _PlannedAccessPath:
         if info.kind == "function":
@@ -645,15 +654,15 @@ class Planner:
         needed = self._needed_columns(query, info)
         columns = self._read_columns(info, needed)
 
+        parts = self._qualified_conjuncts(info)
         if best_index is not None and best_prefix:
             estimate = self._estimate_index_rows(table, best_index, best_prefix)
             operator = self._build_index_seek(info, table, best_index, best_prefix,
-                                              needed, columns, estimated=estimate)
+                                              parts, needed, columns,
+                                              estimated=estimate)
             return _PlannedAccessPath(operator, estimate)
 
-        predicate = combine_conjuncts(
-            [qualify_columns(part, info.binding_name, table)
-             for part in info.local_conjuncts])
+        predicate = combine_conjuncts(parts)
         if needed is not None:
             for index in table.indexes.values():
                 if index.covers(needed):
@@ -764,6 +773,7 @@ class Planner:
         # (cost, tie-break priority, operator, output rows)
         candidates: list[tuple[float, int, PhysicalOperator, int]] = []
 
+        parts = self._qualified_conjuncts(info)
         best_index, best_prefix = self._best_seek_index(table, sargables)
         if best_index is not None and best_prefix:
             full_unique = (best_index.unique
@@ -777,15 +787,13 @@ class Planner:
                 fetched = max(1, int(total * prefix_selectivity))
             rows = min(estimated_out, fetched)
             seek = self._build_index_seek(info, table, best_index, best_prefix,
-                                          needed, columns, estimated=rows)
+                                          parts, needed, columns, estimated=rows)
             per_row = (self.INDEX_ENTRY_COST if seek.covering
                        else self.RANDOM_LOOKUP_COST)
             cost = math.log2(total + 1) + fetched * per_row
             candidates.append((cost, 0, seek, rows))
 
-        predicate = combine_conjuncts(
-            [qualify_columns(part, info.binding_name, table)
-             for part in info.local_conjuncts])
+        predicate = combine_conjuncts(parts)
         # A covering index's only scan advantage is reading narrow
         # entries instead of wide rows.  A column store's TableScan
         # already touches only the referenced columns — the batch

@@ -11,6 +11,7 @@ from ``alias.column``).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from ..errors import SQLSyntaxError
@@ -31,7 +32,7 @@ class TokenType(enum.Enum):
     END = "end"
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     type: TokenType
     value: str
@@ -39,186 +40,116 @@ class Token:
     column: int
 
     def is_keyword(self, *keywords: str) -> bool:
-        return self.type is TokenType.NAME and self.value.lower() in {
-            keyword.lower() for keyword in keywords}
+        """Whether this is a NAME spelling one of ``keywords`` (given in
+        lower case), in any case."""
+        return self.type is TokenType.NAME and self.value.lower() in keywords
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.value!r})"
 
 
-_TWO_CHAR_OPERATORS = ("<=", ">=", "<>", "!=")
-_ONE_CHAR_OPERATORS = "=<>+-/%&|^~"
+#: Every token, comment and run of blanks, in the order the alternatives
+#: are tried at each position; the last alternative takes any one
+#: character, so the matches tile the text.  A number starts with a
+#: digit or a dot before one: digits with at most one dot, then an
+#: optional exponent (an ``e`` followed by a digit, or by a sign and any
+#: digits).  Digits are Unicode decimal digits, what ``int()`` and
+#: ``float()`` read; ``\w`` is exactly ``str.isalnum()`` or an
+#: underscore.  A block comment or a bracketed name that never closes
+#: runs to the end of the text, so many unclosed openers still lex in
+#: linear time.
+_TOKEN = re.compile(r"""
+    \n
+  | [ \t\r]+
+  | --[^\n]*
+  | /\*(?:[\s\S]*?\*/|[\s\S]*)
+  | '[^']*(?:''[^']*)*'(?!')
+  | (?=\d|\.\d)\d*\.?\d*(?:[eE](?:[+-]|(?=\d))\d*)?
+  | @\w*
+  | \#+\w*
+  | \w+
+  | \[[^\]]*\]?
+  | <=|>=|<>|!=
+  | [\s\S]
+""", re.VERBOSE)
+
+#: The tokens whose text alone says their type.
+_FIXED = {",": TokenType.COMMA, ".": TokenType.DOT, "(": TokenType.LPAREN,
+          ")": TokenType.RPAREN, ";": TokenType.SEMICOLON, "*": TokenType.STAR,
+          **{operator: TokenType.OPERATOR
+             for operator in ("<=", ">=", "<>", "!=", *"=<>+-/%&|^~")}}
+
+
+def _after(raw: str, line: int, column: int) -> tuple[int, int]:
+    """The line and column just past ``raw`` (which may span lines)
+    when it starts at ``line``, ``column``."""
+    newline = raw.rfind("\n")
+    if newline < 0:
+        return line, column + len(raw)
+    return line + raw.count("\n"), len(raw) - newline
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenize ``text``; raises :class:`SQLSyntaxError` on unknown characters."""
+    """Tokenize ``text``; raises :class:`SQLSyntaxError` on unknown characters.
+
+    Columns count characters from 1.  A comment does not advance the
+    column (a block comment still counts its lines), and neither does a
+    line break inside a ``[bracketed]`` name."""
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
     column = 1
     position = 0
-    length = len(text)
 
     def error(message: str) -> SQLSyntaxError:
         return SQLSyntaxError(message, line=line, column=column)
 
-    while position < length:
-        char = text[position]
-
-        if char == "\n":
+    for raw in _TOKEN.findall(text):
+        first = raw[0]
+        width = len(raw)
+        if first in " \t\r":
+            pass
+        elif first.isalpha() or first == "_":
+            append(Token(TokenType.NAME, raw, line, column))
+        elif raw in _FIXED:
+            append(Token(_FIXED[raw], raw, line, column))
+        elif first.isdecimal() or first == ".":
+            append(Token(TokenType.NUMBER, raw, line, column))
+        elif first == "\n":
             line += 1
             column = 1
-            position += 1
-            continue
-        if char in " \t\r":
-            position += 1
-            column += 1
-            continue
-
-        # Comments.
-        if char == "-" and text.startswith("--", position):
-            end = text.find("\n", position)
-            position = length if end == -1 else end
-            continue
-        if char == "/" and text.startswith("/*", position):
-            end = text.find("*/", position + 2)
-            if end == -1:
+            width = 0
+        elif first == "'":
+            if width == 1:
+                line, column = _after(text[position:], line, column)
+                raise error("unterminated string literal")
+            append(Token(TokenType.STRING, raw[1:-1].replace("''", "'"),
+                         line, column))
+            line, column = _after(raw, line, column)
+            width = 0
+        elif raw.startswith("--"):
+            width = 0
+        elif raw.startswith("/*"):
+            if width < 4 or not raw.endswith("*/"):
                 raise error("unterminated block comment")
-            skipped = text[position:end + 2]
-            line += skipped.count("\n")
-            position = end + 2
-            continue
-
-        start_line, start_column = line, column
-
-        # Strings.
-        if char == "'":
-            value_chars: list[str] = []
-            position += 1
-            column += 1
-            while True:
-                if position >= length:
-                    raise error("unterminated string literal")
-                current = text[position]
-                if current == "'":
-                    if position + 1 < length and text[position + 1] == "'":
-                        value_chars.append("'")
-                        position += 2
-                        column += 2
-                        continue
-                    position += 1
-                    column += 1
-                    break
-                if current == "\n":
-                    line += 1
-                    column = 1
-                else:
-                    column += 1
-                value_chars.append(current)
-                position += 1
-            tokens.append(Token(TokenType.STRING, "".join(value_chars),
-                                start_line, start_column))
-            continue
-
-        # Numbers.
-        if char.isdigit() or (char == "." and position + 1 < length
-                              and text[position + 1].isdigit()):
-            end = position
-            seen_dot = False
-            seen_exponent = False
-            while end < length:
-                current = text[end]
-                if current.isdigit():
-                    end += 1
-                elif current == "." and not seen_dot and not seen_exponent:
-                    seen_dot = True
-                    end += 1
-                elif current in "eE" and not seen_exponent and end > position:
-                    if end + 1 < length and (text[end + 1].isdigit()
-                                             or text[end + 1] in "+-"):
-                        seen_exponent = True
-                        end += 2 if text[end + 1] in "+-" else 1
-                    else:
-                        break
-                else:
-                    break
-            value = text[position:end]
-            tokens.append(Token(TokenType.NUMBER, value, start_line, start_column))
-            column += end - position
-            position = end
-            continue
-
-        # Variables and temp-table names.
-        if char == "@":
-            end = position + 1
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            if end == position + 1:
+            line += raw.count("\n")
+            width = 0
+        elif first == "@":
+            if width == 1:
                 raise error("'@' must be followed by a variable name")
-            tokens.append(Token(TokenType.VARIABLE, text[position + 1:end],
-                                start_line, start_column))
-            column += end - position
-            position = end
-            continue
-        if char == "#":
-            end = position
-            while end < length and text[end] == "#":
-                end += 1
-            name_start = end
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            if name_start == end:
+            append(Token(TokenType.VARIABLE, raw[1:], line, column))
+        elif first == "#":
+            if raw.endswith("#"):
                 raise error("'#' must start a temporary table name")
-            tokens.append(Token(TokenType.NAME, text[position:end],
-                                start_line, start_column))
-            column += end - position
-            position = end
-            continue
-
-        # Identifiers and keywords (optionally [bracketed]).
-        if char.isalpha() or char == "_":
-            end = position
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            tokens.append(Token(TokenType.NAME, text[position:end],
-                                start_line, start_column))
-            column += end - position
-            position = end
-            continue
-        if char == "[":
-            end = text.find("]", position)
-            if end == -1:
+            append(Token(TokenType.NAME, raw, line, column))
+        elif first == "[":
+            if width == 1 or not raw.endswith("]"):
                 raise error("unterminated [bracketed] identifier")
-            tokens.append(Token(TokenType.NAME, text[position + 1:end],
-                                start_line, start_column))
-            column += end - position + 1
-            position = end + 1
-            continue
-
-        # Punctuation and operators.
-        if char == ",":
-            tokens.append(Token(TokenType.COMMA, ",", start_line, start_column))
-        elif char == ".":
-            tokens.append(Token(TokenType.DOT, ".", start_line, start_column))
-        elif char == "(":
-            tokens.append(Token(TokenType.LPAREN, "(", start_line, start_column))
-        elif char == ")":
-            tokens.append(Token(TokenType.RPAREN, ")", start_line, start_column))
-        elif char == ";":
-            tokens.append(Token(TokenType.SEMICOLON, ";", start_line, start_column))
-        elif char == "*":
-            tokens.append(Token(TokenType.STAR, "*", start_line, start_column))
-        elif text[position:position + 2] in _TWO_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, text[position:position + 2],
-                                start_line, start_column))
-            position += 2
-            column += 2
-            continue
-        elif char in _ONE_CHAR_OPERATORS:
-            tokens.append(Token(TokenType.OPERATOR, char, start_line, start_column))
+            append(Token(TokenType.NAME, raw[1:-1], line, column))
         else:
-            raise error(f"unexpected character {char!r}")
-        position += 1
-        column += 1
+            raise error(f"unexpected character {first!r}")
+        column += width
+        position += len(raw)
 
     tokens.append(Token(TokenType.END, "", line, column))
     return tokens

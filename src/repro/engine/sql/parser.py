@@ -43,8 +43,11 @@ class _Parser:
     # -- token helpers -------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # The stream ends with END and ``advance`` never passes it, so
+        # only a look-ahead can run off the end.
+        if offset:
+            return self.tokens[min(self.position + offset, len(self.tokens) - 1)]
+        return self.tokens[self.position]
 
     def advance(self) -> Token:
         token = self.peek()

@@ -18,6 +18,12 @@ batches that themselves change the schema (``SELECT ... INTO``) are
 never cached, because their plans capture catalog objects the next
 execution would replace.
 
+A caller that has already parsed the batch passes its statements
+(``query(sql, statements=...)``): a plan-cache miss then plans them
+instead of parsing the text again.  Planning only reads the AST, so one
+parse may be planned by several sessions at once (the serving pool's
+workers share its memoised parse).
+
 :class:`~repro.cluster.ClusterSession` is this session over a shard
 cluster's coordinator.  It overrides how ANALYZE runs (:meth:`_analyze`),
 how a SELECT gets its plan (:meth:`_plan_select`), when a cached batch
@@ -224,9 +230,13 @@ class SqlSession:
 
     # -- execution -------------------------------------------------------------
 
-    def execute(self, sql_text: str) -> list[StatementResult]:
-        """Execute every statement of ``sql_text``; returns per-statement results."""
-        entry, from_cache = self._lookup_or_parse(sql_text)
+    def execute(self, sql_text: str, *,
+                statements: Optional[list[Statement]] = None
+                ) -> list[StatementResult]:
+        """Execute every statement of ``sql_text``; returns per-statement
+        results.  ``statements``: ``parse_batch(sql_text)``, when the
+        caller has it (a plan-cache miss plans it instead of parsing)."""
+        entry, from_cache = self._lookup_or_parse(sql_text, statements)
         if not entry.statements:
             raise SQLSyntaxError("empty SQL batch")
         results: list[StatementResult] = []
@@ -241,9 +251,11 @@ class SqlSession:
             self.plan_cache.put(sql_text, entry)
         return results
 
-    def query(self, sql_text: str) -> QueryResult:
-        """Execute a batch and return the result of its final SELECT."""
-        results = self.execute(sql_text)
+    def query(self, sql_text: str, *,
+              statements: Optional[list[Statement]] = None) -> QueryResult:
+        """Execute a batch and return the result of its final SELECT
+        (``statements`` as for :meth:`execute`)."""
+        results = self.execute(sql_text, statements=statements)
         for outcome in reversed(results):
             if outcome.kind == "select" and outcome.result is not None:
                 return outcome.result
@@ -304,12 +316,15 @@ class SqlSession:
 
     # -- plan cache -------------------------------------------------------------
 
-    def _lookup_or_parse(self, sql_text: str) -> tuple[CachedBatch, bool]:
+    def _lookup_or_parse(self, sql_text: str,
+                         statements: Optional[list[Statement]] = None
+                         ) -> tuple[CachedBatch, bool]:
         entry = self.plan_cache.get(sql_text, self._stale)
         if entry is not None:
             return entry, True
         version = self.database.schema_version
-        statements = parse_batch(sql_text)
+        if statements is None:
+            statements = parse_batch(sql_text)
         return CachedBatch(version, statements, self._batch_tables(statements)), False
 
     def _stale(self, entry: CachedBatch) -> bool:

@@ -51,7 +51,17 @@ service absorbing millions of hits with hard per-user limits (§4, §7).
 
 Batches that depend on session state (``DECLARE``/``SET``/``@var``
 references), perform DDL (``SELECT INTO``) or mutate statistics
-(``ANALYZE``) execute normally but are never result-cached.
+(``ANALYZE``) execute normally but are never result-cached, and neither
+are statements that read the server's ``QueryLog`` (every request
+appends to it).  Such a statement flushes the log's pending rows before
+it takes its read locks, so it sees every statement logged before it
+was submitted (:mod:`repro.telemetry.querylog`).
+
+Each statement is parsed once: the pool memoises the parse with its
+batch metadata (:class:`_BatchInfo`) and hands it to the worker's
+session, whose plan cache plans it instead of parsing the text again.
+Workers of one pool may plan the same parsed statements at once —
+planning only reads them.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ from ..engine.operators import SortOp
 from ..engine.planner import collect_aggregates
 from ..engine.sql import PlanCache, SqlSession, parse_batch
 from ..engine.sql.ast import SelectStatement, Statement
-from ..telemetry import LatencyHistogram, TRACER
+from ..telemetry import LatencyHistogram, QUERY_LOG_TABLE, TRACER
 from ..telemetry.trace import clip as _clip_sql
 from .limits import ServiceClass, default_service_classes
 
@@ -335,11 +345,15 @@ class ResultCache:
 # The pool
 # ---------------------------------------------------------------------------
 
+#: The query log's lower-cased name, as :class:`_BatchInfo` lists tables.
+_QUERY_LOG = QUERY_LOG_TABLE.lower()
+
+
 @dataclass
 class _BatchInfo:
-    """Memoised per-SQL metadata: the parsed batch, which tables to
-    lock, cacheability, and the read set its results may carry
-    (:meth:`SkyServerPool._read_set`)."""
+    """Memoised per-SQL metadata: the parsed batch (handed to the
+    executing session), which tables to lock, cacheability, and the
+    read set its results may carry (:meth:`SkyServerPool._read_set`)."""
 
     schema_version: int
     statements: list[Statement]
@@ -752,6 +766,9 @@ class SkyServerPool:
         result is cached only when every table's versions read before
         the run (and the schema version) equal those read after it.
         """
+        if self.telemetry is not None and _QUERY_LOG in info.table_names:
+            # Before the read locks: the flush write-locks QueryLog.
+            self.telemetry.flush_query_log()
         names = [name for name in info.table_names
                  if self.database.has_table(name)]
         locked = ([] if self.cluster is not None
@@ -761,7 +778,7 @@ class SkyServerPool:
                 before = self._versions(names)
                 ticket.epoch = self.database.epoch + (
                     self.cluster.epoch if self.cluster is not None else 0)
-                result = session.query(ticket.sql)
+                result = session.query(ticket.sql, statements=info.statements)
                 ticket.plan_source = session.last_plan_source
                 after = self._versions(names)
             if info.cacheable and before == after:
@@ -960,6 +977,10 @@ class SkyServerPool:
                 elif self.database.has_table(name):
                     resolved.add(self.database.table(name).name.lower())
         table_names = tuple(sorted(resolved))
+        if _QUERY_LOG in table_names:
+            # Every request appends to the log: a cached answer over it
+            # would be stale by the next request.
+            cacheable = False
         read_set = None
         if cacheable and len(statements) == 1:
             read_set = self._candidate_read_set(statements[0].query, table_names)
@@ -996,6 +1017,8 @@ class SkyServerPool:
                 thread.join()
             if self._reaper is not None:
                 self._reaper.join()
+        if self.telemetry is not None:
+            self.telemetry.flush_query_log()
 
     def __enter__(self) -> "SkyServerPool":
         return self

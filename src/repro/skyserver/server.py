@@ -180,7 +180,9 @@ class SkyServer:
         return self.database.durability is not None
 
     def checkpoint(self) -> Optional[dict[str, Any]]:
-        """Force a full checkpoint (no-op when not durable)."""
+        """Force a full checkpoint (no-op when not durable), pending
+        query-log rows included."""
+        self.telemetry.flush_query_log()
         if self.cluster is not None:
             if self.cluster.durability is None:
                 return None
@@ -208,12 +210,14 @@ class SkyServer:
         """Shut down the serving pool, checkpoint, and release the WAL.
 
         After ``close()`` the on-disk directory reopens replay-free via
-        :meth:`open`.  Safe to call on a non-durable server (it only
-        stops the pool) and idempotent.
+        :meth:`open`, with every query-log row.  Safe to call on a
+        non-durable server (it stops the pool and flushes the query log)
+        and idempotent.
         """
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        self.telemetry.flush_query_log()
         if self.cluster is not None:
             if self.cluster.durability is not None:
                 self.cluster.checkpoint()
@@ -622,7 +626,9 @@ class SkyServer:
 
     def query_log_rows(self, *, limit: Optional[int] = None) -> list[dict]:
         """The ``QueryLog`` table's rows, read back through plain SQL
-        (dogfooding: the log is data, exactly as the paper used it)."""
+        (dogfooding: the log is data, exactly as the paper used it).
+        The direct path flushes the log's pending rows first, so every
+        statement served before this call is there."""
         if self.telemetry.logger is None:
             return []
         sql = "select * from QueryLog order by logID"

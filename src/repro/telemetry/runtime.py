@@ -5,7 +5,9 @@ ties the three tentpole pieces together: it flips the process-wide
 tracer on/off from the server's config, owns the server-level latency
 histogram, and hosts the durable :class:`~repro.telemetry.querylog.QueryLogger`
 on the serving database.  The pool and the direct ``SkyServer.query``
-path both report finished statements here.
+path both report finished statements here, and both flush the log's
+pending rows before a statement that may read it
+(:meth:`Telemetry.flush_query_log`).
 """
 
 from __future__ import annotations
@@ -54,7 +56,11 @@ class Telemetry:
     def run_query(self, fn: Callable[[], Any], sql: str, *,
                   user_class: str = "session",
                   session: Any = None) -> Any:
-        """Run ``fn`` under a root span; observe + log the outcome."""
+        """Run ``fn`` under a root span; observe + log the outcome.
+
+        The query log is flushed first: a direct statement may read
+        ``QueryLog`` and must see every row logged before it."""
+        self.flush_query_log()
         tracer = self.tracer
         started = time.perf_counter()
         if tracer.enabled:
@@ -105,6 +111,12 @@ class Telemetry:
                 elapsed_seconds=elapsed, cache_hit=cache_hit,
                 plan_cached=source == "cache",
                 query_id=query_id, error=error)
+
+    def flush_query_log(self) -> None:
+        """Write the query log's pending rows to its table (no table lock
+        may be held: the append takes ``QueryLog``'s write lock)."""
+        if self.logger is not None:
+            self.logger.flush()
 
     # -- the pooled path ---------------------------------------------------
 

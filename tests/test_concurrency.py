@@ -18,6 +18,7 @@ import threading
 import time
 
 import pytest
+from request_templates import pool_templates
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (Database, ForeignKey, LockUpgradeError, PrimaryKey,
@@ -862,3 +863,76 @@ class TestReadSetProperty:
                 check(pool, READ_SET_QUERIES[query])
             for sql in READ_SET_QUERIES:
                 check(pool, sql)
+
+
+# ---------------------------------------------------------------------------
+# One parse per pooled statement
+# ---------------------------------------------------------------------------
+
+class TestSharedParse:
+    def test_parse_batch_runs_once_per_cold_statement(self, monkeypatch):
+        import repro.engine.sql.session as session_module
+        import repro.skyserver.pool as pool_module
+
+        # The traced benchmark wraps both names (harness.WRAP_POINTS).
+        assert pool_module.parse_batch is session_module.parse_batch
+        parsed: list[str] = []
+        real = pool_module.parse_batch
+
+        def counting(sql):
+            parsed.append(sql)
+            return real(sql)
+
+        monkeypatch.setattr(pool_module, "parse_batch", counting)
+        monkeypatch.setattr(session_module, "parse_batch", counting)
+        database = _make_database("row")
+        statements = [f"select count(*) as n, max(b) as mx from obj where a < {bound}"
+                      for bound in range(0, 400, 20)]
+        with SkyServerPool(database, workers=2) as pool:
+            for round_ in range(3):
+                for sql in statements:
+                    pool.execute(sql)
+                # Every entry is stale: each statement runs again, on
+                # either worker, planned from the pool's parse.
+                database.table("obj").insert(
+                    {"id": 1000 + round_, "a": -1, "b": -2, "mag": 15.0})
+        assert sorted(parsed) == sorted(statements)
+
+    @pytest.mark.parametrize("columnar", [False, True], ids=["row", "column"])
+    def test_workers_plan_one_parse_at_once(self, survey_output, columnar):
+        from repro.loader import load_release_database
+
+        database, _report = load_release_database(survey_output, columnar=columnar)
+        server = SkyServer(database, limits=QueryLimits.private())
+        pool = server.start_pool(workers=2)
+        try:
+            target = server._first_row("PhotoObj")
+            for magnitude in (17.5, 19.24, 21.0):
+                templates = pool_templates(target["ra"], target["dec"],
+                                           target["objid"], magnitude)
+                for sql in templates.values():
+                    expected = repr(SqlSession(database).query(sql).rows)
+                    info = pool._analyze_batch(sql, pool._cache_key(sql, "public"))
+                    sessions = [SqlSession(database) for _ in range(2)]
+                    answers: list[str] = []
+                    barrier = threading.Barrier(2)
+
+                    def run(session):
+                        barrier.wait()
+                        answers.append(repr(session.query(
+                            sql, statements=info.statements).rows))
+
+                    threads = [threading.Thread(target=run, args=(session,))
+                               for session in sessions]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30.0)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert answers == [expected, expected], sql
+                    for session in sessions:
+                        (entry,) = session.plan_cache._entries.values()
+                        assert entry.statements is info.statements
+                    assert repr(pool.execute(sql, "power").rows) == expected
+        finally:
+            pool.shutdown()

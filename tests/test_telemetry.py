@@ -13,6 +13,8 @@ spans that all share the query id.
 
 from __future__ import annotations
 
+import shutil
+import sys
 import threading
 import time
 
@@ -23,13 +25,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import (Database, Planner, PrimaryKey, bigint, floating,
                           integer)
+from repro.engine.catalog import View
 from repro.engine.explain import plan_operators
-from repro.engine.sql import parse_select
+from repro.engine.sql import parse_expression, parse_select
 from repro.skyserver import (ClusterConfig, QueryLimits, ServerConfig, SkyServer,
                              TelemetryConfig)
 from repro.skyserver.pool import SkyServerPool
 from repro.telemetry import (LatencyHistogram, MetricsRegistry, Telemetry,
                              Tracer, TRACER, render_trace)
+from repro.telemetry.querylog import GROUP_COMMIT_ROWS
 from repro.traffic import analyze_query_log
 
 INVARIANCE_SETTINGS = settings(deadline=None, max_examples=15)
@@ -352,6 +356,174 @@ class TestQueryLog:
         assert not database.has_table("QueryLog")
         assert server.query_log_rows() == []
         assert server.traffic_report() is None
+
+
+# ---------------------------------------------------------------------------
+# Group commit: the log's contract
+# ---------------------------------------------------------------------------
+
+_COUNT_LOG = "select count(*) as n from QueryLog"
+
+
+def _await_recorded(logger, count: int) -> None:
+    """Wait until ``count`` statements are recorded: a pooled miss is
+    recorded on its worker just after its client is woken."""
+    deadline = time.monotonic() + 10.0
+    while logger.recorded < count:
+        assert time.monotonic() < deadline, (logger.recorded, count)
+        time.sleep(0.001)
+
+
+def _log_rows(server: SkyServer) -> list[dict]:
+    return [row for _row_id, row in
+            server.database.table("QueryLog").iter_rows()]
+
+
+class TestGroupCommit:
+    def test_pooled_reader_sees_every_row_logged_before_it(self):
+        server = _toy_server()
+        pool = server.start_pool(workers=2)
+        logger = server.telemetry.logger
+        try:
+            for mag in (14.1, 14.2, 14.1, 14.1, 14.3):   # misses and hits
+                pool.execute(f"select count(*) as n from Obj where mag < {mag}")
+            for expected in (5, 6):
+                _await_recorded(logger, expected)
+                assert len(logger._pending) > 0
+                # Never served from the result cache: the second read
+                # sees the first one's own row.
+                assert pool.execute(_COUNT_LOG).rows[0]["n"] == expected
+        finally:
+            server.close()
+
+    def test_direct_reader_sees_every_row_logged_before_it(self):
+        server = _toy_server()
+        for mag in (14.1, 14.2, 14.1):
+            server.query(f"select count(*) as n from Obj where mag < {mag}")
+        assert server.query(_COUNT_LOG).rows[0]["n"] == 3
+        assert server.query(_COUNT_LOG).rows[0]["n"] == 4
+
+    def test_reader_through_a_view_flushes_too(self):
+        server = _toy_server()
+        server.database.create_view(
+            View("DoneLog", "QueryLog", parse_expression("status = 'done'")))
+        pool = server.start_pool(workers=2)
+        try:
+            for _ in range(4):
+                pool.execute("select count(*) as n from Obj")
+            _await_recorded(server.telemetry.logger, 4)
+            assert pool.execute(
+                "select count(*) as n from DoneLog").rows[0]["n"] == 4
+        finally:
+            server.close()
+
+    def test_log_ids_unique_and_appended_in_record_order(self):
+        """Four clients on four workers (more threads than cores, short
+        switch interval): every statement gets its own id, ids run
+        1..N without a gap, and batches reach the table in id order."""
+        server = _toy_server()
+        pool = server.start_pool(workers=4)
+        statements = [f"select count(*) as n from Obj where mag < {14 + i % 37 / 100}"
+                      for i in range(200)]
+
+        def client(part):
+            for sql in part:
+                pool.execute(sql, timeout=10.0)
+
+        threads = [threading.Thread(target=client, args=(statements[i::4],))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        server.close()
+        ids = [row["logid"] for row in _log_rows(server)]
+        # Table order is append order.
+        assert ids == list(range(1, len(statements) + 1))
+
+    def test_pending_rows_count_in_statistics(self):
+        server = _toy_server()
+        pool = server.start_pool(workers=2)
+        try:
+            for _ in range(10):
+                pool.execute("select count(*) as n from Obj")
+            _await_recorded(server.telemetry.logger, 10)
+            statistics = server.telemetry.logger.statistics()
+            assert statistics["entries"] == statistics["recorded"] == 10
+            assert server.database.table("QueryLog").row_count < 10
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("finish", ["close", "checkpoint"])
+    def test_close_and_checkpoint_write_pending_rows(self, tmp_path, finish):
+        server = _toy_server().make_durable(tmp_path / "db")
+        pool = server.start_pool(workers=2)
+        for _ in range(10):
+            pool.execute("select count(*) as n from Obj")
+        _await_recorded(server.telemetry.logger, 10)
+        if finish == "close":
+            server.close()
+            directory = tmp_path / "db"
+        else:
+            server.checkpoint()
+            # A crash right after the checkpoint: copy without close().
+            directory = tmp_path / "copy"
+            shutil.copytree(tmp_path / "db", directory)
+            server.close()
+        reopened = SkyServer.open(directory)
+        try:
+            assert len(_log_rows(reopened)) == 10
+        finally:
+            reopened.close()
+
+    def test_abandoned_server_loses_only_pending_log_rows(self, tmp_path):
+        server = _toy_server().make_durable(tmp_path / "db")
+        pool = server.start_pool(workers=2)
+        table = server.database.table("Obj")
+        served = 150
+        for index in range(served):
+            table.insert({"objID": 1000 + index, "mag": 20.0})
+            pool.execute(f"select count(*) as n from Obj where mag < {14 + index}")
+        logger = server.telemetry.logger
+        _await_recorded(logger, served)
+        with logger._flush_lock:        # no batch half-written
+            pending = len(logger._pending)
+            shutil.copytree(tmp_path / "db", tmp_path / "crash")
+        assert 0 < pending < GROUP_COMMIT_ROWS
+        server.close()
+        reopened = SkyServer.open(tmp_path / "crash")
+        try:
+            assert reopened.database.table("Obj").row_count == 50 + served
+            logged = _log_rows(reopened)
+            assert len(logged) == served - pending
+            assert served - len(logged) <= GROUP_COMMIT_ROWS - 1
+        finally:
+            reopened.close()
+
+    def test_cache_hits_append_one_wal_record_per_batch(self, tmp_path):
+        """1,000 result-cache hits on a durable server write at most
+        ceil(1000 / 64) + 1 WAL records, not one per hit."""
+        server = _toy_server().make_durable(tmp_path / "db")
+        pool = server.start_pool(workers=2)
+        try:
+            sql = "select count(*) as n from Obj where mag < 14.3"
+            pool.execute(sql)
+            server.checkpoint()
+            hits = 1000
+            for _ in range(hits):
+                assert pool.submit(sql).cache_hit
+            records = server.durability_statistics()[
+                "wal_records_since_checkpoint"]
+            assert records <= -(-hits // GROUP_COMMIT_ROWS) + 1
+            assert records == hits // GROUP_COMMIT_ROWS
+        finally:
+            server.close()
 
 
 # ---------------------------------------------------------------------------
