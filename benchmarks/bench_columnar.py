@@ -28,6 +28,12 @@ comparisons — runs on the benchmark survey's column-store PhotoObj as
 generated loops, with no row-view fallback, at least 4x faster than on
 the row store (measured 5.4-8.8x; before column divisors vectorized its
 scans ran the row view per row, 1.8-2.1x; 2-core host, Python 3.11).
+
+A row store is a batch source too (its generated loops read the stored
+dicts in place), so every row-store side here is pinned to the row
+pipeline with ``Planner(enable_vectorized=False)``: the gates keep
+their floors and their meaning.  Beside each layout gate the report
+prints what the unpinned row store (its batch plan) reads.
 """
 
 from __future__ import annotations
@@ -83,20 +89,35 @@ def _best_of(thunk, repeats: int = 5):
     return best, result
 
 
+def _row_plans(database: Database, sql: str):
+    """(the row pipeline's plan, the unpinned batch plan) on a row store."""
+    query = parse_select(sql)
+    return (Planner(database, enable_vectorized=False).plan(query),
+            Planner(database).plan(query))
+
+
+def _unpinned(plan, expected) -> float:
+    """Best time of the row store's batch plan, checked against ``expected``."""
+    seconds, result = _best_of(lambda: plan.execute())
+    assert repr(result.rows) == repr(expected.rows)
+    assert result.statistics.batches_processed > 0
+    return seconds
+
+
 def _compare(sql: str):
-    row_plan = Planner(_build_database("row")).plan(parse_select(sql))
+    row_plan, unpinned_plan = _row_plans(_build_database("row"), sql)
     column_plan = Planner(_build_database("column")).plan(parse_select(sql))
     row_s, row_result = _best_of(lambda: row_plan.execute())
     column_s, column_result = _best_of(lambda: column_plan.execute())
     assert column_result.rows == row_result.rows
     assert column_result.statistics.batches_processed > 0
     assert row_result.statistics.batches_processed == 0
-    return row_s, column_s, column_result
+    return row_s, column_s, column_result, _unpinned(unpinned_plan, row_result)
 
 
 def test_columnar_aggregate_speedup_at_least_2x():
     """The acceptance gate: 50k-row filter+aggregate, columnar >= 2x row."""
-    row_s, column_s, result = _compare(AGG_SQL)
+    row_s, column_s, result, unpinned_s = _compare(AGG_SQL)
     speedup = row_s / column_s
 
     report = ExperimentReport(
@@ -106,6 +127,7 @@ def test_columnar_aggregate_speedup_at_least_2x():
     report.add("row path elapsed", "", round(row_s, 4), unit="s")
     report.add("columnar elapsed", "", round(column_s, 4), unit="s")
     report.add("speedup", ">= 2x", f"{speedup:.1f}x")
+    report.add("row store, batch plan elapsed", "", round(unpinned_s, 4), unit="s")
     report.add("batches", "", result.statistics.batches_processed)
     report.add("mean_r", "", round(result.rows[0]["mean_r"], 4))
     print_report(report)
@@ -116,13 +138,15 @@ def test_columnar_aggregate_speedup_at_least_2x():
 def test_columnar_scan_speedup_at_least_2x():
     """50k-row filter+project: batch selection + projection vs the row
     interpreter; the fused compiled loop is measured and reported."""
-    row_plan = Planner(_build_database("row")).plan(parse_select(SCAN_SQL))
+    row_plan, unpinned_plan = _row_plans(_build_database("row"), SCAN_SQL)
     column_plan = Planner(_build_database("column")).plan(parse_select(SCAN_SQL))
     interpreted_s, interpreted = _best_of(lambda: row_plan.execute(compiled=False))
     row_s, row_result = _best_of(lambda: row_plan.execute())
     column_s, result = _best_of(lambda: column_plan.execute())
     assert repr(result.rows) == repr(row_result.rows) == repr(interpreted.rows)
     assert result.statistics.batches_processed > 0
+    assert row_result.statistics.batches_processed == 0
+    unpinned_s = _unpinned(unpinned_plan, row_result)
     speedup = interpreted_s / column_s
 
     report = ExperimentReport(
@@ -134,6 +158,7 @@ def test_columnar_scan_speedup_at_least_2x():
     report.add("columnar elapsed", "", round(column_s, 4), unit="s")
     report.add("speedup over the interpreter", ">= 2x", f"{speedup:.1f}x")
     report.add("speedup over the row path", "", f"{row_s / column_s:.1f}x")
+    report.add("row store, batch plan elapsed", "", round(unpinned_s, 4), unit="s")
     report.add("rows selected", "", len(result.rows))
     print_report(report)
 
@@ -189,7 +214,7 @@ def _build_wide(storage: str) -> Database:
 
 
 def _same_plan_but_batch_chain(column_plan, row_plan) -> None:
-    """The column store's plan is the row store's with its scan
+    """The column store's plan is the row pipeline's with its scan
     labelled Batch; the Sort above stays row-mode."""
     column_text, row_text = column_plan.explain(), row_plan.explain()
     assert "-> Batch Table Scan" in column_text
@@ -202,7 +227,7 @@ def test_row_mode_top_n_on_wide_column_store_within_2x_of_row_store():
     only the two referenced columns per passing row, so it stays within
     2x of the row store's stored dicts, and decodes 2 columns per
     segment."""
-    row_plan = Planner(_build_wide("row")).plan(parse_select(TOPN_SQL))
+    row_plan, unpinned_plan = _row_plans(_build_wide("row"), TOPN_SQL)
     column_database = _build_wide("column")
     column_plan = Planner(column_database).plan(parse_select(TOPN_SQL))
     _same_plan_but_batch_chain(column_plan, row_plan)
@@ -215,6 +240,7 @@ def test_row_mode_top_n_on_wide_column_store_within_2x_of_row_store():
     column_s, _result = _best_of(lambda: column_plan.execute())
     assert repr(column_result.rows) == repr(row_result.rows)
     assert column_result.statistics.batches_processed > 0
+    unpinned_s = _unpinned(unpinned_plan, row_result)
     ratio = column_s / row_s
 
     report = ExperimentReport(
@@ -225,6 +251,7 @@ def test_row_mode_top_n_on_wide_column_store_within_2x_of_row_store():
     report.add("row store elapsed", "", round(row_s, 4), unit="s")
     report.add("column store elapsed", "", round(column_s, 4), unit="s")
     report.add("column / row", "<= 2x", f"{ratio:.2f}x")
+    report.add("row store, batch chain elapsed", "", round(unpinned_s, 4), unit="s")
     report.add("segment decodes per execution", f"<= {2 * sealed}", decodes)
     print_report(report)
 
@@ -236,7 +263,7 @@ def test_selective_top_n_on_wide_column_store_at_least_2x_faster():
     """ORDER BY + TOP where ~1 % of the rows pass: the batch scan filters
     the ``mag`` column and builds dicts for the survivors only, while
     the row store's scan tests every stored row."""
-    row_plan = Planner(_build_wide("row")).plan(parse_select(SELECTIVE_TOPN_SQL))
+    row_plan, unpinned_plan = _row_plans(_build_wide("row"), SELECTIVE_TOPN_SQL)
     column_plan = Planner(_build_wide("column")).plan(
         parse_select(SELECTIVE_TOPN_SQL))
     _same_plan_but_batch_chain(column_plan, row_plan)
@@ -246,6 +273,7 @@ def test_selective_top_n_on_wide_column_store_at_least_2x_faster():
     assert column_result.statistics.batches_processed > 0
     passing = column_plan.root.child.child.child.actual_rows
     assert 0 < passing <= WIDE_ROWS // 50
+    unpinned_s = _unpinned(unpinned_plan, row_result)
     speedup = row_s / column_s
 
     report = ExperimentReport(
@@ -257,6 +285,7 @@ def test_selective_top_n_on_wide_column_store_at_least_2x_faster():
     report.add("row store elapsed", "", round(row_s, 4), unit="s")
     report.add("column store elapsed", "", round(column_s, 4), unit="s")
     report.add("row / column", ">= 2x", f"{speedup:.2f}x")
+    report.add("row store, batch chain elapsed", "", round(unpinned_s, 4), unit="s")
     print_report(report)
 
     assert speedup >= 2.0, f"column store selective top-n only {speedup:.2f}x faster"
@@ -276,7 +305,7 @@ def test_q15b_selection_vectorizes_at_least_4x_the_row_store(bench_survey,
     divisors and ``power`` included) and the statement runs at least 4x
     faster than on the row store."""
     column_database, _report = load_release_database(bench_survey, columnar=True)
-    row_plan = Planner(bench_database).plan(parse_select(NEO_SQL))
+    row_plan, unpinned_plan = _row_plans(bench_database, NEO_SQL)
     column_plan = Planner(column_database).plan(parse_select(NEO_SQL))
     # Alternate the two sides so a slow spell of the host hits both, and
     # keep the collector out of the timings (as timeit does).
@@ -297,6 +326,8 @@ def test_q15b_selection_vectorizes_at_least_4x_the_row_store(bench_survey,
     assert column_result.rows
     assert column_result.statistics.batches_processed > 0
     assert column_result.statistics.vector_fallbacks == 0
+    assert row_result.statistics.batches_processed == 0
+    unpinned_s = _unpinned(unpinned_plan, row_result)
     speedup = row_s / column_s
 
     report = ExperimentReport(
@@ -307,6 +338,7 @@ def test_q15b_selection_vectorizes_at_least_4x_the_row_store(bench_survey,
     report.add("row store elapsed", "", round(row_s, 4), unit="s")
     report.add("column store elapsed", "", round(column_s, 4), unit="s")
     report.add("row / column", ">= 4x", f"{speedup:.2f}x")
+    report.add("row store, batch plan elapsed", "", round(unpinned_s, 4), unit="s")
     report.add("pairs found", "", len(column_result.rows))
     report.add("vector fallbacks", "0", column_result.statistics.vector_fallbacks)
     print_report(report)

@@ -15,7 +15,9 @@ loops hash a single key as the value itself.
 
 Acceptance: the compiled+fused path is at least 2x the interpreted
 path on the 50k-row scan, and the compiled join+aggregate at least 3x
-the interpreted one.
+the interpreted one.  Both compiled sides are the row pipeline, pinned
+with ``Planner(enable_vectorized=False)`` (a row store is a batch
+source too); the report prints the row store's batch plan beside them.
 """
 
 from __future__ import annotations
@@ -64,17 +66,29 @@ def _best_of(thunk, repeats: int = 3):
     return best, result
 
 
+def _batch_plan_seconds(database: Database, sql: str, expected, **flags) -> float:
+    """Best time of the row store's unpinned (batch) plan of ``sql``,
+    checked against ``expected``."""
+    plan = Planner(database, **flags).plan(parse_select(sql))
+    seconds, result = _best_of(lambda: plan.execute())
+    assert repr(result.rows) == repr(expected.rows)
+    assert result.statistics.batches_processed > 0
+    return seconds
+
+
 def test_compiled_scan_speedup_at_least_2x():
     database = _build_database()
     query = parse_select(SQL)
-    interpreted_plan = Planner(database).plan(query)
-    compiled_plan = Planner(database).plan(query)
+    interpreted_plan = Planner(database, enable_vectorized=False).plan(query)
+    compiled_plan = Planner(database, enable_vectorized=False).plan(query)
 
     interpreted_s, interpreted_result = _best_of(
         lambda: interpreted_plan.execute(compiled=False))
     compiled_s, compiled_result = _best_of(lambda: compiled_plan.execute())
 
     assert compiled_result.rows == interpreted_result.rows
+    assert compiled_result.statistics.batches_processed == 0
+    batch_s = _batch_plan_seconds(database, SQL, compiled_result)
     speedup = interpreted_s / compiled_s
 
     report = ExperimentReport(
@@ -84,6 +98,7 @@ def test_compiled_scan_speedup_at_least_2x():
     report.add("interpreted elapsed", "", round(interpreted_s, 4), unit="s")
     report.add("compiled+fused elapsed", "", round(compiled_s, 4), unit="s")
     report.add("speedup", ">= 2x", f"{speedup:.1f}x")
+    report.add("batch plan elapsed", "", round(batch_s, 4), unit="s")
     report.add("rows selected", "", len(compiled_result.rows))
     report.add("exprs compiled", "", compiled_result.statistics.exprs_compiled)
     print_report(report)
@@ -133,8 +148,8 @@ def _build_neighbors_database(objects: int = 4_000, pairs: int = 12_000) -> Data
 def test_compiled_join_aggregate_speedup_at_least_3x():
     """Q18's shape on a row store: hash join, GROUP BY, HAVING, ORDER BY."""
     database = _build_neighbors_database()
-    plan = Planner(database, enable_index_join=False).plan(
-        parse_select(JOIN_AGGREGATE_SQL))
+    plan = Planner(database, enable_index_join=False,
+                   enable_vectorized=False).plan(parse_select(JOIN_AGGREGATE_SQL))
     assert {"Hash Join", "Aggregate", "Sort"} <= set(plan_operators(plan))
 
     # Best of 9 alternated runs: a burst of load slows both sides, not one.
@@ -146,6 +161,9 @@ def test_compiled_join_aggregate_speedup_at_least_3x():
         compiled_s = min(compiled_s, seconds)
 
     assert repr(compiled_result.rows) == repr(interpreted_result.rows)
+    assert compiled_result.statistics.batches_processed == 0
+    batch_s = _batch_plan_seconds(database, JOIN_AGGREGATE_SQL, compiled_result,
+                                  enable_index_join=False)
     speedup = interpreted_s / compiled_s
 
     report = ExperimentReport(
@@ -155,6 +173,7 @@ def test_compiled_join_aggregate_speedup_at_least_3x():
     report.add("interpreted elapsed", "", round(interpreted_s, 4), unit="s")
     report.add("compiled elapsed", "", round(compiled_s, 4), unit="s")
     report.add("speedup", ">= 3x", f"{speedup:.1f}x")
+    report.add("batch plan elapsed", "", round(batch_s, 4), unit="s")
     report.add("groups returned", "", len(compiled_result.rows))
     print_report(report)
 

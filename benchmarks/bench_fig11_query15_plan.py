@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import print_report
 from repro.bench import ExperimentReport
-from repro.engine.explain import plan_operators
+from repro.engine.explain import plan_strategies
 
 PAPER_CANDIDATES = 1303
 PAPER_TABLE_ROWS = 14_000_000
@@ -23,7 +23,7 @@ def test_figure11_query15a(benchmark, bench_server, bench_database):
     execution = benchmark.pedantic(
         bench_server.run_data_mining_query, args=("Q15A",), rounds=3, iterations=1)
 
-    labels = plan_operators(execution.result.plan)
+    labels = plan_strategies(execution.result.plan)
     photo_rows = bench_database.table("PhotoObj").row_count
     statistics = execution.result.statistics
 

@@ -375,7 +375,12 @@ class ClusterExecutor:
     def _batch_source(self, shard, plan, context: ExecutionContext
                       ) -> Optional[tuple[_BatchInput, _Tags]]:
         """The fragment's batch input and the merge keys of its batch
-        positions, or None."""
+        positions, or None (row-store shards read row by row)."""
+        relations = ((plan.relation,) if isinstance(plan, SingleTablePlan)
+                     else (plan.drive, plan.inner))
+        if any(shard.table(relation.table_name).storage.kind != "column"
+               for relation in relations):
+            return None
         if isinstance(plan, SingleTablePlan):
             access = self._access(shard, plan.relation)
             source = None if access is None else chain_input(context, access)
@@ -388,7 +393,7 @@ class ClusterExecutor:
         if plan.strategy == "index":
             chain = chain_input(context, drive)
             index = self._index(shard, plan.inner)
-            if chain is None or index.table.storage.kind != "column":
+            if chain is None:
                 return None
             try:
                 source = _IndexJoinInput(context, chain, index,

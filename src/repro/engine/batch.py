@@ -7,11 +7,16 @@ that are still alive after the scan and any filters.  Operators narrow
 the selection (``FilterOp``), gather values from it (projection,
 aggregation) or adapt it back to row dicts at the boundary to the
 row-at-a-time world (joins, sorts, DISTINCT, the SQL session).
+
+A :class:`RowBatch` is the same unit over a
+:class:`~repro.engine.storage.RowStore`: its positions index a list of
+the stored row dicts, which the generated loops read in place.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .types import NULL
@@ -82,6 +87,11 @@ class ColumnBatch:
                    for name in column_order]
         return row_dicts(column_order, zip(*buffers))
 
+    def take(self, column: str, positions: Sequence[int]) -> list:
+        """Column ``column`` at ``positions``, NULL where masked."""
+        return column_values(self.columns[column], self.masks.get(column),
+                             positions, 0)
+
 
 class GatheredBatch(ColumnBatch):
     """A batch of rows gathered by row id — an index seek's — whose
@@ -105,6 +115,57 @@ class GatheredBatch(ColumnBatch):
             return super().rows(column_order)
         row = columns.row
         return (row(position, column_order) for position in self.selection)
+
+
+class DictColumns(dict):
+    """The columns of a list of stored row dicts, each transposed on
+    first read and then kept (a row store's values are NULL in place,
+    so no column has a mask)."""
+
+    __slots__ = ("dicts",)
+
+    def __init__(self, dicts: list[dict[str, Any]]):
+        super().__init__()
+        self.dicts = dicts
+
+    def __missing__(self, name: str) -> list:
+        values = self[name] = list(map(itemgetter(name), self.dicts))
+        return values
+
+    def batch(self, binding_name: str) -> "RowBatch":
+        """Every row as one batch."""
+        return RowBatch(self.dicts, list(range(len(self.dicts))), binding_name)
+
+
+class RowBatch(ColumnBatch):
+    """A batch of a row store: positions index :attr:`dicts`, the stored
+    row dicts themselves (live rows only, so a position is not a row id
+    and ``base`` means nothing).
+
+    No value is copied to build one.  The vector codegen reads a row
+    store's one-binding batches dict by dict (``_r['ra']``), so a
+    predicate touches only the entries its short-circuit reaches; joins
+    read a column at the selected positions alone (:meth:`take`), and
+    the row adapter hands out the stored dicts, as the row path does.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, dicts: list[dict[str, Any]], selection: list[int],
+                 binding_name: str):
+        super().__init__(DictColumns(dicts), {}, selection, binding_name)
+
+    @property
+    def dicts(self) -> list[dict[str, Any]]:
+        return self.columns.dicts
+
+    def rows(self, column_order: Sequence[str]) -> Iterator[dict[str, Any]]:
+        """The selected stored dicts (each holds every column)."""
+        return map(self.dicts.__getitem__, self.selection)
+
+    def take(self, column: str, positions: Sequence[int]) -> list:
+        dicts = self.dicts
+        return [dicts[position][column] for position in positions]
 
 
 class JoinBatch(ColumnBatch):

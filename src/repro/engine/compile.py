@@ -931,11 +931,14 @@ class _VectorCodegen:
     comprehension — no per-row function calls, no dicts, no scopes.  A
     reference resolves against the ``schema`` (binding → table): a
     qualified one names its binding, an unqualified one must have one
-    owner; it reads the batch column :func:`batch_key` names.  The
+    owner; it reads the batch column :func:`batch_key` names.  One
+    binding over a row store (:attr:`dict_reads`) reads the stored dict
+    of each position instead (``_r['ra']``): a
+    :class:`~repro.engine.batch.RowBatch` has no buffers to index.  The
     translation is exact only where SQL three-valued logic cannot
     surface, or surfaces in a way the code reproduces: every referenced
-    column must be NULL-free (checked against its column store's null
-    counts; a batch join's gathered buffers hold the same values), every
+    column must be NULL-free (checked against its store's null counts;
+    a batch join's gathered buffers hold the same values), every
     non-column operand must fold
     to a non-NULL constant, and operand types must be statically
     compatible (so the interpreter's comparison/arithmetic errors cannot
@@ -972,6 +975,7 @@ class _VectorCodegen:
         self.schema = {binding.lower(): table for binding, table in schema.items()}
         #: Batch column key -> generated identifier, in first-use order.
         self.columns: dict[str, str] = {}
+        self.dict_reads = _dict_reads(schema)
 
     def start(self, evaluation: EvaluationContext) -> None:
         self.evaluation = evaluation
@@ -1103,12 +1107,7 @@ class _VectorCodegen:
         column = table.column(node.name)
         if column is None:
             raise _Unvectorizable(f"no column {node.sql()}")
-        storage = table.storage
-        if storage.kind != "column":
-            # Row-backed table: the public entry points still honour
-            # their contract (row-view fallback, never AttributeError).
-            raise _Unvectorizable("table is not column-backed")
-        if storage.column_null_count(node.name) > 0:
+        if table.storage.column_null_count(node.name) > 0:
             if not self.nulls_allowed:
                 raise _Unvectorizable(f"column {node.sql()} holds NULLs")
             self.reads_nullable = True
@@ -1116,7 +1115,10 @@ class _VectorCodegen:
         if tag is None:
             raise _Unvectorizable(f"column type {column.dtype.value}")
         key = batch_key(self.schema, binding, node.name.lower())
-        return f"{self.use_column(key)}[_i]", tag
+        identifier = self.use_column(key)
+        if self.dict_reads:
+            return f"_r[{key!r}]", tag
+        return f"{identifier}[_i]", tag
 
     def variable(self, node: Variable) -> tuple[str, str]:
         try:
@@ -1380,21 +1382,38 @@ def _vector_factory(source: str) -> Callable[..., VectorExpression]:
     return namespace["_factory"]
 
 
+def _dict_reads(schema: Schema) -> bool:
+    """Whether code over ``schema`` reads stored row dicts: one binding
+    over a row store, whose batches hold them (a join's batches have
+    gathered columns)."""
+    return len(schema) == 1 and next(iter(schema.values())).storage.kind == "row"
+
+
 def _vector_loop(env: Mapping[str, Any], reads: Mapping[str, str], body: str,
-                 predicate: bool) -> VectorExpression:
+                 predicate: bool, dict_reads: bool = False) -> VectorExpression:
     """The generated loop over a batch's selection: ``reads`` binds each
     identifier to its column buffer, ``body`` is one position's value
     (or test).  ``env``'s values are the factory's arguments, so one
-    expression shape compiles once whatever its constants."""
+    expression shape compiles once whatever its constants.  With
+    ``dict_reads`` the body reads ``_r``, each position's stored dict,
+    bound once per position."""
     lines = [f"def _factory({', '.join(env)}):",
-             "    def _vector_fn(_batch, _sel):",
-             "        _cols = _batch.columns"]
-    for identifier, key in reads.items():
-        lines.append(f"        {identifier} = _cols[{key!r}]")
-    if predicate:
-        lines.append(f"        return [_i for _i in _sel if {body}]")
+             "    def _vector_fn(_batch, _sel):"]
+    if dict_reads:
+        lines.append("        _rows = _batch.dicts")
+        loop = "for _i in _sel for _r in (_rows[_i],)"
+        if predicate:
+            lines.append(f"        return [_i {loop} if {body}]")
+        else:
+            lines.append(f"        return [{body} {loop}]")
     else:
-        lines.append(f"        return [{body} for _i in _sel]")
+        lines.append("        _cols = _batch.columns")
+        for identifier, key in reads.items():
+            lines.append(f"        {identifier} = _cols[{key!r}]")
+        if predicate:
+            lines.append(f"        return [_i for _i in _sel if {body}]")
+        else:
+            lines.append(f"        return [{body} for _i in _sel]")
     lines.append("    return _vector_fn")
     return _vector_factory("\n".join(lines))(*env.values())
 
@@ -1434,7 +1453,7 @@ def _codegen_vector(expression: Expression, evaluation: EvaluationContext,
     generator = _VectorCodegen(evaluation, schema)
     body, tag = _root(generator, expression, predicate)
     reads = {identifier: key for key, identifier in generator.columns.items()}
-    fn = _vector_loop(generator.env, reads, body, predicate)
+    fn = _vector_loop(generator.env, reads, body, predicate, generator.dict_reads)
     fn.reads = list(generator.columns)
     # A single-column predicate can run over a sealed segment's
     # dictionary instead of its decoded rows (segments.SealedSegment.
@@ -1505,6 +1524,14 @@ def _row_view_fallback(expression: Expression, evaluation: EvaluationContext,
     except RowCompileError as exc:
         raise VectorCompileError(str(exc)) from exc
 
+    def dict_vector(batch: Any, selection: list) -> list:
+        # One binding: the batch keys are the stored dicts' own keys.
+        rows = batch.dicts
+        if predicate:
+            return [position for position in selection
+                    if row_fn(rows[position]) is True]
+        return [row_fn(rows[position]) for position in selection]
+
     def vector(batch: Any, selection: list) -> list:
         view = batch.row_view()
         out = []
@@ -1518,6 +1545,8 @@ def _row_view_fallback(expression: Expression, evaluation: EvaluationContext,
                 append(position)
         return out
 
+    if _dict_reads(schema):
+        vector = dict_vector
     vector.row_fallback = True
     vector.reads = list(emitter.keys)
     return vector

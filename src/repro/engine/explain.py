@@ -97,3 +97,9 @@ def plan_operators(plan: "PhysicalPlan") -> list[str]:
 
     walk(plan.root)
     return labels
+
+
+def plan_strategies(plan: "PhysicalPlan") -> list[str]:
+    """:func:`plan_operators` without the ``Batch`` prefix: the access
+    paths and join strategies the planner chose, however they run."""
+    return [label.removeprefix("Batch ") for label in plan_operators(plan)]

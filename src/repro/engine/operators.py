@@ -28,8 +28,7 @@ from operator import ne
 from typing import (Any, Callable, ClassVar, Iterable, Iterator, Optional,
                     Sequence)
 
-from .batch import (BATCH_ROWS, ColumnBatch, GatheredBatch, JoinBatch,
-                    column_values)
+from .batch import BATCH_ROWS, ColumnBatch, JoinBatch
 from .catalog import Database
 from .compile import (CompiledExpression, Layout, RowCompileError, Schema,
                       VectorCompileError, VectorExpression, batch_key,
@@ -158,7 +157,7 @@ class ExecutionContext:
                                  schema: Schema) -> VectorExpression:
         """Vector compile (raises VectorCompileError); counters as compile_row.
 
-        Over one binding the compiled function also carries the
+        Over one column-store binding the compiled function also carries the
         predicate's *zone form* (``fn.zone_predicate``, None unless the
         expression is analyzable over per-segment zone maps) — scans
         consult it to skip sealed segments before touching their data —
@@ -173,11 +172,12 @@ class ExecutionContext:
             fn = compile_vector_predicate(expression, self.evaluation, schema)
             if len(schema) == 1:
                 ((binding_name, table),) = schema.items()
-                hazards = [conjunct_hazards(conjunct, self.evaluation, schema)
-                           for conjunct in conjuncts(expression)]
-                fn.may_raise = any(may_raise for may_raise, _null in hazards)
-                fn.zone_predicate = compile_zone_predicate(
-                    expression, self.evaluation, table, binding_name, hazards)
+                if _column_store(table):
+                    hazards = [conjunct_hazards(conjunct, self.evaluation, schema)
+                               for conjunct in conjuncts(expression)]
+                    fn.may_raise = any(may_raise for may_raise, _null in hazards)
+                    fn.zone_predicate = compile_zone_predicate(
+                        expression, self.evaluation, table, binding_name, hazards)
             if memo is not None:
                 memo[key] = fn
         return self.counted(fn)
@@ -358,7 +358,8 @@ class TableScan(PhysicalOperator):
                 runtime_filter: Optional["RuntimeJoinFilter"] = None,
                 answer: Optional[Callable[[Any], bool]] = None
                 ) -> Iterator[ColumnBatch]:
-        """Columnar scan: yield :class:`ColumnBatch` chunks of live rows.
+        """Batch scan: yield :class:`ColumnBatch` chunks of live rows
+        (a row store's are :class:`~repro.engine.batch.RowBatch` ones).
 
         ``predicate_fn`` is the pre-compiled vector form of
         :attr:`predicate` (the pipeline driver compiles the whole chain
@@ -430,8 +431,7 @@ class TableScan(PhysicalOperator):
             statistics.bytes_scanned += len(selection) * row_bytes
             statistics.batches_processed += 1
             statistics.batch_rows += len(selection)
-            batch = ColumnBatch(unit.columns(), unit.masks(), selection,
-                                binding_name, unit.base)
+            batch = unit.batch(selection, binding_name)
             if predicate_fn is not None:
                 batch.selection = _apply_scan_predicate(predicate_fn, batch,
                                                         selection, segment)
@@ -451,7 +451,71 @@ class TableScan(PhysicalOperator):
         return self.table.row_count
 
 
-class CoveringIndexScan(PhysicalOperator):
+class _IndexWalk(PhysicalOperator):
+    """What an index seek and a covering index scan share: a walk of
+    ``index`` in key order (the whole index, or an evaluated key range)
+    and its batches.  ``covering`` accounts the narrow index entries
+    instead of a random lookup per row."""
+
+    index: BTreeIndex
+    binding_name: str
+    covering: bool
+
+    @property
+    def table(self) -> Table:
+        return self.index.table
+
+    def walk(self, bounds: Optional[tuple]) -> Iterable[int]:
+        """The row ids of a key range (``seek_bounds``), in index order."""
+        return self.index.scan() if bounds is None else self.index.range(*bounds)
+
+    def batches(self, context: ExecutionContext, bounds: Optional[tuple],
+                predicate_fn: Optional[VectorExpression] = None
+                ) -> Iterator[ColumnBatch]:
+        """Batch walk: the live rows of the range ``bounds`` as batches.
+
+        Rows are in index order, as :meth:`rows` yields them, so a hash
+        build over the batches numbers its rows as the row path does.
+        Each batch holds up to :data:`~repro.engine.batch.BATCH_ROWS`
+        index entries (an empty range is one empty batch), gathered by
+        the storage: a column store reads a column per row id on first
+        access (:meth:`~repro.engine.storage.ColumnStore.gather`), so
+        only the columns the pipeline reads are fetched and a point
+        lookup decodes no segment; a row store hands over its stored
+        dicts.  ``predicate_fn`` is the vector form of the walk's
+        filter; statistics account exactly as :meth:`rows`.
+        """
+        statistics = context.statistics
+        table = self.table
+        covering = self.covering
+        row_bytes = int(self.index.entry_byte_width() if covering
+                        else table.average_row_bytes())
+        entries = iter(self.walk(bounds))
+        chunk = list(islice(entries, BATCH_ROWS))
+        while True:
+            row_ids, columns = table.storage.gather(chunk)
+            scanned = len(row_ids)
+            statistics.rows_scanned += scanned
+            statistics.bytes_scanned += scanned * row_bytes
+            statistics.index_entries_read += scanned
+            if not covering:
+                statistics.random_lookups += scanned
+            statistics.batches_processed += 1
+            statistics.batch_rows += scanned
+            batch = columns.batch(self.binding_name)
+            if predicate_fn is not None and scanned:
+                batch.selection = predicate_fn(batch, batch.selection)
+            self.actual_rows += len(batch.selection)
+            yield batch
+            chunk = list(islice(entries, BATCH_ROWS))
+            if not chunk:
+                return
+
+    def layout(self) -> Layout:
+        return table_layout(self.index.table, self.binding_name)
+
+
+class CoveringIndexScan(_IndexWalk):
     """Scan of an index whose columns cover the query (the paper's tag-table substitute).
 
     Index entries hold only a key and a row id, so every row is still
@@ -474,6 +538,7 @@ class CoveringIndexScan(PhysicalOperator):
     """
 
     label = "Covering Index Scan"
+    covering = True
 
     def __init__(self, index: BTreeIndex, binding_name: str,
                  predicate: Optional[Expression] = None, *,
@@ -487,6 +552,14 @@ class CoveringIndexScan(PhysicalOperator):
         self.low = low
         self.high = high
         self.columns = columns
+
+    def seek_bounds(self, context: ExecutionContext
+                    ) -> tuple[Optional[tuple], Optional[Expression]]:
+        """As :meth:`IndexRangeScan.seek_bounds`; the filter is always
+        the whole predicate."""
+        return key_range_bounds(
+            self.index, self.low, self.high,
+            lambda expression: context.compile(expression, ())({})), self.predicate
 
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
@@ -515,9 +588,6 @@ class CoveringIndexScan(PhysicalOperator):
             statistics.bytes_scanned += scanned * entry_bytes
             statistics.index_entries_read += scanned
             self.actual_rows += emitted
-
-    def layout(self) -> Layout:
-        return table_layout(self.index.table, self.binding_name)
 
     def details(self) -> str:
         where = f" WHERE {self.predicate.sql()}" if self.predicate is not None else ""
@@ -572,7 +642,7 @@ def key_range_text(low: Optional[Sequence[Expression]],
     return f"range {low_text}..{high_text}"
 
 
-class IndexRangeScan(PhysicalOperator):
+class IndexRangeScan(_IndexWalk):
     """Range (or equality) seek on an index, filtered by every local
     conjunct (the bounding ones too: see :func:`key_range_row_ids`) —
     except, when the walk is the key range itself, those the range
@@ -607,10 +677,6 @@ class IndexRangeScan(PhysicalOperator):
             lambda expression: context.compile(expression, ())({}))
         return bounds, self.predicate if bounds is None else self.range_predicate
 
-    def walk(self, bounds: Optional[tuple]) -> Iterable[int]:
-        """The row ids of a :meth:`seek_bounds` range, in index order."""
-        return self.index.scan() if bounds is None else self.index.range(*bounds)
-
     def rows(self, context: ExecutionContext) -> Iterator[Binding]:
         statistics = context.statistics
         table = self.index.table
@@ -640,56 +706,6 @@ class IndexRangeScan(PhysicalOperator):
             if not covering:
                 statistics.random_lookups += scanned
             self.actual_rows += emitted
-
-    @property
-    def table(self) -> Table:
-        return self.index.table
-
-    def batches(self, context: ExecutionContext, bounds: Optional[tuple],
-                predicate_fn: Optional[VectorExpression] = None
-                ) -> Iterator[ColumnBatch]:
-        """Columnar seek: the live rows of the :meth:`seek_bounds` range
-        ``bounds`` as column batches.
-
-        Rows are in index order, as :meth:`rows` yields them, so a hash
-        build over the batches numbers its rows as the row path does.
-        Each batch holds up to :data:`~repro.engine.batch.BATCH_ROWS`
-        index entries (an empty range is one empty batch), and its
-        columns are gathered per row id on first access
-        (:meth:`~repro.engine.storage.ColumnStore.gather`), so only the
-        columns the pipeline reads are fetched and a point lookup
-        decodes no segment.  ``predicate_fn`` is the vector form of the
-        walk's filter; statistics account exactly as :meth:`rows`.
-        """
-        statistics = context.statistics
-        table = self.index.table
-        covering = self.covering
-        row_bytes = int(self.index.entry_byte_width() if covering
-                        else table.average_row_bytes())
-        entries = iter(self.walk(bounds))
-        chunk = list(islice(entries, BATCH_ROWS))
-        while True:
-            row_ids, columns = table.storage.gather(chunk)
-            scanned = len(row_ids)
-            statistics.rows_scanned += scanned
-            statistics.bytes_scanned += scanned * row_bytes
-            statistics.index_entries_read += scanned
-            if not covering:
-                statistics.random_lookups += scanned
-            statistics.batches_processed += 1
-            statistics.batch_rows += scanned
-            batch = GatheredBatch(columns, {}, list(range(scanned)),
-                                  self.binding_name)
-            if predicate_fn is not None and scanned:
-                batch.selection = predicate_fn(batch, batch.selection)
-            self.actual_rows += len(batch.selection)
-            yield batch
-            chunk = list(islice(entries, BATCH_ROWS))
-            if not chunk:
-                return
-
-    def layout(self) -> Layout:
-        return table_layout(self.index.table, self.binding_name)
 
     def details(self) -> str:
         where = f" WHERE {self.predicate.sql()}" if self.predicate is not None else ""
@@ -1141,16 +1157,33 @@ def _column_store(table: Table) -> bool:
     return table.storage.kind == "column"
 
 
+def _storage_kind(table: Table) -> str:
+    return table.storage.kind
+
+
+def batch_readable(kind: str, columns: Optional[Sequence[str]]) -> bool:
+    """Whether a relation of storage ``kind`` read for ``columns`` (None:
+    a ``*``) is a batch source.  A column store always is; a row store
+    only for named columns, since a ``*`` wants the stored dict whole,
+    which the row path already hands out as it is."""
+    return kind == "column" or (kind == "row" and columns is not None)
+
+
+#: The access operators a chain starts from.
+_CHAIN_LEAVES = (TableScan, IndexRangeScan, CoveringIndexScan)
+
+
 @dataclass
 class BatchShape:
     """An operator subtree the batch engine executes as one input.
 
-    Either a *chain* — ``[FilterOp…]`` over a :class:`TableScan` or an
-    :class:`IndexRangeScan` of a column store — or ``[FilterOp…]`` over
-    a join: a :class:`HashJoin` whose build and probe are batch shapes
-    with disjoint bindings, or an equality :class:`IndexNestedLoopJoin`
-    into a column store whose outer side is a chain (its ``probe``: the
-    outer rows probe the index).  The planner labels exactly these
+    Either a *chain* — ``[FilterOp…]`` over a :class:`TableScan`, an
+    :class:`IndexRangeScan` or a :class:`CoveringIndexScan` — or
+    ``[FilterOp…]`` over a join: a :class:`HashJoin` whose build and
+    probe are batch shapes with disjoint bindings, or an equality
+    :class:`IndexNestedLoopJoin` whose outer side is a chain (its
+    ``probe``: the outer rows probe the index).  Every relation must be
+    :func:`batch_readable`.  The planner labels exactly these
     operators ``Batch`` (:meth:`operators`) and the executor runs
     exactly these (:func:`_batch_input`), from the one walk
     :func:`batch_shape`.
@@ -1177,31 +1210,32 @@ class BatchShape:
 
 
 def batch_shape(node: PhysicalOperator,
-                column_backed: Callable[[Table], bool] = _column_store
+                storage_kind: Callable[[Table], str] = _storage_kind
                 ) -> Optional[BatchShape]:
     """``node`` as a :class:`BatchShape`, or None.
 
-    ``column_backed`` tells whether a table is column-stored: execution
-    reads the storage itself, the planner asks its storage-kind hook.
+    ``storage_kind`` tells how a table is stored: execution reads the
+    storage itself, the planner asks its storage-kind hook.
     """
     filters: list[FilterOp] = []
     while isinstance(node, FilterOp):
         filters.append(node)
         node = node.child
-    if isinstance(node, (TableScan, IndexRangeScan)):
-        if not column_backed(node.table):
+    if isinstance(node, _CHAIN_LEAVES):
+        if not batch_readable(storage_kind(node.table), node.columns):
             return None
         return BatchShape(filters, node, frozenset((node.binding_name.lower(),)))
     if isinstance(node, HashJoin):
-        build = batch_shape(node.build, column_backed)
-        probe = batch_shape(node.probe, column_backed)
+        build = batch_shape(node.build, storage_kind)
+        probe = batch_shape(node.probe, storage_kind)
         if build is None or probe is None or build.bindings & probe.bindings:
             return None
         return BatchShape(filters, node, build.bindings | probe.bindings,
                           build, probe)
     if (isinstance(node, IndexNestedLoopJoin) and node.outer_high is None
-            and column_backed(node.inner_table)):
-        outer = batch_shape(node.outer, column_backed)
+            and batch_readable(storage_kind(node.inner_table),
+                               node.inner_columns)):
+        outer = batch_shape(node.outer, storage_kind)
         inner = node.inner_binding.lower()
         if outer is None or not outer.is_chain or inner in outer.bindings:
             return None
@@ -1260,22 +1294,22 @@ class _BatchInput:
 
 class _ChainInput(_BatchInput):
     """A chain :class:`BatchShape`, vector-compiled for one execution:
-    the one-binding batch input.  Its batches are the scan's or seek's,
-    narrowed by the filters."""
+    the one-binding batch input.  Its batches are the scan's or index
+    walk's, narrowed by the filters."""
 
     def __init__(self, context: ExecutionContext, shape: BatchShape):
         super().__init__()
         leaf = shape.source
-        assert isinstance(leaf, (TableScan, IndexRangeScan))
+        assert isinstance(leaf, _CHAIN_LEAVES)
         self.leaf = leaf
         self.table: Table = leaf.table
         self.binding_name = leaf.binding_name
         self.schema = {leaf.binding_name: leaf.table}
         predicate = leaf.predicate
-        #: A seek's evaluated key range, which decides its filter; the
-        #: walk itself waits for :meth:`batches`.
+        #: An index walk's evaluated key range, which decides its
+        #: filter; the walk itself waits for :meth:`batches`.
         self.bounds: Optional[tuple] = None
-        if isinstance(leaf, IndexRangeScan):
+        if not isinstance(leaf, TableScan):
             self.bounds, predicate = leaf.seek_bounds(context)
         self.predicate_fn = (self.predicate(context, predicate)
                              if predicate is not None else None)
@@ -1357,7 +1391,7 @@ def input_rows(context: ExecutionContext, node: PhysicalOperator
 def chain_input(context: ExecutionContext, node: PhysicalOperator
                 ) -> Optional[_ChainInput]:
     """``node`` as a batch chain compiled for this execution, or None:
-    not a chain over a column store, or an expression that does not
+    not a chain (:func:`batch_shape`), or an expression that does not
     vector-compile."""
     shape = batch_shape(node)
     if shape is None or not shape.is_chain:
@@ -1482,13 +1516,15 @@ def _runtime_join_filter(join: "HashJoin", hash_table: dict,
                          ) -> Optional["RuntimeJoinFilter"]:
     """The probe-side filter of a finished batch build, or None.
 
-    Only single-key joins probed by a table scan are filtered (a
-    compound key's per-component test would still be sound but is not
-    worth the bookkeeping; a seek or a join has no segments to skip).
+    Only single-key joins probed by a column-store table scan are
+    filtered (a compound key's per-component test would still be sound
+    but is not worth the bookkeeping; a seek, a join or a row store has
+    no segments to skip, and the probe's own lookup is the key test).
     """
     if not join.runtime_filter_enabled:
         return None
-    if not (isinstance(probe, _ChainInput) and isinstance(probe.leaf, TableScan)):
+    if not (isinstance(probe, _ChainInput) and isinstance(probe.leaf, TableScan)
+            and _column_store(probe.table)):
         return None
     if len(probe_key_fns) != 1 or len(join.probe_keys) != 1:
         return None
@@ -1547,7 +1583,7 @@ def _take(batch: ColumnBatch, column: str, positions: Sequence[int]) -> list:
     columns = batch.columns
     if isinstance(columns, _JoinColumns):
         return columns.take(column, positions)
-    return column_values(columns[column], batch.masks.get(column), positions, 0)
+    return batch.take(column, positions)
 
 
 class _BatchJoinSource(_BatchInput):
@@ -1677,10 +1713,8 @@ class _BatchJoinSource(_BatchInput):
         for batch in build.batches(context, needed_build):
             selection = batch.selection
             key_columns = [fn(batch, selection) for fn in build_fns]
-            masks = batch.masks
             for store, column in gathered:
-                store.extend(column_values(batch.columns[column],
-                                           masks.get(column), selection, 0))
+                store.extend(_take(batch, column, selection))
             keys.extend(key_columns[0] if single_key else zip(*key_columns))
         ordinals: Iterable[int] = range(len(keys))
         if null_possible:
@@ -1704,11 +1738,11 @@ class _BatchJoinSource(_BatchInput):
 class _IndexJoinInput(_BatchInput):
     """Drives an equality :class:`IndexNestedLoopJoin` batch-at-a-time.
 
-    The outer (drive) side is a chain and the inner table a column
-    store.  Each drive row that passes the chain seeks the inner index
-    once with its key (a NULL key part seeks nothing); one drive
-    batch's matches, each drive row's in index order, are gathered
-    together (:meth:`~repro.engine.storage.ColumnStore.gather`) into a
+    The outer (drive) side is a chain.  Each drive row that passes the
+    chain seeks the inner index once with its key (a NULL key part
+    seeks nothing); one drive batch's matches, each drive row's in
+    index order, are gathered together (the inner storage's
+    ``gather``) into a
     :class:`~repro.engine.batch.JoinBatch` keyed ``"binding.column"``,
     which the join's residual and the filters above it narrow.  Each
     fetched live inner row counts as the row join counts it: scanned,
@@ -1778,9 +1812,7 @@ class _IndexJoinInput(_BatchInput):
                 statistics.random_lookups += scanned
             if not scanned:
                 continue
-            masks = batch.masks
-            columns = {key: column_values(batch.columns[column],
-                                          masks.get(column), probe_positions, 0)
+            columns = {key: batch.take(column, probe_positions)
                        for key, column in drive_columns}
             columns.update((key, gathered[column])
                            for key, column in inner_columns)

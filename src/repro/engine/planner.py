@@ -1448,12 +1448,13 @@ class Planner:
         """Flag batch execution wherever a batch shape feeds an operator.
 
         A projection or an aggregation batches when it reads a
-        :func:`~repro.engine.operators.batch_shape`: filtered
-        column-store scans and index seeks, and hash joins of such
-        inputs (TOP/DISTINCT/INTO above the projection just consume its
-        rows; a Sort between projection and source keeps the projection
-        row-mode but not an aggregation below it).  Every other chain —
-        ``[filter…]`` over a column-store scan or seek — that a row-mode
+        :func:`~repro.engine.operators.batch_shape`: filtered scans and
+        index walks of column stores, and of row stores read for named
+        columns, and joins of such inputs (TOP/DISTINCT/INTO above the
+        projection just consume its rows; a Sort between projection and
+        source keeps the projection row-mode but not an aggregation
+        below it).  Every other chain —
+        ``[filter…]`` over such a scan or walk — that a row-mode
         operator reads once through
         :meth:`~repro.engine.operators.PhysicalOperator.row_inputs` (a
         Sort, a join's outer, build or probe side, a row-mode
@@ -1485,7 +1486,7 @@ class Planner:
             # Filters above the aggregate are HAVING residuals and a Sort
             # is an ORDER BY over the group rows: both run row-at-a-time
             # over the (few) groups while the aggregation itself batches.
-            shape = batch_shape(inner.child, self._column_backed)
+            shape = batch_shape(inner.child, self._storage_kind)
             if shape is not None:
                 inner.mark_batch_mode()
                 for operator in shape.operators():
@@ -1493,7 +1494,7 @@ class Planner:
         elif not crossed_sort:
             # A Sort between projection and source consumes its bindings
             # row-at-a-time, so the projection cannot batch.
-            shape = batch_shape(project.child, self._column_backed)
+            shape = batch_shape(project.child, self._storage_kind)
             if shape is not None and project.batches_over(shape):
                 project.mark_batch_mode()
                 for operator in shape.operators():
@@ -1508,15 +1509,12 @@ class Planner:
         if operator.vectorized:
             return
         for child in operator.row_inputs():
-            shape = batch_shape(child, self._column_backed)
+            shape = batch_shape(child, self._storage_kind)
             if shape is not None and shape.is_chain:
                 for chained in shape.operators():
                     chained.mark_batch_mode()
         for child in operator.children():
             self._mark_row_inputs(child)
-
-    def _column_backed(self, table: Table) -> bool:
-        return self._storage_kind(table) == "column"
 
     def _rewrite_order_key(self, expression: Expression, query: LogicalQuery) -> Expression:
         """ORDER BY may reference select-list aliases; rewrite to the underlying expression."""

@@ -41,9 +41,11 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, compress, repeat
+from operator import countOf, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .batch import column_values, row_dicts
+from .batch import (BATCH_ROWS, ColumnBatch, DictColumns, GatheredBatch,
+                    RowBatch, column_values, row_dicts)
 from .errors import SchemaError
 from .segments import SEGMENT_ROWS, _logical_bytes, build_segment
 from .types import Column, DataType, NULL
@@ -143,6 +145,11 @@ class RowStore(TableStorage):
 
     Reads ignore ``columns``: the stored dict is already built, and a
     superset of the asked-for keys is all the contract promises.
+
+    The batch read interface (:meth:`scan_units`, :meth:`gather`,
+    :meth:`column_null_count`) hands out the stored dicts themselves
+    (:class:`~repro.engine.batch.RowBatch`): a batch is a list of them,
+    never a transposed copy.
     """
 
     kind = "row"
@@ -150,6 +157,12 @@ class RowStore(TableStorage):
     def __init__(self) -> None:
         self._slots: list[Optional[dict[str, Any]]] = []
         self._live = 0
+        #: Column -> (NULLs among the live rows of ``slots[:counted]``,
+        #: counted), for the columns asked about since the last vacuum
+        #: or clear.  Appends cost nothing: a count catches up with the
+        #: slots when next asked.  Readers replace the map; only a
+        #: delete (under the table's write lock) updates it in place.
+        self._nulls: dict[str, tuple[int, int]] = {}
 
     def next_row_id(self) -> int:
         return len(self._slots)
@@ -167,20 +180,28 @@ class RowStore(TableStorage):
         return None
 
     def delete(self, row_id: int) -> bool:
-        if 0 <= row_id < len(self._slots) and self._slots[row_id] is not None:
-            self._slots[row_id] = None
-            self._live -= 1
-            return True
-        return False
+        row = self._slots[row_id] if 0 <= row_id < len(self._slots) else None
+        if row is None:
+            return False
+        self._slots[row_id] = None
+        self._live -= 1
+        counts = self._nulls
+        for name, (nulls, counted) in counts.items():
+            if nulls and row_id < counted and row[name] is NULL:
+                counts[name] = (nulls - 1, counted)
+        return True
 
     def clear(self) -> None:
         self._slots.clear()
         self._live = 0
+        self._nulls = {}
 
     def vacuum(self) -> int:
         dead = len(self._slots) - self._live
         if dead:
             self._slots = [row for row in self._slots if row is not None]
+            # Row ids moved: every count starts again from slot 0.
+            self._nulls = {}
         return dead
 
     @property
@@ -205,6 +226,49 @@ class RowStore(TableStorage):
     def slots(self) -> list[Optional[dict[str, Any]]]:
         return self._slots
 
+    # -- the batch read interface ------------------------------------------
+
+    def scan_units(self) -> list["_RowUnit"]:
+        """The batch scan's units: the live rows of each run of
+        :data:`~repro.engine.batch.BATCH_ROWS` slots, in id order, from
+        one snapshot of the slot list."""
+        slots = self._slots
+        dense = self._live == len(slots)
+        return [_RowUnit(slots[start:start + BATCH_ROWS], dense)
+                for start in range(0, len(slots), BATCH_ROWS)]
+
+    def gather(self, row_ids: Iterable[int]) -> tuple[list[int], DictColumns]:
+        """The live ``row_ids``, in the order given (repeats kept), and
+        their stored dicts as columns (:meth:`DictColumns.batch`)."""
+        slots = self._slots
+        ids = list(row_ids)
+        if ids and (min(ids) < 0 or max(ids) >= len(slots)):
+            ids = [row_id for row_id in ids if 0 <= row_id < len(slots)]
+        rows = [slots[row_id] for row_id in ids]
+        if self._live != len(slots):
+            # Stored dicts are never empty, so only tombstones are falsy.
+            ids = list(compress(ids, rows))
+            rows = list(filter(None, rows))
+        return ids, DictColumns(rows)
+
+    def column_null_count(self, name: str) -> int:
+        """NULLs in column ``name`` among the live rows (exact under every
+        write: a delete takes its row's NULLs off, a vacuum or clear
+        starts the counts again)."""
+        key = name.lower()
+        slots = self._slots
+        counts = self._nulls
+        nulls, counted = counts.get(key, (0, 0))
+        if counted < len(slots):
+            end = len(slots)
+            nulls += countOf(map(itemgetter(key),
+                                 filter(None, slots[counted:end])), NULL)
+            # Published whole, never changed in place by a reader (a
+            # delete may be walking the current map); concurrent readers
+            # each publish pairs that are right for their own ``end``.
+            self._nulls = {**counts, key: (nulls, end)}
+        return nulls
+
     def checkpoint_state(self) -> dict[str, Any]:
         # Tombstones serialize as NULL; live rows as their dicts.
         return {"kind": "row", "slots": list(self._slots)}
@@ -214,6 +278,26 @@ class RowStore(TableStorage):
             raise SchemaError(f"row store cannot restore {state.get('kind')!r} state")
         self._slots = list(state["slots"])
         self._live = sum(1 for row in self._slots if row is not None)
+        self._nulls = {}
+
+
+class _RowUnit:
+    """One unit of a row store's batch scan: a run of slots, tombstones
+    dropped (``dense``: the store had none)."""
+
+    __slots__ = ("dicts",)
+
+    #: A row store has no sealed segments (nothing to skip or answer).
+    segment = None
+
+    def __init__(self, slots: list[Optional[dict[str, Any]]], dense: bool):
+        self.dicts = slots if dense else list(filter(None, slots))
+
+    def selection(self) -> list[int]:
+        return list(range(len(self.dicts)))
+
+    def batch(self, selection: list[int], binding_name: str) -> RowBatch:
+        return RowBatch(self.dicts, selection, binding_name)
 
 
 class _ColumnData:
@@ -330,6 +414,10 @@ class _ScanUnit:
             return self.segment.masks
         return {name: data.mask for name, data in self.parts.tail.items()
                 if data.null_count}
+
+    def batch(self, selection: list[int], binding_name: str) -> ColumnBatch:
+        return ColumnBatch(self.columns(), self.masks(), selection,
+                           binding_name, self.base)
 
 
 class _UnitColumns(dict):
@@ -488,6 +576,11 @@ class _GatheredColumns(dict):
         """The row at ``position`` as a dict of ``names`` (table columns),
         read value by value as :meth:`ColumnStore.get` reads it."""
         return self.store._row_at(self.parts, self.row_ids[position], names)
+
+    def batch(self, binding_name: str) -> GatheredBatch:
+        """Every gathered row as one batch."""
+        return GatheredBatch(self, {}, list(range(len(self.row_ids))),
+                             binding_name)
 
 
 class ColumnStore(TableStorage):

@@ -21,6 +21,16 @@ How a cover is computed, once per piece of geometry:
   (6) keep their children, deeper ones are built per call and dropped,
   so the retained mesh is at most 43,688 nodes (~44 MB whole-sky, a few
   hundred nodes for a survey footprint).
+* **A fast test for circles.** A circle's or halfspace's classify
+  spends most of its time on the angular distance from a node's cap
+  to the region's center, needed only for a node with no corner inside.
+  ``_halfspace_classifier`` compares ``dot(center, normal)`` with
+  ``cos(R + r)`` instead (``R`` the region's radius, per region; the
+  node's ``cos r`` and ``sin r`` from ``MeshNode.cap_terms``, kept on
+  retained nodes).  Within ``CLASSIFY_BAND`` of that threshold, where
+  the two computations could round to different sides, it calls the
+  exact ``Region.classify``; outside it they cannot disagree (the
+  float errors are ~1e-16), so the answer is still the reference's.
 * **Cover memo.** ``cover`` answers — circles (``cover_circle``),
   rectangles (``fGetObjFromRectEq``), any hashable region — are kept in
   one LRU of ``COVER_MEMO_SIZE`` entries keyed by ``(frozen region,
@@ -42,15 +52,21 @@ inlined — CPython 3.12+ ``sum()`` compensates float rounding where
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .mesh import DEFAULT_DEPTH, ROOT_NODES, id_range_at_depth
-from .regions import Circle, Markup, Region
+from .mesh import DEFAULT_DEPTH, ROOT_NODES, MeshNode, id_range_at_depth
+from .regions import Circle, Halfspace, Markup, Region
+from .vectors import dot
 
 #: Covers remembered, keyed by (region, cover_depth, storage_depth).
 COVER_MEMO_SIZE = 1024
+
+#: Half-width of the band around a circle's ``cos(R + r)`` threshold
+#: inside which a node is classified exactly (``Region.classify``).
+CLASSIFY_BAND = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -106,7 +122,7 @@ def _memoised_cover(region: Region, cover_depth: int,
 
 def _descend(region: Region, cover_depth: int, storage_depth: int) -> list[HtmRange]:
     """The cover of ``region``, computed."""
-    classify = region.classify
+    classify = _classifier(region)
     ranges: list[HtmRange] = []
     pending = list(reversed(ROOT_NODES))
     while pending:
@@ -119,6 +135,58 @@ def _descend(region: Region, cover_depth: int, storage_depth: int) -> list[HtmRa
         else:
             pending.extend(reversed(node.children()))
     return merge_ranges(ranges)
+
+
+def _classifier(region: Region) -> Callable[[MeshNode], Markup]:
+    """``region.classify``, or its fast form for a circle or halfspace."""
+    if type(region) is Circle:
+        return _halfspace_classifier(region.halfspace)
+    if type(region) is Halfspace:
+        return _halfspace_classifier(region)
+    return region.classify
+
+
+def _halfspace_classifier(halfspace: Halfspace) -> Callable[[MeshNode], Markup]:
+    """:meth:`Halfspace.classify` over mesh nodes, deciding OUTSIDE
+    without the angular distance.
+
+    The reference calls a node with no corner inside OUTSIDE when
+    ``angular_distance(center, normal) > R + r`` (degrees, ``r`` the
+    node's cap radius), never when ``R + r`` reaches 180.  For ``R + r``
+    below 180 that is ``dot(center, normal) < cos(R + r)``; the sides
+    of the band around the threshold are decided here, the band itself
+    (and ``R + r`` near 180) by the reference.
+    """
+    normal = halfspace.normal
+    n0, n1, n2 = normal
+    bound = halfspace.offset - 1.0e-12          # Halfspace.contains' test
+    radius = math.radians(halfspace.angular_radius)
+    cos_radius, sin_radius = math.cos(radius), math.sin(radius)
+    exact = halfspace.classify
+    inside, partial, outside = Markup.INSIDE, Markup.PARTIAL, Markup.OUTSIDE
+
+    def classify(node: MeshNode) -> Markup:
+        # dot(normal, corner) >= bound, spelled out: the same products
+        # summed in the same order.
+        corners_inside = 0
+        for x, y, z in node.corners:
+            corners_inside += n0 * x + n1 * y + n2 * z >= bound
+        if corners_inside == 3:
+            return inside
+        if corners_inside:
+            return partial
+        center, cos_cap, sin_cap = node.cap_terms()
+        if cos_cap <= CLASSIFY_BAND - cos_radius:
+            return exact(node)                  # R + r at or near 180
+        threshold = cos_radius * cos_cap - sin_radius * sin_cap
+        separation = dot(center, normal)
+        if separation < threshold - CLASSIFY_BAND:
+            return outside
+        if separation > threshold + CLASSIFY_BAND:
+            return partial
+        return exact(node)
+
+    return classify
 
 
 def cover_circle(ra: float, dec: float, radius_arcmin: float, *,

@@ -15,6 +15,7 @@ byte-identical to a ``Trixel`` descent).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .trixel import _EDGE_EPSILON, ROOT_TRIXELS, Trixel, htm_level, trixel_from_id
@@ -43,7 +44,8 @@ class MeshNode:
     needed.
     """
 
-    __slots__ = ("htm_id", "level", "corners", "_children", "_normals", "_cap")
+    __slots__ = ("htm_id", "level", "corners", "_children", "_normals", "_cap",
+                 "_cap_terms")
 
     def __init__(self, htm_id: int, level: int, corners: tuple[Vector, Vector, Vector]):
         self.htm_id = htm_id
@@ -52,6 +54,7 @@ class MeshNode:
         self._children: tuple[MeshNode, MeshNode, MeshNode, MeshNode] | None = None
         self._normals: tuple[Vector, Vector, Vector] | None = None
         self._cap: tuple[Vector, float] | None = None
+        self._cap_terms: tuple[Vector, float, float] | None = None
 
     def children(self) -> tuple["MeshNode", "MeshNode", "MeshNode", "MeshNode"]:
         """The four children, kept for the process above ``RETAINED_LEVEL``."""
@@ -83,6 +86,23 @@ class MeshNode:
                          angular_distance(center, v2))
             cap = self._cap = (center, radius)
         return cap
+
+    def cap_terms(self) -> tuple[Vector, float, float]:
+        """``(center, cos r, sin r)`` of :meth:`bounding_cap`'s cap, from
+        the corner farthest from the center (its dot product and cross
+        norm, both accurate to a few ulps), without the trigonometry of
+        the cap's radius in degrees: what the cover's fast test for a
+        circle needs (``cover._halfspace_classifier``)."""
+        terms = self._cap_terms
+        if terms is None:
+            corners = self.corners
+            center = centroid(corners)
+            cosines = [dot(center, corner) for corner in corners]
+            cos_cap = min(cosines)
+            x, y, z = cross(center, corners[cosines.index(cos_cap)])
+            terms = self._cap_terms = (center, cos_cap,
+                                       math.sqrt(x * x + y * y + z * z))
+        return terms
 
     def contains(self, vector: Sequence[float]) -> bool:
         """True when ``vector`` lies inside (or on the boundary of) the trixel."""

@@ -288,10 +288,25 @@ def _actuals(explain: str) -> list[tuple[str, int]]:
 @pytest.mark.parametrize("sql", sorted(TOP_COUNTS))
 def test_actual_rows_stay_exact_under_top(sql):
     def session():
-        # fresh each time: cardinality feedback re-plans a repeated statement
+        # fresh each time: cardinality feedback re-plans a repeated statement;
+        # the row loops, so the row store is pinned to the row pipeline
         database = _top_database()
-        return SqlSession(database, planner=Planner(database, enable_index_join=False))
+        return SqlSession(database, planner=Planner(database, enable_index_join=False,
+                                                    enable_vectorized=False))
 
     assert _actuals(session().explain(sql, analyze=True)) == TOP_COUNTS[sql]
     # untimed: the plain execution path, no per-operator timing wrappers
     assert _actuals(session().query(sql).plan.explain()) == TOP_COUNTS[sql]
+
+
+@pytest.mark.parametrize("sql", sorted(sql for sql in TOP_COUNTS if "group by" in sql))
+def test_grouped_actual_rows_stay_exact_under_top_in_batch(sql):
+    """The row store's batch plan of a GROUP BY under TOP: the groups
+    stream to the TOP, so every operator's actual rows are the row
+    loops' — the aggregate's parent's included."""
+    database = _top_database()
+    session = SqlSession(database, planner=Planner(database, enable_index_join=False))
+    explain = session.query(sql).plan.explain()
+    assert "-> Batch Aggregate" in explain
+    assert [(label.removeprefix("Batch "), rows) for label, rows in _actuals(explain)] \
+        == TOP_COUNTS[sql]

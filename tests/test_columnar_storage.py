@@ -184,7 +184,9 @@ GROUP_SQL = ("select type, count(*) as n, avg(modelmag_r) as m "
 class TestVectorizedExecution:
     @pytest.mark.parametrize("sql", [SCAN_SQL, AGG_SQL, GROUP_SQL])
     def test_matches_row_store_results(self, sql):
-        row_result = Planner(_build_database("row")).plan(parse_select(sql)).execute()
+        # The row store with vectorization off is the row pipeline.
+        row_result = Planner(_build_database("row"), enable_vectorized=False).plan(
+            parse_select(sql)).execute()
         col_result = Planner(_build_database("column")).plan(parse_select(sql)).execute()
         assert col_result.rows == row_result.rows
         assert col_result.statistics.batches_processed > 0

@@ -135,7 +135,8 @@ class TestFusedPath:
     def test_fused_matches_interpreted(self, sql):
         database, _table = make_database()
         query = parse_select(sql)
-        fused = Planner(database).plan(query).execute()
+        # A row store batches unless pinned to the row pipeline.
+        fused = Planner(database, enable_vectorized=False).plan(query).execute()
         interpreted = Planner(database).plan(query).execute(compiled=False)
         assert fused.rows == interpreted.rows
         assert fused.columns == interpreted.columns

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import (Database, Planner, PrimaryKey, View, bigint, floating,
                           integer)
-from repro.engine.explain import plan_operators
+from repro.engine.explain import plan_operators, plan_strategies
 from repro.engine.sql import SqlSession, parse_expression, parse_select
 
 
@@ -18,23 +18,23 @@ def session(toy_photo_database):
 class TestAccessPaths:
     def test_primary_key_equality_uses_index_seek(self, session, toy_photo_database):
         plan = session.plan("select ra from PhotoObj where objID = 42")
-        assert "Index Seek" in plan_operators(plan)
+        assert "Index Seek" in plan_strategies(plan)
         result = plan.execute()
         assert len(result.rows) == 1
 
     def test_unindexed_predicate_uses_table_scan(self, session):
         plan = session.plan("select objID from PhotoObj where rowv > 20")
-        assert "Table Scan" in plan_operators(plan)
+        assert "Table Scan" in plan_strategies(plan)
 
     def test_covering_index_used_when_columns_covered(self, session):
         plan = session.plan("select type, modelMag_r from PhotoObj where modelMag_r < 15 and type = type")
         # All referenced columns (type, modelMag_r, objID) are covered by ix_type.
-        labels = plan_operators(plan)
+        labels = plan_strategies(plan)
         assert "Covering Index Scan" in labels or "Index Seek" in labels
 
     def test_index_seek_on_composite_prefix(self, session):
         plan = session.plan("select objID from PhotoObj where run = 756 and camcol = 3")
-        assert "Index Seek" in plan_operators(plan)
+        assert "Index Seek" in plan_strategies(plan)
         rows = plan.execute().rows
         assert rows and all(True for _ in rows)
 
@@ -83,7 +83,7 @@ class TestJoins:
         session = SqlSession(spectro_database)
         plan = session.plan(
             "select p.objID, s.z from SpecObj s join PhotoObj p on p.objID = s.objID")
-        assert "Index Nested Loop Join" in plan_operators(plan)
+        assert "Index Nested Loop Join" in plan_strategies(plan)
         result = plan.execute()
         assert len(result.rows) == 40
 

@@ -1,20 +1,24 @@
 """The work every Figure-13 statement does, pinned counter by counter.
 
-For each of the 22 statements, on the test survey's column-store server
-and on a 4-shard column-store server, ``tests/data/fig13_work.json``
-holds every :class:`~repro.engine.operators.ExecutionStatistics` counter
-that does not measure time.  A refactor of the batch engine or of the
+For each of the 22 statements, on the test survey's default (row-store)
+server, its column-store server and a 4-shard column-store server,
+``tests/data/fig13_work.json`` holds every
+:class:`~repro.engine.operators.ExecutionStatistics` counter that does
+not measure time.  A refactor of the batch engine or of the
 shard executor must leave them all as they are: the same rows and bytes
 scanned, the same index entries read, the same batches, segments,
 runtime-filter pruning, row-view fallbacks and compiled expressions.
 
 Regenerate the file (only for a change meant to alter the work) with::
 
-    PYTHONPATH=src python tests/test_fig13_work.py --write
+    PYTHONPATH=src python tests/test_fig13_work.py --write [--server NAME]
+
+``--server NAME`` regenerates one server's half and keeps the others.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -34,14 +38,15 @@ COUNTERS = (
     "vector_fallbacks", "exprs_compiled", "rows_returned",
 )
 
-#: Server name -> shard count.
-SERVERS = {"columnar": 1, "shards4": 4}
+#: Server name -> (column store?, shard count).
+SERVERS = {"default": (False, 1), "columnar": (True, 1), "shards4": (True, 4)}
 
 
-def server_work(survey_output, shards: int) -> dict[str, dict[str, int]]:
+def server_work(survey_output, columnar: bool,
+                shards: int) -> dict[str, dict[str, int]]:
     """Query id -> counter -> value over one pass of the suite on a
-    freshly loaded column-store server."""
-    database, report = load_release_database(survey_output, columnar=True,
+    freshly loaded server."""
+    database, report = load_release_database(survey_output, columnar=columnar,
                                              shards=shards)
     server = SkyServer(database, limits=QueryLimits.private(),
                        cluster=report.cluster)
@@ -50,9 +55,9 @@ def server_work(survey_output, shards: int) -> dict[str, dict[str, int]]:
             for run in server.run_all_data_mining_queries()}
 
 
-def work(survey_output) -> dict[str, dict[str, dict[str, int]]]:
-    return {name: server_work(survey_output, shards)
-            for name, shards in SERVERS.items()}
+def work(survey_output, names=tuple(SERVERS)
+         ) -> dict[str, dict[str, dict[str, int]]]:
+    return {name: server_work(survey_output, *SERVERS[name]) for name in names}
 
 
 def differences(expected, actual) -> list[str]:
@@ -83,8 +88,12 @@ def test_fig13_work_is_pinned(fig13_work, server):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_fig13_work.py --write")
+    parser = argparse.ArgumentParser(description="Regenerate the fig13 work snapshot.")
+    parser.add_argument("--write", action="store_true", required=True)
+    parser.add_argument("--server", choices=list(SERVERS),
+                        help="regenerate this server's half only")
+    arguments = parser.parse_args()
+    names = (arguments.server,) if arguments.server else tuple(SERVERS)
     sys.path.insert(0, str(Path(__file__).parent))
     from conftest import TEST_DENSITY, TEST_SEED
     from repro.pipeline import PlantedPopulations, SurveyConfig, SyntheticSurvey
@@ -92,6 +101,8 @@ if __name__ == "__main__":
     survey = SyntheticSurvey(SurveyConfig(
         scale=0.0005, seed=TEST_SEED, density_per_sq_deg=TEST_DENSITY,
         planted=PlantedPopulations())).run()
+    snapshot = json.loads(WORK_FILE.read_text()) if WORK_FILE.exists() else {}
+    snapshot.update(work(survey, names))
     WORK_FILE.parent.mkdir(exist_ok=True)
-    WORK_FILE.write_text(json.dumps(work(survey), indent=1, sort_keys=True) + "\n")
+    WORK_FILE.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     print(f"wrote {WORK_FILE}")

@@ -41,6 +41,14 @@ interpreter (``execute(compiled=False)``), must give ``repr``-identical
 rows and the same ``rows_scanned``, ``index_entries_read`` and
 ``random_lookups``; zone maps are off there (a skipped segment is not
 scanned) and on for a rows-only check.
+
+A fourth suite covers row stores as batch sources: one set of plans
+over a row store, run with ``enable_vectorized`` on, off and under the
+interpreter after each write — tombstones, a vacuum and inserts after
+it, a column's first NULL — must give ``repr``-identical rows or the
+same error, the same counters and the same actual rows per operator
+(under a TOP without ORDER BY, rows only: a batch source stops at a
+batch edge).
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from repro.engine import (ColumnBatch, Database, Planner, PrimaryKey,  # noqa: E
                           bigint, boolean, compile_expression,
                           compile_vector_predicate, compile_vector_projection,
                           floating, integer, text)
+from repro.engine.batch import BATCH_ROWS  # noqa: E402
 from repro.engine.compile import conjunct_hazards  # noqa: E402
 from repro.engine.expressions import EvaluationContext  # noqa: E402
 from repro.engine.explain import plan_operators  # noqa: E402
@@ -627,8 +636,7 @@ def _chain_outcomes(databases: dict[str, Database], flags: dict, sql: str):
     row = Planner(databases["row"], **exact).plan(parse_select(sql))
     zoned = Planner(databases["column"], **flags).plan(parse_select(sql))
     # One plan on both stores, so the counters compare.
-    assert [label.removeprefix("Batch ") for label in plan_operators(column)] \
-        == plan_operators(row), sql
+    assert _unlabelled(column) == _unlabelled(row), sql
     return (_run(column), _run(row), _run(column, compiled=False), _run(zoned))
 
 
@@ -682,6 +690,11 @@ def test_row_consumers_read_their_chains_as_batches():
             parse_select(sql)).execute().statistics.batches_processed == 0, sql
         column, row, interpreted, _zoned = _chain_outcomes(databases, flags, sql)
         assert column == row == interpreted, sql
+
+
+def _unlabelled(plan) -> list[str]:
+    """A plan's operator labels without their ``Batch`` prefixes."""
+    return [label.removeprefix("Batch ") for label in plan_operators(plan)]
 
 
 def _walk(operator):
@@ -831,3 +844,201 @@ def test_join_key_shapes_run_batch(build):
             assert batch == row, sql
             assert batch[0] == "rows", batch
             assert filtered[:2] == row[:2], sql
+
+
+# -- row stores as batch sources ----------------------------------------------
+
+#: Every shape a row store feeds the batch engine: a scan, a whole and a
+#: key-range-bounded covering scan, a seek, GROUP BY (its chain a
+#: covering scan), the index nested-loop join into the row store, a hash
+#: join, and a Sort's chain.  ``c`` holds no NULL until one arrives
+#: after the plans are made (``r.c > 1`` then leaves the generated loop).
+ROW_STORE_SQLS = (
+    ({}, "select r.id, r.c * 2 as c2, r.b from r where r.c > 1 and r.grp <> 3"),
+    ({}, "select r.id, r.grp * 2 as g2 from r where r.grp in (1, 3) and r.id > 100"),
+    ({}, "select r.grp, r.c from r where r.grp >= 2 and r.grp <= 4 and r.c > 0"),
+    ({}, "select r.id, r.name from r where r.grp = 3 and r.c < 3"),
+    ({}, "select r.grp, count(*) as n, sum(r.c) as t, min(r.c) as lo from r "
+         "group by r.grp order by r.grp"),
+    ({"enable_hash_join": False},
+     "select r.id, r.c, x.label from r join t x on x.id = r.grp where r.c >= 1"),
+    ({"enable_index_join": False},
+     "select x.label, count(*) as n, max(r.c) as m from t x join r on r.a = x.id "
+     "group by x.label"),
+    ({}, "select r.id, r.name from r where r.name like 'a%' order by r.c desc, r.id"),
+    # GROUP BY under TOP: the groups stream, so every operator's actual
+    # rows are the row path's.
+    ({}, "select top 3 r.grp, count(*) as n from r group by r.grp"),
+)
+
+#: TOP without ORDER BY: the row path stops mid-scan, a batch source at
+#: a batch edge, so only the rows must agree.
+ROW_STORE_TOP_SQLS = (
+    ({}, "select top 5 r.id, r.c from r where r.c > 1"),
+    ({"enable_hash_join": False},
+     "select top 7 r.id, x.label from r join t x on x.id = r.grp where r.c >= 1"),
+)
+
+
+def _row_store_row(rng: random.Random, objid: int, c_nulls: float = 0.0) -> dict:
+    return {"id": objid, "grp": rng.randrange(7),
+            "a": None if rng.random() < 0.4 else rng.randrange(5),
+            "b": None if rng.random() < 0.2 else rng.choice((-1.5, -0.0, 0.5, 2.5)),
+            "c": None if rng.random() < c_nulls else rng.randrange(6),
+            "name": None if rng.random() < 0.15 else rng.choice(NAMES)}
+
+
+def _row_store(seed: int, tail: int) -> Database:
+    """``r`` (``BATCH_ROWS + tail`` rows, ``c`` NULL-free) and ``t``,
+    both row stores."""
+    rng = random.Random(seed)
+    database = Database("row-batches")
+    r = database.create_table("r", [
+        bigint("id"), integer("grp"), integer("a", nullable=True),
+        floating("b", nullable=True), integer("c", nullable=True),
+        text("name", nullable=True),
+    ], primary_key=PrimaryKey(["id"]))
+    r.insert_many(_row_store_row(rng, objid) for objid in range(BATCH_ROWS + tail))
+    r.create_index("ix_r_grp", ["grp"])
+    r.create_index("ix_r_grp_c", ["grp", "c"])
+    t = database.create_table("t", [bigint("id"), text("label"), floating("w")],
+                              primary_key=PrimaryKey(["id"]))
+    t.insert_many({"id": objid, "label": rng.choice(NAMES), "w": float(objid % 9)}
+                  for objid in range(600))
+    database.analyze()
+    return database
+
+
+def _operator_rows(plan) -> list[tuple[str, int]]:
+    """(label without ``Batch``, actual rows) of every operator, top down."""
+    return [(operator.label.removeprefix("Batch "), operator.actual_rows)
+            for operator in _walk(plan.root)]
+
+
+def _row_store_outcome(plan, exact: bool, **options):
+    try:
+        result = plan.execute(**options)
+    except Exception as error:  # every side must raise the same error
+        return ("error", type(error).__name__, str(error))
+    statistics = result.statistics
+    counters = (statistics.rows_scanned, statistics.bytes_scanned,
+                statistics.index_entries_read, statistics.random_lookups)
+    if not exact:
+        return ("rows", repr(result.rows)), counters
+    return ("rows", repr(result.rows), *counters, _operator_rows(plan)), None
+
+
+def _row_store_sides(database: Database, flags: dict, sql: str):
+    """(batch plan, row plan): one plan, labelled apart only by ``Batch``."""
+    batch, row = (Planner(database, enable_vectorized=vectorized, **flags)
+                  .plan(parse_select(sql)) for vectorized in (True, False))
+    assert _unlabelled(batch) == plan_operators(row), sql
+    assert any(label.startswith("Batch ") for label in plan_operators(batch)), sql
+    return batch, row
+
+
+def _compare_row_store(plans, sql: str, exact: bool) -> None:
+    batch, row = plans
+    batch_outcome, batch_counters = _row_store_outcome(batch, exact)
+    row_outcome, row_counters = _row_store_outcome(row, exact)
+    interpreted, _counters = _row_store_outcome(batch, exact, compiled=False)
+    assert batch_outcome == row_outcome == interpreted, sql
+    if not exact and batch_outcome[0] == "rows":
+        assert all(map(int.__ge__, batch_counters, row_counters)), sql
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       tail=st.integers(min_value=1, max_value=200),
+       dead=st.lists(st.integers(min_value=0, max_value=BATCH_ROWS + 200),
+                     min_size=1, max_size=60),
+       vacuum=st.booleans(),
+       inserted=st.integers(min_value=0, max_value=40))
+@settings(max_examples=8, deadline=None)
+def test_row_store_batches_answer_as_the_row_path(seed, tail, dead, vacuum,
+                                                  inserted):
+    """A row store with ``enable_vectorized`` on, off, and under the
+    interpreter: the same rows or error, counters and actual rows, from
+    the same plans run again after each write — tombstones, a vacuum
+    and inserts after it, and a first NULL in ``c``, which the plans
+    met NULL-free."""
+    database = _row_store(seed, tail)
+    plans = [(_row_store_sides(database, flags, sql), sql, True)
+             for flags, sql in ROW_STORE_SQLS]
+    plans += [(_row_store_sides(database, flags, sql), sql, False)
+              for flags, sql in ROW_STORE_TOP_SQLS]
+
+    def compare() -> None:
+        for sides, sql, exact in plans:
+            _compare_row_store(sides, sql, exact)
+
+    compare()
+    table = database.table("r")
+    count = BATCH_ROWS + tail
+    doomed = {position % count for position in dead}
+    table.delete_where(lambda values: values["id"] in doomed)
+    compare()
+    rng = random.Random(seed)
+    if vacuum:
+        table.vacuum()
+        # Fewer rows than the vacuum reclaimed, some with a NULL ``c``:
+        # the slots end before the counts' last watermark.
+        table.insert_many(_row_store_row(rng, objid, c_nulls=0.5)
+                          for objid in range(count, count + min(inserted, len(doomed))))
+        compare()
+    table.insert(_row_store_row(rng, 10**6, c_nulls=1.0))
+    compare()
+
+
+def test_row_store_null_counts_follow_every_write():
+    """``RowStore.column_null_count`` against a recount, through
+    inserts, deletes, a vacuum and inserts after it, a clear."""
+    database = _row_store(seed=3, tail=10)
+    table = database.table("r")
+    storage = table.storage
+
+    def recount(name: str) -> int:
+        return sum(1 for _row_id, values in table.iter_rows()
+                   if values[name] is None)
+
+    def check() -> None:
+        for name in ("a", "b", "c", "name"):
+            assert storage.column_null_count(name) == recount(name), name
+
+    check()
+    table.insert({"id": -1, "grp": 1, "a": None, "b": None, "c": None,
+                  "name": None})
+    check()
+    table.delete_where(lambda values: values["a"] is None and values["id"] % 3 == 0)
+    check()
+    table.vacuum()
+    table.insert_many({"id": -2 - i, "grp": 1, "a": None, "b": 1.0, "c": None,
+                       "name": "x"} for i in range(5))
+    check()
+    table.truncate()
+    check()
+    table.insert({"id": 1, "grp": 1, "a": None, "b": 1.0, "c": 2, "name": "y"})
+    check()
+
+
+def test_row_store_shapes_run_batch():
+    """The shapes above are batch on a row store (covering scans with a
+    key range among them), and a NULL arriving in ``c`` sends the
+    predicates that read it to the row-view loop, not a wrong answer."""
+    database = _row_store(seed=11, tail=30)
+    database.table("r").delete_where(lambda values: values["id"] in (5, 4100))
+    labels = set()
+    for flags, sql in ROW_STORE_SQLS:
+        plan = Planner(database, **flags).plan(parse_select(sql))
+        labels.update(plan_operators(plan))
+        assert plan.execute().statistics.batches_processed > 0, sql
+    assert {"Batch Covering Index Scan", "Batch Index Seek", "Batch Table Scan",
+            "Batch Index Nested Loop Join", "Batch Hash Join",
+            "Batch Aggregate"} <= labels
+    ranged = Planner(database).plan(parse_select(ROW_STORE_SQLS[2][1]))
+    assert " range [" in ranged.explain()
+    flags, sql = ROW_STORE_SQLS[0]
+    plan = Planner(database, **flags).plan(parse_select(sql))
+    before = plan.execute().statistics.vector_fallbacks
+    database.table("r").insert({"id": 10**6, "grp": 2, "a": 1, "b": 0.5,
+                                "c": None, "name": "abc"})
+    assert plan.execute().statistics.vector_fallbacks > before

@@ -1,11 +1,14 @@
 """Property-based tests for the HTM spatial index."""
 
+import importlib
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import htm
+from repro.htm.mesh import ROOT_NODES
 from repro.htm.regions import Markup
 from repro.htm.vectors import angular_distance, centroid
 
@@ -205,3 +208,56 @@ def test_convex_cover_matches_reference(caps, depth):
 @given(oracle_ras, oracle_decs)
 def test_lookup_matches_reference_descent(ra, dec):
     assert htm.lookup_id(ra, dec, 20) == reference_lookup(ra, dec, 20)
+
+
+# ---------------------------------------------------------------------------
+# The fast circle/halfspace test against the reference, at its boundaries
+# ---------------------------------------------------------------------------
+#
+# ``cover._halfspace_classifier`` decides a node with no corner inside by
+# ``dot(center, normal)`` against ``cos(R + r)`` and hands the band
+# around the threshold, and ``R + r`` near 180 degrees, to
+# ``Region.classify``.  These regions sit where that could go wrong.
+
+BOUNDARY_CENTERS = [(0.0, 90.0), (0.0, -90.0), (0.0, 0.0), (359.9999999, 0.0),
+                    (1e-9, -0.0), (180.0, 45.0), (45.0, 35.26438968),
+                    (270.0, -89.9999)]
+
+
+def cover_module():
+    """``repro.htm.cover`` the module (``htm.cover`` is the function)."""
+    return importlib.import_module("repro.htm.cover")
+
+
+@pytest.mark.parametrize("ra, dec", BOUNDARY_CENTERS)
+@pytest.mark.parametrize("radius_arcmin", [0.05, 600.0])
+def test_circle_fast_test_matches_reference_at_poles_and_seam(ra, dec, radius_arcmin):
+    default = htm.depth_for_radius(radius_arcmin)
+    for depth in sorted({0, 3, default // 2, default}):
+        region = htm.Circle(ra, dec, radius_arcmin)
+        assert cover_module()._descend(region, depth, htm.DEFAULT_DEPTH) \
+            == reference_cover(region, depth), depth
+
+
+def _cap_radius(level: int) -> float:
+    """The bounding-cap radius, in degrees, of one level-``level`` trixel."""
+    node = ROOT_NODES[0]
+    for _ in range(level):
+        node = node.children()[3]
+    return node.bounding_cap()[1]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("nudge", [-1e-9, 0.0, 1e-9])
+def test_circle_fast_test_matches_reference_near_180_degrees(level, nudge):
+    """Radii that put ``R + r`` at 180 degrees for the trixels of one
+    level (the cosine of ``R + r`` wraps there), for circles and their
+    halfspaces."""
+    radius_degrees = 180.0 - _cap_radius(level) + nudge
+    for ra, dec in BOUNDARY_CENTERS[:4]:
+        circle = htm.Circle(ra, dec, radius_degrees * 60.0)
+        for depth in (level, level + 1):
+            expected = reference_cover(circle, depth)
+            assert cover_module()._descend(circle, depth, htm.DEFAULT_DEPTH) == expected
+            assert cover_module()._descend(circle.halfspace, depth,
+                                           htm.DEFAULT_DEPTH) == expected

@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.engine import Database, Planner, PrimaryKey, bigint, floating, integer
-from repro.engine.explain import plan_operators
+from repro.engine.explain import plan_operators, plan_strategies
 from repro.engine.sql import parse_select
 
 JOIN_SQL = ("select p.objid, p.run, p.mag, s.z "
@@ -102,11 +102,11 @@ def test_forced_strategies_produce_the_expected_operators():
     spec_rows = [(index, 0.01 * index) for index in range(20)]
     database = _build_database("row", photo_rows, spec_rows)
     planners = _planners(database)
-    assert "Index Nested Loop Join" in plan_operators(
+    assert "Index Nested Loop Join" in plan_strategies(
         planners["index"].plan(parse_select(JOIN_SQL)))
-    assert "Hash Join" in plan_operators(
+    assert "Hash Join" in plan_strategies(
         planners["hash"].plan(parse_select(JOIN_SQL)))
-    assert "Nested Loop Join" in plan_operators(
+    assert "Nested Loop Join" in plan_strategies(
         planners["nested"].plan(parse_select(JOIN_SQL)))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import (Database, Planner, PrimaryKey, SqlSession, bigint,
                           floating)
-from repro.engine.explain import plan_operators
+from repro.engine.explain import plan_operators, plan_strategies
 from repro.engine.operators import HashJoin, IndexRangeScan, TableScan
 from repro.engine.sql import parse_select
 from repro.engine.stats import collect_table_statistics
@@ -169,7 +169,7 @@ class TestStaleness:
         the 250 random bookmark lookups above a sequential scan."""
         wide_sql = "select objID, ra, rowv, colv, flags from PhotoObj where run = 756"
         before = session.query(wide_sql)
-        assert "Index Seek" in plan_operators(before.plan)
+        assert "Index Seek" in plan_strategies(before.plan)
         session.query(wide_sql)
         assert session.plan_cache.hits == 1        # the seek plan is cached
 
@@ -177,7 +177,7 @@ class TestStaleness:
         after = session.query(wide_sql)
         assert session.plan_cache.hits == 1        # stale entry dropped, not reused
         assert session.plan_cache.invalidations == 1
-        assert "Index Seek" not in plan_operators(after.plan)
+        assert "Index Seek" not in plan_strategies(after.plan)
         assert sorted(after.column("objID")) == sorted(before.column("objID"))
 
 
@@ -217,12 +217,12 @@ class TestCostBasedChoices:
     def test_selective_equality_seeks_wide_range_scans(self, session):
         session.execute("analyze PhotoObj")
         seek_plan = session.plan("select objID from PhotoObj where objID = 42")
-        assert "Index Seek" in plan_operators(seek_plan)
+        assert "Index Seek" in plan_strategies(seek_plan)
         # run covers half the table: fetching 250 rows through random
         # bookmark lookups is costed above one sequential scan.
         wide_sql = "select objID, ra, rowv, colv, flags from PhotoObj where run = 756"
         wide_plan = session.plan(wide_sql)
-        assert "Index Seek" not in plan_operators(wide_plan)
+        assert "Index Seek" not in plan_strategies(wide_plan)
         rows = wide_plan.execute().rows
         assert len(rows) == 250
 
@@ -231,7 +231,7 @@ class TestCostBasedChoices:
         planner = Planner(toy_photo_database, enable_cbo=False)
         plan = planner.plan(parse_select(
             "select objID, ra, rowv, colv, flags from PhotoObj where run = 756"))
-        assert "Index Seek" in plan_operators(plan)
+        assert "Index Seek" in plan_strategies(plan)
 
     def test_hash_join_builds_on_smaller_side(self, toy_photo_database):
         table = toy_photo_database.create_table("SpecObj", [
@@ -277,7 +277,7 @@ class TestCostBasedChoices:
         for options, sql, labels in shapes:
             plan = Planner(toy_photo_database, enable_cbo=False,
                            **options).plan(parse_select(sql))
-            assert all(label in plan_operators(plan) for label in labels), sql
+            assert all(label in plan_strategies(plan) for label in labels), sql
             assert "estimated rows=500)" in plan.explain().splitlines()[0]
         text = Planner(toy_photo_database, enable_cbo=False).plan(parse_select(
             "select f.objID from fFew() as f")).explain()
@@ -363,9 +363,11 @@ class TestBatchHashJoin:
 
     @pytest.mark.parametrize("sql", [SQL_AGGREGATE, SQL_PROJECT, SQL_GROUP])
     def test_batch_join_matches_row_path(self, sql):
+        # The row store with vectorization off is the row pipeline.
         results = {}
         for storage in ("row", "column"):
-            planner = Planner(self._build(storage), enable_index_join=False)
+            planner = Planner(self._build(storage), enable_index_join=False,
+                              enable_vectorized=storage == "column")
             result = planner.plan(parse_select(sql)).execute()
             results[storage] = result
         assert results["row"].rows == results["column"].rows
@@ -380,10 +382,19 @@ class TestBatchHashJoin:
         assert "Batch Aggregate" in labels
 
     def test_row_backed_join_stays_row_mode(self):
-        planner = Planner(self._build("row"), enable_index_join=False)
-        labels = plan_operators(planner.plan(parse_select(self.SQL_AGGREGATE)))
+        """Pinned to the row pipeline, a row-store join plans no batch
+        operator; unpinned, the same plan runs batch."""
+        database = self._build("row")
+        planner = Planner(database, enable_index_join=False, enable_vectorized=False)
+        plan = planner.plan(parse_select(self.SQL_AGGREGATE))
+        labels = plan_operators(plan)
         assert "Hash Join" in labels
         assert not any(label.startswith("Batch") for label in labels)
+        batch = Planner(database, enable_index_join=False).plan(
+            parse_select(self.SQL_AGGREGATE))
+        assert "Batch Hash Join" in plan_operators(batch)
+        assert plan_strategies(batch) == labels
+        assert batch.execute().rows == plan.execute().rows
 
     def test_uncompiled_execution_falls_back(self):
         planner = Planner(self._build("column"), enable_index_join=False)
