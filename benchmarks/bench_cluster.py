@@ -108,8 +108,7 @@ def test_scatter_gather_speedup_gate():
     sessions = {}
     for shards in (1, 4):
         cluster = ShardCluster.from_database(
-            _scan_database(rows), shards=shards, partition="hash",
-            columnar=True)
+            _scan_database(rows), shards=shards, partition="hash")
         cluster.executor.simulated_scan_mbps = SHARD_SCAN_MBPS
         sessions[shards] = ClusterSession(cluster)
 
@@ -242,8 +241,7 @@ def test_narrow_shard_reads_gate():
     per sealed segment, and within 2x of a single-node column store."""
     single_plan = Planner(_wide_database("column")).plan(parse_select(WIDE_SQL))
     cluster = ShardCluster.from_database(_wide_database("row"),
-                                         shards=WIDE_SHARDS, partition="hash",
-                                         columnar=True)
+                                         shards=WIDE_SHARDS, partition="hash")
     session = ClusterSession(cluster)
     sealed = sum(len(node.table("wide").storage.segments())
                  for node in cluster.shards)

@@ -8,18 +8,16 @@ the fragment's counters.  Fragments are CPU work under the GIL, so they
 run one after another on the calling thread; only simulated per-shard
 disks (below) lease workers from the shared pool.
 
-On column-store shards a fragment runs the engine's batch inputs: a
-scan or seek chain (:func:`~repro.engine.operators.chain_input`), a
-hash join built on the inner side and probed by the drive side
-(:func:`~repro.engine.operators.batch_input`, which pushes its
+Shards are column stores, and a fragment runs the engine's batch
+inputs: a scan or seek chain, a hash join built on the inner side and
+probed by the drive side (which pushes its
 :class:`~repro.engine.operators.RuntimeJoinFilter` into the drive
 scan), or the batch form of the engine's index nested-loop join
 (:class:`~repro.engine.operators._IndexJoinInput`), which seeks the
 inner index once per drive row.  Select items, sort keys, group keys
 and aggregate arguments are vector projections over those batches; the
 fragments of one scatter share their vector compiles where the columns
-they read hold NULLs alike.  Row stores, covering scans and expressions that do
-not vector-compile run row by row.
+they read hold NULLs alike.
 
 A fragment emits rows tagged with a **merge key** — the global
 sequence for scans (a batch's ``base`` maps positions back to
@@ -60,21 +58,18 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..engine.batch import JoinBatch, column_values, row_dicts
-from ..engine.compile import (Layout, VectorCompileError, batch_key,
-                              compile_expression, merge_layouts, row_keys,
-                              table_layout)
+from ..engine.compile import batch_key, compile_expression, row_keys
 from ..engine.errors import QueryLimitExceeded
 from ..engine.expressions import EvaluationContext, Expression, Literal, Star
 from ..engine.index import key_rank
 from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
                                 ExecutionStatistics, HashJoin, IndexRangeScan,
                                 PhysicalOperator, PhysicalPlan, QueryResult,
-                                TableScan, _AggState, _BatchInput, _ChainInput,
-                                _IndexJoinInput, _SortKey,
+                                TableScan, _AggState, _BatchInput,
+                                _IndexJoinInput, _SortKey, _batch_input,
                                 _create_table_for_rows, _group_key_name,
-                                _hashable, batch_input, chain_input,
-                                count_groups, fold_scalar, join_key,
-                                key_range_row_ids)
+                                _hashable, batch_shape, count_groups,
+                                fold_scalar)
 from ..engine.concurrency import read_locks
 from ..engine.sql import SqlSession
 # Bound here, though unused, for the benchmark harness's wrap point
@@ -82,7 +77,6 @@ from ..engine.sql import SqlSession
 from ..engine.sql import parse_batch  # noqa: F401
 from ..engine.sql.ast import AnalyzeStatement
 from ..engine.sql.session import StatementResult
-from ..engine.types import NULL
 from ..telemetry.trace import TRACER
 from .planner import (ClusterPlan, ClusterPlanner, CoPartitionedJoinPlan,
                       FallbackPlan, FragmentRelation, SingleTablePlan,
@@ -336,8 +330,7 @@ class ClusterExecutor:
                          for relation in relations]):
             context.vector_memo = memos.setdefault(
                 _null_signature(shard, relations), {})
-            if not self._run_batches(shard, plan, context, fragment):
-                self._run_rows(shard, plan, context, fragment)
+            self._run_batches(shard, plan, context, fragment)
         self._simulate_io(fragment.statistics.bytes_scanned)
         return fragment
 
@@ -348,84 +341,50 @@ class ClusterExecutor:
         self._count(simulated_io_seconds=seconds)
         time.sleep(seconds)
 
-    # -- batch fragments (column-store shards) ------------------------------
+    # -- batch fragments -----------------------------------------------------
 
     def _run_batches(self, shard, plan, context: ExecutionContext,
-                     fragment: _Fragment) -> bool:
-        """Run the fragment through the engine's batch inputs; False when
-        they cannot take it (a row store, a covering scan, an expression
-        that does not vector-compile), and the row path runs it instead."""
-        found = self._batch_source(shard, plan, context)
-        if found is None:
-            return False
-        source, tags = found
-        try:
-            if plan.is_aggregate:
-                run = self._batch_aggregate(plan, context, fragment, source,
-                                            tags)
-            else:
-                run = self._batch_rows(shard, plan, context, fragment, source,
-                                       tags)
-        except VectorCompileError:
-            return False
+                     fragment: _Fragment) -> None:
+        """Run the fragment through the engine's batch inputs."""
+        source, tags = self._batch_source(shard, plan, context)
+        if plan.is_aggregate:
+            run = self._batch_aggregate(plan, context, fragment, source, tags)
+        else:
+            run = self._batch_rows(shard, plan, context, fragment, source,
+                                   tags)
         context.statistics.exprs_compiled += source.compiled_count()
         run()
-        return True
 
     def _batch_source(self, shard, plan, context: ExecutionContext
-                      ) -> Optional[tuple[_BatchInput, _Tags]]:
+                      ) -> tuple[_BatchInput, _Tags]:
         """The fragment's batch input and the merge keys of its batch
-        positions, or None (row-store shards read row by row)."""
-        relations = ((plan.relation,) if isinstance(plan, SingleTablePlan)
-                     else (plan.drive, plan.inner))
-        if any(shard.table(relation.table_name).storage.kind != "column"
-               for relation in relations):
-            return None
+        positions."""
         if isinstance(plan, SingleTablePlan):
             access = self._access(shard, plan.relation)
-            source = None if access is None else chain_input(context, access)
-            if source is None:
-                return None
-            return source, self._leaf_tags(shard, access)
+            return (_compiled(context, access),
+                    self._leaf_tags(shard, access))
         drive = self._access(shard, plan.drive)
-        if drive is None:
-            return None
         if plan.strategy == "index":
-            chain = chain_input(context, drive)
-            index = self._index(shard, plan.inner)
-            if chain is None:
-                return None
-            try:
-                source = _IndexJoinInput(context, chain, index,
-                                         plan.inner.binding, plan.drive_keys,
-                                         plan.residual)
-            except VectorCompileError:
-                return None
+            source = _IndexJoinInput(context, _compiled(context, drive),
+                                     self._index(shard, plan.inner),
+                                     plan.inner.binding, plan.drive_keys,
+                                     plan.residual)
         else:
-            inner = self._access(shard, plan.inner)
-            if inner is None:
-                return None
             # Build on the inner side, probe with the drive side: the
             # drive rows stream, their matches in the inner's order.
-            join = HashJoin(inner, drive, plan.inner_keys, plan.drive_keys,
-                            plan.residual)
+            join = HashJoin(self._access(shard, plan.inner), drive,
+                            plan.inner_keys, plan.drive_keys, plan.residual)
             join.runtime_filter_enabled = plan.runtime_filter_enabled
-            source = batch_input(context, join)
-            if source is None:
-                return None
+            source = _compiled(context, join)
         return source, _join_tags(self._leaf_tags(shard, drive))
 
-    def _access(self, shard, relation: FragmentRelation
-                ) -> Optional[PhysicalOperator]:
-        """The engine's scan or seek of ``relation`` on this shard; None
-        for a covering scan, which only the row path reads."""
+    def _access(self, shard, relation: FragmentRelation) -> PhysicalOperator:
+        """The engine's scan or seek of ``relation`` on this shard."""
         access = relation.access
         if access.kind == "scan":
             return TableScan(shard.table(relation.table_name),
                              relation.binding, access.predicate,
                              columns=relation.columns)
-        if access.kind != "seek":
-            return None
         return IndexRangeScan(self._index(shard, relation), relation.binding,
                               access.low, access.high, access.predicate,
                               columns=relation.columns,
@@ -489,9 +448,10 @@ class ClusterExecutor:
                 items.append((None, _star_keys(shard, expression, source,
                                                relations)))
             else:
-                items.append((item.output_name(position),
-                              source.projection(context, expression)[0]))
-        sort_fns = [(source.projection(context, expression)[0], descending)
+                items.append((item.output_name(position), source.projection(
+                    context, expression, projected=True)[0]))
+        sort_fns = [(source.projection(context, expression, projected=True)[0],
+                     descending)
                     for expression, descending in plan.order_by]
         local_top = (plan.top if not plan.order_by and not plan.distinct
                      else None)
@@ -559,268 +519,6 @@ class ClusterExecutor:
             if any(state.count for state in states):
                 fragment.groups[()] = [(0,), (), *states]
         return fold
-
-    # -- row fragments (row-store shards, and what batches cannot take) ----
-
-    def _run_rows(self, shard, plan, context: ExecutionContext,
-                  fragment: _Fragment) -> None:
-        if isinstance(plan, SingleTablePlan):
-            layout = self._relation_layout(shard, plan.relation)
-            stream = self._iter_single(shard, plan.relation, context)
-        else:
-            layout = merge_layouts(self._relation_layout(shard, plan.drive),
-                                   self._relation_layout(shard, plan.inner))
-            if plan.strategy == "index":
-                stream = self._iter_probe(shard, plan, context, layout)
-            else:
-                stream = self._iter_join(shard, plan, context, layout)
-        if plan.is_aggregate:
-            self._aggregate_fragment(plan, context, fragment, stream, layout)
-        else:
-            self._row_fragment(plan, context, fragment, stream, layout)
-
-    @staticmethod
-    def _relation_layout(shard, relation: FragmentRelation) -> Layout:
-        return table_layout(shard.table(relation.table_name), relation.binding)
-
-    def _iter_single(self, shard, relation: FragmentRelation,
-                     context: ExecutionContext
-                     ) -> Iterator[tuple[tuple, dict[str, dict[str, Any]]]]:
-        """(merge key, binding) pairs in this shard's access-path order.
-
-        A binding is ``{relation.binding: row}`` — the one-alias shape
-        of :meth:`_relation_layout`, which every fragment expression is
-        compiled against.  Each row holds ``relation.columns``.
-        """
-        if relation.access.kind == "scan":
-            return self._iter_scan(shard, relation, context)
-        return self._iter_index(shard, relation, context)
-
-    def _iter_index(self, shard, relation: FragmentRelation,
-                    context: ExecutionContext
-                    ) -> Iterator[tuple[tuple, dict[str, dict[str, Any]]]]:
-        """An index seek or covering scan, merge-keyed by index key rank."""
-        table = shard.table(relation.table_name)
-        sequences = shard.sequence_list(relation.table_name)
-        access = relation.access
-        index = self._index(shard, relation)
-        evaluation = context.evaluation
-        predicate = (compile_expression(access.predicate, evaluation,
-                                        self._relation_layout(shard, relation))
-                     if access.predicate is not None else None)
-        alias = relation.binding
-        columns = relation.columns
-        row_bytes = int(table.average_row_bytes())
-        row_ids = key_range_row_ids(
-            index, access.low, access.high,
-            lambda expression: compile_expression(expression, evaluation)({}))
-        scanned = 0
-        statistics = context.statistics
-        try:
-            for row_id in row_ids:
-                row = table.get_row(row_id, columns)
-                if row is None:
-                    continue
-                scanned += 1
-                binding = {alias: row}
-                if predicate is not None and predicate(binding) is not True:
-                    continue
-                rank = key_rank(index.key_for_row(row))
-                yield (rank, sequences[row_id]), binding
-        finally:
-            # Runs on close() too (a consumer's TOP break), so abandoned
-            # scans still account their rows/bytes (and simulated I/O).
-            statistics.merge_scan(scanned, row_bytes)
-            statistics.index_entries_read += scanned
-            if access.kind == "seek":
-                statistics.random_lookups += scanned
-
-    def _iter_scan(self, shard, relation: FragmentRelation,
-                   context: ExecutionContext
-                   ) -> Iterator[tuple[tuple, dict[str, Any]]]:
-        """A scan row by row, survivors keyed by sequence."""
-        table = shard.table(relation.table_name)
-        sequences = shard.sequence_list(relation.table_name)
-        predicate_expr = relation.access.predicate
-        row_bytes = int(table.average_row_bytes())
-        scanned = 0
-        predicate = (compile_expression(predicate_expr, context.evaluation,
-                                        self._relation_layout(shard, relation))
-                     if predicate_expr is not None else None)
-        alias = relation.binding
-        try:
-            for row_id, row in table.storage.iter_rows(relation.columns):
-                scanned += 1
-                binding = {alias: row}
-                if predicate is not None and predicate(binding) is not True:
-                    continue
-                yield (sequences[row_id],), binding
-        finally:
-            context.statistics.merge_scan(scanned, row_bytes)
-
-    def _iter_join(self, shard, plan: CoPartitionedJoinPlan,
-                   context: ExecutionContext,
-                   layout: Layout) -> Iterator[tuple[tuple, dict]]:
-        """(merge key, drive+inner binding) in single-node join order.
-
-        The inner side is hashed (bucket lists in the inner access-path
-        order, matching the single-node build order); the drive side
-        streams in its access order, and each drive row's matches append
-        the match ordinal to the merge key — matches for one drive row
-        are always shard-local under co-partitioning, so the ordinal
-        totally orders them across the cluster.
-        """
-        evaluation = context.evaluation
-        inner_layout = self._relation_layout(shard, plan.inner)
-        inner_key = join_key([compile_expression(expression, evaluation, inner_layout)
-                              for expression in plan.inner_keys])
-        hash_table: dict[Any, list[dict[str, dict[str, Any]]]] = {}
-        for _tag, binding in self._iter_single(shard, plan.inner, context):
-            key = inner_key(binding)
-            if key is NULL:
-                continue
-            bucket = hash_table.get(key)
-            if bucket is None:
-                hash_table[key] = [binding]
-            else:
-                bucket.append(binding)
-        drive_layout = self._relation_layout(shard, plan.drive)
-        drive_key = join_key([compile_expression(expression, evaluation, drive_layout)
-                              for expression in plan.drive_keys])
-        residual = (compile_expression(plan.residual, evaluation, layout)
-                    if plan.residual is not None else None)
-        drive_stream = self._iter_single(shard, plan.drive, context)
-        try:
-            for drive_tag, drive_binding in drive_stream:
-                key = drive_key(drive_binding)
-                if key is NULL:
-                    continue
-                bucket = hash_table.get(key)
-                if bucket is None:
-                    continue
-                for ordinal, inner_binding in enumerate(bucket):
-                    merged = {**drive_binding, **inner_binding}
-                    if residual is not None and residual(merged) is not True:
-                        continue
-                    yield drive_tag + (ordinal,), merged
-        finally:
-            drive_stream.close()
-
-    def _iter_probe(self, shard, plan: CoPartitionedJoinPlan,
-                    context: ExecutionContext,
-                    layout: Layout) -> Iterator[tuple[tuple, dict]]:
-        """The index strategy row by row, as the engine's
-        IndexNestedLoopJoin runs it: each drive row seeks the inner
-        index once (a NULL key part seeks nothing), matches in index
-        order, each fetched row one random lookup."""
-        evaluation = context.evaluation
-        drive_layout = self._relation_layout(shard, plan.drive)
-        key_fns = [compile_expression(expression, evaluation, drive_layout)
-                   for expression in plan.drive_keys]
-        residual = (compile_expression(plan.residual, evaluation, layout)
-                    if plan.residual is not None else None)
-        inner = plan.inner
-        table = shard.table(inner.table_name)
-        index = self._index(shard, inner)
-        alias = inner.binding
-        row_bytes = int(table.average_row_bytes())
-        scanned = 0
-        drive_stream = self._iter_single(shard, plan.drive, context)
-        try:
-            for drive_tag, drive_binding in drive_stream:
-                key = [fn(drive_binding) for fn in key_fns]
-                if NULL in key:
-                    continue
-                for ordinal, row_id in enumerate(index.seek(key)):
-                    row = table.get_row(row_id, inner.columns)
-                    if row is None:
-                        continue
-                    scanned += 1
-                    merged = {**drive_binding, alias: row}
-                    if residual is not None and residual(merged) is not True:
-                        continue
-                    yield drive_tag + (ordinal,), merged
-        finally:
-            drive_stream.close()
-            context.statistics.merge_scan(scanned, row_bytes)
-            context.statistics.random_lookups += scanned
-
-    # -- row fragments (project / sort keys / local TOP) -------------------
-
-    def _row_fragment(self, plan, context: ExecutionContext,
-                      fragment: _Fragment,
-                      stream: Iterator[tuple[tuple, dict]],
-                      layout: Layout) -> None:
-        evaluation = context.evaluation
-        try:
-            aliases = [relation.binding for relation in _layout_order(plan)]
-            items: list[tuple[Optional[str], Optional[Any], Optional[Star]]] = []
-            for position, item in enumerate(plan.select):
-                if isinstance(item.expression, Star):
-                    items.append((None, None, item.expression))
-                else:
-                    items.append((item.output_name(position),
-                                  compile_expression(item.expression, evaluation,
-                                                     layout),
-                                  None))
-            sort_fns = [(compile_expression(expression, evaluation, layout),
-                         descending)
-                        for expression, descending in plan.order_by]
-            local_top = (plan.top if not plan.order_by and not plan.distinct
-                         else None)
-            produced = 0
-            for tag, binding in stream:
-                output: dict[str, Any] = {}
-                for name, fn, star in items:
-                    if star is not None:
-                        _expand_star(star, aliases, binding, output)
-                    else:
-                        output[name] = fn(binding)
-                sort_values = ([_SortKey(fn(binding), descending)
-                                for fn, descending in sort_fns]
-                               if sort_fns else None)
-                fragment.rows.append((tag, sort_values, output))
-                produced += 1
-                if local_top is not None and produced >= local_top:
-                    break
-        finally:
-            # A TOP break above abandons the scan generators mid-flight;
-            # closing runs their finally blocks, which flush the
-            # row-mode scans' rows/bytes scanned.
-            stream.close()
-
-    # -- aggregate fragments ----------------------------------------------
-
-    def _aggregate_fragment(self, plan, context: ExecutionContext,
-                            fragment: _Fragment,
-                            stream: Iterator[tuple[tuple, dict]],
-                            layout: Layout) -> None:
-        evaluation = context.evaluation
-        try:
-            group_fns = [compile_expression(expression, evaluation, layout)
-                         for expression in plan.group_by]
-            # COUNT(*) folds the constant 1 per row.
-            argument_fns = [compile_expression(aggregate.argument or _ONE,
-                                               evaluation, layout)
-                            for aggregate in plan.aggregates]
-            if plan.aggregate_mode == "ordered":
-                for tag, binding in stream:
-                    key = tuple([fn(binding) for fn in group_fns])
-                    values = tuple([fn(binding) for fn in argument_fns])
-                    fragment.rows.append((tag, key, values))
-                return
-            groups = fragment.groups
-            for tag, binding in stream:
-                key = tuple([fn(binding) for fn in group_fns])
-                entry = groups.get(key)
-                if entry is None:
-                    entry = [tag, key, *[_AggState(aggregate)
-                                         for aggregate in plan.aggregates]]
-                    groups[key] = entry
-                for state, fn in zip(islice(entry, 2, None), argument_fns):
-                    state.update(fn(binding))
-        finally:
-            stream.close()
 
     # -- coordinator merges -------------------------------------------------
 
@@ -1081,6 +779,12 @@ def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
 # Batch fragment helpers
 # ---------------------------------------------------------------------------
 
+def _compiled(context: ExecutionContext, node: PhysicalOperator) -> _BatchInput:
+    """``node`` compiled as a batch input.  A shard's tables are column
+    stores, so every scan, seek and join over them is a batch shape."""
+    return _batch_input(context, batch_shape(node))
+
+
 def _join_tags(drive_tags: _Tags) -> _Tags:
     """Merge keys of join output positions: the drive row's merge key
     plus the match's ordinal among that drive row's matches.  A drive
@@ -1119,20 +823,16 @@ def _partial_state(state: Any) -> tuple:
 
 
 def _null_signature(shard, relations: Sequence[FragmentRelation]) -> tuple:
-    """Which of the columns the fragment reads hold NULLs on this shard
-    (None for a row store): the one fact of a shard's data its vector
-    compiles depend on, so fragments with equal signatures share them."""
-    flags: list[Optional[bool]] = []
+    """Which of the columns the fragment reads hold NULLs on this shard:
+    the one fact of a shard's data its vector compiles depend on, so
+    fragments with equal signatures share them."""
+    flags: list[bool] = []
     for relation in relations:
         table = shard.table(relation.table_name)
-        storage = table.storage
-        if storage.kind != "column":
-            flags.append(None)
-            continue
         columns = relation.columns
         if columns is None:
             columns = table.row_keys
-        null_count = storage.column_null_count
+        null_count = table.storage.column_null_count
         flags.extend([null_count(column) > 0 for column in columns])
     return tuple(flags)
 
@@ -1148,22 +848,12 @@ def _layout_order(plan) -> tuple[FragmentRelation, ...]:
     return (plan.drive, plan.inner)
 
 
-def _expand_star(star: Star, aliases: Sequence[str],
-                 binding: dict[str, dict[str, Any]],
-                 output: dict[str, Any]) -> None:
-    qualifier = (star.qualifier or "").lower()
-    for alias in aliases:
-        if qualifier and qualifier != alias.lower():
-            continue
-        for column, value in binding[alias].items():
-            output.setdefault(column, value)
-
-
 def _star_keys(shard, star: Star, source: _BatchInput,
                relations: Sequence[FragmentRelation]) -> list[tuple[str, str]]:
     """(row key, batch key) of each column ``star`` expands to, as the
-    row path expands it: the relations' rows in layout order, each in
-    its column order, a row key met twice keeping its first."""
+    single node's projection expands it: the relations' rows in layout
+    order, each in its column order, a row key met twice keeping its
+    first."""
     qualifier = (star.qualifier or "").lower()
     keys: dict[str, str] = {}
     for relation in relations:
@@ -1193,9 +883,9 @@ def _star_rows(batch, keys: Sequence[tuple[str, str]]) -> list[dict[str, Any]]:
 
 def _star_outputs(names: Sequence[Optional[str]],
                   values: Sequence[list]) -> list[dict[str, Any]]:
-    """Output rows of a select list with ``*``, as the row path builds
-    them: ``*`` (a None name) adds the columns not yet named, an item
-    sets its name."""
+    """Output rows of a select list with ``*``, as the single node's
+    projection builds them: ``*`` (a None name) adds the columns not yet
+    named, an item sets its name."""
     outputs = []
     for row in zip(*values):
         output: dict[str, Any] = {}

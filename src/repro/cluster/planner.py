@@ -51,10 +51,9 @@ from ..engine.expressions import (AggregateCall, BinaryOp, ColumnRef,
                                   Expression, Literal, combine_conjuncts,
                                   extract_sargable)
 from ..engine.logical import FunctionRef, LogicalQuery, SelectItem
-from ..engine.operators import (CoveringIndexScan, GroupAggregate, HashJoin,
-                                IndexNestedLoopJoin, IndexRangeScan,
-                                NestedLoopJoin, PhysicalOperator, TableScan,
-                                key_range_text)
+from ..engine.operators import (GroupAggregate, HashJoin, IndexNestedLoopJoin,
+                                IndexRangeScan, NestedLoopJoin,
+                                PhysicalOperator, TableScan, key_range_text)
 from ..engine.planner import (Planner, _cannot_raise, _RelationInfo,
                               collect_aggregates, qualify_columns)
 from ..engine.table import Table
@@ -72,7 +71,7 @@ _JOINS = (HashJoin, IndexNestedLoopJoin, NestedLoopJoin)
 class AccessChoice:
     """The engine planner's access path for one fragment relation."""
 
-    kind: str                                  # "scan" | "seek" | "covering" | "probe"
+    kind: str                                  # "scan" | "seek" | "probe"
     predicate: Optional[Expression]            # the full local predicate
     index_name: Optional[str] = None
     low: Optional[list[Expression]] = None     # key-prefix bounds (plan-time expressions)
@@ -80,13 +79,12 @@ class AccessChoice:
 
     @property
     def ordered_by_index(self) -> bool:
-        return self.kind in ("seek", "covering")
+        return self.kind == "seek"
 
     def describe(self) -> str:
         if self.kind == "scan":
             return "Shard Scan"
-        label = {"covering": "Covering Index Scan",
-                 "probe": "Index Probe"}.get(self.kind, "Index Seek")
+        label = "Index Probe" if self.kind == "probe" else "Index Seek"
         bounds = (f" {key_range_text(self.low, self.high)}"
                   if self.low or self.high else "")
         return f"Shard {label} {self.index_name}{bounds}"
@@ -194,7 +192,9 @@ class _ClusterSizedPlanner(Planner):
         return self.cluster.average_row_bytes(table.name)
 
     def _storage_kind(self, table: Table) -> str:
-        return self.cluster.storage_kind(table.name)
+        # Shards are column stores: no covering scans, every relation a
+        # batch source.
+        return "column"
 
 
 class ClusterPlanner:
@@ -318,13 +318,12 @@ class ClusterPlanner:
         if isinstance(operator, TableScan):
             access = AccessChoice("scan", predicate)
         else:
-            assert isinstance(operator, (IndexRangeScan, CoveringIndexScan))
-            kind = "seek" if isinstance(operator, IndexRangeScan) else "covering"
-            access = AccessChoice(kind, predicate, index_name=operator.index.name,
+            assert isinstance(operator, IndexRangeScan)
+            access = AccessChoice("seek", predicate, index_name=operator.index.name,
                                   low=operator.low, high=operator.high)
             if columns is not None:
-                # The merge ranks an index path's rows by their key
-                # (ClusterExecutor._iter_index reads it off the row).
+                # The merge ranks a seek's rows by their key
+                # (ClusterExecutor._leaf_tags reads it off the batch).
                 columns = tuple(sorted(set(columns)
                                        | set(operator.index.columns)))
         return FragmentRelation(table.name, info.binding_name, conjuncts,

@@ -3,8 +3,9 @@
 A :class:`ShardNode` is one in-process "server" of the cluster: it owns
 a full engine :class:`~repro.engine.catalog.Database` holding its slice
 of every partitioned table, with the same index definitions as the
-single-node catalog, its own ANALYZE statistics, and (optionally) the
-column-oriented storage layout — a shard reuses ``convert_storage`` and
+single-node catalog, its own ANALYZE statistics, and column-oriented
+storage whatever the coordinator's layout (every fragment runs through
+the engine's batch inputs) — a shard reuses ``convert_storage`` and
 ``analyze`` exactly as a standalone database would.
 
 Alongside each table the node keeps the **global sequence** of every
@@ -135,6 +136,8 @@ class ShardNode:
         return converted
 
     def _convert_one(self, table: Table, kind: str) -> None:
+        if table.storage.kind == kind:
+            return  # a no-op, as Table.convert_storage: ids stay as they are
         key = table.name.lower()
         old = self._sequences.get(key, [])
         live_ids = [row_id for row_id, _row in table.storage.iter_rows()]
@@ -304,7 +307,6 @@ class ShardCluster:
     def from_database(cls, database: Database, *, shards: int,
                       partition: str = "hash",
                       affinity: Optional[dict[str, str]] = None,
-                      columnar: bool = False,
                       analyze: bool = True,
                       build_indices: bool = True,
                       detach_rows: bool = True) -> "ShardCluster":
@@ -313,7 +315,9 @@ class ShardCluster:
         ``partition`` is ``"hash"``, ``"zone"`` (declination bands) or
         ``"htm"`` (trixel-id ranges); under the spatial schemes the
         photo snowflake arms derive their placement from PhotoObj so
-        ``objID`` joins stay shard-local.  With ``detach_rows`` (the
+        ``objID`` joins stay shard-local.  The shards' tables are
+        converted to column stores, whatever ``database``'s layout, after
+        the index builds.  With ``detach_rows`` (the
         default) the coordinator's tables are truncated afterwards —
         its schema, index definitions and ANALYZE snapshots remain for
         planning and for the gather (data-shipping) fallback.
@@ -358,9 +362,8 @@ class ShardCluster:
         if build_indices:
             for node in nodes:
                 cls._clone_indices(database, node.database)
-        if columnar:
-            for node in nodes:
-                node.convert_storage("column")
+        for node in nodes:
+            node.convert_storage("column")
         if analyze:
             for node in nodes:
                 node.analyze()
@@ -469,10 +472,6 @@ class ShardCluster:
 
     def average_row_bytes(self, table_name: str) -> float:
         return self.table_row_bytes.get(table_name.lower(), 0.0)
-
-    def storage_kind(self, table_name: str) -> str:
-        """The shards' storage layout (what a single node would be running)."""
-        return self.shards[0].table(table_name).storage.kind
 
     def table_versions(self, table_name: str) -> tuple[int, ...]:
         """Per-shard modification counters: the cache-invalidation vector.
@@ -729,6 +728,9 @@ class ShardCluster:
         for shard_id in range(manifest["shards"]):
             node, manager = ShardNode.recover(
                 shard_id, os.path.join(root, f"shard-{shard_id}"), fsync=fsync)
+            # A cluster saved with row-store shards opens with column
+            # stores, the only layout fragments read (a no-op otherwise).
+            node.convert_storage("column")
             nodes.append(node)
             shard_managers.append(manager)
         placements = {key: cls._placement_from_entry(entry)

@@ -1493,8 +1493,14 @@ class _BatchRowEmitter(_RowEmitter):
     """The row emitter over a batch's row view
     (:class:`~repro.engine.batch.BatchRowView`): a reference reads its
     batch column, and the columns read are recorded (a batch join
-    gathers exactly those).  Under one binding the source is
-    :func:`compile_row_expression`'s."""
+    gathers exactly those).  A reference that does not resolve, and an
+    aggregate outside an aggregation operator (``where count(*) > 1``),
+    raise at the first selected position, as the row path raises at its
+    first row: never over an empty input.  Under one binding the source
+    is otherwise :func:`compile_row_expression`'s."""
+
+    unresolved = _Emitter.unresolved
+    aggregate = _Emitter.aggregate
 
     def __init__(self, evaluation: EvaluationContext, schema: Schema):
         super().__init__(evaluation, tuple((binding, table.row_keys)
@@ -1509,18 +1515,20 @@ class _BatchRowEmitter(_RowEmitter):
 
 
 def _row_view_fallback(expression: Expression, evaluation: EvaluationContext,
-                       schema: Schema, predicate: bool) -> VectorExpression:
+                       schema: Schema, predicate: bool,
+                       projected: bool = False) -> VectorExpression:
     """A row-mode function called once per selected position over the
     batch's NULL-mask-aware row view; raises VectorCompileError.
 
     The layout is the row path's (one table's, or ``HashJoin.layout``'s
-    build bindings then probe), so names resolve as they do there; a
-    reference that does not resolve, an aggregate or a node only the
-    interpreter evaluates leaves the batch engine to the row path.
+    build bindings then probe), so names resolve as they do there, and
+    ``projected`` is :func:`compile_expression`'s select-list rule; a
+    node only the interpreter evaluates leaves the batch engine to the
+    row path.
     """
     emitter = _BatchRowEmitter(evaluation, schema)
     try:
-        row_fn = emitter.function(expression)
+        row_fn = emitter.function(expression, projected)
     except RowCompileError as exc:
         raise VectorCompileError(str(exc)) from exc
 
@@ -1572,17 +1580,20 @@ def compile_vector_predicate(expression: Expression, evaluation: EvaluationConte
 
 
 def compile_vector_projection(expression: Expression, evaluation: EvaluationContext,
-                              schema: Schema) -> tuple[VectorExpression, Optional[str]]:
+                              schema: Schema, projected: bool = False
+                              ) -> tuple[VectorExpression, Optional[str]]:
     """Compile a scalar to ``fn(batch, selection) -> [value, ...]``.
 
     Returns ``(fn, tag)`` where ``tag`` is the codegen type tag
     (``"int"``/``"float"``/``"bool"``/``"str"``) when the generated loop
     applies — the aggregation operator uses a numeric tag to take
     C-speed ``sum``/``min``/``max`` reductions — and ``None`` for the
-    row-view fallback (whose values may include NULLs).
+    row-view fallback (whose values may include NULLs).  ``projected``
+    adds the select-list rule of :func:`compile_expression`, which only
+    an unresolved reference (always a row-view fallback) can trigger.
     """
     try:
         return _codegen_vector(expression, evaluation, schema, predicate=False)
     except _Unvectorizable:
         return _row_view_fallback(expression, evaluation, schema,
-                                  predicate=False), None
+                                  predicate=False, projected=projected), None

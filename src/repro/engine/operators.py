@@ -182,14 +182,15 @@ class ExecutionContext:
                 memo[key] = fn
         return self.counted(fn)
 
-    def compile_vector_projection(self, expression: Expression, schema: Schema
+    def compile_vector_projection(self, expression: Expression, schema: Schema,
+                                  projected: bool = False
                                   ) -> tuple[VectorExpression, Optional[str]]:
         memo = self.vector_memo
-        key = (id(expression), "projection", tuple(schema))
+        key = (id(expression), "projection", tuple(schema), projected)
         compiled = None if memo is None else memo.get(key)
         if compiled is None:
             compiled = compile_vector_projection(expression, self.evaluation,
-                                                 schema)
+                                                 schema, projected)
             if memo is not None:
                 memo[key] = compiled
         fn, tag = compiled
@@ -1267,10 +1268,14 @@ class _BatchInput:
         self.compiled += 1
         return fn
 
-    def projection(self, context: ExecutionContext, expression: Expression
+    def projection(self, context: ExecutionContext, expression: Expression,
+                   projected: bool = False
                    ) -> tuple[VectorExpression, Optional[str]]:
-        """``(fn, tag)`` of a scalar over this input's batches."""
-        fn, tag = context.compile_vector_projection(expression, self.schema)
+        """``(fn, tag)`` of a scalar over this input's batches
+        (``projected``: a select item or sort key, see
+        :func:`~repro.engine.compile.compile_vector_projection`)."""
+        fn, tag = context.compile_vector_projection(expression, self.schema,
+                                                    projected)
         self.needed.update(fn.reads)
         self.compiled += 1
         return fn, tag
@@ -2454,7 +2459,8 @@ class ProjectOp(PhysicalOperator):
                 if isinstance(item.expression, Star):
                     compiled_items.append((None, None))
                 else:
-                    fn, _tag = source.projection(context, item.expression)
+                    fn, _tag = source.projection(context, item.expression,
+                                                 projected=True)
                     compiled_items.append((item.output_name(position), fn))
         except VectorCompileError:
             return None

@@ -81,12 +81,14 @@ class SkyServerLoader:
     """Loads survey pipeline output into a SkyServer schema database.
 
     With ``columnar=True`` the loaded tables (and the derived Neighbors
-    table) are converted to column-oriented storage at the very end of
-    the run — after index builds, the neighbor computation and
-    validation, which are point-lookup/row-iteration heavy — so the
-    scan-heavy query workload that follows runs through the engine's
-    vectorized batch pipeline.  Loading itself stays row-at-a-time —
-    the row store is the write-optimised path.
+    table) of a single-node load are converted to column-oriented
+    storage at the very end of the run — after index builds, the
+    neighbor computation and validation, which are
+    point-lookup/row-iteration heavy — so the scan-heavy query workload
+    that follows runs through the engine's vectorized batch pipeline.
+    Loading itself stays row-at-a-time — the row store is the
+    write-optimised path.  A sharded load's shards are column stores
+    whatever ``columnar`` says (:meth:`ShardCluster.from_database`).
     """
 
     def __init__(self, database: Database, *, columnar: bool = False,
@@ -165,8 +167,8 @@ class SkyServerLoader:
                 # validation are point-lookup/row-iteration heavy — the row
                 # store's strength — while everything after the load is
                 # scan-heavy query traffic.  The derived Neighbors table
-                # converts too.  (A sharded load converts the shard
-                # copies instead, below.)
+                # converts too.  (A sharded load's shards are always
+                # column stores, below.)
                 for name in loaded_names:
                     self.database.table(name).convert_storage("column")
                     report.columnar_tables += 1
@@ -184,13 +186,11 @@ class SkyServerLoader:
 
                 self.cluster = ShardCluster.from_database(
                     self.database, shards=self.shards,
-                    partition=self.partition, columnar=self.columnar,
-                    analyze=self.analyze)
+                    partition=self.partition, analyze=self.analyze)
                 report.cluster = self.cluster
                 report.shards = self.shards
                 report.partition = self.partition
-                if self.columnar:
-                    report.columnar_tables = len(loaded_names)
+                report.columnar_tables = len(loaded_names)
         report.elapsed_seconds = time.perf_counter() - started
         return report
 

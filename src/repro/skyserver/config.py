@@ -23,9 +23,13 @@ class StorageConfig:
 
     ``columnar`` selects compressed columnar segments (sealed every
     4096 rows, zone maps, dictionary/RLE/delta encodings) over the row
-    store.  ``path`` makes the server durable: segments checkpoint to
-    an on-disk tree there and every DML statement is WAL-logged so a
-    crash recovers to the last committed write.  ``fsync`` additionally
+    store for a single node's tables; it does not change a sharded
+    server, whose shards are always column stores and whose
+    coordinator keeps row stores for gathered copies and serving
+    tables (:class:`ClusterConfig`).  ``path`` makes the server
+    durable: segments checkpoint to an on-disk tree there and every DML
+    statement is WAL-logged so a crash recovers to the last committed
+    write.  ``fsync`` additionally
     forces each WAL append to stable storage (slow; most tests leave it off
     and rely on OS-crash-excluded torn-write semantics).
     """
@@ -39,7 +43,8 @@ class StorageConfig:
 class ClusterConfig:
     """Horizontal partitioning: ``shards > 1`` builds an in-process
     shard cluster with ``partition`` placement (``hash``, ``zone``
-    declination bands, or ``htm`` trixel ranges)."""
+    declination bands, or ``htm`` trixel ranges).  Shards are always
+    column stores, whatever ``StorageConfig.columnar`` says."""
 
     shards: int = 1
     partition: str = "hash"

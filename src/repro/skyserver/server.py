@@ -274,11 +274,9 @@ class SkyServer:
                 "checkpointed": self.durable}
 
     def _columnar_layout(self) -> bool:
-        """Whether the serving PhotoObj lives in a column store (the
-        incoming release is loaded into the same layout)."""
-        if self.cluster is not None:
-            return (self.cluster.shards[0].table("PhotoObj").storage.kind
-                    == "column")
+        """Whether this server's own PhotoObj (a cluster's coordinator
+        copy) is a column store: the incoming release is loaded into the
+        same layout.  A cluster's shards are column stores either way."""
         return self.database.table("PhotoObj").storage.kind == "column"
 
     def _flip_database(self, fresh: Database) -> None:

@@ -29,7 +29,8 @@ from repro.skyserver.pool import SkyServerPool
 # Fixtures: a small generic two-table database (Obj + its Nbr arm)
 # ---------------------------------------------------------------------------
 
-def build_generic(rows: int = 400, neighbors: int = 600) -> Database:
+def build_generic(rows: int = 400, neighbors: int = 600,
+                  storage: str = "row") -> Database:
     import random
 
     database = Database("cluster-unit")
@@ -37,11 +38,11 @@ def build_generic(rows: int = 400, neighbors: int = 600) -> Database:
         "Obj",
         [bigint("objID"), integer("type"), floating("dec"), floating("mag"),
          bigint("htmID")],
-        primary_key=PrimaryKey(["objID"]))
+        primary_key=PrimaryKey(["objID"]), storage=storage)
     nbr = database.create_table(
         "Neighbors",
         [bigint("objID"), bigint("neighborObjID"), floating("distance")],
-        primary_key=PrimaryKey(["objID", "neighborObjID"]))
+        primary_key=PrimaryKey(["objID", "neighborObjID"]), storage=storage)
     rng = random.Random(20020603)
     ids = [i * 13 + 5 for i in range(rows)]
     obj.insert_many(
@@ -175,7 +176,8 @@ class TestShardNode:
                                              affinity=AFFINITY)
         before = [row["objid"] for _seq, row in cluster.gathered_rows("Obj")]
         for node in cluster.shards:
-            node.convert_storage("column")
+            assert node.table("Obj").storage.kind == "column"
+            node.convert_storage("row")
         assert [row["objid"] for _s, row in cluster.gathered_rows("Obj")] == before
         removed = cluster.delete_where("Obj", lambda row: row["type"] == 0)
         assert removed > 0
@@ -369,10 +371,17 @@ QUERIES = [
 @pytest.mark.parametrize("shards,partition", [(2, "hash"), (4, "hash"),
                                               (4, "zone"), (3, "htm")])
 def test_generic_equivalence(shards, partition):
-    single = SqlSession(build_generic())
+    from repro.engine.sql import parse_select
+
+    singles = {storage: SqlSession(build_generic(storage=storage))
+               for storage in ("row", "column")}
     cluster = make_cluster(shards, partition)
     session = ClusterSession(cluster)
     for sql in QUERIES:
+        # Fragments run on the column-store shards; a fallback runs on
+        # the coordinator's gathered row-store copies.
+        plan = session.cluster_planner.plan(parse_select(sql))
+        single = singles["row" if isinstance(plan, FallbackPlan) else "column"]
         expected = single.query(sql)
         actual = session.query(sql)
         assert actual.columns == expected.columns, sql
@@ -380,7 +389,7 @@ def test_generic_equivalence(shards, partition):
 
 
 def test_select_into_materialises_on_coordinator():
-    single = SqlSession(build_generic())
+    single = SqlSession(build_generic(storage="column"))
     cluster = make_cluster(3)
     session = ClusterSession(cluster)
     sql = "select objID, mag into ##bright from Obj where mag < 16"
@@ -539,8 +548,7 @@ class TestAggregatePartials:
         # And the sharded partial path covers integer AVG without the
         # ordered-input gather.
         cluster = ShardCluster.from_database(build_generic(rows=200, neighbors=10),
-                                             shards=2, affinity=AFFINITY,
-                                             columnar=True)
+                                             shards=2, affinity=AFFINITY)
         csession = ClusterSession(cluster)
         csession.query("select avg(type) as t from Obj")
         assert cluster.executor.ordered_aggregate_gathers == 0
@@ -575,11 +583,11 @@ class TestAggregatePartials:
         gather ordered inputs and stay bit-identical to a single node."""
         import random
 
-        def build():
+        def build(storage: str = "row"):
             database = Database("bigsum")
             table = database.create_table(
                 "photoobj", [bigint("objid"), floating("mag")],
-                primary_key=PrimaryKey(["objid"]))
+                primary_key=PrimaryKey(["objid"]), storage=storage)
             rng = random.Random(3)
             table.insert_many({"objid": rng.getrandbits(62),
                                "mag": rng.uniform(10, 20)}
@@ -588,7 +596,8 @@ class TestAggregatePartials:
             return database
 
         sql = "select sum(objid) as s, avg(objid) as a from photoobj"
-        expected = SqlSession(build()).query(sql)
+        # The row and column single nodes sum in different orders.
+        expected = SqlSession(build("column")).query(sql)
         cluster = ShardCluster.from_database(build(), shards=4)
         actual = ClusterSession(cluster).query(sql)
         assert actual.rows == expected.rows
@@ -620,6 +629,27 @@ def test_star_is_count_star_only(shards):
     assert [(row["type"], row["n"]) for row in grouped] == sorted(
         (kind, sum(1 for row in rows if row["type"] == kind))
         for kind in {row["type"] for row in rows})
+
+
+@pytest.mark.parametrize("sql", ["select objID from Obj where count(*) > 1",
+                                 "select objID from Obj order by count(*)"])
+def test_an_aggregate_outside_aggregation_raises_on_shard_rows(sql):
+    """A shard fragment raises at its first selected row, with the
+    single node's error, and raises nothing over empty shards."""
+    from repro.engine import ExpressionError
+    from repro.engine.sql import parse_select
+
+    cluster = make_cluster(4)
+    session = ClusterSession(cluster)
+    assert not isinstance(session.cluster_planner.plan(parse_select(sql)),
+                          FallbackPlan)
+    with pytest.raises(ExpressionError) as expected:
+        SqlSession(build_generic(storage="column")).query(sql)
+    with pytest.raises(ExpressionError) as actual:
+        session.query(sql)
+    assert str(actual.value) == str(expected.value)
+    cluster.delete_where("Obj", lambda row: True)
+    assert session.query(sql).rows == []
 
 
 def test_cone_pruning_keeps_shards_with_stale_statistics():
@@ -758,16 +788,6 @@ def columnar_skyserver(survey_output):
     return SkyServer(database, limits=QueryLimits.private())
 
 
-@pytest.fixture(scope="module")
-def columnar_sharded_skyserver(survey_output):
-    from repro.loader import load_release_database
-
-    database, report = load_release_database(survey_output, columnar=True,
-                                             shards=4)
-    return SkyServer(database, limits=QueryLimits.private(),
-                     cluster=report.cluster)
-
-
 #: The fig13 statements the cluster runs as shard fragments (the rest
 #: gather): single tables and the co-partitioned joins Q8, Q17, Q18.
 FRAGMENT_QUERIES = ["Q2", "Q3", "Q4", "Q5", "Q7", "Q8", "Q11", "Q14", "Q15A",
@@ -788,31 +808,25 @@ def fig13_selects(server):
 
 
 class TestShardedSkyServer:
-    def test_fig13_suite_byte_identical(self, skyserver, sharded_skyserver):
-        single = skyserver.run_all_data_mining_queries()
-        sharded = sharded_skyserver.run_all_data_mining_queries()
-        assert len(single) == len(sharded) >= 20
-        for expected, actual in zip(single, sharded):
-            assert actual.query_id == expected.query_id
-            assert actual.result.columns == expected.result.columns, (
-                expected.query_id)
-            assert repr(actual.result.rows) == repr(expected.result.rows), (
-                expected.query_id)
-
-    def test_fig13_columnar_shards_byte_identical(self, skyserver,
-                                                  columnar_skyserver,
-                                                  columnar_sharded_skyserver):
-        """Fragments match the columnar single node; a statement that
-        gathers matches the row-store single node, because the gathered
-        coordinator copies are row stores."""
-        planner = columnar_sharded_skyserver.session.cluster_planner
+    def test_fig13_suite_byte_identical(self, skyserver, columnar_skyserver,
+                                        sharded_skyserver):
+        """The default layout's shards are column stores and its
+        coordinator's tables row stores.  Fragments match the columnar
+        single node; a statement that gathers matches the row-store
+        single node, because the gathered coordinator copies are row
+        stores."""
+        cluster = sharded_skyserver.cluster
+        assert cluster.coordinator.table("PhotoObj").storage.kind == "row"
+        assert {node.table(name).storage.kind for node in cluster.shards
+                for name in cluster.table_keys()} == {"column"}
+        planner = sharded_skyserver.session.cluster_planner
         fragments = {query_id for query_id, query
-                     in fig13_selects(columnar_sharded_skyserver)
+                     in fig13_selects(sharded_skyserver)
                      if not isinstance(planner.plan(query), FallbackPlan)}
         assert sorted(fragments) == sorted(FRAGMENT_QUERIES)
         rows = skyserver.run_all_data_mining_queries()
         columns = columnar_skyserver.run_all_data_mining_queries()
-        sharded = columnar_sharded_skyserver.run_all_data_mining_queries()
+        sharded = sharded_skyserver.run_all_data_mining_queries()
         assert len(sharded) == len(rows) == len(columns) >= 20
         for row_run, column_run, actual in zip(rows, columns, sharded):
             expected = column_run if actual.query_id in fragments else row_run
@@ -823,8 +837,8 @@ class TestShardedSkyServer:
                 expected.query_id)
 
     def test_cached_fig13_statements_stay_unchanged(
-            self, skyserver, columnar_skyserver, columnar_sharded_skyserver):
-        """Two fig13 passes through one columnar 4-shard session: the
+            self, skyserver, columnar_skyserver, sharded_skyserver):
+        """Two fig13 passes through one 4-shard session: the
         second is served from the plan cache (bar the INTO statements,
         which are never cached) with the first pass's and the single
         node's rows, and EXPLAIN before any execution renders as the
@@ -832,7 +846,7 @@ class TestShardedSkyServer:
         from repro.engine import Planner
         from repro.skyserver.queries import DATA_MINING_QUERIES
 
-        server = columnar_sharded_skyserver
+        server = sharded_skyserver
         cluster = server.cluster
         session = ClusterSession(cluster)
         planner = session.cluster_planner
@@ -920,24 +934,20 @@ class TestShardedSkyServer:
             "select objID from PhotoObj where objID = 1")
         assert "Merge" in text and "Shard[" in text
 
-    @pytest.mark.parametrize("layout", ["row", "column"])
-    def test_cluster_plans_carry_the_single_node_decisions(self, layout,
-                                                           request):
+    def test_cluster_plans_carry_the_single_node_decisions(
+            self, columnar_skyserver, sharded_skyserver):
         """Every fig13 fragment plan reads and joins its relations as the
-        single-node planner's plan does on the same layout: access kind,
+        column-store single-node planner's plan does: access kind,
         index, key range and columns per relation; drive side, inner
         side and strategy per join."""
         from repro.cluster.planner import ClusterPlanner, CoPartitionedJoinPlan
         from repro.engine import Planner
-        from repro.engine.operators import (CoveringIndexScan, HashJoin,
-                                            IndexNestedLoopJoin, IndexRangeScan,
-                                            NestedLoopJoin, TableScan)
+        from repro.engine.operators import (HashJoin, IndexNestedLoopJoin,
+                                            IndexRangeScan, NestedLoopJoin,
+                                            TableScan)
 
-        prefix = "" if layout == "row" else "columnar_"
-        single = request.getfixturevalue(prefix + "skyserver")
-        sharded = request.getfixturevalue(prefix + "sharded_skyserver")
-        kinds = {TableScan: "scan", IndexRangeScan: "seek",
-                 CoveringIndexScan: "covering"}
+        single, sharded = columnar_skyserver, sharded_skyserver
+        kinds = {TableScan: "scan", IndexRangeScan: "seek"}
 
         def sql(bounds):
             return None if bounds is None else [bound.sql() for bound in bounds]
@@ -1100,6 +1110,19 @@ class TestShardedReleaseFlip:
 
     def _answers(self, run) -> tuple:
         return tuple(repr(run(sql).rows) for sql in self.STATEMENTS)
+
+    def test_a_flip_keeps_the_coordinator_layout_and_column_shards(self):
+        """A release loads into the coordinator's layout, not the
+        shards': a default-layout server stays row on the coordinator."""
+        from repro.skyserver import ClusterConfig, ServerConfig
+
+        server = SkyServer.create(ServerConfig(
+            survey=self._survey(self.SEED_A), cluster=ClusterConfig(shards=2)))
+        server.load_release(self._release_b())
+        cluster = server.cluster
+        assert cluster.coordinator.table("PhotoObj").storage.kind == "row"
+        assert [node.table("PhotoObj").storage.kind
+                for node in cluster.shards] == ["column", "column"]
 
     def test_a_flip_between_fragments_leaves_the_scatter_on_one_release(
             self, monkeypatch):

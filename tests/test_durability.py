@@ -7,8 +7,8 @@ schema-driven insert frame, and a column store's checkpoint state
 round-trips through it byte-for-byte.  Recovery is a *pure prefix*:
 truncate the WAL anywhere — between frames or mid-frame — and the
 reopened database is repr-identical to a twin that simply stopped after
-the surviving operations, for row and columnar layouts, single-node and
-4-shard; a bulk statement is one frame, so it recovers whole or not at
+the surviving operations, for row and columnar layouts on one node and
+on 4 (column-store) shards; a bulk statement is one frame, so it recovers whole or not at
 all.  A checkpoint that reuses the bytes of what did not change writes
 exactly what a full encode would.  And the server lifecycle
 (``create`` → ``close`` → ``open``) plus the online data-release flip
@@ -643,7 +643,7 @@ class TestCheckpointReuse:
 
 
 class TestClusterCrashRecovery:
-    def _build_cluster(self, columnar: bool, shards: int = 4):
+    def _build_cluster(self, shards: int = 4):
         from repro.cluster import ShardCluster
 
         database = Database("cl")
@@ -658,8 +658,7 @@ class TestClusterCrashRecovery:
                         for i in range(400))
         database.analyze()
         return ShardCluster.from_database(database, shards=shards, partition="zone",
-                                          affinity={"obj": "objid"},
-                                          columnar=columnar)
+                                          affinity={"obj": "objid"})
 
     def _online_dml(self, cluster, seed: int, inserts: int):
         rng = random.Random(seed)
@@ -675,10 +674,8 @@ class TestClusterCrashRecovery:
                       key=lambda row: row["objid"])
         return repr(rows) + repr(cluster._next_sequence)
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_crashed_cluster_matches_never_crashed_twin(self, tmp_path,
-                                                        columnar):
-        cluster = self._build_cluster(columnar)
+    def test_crashed_cluster_matches_never_crashed_twin(self, tmp_path):
+        cluster = self._build_cluster()
         cluster.make_durable(tmp_path)
         self._online_dml(cluster, seed=31, inserts=60)
         expected = self._gathered(cluster)
@@ -703,11 +700,13 @@ class TestClusterCrashRecovery:
 
         from repro.cluster import ClusterSession, ShardCluster, ShardNode
 
-        cluster = self._build_cluster(columnar=False, shards=2)
+        cluster = self._build_cluster(shards=2)
         cluster.make_durable(tmp_path)
         self._online_dml(cluster, seed=41, inserts=30)   # ends in a delete
         for node in cluster.shards:
             assert node.vacuum("Obj") > 0
+            # Shards are column stores: convert away and back.
+            node.convert_storage("row")
             node.convert_storage("column")
         sql = ("select objID, mag, tag from Obj where dec > 0 "
                "order by mag, objID")
@@ -727,12 +726,34 @@ class TestClusterCrashRecovery:
                 mock.patch.object(ShardNode, "replay_convert", autospec=True,
                                   side_effect=ShardNode.replay_convert) as convert:
             recovered = ShardCluster.open_durable(tmp_path)
-        assert vacuum.call_count == 2 and convert.call_count == 2
+        assert vacuum.call_count == 2 and convert.call_count == 4
         assert answers(recovered) == expected
         recovered.close_durable()
 
+    def test_row_store_shards_reopen_as_column_stores(self, tmp_path):
+        """A cluster saved with row-store shards opens with column
+        stores, the only layout shard fragments read (``*`` included)."""
+        from repro.cluster import ClusterSession, ShardCluster
+
+        cluster = self._build_cluster(shards=2)
+        for node in cluster.shards:
+            node.convert_storage("row")
+        cluster.make_durable(tmp_path)
+        expected = self._gathered(cluster)
+        cluster.close_durable()
+        recovered = ShardCluster.open_durable(tmp_path)
+        assert [node.table("Obj").storage.kind
+                for node in recovered.shards] == ["column", "column"]
+        assert self._gathered(recovered) == expected
+        rows = ClusterSession(recovered).query(
+            "select * from Obj where dec > 0 order by objID").rows
+        assert [row["objid"] for row in rows] == sorted(
+            row["objid"] for _sequence, row in recovered.gathered_rows("Obj")
+            if row["dec"] > 0)
+        recovered.close_durable()
+
     def test_torn_shard_wal_drops_only_that_shards_tail(self, tmp_path):
-        cluster = self._build_cluster(columnar=False)
+        cluster = self._build_cluster()
         cluster.make_durable(tmp_path)
         before = {row["objid"] for _rid, row in cluster.gathered_rows("Obj")}
         rng = random.Random(77)

@@ -2,7 +2,7 @@
 
 For random data, every cluster layout (1/2/4/7 shards × hash/zone
 placement) must return *exactly* the rows — same values, same order —
-the single-node engine returns, across filters, aggregates (including
+the single-node engine returns over column stores, the shards' layout, across filters, aggregates (including
 order-sensitive float SUM/AVG), TOP-N with and without ORDER BY,
 DISTINCT, and co-partitioned Neighbors joins (shard-local under hash
 placement everywhere, and under zone placement through the derived
@@ -23,18 +23,18 @@ LAYOUTS = [(shards, partition)
            for partition in ("hash", "zone")]
 
 
-def build_database(objects, neighbor_pairs) -> Database:
+def build_database(objects, neighbor_pairs, storage: str = "row") -> Database:
     """PhotoObj + Neighbors (the names drive the derived zone placement)."""
     database = Database("property-cluster")
     photo = database.create_table(
         "PhotoObj",
         [bigint("objID"), integer("type"), floating("dec"),
          floating("mag", nullable=True), integer("flags")],
-        primary_key=PrimaryKey(["objID"]))
+        primary_key=PrimaryKey(["objID"]), storage=storage)
     neighbors = database.create_table(
         "Neighbors",
         [bigint("objID"), bigint("neighborObjID"), floating("distance")],
-        primary_key=PrimaryKey(["objID", "neighborObjID"]))
+        primary_key=PrimaryKey(["objID", "neighborObjID"]), storage=storage)
     photo.insert_many(
         {"objID": objid, "type": type_, "dec": dec,
          "mag": NULL if mag is None else mag, "flags": flags}
@@ -75,7 +75,7 @@ def query_battery(threshold: float, top: int) -> list[str]:
 def assert_equivalent(database_rows, shards: int, partition: str,
                       queries) -> None:
     objects, neighbor_pairs = database_rows
-    single = SqlSession(build_database(objects, neighbor_pairs))
+    single = SqlSession(build_database(objects, neighbor_pairs, "column"))
     cluster = ShardCluster.from_database(
         build_database(objects, neighbor_pairs),
         shards=shards, partition=partition)

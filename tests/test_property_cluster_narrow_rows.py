@@ -5,19 +5,18 @@ Every fragment relation a cluster plan ships carries ``columns``
 planner's ``_read_columns`` over what the query references — the select
 list, WHERE/ON (join keys, residuals, runtime-filter keys), GROUP BY,
 HAVING, ORDER BY — plus an index path's key columns, which rank each
-row for the merge; None when ``*`` needs whole rows.  A columnar shard
-then builds rows holding just those keys, on every access path: the
-vectorized scan, the row-mode scan and index seeks.
+row for the merge; None when ``*`` needs whole rows.  A shard, a column
+store, then reads just those columns on every access path: the batch
+scan, index seeks and index joins.
 
 Over a wide PhotoObj-like table of two sealed segments plus a tail, on
-1 and 4 shards under hash and zone placement, the narrowed columnar
-cluster must return ``repr``-identical rows in the same order — or the
-same error — as the single node reading whole rows
-(``execute(compiled=False)``); the same data in row stores must agree
-with the same oracle over a row store.  Statements whose order is the
-access path's (index order without ORDER BY) are compared within one
-storage layout; the rest order by a unique key or return counts, so
-they are compared across layouts too.
+1 and 4 shards under hash and zone placement, the narrowed cluster
+must return ``repr``-identical rows in the same order — or the same
+error — as a column-store single node reading whole rows
+(``execute(compiled=False)``).  Statements whose order is the access
+path's (index order without ORDER BY) are compared with that oracle
+only; the rest order by a unique key or return counts, so they must
+match the same oracle over row stores too.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from repro.cluster import ClusterSession, ShardCluster  # noqa: E402
+from repro.cluster import ClusterSession, FallbackPlan, ShardCluster  # noqa: E402
 from repro.engine import (Database, Planner, PrimaryKey, bigint,  # noqa: E402
                           floating, integer, text)
 from repro.engine.segments import SEGMENT_ROWS  # noqa: E402
@@ -103,12 +102,12 @@ ORDERED = [
     "and n2.kind = n1.kind order by n1.neighborObjID, n2.neighborObjID",
 ]
 
-#: Rows come in the access path's order: compared within one layout.
+#: Rows come in the access path's order: compared with the column oracle only.
 ACCESS_ORDER = [
-    # index seek / covering scan on (dec, ra), ra never named: the merge
-    # ranks rows by the whole key, ra included
+    # index seek on (dec, ra), ra never named: the merge ranks rows by
+    # the whole key, ra included
     "select objID, type from PhotoObj where dec between 1 and 2.5",
-    # a covering scan on the row store walks (dec, ra), dec never named
+    # a scan, though ix_radec covers it (a row store would walk the index)
     "select objID, type from PhotoObj where ra between 1 and 2.5",
     # (type, modelMag_r), modelMag_r never named
     "select objID, flags from PhotoObj where type = 2",
@@ -128,7 +127,8 @@ ACCESS_ORDER = [
     "on n2.objID = n1.objID where n2.neighborObjID < 300 group by n2.distance",
 ]
 
-#: References the table lacks: UnknownColumnError once a row reaches them.
+#: References the table lacks: UnknownColumnError once a row reaches them,
+#: nothing over an empty input.
 BROKEN = [
     "select p.nosuch from PhotoObj p",
     "select top 3 objID from PhotoObj where nosuch > 1",
@@ -249,13 +249,11 @@ def single_node(storage: str, data: dict) -> Database:
     return database
 
 
-def cluster_session(storage: str, data: dict, shards: int,
-                    partition: str) -> ClusterSession:
+def cluster_session(data: dict, shards: int, partition: str) -> ClusterSession:
     """The data split across ``shards``; the deletes land on the shards
     (tombstones in their stores), then the optional vacuum."""
     cluster = ShardCluster.from_database(build_database("row", data),
-                                         shards=shards, partition=partition,
-                                         columnar=storage == "column")
+                                         shards=shards, partition=partition)
     cluster.delete_where("PhotoObj", _delete(data))
     if data["vacuum"]:
         for node in cluster.shards:
@@ -283,37 +281,32 @@ def assert_layout_matches(data: dict, shards: int, partition: str,
                           oracles: Optional[dict] = None) -> None:
     oracles = oracles or {storage: single_node(storage, data)
                           for storage in ("column", "row")}
-    sessions = {storage: cluster_session(storage, data, shards, partition)
-                for storage in ("column", "row")}
+    session = cluster_session(data, shards, partition)
     segments = [len(node.table("PhotoObj").storage.segments())
-                for node in sessions["column"].cluster.shards]
+                for node in session.cluster.shards]
     assert sum(segments) >= (2 if shards == 1 else 0)
     for sql in ORDERED + ACCESS_ORDER:
         context = (shards, partition, sql)
-        narrowed = outcome(lambda: sessions["column"].query(sql))
+        narrowed = outcome(lambda: session.query(sql))
         assert narrowed == whole_rows(oracles["column"], sql), context
-        on_rows = outcome(lambda: sessions["row"].query(sql))
-        assert on_rows == whole_rows(oracles["row"], sql), context
         if sql not in ACCESS_ORDER:
-            assert narrowed == on_rows, context
+            assert narrowed == whole_rows(oracles["row"], sql), context
     for sql in BROKEN:
         # A co-partitioned join builds its inner side on every shard, so
         # it can meet a row the single node never reads (an empty drive
         # side); and the interpreter words the error its own way.
         context = (shards, partition, sql)
-        narrowed = outcome(lambda: sessions["column"].query(sql))
-        assert narrowed == outcome(lambda: sessions["row"].query(sql)), context
+        narrowed = outcome(lambda: session.query(sql))
         single = whole_rows(oracles["column"], sql)
         if single[0] != "rows":
             assert narrowed[0] == single[0] == "UnknownColumnError", context
         if narrowed[0] == "rows":
             assert narrowed == single, context
     expected = whole_rows(oracles["column"], INTO)
-    for storage, session in sessions.items():
-        assert outcome(lambda: session.query(INTO)) == expected, storage
-        written = session.cluster.coordinator.table("##narrow")
-        assert repr(list(written.storage.iter_dicts())) == repr(
-            list(oracles["column"].table("##narrow").storage.iter_dicts()))
+    assert outcome(lambda: session.query(INTO)) == expected
+    written = session.cluster.coordinator.table("##narrow")
+    assert repr(list(written.storage.iter_dicts())) == repr(
+        list(oracles["column"].table("##narrow").storage.iter_dicts()))
 
 
 @settings(max_examples=4, deadline=None,
@@ -357,7 +350,7 @@ def test_fixed_data_matches_whole_row_oracle(shards, partition, vacuum):
 
 
 def test_fragments_carry_narrow_columns():
-    session = cluster_session("column", FIXED, 4, "hash")
+    session = cluster_session(FIXED, 4, "hash")
     planner = session.cluster_planner
 
     def plan(sql):
@@ -384,13 +377,11 @@ def test_fragments_carry_narrow_columns():
     assert columns == {"n": ("distance", "objid"), "p": None}
 
 
-def test_the_battery_engages_seeks_runtime_filters_and_covering_scans():
+def test_the_battery_engages_seeks_scans_and_runtime_filters():
     """The shapes the property test relies on really are planned."""
-    columnar = cluster_session("column", FIXED, 4, "hash")
-    row = cluster_session("row", FIXED, 4, "hash")
-    sql = ACCESS_ORDER[0]
-    assert "Shard Index Seek ix_radec" in columnar.explain(sql)
-    assert "Shard Covering Index Scan ix_radec" in row.explain(ACCESS_ORDER[1])
+    columnar = cluster_session(FIXED, 4, "hash")
+    assert "Shard Index Seek ix_radec" in columnar.explain(ACCESS_ORDER[0])
+    assert "Shard[0] Shard Scan PhotoObj" in columnar.explain(ACCESS_ORDER[1])
     assert "Shard Index Seek ix_type_mag" in columnar.explain(ACCESS_ORDER[2])
     planner = columnar.cluster_planner
 
@@ -414,6 +405,19 @@ def test_the_battery_engages_seeks_runtime_filters_and_covering_scans():
     assert planner.plan(parse_select(ORDERED[18])).aggregate_mode == "ordered"
 
 
+@pytest.mark.parametrize("sql", BROKEN)
+def test_unknown_columns_raise_on_shard_rows_and_not_on_empty_shards(sql):
+    """The batch fragment raises at the first selected position, so a
+    shard whose rows are all deleted raises nothing."""
+    session = cluster_session(dict(FIXED, tombstones=[]), 4, "hash")
+    assert not isinstance(session.cluster_planner.plan(parse_select(sql)),
+                          FallbackPlan)
+    assert outcome(lambda: session.query(sql))[0] == "UnknownColumnError"
+    for name in ("PhotoObj", "Neighbors"):
+        session.cluster.delete_where(name, lambda row: True)
+    assert outcome(lambda: session.query(sql)) == ("rows", "[]")
+
+
 @pytest.mark.parametrize("palette,dec_step,where", [
     # 0.0 and -0.0 tie: MIN/MAX keep the first one the scan meets
     ([None, -0.0, 0.0], 7, "where dec > -3"),
@@ -430,18 +434,16 @@ def test_shard_float_min_max_match_the_single_node(palette, dec_step, where):
                 palettes=dict(FIXED["palettes"], modelmag_r=palette))
     sql = ("select min(modelMag_r) as lo, max(modelMag_r) as hi "
            f"from PhotoObj {where}")
-    for storage in ("column", "row"):
-        session = cluster_session(storage, data, 4, "zone")
-        executor = session.cluster.executor
-        assert session.cluster_planner.plan(
-            parse_select(sql)).aggregate_mode == "partial"
-        gathers = executor.ordered_aggregate_gathers
-        assert outcome(lambda: session.query(sql)) == whole_rows(
-            single_node(storage, data), sql), storage
-        assert executor.ordered_aggregate_gathers == gathers + 1, storage
+    session = cluster_session(data, 4, "zone")
+    executor = session.cluster.executor
+    assert session.cluster_planner.plan(
+        parse_select(sql)).aggregate_mode == "partial"
+    assert outcome(lambda: session.query(sql)) == whole_rows(
+        single_node("column", data), sql)
+    assert executor.ordered_aggregate_gathers == 1
     # Untied, NaN-free partials still merge as partials.
     data = dict(FIXED, tombstones=[], neighbours=[])
-    session = cluster_session("column", data, 4, "zone")
+    session = cluster_session(data, 4, "zone")
     sql = "select min(ra) as lo, max(ra) as hi from PhotoObj where ra > 1"
     assert outcome(lambda: session.query(sql)) == whole_rows(
         single_node("column", data), sql)
@@ -465,7 +467,7 @@ def test_join_groups_surface_in_their_first_matches_order(shards):
     sql = ("select n2.kind, count(*) as c from Neighbors n1 join Neighbors n2 "
            "on n2.objID = n1.objID where n2.neighborObjID < 1000 "
            "group by n2.kind")
-    session = cluster_session("column", data, shards, "hash")
+    session = cluster_session(data, shards, "hash")
     if shards == 4:
         placement = session.cluster.placement("Neighbors")
         assert [placement.shard_of_value(objid) for objid in (early, late)] == [0, 1]
@@ -494,7 +496,7 @@ def _magnitudes(storage: str) -> Database:
 
 def _magnitude_shards() -> ClusterSession:
     cluster = ShardCluster.from_database(_magnitudes("row"), shards=4,
-                                         partition="zone", columnar=True)
+                                         partition="zone")
     return ClusterSession(cluster)
 
 

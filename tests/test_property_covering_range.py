@@ -9,13 +9,13 @@ bounds — NULL, NaN, ``(- x)``, empty ranges, strings against numeric
 keys, bounds that fail to evaluate — and conjuncts that raise on rows
 outside the range, the bounded scan, the same plan with its bounds
 cleared, and the interpreter (``execute(compiled=False)``) return
-``repr``-identical rows in the same order, or raise the same error;
-1 and 4 hash shards return what the single node returns.
+``repr``-identical rows in the same order, or raise the same error.
+Shards are column stores, which plan no covering scans: over the same
+awkward bounds their seeks and scans on 1 and 4 hash shards return what
+a column-store single node returns.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import pytest
 
@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from repro.cluster import ClusterSession, ShardCluster  # noqa: E402
 from repro.engine import (Database, Planner, PrimaryKey,  # noqa: E402
                           SqlSession, bigint, floating, integer, text)
-from repro.engine import planner as engine_planner  # noqa: E402
 from repro.engine.operators import CoveringIndexScan  # noqa: E402
 from repro.engine.sql import parse_select  # noqa: E402
 from repro.engine.types import NULL  # noqa: E402
@@ -41,13 +40,14 @@ INDEXES = {"ix_radec": ["dec", "ra"], "ix_type_mag": ["type", "modelMag_r"],
 PADDING = "x" * 400
 
 
-def build_database(objects, deleted=(), vacuum=False, extra=()) -> Database:
+def build_database(objects, deleted=(), vacuum=False, extra=(),
+                   storage: str = "row") -> Database:
     database = Database("covering-range")
     photo = database.create_table("PhotoObj", [
         bigint("objID"), integer("type"), floating("dec", nullable=True),
         floating("ra"), floating("modelMag_r", nullable=True), bigint("htmID"),
         text("name"), text("note"),
-    ], primary_key=PrimaryKey(["objID"]))
+    ], primary_key=PrimaryKey(["objID"]), storage=storage)
     photo.insert_many(_row(objid, values)
                       for objid, values in enumerate(objects, 1))
     for name, columns in INDEXES.items():
@@ -303,48 +303,46 @@ def assert_sharded_matches_single(data, shards: int, sql: str) -> None:
     cluster = ShardCluster.from_database(build_database(*data), shards=shards,
                                          partition="hash")
     expected = sharded_outcome(
-        lambda: SqlSession(build_database(*data)).query(sql))
+        lambda: SqlSession(build_database(*data, storage="column")).query(sql))
     assert sharded_outcome(lambda: ClusterSession(cluster).query(sql)) == expected, (
         f"{shards} shards: {sql}")
-
-
-def _unbounded(*_arguments):
-    return None, None
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=datasets(), sql=statements(), shards=st.sampled_from([1, 4]))
-def test_sharded_bounded_covering_scan_matches_unbounded_and_single_node(
-        data, sql, shards):
-    """Bounded shard scans ≡ the same cluster with every covering scan
-    unbounded; and any rows the single node returns, the cluster returns.
+def test_sharded_seeks_and_scans_match_the_column_single_node(data, sql, shards):
+    """The covering-scan statements on column-store shards, which seek
+    or scan: any rows the column-store single node returns, the
+    cluster returns, and an error on one is an error of the same kind
+    on the other.
 
-    One difference from the single node holds bounded or not: a NaN key
-    leaves an index in insertion order, which differs per shard.
+    One difference holds: a NaN key leaves an index in insertion order,
+    which differs per shard.
     """
     cluster = ShardCluster.from_database(build_database(*data), shards=shards,
                                          partition="hash")
-    bounded = sharded_outcome(lambda: ClusterSession(cluster).query(sql))
-    with mock.patch.object(engine_planner, "covering_scan_bounds", _unbounded):
-        assert sharded_outcome(lambda: ClusterSession(cluster).query(sql)) == bounded, (
-            f"{shards} shards: {sql}")
-    single = sharded_outcome(lambda: SqlSession(build_database(*data)).query(sql))
-    if single[0] == "rows" and "nan" not in repr(data):
-        assert bounded == single, f"{shards} shards: {sql}"
+    session = ClusterSession(cluster)
+    assert "Covering" not in session.explain(sql)
+    sharded = sharded_outcome(lambda: session.query(sql))
+    single = sharded_outcome(lambda: SqlSession(
+        build_database(*data, storage="column")).query(sql))
+    if "nan" not in repr(data) or single[0] != "rows":
+        assert sharded == single, f"{shards} shards: {sql}"
 
 
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("where", [
     "dec between 0.25 and 1", "dec >= 'abc'", "dec <= null",
     "dec <= cast_float('nan')", "dec > sqrt(-1)", "name <= 5"])
-def test_sharded_covering_scans_match_single_node(shards, where):
+def test_sharded_awkward_bounds_match_single_node(shards, where):
     cluster = ShardCluster.from_database(build_database(FIXED), shards=shards,
                                          partition="hash")
     column = where.split()[0]
     sql = f"select objID, {column} from PhotoObj where {where}"
-    assert "Shard[0] Shard Covering Index Scan ix_" in ClusterSession(
-        cluster).explain(sql)
+    plan = ClusterSession(cluster).explain(sql)
+    assert ("Shard[0] Shard Index Seek ix_" in plan
+            or "Shard[0] Shard Scan " in plan), plan
     assert_sharded_matches_single((FIXED,), shards, sql)
 
 
@@ -353,7 +351,7 @@ def test_sharded_explain_prints_the_key_range():
                                          partition="hash")
     text_plan = ClusterSession(cluster).explain(
         "select objID, dec from PhotoObj where dec between 0.25 and 1")
-    assert "Shard[3] Shard Covering Index Scan ix_radec range [0.25]..[1] " in text_plan
+    assert "Shard[3] Shard Index Seek ix_radec range [0.25]..[1] " in text_plan
 
 
 # -- the web_mix rectangle ---------------------------------------------------

@@ -439,8 +439,7 @@ def test_sharded_scans_skip_segments_and_stay_identical():
     rows = SEGMENT_ROWS * 9       # two sealed segments per shard
     single = _build(None, seed=13, rows=rows, with_pk=False)
     sharded = ShardCluster.from_database(
-        _build(None, seed=13, rows=rows, with_pk=False), shards=4,
-        columnar=True)
+        _build(None, seed=13, rows=rows, with_pk=False), shards=4)
     reference = SqlSession(single)
     session = ClusterSession(sharded)
     for sql in QUERIES:

@@ -94,7 +94,7 @@ def test_one_shard_fragments_account_like_the_single_node():
     single = _survey("single")
     cluster = ShardCluster.from_database(
         _survey("sharded"), shards=1,
-        affinity={"obj": "objid", "nbr": "objid"}, columnar=True)
+        affinity={"obj": "objid", "nbr": "objid"})
     planner = Planner(single, enable_index_join=False)
     single_session = SqlSession(single, planner=planner)
     cluster_session = ClusterSession(cluster)
