@@ -10,11 +10,12 @@ cluster subsystem:
   run >= 2x faster on a 4-shard cluster than on a 1-shard cluster.  On
   the paper's hardware scans are disk-bandwidth-bound (Figure 15), so
   each shard node is modelled with its own disk: the executor's
-  ``simulated_scan_mbps`` charges every fragment the time its bytes
-  take to stream off one shard's disks (a ``sleep``, overlapped across
-  the thread pool exactly as real per-node I/O would overlap).  Both
-  layouts are charged identically; the 4-shard win is the I/O overlap,
-  which is the property sharding exists to buy.
+  ``simulated_scan_mbps`` charges a scatter the time its largest
+  fragment's bytes take to stream off one shard's disks (one ``sleep``,
+  as the shards' disks stream side by side, exactly as real per-node
+  I/O would overlap).  Both layouts are charged identically; the
+  4-shard win is the I/O overlap, which is the property sharding
+  exists to buy.
 * **shard pruning** — an HTM cone query against an 8-shard HTM-range
   cluster must touch <= 1/4 of the shards (>= 4x pruning), driven by
   the existing :mod:`repro.htm` covers intersected with the shard

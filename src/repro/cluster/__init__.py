@@ -1,12 +1,13 @@
 """The sharded cluster subsystem: partitioned storage, distributed
-planning and scatter-gather parallel execution.
+planning and scatter-gather execution.
 
 A :class:`ShardCluster` partitions one loaded engine database across N
 in-process :class:`ShardNode`\\ s (hash, declination-zone or HTM-range
 placement), a :class:`ClusterPlanner` rewrites distributable queries
 into per-shard fragments plus a merge stage, and a
-:class:`ClusterExecutor` scatters the fragments over a thread pool and
-merges the streams back into single-node-identical results.  The
+:class:`ClusterExecutor` runs the fragments shard by shard on the
+calling thread and merges the streams back into single-node-identical
+results.  The
 :class:`ClusterSession` — a :class:`~repro.engine.sql.SqlSession` that
 plans each SELECT for the cluster and analyzes every shard — is the SQL
 entry point the SkyServer facade and the serving pool use when a

@@ -5,8 +5,7 @@ read locks (the same :mod:`repro.engine.concurrency` discipline the
 serving pool uses) and its own
 :class:`~repro.engine.operators.ExecutionContext`, whose statistics are
 the fragment's counters.  Fragments are CPU work under the GIL, so they
-run one after another on the calling thread; only simulated per-shard
-disks (below) lease workers from the shared pool.
+run one after another on the calling thread.
 
 Shards are column stores, and a fragment runs the engine's batch
 inputs: a scan or seek chain, a hash join built on the inner side and
@@ -38,11 +37,12 @@ express falls back to the row-path gather executed by the unmodified
 single-node engine.
 
 ``simulated_scan_mbps`` models the per-shard disk bandwidth of the
-paper's scan-bound hardware (Figure 15): each fragment sleeps for the
-time its bytes would take to stream off one shard's disks, on the
-pool, so the scatter-gather overlap — the reason to shard at all —
-shows up in wall clock even on a single-CPU host.  It is off (None) by
-default.
+paper's scan-bound hardware (Figure 15): every shard streams off its
+own disks at once, so after a scatter's fragments have run it sleeps
+once, for the time the largest fragment's bytes would take to stream
+off one shard's disks.  The scatter-gather overlap — the reason to
+shard at all — then shows up in wall clock even on a single-CPU host.
+It is off (None) by default.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ _FRAGMENT_COUNTERS = (
     "batches_processed", "batch_rows", "exprs_compiled", "segments_scanned",
     "segments_skipped", "runtime_filter_segments_pruned",
     "runtime_filter_rows_pruned", "vector_fallbacks")
-
-#: The most pool workers one scatter leases (one per shard below it).
-MAX_FRAGMENT_WORKERS = 8
 
 #: COUNT(*)'s argument where a fragment evaluates one per row.
 _ONE = Literal(1)
@@ -168,17 +165,6 @@ class ClusterExecutor:
 
     def __init__(self, cluster: ShardCluster):
         self.cluster = cluster
-        #: Under simulated per-shard disks, shard fragments run on the
-        #: process-wide shared worker pool, which every cluster leases
-        #: from, so several clusters under a concurrent serving workload
-        #: cannot oversubscribe the machine.  The lease asks for one
-        #: worker per shard, at most ``MAX_FRAGMENT_WORKERS``.  The
-        #: engine itself executes each fragment serially.
-        from ..engine.parallel import get_worker_pool
-
-        self._pool = get_worker_pool()
-        self._fragment_workers = max(
-            1, min(cluster.shard_count, MAX_FRAGMENT_WORKERS))
         #: Per-shard simulated sequential-scan bandwidth (MB/s); None = off.
         self.simulated_scan_mbps: Optional[float] = None
         self._mutex = threading.Lock()
@@ -224,26 +210,17 @@ class ClusterExecutor:
         nodes = [release.shards[shard_id] for shard_id in sorted(survivors)]
 
         started = time.perf_counter()
-        # Fragments may run on pool threads where this thread's span
-        # stack is invisible — capture the parent span here and pass it
-        # across explicitly so per-shard spans join the query's trace.
-        tracer = TRACER
-        parent_span = tracer.current() if tracer.enabled else None
         # The fragments share the evaluation context, and their vector
         # compiles where their NULL signatures match (_null_signature).
         memos: dict[tuple, dict] = {}
 
-        def run(shard: ShardNode) -> _Fragment:
-            return self._run_fragment(shard, plan, evaluation, memos,
-                                      parent_span=parent_span)
-        fragments = self._scatter(run, nodes)
+        fragments = self._scatter(plan, evaluation, memos, nodes)
         if (plan.is_aggregate and plan.aggregate_mode == "partial"
                 and _extremes_tie(plan, fragments)):
             # Partials merge in shard order; the first row's value
-            # needs the inputs folded in merged (scan) order.  ``run``
-            # reads ``plan`` when called, so it runs the ordered mode.
+            # needs the inputs folded in merged (scan) order.
             plan = dataclasses.replace(plan, aggregate_mode="ordered")
-            fragments = self._scatter(run, nodes)
+            fragments = self._scatter(plan, evaluation, memos, nodes)
 
         counters = attrgetter(*_FRAGMENT_COUNTERS)
         statistics = ExecutionStatistics(**dict(zip(
@@ -251,9 +228,9 @@ class ClusterExecutor:
             map(sum, zip(*[counters(fragment.statistics)
                            for fragment in fragments])))))
 
+        tracer = TRACER
         if tracer.enabled:
-            with tracer.span("merge", parent=parent_span,
-                             fragments=len(fragments)) as span:
+            with tracer.span("merge", fragments=len(fragments)) as span:
                 if plan.is_aggregate:
                     rows = self._merge_aggregate(plan, fragments, evaluation)
                 else:
@@ -290,25 +267,23 @@ class ClusterExecutor:
         return QueryResult(columns=columns, rows=rows, statistics=statistics,
                            plan=handle)
 
-    def _scatter(self, run: Callable[[ShardNode], _Fragment],
-                 nodes: Sequence[ShardNode]) -> list[_Fragment]:
-        """``run`` over ``nodes``, in order.  Fragments are CPU-bound
-        under the GIL, so they run inline; only modelled per-shard disks,
-        whose sleeps overlap, lease pool workers."""
-        if not self.simulated_scan_mbps:
-            return [run(node) for node in nodes]
-        with self._pool.lease(self._fragment_workers) as grant:
-            return list(grant.ordered_map(run, nodes))
+    def _scatter(self, plan: ClusterPlan, evaluation: EvaluationContext,
+                 memos: dict, nodes: Sequence[ShardNode]) -> list[_Fragment]:
+        """One fragment per node, in order, on the calling thread; then
+        the modelled disks' one wait (:meth:`_simulate_io`)."""
+        fragments = [self._run_fragment(node, plan, evaluation, memos)
+                     for node in nodes]
+        self._simulate_io(max((fragment.statistics.bytes_scanned
+                               for fragment in fragments), default=0))
+        return fragments
 
     # -- fragment execution (one call per shard) ---------------------------
 
     def _run_fragment(self, shard: ShardNode, plan: ClusterPlan,
-                      evaluation: EvaluationContext, memos: dict,
-                      parent_span=None) -> _Fragment:
+                      evaluation: EvaluationContext, memos: dict) -> _Fragment:
         tracer = TRACER
         if tracer.enabled:
-            with tracer.span("fragment", parent=parent_span,
-                             shard=shard.shard_id) as span:
+            with tracer.span("fragment", shard=shard.shard_id) as span:
                 fragment = self._run_fragment_inner(shard, plan, evaluation,
                                                     memos)
                 span.attributes["rows_scanned"] = (
@@ -321,7 +296,7 @@ class ClusterExecutor:
                             memos: dict) -> _Fragment:
         fragment = _Fragment()
         # The engine's scans account into this context's statistics; the
-        # cluster's own per-shard disk model is _simulate_io below.
+        # cluster's own per-shard disk model is _simulate_io.
         context = ExecutionContext(shard.database, evaluation,
                                    statistics=fragment.statistics)
         relations = ((plan.relation,) if isinstance(plan, SingleTablePlan)
@@ -331,10 +306,11 @@ class ClusterExecutor:
             context.vector_memo = memos.setdefault(
                 _null_signature(shard, relations), {})
             self._run_batches(shard, plan, context, fragment)
-        self._simulate_io(fragment.statistics.bytes_scanned)
         return fragment
 
     def _simulate_io(self, bytes_scanned: int) -> None:
+        """Sleep while the largest fragment's ``bytes_scanned`` stream
+        off its shard's disks; the other shards' disks stream alongside."""
         if not self.simulated_scan_mbps or bytes_scanned <= 0:
             return
         seconds = bytes_scanned / (self.simulated_scan_mbps * 1.0e6)
@@ -637,6 +613,7 @@ class ClusterExecutor:
         via per-shard statistics) prunes the scatter; each surviving
         shard answers through its own htmID index.
         """
+        from ..skyserver.spatial import _candidate_rows
         from .shard import prune_with_statistics
 
         release = self.cluster.release
@@ -658,20 +635,11 @@ class ClusterExecutor:
         self._count(fragments_executed=len(surviving),
                     fragments_pruned=release.shard_count - len(surviving))
         rows: list[dict[str, Any]] = []
-        with self._pool.lease(self._fragment_workers) as grant:
-            for shard_rows in grant.ordered_map(
-                    lambda shard: self._shard_candidates(shard, ranges),
-                    [release.shards[shard_id] for shard_id in sorted(surviving)]):
-                rows.extend(shard_rows)
+        for shard_id in sorted(surviving):
+            shard = release.shards[shard_id]
+            with shard.table("PhotoObj").lock.read():
+                rows.extend(_candidate_rows(shard.database, ranges))
         return rows
-
-    @staticmethod
-    def _shard_candidates(shard: ShardNode, ranges) -> list[dict[str, Any]]:
-        from ..skyserver.spatial import _candidate_rows
-
-        table = shard.table("PhotoObj")
-        with table.lock.read():
-            return list(_candidate_rows(shard.database, ranges))
 
     # -- explain -----------------------------------------------------------
 

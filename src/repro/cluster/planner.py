@@ -255,6 +255,8 @@ class ClusterPlanner:
         if len(infos) > 2:
             return FallbackPlan(query, tables=base_tables,
                                 reason=f"{len(infos)}-way join")
+        # A bind error needs no data: raise it here, not after a gather.
+        self.engine._check_qualifiers(query, by_name)
         try:
             pool = self.engine._build_predicate_pool(query, infos)
             self.engine._assign_local_conjuncts(pool, infos)

@@ -4,9 +4,10 @@ A :class:`ShardNode` is one in-process "server" of the cluster: it owns
 a full engine :class:`~repro.engine.catalog.Database` holding its slice
 of every partitioned table, with the same index definitions as the
 single-node catalog, its own ANALYZE statistics, and column-oriented
-storage whatever the coordinator's layout (every fragment runs through
-the engine's batch inputs) — a shard reuses ``convert_storage`` and
-``analyze`` exactly as a standalone database would.
+storage whatever the coordinator's layout: every shard table is created
+a column store (every fragment runs through the engine's batch inputs),
+so a load appends each row once and builds each index once.  A shard
+reuses ``vacuum`` and ``analyze`` exactly as a standalone database would.
 
 Alongside each table the node keeps the **global sequence** of every
 row: the position the row had in the single-node load order.  This is
@@ -121,35 +122,19 @@ class ShardNode:
                      predicate: Callable[[dict[str, Any]], bool]) -> int:
         return self.database.table(table_name).delete_where(predicate)
 
-    # -- storage layout / statistics (per-shard reuse of the engine) -------
-
-    def convert_storage(self, kind: str) -> int:
-        """Convert every loaded table, remapping the sequence lists.
-
-        Conversion compacts row ids in id order (dropping tombstones),
-        so the new sequence list is the old one restricted to live ids.
-        """
-        converted = 0
-        for key in list(self._sequences):
-            self._convert_one(self.database.table(key), kind)
-            converted += 1
-        return converted
-
-    def _convert_one(self, table: Table, kind: str) -> None:
-        if table.storage.kind == kind:
-            return  # a no-op, as Table.convert_storage: ids stay as they are
-        key = table.name.lower()
-        old = self._sequences.get(key, [])
-        live_ids = [row_id for row_id, _row in table.storage.iter_rows()]
-        table.convert_storage(kind)
-        self._sequences[key] = [old[row_id] for row_id in live_ids]
+    # -- compaction / statistics (per-shard reuse of the engine) -----------
 
     def vacuum(self, table_name: str) -> int:
-        """Compact one table's storage, remapping its sequence list."""
+        """Compact one table's storage, remapping its sequence list.
+
+        Compaction keeps live rows in id order, so the new sequence list
+        is the old one restricted to live ids.  The ids are read with no
+        columns: a column store then decodes nothing but its live mask.
+        """
         table = self.database.table(table_name)
         key = table.name.lower()
         old = self._sequences.get(key, [])
-        live_ids = [row_id for row_id, _row in table.storage.iter_rows()]
+        live_ids = [row_id for row_id, _row in table.storage.iter_rows(())]
         reclaimed = table.vacuum()
         if reclaimed:
             self._sequences[key] = [old[row_id] for row_id in live_ids]
@@ -219,9 +204,6 @@ class ShardNode:
 
     def replay_vacuum(self, table: Table) -> None:
         self.vacuum(table.name)
-
-    def replay_convert(self, table: Table, layout: str) -> None:
-        self._convert_one(table, layout)
 
     # -- read access -------------------------------------------------------
 
@@ -315,12 +297,12 @@ class ShardCluster:
         ``partition`` is ``"hash"``, ``"zone"`` (declination bands) or
         ``"htm"`` (trixel-id ranges); under the spatial schemes the
         photo snowflake arms derive their placement from PhotoObj so
-        ``objID`` joins stay shard-local.  The shards' tables are
-        converted to column stores, whatever ``database``'s layout, after
-        the index builds.  With ``detach_rows`` (the
-        default) the coordinator's tables are truncated afterwards —
-        its schema, index definitions and ANALYZE snapshots remain for
-        planning and for the gather (data-shipping) fallback.
+        ``objID`` joins stay shard-local.  The shards' tables are column
+        stores from creation, whatever ``database``'s layout.  With
+        ``detach_rows`` (the default) the coordinator's tables are
+        truncated afterwards — its schema, index definitions and ANALYZE
+        snapshots remain for planning and for the gather (data-shipping)
+        fallback.
         """
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
@@ -362,8 +344,6 @@ class ShardCluster:
         if build_indices:
             for node in nodes:
                 cls._clone_indices(database, node.database)
-        for node in nodes:
-            node.convert_storage("column")
         if analyze:
             for node in nodes:
                 node.analyze()
@@ -384,14 +364,16 @@ class ShardCluster:
 
     @staticmethod
     def _shard_database(database: Database, index: int) -> Database:
-        """An empty clone of the coordinator's table schemas (no FKs/views)."""
+        """An empty clone of the coordinator's table schemas (no FKs/views),
+        every table a column store."""
         shard_db = Database(f"{database.name}-shard{index}",
                             description=f"shard {index} of {database.name}")
         for name in database.table_names():
             table = database.table(name)
             shard_db.create_table(table.name, table.columns,
                                   primary_key=table.primary_key,
-                                  description=table.description)
+                                  description=table.description,
+                                  storage="column")
         return shard_db
 
     @staticmethod
@@ -728,9 +710,6 @@ class ShardCluster:
         for shard_id in range(manifest["shards"]):
             node, manager = ShardNode.recover(
                 shard_id, os.path.join(root, f"shard-{shard_id}"), fsync=fsync)
-            # A cluster saved with row-store shards opens with column
-            # stores, the only layout fragments read (a no-op otherwise).
-            node.convert_storage("column")
             nodes.append(node)
             shard_managers.append(manager)
         placements = {key: cls._placement_from_entry(entry)

@@ -28,7 +28,6 @@ from .index import BTreeIndex
 from .logical import (FunctionRef, Join, LogicalQuery, OrderItem, SelectItem,
                       TableRef, contains_variables, referenced_tables)
 from .operators import ExecutionStatistics, PhysicalPlan, QueryResult
-from .parallel import WorkerPool, get_worker_pool
 from .planner import Planner
 from .session import make_session
 from .sql import PlanCache, SqlSession, parse_batch, parse_expression, parse_select
@@ -41,8 +40,6 @@ from .view import View
 
 __all__ = [
     "Database",
-    "WorkerPool",
-    "get_worker_pool",
     "Table",
     "TableStorage",
     "RowStore",

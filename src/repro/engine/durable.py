@@ -302,9 +302,9 @@ class DurabilityManager:
         #: A shard node registers its sequence spine here.
         self.state_providers: dict[str, Callable[[], Any]] = {}
         #: Recovery delegate for components that wrap table ops (a shard
-        #: node remaps its sequence spine on vacuum/convert).  Optional
+        #: node remaps its sequence spine on vacuum).  Optional
         #: methods: ``replay_insert(table, row, sequence)``,
-        #: ``replay_vacuum(table)``, ``replay_convert(table, layout)``.
+        #: ``replay_vacuum(table)``.
         self.replay_delegate: Any = None
         #: Each table's insert-frame codec, built on first use.
         self._row_codecs: "weakref.WeakKeyDictionary[Table, RowCodec]" = (
@@ -747,10 +747,7 @@ class DurabilityManager:
             else:
                 table.vacuum()
         elif op == "convert":
-            if delegate is not None and hasattr(delegate, "replay_convert"):
-                delegate.replay_convert(table, record["layout"])
-            else:
-                table.convert_storage(record["layout"])
+            table.convert_storage(record["layout"])
         elif op == "create_index":
             if record["index"].lower() not in {n.lower() for n in table.indexes}:
                 table.create_index(record["index"], record["columns"],

@@ -348,6 +348,7 @@ class Planner:
         by_name = {info.binding_name: info for info in relations}
         if len(by_name) != len(relations):
             raise BindError("duplicate relation alias in FROM clause")
+        self._check_qualifiers(query, by_name)
 
         #: Cardinality feedback: observed per-binding row counts from a
         #: previous execution replace the selectivity-model estimate in
@@ -458,6 +459,32 @@ class Planner:
             else:
                 still_remaining.append(conjunct)
         pool.remaining = still_remaining
+
+    @staticmethod
+    def _check_qualifiers(query: LogicalQuery,
+                          by_name: dict[str, _RelationInfo]) -> None:
+        """Every qualifier in the select list, GROUP BY, HAVING and ORDER
+        BY names a FROM relation, as :meth:`_conjunct_aliases` demands of
+        WHERE and ON: a reference to no relation would otherwise read
+        whatever its access path happened to fetch, or fail only once a
+        row reached it."""
+        expressions = [item.expression for item in query.select]
+        expressions.extend(order.expression for order in query.order_by)
+        expressions.extend(query.group_by)
+        if query.having is not None:
+            expressions.append(query.having)
+        for expression in expressions:
+            if isinstance(expression, Star):
+                qualifiers = ({expression.qualifier.lower()}
+                              if expression.qualifier else set())
+            else:
+                qualifiers = {qualifier for qualifier, _column
+                              in expression.referenced_columns()
+                              if qualifier is not None}
+            unknown = sorted(qualifiers - by_name.keys())
+            if unknown:
+                raise BindError(
+                    f"unknown alias {unknown[0]!r} in {expression.sql()}")
 
     def _conjunct_aliases(self, conjunct: Expression,
                           by_name: dict[str, _RelationInfo]) -> set[str]:

@@ -39,7 +39,9 @@ class LoadReport:
     elapsed_seconds: float = 0.0
     indices_created: int = 0
     neighbor_pairs: int = 0
-    #: Tables converted to column-oriented storage after the load.
+    #: Loaded tables held in column-oriented storage: converted after a
+    #: columnar single-node load, or created as column stores on the
+    #: shards of a sharded load.
     columnar_tables: int = 0
     #: Tables whose optimizer statistics were collected after the load.
     tables_analyzed: int = 0
@@ -87,8 +89,10 @@ class SkyServerLoader:
     point-lookup/row-iteration heavy — so the scan-heavy query workload
     that follows runs through the engine's vectorized batch pipeline.
     Loading itself stays row-at-a-time — the row store is the
-    write-optimised path.  A sharded load's shards are column stores
-    whatever ``columnar`` says (:meth:`ShardCluster.from_database`).
+    write-optimised path.  A sharded load converts nothing: its shard
+    tables are created as column stores whatever ``columnar`` says
+    (:meth:`ShardCluster.from_database`), while the coordinator keeps
+    the row stores it loaded.
     """
 
     def __init__(self, database: Database, *, columnar: bool = False,
@@ -167,8 +171,8 @@ class SkyServerLoader:
                 # validation are point-lookup/row-iteration heavy — the row
                 # store's strength — while everything after the load is
                 # scan-heavy query traffic.  The derived Neighbors table
-                # converts too.  (A sharded load's shards are always
-                # column stores, below.)
+                # converts too.  (A sharded load's shards are created
+                # as column stores, below.)
                 for name in loaded_names:
                     self.database.table(name).convert_storage("column")
                     report.columnar_tables += 1

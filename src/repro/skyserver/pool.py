@@ -1030,12 +1030,9 @@ class SkyServerPool:
 
     def statistics(self) -> dict[str, Any]:
         """The ``site_statistics()["serving"]["pool"]`` payload."""
-        from ..engine.parallel import get_worker_pool
-
         with self._cond:
             return {
                 "workers": len(self._threads),
-                "worker_pool": get_worker_pool().statistics(),
                 "queue_depth": len(self._queue),
                 "queue_depth_peak": self.queue_depth_peak,
                 "running": dict(self._running),

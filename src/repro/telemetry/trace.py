@@ -13,8 +13,8 @@ Design constraints, in order:
 2. **Tracing on changes only counters.**  Spans observe, never steer:
    nothing in the engine may branch on a span's contents.
 3. **Cross-thread parenting is explicit.**  Thread-locals do not follow
-   work onto the shared worker pool, so dispatch sites capture
-   ``TRACER.current()`` and pass it as ``parent=`` on the far side.
+   work onto another thread, so code that hands work over captures
+   ``TRACER.current()`` and passes it as ``parent=`` on the far side.
 
 This module must not import anything from ``repro.engine`` — engine
 modules import it.

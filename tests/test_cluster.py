@@ -15,8 +15,8 @@ from repro.cluster import (ClusterSession, DerivedPlacement, FallbackPlan,
                            HashPlacement, HtmPlacement, ShardCluster,
                            SingleTablePlan, ZonePlacement, colocated,
                            quantile_boundaries, stable_hash)
-from repro.engine import (Database, PrimaryKey, SqlSession, bigint, floating,
-                          integer)
+from repro.engine import (BindError, Database, PrimaryKey, SqlSession, bigint,
+                          floating, integer)
 from repro.engine.operators import AggregateState
 from repro.engine.sql import parse_batch
 from repro.engine.sql.ast import SelectStatement
@@ -157,7 +157,7 @@ class TestPlacements:
 
 
 # ---------------------------------------------------------------------------
-# Shard nodes: sequences survive layout changes
+# Shard nodes: sequences survive compaction
 # ---------------------------------------------------------------------------
 
 class TestShardNode:
@@ -170,15 +170,12 @@ class TestShardNode:
         gathered = [row["objid"] for _seq, row in cluster.gathered_rows("Obj")]
         assert gathered == original
 
-    def test_sequences_survive_convert_and_vacuum(self):
+    def test_sequences_survive_vacuum(self):
         database = build_generic(rows=60, neighbors=10)
         cluster = ShardCluster.from_database(database, shards=2,
                                              affinity=AFFINITY)
-        before = [row["objid"] for _seq, row in cluster.gathered_rows("Obj")]
         for node in cluster.shards:
             assert node.table("Obj").storage.kind == "column"
-            node.convert_storage("row")
-        assert [row["objid"] for _s, row in cluster.gathered_rows("Obj")] == before
         removed = cluster.delete_where("Obj", lambda row: row["type"] == 0)
         assert removed > 0
         survivors = [row["objid"] for _s, row in cluster.gathered_rows("Obj")]
@@ -652,15 +649,35 @@ def test_an_aggregate_outside_aggregation_raises_on_shard_rows(sql):
     assert session.query(sql).rows == []
 
 
-def test_cone_pruning_keeps_shards_with_stale_statistics():
-    """A row inserted after ANALYZE (outside every analyzed htmID range)
-    must still be found by the pruned cone scatter."""
+@pytest.mark.parametrize("layout", ["row", "column", "shards"])
+@pytest.mark.parametrize("sql", [
+    "select objID from Obj o where x.mag > 1",
+    "select x.mag from Obj o",
+    "select x.* from Obj o",
+    "select objID from Obj o order by x.mag",
+    "select count(*) as n from Obj o group by x.type",
+    "select o.type from Obj o group by o.type having max(x.mag) > 0",
+    "select x.objID + 1 from Obj o join Neighbors n on n.objID = o.objID",
+])
+def test_an_unknown_alias_raises_in_every_clause(layout, sql):
+    """A qualifier naming no FROM relation is a bind error when the
+    statement is planned, wherever it appears and whatever the layout;
+    ORDER BY an output alias still orders."""
+    session = (ClusterSession(make_cluster(4)) if layout == "shards"
+               else SqlSession(build_generic(storage=layout)))
+    with pytest.raises(BindError, match="unknown alias 'x'"):
+        session.query(sql)
+    rows = session.query("select objID as m from Obj o order by m desc").rows
+    assert [row["m"] for row in rows[:2]] == [399 * 13 + 5, 398 * 13 + 5]
+
+
+def _photo_database(name: str) -> Database:
+    """200 PhotoObj rows in a 1 x 0.8 degree patch, indexed on htmID."""
     import random
 
-    from repro.htm import cover_circle, lookup_id
-    from repro.skyserver.spatial import nearby_from_candidates
+    from repro.htm import lookup_id
 
-    database = Database("stale-cone")
+    database = Database(name)
     table = database.create_table(
         "PhotoObj",
         [bigint("objID"), floating("ra"), floating("dec"), bigint("htmID"),
@@ -676,7 +693,17 @@ def test_cone_pruning_keeps_shards_with_stale_statistics():
     table.insert_many(rows)
     table.create_index("ix_htm", ["htmID"])
     database.analyze()
-    cluster = ShardCluster.from_database(database, shards=4, partition="htm")
+    return database
+
+
+def test_cone_pruning_keeps_shards_with_stale_statistics():
+    """A row inserted after ANALYZE (outside every analyzed htmID range)
+    must still be found by the pruned cone scatter."""
+    from repro.htm import cover_circle, lookup_id
+    from repro.skyserver.spatial import nearby_from_candidates
+
+    cluster = ShardCluster.from_database(_photo_database("stale-cone"),
+                                         shards=4, partition="htm")
     ra, dec = 186.5, 1.2
     cluster.insert("PhotoObj", {"objID": 999999, "ra": ra, "dec": dec,
                                 "htmID": lookup_id(ra, dec), "type": 1,
@@ -684,6 +711,57 @@ def test_cone_pruning_keeps_shards_with_stale_statistics():
     candidates = cluster.executor.cone_candidate_rows(cover_circle(ra, dec, 2.0))
     found = nearby_from_candidates(candidates, ra, dec, 2.0)
     assert [entry["objID"] for entry in found] == [999999]
+
+
+def test_simulated_disks_run_on_the_calling_thread_and_sleep_once(
+        monkeypatch):
+    """Modelled per-shard disks change no answer and start no thread:
+    fragments and cone fetches run on the caller's thread, and a scatter
+    sleeps once, for its largest fragment's bytes at the modelled rate
+    (every shard streams off its own disks alongside the others)."""
+    import threading
+
+    import repro.skyserver.spatial as spatial
+    from repro.cluster import executor as executor_module
+    from repro.htm import cover_circle
+
+    cluster = ShardCluster.from_database(_photo_database("simulated-disks"),
+                                         shards=4)
+    executor = cluster.executor
+    session = ClusterSession(cluster)
+    sql = ("select objID, modelMag_r from PhotoObj where dec > -1.2 "
+           "order by objID")
+    cover = cover_circle(183.5, -1.0, 20.0)
+    plain = (session.query(sql).rows, executor.cone_candidate_rows(cover))
+
+    threads: list[int] = []
+    fragment_bytes: list[int] = []
+    sleeps: list[float] = []
+    run_fragment = executor._run_fragment
+    candidate_rows = spatial._candidate_rows
+
+    def traced_fragment(*args, **kwargs):
+        threads.append(threading.get_ident())
+        fragment = run_fragment(*args, **kwargs)
+        fragment_bytes.append(fragment.statistics.bytes_scanned)
+        return fragment
+
+    def traced_candidates(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return candidate_rows(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "_run_fragment", traced_fragment)
+    monkeypatch.setattr(spatial, "_candidate_rows", traced_candidates)
+    monkeypatch.setattr(executor_module.time, "sleep", sleeps.append)
+    executor.simulated_scan_mbps = 50.0
+    result = session.query(sql)
+    assert len(fragment_bytes) == 4
+    assert sleeps == [pytest.approx(max(fragment_bytes) / 50.0e6)]
+    assert max(fragment_bytes) < result.statistics.bytes_scanned
+    simulated = (result.rows, executor.cone_candidate_rows(cover))
+    assert simulated == plain
+    assert len(threads) > 4
+    assert set(threads) == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------
@@ -1130,9 +1208,8 @@ class TestShardedReleaseFlip:
         release_a = server.query(self.COUNT).rows
         release_b = self._release_b()
         executor = server.cluster.executor
-        # Fragments run inline, in shard order; the flip lands just
-        # before the third shard's fragment.
-        monkeypatch.setattr(executor, "_fragment_workers", 1)
+        # Fragments run on this thread, in shard order; the flip lands
+        # just before the third shard's fragment.
         original = executor._run_fragment
         calls = []
 

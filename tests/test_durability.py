@@ -691,11 +691,11 @@ class TestClusterCrashRecovery:
         assert self._gathered(recovered) == expected
         recovered.close_durable()
 
-    def test_vacuum_and_convert_replay_through_the_shard_nodes(self, tmp_path):
-        """A shard's WAL logs ``vacuum`` and ``convert`` like any table's;
-        recovery replays them through the node (``ShardNode.
-        replay_vacuum``/``replay_convert``), which remaps the global
-        sequence list the way the live operation did."""
+    def test_vacuum_replays_through_the_shard_nodes(self, tmp_path):
+        """A shard's WAL logs ``vacuum`` like any table's; recovery
+        replays it through the node (``ShardNode.replay_vacuum``), which
+        remaps the global sequence list the way the live operation did.
+        The reopened shards are column stores and answer ``*``."""
         from unittest import mock
 
         from repro.cluster import ClusterSession, ShardCluster, ShardNode
@@ -705,16 +705,12 @@ class TestClusterCrashRecovery:
         self._online_dml(cluster, seed=41, inserts=30)   # ends in a delete
         for node in cluster.shards:
             assert node.vacuum("Obj") > 0
-            # Shards are column stores: convert away and back.
-            node.convert_storage("row")
-            node.convert_storage("column")
         sql = ("select objID, mag, tag from Obj where dec > 0 "
                "order by mag, objID")
 
         def answers(cluster):
             return (self._gathered(cluster),
                     [node.sequence_list("Obj") for node in cluster.shards],
-                    [node.table("Obj").storage.kind for node in cluster.shards],
                     repr(ClusterSession(cluster).query(sql).rows))
 
         expected = answers(cluster)
@@ -722,34 +718,41 @@ class TestClusterCrashRecovery:
                         *cluster.durability["shards"]]:
             manager.close()         # a crash: no closing checkpoint
         with mock.patch.object(ShardNode, "replay_vacuum", autospec=True,
-                               side_effect=ShardNode.replay_vacuum) as vacuum, \
-                mock.patch.object(ShardNode, "replay_convert", autospec=True,
-                                  side_effect=ShardNode.replay_convert) as convert:
+                               side_effect=ShardNode.replay_vacuum) as vacuum:
             recovered = ShardCluster.open_durable(tmp_path)
-        assert vacuum.call_count == 2 and convert.call_count == 4
+        assert vacuum.call_count == 2
         assert answers(recovered) == expected
-        recovered.close_durable()
-
-    def test_row_store_shards_reopen_as_column_stores(self, tmp_path):
-        """A cluster saved with row-store shards opens with column
-        stores, the only layout shard fragments read (``*`` included)."""
-        from repro.cluster import ClusterSession, ShardCluster
-
-        cluster = self._build_cluster(shards=2)
-        for node in cluster.shards:
-            node.convert_storage("row")
-        cluster.make_durable(tmp_path)
-        expected = self._gathered(cluster)
-        cluster.close_durable()
-        recovered = ShardCluster.open_durable(tmp_path)
         assert [node.table("Obj").storage.kind
                 for node in recovered.shards] == ["column", "column"]
-        assert self._gathered(recovered) == expected
         rows = ClusterSession(recovered).query(
             "select * from Obj where dec > 0 order by objID").rows
         assert [row["objid"] for row in rows] == sorted(
             row["objid"] for _sequence, row in recovered.gathered_rows("Obj")
             if row["dec"] > 0)
+        recovered.close_durable()
+
+    def test_shard_tables_are_born_column_stores(self, tmp_path):
+        """Neither the split nor a reopen converts a table's layout: the
+        shard tables are column stores from creation, so a split appends
+        each row once and builds each index once."""
+        from unittest import mock
+
+        from repro.cluster import ShardCluster
+        from repro.engine.table import Table
+
+        with mock.patch.object(Table, "convert_storage", autospec=True,
+                               side_effect=Table.convert_storage) as convert:
+            cluster = self._build_cluster(shards=2)
+            assert [node.table("Obj").storage.kind
+                    for node in cluster.shards] == ["column", "column"]
+            cluster.make_durable(tmp_path)
+            expected = self._gathered(cluster)
+            cluster.close_durable()
+            recovered = ShardCluster.open_durable(tmp_path)
+        assert convert.call_count == 0
+        assert [node.table("Obj").storage.kind
+                for node in recovered.shards] == ["column", "column"]
+        assert self._gathered(recovered) == expected
         recovered.close_durable()
 
     def test_torn_shard_wal_drops_only_that_shards_tail(self, tmp_path):
