@@ -1,22 +1,23 @@
 """Columnar storage + vectorized batch execution vs the row path.
 
-PR 1 fused single-table scans into one compiled loop over row dicts;
-the per-row Python overhead (dict reads, closure calls) became the
-dominant cost.  This benchmark measures the columnar rewrite: the same
+The compiled row pipeline runs one generated function per expression
+on each row dict; the per-row Python overhead (dict reads, closure
+calls) is its dominant cost.  This benchmark measures the columnar
+rewrite: the same
 data in a :class:`ColumnStore` (per-column ``array.array`` buffers)
 swept by generated batch loops — selection vectors from one list
 comprehension per predicate, aggregates reduced with C-level builtins.
 
-Acceptance: the columnar vectorized path is at least 2x the row path
-(compiled + fused, PR 1's best) on the 50k-row filter+aggregate scan,
-and at least 2x the row interpreter (``execute(compiled=False)``) on
-the 50k-row filter+project scan.  That scan was gated against the
-fused loop (measured 3.0-4.2x) until the fused loop started running
-each expression as one generated function, which took it from ~65-100
-to ~34 ms and the ratio to 1.5-1.7x (2-core host, Python 3.11); the
+Acceptance: the columnar vectorized path is at least 2x the compiled
+row path on the 50k-row filter+aggregate scan, and at least 2x the row
+interpreter (``execute(compiled=False)``) on the 50k-row filter+project
+scan.  That scan was gated against a fused scan→filter→project row
+loop (measured 3.0-4.2x) until the loop started running each
+expression as one generated function, which took it from ~65-100 to
+~34 ms and the ratio to 1.5-1.7x (2-core host, Python 3.11); the
 interpreter and the columnar side did not move (~250 and ~21 ms,
-11-13x), so the floor now divides by the interpreter.  The fused
-loop's time and ratio are still printed.  ORDER BY + TOP sorts
+11-13x), so the floor now divides by the interpreter.  The fused loop
+is gone; the compiled row pipeline's time and ratio are printed.  ORDER BY + TOP sorts
 row-at-a-time, but its scan is a batch chain whose passing rows alone
 become dicts, narrowed to the columns the query references: over a
 120-column table the top-n plan runs within 2x of the same plan on a
@@ -122,7 +123,7 @@ def test_columnar_aggregate_speedup_at_least_2x():
 
     report = ExperimentReport(
         "Columnar vectorized aggregation — 50k-row filter+aggregate scan",
-        "Row path (compiled + fused loop over row dicts) vs the columnar "
+        "Row path (compiled row pipeline over row dicts) vs the columnar "
         "batch pipeline (generated selection loop, C-level reductions).")
     report.add("row path elapsed", "", round(row_s, 4), unit="s")
     report.add("columnar elapsed", "", round(column_s, 4), unit="s")
@@ -137,7 +138,7 @@ def test_columnar_aggregate_speedup_at_least_2x():
 
 def test_columnar_scan_speedup_at_least_2x():
     """50k-row filter+project: batch selection + projection vs the row
-    interpreter; the fused compiled loop is measured and reported."""
+    interpreter; the compiled row path is measured and reported."""
     row_plan, unpinned_plan = _row_plans(_build_database("row"), SCAN_SQL)
     column_plan = Planner(_build_database("column")).plan(parse_select(SCAN_SQL))
     interpreted_s, interpreted = _best_of(lambda: row_plan.execute(compiled=False))
@@ -151,7 +152,7 @@ def test_columnar_scan_speedup_at_least_2x():
 
     report = ExperimentReport(
         "Columnar vectorized scan — 50k-row filter+project",
-        "The row interpreter and the fused row-dict loop vs selection "
+        "The row interpreter and the compiled row path vs selection "
         "vectors and vectorized projections over column buffers.")
     report.add("row interpreter elapsed", "", round(interpreted_s, 4), unit="s")
     report.add("row path elapsed", "", round(row_s, 4), unit="s")

@@ -14,7 +14,7 @@ from .catalog import Database
 from .concurrency import LockUpgradeError, ReadWriteLock, lock_tables, read_locks
 from .compile import (VectorCompileError, compile_expression,
                       compile_row_expression, compile_vector_predicate,
-                      compile_vector_projection, supports_row_mode)
+                      compile_vector_projection)
 from .constraints import CheckConstraint, ForeignKey, PrimaryKey
 from .errors import (BindError, CatalogError, CheckViolation, ConstraintViolation,
                      EngineError, ExpressionError, ForeignKeyViolation, LoadError,
@@ -92,7 +92,6 @@ __all__ = [
     "ColumnStatistics",
     "TableStatistics",
     "collect_table_statistics",
-    "supports_row_mode",
     "VectorCompileError",
     "Expression",
     "Literal",

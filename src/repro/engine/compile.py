@@ -22,11 +22,11 @@ expressions **once per execution**:
   statement that raises :class:`UnknownColumnError` when (and only
   when) a row reaches it;
 * :func:`compile_row_expression` is the one-alias case of the same
-  emitter for the fused single-table fast path: the function takes the
-  table's row dict itself, so a column read is ``r['type']``.  It is
-  strict — :class:`RowCompileError` when a reference does not resolve
-  against the one table (the caller then falls back to the general
-  path);
+  emitter: the function takes the table's row dict itself, so a column
+  read is ``r['type']``.  It is strict — :class:`RowCompileError` when
+  a reference does not resolve against the one table.  The batch
+  compilers' row-view fallback (:class:`_BatchRowEmitter`) is built on
+  it;
 * :func:`compile_vector_predicate` / :func:`compile_vector_projection`
   produce batch-at-a-time functions over
   :class:`~repro.engine.batch.ColumnBatch` selection vectors.  One
@@ -241,15 +241,6 @@ def compile_row_expression(expression: Expression, evaluation: EvaluationContext
     """
     return _RowEmitter(evaluation, table_layout(table, binding_name)).function(
         expression)
-
-
-def supports_row_mode(expression: Expression, table: "Any", binding_name: str) -> bool:
-    """True when :func:`compile_row_expression` would accept ``expression``."""
-    try:
-        compile_row_expression(expression, EvaluationContext(), table, binding_name)
-    except RowCompileError:
-        return False
-    return True
 
 
 def generated_source(expression: Expression, evaluation: EvaluationContext,
@@ -817,9 +808,10 @@ class _Emitter:
 
 
 class _RowEmitter(_Emitter):
-    """The one-argument case: the function takes a row dict itself (the
-    fused fast path) or a batch row view (:class:`_BatchRowEmitter`),
-    and a reference outside the layout is a compile-time error."""
+    """The one-argument case: the function takes a row dict itself
+    (:func:`compile_row_expression`) or a batch row view
+    (:class:`_BatchRowEmitter`), and a reference outside the layout is a
+    compile-time error."""
 
     argument = "r"
 
@@ -831,7 +823,7 @@ class _RowEmitter(_Emitter):
         raise RowCompileError(message)
 
     def aggregate(self, node: AggregateCall) -> _Operand:
-        raise RowCompileError("aggregates cannot run in the fused scan path")
+        raise RowCompileError("aggregates cannot run in row mode")
 
     def fallback(self, node: Expression) -> _Operand:
         raise RowCompileError(f"unsupported node {type(node).__name__} in row mode")

@@ -5,10 +5,11 @@ function nested-loop-joined against PhotoObj, sorted, inserted into a
 results table), Query 15A (Figure 11: a parallel table scan) and the
 NEO pair query (Figure 12: a nested-loop join of two index scans).
 :func:`render_plan` produces an indented text rendering of the same
-information: operator, target object, predicate, estimated rows and —
-after execution — actual rows, segment counts and runtime-filter
-pruning.  The engine executes serially, so no plan carries a worker
-count.
+information: operator, target object, predicate, the planner's
+estimated rows and cumulative cost (``planner_rows``/``planner_cost``,
+which the planner sets on every operator of a plan) and — after
+execution — actual rows, segment counts and runtime-filter pruning.
+The engine executes serially, so no plan carries a worker count.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ def render_operator(operator: PhysicalOperator, depth: int = 0,
                     executed: bool = False, timed: bool = False) -> list[str]:
     indent = "  " * depth
     details = operator.details()
-    estimated = (operator.planner_rows if operator.planner_rows is not None
-                 else operator.estimated_rows())
     line = f"{indent}-> {operator.label}"
     if details:
         line += f" [{details}]"
-    line += f" (estimated rows={estimated}"
+    line += f" (estimated rows={operator.planner_rows}"
     if operator.planner_cost:
         line += f" cost={operator.planner_cost:.1f}"
     if executed or operator.actual_rows:
@@ -44,8 +43,8 @@ def render_operator(operator: PhysicalOperator, depth: int = 0,
         if timed and operator.actual_seconds > 0.0:
             # Inclusive wall time from the span clocks installed by
             # ``execute(time_operators=True)``; operators the execution
-            # never drove row-at-a-time (fused vectorized children)
-            # carry no time of their own and print none.
+            # never drove row-at-a-time (the children of a batch
+            # pipeline) carry no time of their own and print none.
             line += f" time={operator.actual_seconds * 1000.0:.3f}ms"
         if operator.planner_rows is not None:
             error = q_error(operator.planner_rows, operator.actual_rows)

@@ -30,9 +30,8 @@ from typing import (Any, Callable, ClassVar, Iterable, Iterator, Optional,
 
 from .batch import BATCH_ROWS, ColumnBatch, JoinBatch
 from .catalog import Database
-from .compile import (CompiledExpression, Layout, RowCompileError, Schema,
-                      VectorCompileError, VectorExpression, batch_key,
-                      compile_expression, compile_row_expression,
+from .compile import (CompiledExpression, Layout, Schema, VectorCompileError,
+                      VectorExpression, batch_key, compile_expression,
                       compile_vector_predicate, compile_vector_projection,
                       conjunct_hazards, merge_layouts, row_keys, table_layout)
 from .errors import PlanError, UnknownColumnError
@@ -89,10 +88,6 @@ class ExecutionStatistics:
     #: (one row-mode call per position) instead of a generated loop.
     vector_fallbacks: int = 0
 
-    def merge_scan(self, rows: int, row_bytes: float) -> None:
-        self.rows_scanned += rows
-        self.bytes_scanned += int(rows * row_bytes)
-
 
 @dataclass
 class ExecutionContext:
@@ -142,20 +137,11 @@ class ExecutionContext:
         (the oracle the narrowed reads are checked against)."""
         return columns if self.compile_enabled else None
 
-    def compile_row(self, expression: Expression, table: "Table",
-                    binding_name: str) -> CompiledExpression:
-        """Row-mode compile for the fused scan path (raises RowCompileError).
-
-        Does not touch the ``exprs_compiled`` counter: the caller counts
-        once per expression only after the whole fused compilation
-        succeeds (a partial attempt falls back and recompiles).
-        """
-        return compile_row_expression(expression, self.evaluation,
-                                      table, binding_name)
-
     def compile_vector_predicate(self, expression: Expression,
                                  schema: Schema) -> VectorExpression:
-        """Vector compile (raises VectorCompileError); counters as compile_row.
+        """Vector compile (raises VectorCompileError).  Does not touch
+        the ``exprs_compiled`` counter: the consumer counts its
+        pipeline's expressions once the whole pipeline compiled.
 
         Over one column-store binding the compiled function also carries the
         predicate's *zone form* (``fn.zone_predicate``, None unless the
@@ -214,9 +200,9 @@ class PhysicalOperator:
     #: qualifies (e.g. the table's storage layout changed).
     vectorized = False
 
-    #: Cardinality/cost estimates assigned by the cost-based optimizer
-    #: (None/0.0 when the planner ran without the cost model).  EXPLAIN
-    #: prefers ``planner_rows`` over the operator's own heuristic.
+    #: Cardinality/cost estimates the planner assigns to every operator
+    #: of a plan it builds (EXPLAIN shows them; None/0.0 on an operator
+    #: built outside the planner, such as a cluster fragment's).
     planner_rows: Optional[int] = None
     planner_cost: float = 0.0
 
@@ -236,13 +222,9 @@ class PhysicalOperator:
             self.planner_cost = float(cost)
 
     def scale_rows(self, child_rows: int) -> int:
-        """This operator's output cardinality given its child's.
-
-        The single source of each operator's row-scaling heuristic:
-        ``estimated_rows`` applies it to the child's own estimate and
-        the cost propagation applies it to the optimizer-corrected
-        child estimate.
-        """
+        """This operator's output cardinality given its child's: the
+        planner's cost propagation applies it to the child's
+        ``planner_rows``."""
         return child_rows
 
     def mark_batch_mode(self) -> None:
@@ -275,13 +257,6 @@ class PhysicalOperator:
 
     def details(self) -> str:
         return ""
-
-    def estimated_rows(self) -> int:
-        """The heuristic cardinality EXPLAIN shows where the planner set
-        no ``planner_rows`` (``enable_cbo=False``): an operator with one
-        child scales the child's; leaves and joins override it."""
-        (child,) = self.children()
-        return self.scale_rows(child.estimated_rows())
 
     def _emit(self, binding: Binding) -> Binding:
         self.actual_rows += 1
@@ -448,9 +423,6 @@ class TableScan(PhysicalOperator):
         where = f" WHERE {self.predicate.sql()}" if self.predicate is not None else ""
         return f"{self.table.name} AS {self.binding_name}{where}"
 
-    def estimated_rows(self) -> int:
-        return self.table.row_count
-
 
 class _IndexWalk(PhysicalOperator):
     """What an index seek and a covering index scan share: a walk of
@@ -598,9 +570,6 @@ class CoveringIndexScan(_IndexWalk):
                 f"({', '.join(self.index.columns)}){bounds} "
                 f"AS {self.binding_name}{where}")
 
-    def estimated_rows(self) -> int:
-        return self.index.table.row_count
-
 
 def key_range_row_ids(index: BTreeIndex,
                       low: Optional[Sequence[Expression]],
@@ -654,8 +623,7 @@ class IndexRangeScan(_IndexWalk):
 
     def __init__(self, index: BTreeIndex, binding_name: str,
                  low: Optional[Sequence[Expression]], high: Optional[Sequence[Expression]],
-                 predicate: Optional[Expression] = None,
-                 estimated: int = 0, covering: bool = False,
+                 predicate: Optional[Expression] = None, covering: bool = False,
                  columns: Optional[Sequence[str]] = None, *,
                  range_predicate: Optional[Expression]):
         super().__init__()
@@ -665,7 +633,6 @@ class IndexRangeScan(_IndexWalk):
         self.high = list(high) if high is not None else None
         self.predicate = predicate
         self.range_predicate = range_predicate
-        self._estimated = estimated
         self.covering = covering
         self.columns = columns
 
@@ -714,9 +681,6 @@ class IndexRangeScan(_IndexWalk):
                 f"{key_range_text(self.low, self.high)} "
                 f"AS {self.binding_name}{where}")
 
-    def estimated_rows(self) -> int:
-        return self._estimated
-
 
 class FunctionScan(PhysicalOperator):
     """Scan of a table-valued function's result (Figure 10's outer input)."""
@@ -744,9 +708,6 @@ class FunctionScan(PhysicalOperator):
         args = ", ".join(argument.sql() for argument in self.args)
         return f"{self.function.name}({args}) AS {self.binding_name}"
 
-    def estimated_rows(self) -> int:
-        return self.function.row_estimate
-
 
 class RowSource(PhysicalOperator):
     """An operator over pre-materialised rows (used for subqueries and tests)."""
@@ -768,9 +729,6 @@ class RowSource(PhysicalOperator):
 
     def details(self) -> str:
         return f"{len(self._rows)} rows AS {self.binding_name}"
-
-    def estimated_rows(self) -> int:
-        return len(self._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +767,6 @@ class NestedLoopJoin(PhysicalOperator):
 
     def details(self) -> str:
         return f"ON {self.condition.sql()}" if self.condition is not None else "cross join"
-
-    def estimated_rows(self) -> int:
-        return max(self.outer.estimated_rows(), self.inner.estimated_rows())
 
 
 class IndexNestedLoopJoin(PhysicalOperator):
@@ -923,9 +878,6 @@ class IndexNestedLoopJoin(PhysicalOperator):
             return (f"range probe {target} BETWEEN ({key}) AND "
                     f"({self.outer_high.sql()}) AS {self.inner_binding}{residual}")
         return f"probe {target} = ({key}) AS {self.inner_binding}{residual}"
-
-    def estimated_rows(self) -> int:
-        return self.outer.estimated_rows()
 
 
 def _range_probe(index: BTreeIndex, low: Any, high: Any) -> Iterable[int]:
@@ -1048,9 +1000,6 @@ class HashJoin(PhysicalOperator):
         build = ", ".join(expression.sql() for expression in self.build_keys)
         probe = ", ".join(expression.sql() for expression in self.probe_keys)
         return f"build({build}) = probe({probe})"
-
-    def estimated_rows(self) -> int:
-        return max(self.build.estimated_rows(), self.probe.estimated_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -1249,8 +1198,7 @@ class _BatchInput:
     of the input itself) compile under the input's :attr:`schema`, and
     the batch columns they read accumulate in :attr:`needed`.
     ``compiled`` counts them; the consumer adds them to
-    ``exprs_compiled`` only once its whole pipeline compiled, as the
-    fused path does."""
+    ``exprs_compiled`` only once its whole pipeline compiled."""
 
     #: Binding → table of the relations below, in the row path's
     #: layout order; its size decides how batch columns are keyed
@@ -1401,18 +1349,6 @@ def chain_input(context: ExecutionContext, node: PhysicalOperator
     shape = batch_shape(node)
     if shape is None or not shape.is_chain:
         return None
-    return _compiled_input(context, shape)
-
-
-def batch_input(context: ExecutionContext, node: PhysicalOperator
-                ) -> Optional[_BatchInput]:
-    """:func:`chain_input`, batch joins included."""
-    shape = batch_shape(node)
-    return None if shape is None else _compiled_input(context, shape)
-
-
-def _compiled_input(context: ExecutionContext, shape: BatchShape
-                    ) -> Optional[_BatchInput]:
     try:
         return _batch_input(context, shape)
     except VectorCompileError:
@@ -2381,12 +2317,12 @@ AggregateState = _AggState
 class ProjectOp(PhysicalOperator):
     """Evaluates the select list, producing output-row bindings.
 
-    When the input is a single ``TableScan`` (possibly under residual
-    ``FilterOp``s) and every expression compiles in direct-row mode, the
-    scan, filters and projection fuse into one tight loop over the
-    table's row dicts — no per-row RowScope or binding-dict churn.
-    The operators above a projection (top, distinct, insert) bind no
-    expressions, so it declares no :meth:`layout` of its own.
+    A projection the planner marked batch runs over its input's column
+    batches (:meth:`_vectorized_rows`); otherwise it evaluates each
+    select item, compiled once against the child's layout, on every
+    row binding the child yields.  The operators above a projection
+    (top, distinct, insert) bind no expressions, so it declares no
+    :meth:`layout` of its own.
     """
 
     label = "Compute Scalar"
@@ -2406,11 +2342,6 @@ class ProjectOp(PhysicalOperator):
             vectorized = self._vectorized_rows(context)
             if vectorized is not None:
                 yield from vectorized
-                return
-        if context.compile_enabled:
-            fused = self._fused_rows(context)
-            if fused is not None:
-                yield from fused
                 return
         child_layout = self.child.layout()
         compiled_items: list[tuple[Any, Optional[str], Optional[CompiledExpression]]] = []
@@ -2496,100 +2427,6 @@ class ProjectOp(PhysicalOperator):
             else:
                 for values_row in zip(*value_lists):
                     yield self._emit({OUTPUT_BINDING: dict(zip(names, values_row))})
-
-    # -- the fused single-table fast path ---------------------------------
-
-    def _fused_rows(self, context: ExecutionContext) -> Optional[Iterator[Binding]]:
-        """A fused scan→filter→project generator, or None when not applicable."""
-        filters: list[FilterOp] = []
-        node: PhysicalOperator = self.child
-        while isinstance(node, FilterOp):
-            filters.append(node)
-            node = node.child
-        if not isinstance(node, TableScan):
-            return None
-        scan = node
-        table = scan.table
-        binding_name = scan.binding_name
-        compiled_count = 0
-        try:
-            scan_predicate = None
-            if scan.predicate is not None:
-                scan_predicate = context.compile_row(scan.predicate, table, binding_name)
-                compiled_count += 1
-            # Filters stack project-downward; rows meet them scan-upward.
-            filter_fns = []
-            for filter_op in reversed(filters):
-                filter_fns.append(
-                    (filter_op,
-                     context.compile_row(filter_op.predicate, table, binding_name)))
-                compiled_count += 1
-            compiled_items: list[tuple[Optional[str], Optional[CompiledExpression]]] = []
-            for position, item in enumerate(self.items):
-                if isinstance(item.expression, Star):
-                    qualifier = (item.expression.qualifier or "").lower()
-                    if qualifier and qualifier != binding_name.lower():
-                        return None
-                    compiled_items.append((None, None))
-                else:
-                    compiled_items.append(
-                        (item.output_name(position),
-                         context.compile_row(item.expression, table, binding_name)))
-                    compiled_count += 1
-        except RowCompileError:
-            return None
-        context.statistics.exprs_compiled += compiled_count
-        return self._run_fused(context, scan, table, binding_name,
-                               scan_predicate, filter_fns, compiled_items)
-
-    def _run_fused(self, context: ExecutionContext, scan: "TableScan", table: Table,
-                   binding_name: str, scan_predicate: Optional[CompiledExpression],
-                   filter_fns: Sequence[tuple["FilterOp", CompiledExpression]],
-                   compiled_items: Sequence[tuple[Optional[str], Optional[CompiledExpression]]]
-                   ) -> Iterator[Binding]:
-        statistics = context.statistics
-        row_bytes = int(table.average_row_bytes())
-        has_star = any(value_fn is None for _name, value_fn in compiled_items)
-        predicates = [fn for _op, fn in filter_fns]
-        # Counters accumulate in locals and flush once (also on early close,
-        # e.g. under a TOP that stops pulling).
-        scanned = 0
-        scan_passed = 0
-        filter_passed = [0] * len(predicates)
-        emitted = 0
-        try:
-            for row in table.storage.iter_dicts(scan.columns):
-                scanned += 1
-                if scan_predicate is not None and scan_predicate(row) is not True:
-                    continue
-                scan_passed += 1
-                rejected = False
-                for position, predicate in enumerate(predicates):
-                    if predicate(row) is not True:
-                        rejected = True
-                        break
-                    filter_passed[position] += 1
-                if rejected:
-                    continue
-                if has_star:
-                    output: dict[str, Any] = {}
-                    for name, value_fn in compiled_items:
-                        if value_fn is None:
-                            for column, value in row.items():
-                                output.setdefault(column, value)
-                        else:
-                            output[name] = value_fn(row)
-                else:
-                    output = {name: value_fn(row) for name, value_fn in compiled_items}
-                emitted += 1
-                yield {binding_name: row, OUTPUT_BINDING: output}
-        finally:
-            statistics.rows_scanned += scanned
-            statistics.bytes_scanned += scanned * row_bytes
-            scan.actual_rows += scan_passed
-            for (filter_op, _fn), passed in zip(filter_fns, filter_passed):
-                filter_op.actual_rows += passed
-            self.actual_rows += emitted
 
     def _expand_star(self, star: Star, binding: Binding, output: dict[str, Any]) -> None:
         names = ([star.qualifier.lower()] if star.qualifier

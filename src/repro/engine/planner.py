@@ -1,36 +1,32 @@
 """The query planner: from a :class:`LogicalQuery` to a physical operator tree.
 
-The planner mirrors the behaviour the paper relies on from SQL Server:
+The planner is a **cost-based optimizer** that mirrors the behaviour the
+paper relies on from SQL Server:
 
 * view references are folded down to the base table with their
   additional qualifiers (§9.1.3);
-* an index whose key matches a sargable predicate prefix is used as an
-  index seek; an index that *covers* the referenced columns is used as
-  a narrow covering-index scan (the "tag table" replacement); otherwise
-  the plan falls back to a sequential table scan with the predicate
-  evaluated per row (the "complex colour cut" queries of §11);
-* small relations — in particular the spatial table-valued functions —
-  are placed on the outer side of an index nested-loop join that probes
-  the big table's index (Figure 10's Query 1 plan);
+* cardinalities come from the catalog's ``ANALYZE`` statistics
+  (histograms, MCVs, distinct counts — see :mod:`repro.engine.stats`),
+  with fixed selectivity constants for tables without them;
+* each relation's access path is the cheapest of a sequential table
+  scan with the predicate evaluated per row (the "complex colour cut"
+  queries of §11), a narrow covering-index scan (the "tag table"
+  replacement) and an index seek on a sargable key prefix;
+* joins are enumerated greedily in cost order
+  (:meth:`Planner._plan_joins`, the only join enumerator; the cluster
+  planner reads its choices off the plan).  Small relations — in
+  particular the spatial table-valued functions — start the order and
+  sit on the outer side of an index nested-loop join that probes the
+  big table's index (Figure 10's Query 1 plan);
 * a join on ``inner.col BETWEEN outer.a AND outer.b`` (or the
-  ``>=``/``<=`` pair) over an indexed inner column becomes an index
+  ``>=``/``<=`` pair) over an indexed inner column can become an index
   nested-loop join whose probe is a *range* seek — §9.1.4's
-  ``spHTM_Cover`` join against the ``htmID`` index (cost-based planner
-  only);
-* equality joins without a usable index become hash joins, and anything
-  else becomes a nested-loop join (the "without the index ... nested
-  loops join of two table scans" case of §11).
-
-With ``enable_cbo=True`` (the default) the planner is a **cost-based
-optimizer**: cardinalities come from the catalog's ``ANALYZE``
-statistics (histograms, MCVs, distinct counts — see
-:mod:`repro.engine.stats`) with the constants above as fallback,
-access paths are chosen by comparing scan/covering-scan/index-seek cost
-formulas, and joins are enumerated greedily in cost order with the
-smaller estimated input as the hash-join build side.  The greedy loop
-(:meth:`Planner._plan_joins_cbo`) is the only cost-based join
-enumerator; the cluster planner reads its choices off the plan.
-``Planner(enable_cbo=False)`` keeps the original heuristic behaviour.
+  ``spHTM_Cover`` join against the ``htmID`` index;
+* an equality join that no index probe undercuts becomes a hash join
+  with the smaller estimated input as the build side, and anything
+  else becomes a nested-loop join (the
+  "without the index ... nested loops join of two table scans" case of
+  §11).
 """
 
 from __future__ import annotations
@@ -249,6 +245,7 @@ class _RelationInfo:
     function_name: str = ""
     function_args: Sequence[Expression] = ()
     local_conjuncts: list[Expression] = field(default_factory=list)
+    #: A table-valued function's declared row estimate.
     estimated_rows: int = 0
 
 
@@ -256,7 +253,7 @@ class _RelationInfo:
 class _PlannedAccessPath:
     operator: PhysicalOperator
     estimated_rows: int
-    cost: float = 0.0
+    cost: float
 
 
 class Planner:
@@ -284,7 +281,7 @@ class Planner:
     HASH_PROBE_COST = 1.0
 
     def __init__(self, database: Database, *, enable_hash_join: bool = True,
-                 enable_vectorized: bool = True, enable_cbo: bool = True,
+                 enable_vectorized: bool = True,
                  enable_index_join: bool = True,
                  enable_zone_maps: bool = True,
                  enable_runtime_filters: bool = True,
@@ -302,10 +299,6 @@ class Planner:
         #: When False, plans over column-backed tables stay row-at-a-time
         #: (the columnar benchmark's ablation switch).
         self.enable_vectorized = enable_vectorized
-        #: When False, cost-based planning is disabled and the original
-        #: heuristic planner (fixed selectivity constants, syntactic-ish
-        #: join order) runs unchanged.
-        self.enable_cbo = enable_cbo
         #: When False, index nested-loop joins are never considered —
         #: together with ``enable_hash_join`` this pins the join strategy
         #: (the join-equivalence property tests force all three).
@@ -326,7 +319,7 @@ class Planner:
         #: leaves this untouched.
         self.plans_built = 0
         #: Relational plans costed with ANALYZE statistics vs planned on
-        #: fallback constants (no statistics, or ``enable_cbo=False``).
+        #: fallback constants (no table in the plan has statistics).
         self.cbo_plans = 0
         self.fallback_plans = 0
         #: Per-plan cardinality-feedback overrides (binding -> observed
@@ -352,30 +345,21 @@ class Planner:
 
         #: Cardinality feedback: observed per-binding row counts from a
         #: previous execution replace the selectivity-model estimate in
-        #: ``_estimate_relation_cbo`` for the duration of this plan.
+        #: ``_estimate_relation`` for the duration of this plan.
         self._overrides = {name.lower(): max(1, int(rows))
                            for name, rows in (cardinality_overrides or {}).items()}
         try:
             predicate_pool = self._build_predicate_pool(query, relations)
             self._assign_local_conjuncts(predicate_pool, relations)
-            if self.enable_cbo:
-                has_statistics = any(
-                    info.kind == "table"
-                    and self.database.table_statistics(info.table.name) is not None
-                    for info in relations)
-                if has_statistics:
-                    self.cbo_plans += 1
-                else:
-                    self.fallback_plans += 1
-                # No per-relation pre-pass: _access_path_cbo computes each
-                # relation's post-predicate cardinality exactly once.
-                root, planned = self._plan_joins_cbo(relations,
-                                                     predicate_pool, query)
+            has_statistics = any(
+                info.kind == "table"
+                and self.database.table_statistics(info.table.name) is not None
+                for info in relations)
+            if has_statistics:
+                self.cbo_plans += 1
             else:
                 self.fallback_plans += 1
-                for info in relations:
-                    info.estimated_rows = self._estimate_relation(info)
-                root, planned = self._plan_joins(relations, predicate_pool, query)
+            root, planned = self._plan_joins(relations, predicate_pool, query)
         finally:
             self._overrides = {}
 
@@ -424,8 +408,7 @@ class Planner:
         resolved = self.database.resolve_relation(ref.name)
         table = self.database.table(resolved.table_name)
         info = _RelationInfo(ref=ref, binding_name=ref.binding_name, kind="table",
-                             table=table, view_chain=resolved.view_chain,
-                             estimated_rows=self._row_count(table))
+                             table=table, view_chain=resolved.view_chain)
         if resolved.predicate is not None:
             qualified = qualify_columns(resolved.predicate, info.binding_name, table)
             info.local_conjuncts.extend(conjuncts(qualified))
@@ -536,23 +519,6 @@ class Planner:
             exponent /= 2.0
         return combined
 
-    def _estimate_relation(self, info: _RelationInfo) -> int:
-        if info.kind == "function":
-            return max(1, info.estimated_rows)
-        assert info.table is not None
-        selectivities = []
-        for conjunct in info.local_conjuncts:
-            sargable = extract_sargable(conjunct)
-            if sargable is not None and sargable.is_equality:
-                selectivities.append(self.EQUALITY_SELECTIVITY)
-            elif sargable is not None:
-                selectivities.append(self.RANGE_SELECTIVITY)
-            else:
-                selectivities.append(self.RESIDUAL_SELECTIVITY)
-        estimate = (float(max(1, self._row_count(info.table)))
-                    * self._combine_selectivities(selectivities))
-        return max(1, int(estimate))
-
     # -- access paths ------------------------------------------------------------
 
     def _needed_columns(self, query: LogicalQuery,
@@ -633,9 +599,8 @@ class Planner:
                           best_prefix: Sequence[SargablePredicate],
                           parts: Sequence[Expression],
                           needed: Optional[set[str]],
-                          columns: Optional[tuple[str, ...]], *,
-                          estimated: int) -> IndexRangeScan:
-        """Assemble the seek operator both access-path planners build.
+                          columns: Optional[tuple[str, ...]]) -> IndexRangeScan:
+        """Assemble the seek operator of an index-seek access path.
 
         ``parts`` are ``info.local_conjuncts`` qualified, in order
         (:meth:`_qualified_conjuncts`).  The filter is every local
@@ -656,8 +621,7 @@ class Planner:
         low, high = prefix_bounds(best_prefix)
         covering = needed is not None and best_index.covers(needed)
         return IndexRangeScan(best_index, info.binding_name, low, high,
-                              predicate=predicate, estimated=estimated,
-                              covering=covering, columns=columns,
+                              predicate=predicate, covering=covering, columns=columns,
                               range_predicate=range_predicate)
 
     @staticmethod
@@ -667,49 +631,6 @@ class Planner:
         assert info.table is not None
         return [qualify_columns(part, info.binding_name, info.table)
                 for part in info.local_conjuncts]
-
-    def _access_path(self, info: _RelationInfo,
-                     query: LogicalQuery) -> _PlannedAccessPath:
-        if info.kind == "function":
-            function = self.database.functions.table_valued(info.function_name)
-            operator = FunctionScan(function, list(info.function_args), info.binding_name)
-            return _PlannedAccessPath(operator, max(1, function.row_estimate))
-        assert info.table is not None
-        table = info.table
-        sargables = self._sargables(info)
-        best_index, best_prefix = self._best_seek_index(table, sargables)
-        needed = self._needed_columns(query, info)
-        columns = self._read_columns(info, needed)
-
-        parts = self._qualified_conjuncts(info)
-        if best_index is not None and best_prefix:
-            estimate = self._estimate_index_rows(table, best_index, best_prefix)
-            operator = self._build_index_seek(info, table, best_index, best_prefix,
-                                              parts, needed, columns,
-                                              estimated=estimate)
-            return _PlannedAccessPath(operator, estimate)
-
-        predicate = combine_conjuncts(parts)
-        if needed is not None:
-            for index in table.indexes.values():
-                if index.covers(needed):
-                    operator = CoveringIndexScan(index, info.binding_name, predicate,
-                                                 columns=columns)
-                    return _PlannedAccessPath(operator, self._estimate_relation(info))
-        operator = TableScan(table, info.binding_name, predicate, columns=columns)
-        return _PlannedAccessPath(operator, self._estimate_relation(info))
-
-    def _estimate_index_rows(self, table: Table, index: BTreeIndex,
-                             prefix: Sequence[SargablePredicate]) -> int:
-        full_unique = (index.unique and len(prefix) == len(index.columns)
-                       and all(s.is_equality for s in prefix))
-        if full_unique:
-            return 1
-        selectivities = [self.EQUALITY_SELECTIVITY if sargable.is_equality
-                         else self.RANGE_SELECTIVITY for sargable in prefix]
-        estimate = (float(max(1, self._row_count(table)))
-                    * self._combine_selectivities(selectivities))
-        return max(1, int(estimate))
 
     # -- the cost-based optimizer -------------------------------------------------
 
@@ -758,7 +679,7 @@ class Planner:
             return self.RESIDUAL_SELECTIVITY
         return self._sargable_selectivity(statistics, sargable)
 
-    def _estimate_relation_cbo(self, info: _RelationInfo) -> int:
+    def _estimate_relation(self, info: _RelationInfo) -> int:
         """Statistics-backed output cardinality of one FROM-clause relation.
 
         A cardinality-feedback override (the row count actually observed
@@ -768,8 +689,6 @@ class Planner:
         override = self._overrides.get(info.binding_name.lower())
         if override is not None:
             return override
-        if info.kind == "function":
-            return max(1, info.estimated_rows)
         assert info.table is not None
         statistics = self.database.table_statistics(info.table.name)
         selectivities = [self._conjunct_selectivity(statistics, conjunct)
@@ -778,8 +697,8 @@ class Planner:
                     * self._combine_selectivities(selectivities))
         return max(1, int(estimate))
 
-    def _access_path_cbo(self, info: _RelationInfo,
-                         query: LogicalQuery) -> _PlannedAccessPath:
+    def _access_path(self, info: _RelationInfo,
+                     query: LogicalQuery) -> _PlannedAccessPath:
         """Cheapest access path among table scan, covering scan and index seek."""
         if info.kind == "function":
             function = self.database.functions.table_valued(info.function_name)
@@ -792,7 +711,7 @@ class Planner:
         table = info.table
         statistics = self.database.table_statistics(table.name)
         total = max(1, self._row_count(table))
-        estimated_out = self._estimate_relation_cbo(info)
+        estimated_out = self._estimate_relation(info)
         sargables = self._sargables(info)
         needed = self._needed_columns(query, info)
         columns = self._read_columns(info, needed)
@@ -814,7 +733,7 @@ class Planner:
                 fetched = max(1, int(total * prefix_selectivity))
             rows = min(estimated_out, fetched)
             seek = self._build_index_seek(info, table, best_index, best_prefix,
-                                          parts, needed, columns, estimated=rows)
+                                          parts, needed, columns)
             per_row = (self.INDEX_ENTRY_COST if seek.covering
                        else self.RANDOM_LOOKUP_COST)
             cost = math.log2(total + 1) + fetched * per_row
@@ -1039,16 +958,16 @@ class Planner:
             distinct = max(distinct_new, distinct_old)
             selectivities.append(1.0 / distinct if distinct > 0 else None)
         if any(selectivity is None for selectivity in selectivities):
-            # No distinct statistics: keep the pre-CBO heuristic.
+            # No distinct statistics: the larger input.
             return max(1, left_rows, right_rows)
         estimate = float(left_rows) * float(right_rows)
         for selectivity in selectivities:
             estimate *= selectivity
         return max(1, int(estimate))
 
-    def _plan_joins_cbo(self, relations: list[_RelationInfo],
-                        pool: "_PredicatePool", query: LogicalQuery
-                        ) -> tuple[PhysicalOperator, set[str]]:
+    def _plan_joins(self, relations: list[_RelationInfo],
+                    pool: "_PredicatePool", query: LogicalQuery
+                    ) -> tuple[PhysicalOperator, set[str]]:
         """Greedy cost-ordered join enumeration.
 
         Starts from the relation with the smallest estimated
@@ -1059,7 +978,7 @@ class Planner:
         joins, preferring connected relations over cross products.
         """
         by_name = {info.binding_name: info for info in relations}
-        paths = {info.binding_name: self._access_path_cbo(info, query)
+        paths = {info.binding_name: self._access_path(info, query)
                  for info in relations}
         start = min(relations,
                     key=lambda info: (paths[info.binding_name].estimated_rows,
@@ -1138,10 +1057,8 @@ class Planner:
             inner_path = paths[name]
             kind, extra = choice
             if kind == "index":
-                built = self._index_join(root, info, equalities, join_conjuncts,
-                                         query, candidate=extra)
-                assert built is not None
-                root, used_conjuncts = built
+                root, used_conjuncts = self._index_join(root, info, join_conjuncts,
+                                                        query, extra)
                 pool.remaining = [c for c in pool.remaining
                                   if c not in used_conjuncts]
             elif kind == "range":
@@ -1168,64 +1085,6 @@ class Planner:
         return root, planned
 
     # -- join planning ---------------------------------------------------------------
-
-    def _plan_joins(self, relations: list[_RelationInfo], pool: "_PredicatePool",
-                    query: LogicalQuery) -> tuple[PhysicalOperator, set[str]]:
-        by_name = {info.binding_name: info for info in relations}
-        unplanned = {info.binding_name for info in relations}
-        # Start from the relation with the smallest estimated cardinality —
-        # for Query 1 this puts the spatial TVF on the outer side, as in Figure 10.
-        start = min(relations, key=lambda info: info.estimated_rows)
-        path = self._access_path(start, query)
-        root: PhysicalOperator = path.operator
-        root_estimate = path.estimated_rows
-        planned = {start.binding_name}
-        unplanned.discard(start.binding_name)
-
-        while unplanned:
-            choice = self._choose_next_relation(planned, unplanned, by_name, pool)
-            info = by_name[choice]
-            join_conjuncts = self._join_conjuncts(choice, planned, by_name, pool)
-            equalities = [self._join_equality(conjunct, choice, by_name)
-                          for conjunct in join_conjuncts]
-            equalities = [pair for pair in equalities if pair is not None]
-
-            index_plan = None
-            if self.enable_index_join and info.kind == "table" and equalities:
-                index_plan = self._index_join(root, info, equalities, join_conjuncts,
-                                              query)
-            if index_plan is not None:
-                root, used_conjuncts = index_plan
-                root_estimate = max(root_estimate, info.estimated_rows)
-                pool.remaining = [c for c in pool.remaining if c not in used_conjuncts]
-            elif equalities and self.enable_hash_join:
-                inner_path = self._access_path(info, query)
-                root = self._build_hash_join(root, inner_path.operator,
-                                             equalities, join_conjuncts)
-                root_estimate = max(root_estimate, inner_path.estimated_rows)
-                pool.remaining = [c for c in pool.remaining if c not in join_conjuncts]
-            else:
-                inner_path = self._access_path(info, query)
-                residual = combine_conjuncts(join_conjuncts)
-                root = NestedLoopJoin(root, inner_path.operator, residual)
-                root_estimate *= max(1, inner_path.estimated_rows)
-                pool.remaining = [c for c in pool.remaining if c not in join_conjuncts]
-            planned.add(choice)
-            unplanned.discard(choice)
-        return root, planned
-
-    def _choose_next_relation(self, planned: set[str], unplanned: set[str],
-                              by_name: dict[str, _RelationInfo],
-                              pool: "_PredicatePool") -> str:
-        scored: list[tuple[int, int, str]] = []
-        for name in unplanned:
-            join_conjuncts = self._join_conjuncts(name, planned, by_name, pool)
-            has_equality = any(self._join_equality(conjunct, name, by_name) is not None
-                               for conjunct in join_conjuncts)
-            connected = 0 if has_equality else (1 if join_conjuncts else 2)
-            scored.append((connected, by_name[name].estimated_rows, name))
-        scored.sort()
-        return scored[0][2]
 
     def _join_conjuncts(self, name: str, planned: set[str],
                         by_name: dict[str, _RelationInfo],
@@ -1256,12 +1115,10 @@ class Planner:
                          equalities: Sequence[tuple[Expression, Expression,
                                                     Expression]],
                          join_conjuncts: Sequence[Expression],
-                         build_new: bool = True) -> HashJoin:
-        """Construct the hash join both enumerators agreed on.
-
-        ``build_new=True`` builds on the newly attached relation (the
-        heuristic planner's fixed choice); the CBO passes False when
-        the already-joined pipeline is the smaller input.
+                         build_new: bool) -> HashJoin:
+        """Construct the hash join the enumerator chose: ``build_new``
+        builds on the newly attached relation, False on the
+        already-joined pipeline (whichever input is estimated smaller).
         """
         new_keys = [new for (_conjunct, new, _old) in equalities]
         old_keys = [old for (_conjunct, _new, old) in equalities]
@@ -1273,23 +1130,14 @@ class Planner:
         return HashJoin(root, inner_operator, old_keys, new_keys, residual)
 
     def _index_join(self, outer: PhysicalOperator, info: _RelationInfo,
-                    equalities: Sequence[tuple[Expression, Expression, Expression]],
                     join_conjuncts: Sequence[Expression],
-                    query: LogicalQuery,
-                    candidate: Optional[tuple] = None
-                    ) -> Optional[tuple[PhysicalOperator, list[Expression]]]:
-        """Try to turn the join into an index nested-loop join probing ``info``.
-
-        ``candidate`` is a precomputed :meth:`_index_join_candidate`
-        result (the CBO passes the one it costed); when omitted it is
-        derived here.
-        """
+                    query: LogicalQuery, candidate: tuple
+                    ) -> tuple[PhysicalOperator, list[Expression]]:
+        """The index nested-loop join probing ``info`` through
+        ``candidate``, the :meth:`_index_join_candidate` result the
+        enumerator costed."""
         assert info.table is not None
         table = info.table
-        if candidate is None:
-            candidate = self._index_join_candidate(info, equalities)
-        if candidate is None:
-            return None
         best_index, best_prefix, by_column = candidate
         outer_key = [by_column[column][2] for column in best_prefix]
         used = [by_column[column][0] for column in best_prefix]
@@ -1333,8 +1181,7 @@ class Planner:
         if self.enable_vectorized:
             self._mark_vectorized_pipeline(root)
         self._mark_zone_maps(root, relations)
-        if self.enable_cbo:
-            self._propagate_costs(root)
+        self._propagate_costs(root)
         return PhysicalPlan(root=root, output_names=query.output_names(),
                             database=self.database)
 
@@ -1347,7 +1194,7 @@ class Planner:
         Every base-table scan gets this planner's :attr:`enable_zone_maps`
         toggle (skipping is always safe — zone maps are conservative).
         Scalar aggregates additionally get :attr:`GroupAggregate.
-        zone_exact_sums` when the CBO's exact-integer proof
+        zone_exact_sums` when the planner's exact-integer proof
         (:meth:`_sum_stays_exact` — the same machinery that picks the
         shard partial-merge mode) covers every SUM/AVG argument, which
         lets execution answer fully-matched segments from zone integer
@@ -1446,11 +1293,13 @@ class Planner:
     def _propagate_costs(self, root: PhysicalOperator) -> None:
         """Fill in estimates for operators join/access planning did not cost.
 
-        Upper operators (filters, sorts, projection, aggregation) carry
-        their child's corrected cardinality (scaled by the operator's
-        usual heuristic) and add a small per-row charge on top of their
-        children's cost, so EXPLAIN shows consistent row estimates and a
-        monotonically growing cumulative cost up the tree.
+        Every leaf and join carries ``planner_rows`` already.  Upper
+        operators (filters, sorts, projection, aggregation) carry their
+        child's cardinality (scaled by :meth:`~repro.engine.operators.
+        PhysicalOperator.scale_rows`) and add a small per-row charge on
+        top of their children's cost, so EXPLAIN shows consistent row
+        estimates and a monotonically growing cumulative cost up the
+        tree.
         """
 
         def walk(operator: PhysicalOperator) -> None:
@@ -1458,16 +1307,11 @@ class Planner:
             for child in operator.children():
                 walk(child)
                 child_cost += child.planner_cost
-            children = operator.children()
-            if operator.planner_rows is None and len(children) == 1:
-                child = children[0]
-                child_rows = (child.planner_rows if child.planner_rows is not None
-                              else child.estimated_rows())
-                operator.planner_rows = max(1, operator.scale_rows(child_rows))
+            if operator.planner_rows is None:
+                (child,) = operator.children()
+                operator.planner_rows = max(1, operator.scale_rows(child.planner_rows))
             if not operator.planner_cost:
-                rows = (operator.planner_rows if operator.planner_rows is not None
-                        else operator.estimated_rows())
-                operator.planner_cost = child_cost + 0.01 * max(1, rows)
+                operator.planner_cost = child_cost + 0.01 * operator.planner_rows
 
         walk(root)
 
@@ -1555,7 +1399,9 @@ class Planner:
         """SELECT without FROM (e.g. ``select dbo.fPhotoFlags('saturated')``)."""
         from .operators import RowSource
 
-        source = RowSource([{}], "#dual")
+        rows: list[dict] = [{}]
+        source = RowSource(rows, "#dual")
+        source.set_estimates(len(rows))
         root: PhysicalOperator = source
         if query.where is not None:
             root = FilterOp(root, query.where)
@@ -1564,5 +1410,6 @@ class Planner:
             root = TopOp(root, query.top)
         if query.into:
             root = InsertIntoOp(root, query.into, self.database)
+        self._propagate_costs(root)
         return PhysicalPlan(root=root, output_names=query.output_names(),
                             database=self.database)

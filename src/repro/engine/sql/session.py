@@ -478,8 +478,6 @@ class SqlSession:
         observed: their counts reflect the build side's keys, not the
         relation's own predicate selectivity.
         """
-        if not getattr(self.planner, "enable_cbo", False):
-            return
         observed: dict[str, int] = {}
         worst = 1.0
 

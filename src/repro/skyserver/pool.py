@@ -644,15 +644,16 @@ class SkyServerPool:
         covers the queue wait), records the admission wait as a child
         span, and — whether tracing is on or not — feeds the latency
         histograms and the query log once the ticket resolves.  A
-        coalesced ticket resolves later, on its leader's thread, and is
-        observed there instead.
+        coalesced ticket resolves on its leader's thread and is observed
+        there alone: the leader may resolve it before this thread
+        returns, so a ticket's finish time cannot tell.
         """
         ticket.started_at = time.perf_counter()
         ticket.status = "running"
         tracer = TRACER
         if not tracer.enabled:
-            self._run_ticket_inner(ticket, sessions)
-            self._observe_ticket(ticket)
+            if not self._run_ticket_inner(ticket, sessions):
+                self._observe_ticket(ticket)
             return
         with tracer.span("query", started=ticket.submitted_at,
                          sql=_clip_sql(ticket.sql),
@@ -663,13 +664,17 @@ class SkyServerPool:
                           queue_wait_ms=round(
                               (ticket.started_at - ticket.submitted_at)
                               * 1000.0, 3))
-            self._run_ticket_inner(ticket, sessions)
+            parked = self._run_ticket_inner(ticket, sessions)
             root.attributes["status"] = ticket.status
             root.attributes["cache_hit"] = ticket.cache_hit
-        self._observe_ticket(ticket)
+        if not parked:
+            self._observe_ticket(ticket)
 
     def _run_ticket_inner(self, ticket: QueryTicket,
-                          sessions: dict[str, SqlSession]) -> None:
+                          sessions: dict[str, SqlSession]) -> bool:
+        """Serve ``ticket``; True when it was parked behind a leader
+        running the same query (the leader's thread resolves and
+        observes it)."""
         key = self._cache_key(ticket.sql, ticket.user_class)
         # A duplicate submitted while its twin was still queued may be
         # servable by now; re-probe before paying for execution.
@@ -687,7 +692,7 @@ class SkyServerPool:
                 self.completed += 1
                 self._per_class[ticket.user_class]["completed"] += 1
             ticket._complete(cached, cache_hit=True)
-            return
+            return False
         session = sessions.get(ticket.user_class)
         if session is None:
             limits = self.service_classes[ticket.user_class].limits
@@ -699,10 +704,10 @@ class SkyServerPool:
             info = self._analyze_batch(ticket.sql, key)
         except Exception as error:
             self._finish_failed(ticket, error)
-            return
+            return False
         if not info.cacheable:
             self._execute(ticket, session, info, key)
-            return
+            return False
         # Dogpile coalescing: the first worker on a cacheable query
         # becomes its leader and executes; a duplicate is *parked* on
         # the leader's completion — the worker that picked it up returns
@@ -712,7 +717,7 @@ class SkyServerPool:
             if followers is not None:
                 followers.append(ticket)
                 ticket.status = "coalesced"
-                return
+                return True
             self._inflight[key] = []
         try:
             self._execute(ticket, session, info, key)
@@ -720,6 +725,7 @@ class SkyServerPool:
             with self._inflight_lock:
                 followers = self._inflight.pop(key, [])
             self._resolve_followers(followers, key)
+        return False
 
     def _resolve_followers(self, followers: list[QueryTicket], key: str) -> None:
         """Serve tickets parked behind a finished leader.
@@ -811,8 +817,7 @@ class SkyServerPool:
         """Feed a resolved ticket's timestamps to the latency histograms
         and the server's query log.  Never called with ``_cond`` held —
         the log append takes a table write lock.  A ticket that is not
-        finished yet (a parked coalesced follower) is skipped; it is
-        observed when its leader resolves it.
+        finished yet is skipped.
         """
         if ticket.finished_at is None:
             return

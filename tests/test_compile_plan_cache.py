@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import (CURRENT_TIMESTAMP, Database, PrimaryKey, Planner,
                           SqlSession, bigint, floating, text, timestamp)
 from repro.engine.compile import (RowCompileError, compile_expression,
-                                  compile_row_expression, supports_row_mode,
-                                  table_layout)
+                                  compile_row_expression, table_layout)
 from repro.engine.errors import ExpressionError
 from repro.engine.expressions import (BinaryOp, ColumnRef, EvaluationContext,
                                       FunctionCall, Literal, RowScope, Variable)
@@ -73,7 +72,6 @@ class TestCompiledExpressions:
         _database, table = make_database()
         expression = parse_expression(sql)
         context = EvaluationContext()
-        assert supports_row_mode(expression, table, "t")
         compiled = compile_row_expression(expression, context, table, "t")
         for _row_id, row in table.iter_rows():
             scope = RowScope().bind("t", row)
@@ -115,14 +113,13 @@ class TestCompiledExpressions:
         with pytest.raises(RowCompileError):
             compile_row_expression(ColumnRef("value", "other"),
                                    EvaluationContext(), table, "t")
-        assert not supports_row_mode(ColumnRef("nope"), table, "t")
 
 
 # ---------------------------------------------------------------------------
-# Fused fast path vs the interpreted pipeline
+# The compiled row pipeline vs the interpreted pipeline
 # ---------------------------------------------------------------------------
 
-class TestFusedPath:
+class TestRowPipeline:
     QUERIES = [
         "select id, value * 2 as v from t where value > 0 and flags & 3 = 1",
         "select * from t where label like 'L%'",
@@ -132,18 +129,18 @@ class TestFusedPath:
     ]
 
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_fused_matches_interpreted(self, sql):
+    def test_row_pipeline_matches_interpreted(self, sql):
         database, _table = make_database()
         query = parse_select(sql)
         # A row store batches unless pinned to the row pipeline.
-        fused = Planner(database, enable_vectorized=False).plan(query).execute()
+        compiled = Planner(database, enable_vectorized=False).plan(query).execute()
         interpreted = Planner(database).plan(query).execute(compiled=False)
-        assert fused.rows == interpreted.rows
-        assert fused.columns == interpreted.columns
-        assert fused.statistics.rows_scanned == interpreted.statistics.rows_scanned
-        assert fused.statistics.bytes_scanned == interpreted.statistics.bytes_scanned
+        assert compiled.rows == interpreted.rows
+        assert compiled.columns == interpreted.columns
+        assert compiled.statistics.rows_scanned == interpreted.statistics.rows_scanned
+        assert compiled.statistics.bytes_scanned == interpreted.statistics.bytes_scanned
 
-    def test_fused_keeps_explain_shape_and_actuals(self):
+    def test_compiled_plan_keeps_explain_shape_and_actuals(self):
         database, _table = make_database()
         result = SqlSession(database).query(
             "select id from t where value > 0 and 1 = 1")

@@ -632,34 +632,38 @@ def _sky_row(objid: int, ra: float, dec: float) -> dict:
 
 
 CONE = "select N.objID, N.distance from fGetNearbyObjEq(185.0, 0.0, 1.0) as N"
+#: A 1.2' x 1.2' box around the cone's centre: ``fGetObjFromRectEq``'s
+#: qualifier (``spatial.in_rect``) decides which writes it survives.
+RECT = "select R.objID, R.ra, R.dec from fGetObjFromRectEq(184.99, -0.01, 185.01, 0.01) as R"
 
 
 class TestReadSets:
-    def test_cone_kept_across_an_insert_outside_it_dropped_inside(self):
+    @pytest.mark.parametrize("region", [CONE, RECT], ids=["cone", "rect"])
+    def test_cone_kept_across_an_insert_outside_it_dropped_inside(self, region):
         database = _make_sky("column")
         photo, other = database.table("PhotoObj"), database.table("Other")
         with SkyServerPool(database, workers=1, service_classes=ADMIN_ONLY) as pool:
             other_reads = other.lock.read_acquisitions
             photo_reads = photo.lock.read_acquisitions
-            first = pool.submit(CONE, "admin")
+            first = pool.submit(region, "admin")
             first.result(5.0)
             assert not first.cache_hit and first.result().rows
-            # Declared reads: the cone read-locks PhotoObj alone.
+            # Declared reads: the search read-locks PhotoObj alone.
             assert photo.lock.read_acquisitions == photo_reads + 1
             assert other.lock.read_acquisitions == other_reads
 
-            photo.insert(_sky_row(10_000, 185.5, 0.0))            # 30' away
-            kept = pool.submit(CONE, "admin")
+            photo.insert(_sky_row(10_000, 185.5, 0.0))            # 30' from the centre
+            kept = pool.submit(region, "admin")
             assert kept.cache_hit
-            assert repr(kept.result().rows) == repr(SqlSession(database).query(CONE).rows)
+            assert repr(kept.result().rows) == repr(SqlSession(database).query(region).rows)
             assert pool.result_cache.revalidated == 1
 
-            photo.insert(_sky_row(10_001, 185.0, 0.005))          # 0.3' away
-            dropped = pool.submit(CONE, "admin")
+            photo.insert(_sky_row(10_001, 185.0, 0.005))          # 0.3' from the centre
+            dropped = pool.submit(region, "admin")
             rows = dropped.result(5.0).rows
             assert not dropped.cache_hit
             assert 10_001 in {row["objID"] for row in rows}
-            assert repr(rows) == repr(SqlSession(database).query(CONE).rows)
+            assert repr(rows) == repr(SqlSession(database).query(region).rows)
             statistics = pool.result_cache.statistics()
             assert statistics["revalidated"] == 1
             assert statistics["invalidations"] == 1

@@ -75,7 +75,6 @@ PLANNERS = [
     {},
     {"enable_index_join": False},
     {"enable_index_join": False, "enable_hash_join": False},
-    {"enable_cbo": False},
     {"enable_runtime_filters": False},
     {"enable_vectorized": False},
 ]

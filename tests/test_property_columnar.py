@@ -3,8 +3,9 @@
 The same random data is loaded into a row-backed and a column-backed
 table, a random single-table query (filter / projection / aggregation /
 ORDER BY / TOP) runs against both, and the results must match exactly —
-the column-backed run through the vectorized batch pipeline, the
-row-backed run through the fused/compiled row path.  A second pass
+the column-backed run through the vectorized batch pipeline over
+column buffers, the row-backed run through the same pipeline reading
+the stored row dicts.  A second pass
 deletes a random subset, vacuums both stores and re-checks.
 """
 

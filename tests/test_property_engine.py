@@ -206,18 +206,20 @@ def test_compiled_evaluation_matches_interpreted(expression, row):
                 min_size=1, max_size=60),
        st.floats(min_value=-50, max_value=50, allow_nan=False))
 @settings(max_examples=60)
-def test_fused_plan_matches_interpreted_plan(rows, threshold):
-    """The fused scan→filter→project path returns the interpreted rows."""
-    database = Database("prop_fused")
+def test_compiled_plans_match_interpreted_plan(rows, threshold):
+    """The batch and the compiled row scan→filter→project pipelines
+    return the interpreted rows."""
+    database = Database("prop_compiled")
     table = database.create_table("t", [bigint("id"), floating("value"), bigint("flags")],
                                   primary_key=PrimaryKey(["id"]))
     table.insert_many([{"id": index, "value": value, "flags": flags}
                        for index, (value, flags) in enumerate(rows)], database=database)
     query = parse_select(
         f"select id, value * 2 + 1 as v from t where value > {threshold!r} and flags & 3 <> 2")
-    fused = Planner(database).plan(query).execute()
     interpreted = Planner(database).plan(query).execute(compiled=False)
-    assert fused.rows == interpreted.rows
+    for options in ({}, {"enable_vectorized": False}):
+        compiled = Planner(database, **options).plan(query).execute()
+        assert compiled.rows == interpreted.rows, options
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),

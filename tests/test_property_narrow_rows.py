@@ -63,7 +63,7 @@ SINGLE_TABLE = [
     f"{SEGMENT_ROWS - 3} and {SEGMENT_ROWS + 3} order by objid",
     f"select objid, type from obj where htmid >= {4 * SEALED_ROWS - 8} "
     f"order by objid",
-    # a covering index scan under the heuristic planner
+    # a covering index scan on the row store (the column store scans)
     "select htmid from obj where htmid + 0 < 40 order by htmid",
     # a view that declares a column subset, narrowed and whole
     "select objid, mag from bright order by objid",
@@ -105,7 +105,7 @@ BROKEN = [
     "where p.nosuch = n.distance",
 ]
 
-SINGLE_OPTIONS = [{}, {"enable_vectorized": False}, {"enable_cbo": False}]
+SINGLE_OPTIONS = [{}, {"enable_vectorized": False}]
 JOIN_OPTIONS = [{}, {"enable_index_join": False}]
 RANGE_OPTIONS = [{}, {"enable_index_join": False}]
 

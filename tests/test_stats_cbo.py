@@ -164,7 +164,8 @@ class TestStaleness:
         statistics would change must be replanned, not replayed.
 
         ``run = 756`` covers half the table.  Without statistics the
-        heuristic planner seeks the ``(run, camcol, field)`` index; once
+        fallback constants make seeking the ``(run, camcol, field)``
+        index look cheap; once
         ANALYZE reveals how unselective the predicate is, the CBO costs
         the 250 random bookmark lookups above a sequential scan."""
         wide_sql = "select objID, ra, rowv, colv, flags from PhotoObj where run = 756"
@@ -200,17 +201,19 @@ class TestSelectivityCompounding:
             "select objID from PhotoObj where run = 1 and camcol = 2 and field = 3 "
             "and type = 'x' and flags = 99")
         for operator in _find_operators(plan, (TableScan, IndexRangeScan)):
-            assert (operator.planner_rows is None or operator.planner_rows >= 1)
-            assert operator.estimated_rows() >= 0
+            assert operator.planner_rows >= 1
 
     def test_fallback_estimator_also_backed_off(self, toy_photo_database):
-        planner = Planner(toy_photo_database, enable_cbo=False)
+        """Without ANALYZE statistics the fixed constants compound with
+        the same backoff."""
+        planner = Planner(toy_photo_database)
         plan = planner.plan(parse_select(
             "select objID from PhotoObj "
             "where rowv > 1 and colv > 1 and rowv < 29 and colv < 29 "
             "and modelMag_r > 14 and modelMag_r < 22 and ra > 180 and dec > -1"))
+        assert planner.fallback_plans == 1
         scans = _find_operators(plan, TableScan)
-        assert scans and scans[0].estimated_rows() >= 1
+        assert scans and scans[0].planner_rows >= 1
 
 
 class TestCostBasedChoices:
@@ -226,13 +229,6 @@ class TestCostBasedChoices:
         rows = wide_plan.execute().rows
         assert len(rows) == 250
 
-    def test_cbo_disabled_still_seeks_wide_ranges(self, toy_photo_database):
-        """The pre-CBO planner takes any sargable prefix, selective or not."""
-        planner = Planner(toy_photo_database, enable_cbo=False)
-        plan = planner.plan(parse_select(
-            "select objID, ra, rowv, colv, flags from PhotoObj where run = 756"))
-        assert "Index Seek" in plan_strategies(plan)
-
     def test_hash_join_builds_on_smaller_side(self, toy_photo_database):
         table = toy_photo_database.create_table("SpecObj", [
             bigint("specObjID"), bigint("objID"), floating("z"),
@@ -246,57 +242,8 @@ class TestCostBasedChoices:
         joins = _find_operators(plan, HashJoin)
         assert len(joins) == 1
         join = joins[0]
-        build_rows = (join.build.planner_rows if join.build.planner_rows is not None
-                      else join.build.estimated_rows())
-        probe_rows = (join.probe.planner_rows if join.probe.planner_rows is not None
-                      else join.probe.estimated_rows())
-        assert build_rows <= probe_rows
-        assert build_rows == 40
-
-    def test_heuristic_explain_shows_each_operators_own_estimate(
-            self, toy_photo_database):
-        """Without the cost model no operator carries ``planner_rows``:
-        EXPLAIN shows leaves' sizes, joins' larger input, and the
-        child's estimate above them."""
-        toy_photo_database.register_table_function(
-            "fFew", [bigint("objID")], lambda: [{"objID": 1}, {"objID": 2}],
-            row_estimate=3)
-        shapes = [
-            ({}, "select type, modelMag_r from PhotoObj where type = type",
-             ["Covering Index Scan"]),
-            ({}, "select a.objID from PhotoObj a join PhotoObj b "
-                 "on a.objID = b.objID where a.rowv > 29",
-             ["Index Nested Loop Join"]),
-            ({"enable_index_join": False},
-             "select a.objID from PhotoObj a join PhotoObj b "
-             "on a.objID = b.objID where a.rowv > 29", ["Hash Join"]),
-            ({}, "select a.objID from PhotoObj a, PhotoObj b "
-                 "where a.rowv > b.colv + 29.9 and a.objID < 3",
-             ["Nested Loop Join", "Index Seek"]),
-        ]
-        for options, sql, labels in shapes:
-            plan = Planner(toy_photo_database, enable_cbo=False,
-                           **options).plan(parse_select(sql))
-            assert all(label in plan_strategies(plan) for label in labels), sql
-            assert "estimated rows=500)" in plan.explain().splitlines()[0]
-        text = Planner(toy_photo_database, enable_cbo=False).plan(parse_select(
-            "select f.objID from fFew() as f")).explain()
-        assert "(estimated rows=3)" in text.splitlines()[-1]
-
-    def test_enable_cbo_false_reproduces_heuristic_plans(self, toy_photo_database):
-        queries = [
-            "select ra from PhotoObj where objID = 42",
-            "select objID from PhotoObj where rowv > 20",
-            "select objID from PhotoObj where run = 756 and camcol = 3",
-            "select type, modelMag_r from PhotoObj where modelMag_r < 15 and type = type",
-        ]
-        for sql in queries:
-            old = Planner(toy_photo_database, enable_cbo=False).plan(parse_select(sql))
-            new = Planner(toy_photo_database, enable_cbo=False).plan(parse_select(sql))
-            assert plan_operators(old) == plan_operators(new)
-            # The heuristic planner never assigns costs.
-            assert all(op.planner_cost == 0.0
-                       for op in _find_operators(old, object))
+        assert join.build.planner_rows <= join.probe.planner_rows
+        assert join.build.planner_rows == 40
 
     def test_optimizer_plan_counters(self, toy_photo_database):
         session = SqlSession(toy_photo_database)

@@ -447,6 +447,31 @@ class TestGroupCommit:
         # Table order is append order.
         assert ids == list(range(1, len(statements) + 1))
 
+    def test_a_coalesced_ticket_is_logged_once(self):
+        """A ticket parked behind a leader running the same query is
+        logged on the leader's thread alone, even when the leader
+        resolves it before the parked ticket's worker returns."""
+        server = _toy_server()
+        pool = server.start_pool(workers=2)
+        execute, run_inner = pool._execute, pool._run_ticket_inner
+
+        def slow_execute(*args):
+            time.sleep(0.2)        # the twin parks behind this leader
+            return execute(*args)
+
+        def late_return(ticket, sessions):
+            parked = run_inner(ticket, sessions)
+            ticket.result(5.0)     # the leader resolved it: now return
+            return parked
+
+        pool._execute, pool._run_ticket_inner = slow_execute, late_return
+        sql = "select count(*) as n from Obj where mag < 14.25"
+        tickets = [pool.submit(sql), pool.submit(sql)]
+        assert [ticket.result(5.0).rows for ticket in tickets] == [[{"n": 25}]] * 2
+        assert pool.coalesced == 1
+        server.close()
+        assert [row["sqltext"] for row in _log_rows(server)] == [sql, sql]
+
     def test_pending_rows_count_in_statistics(self):
         server = _toy_server()
         pool = server.start_pool(workers=2)
