@@ -75,6 +75,7 @@ PLANNERS = [
     {},
     {"enable_index_join": False},
     {"enable_index_join": False, "enable_hash_join": False},
+    {"enable_hash_join": False},
     {"enable_runtime_filters": False},
     {"enable_vectorized": False},
 ]

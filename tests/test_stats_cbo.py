@@ -268,6 +268,34 @@ class TestExplainOutput:
             "select count(*) as n from PhotoObj where type = 'galaxy'", analyze=True)
         assert "actual rows=" in text_plan
 
+    @pytest.mark.parametrize("options, sql, label", [
+        ({}, "select type, modelMag_r from PhotoObj where type = type",
+         "Covering Index Scan"),
+        ({}, "select a.objID from PhotoObj a join PhotoObj b "
+             "on a.objID = b.objID where a.objID = 7", "Index Nested Loop Join"),
+        ({"enable_index_join": False}, "select a.objID from PhotoObj a "
+         "join PhotoObj b on a.objID = b.objID where a.rowv > 29", "Hash Join"),
+        ({}, "select a.objID from PhotoObj a, PhotoObj b "
+             "where a.rowv > b.colv + 29.9 and a.objID < 3", "Nested Loop Join"),
+        ({}, "select f.objID from fFew() as f", "Table-valued Function"),
+        ({}, "select 6 * 7 as answer", "Row Source"),
+    ], ids=["covering-scan", "index-join", "hash-join", "nested-loop",
+            "table-function", "relationless"])
+    def test_every_operator_carries_planner_rows(self, toy_photo_database,
+                                                 options, sql, label):
+        """Without ANALYZE statistics the fallback constants still cost
+        every plan shape, so EXPLAIN reads ``planner_rows`` on each line."""
+        toy_photo_database.register_table_function(
+            "fFew", [bigint("objID")], lambda: [{"objID": 1}, {"objID": 2}],
+            row_estimate=3)
+        plan = Planner(toy_photo_database, **options).plan(parse_select(sql))
+        assert label in plan_strategies(plan)
+        operators = _find_operators(plan, object)
+        assert all(operator.planner_rows is not None for operator in operators)
+        lines = plan.explain().splitlines()
+        assert len(lines) == len(operators)
+        assert all("(estimated rows=" in line for line in lines)
+
     def test_explain_without_analyze_has_no_actuals(self, session):
         text_plan = session.explain("select objID from PhotoObj where rowv > 20")
         assert "actual rows=" not in text_plan
