@@ -31,10 +31,18 @@ SUM/AVG, DISTINCT) fall back to gathering the tagged aggregate
 *inputs* and folding them in merged order, trading transfer for
 bit-identical results; so does a MIN/MAX merge whose shard partials
 hold NaN or tie in value but not in representation (``0.0``/``-0.0``),
-re-run once its partials show it.  TOP-N re-sorts at the coordinator,
-DISTINCT unions in merged order, and anything a fragment cannot
-express falls back to the row-path gather executed by the unmodified
-single-node engine.
+re-run once its partials show it.  The merged groups come out of the
+plan's own GroupAggregate (its fold and its first-seen emission).
+
+The coordinator finishes a fragment plan with the engine's operators:
+the planner cuts the engine plan above its GroupAggregate (or, without
+one, above its ProjectOp), and the merged bindings feed the operators
+above the cut — HAVING, ORDER BY, the select list, DISTINCT, TOP and
+INTO — through :meth:`~repro.engine.operators.PhysicalPlan.execute`.
+A row plan's ORDER BY sits below its projection, so the merge itself
+re-sorts, stably, on the sort keys the shards computed.  Anything a
+fragment cannot express falls back to the row-path gather executed by
+the unmodified single-node engine.
 
 ``simulated_scan_mbps`` models the per-shard disk bandwidth of the
 paper's scan-bound hardware (Figure 15): every shard streams off its
@@ -48,28 +56,26 @@ It is off (None) by default.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from itertools import islice, repeat
-from operator import attrgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..engine.batch import JoinBatch, column_values, row_dicts
-from ..engine.compile import batch_key, compile_expression, row_keys
+from ..engine.compile import Layout, batch_key
 from ..engine.errors import QueryLimitExceeded
-from ..engine.expressions import EvaluationContext, Expression, Literal, Star
+from ..engine.expressions import AggregateCall, EvaluationContext, Star
 from ..engine.index import key_rank
-from ..engine.operators import (OUTPUT_BINDING, ExecutionContext,
-                                ExecutionStatistics, HashJoin, IndexRangeScan,
-                                PhysicalOperator, PhysicalPlan, QueryResult,
-                                TableScan, _AggState, _BatchInput,
+from ..engine.operators import (OUTPUT_BINDING, Binding, DistinctOp,
+                                ExecutionContext, ExecutionStatistics,
+                                HashJoin, IndexRangeScan, PhysicalOperator,
+                                PhysicalPlan, ProjectOp, QueryResult, SortOp,
+                                TableScan, TopOp, _AggState, _BatchInput,
                                 _IndexJoinInput, _SortKey, _batch_input,
-                                _create_table_for_rows, _group_key_name,
-                                _hashable, batch_shape, count_groups,
-                                fold_scalar)
+                                batch_shape, count_groups, fold_scalar)
 from ..engine.concurrency import read_locks
 from ..engine.sql import SqlSession
 # Bound here, though unused, for the benchmark harness's wrap point
@@ -78,7 +84,7 @@ from ..engine.sql import parse_batch  # noqa: F401
 from ..engine.sql.ast import AnalyzeStatement
 from ..engine.sql.session import StatementResult
 from ..telemetry.trace import TRACER
-from .planner import (ClusterPlan, ClusterPlanner, CoPartitionedJoinPlan,
+from .planner import (ClusterPlan, ClusterPlanner,
                       FallbackPlan, FragmentRelation, SingleTablePlan,
                       candidate_shards)
 from .shard import ShardCluster, ShardNode
@@ -90,8 +96,8 @@ _FRAGMENT_COUNTERS = (
     "segments_skipped", "runtime_filter_segments_pruned",
     "runtime_filter_rows_pruned", "vector_fallbacks")
 
-#: COUNT(*)'s argument where a fragment evaluates one per row.
-_ONE = Literal(1)
+#: A scalar fragment's row count, folded as a COUNT(*) state.
+_COUNT_STAR = AggregateCall("count")
 
 #: ``tags(batch, positions)``: the merge keys of a batch's positions.
 _Tags = Callable[..., list]
@@ -125,10 +131,10 @@ class _Fragment:
         #: for ordered-aggregate input fragments.
         self.rows: list[tuple] = []
         #: Partial aggregation: group key -> [its first row's merge key,
-        #: the key as that row shows it, then one partial per aggregate:
-        #: an _AggState, or a COUNT(*)'s row count] (the merge adopts
-        #: these lists).
-        self.groups: dict[tuple, list] = {}
+        #: the key as that row shows it, its row count, then one
+        #: _AggState per stateful aggregate] (the merge adopts these
+        #: lists).
+        self.groups: dict[Any, list] = {}
         self.statistics = ExecutionStatistics()
 
 
@@ -140,7 +146,7 @@ def _extremes_tie(plan, fragments: Sequence[_Fragment]) -> bool:
     extremes of one group differ in representation (``0.0``/``-0.0``,
     ``1``/``1.0``: the fold keeps the first the scan met)."""
     positions = [(position, aggregate.func == "min")
-                 for position, aggregate in enumerate(plan.aggregates)
+                 for position, aggregate in enumerate(plan.aggregate._stateful)
                  if aggregate.func in ("min", "max")]
     if not positions or len(fragments) < 2:
         return False
@@ -148,7 +154,7 @@ def _extremes_tie(plan, fragments: Sequence[_Fragment]) -> bool:
     for fragment in fragments:
         for key, entry in fragment.groups.items():
             for position, is_min in positions:
-                state = entry[2 + position]
+                state = entry[3 + position]
                 value = state.minimum if is_min else state.maximum
                 if value is None:
                     continue
@@ -196,20 +202,18 @@ class ClusterExecutor:
         release = self.cluster.release
         evaluation = self.cluster.coordinator.evaluation_context(variables)
         if isinstance(plan, SingleTablePlan):
-            relations = [plan.relation]
             self._count(distributed_queries=1)
         else:
-            assert isinstance(plan, CoPartitionedJoinPlan)
-            relations = [plan.drive, plan.inner]
             self._count(copartitioned_queries=1)
         survivors = set(range(release.shard_count))
-        for relation in relations:
+        for relation in plan.relations:
             survivors &= candidate_shards(release, relation, evaluation)
         pruned = release.shard_count - len(survivors)
         self._count(fragments_pruned=pruned, fragments_executed=len(survivors))
         nodes = [release.shards[shard_id] for shard_id in sorted(survivors)]
 
         started = time.perf_counter()
+        started_cpu = time.thread_time()
         # The fragments share the evaluation context, and their vector
         # compiles where their NULL signatures match (_null_signature).
         memos: dict[tuple, dict] = {}
@@ -231,41 +235,30 @@ class ClusterExecutor:
         tracer = TRACER
         if tracer.enabled:
             with tracer.span("merge", fragments=len(fragments)) as span:
-                if plan.is_aggregate:
-                    rows = self._merge_aggregate(plan, fragments, evaluation)
-                else:
-                    rows = self._merge_rows(plan, fragments)
-                span.attributes["rows"] = len(rows)
-        elif plan.is_aggregate:
-            rows = self._merge_aggregate(plan, fragments, evaluation)
+                finished = self._finish(plan, fragments, variables, row_limit)
+                span.attributes["rows"] = len(finished.rows)
         else:
-            rows = self._merge_rows(plan, fragments)
+            finished = self._finish(plan, fragments, variables, row_limit)
+        rows = finished.rows
         self._count(rows_merged=len(rows))
 
-        if plan.into:
-            table = _create_table_for_rows(self.cluster.coordinator, plan.into,
-                                           rows)
-            for row in rows:
-                table.insert(row, defer_index_sort=True)
-            table.rebuild_indexes()
-        if row_limit is not None and len(rows) > row_limit:
-            raise QueryLimitExceeded(
-                f"query exceeded the public row limit of {row_limit} rows",
-                limit_kind="rows")
+        # Both clocks, and the time limit, count the scatter too.
+        cpu_seconds = time.thread_time() - started_cpu
         elapsed = time.perf_counter() - started
         if time_limit_seconds is not None and elapsed > time_limit_seconds:
             raise QueryLimitExceeded(
                 f"query exceeded the public time limit of {time_limit_seconds} s",
                 limit_kind="time")
+        # The work counters stay the fragments' sums: the tail's compiles
+        # are the coordinator's.
         statistics.rows_returned = len(rows)
         statistics.elapsed_seconds = elapsed
-        columns = plan.query.output_names() or (
-            list(rows[0].keys()) if rows else [])
+        statistics.cpu_seconds = cpu_seconds
         frozen_variables = dict(variables) if variables else {}
         handle = ClusterPlanHandle(
             lambda: self.explain_plan(plan, frozen_variables))
-        return QueryResult(columns=columns, rows=rows, statistics=statistics,
-                           plan=handle)
+        return QueryResult(columns=finished.columns, rows=rows,
+                           statistics=statistics, plan=handle)
 
     def _scatter(self, plan: ClusterPlan, evaluation: EvaluationContext,
                  memos: dict, nodes: Sequence[ShardNode]) -> list[_Fragment]:
@@ -299,13 +292,19 @@ class ClusterExecutor:
         # cluster's own per-shard disk model is _simulate_io.
         context = ExecutionContext(shard.database, evaluation,
                                    statistics=fragment.statistics)
-        relations = ((plan.relation,) if isinstance(plan, SingleTablePlan)
-                     else (plan.drive, plan.inner))
+        relations = plan.relations
         with read_locks([shard.table(relation.table_name)
                          for relation in relations]):
             context.vector_memo = memos.setdefault(
                 _null_signature(shard, relations), {})
-            self._run_batches(shard, plan, context, fragment)
+            source, tags = self._batch_source(shard, plan, context)
+            if plan.is_aggregate:
+                run = self._batch_aggregate(plan, context, fragment, source,
+                                            tags)
+            else:
+                run = self._batch_rows(plan, context, fragment, source, tags)
+            context.statistics.exprs_compiled += source.compiled_count()
+            run()
         return fragment
 
     def _simulate_io(self, bytes_scanned: int) -> None:
@@ -318,18 +317,6 @@ class ClusterExecutor:
         time.sleep(seconds)
 
     # -- batch fragments -----------------------------------------------------
-
-    def _run_batches(self, shard, plan, context: ExecutionContext,
-                     fragment: _Fragment) -> None:
-        """Run the fragment through the engine's batch inputs."""
-        source, tags = self._batch_source(shard, plan, context)
-        if plan.is_aggregate:
-            run = self._batch_aggregate(plan, context, fragment, source, tags)
-        else:
-            run = self._batch_rows(shard, plan, context, fragment, source,
-                                   tags)
-        context.statistics.exprs_compiled += source.compiled_count()
-        run()
 
     def _batch_source(self, shard, plan, context: ExecutionContext
                       ) -> tuple[_BatchInput, _Tags]:
@@ -368,8 +355,9 @@ class ClusterExecutor:
 
     def _index(self, shard, relation: FragmentRelation):
         """The shard's index of ``relation``'s access path."""
-        index = self._find_index(shard.table(relation.table_name),
-                                 relation.access.index_name)
+        # Shards copy the coordinator's indexes under the same names.
+        index = shard.table(relation.table_name).indexes.get(
+            relation.access.index_name)
         if index is None:
             # The shard lost the index (dropped after planning).  A scan
             # could not produce the index-rank merge keys the other
@@ -409,28 +397,32 @@ class ClusterExecutor:
                     for rank, position, ordinal in zip(ranks, positions, ordinals)]
         return seek_tags
 
-    def _batch_rows(self, shard, plan, context: ExecutionContext,
+    def _batch_rows(self, plan, context: ExecutionContext,
                     fragment: _Fragment, source: _BatchInput, tags: _Tags
                     ) -> Callable[[], None]:
-        """Compile a row fragment (project, sort keys, local TOP) over
-        ``source``; returns the loop that runs it."""
-        relations = _layout_order(plan)
+        """Compile a row fragment (the plan's projection, its sort keys
+        and a local TOP) over ``source``; returns the loop that runs it."""
         # (output name, fn) per item; a ``*`` is (None, its columns'
         # (row key, batch key) pairs).
         items: list[tuple[Optional[str], Any]] = []
-        for position, item in enumerate(plan.select):
+        for position, item in enumerate(plan.operator(ProjectOp).items):
             expression = item.expression
             if isinstance(expression, Star):
-                items.append((None, _star_keys(shard, expression, source,
-                                               relations)))
+                # The single node's join (or access) operator lays the
+                # relations out in the order ``*`` expands them in.
+                items.append((None, _star_keys(expression, source,
+                                               plan.spine[-1].layout())))
             else:
                 items.append((item.output_name(position), source.projection(
                     context, expression, projected=True)[0]))
-        sort_fns = [(source.projection(context, expression, projected=True)[0],
-                     descending)
-                    for expression, descending in plan.order_by]
-        local_top = (plan.top if not plan.order_by and not plan.distinct
-                     else None)
+        sort, top = plan.operator(SortOp), plan.operator(TopOp)
+        sort_fns = ([] if sort is None else
+                    [(source.projection(context, expression, projected=True)[0],
+                      descending) for expression, descending in sort.keys])
+        # Without ORDER BY or DISTINCT a shard's first rows are the only
+        # ones a TOP can keep.
+        local_top = (top.count if top is not None and sort is None
+                     and plan.operator(DistinctOp) is None else None)
         stars = any(name is None for name, _fn in items)
         needed = [key for name, keys in items if name is None
                   for _column, key in keys]
@@ -469,71 +461,89 @@ class ClusterExecutor:
     def _batch_aggregate(self, plan, context: ExecutionContext,
                          fragment: _Fragment, source: _BatchInput,
                          tags: _Tags) -> Callable[[], None]:
-        """Compile an aggregate fragment over ``source``; returns the
-        fold that runs it."""
+        """Compile an aggregate fragment (the plan's GroupAggregate) over
+        ``source``; returns the fold that runs it.  As GroupAggregate
+        folds, COUNT(*) is its group's row count and every other
+        aggregate keeps a state."""
+        aggregate = plan.aggregate
         group_fns = [source.projection(context, expression)[0]
-                     for expression in plan.group_by]
+                     for expression in aggregate.group_by]
+        arguments = [source.projection(context, call.argument)
+                     for call in aggregate._stateful]
+        argument_fns = [fn for fn, _tag in arguments]
         if plan.aggregate_mode == "ordered":
-            # COUNT(*) gathers the constant 1 per row.
-            argument_fns = [source.projection(context,
-                                              aggregate.argument or _ONE)[0]
-                            for aggregate in plan.aggregates]
             return lambda: _gather_inputs(fragment.rows,
                                           source.batches(context), group_fns,
                                           argument_fns, tags)
-        arguments = [(None, None) if aggregate.argument is None
-                     else source.projection(context, aggregate.argument)
-                     for aggregate in plan.aggregates]
-        if plan.group_by:
-            return lambda: _fold_groups(fragment.groups, plan.aggregates,
+        if group_fns:
+            return lambda: _fold_groups(fragment.groups, aggregate._stateful,
                                         source.batches(context), group_fns,
-                                        [fn for fn, _tag in arguments], tags)
+                                        argument_fns, tags)
 
         def fold() -> None:
-            states = [_AggState(aggregate) for aggregate in plan.aggregates]
-            fold_scalar(source.batches(context), states, arguments)
-            if any(state.count for state in states):
-                fragment.groups[()] = [(0,), (), *states]
+            # The first state counts the rows.
+            states = [_AggState(call)
+                      for call in [_COUNT_STAR, *aggregate._stateful]]
+            fold_scalar(source.batches(context), states,
+                        [(None, None), *arguments])
+            if states[0].count:
+                fragment.groups[()] = [(0,), (), states[0].count, *states[1:]]
         return fold
 
     # -- coordinator merges -------------------------------------------------
 
-    def _merge_rows(self, plan, fragments: Sequence[_Fragment]
-                    ) -> list[dict[str, Any]]:
-        merged = heapq.merge(*[fragment.rows for fragment in fragments],
-                             key=lambda entry: entry[0])
-        entries = list(merged)
-        if plan.order_by:
-            # Stable: equal keys keep the merged (single-node) order.
-            entries.sort(key=lambda entry: entry[1])
-            self._count(topn_resorts=1 if plan.top is not None else 0)
-        rows = [entry[2] for entry in entries]
-        if plan.distinct:
-            rows = _distinct_rows(rows)
-        if plan.top is not None:
-            rows = rows[:plan.top]
-        return rows
+    def _finish(self, plan, fragments: Sequence[_Fragment],
+                variables: dict[str, Any],
+                row_limit: Optional[int]) -> QueryResult:
+        """Merge the fragments' streams into the plan's cut, then run the
+        engine's operators above it over the merged rows."""
+        if plan.operator(SortOp) and plan.operator(TopOp):
+            self._count(topn_resorts=1)
+        cut = plan.cut
+        cut.merged = (self._merge_aggregate(plan, fragments)
+                      if plan.is_aggregate else self._merge_rows(plan, fragments))
+        try:
+            return plan.tail.execute(variables, row_limit=row_limit)
+        finally:
+            cut.merged = ()
 
-    def _merge_aggregate(self, plan, fragments: Sequence[_Fragment],
-                         evaluation) -> list[dict[str, Any]]:
-        ordered_inputs = any(fragment.rows for fragment in fragments)
-        # group key -> [first merge key, the group's key as shown, states].
-        # Equal keys can differ in what they show (-0.0 and 0.0): the
-        # group shows its first row's, as on the single node.
-        groups: dict[tuple, list] = {}
-        if ordered_inputs:
+    def _merge_rows(self, plan, fragments: Sequence[_Fragment]
+                    ) -> list[Binding]:
+        """The plan's ProjectOp's output in single-node order: merged by
+        merge key, then sorted (stably) on the shards' sort keys."""
+        # Each fragment's rows are a run in merge-key order: the sort
+        # finds and merges the runs.
+        entries = sorted(chain.from_iterable(fragment.rows
+                                             for fragment in fragments),
+                         key=itemgetter(0))
+        if plan.operator(SortOp) is not None:
+            # Stable: equal keys keep the merged (single-node) order.
+            entries.sort(key=itemgetter(1))
+        return [{OUTPUT_BINDING: entry[2]} for entry in entries]
+
+    def _merge_aggregate(self, plan, fragments: Sequence[_Fragment]
+                         ) -> Iterator[Binding]:
+        """The plan's GroupAggregate's output over the merged groups: it
+        folds merged inputs, or takes merged partials, and emits them in
+        first-seen order."""
+        aggregate = plan.aggregate
+        # GroupAggregate's fold: group key -> row count, and -> the
+        # stateful aggregates' states.
+        counts: Counter = Counter()
+        states: dict[Any, list] = {}
+        if any(fragment.rows for fragment in fragments):
             self._count(ordered_aggregate_gathers=1)
-            merged = heapq.merge(*[fragment.rows for fragment in fragments],
-                                 key=lambda entry: entry[0])
-            for tag, key, values in merged:
-                entry = groups.get(key)
-                if entry is None:
-                    entry = [tag, key, *[_AggState(aggregate)
-                                         for aggregate in plan.aggregates]]
-                    groups[key] = entry
-                for state, value in zip(islice(entry, 2, None), values):
-                    state.update(value)
+            merged = sorted(chain.from_iterable(fragment.rows
+                                                for fragment in fragments),
+                            key=itemgetter(0))
+            aggregate._fold(counts, states, map(itemgetter(1), merged),
+                            map(itemgetter(2), merged)
+                            if aggregate._stateful else None)
         else:
+            # group key -> [first merge key, the key as shown, row count,
+            # states].  Equal keys can differ in what they show (-0.0 and
+            # 0.0): the group shows its first row's, as on the single node.
+            groups: dict[Any, list] = {}
             partial_merges = 0
             for fragment in fragments:
                 for key, theirs in fragment.groups.items():
@@ -543,66 +553,17 @@ class ClusterExecutor:
                         continue
                     if theirs[0] < entry[0]:
                         entry[0], entry[1] = theirs[0], theirs[1]
-                    for position in range(2, len(entry)):
-                        mine, state = entry[position], theirs[position]
-                        if type(mine) is int:
-                            entry[position] = mine + _result(state)
-                        else:
-                            mine.merge_partial(_partial_state(state))
-                    partial_merges += len(entry) - 2
+                    entry[2] += theirs[2]
+                    for mine, state in zip(islice(entry, 3, None),
+                                           islice(theirs, 3, None)):
+                        mine.merge_partial(state.partial_state())
+                    partial_merges += len(aggregate.aggregates)
             self._count(partial_merges=partial_merges)
-        if not groups and not plan.group_by:
-            # Aggregates over an empty input still produce one row.
-            groups[()] = [(0,), (), *[_AggState(aggregate)
-                                      for aggregate in plan.aggregates]]
-        ordered_groups = sorted(groups.values(), key=lambda entry: entry[0])
-        self._count(groups_merged=len(ordered_groups))
-
-        # Group rows are bound as the single-node GroupAggregate binds
-        # them, so HAVING / ORDER BY / the select list compile against
-        # the same one-alias layout (with the projected fallback).
-        group_names = [_group_key_name(expression)
-                       for expression in plan.group_by]
-        result_keys = [aggregate.result_key() for aggregate in plan.aggregates]
-        layout = ((OUTPUT_BINDING, row_keys(group_names + result_keys)),)
-        rows: list[dict[str, Any]] = []
-        for entry in ordered_groups:
-            row: dict[str, Any] = dict(zip(group_names, entry[1]))
-            for result_key, state in zip(result_keys, islice(entry, 2, None)):
-                row[result_key] = _result(state)
-            rows.append(row)
-        # One binding, re-pointed at each group row in turn.
-        binding: dict[str, dict[str, Any]] = {}
-
-        def bound(row: dict[str, Any]) -> dict[str, dict[str, Any]]:
-            binding[OUTPUT_BINDING] = row
-            return binding
-
-        def projected(expression: Expression):
-            return compile_expression(expression, evaluation, layout,
-                                      projected=True)
-
-        if plan.having is not None:
-            having = projected(plan.having)
-            rows = [row for row in rows if having(bound(row)) is True]
-        if plan.order_by:
-            sort_fns = [(projected(expression), descending)
-                        for expression, descending in plan.order_by]
-            decorated = [([_SortKey(fn(bound(row)), descending)
-                           for fn, descending in sort_fns], row)
-                         for row in rows]
-            decorated.sort(key=lambda pair: pair[0])
-            rows = [row for _keys, row in decorated]
-            self._count(topn_resorts=1 if plan.top is not None else 0)
-        item_fns = [(item.output_name(position), projected(item.expression))
-                    for position, item in enumerate(plan.select)]
-        outputs = [{name: fn(bound(row)) for name, fn in item_fns}
-                   for row in rows]
-        if plan.distinct:
-            outputs = _distinct_rows(outputs)
-        if plan.top is not None:
-            outputs = outputs[:plan.top]
-        return outputs
+            for entry in sorted(groups.values(), key=itemgetter(0)):
+                counts[entry[1]] = entry[2]
+                states[entry[1]] = entry[3:]
+        self._count(groups_merged=len(counts))
+        return aggregate._emit_groups(counts, states)
 
     # -- spatial scatter (the cone-search path) -----------------------------
 
@@ -647,12 +608,9 @@ class ClusterExecutor:
                      variables: Optional[dict[str, Any]] = None) -> str:
         evaluation = self.cluster.coordinator.evaluation_context(variables or {})
         lines: list[str] = []
-        if isinstance(plan, SingleTablePlan):
-            relations = [plan.relation]
-        elif isinstance(plan, CoPartitionedJoinPlan):
-            relations = [plan.drive, plan.inner]
-        else:
+        if isinstance(plan, FallbackPlan):
             return f"Gather (fallback: {plan.reason})"
+        relations = plan.relations
         survivors = set(range(self.cluster.shard_count))
         for relation in relations:
             survivors &= candidate_shards(self.cluster, relation, evaluation)
@@ -663,12 +621,13 @@ class ClusterExecutor:
                      f"(shards={self.cluster.shard_count}, "
                      f"fragments={len(survivors)}, pruned={pruned})")
         if plan.is_aggregate:
-            aggregates = ", ".join(a.sql() for a in plan.aggregates)
+            aggregates = ", ".join(a.sql() for a in plan.aggregate.aggregates)
             mode = "Partial" if plan.aggregate_mode == "partial" else "Ordered"
             lines.append(f"  {mode} Aggregate {aggregates}")
-        if plan.top is not None:
-            lines.append(f"  Top {plan.top} (re-sorted at coordinator)"
-                         if plan.order_by else f"  Top {plan.top}")
+        top = plan.operator(TopOp)
+        if top is not None:
+            lines.append(f"  Top {top.count} (re-sorted at coordinator)"
+                         if plan.operator(SortOp) else f"  Top {top.count}")
         for shard_id in range(self.cluster.shard_count):
             mark = "" if shard_id in survivors else "  (pruned)"
             if isinstance(plan, SingleTablePlan):
@@ -714,34 +673,6 @@ class ClusterExecutor:
                 "simulated_io_seconds": round(self.simulated_io_seconds, 6),
             }
 
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _find_index(table, name: Optional[str]):
-        if name is None:
-            return None
-        index = table.indexes.get(name)
-        if index is not None:
-            return index
-        for index_name, index in table.indexes.items():
-            if index_name.lower() == name.lower():
-                return index
-        return None
-
-
-def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """First occurrence wins, in the (merged) input order — DistinctOp's keying."""
-    seen: set = set()
-    deduplicated: list[dict[str, Any]] = []
-    for row in rows:
-        key = tuple(sorted((name, _hashable(value))
-                           for name, value in row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        deduplicated.append(row)
-    return deduplicated
-
 
 # ---------------------------------------------------------------------------
 # Batch fragment helpers
@@ -780,16 +711,6 @@ def _match_ordinals(probe_positions: Sequence[int]) -> list[int]:
     return ordinals
 
 
-def _result(state: Any) -> Any:
-    """A fragment partial's result (a COUNT(*) partial is its row count)."""
-    return state if type(state) is int else state.result()
-
-
-def _partial_state(state: Any) -> tuple:
-    """A fragment partial as :meth:`_AggState.partial_state`."""
-    return (state, 0.0, None, None) if type(state) is int else state.partial_state()
-
-
 def _null_signature(shard, relations: Sequence[FragmentRelation]) -> tuple:
     """Which of the columns the fragment reads hold NULLs on this shard:
     the one fact of a shard's data its vector compiles depend on, so
@@ -805,34 +726,19 @@ def _null_signature(shard, relations: Sequence[FragmentRelation]) -> tuple:
     return tuple(flags)
 
 
-def _layout_order(plan) -> tuple[FragmentRelation, ...]:
-    """The plan's relations in the single-node join's binding order,
-    the order ``*`` expands them in: a hash join's build (inner) side
-    first, else the drive side first."""
-    if isinstance(plan, SingleTablePlan):
-        return (plan.relation,)
-    if plan.strategy == "hash":
-        return (plan.inner, plan.drive)
-    return (plan.drive, plan.inner)
-
-
-def _star_keys(shard, star: Star, source: _BatchInput,
-               relations: Sequence[FragmentRelation]) -> list[tuple[str, str]]:
+def _star_keys(star: Star, source: _BatchInput,
+               layout: Layout) -> list[tuple[str, str]]:
     """(row key, batch key) of each column ``star`` expands to, as the
-    single node's projection expands it: the relations' rows in layout
-    order, each in its column order, a row key met twice keeping its
-    first."""
+    single node's projection expands it: the relations' rows in
+    ``layout`` order, each in its column order, a row key met twice
+    keeping its first."""
     qualifier = (star.qualifier or "").lower()
     keys: dict[str, str] = {}
-    for relation in relations:
-        if qualifier and qualifier != relation.binding.lower():
+    for binding, columns in layout:
+        if qualifier and qualifier != binding.lower():
             continue
-        columns = relation.columns
-        if columns is None:
-            columns = shard.table(relation.table_name).row_keys
         for column in columns:
-            keys.setdefault(column, batch_key(source.schema, relation.binding,
-                                              column))
+            keys.setdefault(column, batch_key(source.schema, binding, column))
     return list(keys.items())
 
 
@@ -871,28 +777,26 @@ def _gather_inputs(rows: list, batches: Iterable, group_fns, argument_fns,
                    tags: _Tags) -> None:
     """An ordered aggregate's shard side: ``(merge key, group key,
     argument values)`` per row, folded at the coordinator in merged
-    order."""
+    order.  A group key is :func:`~repro.engine.operators.row_key`'s:
+    one grouping column's bare value, else the tuple of the values."""
     for batch in batches:
         selection = batch.selection
         count = len(selection)
-        keys = (zip(*[fn(batch, selection) for fn in group_fns])
-                if group_fns else repeat((), count))
+        columns = [fn(batch, selection) for fn in group_fns]
+        keys = (columns[0] if len(columns) == 1
+                else zip(*columns) if columns else repeat((), count))
         values = (zip(*[fn(batch, selection) for fn in argument_fns])
                   if argument_fns else repeat((), count))
         rows.extend(zip(tags(batch, selection), keys, values))
 
 
-def _fold_groups(groups: dict, aggregates, batches: Iterable, group_fns,
+def _fold_groups(groups: dict, stateful, batches: Iterable, group_fns,
                  argument_fns, tags: _Tags) -> None:
     """A grouped partial aggregate's shard side: fold each batch's rows
-    into ``groups`` (group key tuple → [its first row's merge key, one
-    state per aggregate]), keys and arguments read column-wise.  COUNT(*)
-    (``argument_fns`` None) is its group's row count.  One grouping
-    column folds by the bare value, which groups exactly as its 1-tuple
-    (:func:`~repro.engine.operators.row_key`)."""
-    stateful = [aggregate for aggregate, fn in zip(aggregates, argument_fns)
-                if fn is not None]
-    stateful_fns = [fn for fn in argument_fns if fn is not None]
+    into ``groups`` (group key → [its first row's merge key, the key,
+    the row count, one state per ``stateful`` aggregate]), keys and
+    arguments read column-wise.  A group key is
+    :func:`~repro.engine.operators.row_key`'s."""
     single = len(group_fns) == 1
     counts: Counter = Counter()
     states: dict[Any, list[_AggState]] = {}
@@ -904,8 +808,8 @@ def _fold_groups(groups: dict, aggregates, batches: Iterable, group_fns,
         get = counts.get
         firsts: list[int] = []
         first_keys: list[Any] = []
-        if stateful_fns:
-            values = zip(*[fn(batch, selection) for fn in stateful_fns])
+        if argument_fns:
+            values = zip(*[fn(batch, selection) for fn in argument_fns])
             for position, key, row in zip(selection, keys, values):
                 count = get(key)
                 if count is None:
@@ -931,11 +835,7 @@ def _fold_groups(groups: dict, aggregates, batches: Iterable, group_fns,
         if firsts:
             first_tags.update(zip(first_keys, tags(batch, firsts)))
     for key, count in counts.items():
-        running = iter(states.get(key, ()))
-        shown = (key,) if single else key
-        groups[shown] = [first_tags[key], shown,
-                         *[count if fn is None else next(running)
-                           for fn in argument_fns]]
+        groups[key] = [first_tags[key], key, count, *states.get(key, ())]
 
 
 # ---------------------------------------------------------------------------

@@ -42,20 +42,20 @@ no local conjunct can raise, since a pruned shard evaluates nothing).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..engine.catalog import Database
-from ..engine.compile import compile_expression
+from ..engine.compile import Layout, compile_expression
 from ..engine.errors import BindError, PlanError
-from ..engine.expressions import (AggregateCall, BinaryOp, ColumnRef,
-                                  Expression, Literal, combine_conjuncts,
-                                  extract_sargable)
-from ..engine.logical import FunctionRef, LogicalQuery, SelectItem
-from ..engine.operators import (GroupAggregate, HashJoin, IndexNestedLoopJoin,
-                                IndexRangeScan, NestedLoopJoin,
-                                PhysicalOperator, TableScan, key_range_text)
+from ..engine.expressions import (BinaryOp, ColumnRef, Expression, Literal,
+                                  combine_conjuncts, extract_sargable)
+from ..engine.logical import FunctionRef, LogicalQuery
+from ..engine.operators import (Binding, ExecutionContext, GroupAggregate,
+                                HashJoin, IndexNestedLoopJoin, IndexRangeScan,
+                                NestedLoopJoin, PhysicalOperator, PhysicalPlan,
+                                ProjectOp, TableScan, key_range_text)
 from ..engine.planner import (Planner, _cannot_raise, _RelationInfo,
-                              collect_aggregates, qualify_columns)
+                              qualify_columns)
 from ..engine.table import Table
 from ..engine.types import NULL
 from .partition import colocated
@@ -113,25 +113,58 @@ class ClusterPlan:
     kind = "fallback"
 
 
+class MergedRows(PhysicalOperator):
+    """The leaf of a fragment plan's tail: the bindings the coordinator
+    merged from the shards, as the operator below the cut would have
+    emitted them (and laid out as its :meth:`layout`)."""
+
+    label = "Merged Rows"
+
+    def __init__(self, layout: Layout):
+        super().__init__()
+        self._layout = layout
+        #: One execution's bindings (the executor sets and clears them).
+        self.merged: Iterable[Binding] = ()
+
+    def rows(self, context: ExecutionContext) -> Iterator[Binding]:
+        return map(self._emit, self.merged)
+
+    def layout(self) -> Layout:
+        return self._layout
+
+
 @dataclass
 class _FragmentShape(ClusterPlan):
-    """Shared projection/aggregation/ordering metadata of both fragment plans."""
+    """What both fragment plans share: the engine planner's plan of the
+    statement, cut above its aggregate or else above its projection.
+    Shards run what lies below the cut, reading their aggregates, select
+    list, sort keys and TOP off its operators; the coordinator merges
+    their streams into ``cut`` and runs ``tail``, the engine's HAVING,
+    ORDER BY, projection, DISTINCT, TOP and INTO above the cut."""
 
-    select: list[SelectItem] = field(default_factory=list)
-    aggregates: list[AggregateCall] = field(default_factory=list)
-    group_by: list[Expression] = field(default_factory=list)
-    having: Optional[Expression] = None
-    order_by: list[tuple[Expression, bool]] = field(default_factory=list)
-    top: Optional[int] = None
-    distinct: bool = False
-    into: Optional[str] = None
+    #: The uncut plan's operators, root first (:func:`_spine`).
+    spine: list[PhysicalOperator] = field(default_factory=list)
+    tail: Optional[PhysicalPlan] = None
+    cut: Optional[MergedRows] = None
     #: ``"partial"`` when shard partial aggregates merge bit-exactly,
     #: else ``"ordered"`` (``Planner._partial_aggregate_mode``).
     aggregate_mode: str = "ordered"
 
+    def __post_init__(self) -> None:
+        self._operators = {type(operator): operator for operator in self.spine}
+
+    def operator(self, kind: type) -> Optional[Any]:
+        """The plan's operator of class ``kind`` (a spine has at most one
+        aggregate, sort, projection, DISTINCT and TOP), or None."""
+        return self._operators.get(kind)
+
+    @property
+    def aggregate(self) -> Optional[GroupAggregate]:
+        return self.operator(GroupAggregate)
+
     @property
     def is_aggregate(self) -> bool:
-        return bool(self.aggregates or self.group_by)
+        return self.aggregate is not None
 
 
 @dataclass
@@ -141,6 +174,10 @@ class SingleTablePlan(_FragmentShape):
     relation: FragmentRelation = None  # type: ignore[assignment]
 
     kind = "single"
+
+    @property
+    def relations(self) -> tuple[FragmentRelation, ...]:
+        return (self.relation,)
 
 
 @dataclass
@@ -164,6 +201,11 @@ class CoPartitionedJoinPlan(_FragmentShape):
     runtime_filter_enabled: bool = False
 
     kind = "join"
+
+    @property
+    def relations(self) -> tuple[FragmentRelation, ...]:
+        """The drive side first: its access path orders the merge."""
+        return (self.drive, self.inner)
 
 
 @dataclass
@@ -217,11 +259,8 @@ class ClusterPlanner:
         per-shard modification counters of exactly these tables (see :meth:`ShardCluster.table_versions`), so a write
         re-plans the fragments — or re-gathers and re-plans a fallback.
         """
-        if isinstance(plan, SingleTablePlan):
-            return [plan.relation.table_name]
-        if isinstance(plan, CoPartitionedJoinPlan):
-            return [plan.drive.table_name, plan.inner.table_name]
-        assert isinstance(plan, FallbackPlan)
+        if not isinstance(plan, FallbackPlan):
+            return [relation.table_name for relation in plan.relations]
         return (list(plan.tables) if plan.tables is not None
                 else self.cluster.table_keys())
 
@@ -271,32 +310,27 @@ class ClusterPlanner:
 
     # -- shared shape extraction ------------------------------------------
 
-    def _shape(self, query: LogicalQuery, spine: Sequence[PhysicalOperator],
+    def _shape(self, physical: PhysicalPlan, spine: list[PhysicalOperator],
                infos: Sequence[_RelationInfo]) -> dict[str, Any]:
-        aggregates: list[AggregateCall] = []
-        for item in query.select:
-            aggregates.extend(collect_aggregates(item.expression))
-        if query.having is not None:
-            aggregates.extend(collect_aggregates(query.having))
-        deduplicated: dict[str, AggregateCall] = {}
-        for aggregate in aggregates:
-            deduplicated.setdefault(aggregate.result_key(), aggregate)
-        order_by = [(self.engine._rewrite_order_key(order.expression, query),
-                     order.descending) for order in query.order_by]
-        aggregate_op = next((operator for operator in spine
-                             if isinstance(operator, GroupAggregate)), None)
+        """The fragment plan fields of ``physical``, whose operator above
+        the cut is made to read a :class:`MergedRows` leaf."""
+        aggregate = next((operator for operator in spine
+                          if isinstance(operator, GroupAggregate)), None)
+        # Above a projection only DISTINCT, TOP and INTO run: they bind
+        # no expression.
+        below = aggregate or next(operator for operator in spine
+                                  if isinstance(operator, ProjectOp))
+        cut = MergedRows(aggregate.layout() if aggregate else ())
+        position = spine.index(below)
+        if position:
+            spine[position - 1].child = cut
+        else:
+            physical.root = cut
         return {
-            "select": list(query.select),
-            "aggregates": list(deduplicated.values()),
-            "group_by": list(query.group_by),
-            "having": query.having,
-            "order_by": order_by,
-            "top": query.top,
-            "distinct": query.distinct,
-            "into": query.into,
+            "spine": spine, "tail": physical, "cut": cut,
             "aggregate_mode": (
-                self.engine._partial_aggregate_mode(aggregate_op, infos)
-                if aggregate_op is not None else "ordered"),
+                self.engine._partial_aggregate_mode(aggregate, infos)
+                if aggregate is not None else "ordered"),
         }
 
     @staticmethod
@@ -335,12 +369,13 @@ class ClusterPlanner:
 
     def _plan_single(self, query: LogicalQuery, info: _RelationInfo,
                      leftover: Sequence[Expression]) -> ClusterPlan:
-        spine = _spine(self.engine.plan(query).root)
+        physical = self.engine.plan(query)
+        spine = _spine(physical.root)
         # Constant (relationless) conjuncts ride along as extra local
         # filters: same rows, same order as the single-node residual.
         relation = self._relation(info, spine[-1], leftover)
         return SingleTablePlan(query, relation=relation,
-                               **self._shape(query, spine, [info]))
+                               **self._shape(physical, spine, [info]))
 
     # -- the co-partitioned join path --------------------------------------
 
@@ -366,7 +401,8 @@ class ClusterPlanner:
             return FallbackPlan(query, tables=base_tables,
                                 reason="join is not co-partitioned")
 
-        spine = _spine(self.engine.plan(query).root)
+        physical = self.engine.plan(query)
+        spine = _spine(physical.root)
         join = spine[-1]
         if isinstance(join, HashJoin):
             # The probe side streams; matches come in build order.
@@ -399,7 +435,7 @@ class ClusterPlanner:
             drive_keys=drive_keys, inner_keys=inner_keys, residual=residual,
             strategy=strategy,
             runtime_filter_enabled=self.engine.enable_runtime_filters,
-            **self._shape(query, spine, infos))
+            **self._shape(physical, spine, infos))
 
     def _equality_sides(self, conjunct: Expression,
                         by_name: dict[str, _RelationInfo]

@@ -2645,8 +2645,8 @@ class PhysicalPlan:
         ``statistics.cpu_seconds`` is the CPU time of the calling thread
         (:func:`time.thread_time`), so a query running beside others in
         a serving pool is not charged theirs.  Cluster fragments run on
-        the calling thread too, except under simulated per-shard I/O,
-        which runs them on pool threads whose CPU it does not count."""
+        the calling thread too, and a distributed result's
+        ``cpu_seconds`` counts them."""
         from .errors import QueryLimitExceeded
 
         self.reset_actuals()

@@ -359,8 +359,7 @@ class SkyServer:
         ``cpu_seconds`` is the calling thread's CPU time
         (:func:`time.thread_time`), not the process's, so other threads'
         work is not charged to the query.  Cluster fragments run on the
-        calling thread except under simulated per-shard I/O, which runs
-        them on pool threads this clock does not see."""
+        calling thread too, so this clock sees them."""
         query = query_by_id(query_id)
         sql = self._resolve_placeholders(query)
         started_wall = time.perf_counter()

@@ -406,6 +406,16 @@ def test_row_limit_enforced_on_distributed_path():
         session.query("select objID from Obj")
 
 
+def test_distributed_results_report_the_coordinator_thread_cpu():
+    """A distributed result's CPU time is the calling thread's over
+    scatter, merge and the coordinator's operators, as one node's is."""
+    session = ClusterSession(make_cluster(4))
+    statistics = session.query(
+        "select type, count(*) as c, avg(mag) as m from Obj group by type"
+    ).statistics
+    assert 0.0 < statistics.cpu_seconds <= statistics.elapsed_seconds
+
+
 def test_analyze_refreshes_shard_statistics():
     cluster = make_cluster(2)
     session = ClusterSession(cluster)
@@ -669,6 +679,58 @@ def test_an_unknown_alias_raises_in_every_clause(layout, sql):
         session.query(sql)
     rows = session.query("select objID as m from Obj o order by m desc").rows
     assert [row["m"] for row in rows[:2]] == [399 * 13 + 5, 398 * 13 + 5]
+
+
+#: Shapes the coordinator finishes with the engine's own operators above
+#: the shards' cut: HAVING, ORDER BY, projection, DISTINCT, TOP, INTO.
+FINISHED_ON_THE_COORDINATOR = [
+    # HAVING names the aggregate cannot resolve.
+    "select type % 2 as t, count(*) as c from Obj group by type % 2 "
+    "having type % 2 = 1",
+    "select type, count(*) as c from Obj group by type having c > 1",
+    "select n.objID, count(*) as c from Neighbors n "
+    "join Obj o on o.objID = n.objID group by n.objID having o.type = 1",
+    # ORDER BY an alias, an ordinal, an aggregate.
+    "select type as t, count(*) as c from Obj group by type order by t desc",
+    "select type, avg(mag) as m from Obj group by type order by 2 desc",
+    "select type, count(*) as c from Obj group by type order by count(*), type",
+    "select type, count(*) as c from Obj group by type order by max(mag)",
+    "select objID as id, mag from Obj where mag < 16 order by id desc",
+    "select objID, mag from Obj where mag < 16 order by 2",
+    "select distinct count(*) as c from Obj group by type % 2",
+    # TOP with and without ORDER BY.
+    "select top 3 objID, mag from Obj where mag < 18",
+    "select top 3 objID, mag from Obj order by mag desc",
+    "select top 2 type, count(*) as c from Obj group by type",
+    "select top 2 type, count(*) as c from Obj group by type order by c",
+    "select type, count(*) as c into ##r from Obj group by type; "
+    "select * from ##r",
+    "select objID, mag into ##r from Obj where mag < 16; select * from ##r",
+    # HAVING over an empty input, and a scalar aggregate.
+    "select type, count(*) as c from Obj where mag > 99 group by type "
+    "having count(*) > 0",
+    "select count(*) as c, max(mag) as m from Obj where mag > 99 "
+    "having count(*) = 0",
+    "select count(*) as c, avg(mag) as m, min(dec) as d from Obj",
+]
+
+
+def _outcome(session, sql: str) -> tuple[str, str]:
+    """``repr`` of a result's columns and rows, or an error's type and text."""
+    try:
+        result = session.query(sql)
+    except Exception as error:
+        return type(error).__name__, str(error)
+    return repr(result.columns), repr(result.rows)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("sql", FINISHED_ON_THE_COORDINATOR)
+def test_the_coordinator_finishes_plans_as_one_node_does(shards, sql):
+    """What runs above the shards' merge answers, and fails, exactly as
+    on one column-store node."""
+    expected = _outcome(SqlSession(build_generic(storage="column")), sql)
+    assert _outcome(ClusterSession(make_cluster(shards)), sql) == expected
 
 
 def _photo_database(name: str) -> Database:
